@@ -61,10 +61,6 @@ def forall_below(var: str, bound: NumTerm, body: Formula) -> Formula:
     return AlN(var, bound, Imp(lt(NVar(var), bound), body))
 
 
-def exists_below(var: str, bound: NumTerm, body: Formula) -> Formula:
-    return ExN(var, bound, And(lt(NVar(var), bound), body))
-
-
 class _MatrixEmitter:
     """Shared clause builder for the ACC and REACH matrices.
 

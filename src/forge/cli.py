@@ -23,7 +23,6 @@ from pathlib import Path
 
 from . import proofs, reflect
 from .acc import compile_acc, eval_acc
-from .codec import bits_to_mask  # noqa: F401  (re-exported convenience)
 from .errors import BudgetError, ForgeError
 from .evaluate import (Assignment, FiniteSlice, MonotoneTree, check_mfv,
                        eval_formula, mfv_witness, node_value)

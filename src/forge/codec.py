@@ -1,4 +1,4 @@
-"""Number pairing, tuples, packed integer sequences, and bit strings.
+"""Packed integer sequences and bit strings.
 
 Sequence codes are self-describing numbers: the low 5 bits hold the field
 width w, and the rest is the packed payload topped by a sentinel bit, so the
@@ -12,53 +12,11 @@ are the same set iff they agree after stripping trailing zeros, and the
 length of a set is one past its largest element, so "0110" has length 3.
 """
 
-from math import isqrt
-
 from .errors import DecodeError, SliceExceededError
 
 WIDTH_BITS = 5
 MAX_FIELD_WIDTH = (1 << WIDTH_BITS) - 1
 DECODE_LENGTH_CAP = 1 << 20
-
-
-def pair(x: int, y: int) -> int:
-    if x < 0 or y < 0:
-        raise ValueError("pair arguments must be non-negative")
-    s = x + y
-    return s * (s + 1) // 2 + y
-
-
-def unpair(n: int) -> tuple[int, int]:
-    if n < 0:
-        raise ValueError("unpair argument must be non-negative")
-    w = (isqrt(8 * n + 1) - 1) // 2
-    y = n - w * (w + 1) // 2
-    return w - y, y
-
-
-def tuple_k(xs: list[int] | tuple[int, ...]) -> int:
-    """Left-nested pairing; a 1-tuple is the element itself."""
-    if not xs:
-        raise ValueError("cannot encode an empty tuple")
-    acc = xs[0]
-    for x in xs[1:]:
-        acc = pair(acc, x)
-    return acc
-
-
-def project(n: int, i: int, k: int) -> int:
-    """Component i of n read as a k-tuple."""
-    if k < 1:
-        raise ValueError("tuple arity must be at least 1")
-    if not 0 <= i < k:
-        raise IndexError(f"component {i} out of range for arity {k}")
-    cur = n
-    for _ in range(k - 1 - i):
-        cur, _ = unpair(cur)
-    if i == 0:
-        return cur
-    _, last = unpair(cur)
-    return last
 
 
 def encode_seq(xs: list[int] | tuple[int, ...]) -> int:

@@ -8,11 +8,21 @@ finite.  Term values themselves are unbounded big integers.
 Strings are read as sets of positions: the length of a string is one past
 its largest element, membership beyond the text is false, and equality
 ignores trailing zeros.
+
+Certificate roles: eval_formula optionally takes a map from variable names
+to callbacks.  An ExN binder whose variable has a role is not swept; its
+callback computes a value from the current assignment, the binder is false
+if that value exceeds the bound, and otherwise the body is evaluated once
+with the value bound.  This is sound, and agrees with honest evaluation,
+only when each callback produces the only admissible value: the one value
+below the bound, if any, that can satisfy the body.  Compilers that attach
+roles (nepo) must emit clauses that pin their witnesses uniquely.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from . import codec
 from .errors import (ClassError, SliceExceededError, SortMismatchError,
@@ -46,6 +56,9 @@ class Assignment:
         return Assignment(dict(self.nums), dict(self.strs))
 
 
+Roles = dict[str, Callable[[Assignment], int]]
+
+
 def _num_lookup(env: Assignment, name: str) -> int:
     if not is_num_name(name):
         raise SortMismatchError(f"{name} is not a number variable")
@@ -64,7 +77,7 @@ def _str_lookup(env: Assignment, name: str) -> str:
         raise UnboundVariableError(f"string variable {name} is unbound") from None
 
 
-def eval_term(t: NumTerm, s: FiniteSlice, env: Assignment) -> int:
+def eval_term(t: NumTerm, env: Assignment) -> int:
     tt = type(t)
     if tt is Zero:
         return 0
@@ -73,58 +86,69 @@ def eval_term(t: NumTerm, s: FiniteSlice, env: Assignment) -> int:
     if tt is NVar:
         return _num_lookup(env, t.name)
     if tt is Plus:
-        return eval_term(t.left, s, env) + eval_term(t.right, s, env)
+        return eval_term(t.left, env) + eval_term(t.right, env)
     if tt is Times:
-        return eval_term(t.left, s, env) * eval_term(t.right, s, env)
+        return eval_term(t.left, env) * eval_term(t.right, env)
     if tt is Len:
         return codec.set_length(_str_lookup(env, t.svar))
     if tt is SeqAt:
-        return codec.seq_get_total(eval_term(t.seq, s, env), eval_term(t.index, s, env))
+        return codec.seq_get_total(eval_term(t.seq, env), eval_term(t.index, env))
     if tt is SeqLen:
-        return codec.seq_len_total(eval_term(t.seq, s, env))
+        return codec.seq_len_total(eval_term(t.seq, env))
     raise TypeError(f"not a term: {t!r}")
 
 
 def _quant_bound(t: NumTerm, s: FiniteSlice, env: Assignment) -> int:
-    b = eval_term(t, s, env)
+    b = eval_term(t, env)
     if b > s.num_bound:
         raise SliceExceededError(f"quantifier bound {b} exceeds num_bound {s.num_bound}")
     return b
 
 
-def eval_formula(f: Formula, s: FiniteSlice, env: Assignment | None = None) -> bool:
-    """Truth of f in the slice; quantifier bounds are inclusive."""
+def eval_formula(f: Formula, s: FiniteSlice, env: Assignment | None = None,
+                 roles: Roles | None = None) -> bool:
+    """Truth of f in the slice; quantifier bounds are inclusive.
+
+    roles settles the listed ExN binders by callback instead of a sweep; see
+    the module docstring for when that is sound.
+    """
     if env is None:
         env = Assignment()
-    return _eval(f, s, env)
+    return _eval(f, s, env, roles)
 
 
-def _eval(f: Formula, s: FiniteSlice, env: Assignment) -> bool:
+def _eval(f: Formula, s: FiniteSlice, env: Assignment, roles: Roles | None) -> bool:
     tf = type(f)
     if tf is EqNum:
-        return eval_term(f.left, s, env) == eval_term(f.right, s, env)
+        return eval_term(f.left, env) == eval_term(f.right, env)
     if tf is Leq:
-        return eval_term(f.left, s, env) <= eval_term(f.right, s, env)
+        return eval_term(f.left, env) <= eval_term(f.right, env)
     if tf is EqStr:
         return codec.sets_equal(_str_lookup(env, f.left), _str_lookup(env, f.right))
     if tf is Memb:
-        return codec.bit_at(_str_lookup(env, f.svar), eval_term(f.index, s, env))
+        return codec.bit_at(_str_lookup(env, f.svar), eval_term(f.index, env))
     if tf is And:
-        return _eval(f.left, s, env) and _eval(f.right, s, env)
+        return _eval(f.left, s, env, roles) and _eval(f.right, s, env, roles)
     if tf is Or:
-        return _eval(f.left, s, env) or _eval(f.right, s, env)
+        return _eval(f.left, s, env, roles) or _eval(f.right, s, env, roles)
     if tf is Not:
-        return not _eval(f.body, s, env)
+        return not _eval(f.body, s, env, roles)
     if tf is Imp:
-        return (not _eval(f.left, s, env)) or _eval(f.right, s, env)
+        return (not _eval(f.left, s, env, roles)) or _eval(f.right, s, env, roles)
     if tf in (ExN, AlN):
         b = _quant_bound(f.bound, s, env)
         want = tf is ExN
         prev = env.nums.get(f.var)
         try:
+            if want and roles and f.var in roles:
+                v = roles[f.var](env)
+                if v > b:
+                    return False
+                env.nums[f.var] = v
+                return _eval(f.body, s, env, roles)
             for v in range(b + 1):
                 env.nums[f.var] = v
-                if _eval(f.body, s, env) == want:
+                if _eval(f.body, s, env, roles) == want:
                     return want
         finally:
             if prev is None:
@@ -142,7 +166,7 @@ def _eval(f: Formula, s: FiniteSlice, env: Assignment) -> bool:
         try:
             for mask in range(1 << b):
                 env.strs[f.var] = codec.mask_to_bits(mask)
-                if _eval(f.body, s, env) == want:
+                if _eval(f.body, s, env, roles) == want:
                     return want
         finally:
             if prev is None:
@@ -179,7 +203,7 @@ def comprehension_witness(phi: Formula, y: int, s: FiniteSlice,
     try:
         for z in range(y):
             env.nums[var] = z
-            bits.append("1" if _eval(phi, s, env) else "0")
+            bits.append("1" if _eval(phi, s, env, None) else "0")
     finally:
         if prev is None:
             env.nums.pop(var, None)

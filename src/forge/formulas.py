@@ -282,39 +282,6 @@ def free_vars(f: Formula) -> tuple[set[str], set[str]]:
     return nums, strs
 
 
-def all_names(f: Formula) -> set[str]:
-    """Every variable name occurring in f, free or bound."""
-    names: set[str] = set()
-
-    def walk_term(t: NumTerm) -> None:
-        term_num_vars(t, names)
-        term_str_vars(t, names)
-
-    def walk(g: Formula) -> None:
-        tg = type(g)
-        if tg in (EqNum, Leq):
-            walk_term(g.left)
-            walk_term(g.right)
-        elif tg is EqStr:
-            names.add(g.left)
-            names.add(g.right)
-        elif tg is Memb:
-            walk_term(g.index)
-            names.add(g.svar)
-        elif tg in (And, Or, Imp):
-            walk(g.left)
-            walk(g.right)
-        elif tg is Not:
-            walk(g.body)
-        elif tg in QUANTIFIERS:
-            names.add(g.var)
-            walk_term(g.bound)
-            walk(g.body)
-
-    walk(f)
-    return names
-
-
 # --- substitution ---
 
 
@@ -511,7 +478,3 @@ def lor(parts: list[Formula]) -> Formula:
 def lt(a: NumTerm, b: NumTerm) -> Formula:
     """a < b over naturals."""
     return Leq(Plus(a, One()), b)
-
-
-def neq(a: NumTerm, b: NumTerm) -> Formula:
-    return Not(EqNum(a, b))

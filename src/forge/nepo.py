@@ -8,10 +8,11 @@ width-1 sequence code, and delegates chunk verification to the level below.
 Level 0 checks single machine steps directly.
 
 Honest evaluation of the emitted formulas would sweep astronomically large
-number quantifiers (a grid code has hundreds of bits), so this module also
-provides a certificate evaluator: selected existential variables carry
-callbacks that compute the unique admissible value from the machine simulator,
-and only small quantifiers are swept.  The equivalence of the two evaluation
+number quantifiers (a grid code has hundreds of bits), so each artifact also
+carries certificate roles: selected existential variables get callbacks that
+compute the unique admissible value from the machine simulator, and
+evaluate.eval_formula sweeps only the small quantifiers (see the soundness
+note in the evaluate module docstring).  The equivalence of the two evaluation
 modes rests on the grid clauses pinning the witness uniquely, which the test
 suite checks exhaustively at miniature scales.
 """
@@ -23,9 +24,9 @@ from fractions import Fraction
 from typing import Callable
 
 from .codec import bit_at, encode_seq, seq_code_bound, seq_get_total, set_length, trim
-from .errors import BudgetError, ClassError, SliceExceededError, UnboundVariableError
-from .evaluate import Assignment, FiniteSlice, eval_term
-from .formulas import (AlN, AlS, And, EqNum, EqStr, ExN, ExS, Formula, Imp,
+from .errors import BudgetError
+from .evaluate import Assignment, FiniteSlice, Roles, eval_formula
+from .formulas import (AlN, AlS, And, EqNum, ExN, ExS, Formula, Imp,
                        Len, Leq, Memb, Not, NumTerm, NVar, One, Or, Plus,
                        SeqAt, SeqLen, Times, const_term, formula_size, land,
                        lt)
@@ -37,7 +38,7 @@ __all__ = [
     "NepoBounds", "NepoArtifact", "compile_reach0", "compile_Reach",
     "compile_cell_predicate", "compile_acceptance_sigma0", "formula_size",
     "size_report", "reach_artifact", "cell_artifact", "acceptance_artifact",
-    "certified_eval", "nepo_slice", "cell_code", "radix_digits",
+    "nepo_slice", "cell_code", "radix_digits",
     "eval_reach_level", "eval_acceptance", "collect_quantifier_bounds",
 ]
 
@@ -172,14 +173,13 @@ class NepoArtifact:
     """A compiled formula plus the certificate callbacks for its existentials."""
 
     formula: Formula
-    roles: dict[str, Callable[[Assignment], int]]
+    roles: Roles
     slice: FiniteSlice
 
-    def evaluate(self, env: Assignment,
-                 roles_override: dict[str, Callable[[Assignment], int]] | None = None,
+    def evaluate(self, env: Assignment, roles_override: Roles | None = None,
                  s: FiniteSlice | None = None) -> bool:
         roles = self.roles if roles_override is None else {**self.roles, **roles_override}
-        return certified_eval(self.formula, roles, s or self.slice, env)
+        return eval_formula(self.formula, s or self.slice, env, roles)
 
 
 class _Emitter:
@@ -197,7 +197,7 @@ class _Emitter:
         self.comp_bound = seq_code_bound(self.grid_bits, 1)
         self.con_bound = seq_code_bound(self.row_bits, 1)
         self.used = {"I", "X", "i", "j", "p1", "p2", "cell", "comp"}
-        self.roles: dict[str, Callable[[Assignment], int]] = {}
+        self.roles: Roles = {}
 
     def fresh(self, base: str) -> str:
         name = base
@@ -558,71 +558,6 @@ def compile_acceptance_sigma0(tm: TMDescription, b: NepoBounds) -> Formula:
 def nepo_slice(tm: TMDescription, b: NepoBounds) -> FiniteSlice:
     em = _Emitter(tm, b)
     return FiniteSlice(em.comp_bound, em.row_bits + 1)
-
-
-# --- certificate evaluation ---
-
-
-def certified_eval(f: Formula, roles: dict[str, Callable[[Assignment], int]],
-                   s: FiniteSlice, env: Assignment) -> bool:
-    """Evaluate with role-bearing existentials settled by their callbacks.
-
-    Equivalent to honest evaluation whenever each callback produces the only
-    value that can satisfy its scope, which is what the grid clauses enforce.
-    """
-    tf = type(f)
-    if tf is And:
-        return (certified_eval(f.left, roles, s, env)
-                and certified_eval(f.right, roles, s, env))
-    if tf is Or:
-        return (certified_eval(f.left, roles, s, env)
-                or certified_eval(f.right, roles, s, env))
-    if tf is Not:
-        return not certified_eval(f.body, roles, s, env)
-    if tf is Imp:
-        return ((not certified_eval(f.left, roles, s, env))
-                or certified_eval(f.right, roles, s, env))
-    if tf is EqNum:
-        return eval_term(f.left, s, env) == eval_term(f.right, s, env)
-    if tf is Leq:
-        return eval_term(f.left, s, env) <= eval_term(f.right, s, env)
-    if tf is Memb:
-        sv = env.strs.get(f.svar)
-        if sv is None:
-            raise UnboundVariableError(f"string variable {f.svar} is unbound")
-        return bit_at(sv, eval_term(f.index, s, env))
-    if tf is EqStr:
-        from .codec import sets_equal
-        return sets_equal(env.strs[f.left], env.strs[f.right])
-    if tf in (ExN, AlN):
-        bound = eval_term(f.bound, s, env)
-        if bound > s.num_bound:
-            raise SliceExceededError(
-                f"quantifier bound {bound} exceeds num_bound {s.num_bound}")
-        prev = env.nums.get(f.var)
-        had = f.var in env.nums
-        try:
-            if tf is ExN and f.var in roles:
-                value = roles[f.var](env)
-                if value > bound:
-                    return False
-                env.nums[f.var] = value
-                return certified_eval(f.body, roles, s, env)
-            hit = tf is AlN
-            for v in range(bound + 1):
-                env.nums[f.var] = v
-                got = certified_eval(f.body, roles, s, env)
-                if got != hit:
-                    return not hit
-            return hit
-        finally:
-            if had:
-                env.nums[f.var] = prev
-            else:
-                env.nums.pop(f.var, None)
-    if tf in (ExS, AlS):
-        raise ClassError("string quantifier inside a number-certified formula")
-    raise TypeError(f"not a formula: {f!r}")
 
 
 def eval_reach_level(artifact: NepoArtifact, config: str, p1: int, p2: int,

@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 
 from .errors import (BudgetError, ClassError, SliceExceededError,
                      UnboundVariableError)
+from .evaluate import Assignment, eval_term
 from .formulas import (AlN, AlS, And, EqNum, EqStr, ExN, ExS, Formula, Imp,
-                       Len, Leq, Memb, Not, NumTerm, NVar, One, Or, Plus,
-                       SeqAt, SeqLen, Times, Zero, classify)
-from .codec import seq_get_total, seq_len_total
+                       Leq, Memb, Not, Or, classify)
 
 __all__ = [
     "PropFormula", "PConst", "PVar", "PAnd", "POr", "PNot", "SizeProfile",
@@ -129,31 +128,6 @@ class SizeProfile:
                 raise ValueError(f"value of {name} must be non-negative")
 
 
-def _ev(t: NumTerm, env: dict[str, int], sizes: SizeProfile) -> int:
-    k = type(t)
-    if k is Zero:
-        return 0
-    if k is One:
-        return 1
-    if k is NVar:
-        if t.name in env:
-            return env[t.name]
-        raise UnboundVariableError(f"number variable {t.name} has no value")
-    if k is Plus:
-        return _ev(t.left, env, sizes) + _ev(t.right, env, sizes)
-    if k is Times:
-        return _ev(t.left, env, sizes) * _ev(t.right, env, sizes)
-    if k is Len:
-        if t.svar in sizes.lengths:
-            return sizes.lengths[t.svar]
-        raise UnboundVariableError(f"string parameter {t.svar} has no length")
-    if k is SeqAt:
-        return seq_get_total(_ev(t.seq, env, sizes), _ev(t.index, env, sizes))
-    if k is SeqLen:
-        return seq_len_total(_ev(t.seq, env, sizes))
-    raise TypeError(f"unknown term {t!r}")
-
-
 def _bit(name: str, pos: int, sizes: SizeProfile) -> PropFormula:
     n = sizes.lengths.get(name)
     if n is None:
@@ -171,14 +145,14 @@ def translate(phi: Formula, sizes: SizeProfile,
     if classify(phi).level != 0:
         raise ClassError("only string-quantifier-free formulas translate")
 
-    def go(f: Formula, env: dict[str, int]) -> PropFormula:
+    def go(f: Formula, env: Assignment) -> PropFormula:
         k = type(f)
         if k is EqNum:
-            return PConst(int(_ev(f.left, env, sizes) == _ev(f.right, env, sizes)))
+            return PConst(int(eval_term(f.left, env) == eval_term(f.right, env)))
         if k is Leq:
-            return PConst(int(_ev(f.left, env, sizes) <= _ev(f.right, env, sizes)))
+            return PConst(int(eval_term(f.left, env) <= eval_term(f.right, env)))
         if k is Memb:
-            return _bit(f.svar, _ev(f.index, env, sizes), sizes)
+            return _bit(f.svar, eval_term(f.index, env), sizes)
         if k is EqStr:
             m = sizes.lengths.get(f.left)
             n = sizes.lengths.get(f.right)
@@ -198,19 +172,22 @@ def translate(phi: Formula, sizes: SizeProfile,
         if k is Imp:
             return por((pnot(go(f.left, env)), go(f.right, env)))
         if k is ExN or k is AlN:
-            b = _ev(f.bound, env, sizes)
+            b = eval_term(f.bound, env)
             if b > num_bound:
                 raise SliceExceededError(
                     f"quantifier bound {b} exceeds expansion cap {num_bound}")
             parts = []
             for v in range(b + 1):
-                parts.append(go(f.body, {**env, f.var: v}))
+                parts.append(go(f.body, Assignment({**env.nums, f.var: v}, env.strs)))
             return por(parts) if k is ExN else pand(parts)
         if k is ExS or k is AlS:
             raise ClassError("string quantifier has no propositional image")
         raise TypeError(f"unknown formula {f!r}")
 
-    return go(phi, dict(sizes.values))
+    # Canonical exact-length strings, so that Len reads back each length.
+    strs = {name: ("0" * (n - 1) + "1") if n else ""
+            for name, n in sizes.lengths.items()}
+    return go(phi, Assignment(dict(sizes.values), strs))
 
 
 def _iff(a: PropFormula, b: PropFormula) -> PropFormula:

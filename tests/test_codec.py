@@ -1,4 +1,4 @@
-"""Pairing, tupling, sequence codes, and bit-string sets."""
+"""Sequence codes and bit-string sets."""
 
 import pytest
 from hypothesis import given
@@ -6,84 +6,6 @@ from hypothesis import strategies as st
 
 from forge import codec
 from forge.errors import DecodeError, SliceExceededError
-
-
-def diagonal_enumeration(count: int) -> list[tuple[int, int]]:
-    """Oracle: walk the diagonals x+y = 0, 1, 2, ... upward along y."""
-    out: list[tuple[int, int]] = []
-    s = 0
-    while len(out) < count:
-        for y in range(s + 1):
-            out.append((s - y, y))
-        s += 1
-    return out[:count]
-
-
-def test_pair_matches_diagonal_enumeration():
-    for index, (x, y) in enumerate(diagonal_enumeration(3000)):
-        assert codec.pair(x, y) == index
-        assert codec.unpair(index) == (x, y)
-
-
-def test_pair_frozen_values():
-    assert codec.pair(0, 0) == 0
-    assert codec.pair(1, 0) == 1
-    assert codec.pair(0, 1) == 2
-
-
-def test_unpair_frozen_values():
-    assert codec.unpair(0) == (0, 0)
-    assert codec.unpair(1) == (1, 0)
-    assert codec.unpair(2) == (0, 1)
-
-
-def test_pair_injective_and_monotone_exhaustive():
-    seen = {}
-    for x in range(512):
-        for y in range(512):
-            v = codec.pair(x, y)
-            assert v not in seen, (x, y, seen[v])
-            seen[v] = (x, y)
-            if x:
-                assert v > codec.pair(x - 1, y)
-            if y:
-                assert v > codec.pair(x, y - 1)
-
-
-@given(st.integers(min_value=0, max_value=10**30))
-def test_unpair_is_left_inverse(n):
-    x, y = codec.unpair(n)
-    assert codec.pair(x, y) == n
-
-
-def test_tuple_unary_is_identity():
-    assert codec.tuple_k([5]) == 5
-
-
-def test_project_frozen_values():
-    # oracle: peel with unpair by hand
-    t = codec.tuple_k([3, 4, 7])
-    inner, last = codec.unpair(t)
-    first, second = codec.unpair(inner)
-    assert (first, second, last) == (3, 4, 7)
-    assert codec.project(t, 0, 3) == 3
-    assert codec.project(t, 1, 3) == 4
-    assert codec.project(t, 2, 3) == 7
-
-
-def test_tuple_project_roundtrip_exhaustive():
-    for a in range(16):
-        for b in range(16):
-            for c in range(16):
-                t = codec.tuple_k([a, b, c])
-                assert [codec.project(t, i, 3) for i in range(3)] == [a, b, c]
-
-
-def test_project_bad_index():
-    with pytest.raises(IndexError):
-        codec.project(0, 3, 3)
-    with pytest.raises(ValueError):
-        codec.tuple_k([])
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2**31 - 1), max_size=40))

@@ -81,16 +81,16 @@ def test_eval_slice_errors():
     with pytest.raises(UnboundVariableError):
         ev("(in 0 X)")
     with pytest.raises(SortMismatchError):
-        eval_term(F.Len("x"), S8, Assignment(nums={"x": 1}))
+        eval_term(F.Len("x"), Assignment(nums={"x": 1}))
 
 
 def test_eval_seq_terms():
     from forge.codec import encode_seq
     code = encode_seq([4, 9])
     env = Assignment(nums={"s": code})
-    assert eval_term(F.SeqAt(F.NVar("s"), F.One()), S8, env) == 9
-    assert eval_term(F.SeqLen(F.NVar("s")), S8, env) == 2
-    assert eval_term(F.SeqAt(F.NVar("s"), F.const_term(7)), S8, env) == 0
+    assert eval_term(F.SeqAt(F.NVar("s"), F.One()), env) == 9
+    assert eval_term(F.SeqLen(F.NVar("s")), env) == 2
+    assert eval_term(F.SeqAt(F.NVar("s"), F.const_term(7)), env) == 0
 
 
 def test_eval_restores_environment():

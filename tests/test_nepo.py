@@ -13,9 +13,9 @@ import pytest
 
 from forge import acc, nepo
 from forge.codec import all_strings, set_length
-from forge.errors import BudgetError
+from forge.errors import BudgetError, UnboundVariableError
 from forge.evaluate import Assignment, FiniteSlice, eval_formula, eval_term
-from forge.formulas import ExN, classify, const_term, formula_size, free_vars
+from forge.formulas import EqStr, ExN, classify, const_term, formula_size, free_vars
 from forge.machine import (Configuration, PolyBound, accepts, corpus_machine,
                            initial_configuration, parse_tm, run_from)
 
@@ -126,7 +126,7 @@ def test_number_sized_bounds():
                   nepo.compile_cell_predicate(tm, b),
                   nepo.compile_acceptance_sigma0(tm, b)):
             for bound in nepo.collect_quantifier_bounds(f):
-                assert eval_term(bound, s, Assignment()) <= s.num_bound
+                assert eval_term(bound, Assignment()) <= s.num_bound
 
 
 MICRO_STARTS = [initial_configuration("1", 2), initial_configuration("01", 2)]
@@ -148,6 +148,9 @@ def test_certified_matches_honest_eval_level0():
                     want = eval_formula(honest, s, env.copy())
                     assert art.evaluate(env) == want
                     assert want == (cell == good)
+    # an unbound string raises the honest evaluator's error, not a KeyError
+    with pytest.raises(UnboundVariableError):
+        nepo.NepoArtifact(EqStr("X", "Y"), {}, s).evaluate(Assignment())
 
 
 def test_comp_uniqueness_exhaustive():
