@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .errors import MalformedProofError, ParseError
-from .prop import (PAnd, PNot, POr, PropFormula, PVar, parse_prop_at, pnot,
-                   por, prop_depth, prop_to_sexpr, taut_check, tokenize_sexpr)
+from .prop import (PAnd, PNot, POr, PropFormula, PVar, node_to_prop, pnot,
+                   por, prop_depth, prop_to_sexpr, taut_check)
+from .sexpr import Node, read_all
 
 __all__ = [
     "Sequent", "ProofLine", "Proof", "RULES", "check_frege",
@@ -203,6 +204,8 @@ def soundness_sweep(system, var_cap: int, corpus) -> dict:
 # One line per proof step:  `n: (seq (<formula>*) (<formula>*)) <rule> [m ...]`
 # Labels are 1-based and must be sequential; premises cite labels.  The cut
 # rule names its cut formula as `cut:<index>` into premise 1's right side.
+# Lines starting with `#` are skipped; the rest of a line after its label is
+# read by the `sexpr` reader, so `;` starts a comment there.
 
 
 def proof_to_text(pi: Proof) -> str:
@@ -217,20 +220,10 @@ def proof_to_text(pi: Proof) -> str:
     return "\n".join(out) + "\n"
 
 
-def _parse_side(tokens: list[str], pos: int, lineno: int) -> tuple[tuple, int]:
-    if pos >= len(tokens) or tokens[pos] != "(":
-        raise ParseError("expected '(' opening a sequent side", lineno, pos)
-    pos += 1
-    forms = []
-    while pos < len(tokens) and tokens[pos] != ")":
-        try:
-            f, pos = parse_prop_at(tokens, pos)
-        except ValueError as e:
-            raise ParseError(str(e), lineno, pos) from None
-        forms.append(f)
-    if pos >= len(tokens):
-        raise ParseError("unclosed sequent side", lineno, pos)
-    return tuple(forms), pos + 1
+def _parse_side(node: Node) -> tuple[PropFormula, ...]:
+    if node.items is None:
+        raise ParseError("expected '(' opening a sequent side", node.line, node.col)
+    return tuple(node_to_prop(f) for f in node.items)
 
 
 def parse_proof(text: str) -> Proof:
@@ -241,39 +234,45 @@ def parse_proof(text: str) -> Proof:
         if not stripped or stripped.startswith("#"):
             continue
         label += 1
-        head, colon, rest = stripped.partition(":")
-        if not colon or not head.strip().isdigit():
-            raise ParseError("expected 'n: (seq ...) rule ...'", lineno, 0)
+        head, colon, rest = raw.partition(":")
+        label_col = len(raw) - len(raw.lstrip()) + 1
+        if not colon or not head.strip().isdecimal():
+            raise ParseError("expected 'n: (seq ...) rule ...'", lineno, label_col)
         if int(head) != label:
-            raise ParseError(f"expected label {label}, found {head}", lineno, 0)
-        tokens = tokenize_sexpr(rest)
-        if tokens[:2] != ["(", "seq"]:
-            raise ParseError("expected '(seq' after the label", lineno, 0)
-        left, pos = _parse_side(tokens, 2, lineno)
-        right, pos = _parse_side(tokens, pos, lineno)
-        if pos >= len(tokens) or tokens[pos] != ")":
-            raise ParseError("expected ')' closing the sequent", lineno, pos)
-        pos += 1
-        if pos >= len(tokens):
-            raise ParseError("missing rule tag", lineno, pos)
-        rule_tok = tokens[pos]
-        pos += 1
+            raise ParseError(f"expected label {label}, found {head.strip()}",
+                             lineno, label_col)
+        nodes = read_all(rest, lineno, len(head) + 2)
+        end_col = len(raw) + 1
+        seq = nodes[0] if nodes else None
+        if seq is None or not seq.items or seq.items[0].text != "seq":
+            raise ParseError("expected '(seq' after the label", lineno,
+                             seq.col if seq else end_col)
+        if len(seq.items) != 3:
+            raise ParseError("(seq (left ...) (right ...)) takes two sides",
+                             seq.line, seq.col)
+        left, right = _parse_side(seq.items[1]), _parse_side(seq.items[2])
+        if len(nodes) < 2:
+            raise ParseError("missing rule tag", lineno, end_col)
+        tag = nodes[1]
+        rule_tok = tag.text
+        if rule_tok is None:
+            raise ParseError("expected a rule tag", tag.line, tag.col)
         cut_index = 0
         if rule_tok.startswith("cut:"):
             rule, _, idx = rule_tok.partition(":")
-            if not idx.isdigit():
-                raise ParseError("cut index must be a number", lineno, pos)
+            if not idx.isdecimal():
+                raise ParseError("cut index must be a number", tag.line, tag.col)
             cut_index = int(idx)
         else:
             rule = rule_tok
         if rule not in RULES:
-            raise ParseError(f"unknown rule tag {rule_tok!r}", lineno, pos)
+            raise ParseError(f"unknown rule tag {rule_tok!r}", tag.line, tag.col)
         prems = []
-        for tok in tokens[pos:]:
-            if not tok.isdigit() or tok == "0":
-                raise ParseError(f"premise label {tok!r} is not a positive number",
-                                 lineno, pos)
-            prems.append(int(tok) - 1)
+        for node in nodes[2:]:
+            if node.text is None or not node.text.isdecimal() or int(node.text) == 0:
+                raise ParseError("a premise label must be a positive number",
+                                 node.line, node.col)
+            prems.append(int(node.text) - 1)
         lines.append(ProofLine(Sequent(left, right), rule, tuple(prems), cut_index))
     return Proof(tuple(lines))
 

@@ -13,17 +13,18 @@ n-1 become variables, and positions at n or above become the constant 0.
 
 from dataclasses import dataclass, field
 
-from .errors import (BudgetError, ClassError, SliceExceededError,
+from .errors import (BudgetError, ClassError, ParseError, SliceExceededError,
                      UnboundVariableError)
 from .evaluate import Assignment, eval_term
 from .formulas import (AlN, AlS, And, EqNum, EqStr, ExN, ExS, Formula, Imp,
                        Leq, Memb, Not, Or, classify)
+from .sexpr import Node, read_one
 
 __all__ = [
     "PropFormula", "PConst", "PVar", "PAnd", "POr", "PNot", "SizeProfile",
     "pand", "por", "pnot", "translate", "taut_check", "prop_depth",
     "prop_size", "prop_vars", "eval_prop", "prop_to_sexpr", "parse_prop",
-    "parse_prop_at", "tokenize_sexpr",
+    "node_to_prop",
 ]
 
 
@@ -283,59 +284,35 @@ def prop_to_sexpr(p: PropFormula) -> str:
     return f"({head} {' '.join(prop_to_sexpr(a) for a in p.args)})"
 
 
-def tokenize_sexpr(text: str) -> list[str]:
-    return text.replace("(", " ( ").replace(")", " ) ").split()
-
-
-def parse_prop_at(tokens: list[str], pos: int) -> tuple[PropFormula, int]:
-    """Parse one formula starting at tokens[pos]; returns it and the next position."""
-
-    def fail(msg: str):
-        raise ValueError(f"token {pos}: {msg}")
-
-    def need(what: str) -> str:
-        nonlocal pos
-        if pos >= len(tokens):
-            fail(f"expected {what}, found end of input")
-        tok = tokens[pos]
-        pos += 1
-        return tok
-
-    def form() -> PropFormula:
-        nonlocal pos
-        if need("'('") != "(":
-            fail("expected '('")
-        head = need("operator")
-        if head == "pc":
-            bit = need("bit")
-            if bit not in ("0", "1"):
-                fail("pc takes 0 or 1")
-            out: PropFormula = PConst(int(bit))
-        elif head == "pv":
-            name = need("name")
-            idx = need("index")
-            if not idx.isdigit():
-                fail("pv index must be a number")
-            out = PVar(name, int(idx))
-        elif head == "pnot":
-            out = PNot(form())
-        elif head in ("pand", "por"):
-            args = []
-            while pos < len(tokens) and tokens[pos] != ")":
-                args.append(form())
-            out = PAnd(tuple(args)) if head == "pand" else POr(tuple(args))
-        else:
-            fail(f"unknown operator {head}")
-        if need("')'") != ")":
-            fail("expected ')'")
-        return out
-
-    return form(), pos
+def node_to_prop(node: Node) -> PropFormula:
+    """The propositional formula one s-expression node spells."""
+    items = node.items
+    if items is None:
+        raise ParseError("expected a propositional formula, got an atom",
+                         node.line, node.col)
+    if not items or items[0].text is None:
+        raise ParseError("expected a propositional operator", node.line, node.col)
+    head, args = items[0].text, items[1:]
+    if head == "pc":
+        if len(args) != 1 or args[0].text not in ("0", "1"):
+            raise ParseError("(pc b) takes 0 or 1", node.line, node.col)
+        return PConst(int(args[0].text))
+    if head == "pv":
+        if len(args) != 2 or args[0].text is None:
+            raise ParseError("(pv name index) takes a name and an index",
+                             node.line, node.col)
+        if args[1].text is None or not args[1].text.isdecimal():
+            raise ParseError("pv index must be a number", args[1].line, args[1].col)
+        return PVar(args[0].text, int(args[1].text))
+    if head == "pnot":
+        if len(args) != 1:
+            raise ParseError("(pnot f) takes one argument", node.line, node.col)
+        return PNot(node_to_prop(args[0]))
+    if head in ("pand", "por"):
+        parts = tuple(map(node_to_prop, args))  # one frame per nesting level
+        return PAnd(parts) if head == "pand" else POr(parts)
+    raise ParseError(f"unknown operator {head}", items[0].line, items[0].col)
 
 
 def parse_prop(text: str) -> PropFormula:
-    tokens = tokenize_sexpr(text)
-    out, pos = parse_prop_at(tokens, 0)
-    if pos != len(tokens):
-        raise ValueError(f"token {pos}: trailing input")
-    return out
+    return node_to_prop(read_one(text))

@@ -1,16 +1,23 @@
-"""S-expression reader and printer for terms and formulas.
+"""S-expression reader shared by formulas and proofs; formula parser and printer.
 
-Grammar
+Lexical syntax, owned here for every text format of the package: atoms are
+runs of characters other than whitespace, parentheses and `;`; a `;`
+comment runs to end of line.  `read_all` turns source text into `Node`
+trees that carry the line and column of their first character, so every
+`ParseError` raised over them points into the source.  Lists may nest at
+most `MAX_DEPTH` deep.
+
+Formula grammar
   term     ::= 0 | 1 | <ident> | (+ t t) | (* t t) | (len <Ident>)
              | (seq t t) | (seqlen t)
   formula  ::= (= t t) | (leq t t) | (seteq X Y) | (in t X)
              | (and f f) | (or f f) | (not f) | (imp f f)
              | (exN x t f) | (alN x t f) | (exS X t f) | (alS X t f)
 
-Number variables start lowercase, string variables start uppercase; `;`
-comments run to end of line.  Connectives written with more than two
-arguments fold right, so (and a b c) reads as (and a (and b c)); `memb` is
-accepted as an alias for `in`.
+Number variables start lowercase, string variables start uppercase.
+Connectives written with more than two arguments fold right, so
+(and a b c) reads as (and a (and b c)); `memb` is accepted as an alias for
+`in`.
 
 Parsing alpha-renames binders so no name is bound twice anywhere in the
 result: rebinding a name under itself is rejected, a repeat in a sibling
@@ -29,93 +36,87 @@ from .formulas import (AlN, AlS, And, EqNum, EqStr, ExN, ExS, Formula, Imp,
                        SeqAt, SeqLen, Times, Zero, is_num_name, is_str_name)
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+_TOKEN = re.compile(r"\n|;[^\n]*|[()]|[^ \t\r\n();]+")
+
+# Deepest list nesting the reader accepts.  Parsing, printing, evaluation and
+# proof checking all recurse once per level, and Python stops near 1000
+# frames; the deepest formula the compilers emit at m=200 nests 758 deep.
+MAX_DEPTH = 900
 
 
 @dataclass(frozen=True, slots=True)
-class _Tok:
-    text: str
-    line: int
-    col: int
-
-
-@dataclass(frozen=True, slots=True)
-class _Node:
+class Node:
     """Atom (text set) or list (items set), tagged with its source position."""
 
     text: str | None
-    items: tuple["_Node", ...] | None
+    items: tuple[Node, ...] | None
     line: int
     col: int
 
 
-def _tokenize(source: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    line, col = 1, 1
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch == "\n":
+def _tokenize(source: str, line: int = 1, col: int = 1) -> list[tuple[str, int, int]]:
+    """(text, line, column) of each atom and parenthesis; comments dropped."""
+    toks = []
+    line_start = 1 - col  # source offset that sits in column 1 of `line`
+    for m in _TOKEN.finditer(source):
+        text = m.group()
+        if text == "\n":
             line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            i += 1
-            col += 1
-        elif ch == ";":
-            while i < n and source[i] != "\n":
-                i += 1
-        elif ch in "()":
-            toks.append(_Tok(ch, line, col))
-            i += 1
-            col += 1
-        else:
-            start = i
-            start_col = col
-            while i < n and source[i] not in " \t\r\n();":
-                i += 1
-                col += 1
-            toks.append(_Tok(source[start:i], line, start_col))
+            line_start = m.end()
+        elif text[0] != ";":
+            toks.append((text, line, m.start() - line_start + 1))
     return toks
 
 
-def _read(toks: list[_Tok], at: int) -> tuple[_Node, int]:
-    if at >= len(toks):
-        last = toks[-1] if toks else _Tok("", 1, 1)
-        raise ParseError("unexpected end of input", last.line, last.col + len(last.text))
-    tok = toks[at]
-    if tok.text == ")":
-        raise ParseError("unexpected )", tok.line, tok.col)
-    if tok.text == "(":
-        items: list[_Node] = []
-        at += 1
-        while True:
-            if at >= len(toks):
-                raise ParseError("missing )", tok.line, tok.col)
-            if toks[at].text == ")":
-                return _Node(None, tuple(items), tok.line, tok.col), at + 1
-            node, at = _read(toks, at)
-            items.append(node)
-    return _Node(tok.text, None, tok.line, tok.col), at + 1
+def _read(toks: list[tuple[str, int, int]]) -> list[Node]:
+    top: list[Node] = []
+    open_lists: list[tuple[int, int, list[Node]]] = []
+    items = top
+    for text, line, col in toks:
+        if text == "(":
+            if len(open_lists) == MAX_DEPTH:
+                raise ParseError(f"lists nest deeper than {MAX_DEPTH}", line, col)
+            items = []
+            open_lists.append((line, col, items))
+        elif text == ")":
+            if not open_lists:
+                raise ParseError("unexpected )", line, col)
+            start_line, start_col, done = open_lists.pop()
+            items = open_lists[-1][2] if open_lists else top
+            items.append(Node(None, tuple(done), start_line, start_col))
+        else:
+            items.append(Node(text, None, line, col))
+    if open_lists:
+        start_line, start_col, _ = open_lists[-1]
+        raise ParseError("missing )", start_line, start_col)
+    return top
 
 
-def _read_one(source: str) -> _Node:
-    toks = _tokenize(source)
-    if not toks:
+def read_all(source: str, line: int = 1, col: int = 1) -> list[Node]:
+    """Every top-level expression of `source`, which starts at line:col."""
+    return _read(_tokenize(source, line, col))
+
+
+def _only(nodes: list[Node]) -> Node:
+    if not nodes:
         raise ParseError("empty input", 1, 1)
-    node, at = _read(toks, 0)
-    if at != len(toks):
-        extra = toks[at]
-        raise ParseError("trailing input after expression", extra.line, extra.col)
-    return node
+    if len(nodes) > 1:
+        raise ParseError("trailing input after expression", nodes[1].line, nodes[1].col)
+    return nodes[0]
 
 
-def _ident(node: _Node, want: str) -> str:
+def read_one(source: str) -> Node:
+    """The single expression `source` holds."""
+    return _only(read_all(source))
+
+
+def _ident(node: Node, want: str) -> str:
     if node.text is None or not _IDENT.match(node.text):
         raise ParseError(f"expected {want} name", node.line, node.col)
     return node.text
 
 
-def _num_name(node: _Node) -> str:
+def _num_name(node: Node) -> str:
     name = _ident(node, "number-variable")
     if not is_num_name(name):
         raise SortMismatchError(
@@ -124,7 +125,7 @@ def _num_name(node: _Node) -> str:
     return name
 
 
-def _str_name(node: _Node) -> str:
+def _str_name(node: Node) -> str:
     name = _ident(node, "string-variable")
     if not is_str_name(name):
         raise SortMismatchError(
@@ -152,7 +153,7 @@ class _Binders:
         return fresh
 
 
-def _parse_term(node: _Node, env: dict[str, str]) -> NumTerm:
+def _parse_term(node: Node, env: dict[str, str]) -> NumTerm:
     if node.text is not None:
         if node.text == "0":
             return Zero()
@@ -190,7 +191,7 @@ _QUANT = {"exN": (ExN, _num_name), "alN": (AlN, _num_name),
           "exS": (ExS, _str_name), "alS": (AlS, _str_name)}
 
 
-def _parse_formula(node: _Node, env: dict[str, str], binders: _Binders) -> Formula:
+def _parse_formula(node: Node, env: dict[str, str], binders: _Binders) -> Formula:
     if node.text is not None:
         raise ParseError("expected a formula, got an atom", node.line, node.col)
     items = node.items
@@ -224,7 +225,9 @@ def _parse_formula(node: _Node, env: dict[str, str], binders: _Binders) -> Formu
         if len(args) < 2:
             raise ParseError(f"({op} f f ...) takes at least two arguments", node.line, node.col)
         make = {"and": And, "or": Or, "imp": Imp}[op]
-        parts = [_parse_formula(a, env, binders) for a in args]
+        parts = []
+        for a in args:  # a comprehension would cost a second frame per level
+            parts.append(_parse_formula(a, env, binders))
         acc = parts[-1]
         for part in reversed(parts[:-1]):
             acc = make(part, acc)
@@ -251,14 +254,14 @@ def _parse_formula(node: _Node, env: dict[str, str], binders: _Binders) -> Formu
 
 def parse_formula(source: str) -> Formula:
     """Parse one formula; see the module docstring for the grammar."""
-    node = _read_one(source)
-    reserved = {t.text for t in _tokenize(source) if t.text not in ("(", ")")}
-    return _parse_formula(node, {}, _Binders(reserved))
+    toks = _tokenize(source)
+    reserved = {text for text, _, _ in toks if text != "(" and text != ")"}
+    return _parse_formula(_only(_read(toks)), {}, _Binders(reserved))
 
 
 def parse_term(source: str) -> NumTerm:
     """Parse one closed or open term."""
-    return _parse_term(_read_one(source), {})
+    return _parse_term(read_one(source), {})
 
 
 # --- printing ---

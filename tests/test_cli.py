@@ -274,6 +274,22 @@ def test_module_entry_point_matches_function(tmp_path):
     assert "usage: forge eval" in proc.stderr
 
 
+def test_deep_nesting_is_a_parse_error_not_a_crash(tmp_path):
+    formula = tmp_path / "deep.sexp"
+    formula.write_text("(not " * 2999 + "(leq 0 1)" + ")" * 2999)
+    proof = tmp_path / "deep.pk"
+    f = "(pnot " * 2997 + "(pv z 0)" + ")" * 2997
+    proof.write_text(f"1: (seq ({f}) ({f})) axiom\n")
+    for argv in (["eval", "--formula", str(formula), "--num-bound", "2"],
+                 ["translate", "--formula", str(formula)],
+                 ["check-proof", "--proof", str(proof)]):
+        proc = subprocess.run([sys.executable, "-m", "forge.cli", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1, argv
+        assert "Traceback" not in proc.stderr
+        assert "nest deeper than" in proc.stderr
+
+
 # --- RunConfig invariants ---
 
 def test_runconfig_validates_bounds():

@@ -40,6 +40,16 @@ def test_parse_positions():
     assert e.value.line == 2
 
 
+def test_parse_nesting_cap():
+    def deep(k):  # k nested lists: k-1 negations around an atom
+        return "(not " * (k - 1) + "(leq 0 1)" + ")" * (k - 1)
+    text = deep(sexpr.MAX_DEPTH)
+    assert sexpr.print_formula(sexpr.parse_formula(text)) == text
+    with pytest.raises(ParseError) as e:
+        sexpr.parse_formula(deep(sexpr.MAX_DEPTH + 1))
+    assert (e.value.line, e.value.column) == (1, 5 * sexpr.MAX_DEPTH + 1)
+
+
 def test_parse_comments_and_whitespace():
     text = "; tautology\n(or (leq 0 1)  ; left\n    (leq 1 0))\n"
     assert sexpr.parse_formula(text) == F.Or(F.Leq(F.Zero(), F.One()),

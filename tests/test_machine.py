@@ -3,10 +3,10 @@
 import pytest
 
 from forge.errors import LayoutError, MachineFormatError
-from forge.machine import (ComputationTableau, Configuration, PolyBound,
-                           TableauLayout, TMDescription, accepts,
-                           corpus_machine, initial_configuration, parse_tm,
-                           run, step, tableau_to_witness, witness_to_tableau)
+from forge.machine import (Configuration, PolyBound, TableauLayout,
+                           TMDescription, accepts, corpus_machine,
+                           initial_configuration, parse_tm, run, step,
+                           tableau_to_witness, witness_to_tableau)
 
 P_N_PLUS_2 = PolyBound((2, 1))
 

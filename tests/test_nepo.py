@@ -12,11 +12,11 @@ from fractions import Fraction
 import pytest
 
 from forge import acc, nepo
-from forge.codec import all_strings, set_length
+from forge.codec import all_strings
 from forge.errors import BudgetError, UnboundVariableError
-from forge.evaluate import Assignment, FiniteSlice, eval_formula, eval_term
+from forge.evaluate import Assignment, eval_formula, eval_term
 from forge.formulas import EqStr, ExN, classify, const_term, formula_size, free_vars
-from forge.machine import (Configuration, PolyBound, accepts, corpus_machine,
+from forge.machine import (PolyBound, accepts, corpus_machine,
                            initial_configuration, parse_tm, run_from)
 
 # one state, toggles the scanned bit, marches right and sticks at the edge

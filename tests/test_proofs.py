@@ -3,11 +3,12 @@
 import pytest
 
 from forge.errors import MalformedProofError, ParseError
-from forge.prop import PAnd, PNot, POr, PVar, prop_depth, taut_check
+from forge.prop import PAnd, PNot, POr, PVar, taut_check
 from forge.proofs import (Proof, ProofLine, RULES, Sequent, check_depth_frege,
                           check_frege, corpus_proofs, parse_proof,
                           proof_mutations, proof_target, proof_to_text,
                           sequent_formula, soundness_sweep)
+from forge.sexpr import MAX_DEPTH
 
 P = PVar("z", 0)
 EM = POr((PNot(P), P))  # excluded middle
@@ -183,19 +184,37 @@ def test_sequent_formula_reading():
 
 def test_parse_errors():
     good = "1: (seq ((pv z 0)) ((pv z 0))) axiom\n"
-    for bad in [
-        "2: (seq () ()) axiom\n",                 # labels must start at 1
-        good + "3: (seq () ()) weak-left 1\n",    # and stay sequential
-        "1: (seq ((pv z 0)) ((pv z 0))) frobnicate\n",
-        "1: (seq ((pv z 0)) ((pv z 0))) axiom zero\n",
-        "1: (seq ((pv z 0))) axiom\n",
-        "1: (seq ((pv z 0)) ((pv z 0)) axiom\n",
-        "1: (seq ((pv z 0)) ((pv z 0))) cut:x 1 1\n",
-        "x: (seq () ()) axiom\n",
+    for bad, line, col in [
+        ("2: (seq () ()) axiom\n", 1, 1),                 # labels must start at 1
+        (good + "3: (seq () ()) weak-left 1\n", 2, 1),    # and stay sequential
+        (good + "  3: (seq () ()) axiom\n", 2, 3),
+        ("1: (seq ((pv z 0)) ((pv z 0))) frobnicate\n", 1, 32),
+        ("1: (seq ((pv z 0)) ((pv z 0))) axiom zero\n", 1, 38),
+        ("1: (seq ((pv z 0))) axiom\n", 1, 4),
+        ("1: (seq ((pv z 0)) ((pv z 0)) axiom\n", 1, 4),
+        ("1: (seq ((pv z 0)) ((pv z 0))) cut:x 1 1\n", 1, 32),
+        ("x: (seq () ()) axiom\n", 1, 1),
+        ("\u00b2: (seq () ()) axiom\n", 1, 1),           # a digit, not decimal
+        ("1: (seq ((pv z 0)) ((pv z 0))) axiom \u00b2\n", 1, 38),
+        (good + "2: (seq ((pv z 0)) ((pq z 0))) axiom\n", 2, 22),
+        (good + "2: (seq ((pv z 0)) ((pv z x))) axiom\n", 2, 27),
+        (good + "2: (seq ((pv z 0)) ((pv z 0)))\n", 2, 31),   # no rule tag
     ]:
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as e:
             parse_proof(bad)
+        assert (e.value.line, e.value.column) == (line, col), bad
     assert len(parse_proof(good + "# comment\n\n").lines) == 1
+    assert parse_proof(good.replace("axiom", "axiom ; no premises")) == parse_proof(good)
+
+
+def test_nesting_cap():
+    def deep(k):  # the seq list and a side list take two of the k levels
+        f = "(pnot " * (k - 3) + "(pv z 0)" + ")" * (k - 3)
+        return f"1: (seq ({f}) ({f})) axiom\n"
+    assert len(parse_proof(deep(MAX_DEPTH)).lines) == 1
+    with pytest.raises(ParseError) as e:
+        parse_proof(deep(MAX_DEPTH + 1))
+    assert e.value.line == 1
 
 
 def test_rules_catalog():

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from forge.errors import BudgetError, ClassError, SliceExceededError
+from forge.errors import BudgetError, ClassError, ParseError, SliceExceededError
 from forge.evaluate import Assignment, FiniteSlice, eval_formula
 from forge.formulas import (AlN, And, EqNum, EqStr, ExN, ExS, Imp, Len, Leq,
                             Memb, Not, NVar, One, Or, Zero, const_term, lt)
@@ -179,7 +179,7 @@ def test_sexpr_roundtrip_fixed():
 
 def test_sexpr_parse_errors():
     for bad in ["(pq 1)", "(pc 2)", "(pv X 3) junk", "(pand (pc 1)", ""]:
-        with pytest.raises(ValueError):
+        with pytest.raises(ParseError):
             parse_prop(bad)
 
 
