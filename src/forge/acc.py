@@ -25,6 +25,11 @@ p(|Y|) to free configuration strings Y and Z.  A configuration string is
 one tableau row followed by a sentinel 1 bit, so its length is determined
 by the tape width and rows can be addressed with stride |Y|.
 
+`Tableau` is the one place the FRAME, TRANS and VALIDITY clauses (and the
+mark tests SINGLE-HEAD is written with) are built, for both this module and
+nepo: it reads cells through a cell(t, i, field) accessor, here a bit of W,
+in nepo a field of a number-coded grid.
+
 String lengths follow set semantics everywhere: the input length seen by
 the compiled formula is one past the highest 1 bit of X.
 """
@@ -36,8 +41,8 @@ from typing import Callable
 from .codec import bit_at, set_length, trim
 from .errors import LayoutError
 from .evaluate import Assignment, FiniteSlice, eval_formula
-from .formulas import (AlN, And, EqNum, ExN, ExS, Formula, Imp, Len, Memb,
-                       Not, NumTerm, NVar, One, Or, Plus, Times, Zero,
+from .formulas import (TRUE, AlN, And, EqNum, ExN, ExS, Formula, Imp, Len,
+                       Memb, Not, NumTerm, NVar, One, Or, Plus, Times, Zero,
                        const_term, land, lt)
 from .machine import (MOVE_LEFT, MOVE_RIGHT, Configuration, PolyBound,
                       TableauLayout, TMDescription, run, run_from,
@@ -61,131 +66,157 @@ def forall_below(var: str, bound: NumTerm, body: Formula) -> Formula:
     return AlN(var, bound, Imp(lt(NVar(var), bound), body))
 
 
-class _MatrixEmitter:
-    """Shared clause builder for the ACC and REACH matrices.
+Row = int | NumTerm
+Cell = Formula | NumTerm
 
-    cell_bound is the quantifier bound for cell indices; cell_guard cuts
-    that range down to the real cells.  For ACC the guard is i < width,
-    for REACH it is "the whole field block of cell i fits left of the
-    sentinel".  Rule clauses detect the right tape edge as the guard
-    failing at i+1, which keeps both settings clamp-consistent with the
-    simulator.
+
+def holds(cell: Cell, bit: int) -> Formula:
+    """A formula cell is asserted or denied; a term cell is compared with bit."""
+    if isinstance(cell, NumTerm):
+        return EqNum(cell, const_term(bit))
+    return cell if bit else Not(cell)
+
+
+# acc names each binder by its role alone; sibling clauses reuse the names
+_FIXED_NAMES = {"t": "t", "z": "i", "u": "u"}.get
+
+
+class Tableau:
+    """The local step conditions of one run grid, built here and only here.
+
+    cell(t, i, f) reads field f of cell i in row t: in acc the formula
+    Memb(pos, "W") on a witness string, in nepo the term SeqAt(comp, pos) on
+    a grid code, compared with 0 and 1.  Int steps and width fix the grid's
+    shape: binders run to the exact last row and cell, unguarded.  Term
+    steps and width are measured on a free string: binders run to the term,
+    cut down by lt or, for cells, by `inside`.  A rule sees the right tape
+    edge as that cut failing at i+1 (lt against an int width), which keeps
+    every setting clamp-consistent with the simulator.  fresh names the
+    binders from the bases t (row), z (cell) and u (left neighbour).
     """
 
-    def __init__(self, tm: TMDescription, wvar: str, stride: NumTerm,
-                 steps: NumTerm, cell_bound: NumTerm,
-                 cell_guard: Callable[[NumTerm], Formula]):
-        self.tm = tm
-        self.wvar = wvar
-        self.stride = stride
-        self.steps = steps
-        self.cell_bound = cell_bound
-        self.cell_guard = cell_guard
-        self.fields = 1 + tm.state_bits
+    def __init__(self, tm: TMDescription, cell: Callable[[Row, Row, int], Cell],
+                 steps: int | NumTerm, width: int | NumTerm,
+                 inside: Callable[[NumTerm], Formula] | None = None,
+                 fresh: Callable[[str], str] = _FIXED_NAMES):
+        self.tm, self.cell, self.steps, self.fresh = tm, cell, steps, fresh
+        if isinstance(width, int):
+            self.cell_bound, self.cell_guard = const_term(width - 1), None
+            self.edge_guard = lambda v: lt(v, const_term(width))
+        else:
+            self.cell_bound = width
+            self.cell_guard = self.edge_guard = inside or (lambda v: lt(v, width))
 
-    def pos(self, t: NumTerm, i: NumTerm, f: int) -> NumTerm:
-        cell = Times(i, const_term(self.fields))
-        return Plus(Times(t, self.stride), Plus(cell, const_term(f)))
+    def mark_is(self, t: Row, i: Row, mark: int) -> Formula:
+        return land([holds(self.cell(t, i, 1 + f), (mark >> f) & 1)
+                     for f in range(self.tm.state_bits)])
 
-    def w_at(self, t: NumTerm, i: NumTerm, f: int) -> Formula:
-        return Memb(self.pos(t, i, f), self.wvar)
-
-    def bit_is(self, t: NumTerm, i: NumTerm, b: int) -> Formula:
-        at = self.w_at(t, i, 0)
-        return at if b else Not(at)
-
-    def mark_is(self, t: NumTerm, i: NumTerm, value: int) -> Formula:
-        parts = []
-        for f in range(self.tm.state_bits):
-            at = self.w_at(t, i, 1 + f)
-            parts.append(at if (value >> f) & 1 else Not(at))
-        return land(parts)
-
-    def marked(self, t: NumTerm, i: NumTerm) -> Formula:
+    def marked(self, t: Row, i: Row) -> Formula:
         return Not(self.mark_is(t, i, 0))
 
+    def each_row(self, var: str, body: Formula) -> Formula:
+        steps = self.steps
+        return AlN(var, const_term(steps) if isinstance(steps, int) else steps, body)
+
+    def each_step(self, var: str, body: Formula) -> Formula:
+        """body for every row that has a successor row."""
+        if isinstance(self.steps, int):
+            return AlN(var, const_term(self.steps - 1), body)
+        return forall_below(var, self.steps, body)
+
     def each_cell(self, var: str, body: Formula) -> Formula:
-        v = NVar(var)
-        return AlN(var, self.cell_bound, Imp(self.cell_guard(v), body))
+        if self.cell_guard is not None:
+            body = Imp(self.cell_guard(NVar(var)), body)
+        return AlN(var, self.cell_bound, body)
 
     def some_cell(self, var: str, body: Formula) -> Formula:
-        v = NVar(var)
-        return ExN(var, self.cell_bound, And(self.cell_guard(v), body))
+        if self.cell_guard is not None:
+            body = And(self.cell_guard(NVar(var)), body)
+        return ExN(var, self.cell_bound, body)
 
     def frame(self) -> Formula:
-        t, i = NVar("t"), NVar("i")
-        keep = iff(self.w_at(Plus(t, One()), i, 0), self.w_at(t, i, 0))
-        body = Imp(self.mark_is(t, i, 0), keep)
-        return forall_below("t", self.steps, self.each_cell("i", body))
+        """Tape bits away from the head carry over unchanged."""
+        tvar, ivar = self.fresh("t"), self.fresh("z")
+        t, i = NVar(tvar), NVar(ivar)
+        now, nxt = self.cell(t, i, 0), self.cell(Plus(t, One()), i, 0)
+        keep = EqNum(nxt, now) if isinstance(now, NumTerm) else iff(nxt, now)
+        return self.each_step(tvar, self.each_cell(ivar, Imp(self.mark_is(t, i, 0), keep)))
 
     def transitions(self) -> Formula:
-        t, i = NVar("t"), NVar("i")
-        succ = Plus(t, One())
+        """One clause per machine rule; see TRANS in the module docstring."""
+        tvar, ivar = self.fresh("t"), self.fresh("z")
+        t, i = NVar(tvar), NVar(ivar)
+        succ, nxt = Plus(t, One()), Plus(i, One())
         rules = []
-        for (q, b) in sorted(self.tm.delta):
-            q2, b2, move = self.tm.delta[(q, b)]
-            fire = And(self.mark_is(t, i, q), self.bit_is(t, i, b))
-            writes = self.bit_is(succ, i, b2)
+        for (q, b), (q2, b2, move) in sorted(self.tm.delta.items()):
             if move == MOVE_LEFT:
-                at_edge = And(EqNum(i, Zero()), self.mark_is(succ, i, q2))
-                inward = ExN("u", self.cell_bound,
-                             And(EqNum(Plus(NVar("u"), One()), i),
-                                 self.mark_is(succ, NVar("u"), q2)))
-                lands = Or(at_edge, inward)
+                uvar = self.fresh("u")
+                u = NVar(uvar)
+                lands = Or(And(EqNum(i, Zero()), self.mark_is(succ, i, q2)),
+                           ExN(uvar, self.cell_bound,
+                               And(EqNum(Plus(u, One()), i), self.mark_is(succ, u, q2))))
             elif move == MOVE_RIGHT:
-                nxt = Plus(i, One())
-                at_edge = And(Not(self.cell_guard(nxt)), self.mark_is(succ, i, q2))
-                inward = And(self.cell_guard(nxt), self.mark_is(succ, nxt, q2))
-                lands = Or(at_edge, inward)
+                lands = Or(And(Not(self.edge_guard(nxt)), self.mark_is(succ, i, q2)),
+                           And(self.edge_guard(nxt), self.mark_is(succ, nxt, q2)))
             else:
                 lands = self.mark_is(succ, i, q2)
-            rules.append(Imp(fire, And(writes, lands)))
-        return forall_below("t", self.steps, self.each_cell("i", land(rules)))
+            fire = And(self.mark_is(t, i, q), holds(self.cell(t, i, 0), b))
+            rules.append(Imp(fire, And(holds(self.cell(succ, i, 0), b2), lands)))
+        return self.each_step(tvar, self.each_cell(ivar, land(rules)))
 
-    def validity(self) -> Formula:
-        bad = list(range(self.tm.k + 1, 1 << self.tm.state_bits))
+    def validity(self) -> Formula | None:
+        """No head mark names a state past k; None when every mark is a state."""
+        bad = range(self.tm.k + 1, 1 << self.tm.state_bits)
         if not bad:
-            return land([])
-        t, i = NVar("t"), NVar("i")
-        body = land([Not(self.mark_is(t, i, v)) for v in bad])
-        return AlN("t", self.steps, self.each_cell("i", body))
-
-    def single_head(self) -> Formula:
-        t, i, j = NVar("t"), NVar("i"), NVar("j")
-        clash = And(self.marked(t, i), self.marked(t, j))
-        body = self.each_cell("i", self.each_cell("j",
-                                                  Imp(Not(EqNum(i, j)), Not(clash))))
-        return AlN("t", self.steps, body)
-
-    def shared_clauses(self) -> list[Formula]:
-        return [self.frame(), self.transitions(), self.validity(),
-                self.single_head()]
+            return None
+        tvar, ivar = self.fresh("t"), self.fresh("z")
+        t, i = NVar(tvar), NVar(ivar)
+        bans = land([Not(self.mark_is(t, i, v)) for v in bad])
+        return self.each_row(tvar, self.each_cell(ivar, bans))
 
 
-def _acc_emitter(tm: TMDescription, p: PolyBound, xvar: str) -> _MatrixEmitter:
-    width = poly_term(p, Len(xvar))
-    stride = Times(width, const_term(1 + tm.state_bits))
-    return _MatrixEmitter(tm, "W", stride, steps=width, cell_bound=width,
-                          cell_guard=lambda v: lt(v, width))
+def single_head(tab: Tableau) -> Formula:
+    """At most one marked cell per row: no two distinct cells both marked."""
+    t, i, j = NVar("t"), NVar("i"), NVar("j")
+    clash = And(tab.marked(t, i), tab.marked(t, j))
+    return tab.each_row("t", tab.each_cell("i", tab.each_cell(
+        "j", Imp(Not(EqNum(i, j)), Not(clash)))))
+
+
+def _shared_clauses(tab: Tableau) -> list[Formula]:
+    """acc's step clauses; an empty VALIDITY stays in as TRUE."""
+    return [tab.frame(), tab.transitions(), tab.validity() or TRUE, single_head(tab)]
+
+
+def _witness_cells(tm: TMDescription, stride: NumTerm) -> Callable[[Row, Row, int], Cell]:
+    """Cells of the witness string W, one tableau row every stride bits."""
+    fields = 1 + tm.state_bits
+
+    def cell(t: NumTerm, i: NumTerm, f: int) -> Formula:
+        return Memb(Plus(Times(t, stride), Plus(Times(i, const_term(fields)),
+                                                const_term(f))), "W")
+    return cell
 
 
 def acc_matrix(tm: TMDescription, p: PolyBound, xvar: str = "X") -> Formula:
     """The string-quantifier-free body of the acceptance formula."""
-    e = _acc_emitter(tm, p, xvar)
+    width = poly_term(p, Len(xvar))  # also the step count
+    stride = Times(width, const_term(1 + tm.state_bits))
+    tab = Tableau(tm, _witness_cells(tm, stride), width, width)
     i = NVar("i")
     row0 = Zero()
-    init = e.each_cell("i", land([
-        iff(e.w_at(row0, i, 0), Memb(i, xvar)),
-        Imp(EqNum(i, Zero()), e.mark_is(row0, i, 1)),
-        Imp(Not(EqNum(i, Zero())), e.mark_is(row0, i, 0)),
+    init = tab.each_cell("i", land([
+        iff(tab.cell(row0, i, 0), Memb(i, xvar)),
+        Imp(EqNum(i, Zero()), tab.mark_is(row0, i, 1)),
+        Imp(Not(EqNum(i, Zero())), tab.mark_is(row0, i, 0)),
     ]))
-    accept = e.some_cell("i", e.mark_is(e.steps, i, tm.k))
-    return land([init, *e.shared_clauses(), accept])
+    accept = tab.some_cell("i", tab.mark_is(tab.steps, i, tm.k))
+    return land([init, *_shared_clauses(tab), accept])
 
 
 def acc_witness_bound(tm: TMDescription, p: PolyBound, xvar: str = "X") -> NumTerm:
-    e = _acc_emitter(tm, p, xvar)
-    return Times(Plus(e.steps, One()), e.stride)
+    width = poly_term(p, Len(xvar))  # also the step count
+    return Times(Plus(width, One()), Times(width, const_term(1 + tm.state_bits)))
 
 
 def compile_acc(tm: TMDescription, p: PolyBound, xvar: str = "X") -> Formula:
@@ -259,31 +290,26 @@ def string_to_config(s: str, tm: TMDescription) -> Configuration:
     return Configuration(tuple(cells))
 
 
-def _reach_emitter(tm: TMDescription, p: PolyBound, yvar: str) -> _MatrixEmitter:
+def reach_matrix(tm: TMDescription, p: PolyBound, yvar: str = "Y",
+                 zvar: str = "Z") -> Formula:
     fields = const_term(1 + tm.state_bits)
     size = Len(yvar)
 
     def fits(v: NumTerm) -> Formula:
+        """The whole field block of cell v lies left of the sentinel."""
         return lt(Plus(Times(v, fields), fields), size)
 
-    return _MatrixEmitter(tm, "W", stride=size, steps=poly_term(p, size),
-                          cell_bound=size, cell_guard=fits)
-
-
-def reach_matrix(tm: TMDescription, p: PolyBound, yvar: str = "Y",
-                 zvar: str = "Z") -> Formula:
-    e = _reach_emitter(tm, p, yvar)
-    size = Len(yvar)
+    tab = Tableau(tm, _witness_cells(tm, size), poly_term(p, size), size, inside=fits)
     j, t = NVar("j"), NVar("t")
-    boundary0 = forall_below("j", size, iff(Memb(j, e.wvar), Memb(j, yvar)))
+    boundary0 = forall_below("j", size, iff(Memb(j, "W"), Memb(j, yvar)))
     boundary_end = forall_below(
         "j", size,
-        iff(Memb(Plus(Times(e.steps, size), j), e.wvar), Memb(j, zvar)))
-    sentinels = AlN("t", e.steps, ExN(
+        iff(Memb(Plus(Times(tab.steps, size), j), "W"), Memb(j, zvar)))
+    sentinels = tab.each_row("t", ExN(
         "s", size,
         And(EqNum(Plus(NVar("s"), One()), size),
-            Memb(Plus(Times(t, size), NVar("s")), e.wvar))))
-    return land([boundary0, boundary_end, sentinels, *e.shared_clauses()])
+            Memb(Plus(Times(t, size), NVar("s")), "W"))))
+    return land([boundary0, boundary_end, sentinels, *_shared_clauses(tab)])
 
 
 def reach_witness_bound(tm: TMDescription, p: PolyBound, yvar: str = "Y") -> NumTerm:

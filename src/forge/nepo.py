@@ -5,7 +5,8 @@ acceptance formula with no string quantifiers at all: the computation grid is
 small enough to live inside a single number.  Each recursion level splits the
 run into `span` chunks, stores one configuration row per chunk boundary in a
 width-1 sequence code, and delegates chunk verification to the level below.
-Level 0 checks single machine steps directly.
+Level 0 checks single machine steps directly, with the FRAME, TRANS and
+VALIDITY clauses that acc.Tableau builds over the grid code's cells.
 
 Honest evaluation of the emitted formulas would sweep astronomically large
 number quantifiers (a grid code has hundreds of bits), so each artifact also
@@ -23,16 +24,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
+from .acc import Tableau, holds, iff
 from .codec import bit_at, encode_seq, seq_code_bound, seq_get_total, set_length, trim
 from .errors import BudgetError
 from .evaluate import Assignment, FiniteSlice, Roles, eval_formula
 from .formulas import (AlN, AlS, And, EqNum, ExN, ExS, Formula, Imp,
                        Len, Leq, Memb, Not, NumTerm, NVar, One, Or, Plus,
-                       SeqAt, SeqLen, Times, const_term, formula_size, land,
-                       lt)
-from .machine import (ComputationTableau, Configuration, MOVE_LEFT, MOVE_RIGHT,
-                      TMDescription, initial_configuration, run_from,
-                      tableau_to_witness)
+                       SeqAt, SeqLen, Times, const_term, formula_size, land)
+from .machine import (ComputationTableau, Configuration, TMDescription,
+                      initial_configuration, run_from, tableau_to_witness)
 
 __all__ = [
     "NepoBounds", "NepoArtifact", "compile_reach0", "compile_Reach",
@@ -214,25 +214,19 @@ class _Emitter:
         cell = _add(_mul(t, self.width), z)
         return _term(_add(_mul(cell, self.fields), f))
 
-    def bit_at(self, comp: str, t, z) -> NumTerm:
-        return SeqAt(NVar(comp), self.pos(t, z, 0))
+    def cells(self, comp: str) -> Callable[[int | NumTerm, int | NumTerm, int], NumTerm]:
+        """Reader of grid code comp: field f of cell z in row t."""
+        return lambda t, z, f: SeqAt(NVar(comp), self.pos(t, z, f))
 
-    def bit_is(self, comp: str, t, z, value: int) -> Formula:
-        return EqNum(self.bit_at(comp, t, z), const_term(value))
-
-    def mark_is(self, comp: str, t, z, mark: int) -> Formula:
-        return land([
-            EqNum(SeqAt(NVar(comp), self.pos(t, z, 1 + f)), const_term((mark >> f) & 1))
-            for f in range(self.sb)])
-
-    def marked(self, comp: str, t, z) -> Formula:
-        return Not(self.mark_is(comp, t, z, 0))
+    def tableau(self, comp: str) -> Tableau:
+        return Tableau(self.tm, self.cells(comp), self.span, self.width, fresh=self.fresh)
 
     def mark_sum(self, comp: str, t, z) -> NumTerm:
         """The head mark of a cell as a weighted sum of its mark bits."""
+        cell = self.cells(comp)
         total: int | NumTerm = 0
         for f in range(self.sb):
-            total = _add(total, _mul(SeqAt(NVar(comp), self.pos(t, z, 1 + f)), 1 << f))
+            total = _add(total, _mul(cell(t, z, 1 + f), 1 << f))
         return _term(total)
 
     # --- initial-row sources ---
@@ -268,7 +262,7 @@ class _Emitter:
 
     def con_source(self, con: str) -> _Source:
         def sym(z, f):
-            return SeqAt(NVar(con), self.pos(0, z, f))
+            return self.cells(con)(0, z, f)
 
         def read(env: Assignment) -> Configuration | None:
             v = env.nums[con]
@@ -278,7 +272,7 @@ class _Emitter:
 
     def row_source(self, comp: str, tvar: str) -> _Source:
         def sym(z, f):
-            return SeqAt(NVar(comp), self.pos(NVar(tvar), z, f))
+            return self.cells(comp)(NVar(tvar), z, f)
 
         def read(env: Assignment) -> Configuration | None:
             v = env.nums[comp]
@@ -305,21 +299,23 @@ class _Emitter:
 
     def grid(self, level: int, comp: str, source: _Source) -> Formula:
         sym, _read, pin = source
+        tab = self.tableau(comp)
         parts = [EqNum(SeqLen(NVar(comp)), const_term(self.grid_bits))]
         if pin is not None:
             parts.append(pin)
-        parts.append(self._init(comp, sym))
+        parts.append(self._init(tab, sym))
         if level == 0:
-            parts += [self._has_head(comp), self._transitions(comp),
-                      self._frame(comp), self._single_head(comp)]
-            validity = self._validity(comp)
+            zvar = self.fresh("z")
+            has_head = tab.some_cell(zvar, tab.marked(0, NVar(zvar)))
+            parts += [has_head, tab.transitions(), tab.frame(), single_head(tab)]
+            validity = tab.validity()
             if validity is not None:
                 parts.append(validity)
         else:
             tvar = self.fresh("t")
             sub = self.exists_grid(
                 level - 1, self.row_source(comp, tvar),
-                lambda name: [self._chunk_match(name, comp, tvar)])
+                lambda name: [self._same_row(name, self.span, comp, _add(NVar(tvar), 1))])
             parts.append(AlN(tvar, const_term(self.span - 1), sub))
         return land(parts)
 
@@ -348,105 +344,37 @@ class _Emitter:
 
         return callback
 
-    def _init(self, comp: str, sym) -> Formula:
+    def _init(self, tab: Tableau, sym) -> Formula:
         zvar = self.fresh("z")
         z = NVar(zvar)
         conjs = []
         for f in range(self.fields):
-            want = sym(z, f)
-            have = SeqAt(NVar(comp), self.pos(0, z, f))
+            want, have = sym(z, f), tab.cell(0, z, f)
             if isinstance(want, NumTerm):
                 conjs.append(EqNum(have, want))
             else:
-                bit_set = EqNum(have, One())
-                conjs.append(And(Imp(bit_set, want), Imp(want, bit_set)))
-        return AlN(zvar, const_term(self.width - 1), land(conjs))
+                conjs.append(iff(holds(have, 1), want))
+        return tab.each_cell(zvar, land(conjs))
 
-    def _has_head(self, comp: str) -> Formula:
-        zvar = self.fresh("z")
-        return ExN(zvar, const_term(self.width - 1),
-                   self.marked(comp, 0, NVar(zvar)))
-
-    def _transitions(self, comp: str) -> Formula:
-        tvar, zvar = self.fresh("t"), self.fresh("z")
-        t, z = NVar(tvar), NVar(zvar)
-        succ = Plus(z, One())
-        inside = lt(succ, const_term(self.width))
-        rules = []
-        for (state, read_bit), (state2, write, move) in sorted(self.tm.delta.items()):
-            if move == MOVE_LEFT:
-                uvar = self.fresh("u")
-                at_edge = And(EqNum(z, const_term(0)),
-                              self.mark_is(comp, _add(t, 1), z, state2))
-                shifted = ExN(uvar, const_term(self.width - 1),
-                              And(EqNum(Plus(NVar(uvar), One()), z),
-                                  self.mark_is(comp, _add(t, 1), NVar(uvar), state2)))
-                head_next = Or(at_edge, shifted)
-            elif move == MOVE_RIGHT:
-                head_next = Or(
-                    And(Not(inside), self.mark_is(comp, _add(t, 1), z, state2)),
-                    And(inside, self.mark_is(comp, _add(t, 1), succ, state2)))
-            else:
-                head_next = self.mark_is(comp, _add(t, 1), z, state2)
-            fire = And(self.mark_is(comp, t, z, state), self.bit_is(comp, t, z, read_bit))
-            effect = And(self.bit_is(comp, _add(t, 1), z, write), head_next)
-            rules.append(Imp(fire, effect))
-        return AlN(tvar, const_term(self.span - 1),
-                   AlN(zvar, const_term(self.width - 1), land(rules)))
-
-    def _frame(self, comp: str) -> Formula:
-        tvar, zvar = self.fresh("t"), self.fresh("z")
-        t, z = NVar(tvar), NVar(zvar)
-        keep = Imp(self.mark_is(comp, t, z, 0),
-                   EqNum(self.bit_at(comp, _add(t, 1), z), self.bit_at(comp, t, z)))
-        return AlN(tvar, const_term(self.span - 1),
-                   AlN(zvar, const_term(self.width - 1), keep))
-
-    def _single_head(self, comp: str) -> Formula:
-        tvar, zvar, ovar = self.fresh("t"), self.fresh("z"), self.fresh("z")
-        t, z, o = NVar(tvar), NVar(zvar), NVar(ovar)
-        lone = Imp(self.marked(comp, t, z),
-                   AlN(ovar, const_term(self.width - 1),
-                       Or(EqNum(o, z), Not(self.marked(comp, t, o)))))
-        return AlN(tvar, const_term(self.span),
-                   AlN(zvar, const_term(self.width - 1), lone))
-
-    def _validity(self, comp: str) -> Formula | None:
-        bogus = [m for m in range(self.tm.k + 1, 1 << self.sb)]
-        if not bogus:
-            return None
-        tvar, zvar = self.fresh("t"), self.fresh("z")
-        t, z = NVar(tvar), NVar(zvar)
-        bans = land([Not(self.mark_is(comp, t, z, m)) for m in bogus])
-        return AlN(tvar, const_term(self.span),
-                   AlN(zvar, const_term(self.width - 1), bans))
-
-    def _chunk_match(self, sub: str, comp: str, tvar: str) -> Formula:
-        """The sub-grid's last row is the enclosing grid's next chunk row."""
+    def _same_row(self, a: str, row_a, b: str, row_b) -> Formula:
+        """Row row_a of grid code a equals row row_b of grid code b."""
         zvar = self.fresh("z")
         z = NVar(zvar)
-        t_next = _add(NVar(tvar), 1)
-        pairs = [EqNum(SeqAt(NVar(sub), self.pos(self.span, z, f)),
-                       SeqAt(NVar(comp), self.pos(t_next, z, f)))
-                 for f in range(self.fields)]
-        return AlN(zvar, const_term(self.width - 1), land(pairs))
+        here, there = self.tableau(a), self.cells(b)
+        return here.each_cell(zvar, land([EqNum(here.cell(row_a, z, f), there(row_b, z, f))
+                                          for f in range(self.fields)]))
 
     def query(self, comp: str, row: NumTerm, col: NumTerm, cellvar: str) -> Formula:
         cell = NVar(cellvar)
         return And(
-            EqNum(SeqAt(cell, const_term(0)), SeqAt(NVar(comp), self.pos(row, col, 0))),
+            EqNum(SeqAt(cell, const_term(0)), self.cells(comp)(row, col, 0)),
             EqNum(SeqAt(cell, const_term(1)), self.mark_sum(comp, row, col)))
 
     def exists_con(self, comp: str, digit: str,
                    inner: Callable[[str], Formula]) -> Formula:
         con = self.fresh("con")
-        zvar = self.fresh("z")
-        z = NVar(zvar)
-        pairs = [EqNum(SeqAt(NVar(con), self.pos(0, z, f)),
-                       SeqAt(NVar(comp), self.pos(NVar(digit), z, f)))
-                 for f in range(self.fields)]
         pin = And(EqNum(SeqLen(NVar(con)), const_term(self.row_bits)),
-                  AlN(zvar, const_term(self.width - 1), land(pairs)))
+                  self._same_row(con, 0, comp, NVar(digit)))
 
         def callback(env: Assignment) -> int:
             v = env.nums[comp]
@@ -457,6 +385,15 @@ class _Emitter:
         self.roles[con] = callback
         return ExN(con, const_term(self.con_bound),
                    And(pin, inner(con)))
+
+
+def single_head(tab: Tableau) -> Formula:
+    """At most one marked cell per row: a marked cell z is the only one."""
+    tvar, zvar, ovar = tab.fresh("t"), tab.fresh("z"), tab.fresh("z")
+    t, z, o = NVar(tvar), NVar(zvar), NVar(ovar)
+    lone = Imp(tab.marked(t, z),
+               tab.each_cell(ovar, Or(EqNum(o, z), Not(tab.marked(t, o)))))
+    return tab.each_row(tvar, tab.each_cell(zvar, lone))
 
 
 def _reach_emitter(tm: TMDescription, b: NepoBounds, level: int) -> _Emitter:
@@ -539,9 +476,9 @@ def acceptance_artifact(tm: TMDescription, b: NepoBounds) -> NepoArtifact:
     em = _Emitter(tm, b)
 
     def accepting(comp: str, digit: str) -> Formula:
+        tab = em.tableau(comp)
         zvar = em.fresh("z")
-        return ExN(zvar, const_term(b.width - 1),
-                   em.mark_is(comp, NVar(digit), NVar(zvar), tm.k))
+        return tab.some_cell(zvar, tab.mark_is(NVar(digit), NVar(zvar), tm.k))
 
     fits = Leq(Len("X"), const_term(b.width))
     chain = _cell_chain(em, const_term(b.last_row),

@@ -17,7 +17,8 @@ Formula grammar
 Number variables start lowercase, string variables start uppercase.
 Connectives written with more than two arguments fold right, so
 (and a b c) reads as (and a (and b c)); `memb` is accepted as an alias for
-`in`.
+`in`.  The nesting cap holds for the folded formula too: an argument that
+would sit deeper than `MAX_DEPTH` in the reprint is a `ParseError`.
 
 Parsing alpha-renames binders so no name is bound twice anywhere in the
 result: rebinding a name under itself is rejected, a repeat in a sibling
@@ -153,7 +154,15 @@ class _Binders:
         return fresh
 
 
-def _parse_term(node: Node, env: dict[str, str]) -> NumTerm:
+def _too_deep(node: Node) -> ParseError:
+    """The error for a node past the cap.  The parse functions below count a
+    node's `depth` as its list nesting once n-ary connectives fold right,
+    which is how the formula reprints."""
+    return ParseError(f"formula would nest deeper than {MAX_DEPTH} once folded",
+                      node.line, node.col)
+
+
+def _parse_term(node: Node, env: dict[str, str], depth: int = 1) -> NumTerm:
     if node.text is not None:
         if node.text == "0":
             return Zero()
@@ -161,6 +170,8 @@ def _parse_term(node: Node, env: dict[str, str]) -> NumTerm:
             return One()
         name = _num_name(node)
         return NVar(env.get(name, name))
+    if depth > MAX_DEPTH:
+        raise _too_deep(node)
     items = node.items
     assert items is not None
     if not items or items[0].text is None:
@@ -170,7 +181,8 @@ def _parse_term(node: Node, env: dict[str, str]) -> NumTerm:
         if len(items) != 3:
             raise ParseError(f"({op} t t) takes two arguments", node.line, node.col)
         make = Plus if op == "+" else Times
-        return make(_parse_term(items[1], env), _parse_term(items[2], env))
+        return make(_parse_term(items[1], env, depth + 1),
+                    _parse_term(items[2], env, depth + 1))
     if op == "len":
         if len(items) != 2:
             raise ParseError("(len X) takes one argument", node.line, node.col)
@@ -179,11 +191,12 @@ def _parse_term(node: Node, env: dict[str, str]) -> NumTerm:
     if op == "seq":
         if len(items) != 3:
             raise ParseError("(seq t t) takes two arguments", node.line, node.col)
-        return SeqAt(_parse_term(items[1], env), _parse_term(items[2], env))
+        return SeqAt(_parse_term(items[1], env, depth + 1),
+                     _parse_term(items[2], env, depth + 1))
     if op == "seqlen":
         if len(items) != 2:
             raise ParseError("(seqlen t) takes one argument", node.line, node.col)
-        return SeqLen(_parse_term(items[1], env))
+        return SeqLen(_parse_term(items[1], env, depth + 1))
     raise ParseError(f"unknown term operator {op}", items[0].line, items[0].col)
 
 
@@ -191,9 +204,12 @@ _QUANT = {"exN": (ExN, _num_name), "alN": (AlN, _num_name),
           "exS": (ExS, _str_name), "alS": (AlS, _str_name)}
 
 
-def _parse_formula(node: Node, env: dict[str, str], binders: _Binders) -> Formula:
+def _parse_formula(node: Node, env: dict[str, str], binders: _Binders,
+                   depth: int = 1) -> Formula:
     if node.text is not None:
         raise ParseError("expected a formula, got an atom", node.line, node.col)
+    if depth > MAX_DEPTH:
+        raise _too_deep(node)
     items = node.items
     assert items is not None
     if not items or items[0].text is None:
@@ -205,7 +221,8 @@ def _parse_formula(node: Node, env: dict[str, str], binders: _Binders) -> Formul
         if len(args) != 2:
             raise ParseError(f"({op} t t) takes two arguments", node.line, node.col)
         make = EqNum if op == "=" else Leq
-        return make(_parse_term(args[0], env), _parse_term(args[1], env))
+        return make(_parse_term(args[0], env, depth + 1),
+                    _parse_term(args[1], env, depth + 1))
     if op == "seteq":
         if len(args) != 2:
             raise ParseError("(seteq X Y) takes two arguments", node.line, node.col)
@@ -216,18 +233,19 @@ def _parse_formula(node: Node, env: dict[str, str], binders: _Binders) -> Formul
         if len(args) != 2:
             raise ParseError("(in t X) takes two arguments", node.line, node.col)
         name = _str_name(args[1])
-        return Memb(_parse_term(args[0], env), env.get(name, name))
+        return Memb(_parse_term(args[0], env, depth + 1), env.get(name, name))
     if op == "not":
         if len(args) != 1:
             raise ParseError("(not f) takes one argument", node.line, node.col)
-        return Not(_parse_formula(args[0], env, binders))
+        return Not(_parse_formula(args[0], env, binders, depth + 1))
     if op in ("and", "or", "imp"):
         if len(args) < 2:
             raise ParseError(f"({op} f f ...) takes at least two arguments", node.line, node.col)
         make = {"and": And, "or": Or, "imp": Imp}[op]
         parts = []
-        for a in args:  # a comprehension would cost a second frame per level
-            parts.append(_parse_formula(a, env, binders))
+        # argument k (from 1) of n sits under min(k, n - 1) folded lists
+        for k, a in enumerate(args, 1):  # a comprehension would cost a frame per level
+            parts.append(_parse_formula(a, env, binders, depth + min(k, len(args) - 1)))
         acc = parts[-1]
         for part in reversed(parts[:-1]):
             acc = make(part, acc)
@@ -241,11 +259,11 @@ def _parse_formula(node: Node, env: dict[str, str], binders: _Binders) -> Formul
             raise DuplicateBindingError(
                 f"{source_name} is already bound here", args[0].line, args[0].col
             )
-        bound = _parse_term(args[1], env)
+        bound = _parse_term(args[1], env, depth + 1)
         fresh = binders.assign(source_name)
         env[source_name] = fresh
         try:
-            body = _parse_formula(args[2], env, binders)
+            body = _parse_formula(args[2], env, binders, depth + 1)
         finally:
             del env[source_name]
         return make(fresh, bound, body)

@@ -1,12 +1,15 @@
 """Acceptance and reachability compilers against the simulator oracle."""
 
+import itertools
+
 import pytest
 
-from forge import acc
-from forge.codec import all_strings, mask_to_bits, set_length
+from forge import acc, nepo
+from forge.codec import all_strings, encode_seq, mask_to_bits, set_length
 from forge.errors import LayoutError
 from forge.evaluate import Assignment, FiniteSlice, eval_formula
-from forge.formulas import classify, free_vars
+from forge.formulas import (Memb, NVar, Plus, SeqAt, Times, classify, const_term,
+                            free_vars)
 from forge.machine import (Configuration, PolyBound, accepts, corpus_machine,
                            parse_tm, run, run_from, tableau_to_witness)
 
@@ -203,3 +206,37 @@ def test_poly_term_matches_eval():
         for n in range(6):
             got = eval_term(t, Assignment(nums={"n": n}))
             assert got == p.eval(n)
+
+
+# --- the shared tableau ---
+
+
+@pytest.mark.parametrize("kind", ["string", "code"])
+def test_single_head_shapes_agree_micro(kind):
+    """acc's pairwise SINGLE-HEAD and nepo's lone-mark SINGLE-HEAD, built on
+    one Tableau of one row and width 3, agree with each other and with a
+    head count under every mark assignment, over string and code cells."""
+    tm = corpus_machine("scan1")
+    fields = 1 + tm.state_bits
+
+    def cell(t, i, f):
+        pos = Plus(Times(t, const_term(3 * fields)),
+                   Plus(Times(i, const_term(fields)), const_term(f)))
+        return Memb(pos, "W") if kind == "string" else SeqAt(NVar("comp"), pos)
+
+    names = itertools.count()
+    tab = acc.Tableau(tm, cell, steps=0, width=3,
+                      fresh=lambda base: f"{base}{next(names)}")
+    pairwise, lone = acc.single_head(tab), nepo.single_head(tab)
+    s = FiniteSlice(num_bound=4, str_width=0)
+    verdicts = set()
+    for marks in itertools.product(range(1 << tm.state_bits), repeat=3):
+        bits = "".join("0" + "".join(str((m >> f) & 1) for f in range(tm.state_bits))
+                       for m in marks)  # tape bit 0, then the mark low bit first
+        env = (Assignment(strs={"W": bits}) if kind == "string" else
+               Assignment(nums={"comp": encode_seq([int(b) for b in bits])}))
+        verdict = sum(m > 0 for m in marks) <= 1
+        assert eval_formula(pairwise, s, env) == verdict, marks
+        assert eval_formula(lone, s, env) == verdict, marks
+        verdicts.add(verdict)
+    assert verdicts == {True, False}

@@ -277,11 +277,15 @@ def test_module_entry_point_matches_function(tmp_path):
 def test_deep_nesting_is_a_parse_error_not_a_crash(tmp_path):
     formula = tmp_path / "deep.sexp"
     formula.write_text("(not " * 2999 + "(leq 0 1)" + ")" * 2999)
+    flat = tmp_path / "flat.sexp"  # nests 2 deep as written, 2000 once folded
+    flat.write_text("(and" + " (leq 0 1)" * 2000 + ")")
     proof = tmp_path / "deep.pk"
     f = "(pnot " * 2997 + "(pv z 0)" + ")" * 2997
     proof.write_text(f"1: (seq ({f}) ({f})) axiom\n")
     for argv in (["eval", "--formula", str(formula), "--num-bound", "2"],
                  ["translate", "--formula", str(formula)],
+                 ["eval", "--formula", str(flat), "--num-bound", "2"],
+                 ["translate", "--formula", str(flat)],
                  ["check-proof", "--proof", str(proof)]):
         proc = subprocess.run([sys.executable, "-m", "forge.cli", *argv],
                               capture_output=True, text=True)

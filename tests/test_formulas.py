@@ -49,6 +49,17 @@ def test_parse_nesting_cap():
         sexpr.parse_formula(deep(sexpr.MAX_DEPTH + 1))
     assert (e.value.line, e.value.column) == (1, 5 * sexpr.MAX_DEPTH + 1)
 
+    def flat(k, last="(leq 0 1)"):  # k arguments: the last two nest k deep once folded
+        return "(and" + " (leq 0 1)" * (k - 1) + f" {last})"
+    reprint = sexpr.print_formula(sexpr.parse_formula(flat(sexpr.MAX_DEPTH)))
+    assert sexpr.print_formula(sexpr.parse_formula(reprint)) == reprint
+    arg_col = 4 + 10 * (sexpr.MAX_DEPTH - 1) + 2  # column of the argument at the cap
+    for text, col in ((flat(sexpr.MAX_DEPTH + 1), arg_col),
+                      (flat(sexpr.MAX_DEPTH, "(leq (+ 0 0) 1)"), arg_col + 5)):
+        with pytest.raises(ParseError) as e:
+            sexpr.parse_formula(text)
+        assert (e.value.line, e.value.column) == (1, col)
+
 
 def test_parse_comments_and_whitespace():
     text = "; tautology\n(or (leq 0 1)  ; left\n    (leq 1 0))\n"

@@ -12,15 +12,20 @@ from fractions import Fraction
 
 import pytest
 
-from forge.acc import compile_acc
-from forge.machine import PolyBound, corpus_machine
-from forge.nepo import NepoBounds, compile_acceptance_sigma0
+from forge.acc import compile_acc, compile_reach
+from forge.machine import PolyBound, corpus_machine, parse_tm
+from forge.nepo import (NepoBounds, compile_acceptance_sigma0, compile_cell_predicate,
+                        compile_Reach)
 from forge.sexpr import parse_formula, print_formula
 
-# "acc:<machine>:<poly coefficients>" is compile_acc, "sigma0:<machine>:m<m>"
-# is compile_acceptance_sigma0 at eps 1/3, k 2.  case -> (print digest,
-# reprint digest); reprints differ from prints where the parser renames
-# sibling binders apart.
+# "acc:<machine>:<poly coefficients>" is compile_acc and "reach:..." is
+# compile_reach; "sigma0:<machine>:m<m>" is compile_acceptance_sigma0 at c 1,
+# eps 1/3, k 2, "cell:..." is compile_cell_predicate and "Reach<level>:..." is
+# compile_Reach at that level.  case -> (print digest, reprint digest);
+# reprints differ from prints where the parser renames sibling binders apart.
+# "left3" has left moves and k = 3, so an empty VALIDITY; no corpus machine has either.
+LEFT3 = parse_tm("states 3\n1 0 -> 2 1 1\n1 1 -> 3 0 2\n2 0 -> 1 1 0\n"
+                 "2 1 -> 3 1 1\n3 0 -> 3 0 1\n3 1 -> 1 0 2\n")
 GOLDEN = {
     "acc:scan1:2,1": (
         "eb5b90e4818f7be90301240ccb55116830c71116ad489027db152ab6c91b352a",
@@ -67,16 +72,108 @@ GOLDEN = {
     "sigma0:zeros:m16": (
         "72bace9ee26a4ec077b8038340882e26589df35b8d3b1b929bc7b2305008c873",
         "72bace9ee26a4ec077b8038340882e26589df35b8d3b1b929bc7b2305008c873"),
+    "reach:scan1:2,1": (
+        "86a84d6541864b316fa7a68188ebf9c525c29e9d0f3cdeed74b8e812e667ec35",
+        "a732127ed90d81e97ac55df1e918b5c713a225bb8ed8ba8669459c49ddf36ad9"),
+    "reach:scan1:1,1,1": (
+        "ec97fd6fd2d9c7a8ac499a9214fcd220fe8797dd069be12a31df8c8ba91a3bf4",
+        "ee893682628f0e64be0cf52d26b6d43896c63bc499318f9aca8216e1a1c09872"),
+    "reach:parity:2,1": (
+        "8c93817b5cbb66aa47ca766914bd6b9a85fd2791b0529b60c9ac4684b48498f6",
+        "ae6ad99d4862ad6ca4af4f85aedb2031b735fc71f07353855afc2005d97aa352"),
+    "reach:parity:1,1,1": (
+        "50a4d29bad275b616771c14f6ac25be33b743f63e8c0363e003c009e53b6905c",
+        "4ed831f7b5a3b985aa4e736b81f4378d660579889670ea2a01221b8fb103c81f"),
+    "reach:zeros:2,1": (
+        "55a6ed5c74dedb6450d571ed1e24cf932dc974c60acc0554d510de9fd1cc6a23",
+        "4716811585bd1dc5c396fd54af0934fe8588d9e53993b043f7a7885d5bda3a13"),
+    "reach:zeros:1,1,1": (
+        "3db1feeac49d6a8f57f9a2140c6f7987d815fac7275d92706767d8bb6f43fc93",
+        "b0fb00407e3bbb40c35df3b55a2c151e09cd1b27869bdb3b1b5074e42e964602"),
+    "Reach0:scan1:m4": (
+        "0d23e4977456bcf66460f036b4f5bdf0936d5339ed2a563926599e60a9dad1c3",
+        "0d23e4977456bcf66460f036b4f5bdf0936d5339ed2a563926599e60a9dad1c3"),
+    "Reach0:scan1:m16": (
+        "b21d5be9147da7bc6c59c2491c508231bb60c2b7fda9766020e9f86e747a176f",
+        "b21d5be9147da7bc6c59c2491c508231bb60c2b7fda9766020e9f86e747a176f"),
+    "Reach0:parity:m4": (
+        "c72b1546354b88c463c4cc2b0e25254d4c2d8edf13339f0a6077346d541bd36f",
+        "c72b1546354b88c463c4cc2b0e25254d4c2d8edf13339f0a6077346d541bd36f"),
+    "Reach0:parity:m16": (
+        "7c4457a7211994eca31ece68f8d74fbff6d88b64782925c25f710cdce90b7405",
+        "7c4457a7211994eca31ece68f8d74fbff6d88b64782925c25f710cdce90b7405"),
+    "Reach0:zeros:m4": (
+        "2150e4dc79795028bad075b23cecae8e6e6a9d5a56d0fa4489e752169252099f",
+        "2150e4dc79795028bad075b23cecae8e6e6a9d5a56d0fa4489e752169252099f"),
+    "Reach0:zeros:m16": (
+        "fd439c8611ac713277509d9f8e576eef59c43bba5e14a6d970c3bc43fb55d524",
+        "fd439c8611ac713277509d9f8e576eef59c43bba5e14a6d970c3bc43fb55d524"),
+    "Reach1:scan1:m4": (
+        "61ca7b7fdcaae6806ad940566f52733f770af0ce33718b086f288a40a0d9154c",
+        "61ca7b7fdcaae6806ad940566f52733f770af0ce33718b086f288a40a0d9154c"),
+    "Reach1:scan1:m16": (
+        "c3178602830a9660a2cd4bd13ca6d36a286eab37c6a10df3ab6ccc855eafb91d",
+        "c3178602830a9660a2cd4bd13ca6d36a286eab37c6a10df3ab6ccc855eafb91d"),
+    "Reach1:parity:m4": (
+        "ce4be30d66ecca62d408c8b60c10be7966d02525e80701c54f05d1ba04afec45",
+        "ce4be30d66ecca62d408c8b60c10be7966d02525e80701c54f05d1ba04afec45"),
+    "Reach1:parity:m16": (
+        "4a22973d0d49d85db1533bcac2d47faf16ab6673ea11666843a9953a1f29018e",
+        "4a22973d0d49d85db1533bcac2d47faf16ab6673ea11666843a9953a1f29018e"),
+    "Reach1:zeros:m4": (
+        "0fa2a2145620fc93b1d6092a33d765a603ff1e132d8f412c79ac3d67b887daf0",
+        "0fa2a2145620fc93b1d6092a33d765a603ff1e132d8f412c79ac3d67b887daf0"),
+    "Reach1:zeros:m16": (
+        "3e0901907fa8d58a3e2b4615f8dd15895cb15f612d2b644536d529022ec6f1dd",
+        "3e0901907fa8d58a3e2b4615f8dd15895cb15f612d2b644536d529022ec6f1dd"),
+    "cell:scan1:m4": (
+        "f91038e25413af4e4c4a0342a2354bd0fe6549a29f396cb40b0366d0a839ff9e",
+        "f91038e25413af4e4c4a0342a2354bd0fe6549a29f396cb40b0366d0a839ff9e"),
+    "cell:scan1:m16": (
+        "a7a4473412afd951cc55503ecf3ac9d5f2261ba887d047a188d8403be1ded9c5",
+        "a7a4473412afd951cc55503ecf3ac9d5f2261ba887d047a188d8403be1ded9c5"),
+    "cell:parity:m4": (
+        "8d5d4f255bf5472c8ebcb214b9635e112b7fcc7e4401fe8eb7f568e42056e22d",
+        "8d5d4f255bf5472c8ebcb214b9635e112b7fcc7e4401fe8eb7f568e42056e22d"),
+    "cell:parity:m16": (
+        "600cf9ce92cdc467b0d94a5675d2a70cab9c7db20893d0c228d9e75b481eeaf7",
+        "600cf9ce92cdc467b0d94a5675d2a70cab9c7db20893d0c228d9e75b481eeaf7"),
+    "cell:zeros:m4": (
+        "238205392a6343cca248b66e8c6447f4880b5ec8824082295987bbd552064e33",
+        "238205392a6343cca248b66e8c6447f4880b5ec8824082295987bbd552064e33"),
+    "cell:zeros:m16": (
+        "2fb9e557dda6fb6e4c9f18fd3f939295fa413167c9acde1dc78d623812158931",
+        "2fb9e557dda6fb6e4c9f18fd3f939295fa413167c9acde1dc78d623812158931"),
+    "acc:left3:2,1": (
+        "dd3773d2c64a09ae6036ed21d42d5948f6688520153d3d7020b9ebaed8a4936b",
+        "85c20516f31bff059031b7b50950eb4f9dd8ef7f37ffc5d057e74b3f7f765975"),
+    "reach:left3:2,1": (
+        "d66f4def8931d657ab695c7969d935e41b45143e485067108fdbdc22b788ebc4",
+        "3548dd842c94677d2abf2074c8d00677342a78e08598fc9c697e09d72691b89b"),
+    "sigma0:left3:m4": (
+        "8ad1d9c5f34d7ccdf0bafbab933f29ec4f7db5a0349a708f6d5723e7e0781e19",
+        "8ad1d9c5f34d7ccdf0bafbab933f29ec4f7db5a0349a708f6d5723e7e0781e19"),
+    "Reach1:left3:m4": (
+        "dbf4f53223655c66cc467232c18d67fa4de2da7b3add75f1772b2d1dbe6bd7a5",
+        "dbf4f53223655c66cc467232c18d67fa4de2da7b3add75f1772b2d1dbe6bd7a5"),
+    "cell:left3:m4": (
+        "5eb03752cf992db6c6b3adbeeb478f3969b6158f57dee6720ca98930a6ca48c1",
+        "5eb03752cf992db6c6b3adbeeb478f3969b6158f57dee6720ca98930a6ca48c1"),
 }
 
 
 def _compile(case: str):
     kind, name, arg = case.split(":")
-    tm = corpus_machine(name)
-    if kind == "acc":
-        return compile_acc(tm, PolyBound(tuple(map(int, arg.split(",")))))
-    m = int(arg.removeprefix("m"))
-    return compile_acceptance_sigma0(tm, NepoBounds(c=1, eps=Fraction(1, 3), k=2, m=m))
+    tm = LEFT3 if name == "left3" else corpus_machine(name)
+    if kind in ("acc", "reach"):
+        compile_ = compile_acc if kind == "acc" else compile_reach
+        return compile_(tm, PolyBound(tuple(map(int, arg.split(",")))))
+    b = NepoBounds(c=1, eps=Fraction(1, 3), k=2, m=int(arg.removeprefix("m")))
+    if kind == "sigma0":
+        return compile_acceptance_sigma0(tm, b)
+    if kind == "cell":
+        return compile_cell_predicate(tm, b)
+    return compile_Reach(tm, b, int(kind.removeprefix("Reach")))
 
 
 def _digests(case: str) -> tuple[str, str]:

@@ -1,9 +1,11 @@
-"""Package hygiene: every name a module exports must exist, and every name
-a module imports must be used."""
+"""Package hygiene: every name a module exports must exist, every name a
+module imports must be used, and every top-level definition of the package
+must be used somewhere."""
 
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import forge
@@ -53,3 +55,51 @@ def test_no_unused_imports():
     files = sorted((ROOT / "src" / "forge").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
     found = {str(p.relative_to(ROOT)): unused_imports(p.read_text()) for p in files}
     assert {path: names for path, names in found.items() if names} == {}
+
+
+def references(source: str) -> list[tuple[str, int]]:
+    """(name, line) of every identifier a module reads or imports."""
+    refs = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            refs.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            refs.append((node.attr, node.lineno))
+        elif isinstance(node, ast.alias):
+            refs += [(part, node.lineno) for part in node.name.split(".")]
+    return refs
+
+
+def dead_definitions(sources: dict[str, str], checked: list[str],
+                     texts: list[str] = ()) -> list[str]:
+    """Top-level defs and classes of the `checked` sources that no source
+    references outside the definition itself and no text names."""
+    used: dict[str, list[tuple[str, int]]] = {}
+    for path, source in sources.items():
+        for name, line in references(source):
+            used.setdefault(name, []).append((path, line))
+    words = set(re.findall(r"\w+", "\n".join(texts)))
+    dead = []
+    for path in checked:
+        for node in ast.parse(sources[path]).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name in words:
+                continue
+            inside = range(node.lineno, node.end_lineno + 1)
+            if all(p == path and line in inside for p, line in used.get(node.name, ())):
+                dead.append(f"{path}:{node.lineno}: {node.name}")
+    return dead
+
+
+def test_dead_definitions_are_found():
+    sources = {"m.py": "def used():\n    pass\n\n\ndef dead():\n    return dead()\n\n\n"
+                       "class Named:\n    pass\n",
+               "t.py": "from m import used\nused()\n"}
+    assert dead_definitions(sources, ["m.py"]) == ["m.py:5: dead", "m.py:9: Named"]
+    assert dead_definitions(sources, ["m.py"], ["[scripts]\nx = 'm:Named'"]) == ["m.py:5: dead"]
+
+
+def test_no_dead_definitions():
+    files = [p for d in ("src/forge", "tests", "perfbench") for p in sorted((ROOT / d).glob("*.py"))]
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in files}
+    checked = [path for path in sources if path.startswith("src/")]
+    assert dead_definitions(sources, checked, [(ROOT / "pyproject.toml").read_text()]) == []
