@@ -241,8 +241,8 @@ def node_value_instrumented(t: MonotoneTree, inputs: str, i: int) -> tuple[int, 
     """(value of node i, maximal recursion depth reached)."""
     if len(inputs) != t.a:
         raise ValueError(f"need {t.a} input bits, got {len(inputs)}")
-    if i == 0:
-        raise IndexError("the root is node 1; position 0 is unused")
+    if i < 1:
+        raise IndexError(f"no node {i}: the root is node 1")
     deepest = 0
 
     def rec(x: int, d: int) -> int:

@@ -2,10 +2,12 @@
 
 A sequent holds two formula lists read as multisets: the conjunction of the
 left side implies the disjunction of the right side.  Proofs are checked
-line by line against nine rules; contraction and exchange are absorbed by
-the multiset matching of the two weakening rules.  Structural breakage
-(dangling premise references, unknown rule tags) raises MalformedProofError,
-while a line that simply does not follow makes the checker return False.
+line by line against the rules of `RULE_SHAPES`, the one rule table that
+both this checker and the checker formula of `reflect` read; contraction
+and exchange are absorbed by the multiset matching of the two weakening
+rules.  Structural breakage (dangling premise references, unknown rule
+tags) raises MalformedProofError, while a line that simply does not follow
+makes the checker return False.
 """
 
 from collections import Counter
@@ -18,13 +20,32 @@ from .prop import (PAnd, PNot, POr, PropFormula, PVar, node_to_prop, pnot,
 from .sexpr import Node, read_all
 
 __all__ = [
-    "Sequent", "ProofLine", "Proof", "RULES", "check_frege",
-    "check_depth_frege", "soundness_sweep", "sequent_formula", "parse_proof",
-    "proof_to_text", "corpus_proofs", "proof_mutations", "proof_target",
+    "Sequent", "ProofLine", "Proof", "LEFT", "RIGHT", "RULE_SHAPES", "RULES",
+    "system_depth", "check_frege", "check_depth_frege", "soundness_sweep",
+    "sequent_formula", "parse_proof", "proof_to_text", "corpus_proofs",
+    "proof_mutations", "proof_target",
 ]
 
-RULES = ("axiom", "weak-left", "weak-right", "and-left", "and-right",
-         "or-left", "or-right", "not-left", "not-right", "cut")
+LEFT, RIGHT = 0, 1
+
+# rule -> (family, principal side, connective of the principal formula).
+# Families: weak adds formulas to the principal side; not moves the negated
+# argument to the other side; merge puts both children on the principal's
+# side of one premise; split takes one premise per child.  A rule's position
+# here is its tag number in the bit encoding of `reflect`.
+RULE_SHAPES = {
+    "axiom": ("axiom", None, None),
+    "weak-left": ("weak", LEFT, None),
+    "weak-right": ("weak", RIGHT, None),
+    "and-left": ("merge", LEFT, PAnd),
+    "and-right": ("split", RIGHT, PAnd),
+    "or-left": ("split", LEFT, POr),
+    "or-right": ("merge", RIGHT, POr),
+    "not-left": ("not", LEFT, PNot),
+    "not-right": ("not", RIGHT, PNot),
+    "cut": ("cut", None, None),
+}
+RULES = tuple(RULE_SHAPES)
 
 
 @dataclass(frozen=True, slots=True)
@@ -55,77 +76,24 @@ def _meq(a: tuple, b: tuple) -> bool:
     return Counter(a) == Counter(b)
 
 
-def _minus(a: tuple, f: PropFormula, at: int) -> tuple:
+def _minus(a: tuple, at: int) -> tuple:
     return a[:at] + a[at + 1:]
+
+
+def _sides(s: Sequent, side: int) -> tuple[tuple, tuple]:
+    """(principal side, other side) of a sequent."""
+    return (s.left, s.right) if side == LEFT else (s.right, s.left)
 
 
 def _rule_holds(line: ProofLine, prems: list[Sequent]) -> bool:
     c = line.sequent
-    rule = line.rule
-    if rule == "axiom":
+    if line.rule not in RULE_SHAPES:
+        raise MalformedProofError(f"unknown rule tag {line.rule!r}")
+    family, side, conn = RULE_SHAPES[line.rule]
+    if family == "axiom":
         return (not prems and len(c.left) == 1 and len(c.right) == 1
                 and c.left[0] == c.right[0])
-    if rule == "weak-left":
-        return (len(prems) == 1 and _meq(prems[0].right, c.right)
-                and set(prems[0].left) <= set(c.left))
-    if rule == "weak-right":
-        return (len(prems) == 1 and _meq(prems[0].left, c.left)
-                and set(prems[0].right) <= set(c.right))
-    if rule == "not-left":
-        if len(prems) != 1:
-            return False
-        p = prems[0]
-        for at, f in enumerate(c.left):
-            if type(f) is PNot and _meq(p.left, _minus(c.left, f, at)) \
-                    and _meq(p.right, c.right + (f.arg,)):
-                return True
-        return False
-    if rule == "not-right":
-        if len(prems) != 1:
-            return False
-        p = prems[0]
-        for at, f in enumerate(c.right):
-            if type(f) is PNot and _meq(p.right, _minus(c.right, f, at)) \
-                    and _meq(p.left, c.left + (f.arg,)):
-                return True
-        return False
-    if rule == "and-left":
-        if len(prems) != 1:
-            return False
-        p = prems[0]
-        for at, f in enumerate(c.left):
-            if type(f) is PAnd and _meq(p.left, _minus(c.left, f, at) + f.args) \
-                    and _meq(p.right, c.right):
-                return True
-        return False
-    if rule == "or-right":
-        if len(prems) != 1:
-            return False
-        p = prems[0]
-        for at, f in enumerate(c.right):
-            if type(f) is POr and _meq(p.right, _minus(c.right, f, at) + f.args) \
-                    and _meq(p.left, c.left):
-                return True
-        return False
-    if rule == "and-right":
-        for at, f in enumerate(c.right):
-            if type(f) is not PAnd or len(prems) != len(f.args):
-                continue
-            rest = _minus(c.right, f, at)
-            if all(_meq(p.left, c.left) and _meq(p.right, rest + (arg,))
-                   for p, arg in zip(prems, f.args)):
-                return True
-        return False
-    if rule == "or-left":
-        for at, f in enumerate(c.left):
-            if type(f) is not POr or len(prems) != len(f.args):
-                continue
-            rest = _minus(c.left, f, at)
-            if all(_meq(p.left, rest + (arg,)) and _meq(p.right, c.right)
-                   for p, arg in zip(prems, f.args)):
-                return True
-        return False
-    if rule == "cut":
+    if family == "cut":
         if len(prems) != 2:
             return False
         p1, p2 = prems
@@ -133,10 +101,28 @@ def _rule_holds(line: ProofLine, prems: list[Sequent]) -> bool:
             return False
         a = p1.right[line.cut_index]
         return (_meq(p1.left, c.left)
-                and _meq(_minus(p1.right, a, line.cut_index), c.right)
+                and _meq(_minus(p1.right, line.cut_index), c.right)
                 and _meq(p2.left, c.left + (a,))
                 and _meq(p2.right, c.right))
-    raise MalformedProofError(f"unknown rule tag {rule!r}")
+    cp, co = _sides(c, side)
+    ps = [_sides(p, side) for p in prems]
+    if family == "weak":
+        return len(ps) == 1 and _meq(ps[0][1], co) and set(ps[0][0]) <= set(cp)
+    for at, f in enumerate(cp):
+        if type(f) is not conn:
+            continue
+        rest = _minus(cp, at)
+        if family == "split":
+            if len(ps) == len(f.args) and all(_meq(pp, rest + (arg,)) and _meq(po, co)
+                                              for (pp, po), arg in zip(ps, f.args)):
+                return True
+        elif len(ps) == 1:
+            # not: the argument crosses to the other side; merge: the
+            # children stay on the principal's side
+            into, across = ((), (f.arg,)) if family == "not" else (f.args, ())
+            if _meq(ps[0][0], rest + into) and _meq(ps[0][1], co + across):
+                return True
+    return False
 
 
 def check_frege(pi: Proof, target: PropFormula) -> bool:
@@ -176,15 +162,24 @@ def proof_target(pi: Proof) -> PropFormula | None:
     return None
 
 
+def system_depth(system) -> int | None:
+    """None for "frege", d for ("depth-frege", d) with d a non-negative int."""
+    if system == "frege":
+        return None
+    if (isinstance(system, tuple) and len(system) == 2
+            and system[0] == "depth-frege" and type(system[1]) is int
+            and system[1] >= 0):
+        return system[1]
+    raise ValueError(f"unknown proof system {system!r}")
+
+
 def soundness_sweep(system, var_cap: int, corpus) -> dict:
     """Check each proof; every accepted endsequent must be a tautology."""
-    if system == "frege":
+    depth = system_depth(system)
+    if depth is None:
         accept = check_frege
-    elif isinstance(system, tuple) and len(system) == 2 and system[0] == "depth-frege":
-        depth = system[1]
-        accept = lambda pi, t: check_depth_frege(pi, t, depth)
     else:
-        raise ValueError(f"unknown proof system {system!r}")
+        accept = lambda pi, t: check_depth_frege(pi, t, depth)
     checked = accepted = 0
     failures: list[int] = []
     for idx, pi in enumerate(corpus):

@@ -24,8 +24,14 @@ __all__ = [
     "PropFormula", "PConst", "PVar", "PAnd", "POr", "PNot", "SizeProfile",
     "pand", "por", "pnot", "translate", "taut_check", "prop_depth",
     "prop_size", "prop_vars", "eval_prop", "prop_to_sexpr", "parse_prop",
-    "node_to_prop",
+    "node_to_prop", "MAX_PROP_DEPTH",
 ]
+
+# Parsed formulas nest at most this deep: the generated `__eq__` and
+# `__hash__` of the node classes spend about three frames per level, so a
+# proof over a formula some 330 deep exhausts the default recursion limit
+# while its lines are compared.
+MAX_PROP_DEPTH = 250
 
 
 class PropFormula:
@@ -286,10 +292,17 @@ def prop_to_sexpr(p: PropFormula) -> str:
 
 def node_to_prop(node: Node) -> PropFormula:
     """The propositional formula one s-expression node spells."""
+    return _to_prop(node, 1)
+
+
+def _to_prop(node: Node, depth: int) -> PropFormula:
     items = node.items
     if items is None:
         raise ParseError("expected a propositional formula, got an atom",
                          node.line, node.col)
+    if depth > MAX_PROP_DEPTH:
+        raise ParseError(f"propositional formulas may not nest deeper than "
+                         f"{MAX_PROP_DEPTH}", node.line, node.col)
     if not items or items[0].text is None:
         raise ParseError("expected a propositional operator", node.line, node.col)
     head, args = items[0].text, items[1:]
@@ -307,9 +320,9 @@ def node_to_prop(node: Node) -> PropFormula:
     if head == "pnot":
         if len(args) != 1:
             raise ParseError("(pnot f) takes one argument", node.line, node.col)
-        return PNot(node_to_prop(args[0]))
+        return PNot(_to_prop(args[0], depth + 1))
     if head in ("pand", "por"):
-        parts = tuple(map(node_to_prop, args))  # one frame per nesting level
+        parts = tuple(_to_prop(a, depth + 1) for a in args)
         return PAnd(parts) if head == "pand" else POr(parts)
     raise ParseError(f"unknown operator {head}", items[0].line, items[0].col)
 

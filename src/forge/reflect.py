@@ -41,7 +41,8 @@ from .formulas import (FALSE, AlN, AlS, And, EqNum, ExN, Formula, Imp, Len,
                        Leq, Memb, Not, NumTerm, NVar, One, Or, Plus, Times,
                        Zero, const_term, land, lor, lt)
 from .machine import PolyBound
-from .proofs import RULES, Proof, ProofLine, Sequent
+from .proofs import (LEFT, RIGHT, RULE_SHAPES, RULES, Proof, ProofLine, Sequent,
+                     system_depth)
 from .prop import PAnd, PConst, PNot, POr, PropFormula, PVar
 
 __all__ = [
@@ -54,6 +55,7 @@ __all__ = [
 ENCODING_VERSION = 1
 NODE_WIDTH = 6
 TAG_FALSE, TAG_TRUE, TAG_VAR, TAG_AND, TAG_OR, TAG_NOT = range(6)
+_TAG_OF = {PAnd: TAG_AND, POr: TAG_OR, PNot: TAG_NOT}
 VAR_NAME = "z"
 VAR_LIMIT = 8          # payload bits
 SLOT_LIMIT = 1 << 12   # heap indices explode with depth; fail loudly
@@ -119,11 +121,7 @@ def _node_code(q: PropFormula) -> tuple[int, int]:
         if not 0 <= q.index < VAR_LIMIT:
             raise EncodeError(f"variable index {q.index} out of payload range")
         return (TAG_VAR, q.index)
-    if k is PNot:
-        return (TAG_NOT, 0)
-    if k is PAnd:
-        return (TAG_AND, 0)
-    return (TAG_OR, 0)
+    return (_TAG_OF[k], 0)
 
 
 def _record_chunk(slots: dict[int, PropFormula], width: int) -> str:
@@ -395,9 +393,6 @@ def _graft(slot: int, child: int) -> int:
     return child * top + (slot - top)
 
 
-LEFT, RIGHT = 0, 1
-
-
 class _ProofGeom:
     """Field positions of the packed proof, as terms over the quantified
     geometry numbers nl (lines), nf (side capacity), ns (record slots)."""
@@ -540,19 +535,24 @@ def _with_premise(g: _ProofGeom, line, k: int, var: str, body) -> Formula:
     return ExN(var, g.sweep(), land([hot, lt(v, line), others, body(v)]))
 
 
-def _branch_axiom(g: _ProofGeom, line) -> Formula:
+def _branch_axiom(g: _ProofGeom, line, rule: str, side, tag) -> Formula:
     return land([
-        _tag_is(g, line, "axiom"), _pcount_is(g, line, 0),
+        _tag_is(g, line, rule), _pcount_is(g, line, 0),
         _no_onehot(g, line, 0), _no_onehot(g, line, 1), _zero_cut(g, line),
         _count_is(g, line, LEFT, One()), _count_is(g, line, RIGHT, One()),
         _rec_eq(g, line, LEFT, Zero(), line, RIGHT, Zero()),
     ])
 
 
-def _branch_weak(g: _ProofGeom, line, side: int) -> Formula:
-    """One formula enters at either end of the weakened side."""
-    rule = "weak-left" if side == LEFT else "weak-right"
+def _one_premise(g: _ProofGeom, line, rule: str, body) -> Formula:
+    """The rule tag, a lone premise and no cut position; body reads the premise."""
+    return land([_tag_is(g, line, rule), _pcount_is(g, line, 1),
+                 _no_onehot(g, line, 1), _zero_cut(g, line),
+                 _with_premise(g, line, 0, "pa", body)])
 
+
+def _branch_weak(g: _ProofGeom, line, rule: str, side: int, tag) -> Formula:
+    """One formula enters at either end of the weakened side."""
     def body(p):
         e = NVar("e")
         at_front = And(g.pres(line, side, Zero()),
@@ -565,13 +565,10 @@ def _branch_weak(g: _ProofGeom, line, side: int) -> Formula:
         return And(Or(at_front, at_back),
                    _tail_map(g, line, 1 - side, 0, p, 1 - side, 0))
 
-    return land([_tag_is(g, line, rule), _pcount_is(g, line, 1),
-                 _no_onehot(g, line, 1), _zero_cut(g, line),
-                 _with_premise(g, line, 0, "pa", body)])
+    return _one_premise(g, line, rule, body)
 
 
-def _branch_not(g: _ProofGeom, line, side: int) -> Formula:
-    rule = "not-left" if side == LEFT else "not-right"
+def _branch_not(g: _ProofGeom, line, rule: str, side: int, tag: int) -> Formula:
     other = 1 - side
 
     def body(p):
@@ -583,22 +580,17 @@ def _branch_not(g: _ProofGeom, line, side: int) -> Formula:
             _sub_eq(g, line, side, Zero(), 2, p, other, e),
         ])
         return land([
-            _node_is(g, line, side, Zero(), TAG_NOT),
+            _node_is(g, line, side, Zero(), tag),
             g.pres(line, side, Zero()),
             _tail_map(g, line, side, 1, p, side, 0),
             ExN("e", g.sweep(), moved),
         ])
 
-    return land([_tag_is(g, line, rule), _pcount_is(g, line, 1),
-                 _no_onehot(g, line, 1), _zero_cut(g, line),
-                 _with_premise(g, line, 0, "pa", body)])
+    return _one_premise(g, line, rule, body)
 
 
-def _branch_split_one(g: _ProofGeom, line, side: int) -> Formula:
-    """and-left / or-right: both children join one premise side."""
-    rule = "and-left" if side == LEFT else "or-right"
-    tag = TAG_AND if side == LEFT else TAG_OR
-
+def _branch_merge(g: _ProofGeom, line, rule: str, side: int, tag: int) -> Formula:
+    """Both children join one premise side."""
     def body(p):
         return land([
             _node_is(g, line, side, Zero(), tag),
@@ -611,16 +603,11 @@ def _branch_split_one(g: _ProofGeom, line, side: int) -> Formula:
             _tail_map(g, line, 1 - side, 0, p, 1 - side, 0),
         ])
 
-    return land([_tag_is(g, line, rule), _pcount_is(g, line, 1),
-                 _no_onehot(g, line, 1), _zero_cut(g, line),
-                 _with_premise(g, line, 0, "pa", body)])
+    return _one_premise(g, line, rule, body)
 
 
-def _branch_split_two(g: _ProofGeom, line, side: int) -> Formula:
-    """and-right / or-left: one premise per child, context copied."""
-    rule = "and-right" if side == RIGHT else "or-left"
-    tag = TAG_AND if side == RIGHT else TAG_OR
-
+def _branch_split(g: _ProofGeom, line, rule: str, side: int, tag: int) -> Formula:
+    """One premise per child, context copied."""
     def body(pa):
         def inner(pb):
             e = NVar("e")
@@ -645,7 +632,7 @@ def _branch_split_two(g: _ProofGeom, line, side: int) -> Formula:
                  _zero_cut(g, line), _with_premise(g, line, 0, "pa", body)])
 
 
-def _branch_cut(g: _ProofGeom, line) -> Formula:
+def _branch_cut(g: _ProofGeom, line, rule: str, side, tag) -> Formula:
     def body(pa):
         def inner(pb):
             c = NVar("cc")
@@ -668,8 +655,18 @@ def _branch_cut(g: _ProofGeom, line) -> Formula:
 
         return _with_premise(g, line, 1, "pb", inner)
 
-    return land([_tag_is(g, line, "cut"), _pcount_is(g, line, 2),
+    return land([_tag_is(g, line, rule), _pcount_is(g, line, 2),
                  _with_premise(g, line, 0, "pa", body)])
+
+
+_BRANCHES = {"axiom": _branch_axiom, "weak": _branch_weak, "not": _branch_not,
+             "merge": _branch_merge, "split": _branch_split, "cut": _branch_cut}
+
+
+def _branch(g: _ProofGeom, line, rule: str) -> Formula:
+    """The rule's branch, built from its family, side and connective."""
+    family, side, conn = RULE_SHAPES[rule]
+    return _BRANCHES[family](g, line, rule, side, _TAG_OF.get(conn))
 
 
 def _prefix_closed(g: _ProofGeom, line, side: int) -> Formula:
@@ -730,16 +727,6 @@ def _depth_cap(g: _ProofGeom, depth: int) -> Formula:
     return _forall_lt("l", g.sweep(), g.nl, land(per_side))
 
 
-def _parse_system(system) -> tuple[str, int | None]:
-    if system == "frege":
-        return ("frege", None)
-    if (isinstance(system, tuple) and len(system) == 2
-            and system[0] == "depth-frege" and isinstance(system[1], int)
-            and system[1] >= 0):
-        return ("depth-frege", system[1])
-    raise ValueError(f"unknown proof system {system!r}")
-
-
 def compile_proof_check(system, proof_var: str = "P", formula_var: str = "X",
                         slot_cap: int = 8) -> Formula:
     """Validity of the packed proof with the packed target as endsequent.
@@ -749,23 +736,12 @@ def compile_proof_check(system, proof_var: str = "P", formula_var: str = "X",
     Record slot counts above slot_cap are rejected outright, which keeps
     the constant-index subtree unrolling exhaustive.
     """
-    kind, depth = _parse_system(system)
+    depth = system_depth(system)
     if slot_cap < 1:
         raise ValueError("slot_cap must be at least 1")
     g = _ProofGeom(proof_var, formula_var, slot_cap)
     line = NVar("l")
-    branches = lor([
-        _branch_axiom(g, line),
-        _branch_weak(g, line, LEFT),
-        _branch_weak(g, line, RIGHT),
-        _branch_split_one(g, line, LEFT),     # and-left
-        _branch_split_two(g, line, RIGHT),    # and-right
-        _branch_split_two(g, line, LEFT),     # or-left
-        _branch_split_one(g, line, RIGHT),    # or-right
-        _branch_not(g, line, LEFT),
-        _branch_not(g, line, RIGHT),
-        _branch_cut(g, line),
-    ])
+    branches = lor([_branch(g, line, rule) for rule in RULES])
     lines_ok = _forall_lt("l", g.sweep(), g.nl, land([
         _prefix_closed(g, line, LEFT), _prefix_closed(g, line, RIGHT),
         _absent_zero(g, line, LEFT), _absent_zero(g, line, RIGHT),
@@ -781,7 +757,7 @@ def compile_proof_check(system, proof_var: str = "P", formula_var: str = "X",
         lines_ok,
         _endsequent_is(g),
     ]
-    if kind == "depth-frege":
+    if depth is not None:
         body.append(_depth_cap(g, depth))
     with_ns = ExN("ns", g.sweep(), land(body))
     with_nf = ExN("nf", g.sweep(), land([
@@ -812,7 +788,7 @@ def reflection_instance(system, t: PolyBound, x: int,
     """
     if checker not in ("honest", "broken"):
         raise ValueError(f"unknown checker variant {checker!r}")
-    _parse_system(system)
+    system_depth(system)
     bound = const_term(t.eval(x))
     slot_cap = max(1, t.eval(x) // NODE_WIDTH)
     fla = compile_formula_wf("X")

@@ -190,6 +190,10 @@ def test_mfv_reports_value_and_table(capsys):
 def test_mfv_bad_geometry_is_usage_error(capsys):
     assert run(capsys, "mfv", "--tree", "101", "--a", "4", "--input", "1101")[0] == 2
     assert run(capsys, "mfv", "--tree", "1012", "--a", "4", "--input", "1101")[0] == 2
+    for node in ("0", "-1"):  # the root is node 1
+        code, _, err = run(capsys, "mfv", "--tree", "1011", "--a", "4",
+                           "--input", "1101", "--node", node)
+        assert code == 2 and "Traceback" not in err
 
 
 # --- check-proof ---
@@ -282,11 +286,17 @@ def test_deep_nesting_is_a_parse_error_not_a_crash(tmp_path):
     proof = tmp_path / "deep.pk"
     f = "(pnot " * 2997 + "(pv z 0)" + ")" * 2997
     proof.write_text(f"1: (seq ({f}) ({f})) axiom\n")
+    em = tmp_path / "em.pk"  # excluded middle over a 398-deep formula, 400 at the end
+    a = "(pnot " * 397 + "(pv z 0)" + ")" * 397
+    em.write_text(f"1: (seq ({a}) ({a})) axiom\n"
+                  f"2: (seq () ((pnot {a}) {a})) not-right 1\n"
+                  f"3: (seq () ((por (pnot {a}) {a}))) or-right 2\n")
     for argv in (["eval", "--formula", str(formula), "--num-bound", "2"],
                  ["translate", "--formula", str(formula)],
                  ["eval", "--formula", str(flat), "--num-bound", "2"],
                  ["translate", "--formula", str(flat)],
-                 ["check-proof", "--proof", str(proof)]):
+                 ["check-proof", "--proof", str(proof)],
+                 ["check-proof", "--proof", str(em)]):
         proc = subprocess.run([sys.executable, "-m", "forge.cli", *argv],
                               capture_output=True, text=True)
         assert proc.returncode == 1, argv

@@ -2,9 +2,10 @@
 
 The sha256 of `print_formula` output for the corpus machines, and of its
 parse -> print reprint, pinned so that a refactor of the compilers, the
-reader or the printer cannot change a printed byte unnoticed.  Regenerate
+reader or the printer cannot change a printed byte unnoticed; the proof
+checker formulas of `reflect` are pinned by their print alone.  Regenerate
 only on purpose: `PYTHONPATH=src python3 tests/test_golden.py` prints the
-current table.
+current tables.
 """
 
 import hashlib
@@ -16,6 +17,7 @@ from forge.acc import compile_acc, compile_reach
 from forge.machine import PolyBound, corpus_machine, parse_tm
 from forge.nepo import (NepoBounds, compile_acceptance_sigma0, compile_cell_predicate,
                         compile_Reach)
+from forge.reflect import compile_proof_check, reflection_instance
 from forge.sexpr import parse_formula, print_formula
 
 # "acc:<machine>:<poly coefficients>" is compile_acc and "reach:..." is
@@ -162,8 +164,38 @@ GOLDEN = {
 }
 
 
+# "proof-check:<system>:cap<n>" is compile_proof_check at slot_cap n, for
+# "frege" and ("depth-frege", 2); "reflection:frege:x1" is
+# reflection_instance("frege", PolyBound((12,), constant=True), 1).
+PRINT_GOLDEN = {
+    "proof-check:frege:cap1":
+        "1d8c686e89644d10de1bd213beff167f9620613e75409e6a0e44b5dfe6a516dc",
+    "proof-check:frege:cap2":
+        "fdeb051a795685156d4492528e07b2fb9344a692d8d31dc502904837b3b9b162",
+    "proof-check:frege:cap4":
+        "772cfa1b29e128d1b97902d5a9323482362893973f2929e8839962a6080cb76f",
+    "proof-check:frege:cap8":
+        "bd6d0731040d8f1f2e74e2d11f2a98d40866a4f75070253544595d05d1d81dd1",
+    "proof-check:depth2:cap1":
+        "2f9f2a7a9bdd2d9a5a9773a2c3daa26fd4ff5abc0aea5a69ee6a18e6ae2c3d64",
+    "proof-check:depth2:cap2":
+        "f3fdc093f10728f02b950f561ad810551ec0ae532a312a7a27e04c925f26a161",
+    "proof-check:depth2:cap4":
+        "9991ae911132dafcde3583e25b6925a4d4da6e3369c9bc3027b6f1159aa4f4df",
+    "proof-check:depth2:cap8":
+        "364d325a9b4c6ee87f7354287e4f3b938e869e1d5a73b5efe613ca488c0407a8",
+    "reflection:frege:x1":
+        "e154f7ad571483ad93610e5c8fd407d14d0dfcabb97291331993c6fa30d36755",
+}
+
+
 def _compile(case: str):
     kind, name, arg = case.split(":")
+    if kind == "proof-check":
+        system = "frege" if name == "frege" else ("depth-frege", 2)
+        return compile_proof_check(system, slot_cap=int(arg.removeprefix("cap")))
+    if kind == "reflection":
+        return reflection_instance("frege", PolyBound((12,), constant=True), 1)
     tm = LEFT3 if name == "left3" else corpus_machine(name)
     if kind in ("acc", "reach"):
         compile_ = compile_acc if kind == "acc" else compile_reach
@@ -176,11 +208,13 @@ def _compile(case: str):
     return compile_Reach(tm, b, int(kind.removeprefix("Reach")))
 
 
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _digests(case: str) -> tuple[str, str]:
     text = print_formula(_compile(case))
-    reprint = print_formula(parse_formula(text))
-    return (hashlib.sha256(text.encode()).hexdigest(),
-            hashlib.sha256(reprint.encode()).hexdigest())
+    return _sha(text), _sha(print_formula(parse_formula(text)))
 
 
 @pytest.mark.parametrize("case", GOLDEN)
@@ -188,7 +222,14 @@ def test_print_and_reprint_digests(case):
     assert _digests(case) == GOLDEN[case]
 
 
+@pytest.mark.parametrize("case", PRINT_GOLDEN)
+def test_print_digests(case):
+    assert _sha(print_formula(_compile(case))) == PRINT_GOLDEN[case]
+
+
 if __name__ == "__main__":
     for case in GOLDEN:
         printed, reprinted = _digests(case)
         print(f'    "{case}": (\n        "{printed}",\n        "{reprinted}"),')
+    for case in PRINT_GOLDEN:
+        print(f'    "{case}":\n        "{_sha(print_formula(_compile(case)))}",')

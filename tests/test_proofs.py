@@ -1,14 +1,17 @@
 """Sequent-calculus proof checking."""
 
+import hashlib
+import random
+
 import pytest
 
 from forge.errors import MalformedProofError, ParseError
-from forge.prop import PAnd, PNot, POr, PVar, taut_check
-from forge.proofs import (Proof, ProofLine, RULES, Sequent, check_depth_frege,
-                          check_frege, corpus_proofs, parse_proof,
-                          proof_mutations, proof_target, proof_to_text,
-                          sequent_formula, soundness_sweep)
-from forge.sexpr import MAX_DEPTH
+from forge.prop import MAX_PROP_DEPTH, PAnd, PNot, POr, PVar, taut_check
+from forge.proofs import (RULE_SHAPES, RULES, Proof, ProofLine, Sequent,
+                          _rule_holds, check_depth_frege, check_frege,
+                          corpus_proofs, parse_proof, proof_mutations,
+                          proof_target, proof_to_text, sequent_formula,
+                          soundness_sweep, system_depth)
 
 P = PVar("z", 0)
 EM = POr((PNot(P), P))  # excluded middle
@@ -171,8 +174,13 @@ def test_depth_frege_sweep():
     report = soundness_sweep(("depth-frege", 2), 12, corpus)
     assert 0 < report["accepted"] < 10
     assert report["failures"] == []
-    with pytest.raises(ValueError):
-        soundness_sweep("resolution", 12, corpus)
+    assert soundness_sweep(("depth-frege", 0), 12, corpus)["accepted"] == 0
+    assert system_depth("frege") is None
+    assert system_depth(("depth-frege", 0)) == 0
+    for bad in ["resolution", ("depth-frege", -1), ("depth-frege", 2.0),
+                ("depth-frege", True)]:
+        with pytest.raises(ValueError):
+            system_depth(bad)
 
 
 def test_sequent_formula_reading():
@@ -208,15 +216,122 @@ def test_parse_errors():
 
 
 def test_nesting_cap():
-    def deep(k):  # the seq list and a side list take two of the k levels
-        f = "(pnot " * (k - 3) + "(pv z 0)" + ")" * (k - 3)
-        return f"1: (seq ({f}) ({f})) axiom\n"
-    assert len(parse_proof(deep(MAX_DEPTH)).lines) == 1
+    def em(k):  # the excluded-middle proof; its deepest formula nests k deep
+        a = "(pnot " * (k - 3) + "(pv z 0)" + ")" * (k - 3)
+        return (f"1: (seq ({a}) ({a})) axiom\n"
+                f"2: (seq () ((pnot {a}) {a})) not-right 1\n"
+                f"3: (seq () ((por (pnot {a}) {a}))) or-right 2\n")
+    pi = parse_proof(em(MAX_PROP_DEPTH))
+    target = proof_target(pi)
+    assert check_frege(pi, target)
+    assert check_depth_frege(pi, target, MAX_PROP_DEPTH)
+    text = em(MAX_PROP_DEPTH + 1)
     with pytest.raises(ParseError) as e:
-        parse_proof(deep(MAX_DEPTH + 1))
-    assert e.value.line == 1
+        parse_proof(text)
+    assert (e.value.line, e.value.column) == (3, text.splitlines()[2].index("(pv") + 1)
 
 
 def test_rules_catalog():
     assert len(RULES) == 10
+    assert tuple(RULE_SHAPES) == RULES
+    for family, side, conn in RULE_SHAPES.values():
+        assert family in ("axiom", "weak", "not", "merge", "split", "cut")
+        assert (side is None) == (family in ("axiom", "cut"))
+        assert (conn is None) == (family in ("axiom", "weak", "cut"))
     assert "cut" in RULES and "axiom" in RULES
+
+
+# --- verdict pin ---
+#
+# A seeded sweep of single-line verdicts: small conclusions over POOL, and
+# premise lists built from each conclusion by undoing one rule (drop a
+# formula, move a negation's argument across, unfold a connective into one
+# premise or into one premise per child, cut a formula in), half of them then
+# disturbed by one random edit.  Every candidate is judged under all ten
+# tags.  The corpus adds each real line with its real premises under every
+# tag, and check_frege on every corpus proof and its mutations.
+
+Q = PVar("z", 1)
+POOL = (P, Q, PNot(P), PNot(Q), PAnd((P, Q)), POr((P, Q)), PNot(PAnd((P, Q))),
+        POr((Q, PNot(P))), PAnd((P, P, Q)))
+VERDICT_DIGEST = "eb1e61b5a12caf7164f761614c96b7d03766fd7c36cda4db9e9d4b024c428dc7"
+
+
+def _oriented(side, principal, other):
+    return Sequent(principal, other) if side == 0 else Sequent(other, principal)
+
+
+def _undone(c):
+    """Premise lists from which one rule step could yield the conclusion c."""
+    out = []
+    for side in (0, 1):
+        cp, co = (c.left, c.right) if side == 0 else (c.right, c.left)
+        for at, f in enumerate(cp):
+            rest = cp[:at] + cp[at + 1:]
+            out.append([_oriented(side, rest, co)])
+            if type(f) is PNot:
+                out.append([_oriented(side, rest, co + (f.arg,))])
+            if type(f) in (PAnd, POr):
+                out.append([_oriented(side, rest + f.args, co)])
+                out.append([_oriented(side, rest + (a,), co) for a in f.args])
+    return out
+
+
+def _disturbed(rng, prems):
+    prems = list(prems)
+    if not prems:
+        return [Sequent((rng.choice(POOL),), ())]
+    k = rng.randrange(len(prems))
+    s = prems[k]
+    edit = rng.randrange(4)
+    if edit == 0:
+        s = Sequent(s.left + (rng.choice(POOL),), s.right)
+    elif edit == 1:
+        s = Sequent(s.left, s.right[1:])
+    elif edit == 2:
+        s = Sequent(s.right, s.left)
+    else:
+        prems.append(s)
+    prems[k] = s
+    return prems
+
+
+def _verdicts():
+    rng = random.Random(20130)
+    out = []
+    for _ in range(1500):
+        if rng.random() < 0.1:
+            f = rng.choice(POOL)
+            c = Sequent((f,), (f,))
+        else:
+            c = Sequent(tuple(rng.choice(POOL) for _ in range(rng.randrange(4))),
+                        tuple(rng.choice(POOL) for _ in range(rng.randrange(4))))
+        a = rng.choice(POOL)
+        cands = _undone(c) + [[], [Sequent(c.left, c.right + (a,)),
+                                  Sequent(c.left + (a,), c.right)]]
+        for prems in cands:
+            cut = len(c.right) if len(prems) == 2 else rng.randrange(3)
+            if rng.random() < 0.5:
+                prems = _disturbed(rng, prems)
+            for rule in RULES:
+                out.append((rule, _rule_holds(ProofLine(c, rule, (), cut), prems)))
+    for _, pi in corpus_proofs():
+        for ln in pi.lines:
+            prems = [pi.lines[p].sequent for p in ln.premises]
+            for rule in RULES:
+                out.append((rule, _rule_holds(ProofLine(ln.sequent, rule, ln.premises,
+                                                        ln.cut_index), prems)))
+        target = proof_target(pi)
+        out.append(("check_frege", check_frege(pi, target)))
+        for _, bad in proof_mutations(pi):
+            out.append(("check_frege", check_frege(bad, target)))
+    return out
+
+
+def test_rule_verdict_digest():
+    verdicts = _verdicts()
+    bits = "".join("1" if v else "0" for _, v in verdicts)
+    assert hashlib.sha256(bits.encode()).hexdigest() == VERDICT_DIGEST
+    for rule in RULES:
+        seen = {v for r, v in verdicts if r == rule}
+        assert seen == {True, False}, rule

@@ -11,7 +11,8 @@ from forge.evaluate import Assignment, FiniteSlice, eval_formula
 from forge.formulas import classify, free_vars
 from forge.machine import PolyBound
 from forge.proofs import (Proof, ProofLine, Sequent, check_frege,
-                          corpus_proofs, proof_mutations, proof_target)
+                          corpus_proofs, proof_mutations, proof_target,
+                          soundness_sweep)
 from forge.prop import PAnd, PConst, PNot, POr, PVar, eval_prop
 from forge.reflect import (ENCODING_VERSION, compile_formula_wf,
                            compile_proof_check, compile_sat, decode_formula,
@@ -19,6 +20,11 @@ from forge.reflect import (ENCODING_VERSION, compile_formula_wf,
                            reflection_instance)
 
 Z0, Z1, Z7 = PVar("z", 0), PVar("z", 1), PVar("z", 7)
+
+# Not a proof system: every function that takes one must raise ValueError.
+BAD_SYSTEMS = ["resolution", 7, ("depth-frege", -1), ("depth-frege", "2"),
+               ("depth-frege", 2.0), ("depth-frege", True), ("depth-frege",),
+               ("frege", 2)]
 
 SAMPLE_FORMULAS = [
     PConst(0),
@@ -406,8 +412,12 @@ def test_reflection_scales_with_argument():
 
 def test_reflection_validates_arguments():
     t = PolyBound((12,), constant=True)
-    for bad in ["resolution", ("depth-frege", -1), ("depth-frege", "2"), 7]:
-        with pytest.raises(ValueError):
-            reflection_instance(bad, t, 0)
+    corpus = [pi for _, pi in corpus_proofs()]
+    for bad in BAD_SYSTEMS:
+        for call in (lambda: soundness_sweep(bad, 12, corpus),
+                     lambda: compile_proof_check(bad, slot_cap=1),
+                     lambda: reflection_instance(bad, t, 0)):
+            with pytest.raises(ValueError):
+                call()
     with pytest.raises(ValueError):
         reflection_instance("frege", t, 0, checker="weird")
