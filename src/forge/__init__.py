@@ -2,10 +2,11 @@
 
 Compile machine acceptance into formulas, evaluate formulas over finite
 slices, translate them to propositional form, and check sequent proofs.
+The command-line front end is `forge.cli`, imported on its own.
 """
 
-from . import (acc, cli, codec, errors, evaluate, formulas, machine, nepo,
-               proofs, prop, reflect, sexpr)
+from . import (acc, codec, errors, evaluate, formulas, machine, nepo, proofs,
+               prop, reflect, sexpr)
 
-__all__ = ["acc", "cli", "codec", "errors", "evaluate", "formulas", "machine",
-           "nepo", "proofs", "prop", "reflect", "sexpr"]
+__all__ = ["acc", "codec", "errors", "evaluate", "formulas", "machine", "nepo",
+           "proofs", "prop", "reflect", "sexpr"]

@@ -27,8 +27,8 @@ from typing import Callable
 from . import codec
 from .errors import (ClassError, SliceExceededError, SortMismatchError,
                      UnboundVariableError)
-from .formulas import (AlN, AlS, And, EqNum, EqStr, ExN, ExS, Formula, Imp,
-                       Len, Leq, Memb, Not, NumTerm, NVar, One, Or, Plus,
+from .formulas import (AlN, AlS, And, Const, EqNum, EqStr, ExN, ExS, Formula,
+                       Imp, Len, Leq, Memb, Not, NumTerm, NVar, One, Or, Plus,
                        SeqAt, SeqLen, Times, Zero, classify, free_vars,
                        is_num_name, is_str_name)
 
@@ -83,6 +83,8 @@ def eval_term(t: NumTerm, env: Assignment) -> int:
         return 0
     if tt is One:
         return 1
+    if tt is Const:
+        return t.value
     if tt is NVar:
         return _num_lookup(env, t.name)
     if tt is Plus:

@@ -1,10 +1,19 @@
 """AST for bounded two-sorted formulas plus structural operations.
 
-Terms are number-valued: constants zero and one, number variables, sum,
-product, the length of a string variable, and two sequence primitives over
-number codes (element access and element count).  The sequence primitives
-stand in for a fixed definable coding of short sequences by numbers, which
-the rest of the toolchain treats as part of the base language.
+Terms are number-valued:
+  Zero, One      the constants 0 and 1, the only forms of 0 and 1;
+  Const(n)       a constant n >= 2 as one leaf;
+  NVar           a number variable;
+  Plus, Times    sum and product;
+  Len            the length of a string variable;
+  SeqAt, SeqLen  element access and element count over number codes.
+A `Const` stands for the binary expansion of n over {0, 1, +, *}, where 2m
+is (* (+ 1 1) m) and 2m + 1 is (+ (* (+ 1 1) m) 1): it prints as that
+expansion and is sized as that expansion, so the text language has no
+numerals beyond 0 and 1, and a printed `Const` parses back as the expansion.
+The sequence primitives stand in for a fixed definable coding of short
+sequences by numbers, which the rest of the toolchain treats as part of the
+base language.
 
 Formulas: number equality and order, string extensional equality, string
 membership X(t), the connectives and/or/not/imp, and bounded quantifiers of
@@ -36,6 +45,17 @@ class Zero(NumTerm):
 @dataclass(frozen=True, slots=True)
 class One(NumTerm):
     pass
+
+
+@dataclass(frozen=True, slots=True)
+class Const(NumTerm):
+    """The constant `value` (at least 2) as a single leaf."""
+
+    value: int
+
+    def __post_init__(self):
+        if self.value < 2:
+            raise ValueError("Const holds numbers of 2 or more; use Zero() or One()")
 
 
 @dataclass(frozen=True, slots=True)
@@ -191,17 +211,14 @@ def is_str_name(name: str) -> bool:
 
 
 def const_term(n: int) -> NumTerm:
-    """Binary expansion of n over {0, 1, +, *}; O(log n) nodes."""
+    """The term for n: Zero(), One() or a Const leaf."""
     if n < 0:
         raise ValueError("terms denote non-negative numbers")
     if n == 0:
         return Zero()
     if n == 1:
         return One()
-    two = Plus(One(), One())
-    half = const_term(n // 2)
-    doubled = Times(two, half)
-    return Plus(doubled, One()) if n % 2 else doubled
+    return Const(n)
 
 
 # --- variable bookkeeping ---
@@ -422,6 +439,9 @@ def term_size(t: NumTerm) -> int:
     tt = type(t)
     if tt in (Zero, One, NVar, Len):
         return 1
+    if tt is Const:
+        # the expansion: (* (+ 1 1) .) per bit below the top, (+ . 1) per set one
+        return 1 + 4 * (t.value.bit_length() - 1) + 2 * (t.value.bit_count() - 1)
     if tt in (Plus, Times):
         return 1 + term_size(t.left) + term_size(t.right)
     if tt is SeqAt:

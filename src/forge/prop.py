@@ -170,23 +170,31 @@ def translate(phi: Formula, sizes: SizeProfile,
                 return PConst(0)
             return pand(_iff(_bit(f.left, i, sizes), _bit(f.right, i, sizes))
                         for i in range(max(0, n - 1)))
-        if k is And:
-            return pand((go(f.left, env), go(f.right, env)))
-        if k is Or:
-            return por((go(f.left, env), go(f.right, env)))
+        # Conjunctions, disjunctions and sweeps stop at the first part that
+        # settles them, as eval_formula does. The check is made here rather
+        # than by handing pand/por a generator, which would add two frames per
+        # nesting level.
+        if k is And or k is Or or k is Imp:
+            join, stop = (pand, PConst(0)) if k is And else (por, PConst(1))
+            left = go(f.left, env)
+            if k is Imp:
+                left = pnot(left)
+            return left if left == stop else join((left, go(f.right, env)))
         if k is Not:
             return pnot(go(f.body, env))
-        if k is Imp:
-            return por((pnot(go(f.left, env)), go(f.right, env)))
         if k is ExN or k is AlN:
             b = eval_term(f.bound, env)
             if b > num_bound:
                 raise SliceExceededError(
                     f"quantifier bound {b} exceeds expansion cap {num_bound}")
+            join, stop = (por, PConst(1)) if k is ExN else (pand, PConst(0))
             parts = []
             for v in range(b + 1):
-                parts.append(go(f.body, Assignment({**env.nums, f.var: v}, env.strs)))
-            return por(parts) if k is ExN else pand(parts)
+                part = go(f.body, Assignment({**env.nums, f.var: v}, env.strs))
+                if part == stop:
+                    return stop
+                parts.append(part)
+            return join(parts)
         if k is ExS or k is AlS:
             raise ClassError("string quantifier has no propositional image")
         raise TypeError(f"unknown formula {f!r}")
@@ -218,18 +226,38 @@ def prop_vars(p: PropFormula) -> list[tuple[str, int]]:
 
 
 def eval_prop(p: PropFormula, env: dict[tuple[str, int], int]) -> bool:
-    k = type(p)
-    if k is PConst:
-        return bool(p.bit)
-    if k is PVar:
-        return bool(env[(p.name, p.index)])
-    if k is PNot:
-        return not eval_prop(p.arg, env)
-    if k is PAnd:
-        return all(eval_prop(a, env) for a in p.args)
-    if k is POr:
-        return any(eval_prop(a, env) for a in p.args)
-    raise TypeError(f"unknown propositional formula {p!r}")
+    """Truth of p under env, left to right, stopping at the first child that
+    settles a conjunction or disjunction; iterative, so any depth is fine."""
+    open_nodes: list[tuple[PropFormula, int]] = []  # (node, next child index)
+    q = p
+    while True:
+        k = type(q)
+        if k is PConst:
+            val = bool(q.bit)
+        elif k is PVar:
+            val = bool(env[(q.name, q.index)])
+        elif k is PNot:
+            open_nodes.append((q, 0))
+            q = q.arg
+            continue
+        elif k is PAnd or k is POr:
+            if q.args:
+                open_nodes.append((q, 1))
+                q = q.args[0]
+                continue
+            val = k is PAnd
+        else:
+            raise TypeError(f"unknown propositional formula {q!r}")
+        while open_nodes:
+            parent, i = open_nodes.pop()
+            if type(parent) is PNot:
+                val = not val
+            elif val != (type(parent) is POr) and i < len(parent.args):
+                open_nodes.append((parent, i + 1))
+                q = parent.args[i]
+                break
+        else:
+            return val
 
 
 def taut_check(p: PropFormula, var_cap: int = 20) -> bool:
@@ -247,47 +275,70 @@ def taut_check(p: PropFormula, var_cap: int = 20) -> bool:
 
 def prop_depth(p: PropFormula) -> int:
     """Alternation depth with unbounded fan-in: adjacent same connectives merge."""
-    return _kind_depth(p)[1]
-
-
-def _kind_depth(p: PropFormula) -> tuple[str, int]:
-    k = type(p)
-    if k is PConst or k is PVar:
-        return "leaf", 1
-    if k is PNot:
-        kind, d = _kind_depth(p.arg)
-        return "not", d if kind in ("not", "leaf") else d + 1
-    label = "and" if k is PAnd else "or"
-    best = 1
-    for a in p.args:
-        kind, d = _kind_depth(a)
-        best = max(best, d if kind == label else d + 1)
-    return label, best
+    done: list[tuple[str, int]] = []  # (kind, depth) of each finished subformula
+    todo: list[tuple[PropFormula, bool]] = [(p, False)]
+    while todo:
+        q, children_done = todo.pop()
+        k = type(q)
+        if k is PConst or k is PVar:
+            done.append(("leaf", 1))
+        elif not children_done:
+            todo.append((q, True))
+            todo.extend((a, False) for a in ((q.arg,) if k is PNot else q.args))
+        elif k is PNot:
+            kind, d = done.pop()
+            done.append(("not", d if kind in ("not", "leaf") else d + 1))
+        else:
+            label = "and" if k is PAnd else "or"
+            best = 1
+            for _ in q.args:
+                kind, d = done.pop()
+                best = max(best, d if kind == label else d + 1)
+            done.append((label, best))
+    return done[0][1]
 
 
 def prop_size(p: PropFormula) -> int:
     """Node count, constants and variables included."""
-    k = type(p)
-    if k is PConst or k is PVar:
-        return 1
-    if k is PNot:
-        return 1 + prop_size(p.arg)
-    return 1 + sum(prop_size(a) for a in p.args)
+    n = 0
+    todo = [p]
+    while todo:
+        q = todo.pop()
+        n += 1
+        k = type(q)
+        if k is PNot:
+            todo.append(q.arg)
+        elif k is PAnd or k is POr:
+            todo.extend(q.args)
+    return n
 
 
 # --- s-expression text form ---
 
 
 def prop_to_sexpr(p: PropFormula) -> str:
-    k = type(p)
-    if k is PConst:
-        return f"(pc {p.bit})"
-    if k is PVar:
-        return f"(pv {p.name} {p.index})"
-    if k is PNot:
-        return f"(pnot {prop_to_sexpr(p.arg)})"
-    head = "pand" if k is PAnd else "por"
-    return f"({head} {' '.join(prop_to_sexpr(a) for a in p.args)})"
+    out: list[str] = []
+    todo: list[PropFormula | str] = [p]  # subformulas and text still to write
+    while todo:
+        q = todo.pop()
+        k = type(q)
+        if k is str:
+            out.append(q)
+        elif k is PConst:
+            out.append(f"(pc {q.bit})")
+        elif k is PVar:
+            out.append(f"(pv {q.name} {q.index})")
+        elif k is PNot:
+            out.append("(pnot ")
+            todo += (")", q.arg)
+        else:
+            out.append("(pand " if k is PAnd else "(por ")
+            todo.append(")")
+            for i in range(len(q.args) - 1, -1, -1):
+                todo.append(q.args[i])
+                if i:
+                    todo.append(" ")
+    return "".join(out)
 
 
 def node_to_prop(node: Node) -> PropFormula:

@@ -32,8 +32,8 @@ import re
 from dataclasses import dataclass
 
 from .errors import DuplicateBindingError, ParseError, SortMismatchError
-from .formulas import (AlN, AlS, And, EqNum, EqStr, ExN, ExS, Formula, Imp,
-                       Len, Leq, Memb, Not, NumTerm, NVar, One, Or, Plus,
+from .formulas import (AlN, AlS, And, Const, EqNum, EqStr, ExN, ExS, Formula,
+                       Imp, Len, Leq, Memb, Not, NumTerm, NVar, One, Or, Plus,
                        SeqAt, SeqLen, Times, Zero, is_num_name, is_str_name)
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
@@ -291,6 +291,13 @@ def print_term(t: NumTerm) -> str:
         return "0"
     if tt is One:
         return "1"
+    if tt is Const:
+        # n = 2m or 2m + 1 prints as (* (+ 1 1) m) or (+ (* (+ 1 1) m) 1),
+        # down to m = 1; built flat so wide constants cost no recursion
+        bits = bin(t.value)[3:]
+        opens = ["(+ (* (+ 1 1) " if b == "1" else "(* (+ 1 1) " for b in reversed(bits)]
+        closes = [") 1)" if b == "1" else ")" for b in bits]
+        return "".join(opens) + "1" + "".join(closes)
     if tt is NVar:
         return t.name
     if tt is Plus:

@@ -302,6 +302,37 @@ def test_deep_nesting_is_a_parse_error_not_a_crash(tmp_path):
         assert proc.returncode == 1, argv
         assert "Traceback" not in proc.stderr
         assert "nest deeper than" in proc.stderr
+    # under the cap: 440 and/or pairs nest 881 deep, and so does the image
+    alt = tmp_path / "alt.sexp"
+    alt.write_text("(and (in 0 X) (or (in 1 X) " * 440 + "(in 0 X)" + "))" * 440)
+    proc = subprocess.run([sys.executable, "-m", "forge.cli", "translate",
+                           "--formula", str(alt), "--len", "X=3", "-v"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert "1761 nodes, depth 881" in proc.stderr
+
+
+def test_module_entry_point_is_quiet():
+    proc = subprocess.run([sys.executable, "-m", "forge.cli", "--help"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "usage: forge" in proc.stdout
+    assert "RuntimeWarning" not in proc.stderr
+
+
+def test_compile_nepo_wide_constants_do_not_recurse():
+    # m = 256 holds a constant of 991 bits: compiling, sizing and printing
+    # it must not recurse once per bit. The printed text does not yet read
+    # back (it nests past the reader's cap); that gap is pinned as an xfail
+    # in tests/test_nepo.py::test_acceptance_at_m256_reads_back
+    proc = subprocess.run([sys.executable, "-m", "forge.cli", "compile-nepo",
+                           "--tm", str(MACHINES / "parity.tm"), "--m", "256",
+                           "--eps", "1/3", "--k", "2"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert proc.stdout.startswith("(and ")
 
 
 # --- RunConfig invariants ---

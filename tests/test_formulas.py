@@ -6,8 +6,9 @@ import pytest
 
 from forge import formulas as F
 from forge import sexpr
-from forge.errors import (CaptureError, DuplicateBindingError, ParseError,
-                          SortMismatchError)
+from forge.errors import (CaptureError, DuplicateBindingError, ForgeError,
+                          ParseError, SortMismatchError)
+from forge.evaluate import Assignment, FiniteSlice, eval_formula, eval_term
 
 
 def atom(k: int = 0) -> F.Formula:
@@ -125,11 +126,15 @@ def test_roundtrip_handmade():
 
 
 def gen_formula(rng: random.Random, depth_budget: int, counter: list[int],
-                nvars: list[str], svars: list[str]) -> F.Formula:
+                nvars: list[str], svars: list[str], consts: int = 0) -> F.Formula:
+    """Random formula; with `consts`, leaves include constants up to it."""
     def gen_term(d: int) -> F.NumTerm:
         roll = rng.random()
         if d <= 0 or roll < 0.35:
             choices: list[F.NumTerm] = [F.Zero(), F.One()]
+            if consts:
+                choices += [F.const_term(rng.randrange(2, 6)),
+                            F.const_term(rng.randrange(consts + 1))]
             choices += [F.NVar(v) for v in nvars]
             choices += [F.Len(s) for s in svars]
             return rng.choice(choices)
@@ -153,17 +158,17 @@ def gen_formula(rng: random.Random, depth_budget: int, counter: list[int],
     kind = rng.randrange(8)
     if kind in (0, 1, 2, 3):
         make = [F.And, F.Or, F.Imp, lambda a, b: F.Not(a)][kind]
-        a = gen_formula(rng, depth_budget - 1, counter, nvars, svars)
-        b = gen_formula(rng, depth_budget - 1, counter, nvars, svars)
+        a = gen_formula(rng, depth_budget - 1, counter, nvars, svars, consts)
+        b = gen_formula(rng, depth_budget - 1, counter, nvars, svars, consts)
         return make(a, b) if kind != 3 else F.Not(a)
     counter[0] += 1
     bound = gen_term(1)
     if kind in (4, 5):
         v = f"q{counter[0]}"
-        body = gen_formula(rng, depth_budget - 1, counter, nvars + [v], svars)
+        body = gen_formula(rng, depth_budget - 1, counter, nvars + [v], svars, consts)
         return (F.ExN if kind == 4 else F.AlN)(v, bound, body)
     v = f"Q{counter[0]}"
-    body = gen_formula(rng, depth_budget - 1, counter, nvars, svars + [v])
+    body = gen_formula(rng, depth_budget - 1, counter, nvars, svars + [v], consts)
     return (F.ExS if kind == 6 else F.AlS)(v, bound, body)
 
 
@@ -305,25 +310,56 @@ def test_substitute_on_parsed_formulas_never_captures():
 # --- helpers ---
 
 
-def eval_const(t: F.NumTerm) -> int:
-    tt = type(t)
-    if tt is F.Zero:
-        return 0
-    if tt is F.One:
-        return 1
-    if tt is F.Plus:
-        return eval_const(t.left) + eval_const(t.right)
-    if tt is F.Times:
-        return eval_const(t.left) * eval_const(t.right)
-    raise AssertionError("not a constant term")
+def expansion(n: int) -> F.NumTerm:
+    """Binary expansion of n over {0, 1, +, *}, node by node: the spelling
+    a `Const` prints as, sizes as and parses back as."""
+    if n < 2:
+        return F.One() if n else F.Zero()
+    doubled = F.Times(F.Plus(F.One(), F.One()), expansion(n // 2))
+    return F.Plus(doubled, F.One()) if n % 2 else doubled
 
 
 def test_const_term_values_and_size():
-    for n in list(range(260)) + [511, 512, 1023, 10**6]:
-        assert eval_const(F.const_term(n)) == n
+    env = Assignment()
+    for n in list(range(260)) + [511, 512, 1023, 10**6, 2**300 + 1]:
+        t, ref = F.const_term(n), expansion(n)
+        assert type(t) is ({0: F.Zero, 1: F.One}.get(n, F.Const)), n
+        assert sexpr.print_term(t) == sexpr.print_term(ref), n
+        assert F.term_size(t) == F.term_size(ref), n
+        assert eval_term(t, env) == eval_term(ref, env) == n
     assert F.term_size(F.const_term(10**9)) < 250
     with pytest.raises(ValueError):
         F.const_term(-1)
+    for bad in (0, 1, -1):
+        with pytest.raises(ValueError):
+            F.Const(bad)
+
+
+def test_const_spellings_agree_on_generated_formulas():
+    """A formula holding Const leaves and its reparse, which spells each one
+    as its expansion, print alike, size alike and evaluate alike."""
+    rng = random.Random(20261018)
+    s = FiniteSlice(6, 2)
+    checked = 0
+    for _ in range(200):
+        f = gen_formula(rng, 3, [0], ["x", "y"], ["X"], consts=2**40)
+        text = sexpr.print_formula(f)
+        g = sexpr.parse_formula(text)
+        assert sexpr.print_formula(g) == text
+        assert F.formula_size(g) == F.formula_size(f)
+        for x, y, bits in ((0, 1, "1"), (3, 5, "011"), (2**40, 6, "")):
+            env = Assignment({"x": x, "y": y}, {"X": bits})
+            got = outcome(f, s, env)
+            assert outcome(g, s, env) == got, text
+            checked += got in (True, False)
+    assert checked > 300  # most runs evaluate rather than leave the slice
+
+
+def outcome(f: F.Formula, s: FiniteSlice, env: Assignment) -> bool | type:
+    try:
+        return eval_formula(f, s, env)
+    except ForgeError as e:
+        return type(e)
 
 
 def test_free_vars():

@@ -13,11 +13,12 @@ import pytest
 
 from forge import acc, nepo
 from forge.codec import all_strings
-from forge.errors import BudgetError, UnboundVariableError
+from forge.errors import BudgetError, ParseError, UnboundVariableError
 from forge.evaluate import Assignment, eval_formula, eval_term
 from forge.formulas import EqStr, ExN, classify, const_term, formula_size, free_vars
 from forge.machine import (PolyBound, accepts, corpus_machine,
                            initial_configuration, parse_tm, run_from)
+from forge.sexpr import parse_formula, print_formula
 
 # one state, toggles the scanned bit, marches right and sticks at the edge
 TOGGLE = parse_tm("states 1\n1 0 -> 1 1 2\n1 1 -> 1 0 2\n")
@@ -285,6 +286,26 @@ def test_formula_size_examples():
     sizes = [formula_size(nepo.compile_Reach(corpus_machine("scan1"), FULL, level))
              for level in range(FULL.d + 1)]
     assert sizes[0] < sizes[1] < sizes[2]
+
+
+def test_acceptance_at_m1024_prints_and_sizes():
+    # every constant is one Const leaf, so neither the compiler nor the
+    # printer nor the size count recurses once per bit of a wide constant
+    b = nepo.NepoBounds(c=1, eps=Fraction(1, 3), k=2, m=1024)
+    phi = nepo.compile_acceptance_sigma0(corpus_machine("parity"), b)
+    assert formula_size(phi) == 102_708
+    assert print_formula(phi).startswith("(and (leq (len X) ")
+
+
+@pytest.mark.xfail(strict=True, raises=ParseError,
+                   reason="a wide constant prints as its binary expansion, about "
+                          "two nested lists per bit, past the reader's 900 cap")
+def test_acceptance_at_m256_reads_back():
+    # known gap: the m = 256 text compiles and prints, but holds a 991-bit
+    # constant that parse_formula rejects; this passes once the gap is closed
+    b = nepo.NepoBounds(c=1, eps=Fraction(1, 3), k=2, m=256)
+    phi = nepo.compile_acceptance_sigma0(corpus_machine("parity"), b)
+    assert formula_size(parse_formula(print_formula(phi))) == formula_size(phi)
 
 
 def test_size_report():

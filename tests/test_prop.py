@@ -183,18 +183,19 @@ def test_sexpr_parse_errors():
             parse_prop(bad)
 
 
-def _props(depth: int):
+def _props(depth: int, min_args: int = 1):
     leaf = st.one_of(
         st.builds(PConst, st.integers(0, 1)),
         st.builds(PVar, st.sampled_from(["p", "q"]), st.integers(0, 3)))
     if depth == 0:
         return leaf
-    sub = _props(depth - 1)
+    sub = _props(depth - 1, min_args)
+    args = st.lists(sub, min_size=min_args, max_size=3)
     return st.one_of(
         leaf,
         st.builds(PNot, sub),
-        st.builds(lambda xs: PAnd(tuple(xs)), st.lists(sub, min_size=1, max_size=3)),
-        st.builds(lambda xs: POr(tuple(xs)), st.lists(sub, min_size=1, max_size=3)))
+        st.builds(lambda xs: PAnd(tuple(xs)), args),
+        st.builds(lambda xs: POr(tuple(xs)), args))
 
 
 @given(_props(3))
@@ -210,3 +211,84 @@ def test_taut_iff_no_countermodel(p):
         env = {nm: (mask >> i) & 1 for i, nm in enumerate(names)}
         models.append(eval_prop(p, env))
     assert taut_check(p) == all(models)
+
+
+# --- the walkers against their recursive definitions ---
+
+
+def ref_eval(p, env):
+    if type(p) is PConst:
+        return bool(p.bit)
+    if type(p) is PVar:
+        return bool(env[(p.name, p.index)])
+    if type(p) is PNot:
+        return not ref_eval(p.arg, env)
+    if type(p) is PAnd:
+        return all(ref_eval(a, env) for a in p.args)
+    return any(ref_eval(a, env) for a in p.args)
+
+
+def ref_kind_depth(p):
+    if type(p) in (PConst, PVar):
+        return "leaf", 1
+    if type(p) is PNot:
+        kind, d = ref_kind_depth(p.arg)
+        return "not", d if kind in ("not", "leaf") else d + 1
+    label = "and" if type(p) is PAnd else "or"
+    best = 1
+    for a in p.args:
+        kind, d = ref_kind_depth(a)
+        best = max(best, d if kind == label else d + 1)
+    return label, best
+
+
+def ref_size(p):
+    if type(p) in (PConst, PVar):
+        return 1
+    if type(p) is PNot:
+        return 1 + ref_size(p.arg)
+    return 1 + sum(ref_size(a) for a in p.args)
+
+
+def ref_sexpr(p):
+    if type(p) is PConst:
+        return f"(pc {p.bit})"
+    if type(p) is PVar:
+        return f"(pv {p.name} {p.index})"
+    if type(p) is PNot:
+        return f"(pnot {ref_sexpr(p.arg)})"
+    head = "pand" if type(p) is PAnd else "por"
+    return f"({head} {' '.join(ref_sexpr(a) for a in p.args)})"
+
+
+@given(_props(4, min_args=0), st.integers(0, 255))
+def test_walkers_match_recursive_reference(p, mask):
+    assert prop_size(p) == ref_size(p)
+    assert prop_depth(p) == ref_kind_depth(p)[1]
+    assert prop_to_sexpr(p) == ref_sexpr(p)
+    full = {(nm, i): (mask >> (4 * (nm == "q") + i)) & 1 for nm in "pq" for i in range(4)}
+    assert eval_prop(p, full) == ref_eval(p, full)
+    # with variables missing, both stop at the same point or both raise
+    partial = {k: v for k, v in full.items() if k[0] == "p"}
+    try:
+        want = ref_eval(p, partial)
+    except KeyError:
+        with pytest.raises(KeyError):
+            eval_prop(p, partial)
+    else:
+        assert eval_prop(p, partial) == want
+
+
+def test_walkers_take_any_depth():
+    """A 6000-deep chain, far past the recursion limit, in every walker."""
+    p = PVar("p", 0)
+    for k in range(3000):
+        p = PAnd((PVar("p", 1), PNot(p))) if k % 2 else POr((PNot(p), PVar("p", 2)))
+    assert prop_size(p) == 1 + 3000 * 3
+    assert prop_depth(p) == 2 * 3000  # two levels a step, less one: (pnot p0) adds none
+    text = prop_to_sexpr(p)
+    assert text.count("(") == prop_size(p) and text.startswith("(pand (pv p 1) (pnot (por")
+    env = {("p", 0): 0, ("p", 1): 1, ("p", 2): 0}
+    # under env each pair (pand p1 (pnot (por (pnot q) p2))) has the value of q
+    assert eval_prop(p, env) is False
+    assert eval_prop(p, {**env, ("p", 0): 1}) is True

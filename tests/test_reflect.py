@@ -13,7 +13,8 @@ from forge.machine import PolyBound
 from forge.proofs import (Proof, ProofLine, Sequent, check_frege,
                           corpus_proofs, proof_mutations, proof_target,
                           soundness_sweep)
-from forge.prop import PAnd, PConst, PNot, POr, PVar, eval_prop
+from forge.prop import (PAnd, PConst, PNot, POr, PVar, SizeProfile, eval_prop,
+                        translate)
 from forge.reflect import (ENCODING_VERSION, compile_formula_wf,
                            compile_proof_check, compile_sat, decode_formula,
                            decode_proof, encode_formula, encode_proof,
@@ -354,6 +355,34 @@ def test_proof_check_rejects_wrong_target():
     other = encode_formula(proof_target(corpus["corpus08.pk"]))
     prf = compile_proof_check("frege", slot_cap=4)
     assert not _accepts(prf, encode_proof(pi), other)
+
+
+@pytest.mark.parametrize("plen", [8, 16])
+def test_proof_check_image_is_eval_formula_below_frame_minimum(plen):
+    # translate stops at the first part that settles a connective or a sweep,
+    # which is what keeps this image cheap; it is a constant, and it must be
+    # the value eval_formula gives at exact-length strings of these sizes
+    prf = compile_proof_check("frege", slot_cap=1)
+    img = translate(prf, SizeProfile(lengths={"P": plen, "X": 4}))
+    assert type(img) is PConst
+    rng = random.Random(plen)
+    for _ in range(3):
+        penc = "".join(rng.choice("01") for _ in range(plen - 1)) + "1"
+        xenc = "".join(rng.choice("01") for _ in range(3)) + "1"
+        assert _accepts(prf, penc, xenc) == bool(img.bit)
+
+
+def test_proof_check_image_at_the_smallest_proof_length():
+    prf = compile_proof_check("frege", slot_cap=1)
+    penc, xenc = encode_proof(_axiom_proof()), encode_formula(PConst(1))
+    img = translate(prf, SizeProfile(lengths={"P": len(penc), "X": len(xenc)}))
+    assert type(img) is not PConst  # 32 bits fit one axiom line
+    # the encoding and its flips below the top bit, which exact length pins
+    for i in range(-1, len(penc) - 1):
+        p = penc if i < 0 else penc[:i] + "10"[int(penc[i])] + penc[i + 1:]
+        bits = {("P", j): int(b) for j, b in enumerate(p)}
+        bits.update({("X", j): int(b) for j, b in enumerate(xenc)})
+        assert eval_prop(img, bits) == _accepts(prf, p, xenc)
 
 
 def test_proof_check_vacuous_below_frame_minimum():
