@@ -9,18 +9,38 @@ Strings are read as sets of positions: the length of a string is one past
 its largest element, membership beyond the text is false, and equality
 ignores trailing zeros.
 
-Certificate roles: eval_formula optionally takes a map from variable names
-to callbacks.  An ExN binder whose variable has a role is not swept; its
-callback computes a value from the current assignment, the binder is false
-if that value exceeds the bound, and otherwise the body is evaluated once
-with the value bound.  This is sound, and agrees with honest evaluation,
-only when each callback produces the only admissible value: the one value
-below the bound, if any, that can satisfy the body.  Compilers that attach
-roles (nepo) must emit clauses that pin their witnesses uniquely.
+Two entry points compute the same truth value, raise the same errors at the
+same nodes and leave the assignment as they found it:
+  eval_formula      walks the tree at every visit.  One-shot callers use it
+                    (acc.check_witness, acc reachability, cli eval, reflect),
+                    and it is the reference the compiled path is tested
+                    against, so it keeps its per-read sort checks.
+  compile_formula   turns a formula into nested closures once: closed
+                    subterms fold to numbers, variable sorts are checked at
+                    compile time, and And/Or chains run as loops.  nepo
+                    artifacts, whose formula is evaluated many times, compile
+                    at their first evaluation and keep the result.
+Compiling costs more than one walk.  Measured on the benchmark workloads,
+compiling at every eval_formula call made the median acc.check_witness call
+take 29% longer, and on proof-check evaluation (a large shared formula,
+evaluated a few times per compile) it cut ops per second by 41%, made the
+median op take 67% longer and raised peak memory by 58%; compiling once per
+nepo artifact roughly doubles certificate evaluation.
+
+Certificate roles: both entry points optionally take a map from variable
+names to callbacks.  An ExN binder whose variable has a role is not swept;
+its callback computes a value from the current assignment, the binder is
+false if that value exceeds the bound, and otherwise the body is evaluated
+once with the value bound.  This is sound, and agrees with honest
+evaluation, only when each callback produces the only admissible value: the
+one value below the bound, if any, that can satisfy the body.  Compilers
+that attach roles (nepo) must emit clauses that pin their witnesses
+uniquely.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -177,6 +197,357 @@ def _eval(f: Formula, s: FiniteSlice, env: Assignment, roles: Roles | None) -> b
                 env.strs[f.var] = prev
         return not want
     raise TypeError(f"not a formula: {f!r}")
+
+
+# --- compiled evaluation ---
+#
+# A compiled formula is a closure (run) -> bool over a _Run.  Variable reads
+# index the assignment's dicts directly, and each atom and quantifier bound
+# turns the KeyError of an unbound name into UnboundVariableError.  Sort
+# errors, failing folds and nodes of unknown type compile to closures that
+# raise when reached, as the walker does.
+
+Compiled = Callable[[FiniteSlice, Assignment | None, Roles | None], bool]
+
+
+class _Run:
+    """What one call of a compiled formula reads besides its structure."""
+
+    __slots__ = ("nums", "strs", "env", "num_bound", "str_width", "roles")
+
+    def __init__(self, env: Assignment, s: FiniteSlice, roles: Roles | None):
+        self.nums = env.nums
+        self.strs = env.strs
+        self.env = env
+        self.num_bound = s.num_bound
+        self.str_width = s.str_width
+        self.roles = roles
+
+
+def compile_formula(f: Formula) -> Compiled:
+    """f as a function (s, env=None, roles=None) -> bool equal to
+    eval_formula(f, s, env, roles), built once.
+
+    Each node compiles once per call of compile_formula, so a subformula or
+    term shared by several parents compiles once; the memo is dropped when
+    the compile returns.  The compiler recurses once per formula level (And
+    and Or chains compile as n-ary loops), as the closures do when run.
+    """
+    root = _Compiler().formula(f)
+
+    def run(s: FiniteSlice, env: Assignment | None = None,
+            roles: Roles | None = None) -> bool:
+        return root(_Run(Assignment() if env is None else env, s, roles))
+
+    return run
+
+
+def _raising(make_error: Callable[[], Exception]):
+    """A compiled term or formula that raises a fresh make_error() when reached."""
+    def run(*_):
+        raise make_error()
+    return run
+
+
+def _unbound(e: KeyError) -> UnboundVariableError:
+    name = e.args[0]
+    sort = "number" if is_num_name(name) else "string"
+    return UnboundVariableError(f"{sort} variable {name} is unbound")
+
+
+def _deferred(e: Exception):
+    """A closure raising a copy of e; it keeps no traceback, so no compile frame."""
+    cls, args = type(e), e.args
+    return _raising(lambda: cls(*args))
+
+
+def _sort_error(name, num: bool):
+    """None when name has the wanted sort, else a raising closure."""
+    try:
+        ok = is_num_name(name) if num else is_str_name(name)
+    except Exception as e:  # a name that is not a str fails as the walker's lookup does
+        return _deferred(e)
+    if ok:
+        return None
+    sort = "number" if num else "string"
+    return _raising(lambda: SortMismatchError(f"{name} is not a {sort} variable"))
+
+
+def _fold(fn, *args):
+    """fn(*args) now, or a closure raising its error when reached."""
+    try:
+        return fn(*args)
+    except Exception as e:
+        return _deferred(e)
+
+
+def _true(_run):
+    return True
+
+
+def _false(_run):
+    return False
+
+
+class _Compiler:
+    """One compile: memos by node identity, for terms and for formulas.
+
+    term and formula look up the memo and build in one frame, so a compile
+    takes one Python frame per level of the formula (and of its terms).
+    """
+
+    def __init__(self):
+        self.terms: dict[int, object] = {}
+        self.formulas: dict[int, Callable[[_Run], bool]] = {}
+
+    def term(self, t: NumTerm):
+        out = self.terms.get(id(t))
+        if out is not None:
+            return out
+        tt = type(t)
+        if tt is Zero:
+            out = 0
+        elif tt is One:
+            out = 1
+        elif tt is Const:
+            out = t.value
+        elif tt is NVar:
+            out = _sort_error(t.name, True) or t.name
+        elif tt is Plus:
+            out = _plus(self.term(t.left), self.term(t.right))
+        elif tt is Times:
+            out = _times(self.term(t.left), self.term(t.right))
+        elif tt is Len:
+            out = _len(_str_var(t.svar))
+        elif tt is SeqAt:
+            out = _seq_at(self.term(t.seq), self.term(t.index))
+        elif tt is SeqLen:
+            out = _seq_len(self.term(t.seq))
+        else:
+            out = _raising(lambda: TypeError(f"not a term: {t!r}"))
+        self.terms[id(t)] = out
+        return out
+
+    def formula(self, f: Formula) -> Callable[[_Run], bool]:
+        out = self.formulas.get(id(f))
+        if out is not None:
+            return out
+        tf = type(f)
+        if tf is EqNum or tf is Leq:
+            out = _compare(tf is Leq, self.term(f.left), self.term(f.right))
+        elif tf is EqStr:
+            out = _eq_str(_str_var(f.left), _str_var(f.right))
+        elif tf is Memb:
+            out = _memb(_str_var(f.svar), self.term(f.index))
+        elif tf is And or tf is Or:
+            parts, g = [], f
+            while type(g) is tf:
+                parts.append(self.formula(g.left))
+                g = g.right
+            parts.append(self.formula(g))
+            out = (_all if tf is And else _any)(tuple(parts))
+        elif tf is Not:
+            out = _not(self.formula(f.body))
+        elif tf is Imp:
+            out = _imp(self.formula(f.left), self.formula(f.right))
+        elif tf is ExN or tf is AlN:
+            out = _num_quant(tf is ExN, f.var, self.term(f.bound), self.formula(f.body))
+        elif tf is ExS or tf is AlS:
+            out = _str_quant(tf is ExS, f.var, self.term(f.bound), self.formula(f.body))
+        else:
+            out = _raising(lambda: TypeError(f"not a formula: {f!r}"))
+        self.formulas[id(f)] = out
+        return out
+
+
+# --- compiled terms ---
+#
+# A compiled term is a folded constant, a str (the name of a number variable,
+# read straight from nums by its parent) or a closure (nums, strs) -> int.
+# The operand shapes of nepo's grid reads, a sequence variable at a position
+# scaled and offset by constants, get closures of their own, and so does an
+# EqNum of such a read against a constant: on the certify benchmark these
+# closures take 94% of term and comparison calls, and running any one of them
+# through _binary instead costs 10-13% of its ops per second.  Other shapes go
+# through _binary.
+
+
+def _is_const(a) -> bool:
+    return type(a) is not str and not callable(a)
+
+
+def _value(a, nums, strs):
+    if type(a) is str:
+        return nums[a]
+    return a(nums, strs) if callable(a) else a
+
+
+def _binary(op, a, b):
+    """op over two compiled operands, folded when both are constants."""
+    if _is_const(a) and _is_const(b):
+        return _fold(op, a, b)
+    return lambda nums, strs: op(_value(a, nums, strs), _value(b, nums, strs))
+
+
+def _plus(a, b):
+    if callable(a) and _is_const(b):
+        return lambda nums, strs: a(nums, strs) + b
+    if callable(a) and type(b) is str:
+        return lambda nums, strs: a(nums, strs) + nums[b]
+    return _binary(operator.add, a, b)
+
+
+def _times(a, b):
+    if callable(a) and _is_const(b):
+        return lambda nums, strs: a(nums, strs) * b
+    if type(a) is str and _is_const(b):
+        return lambda nums, strs: nums[a] * b
+    return _binary(operator.mul, a, b)
+
+
+def _seq_at(a, b):
+    get = codec.seq_get_total
+    if type(a) is str and callable(b):
+        return lambda nums, strs: get(nums[a], b(nums, strs))
+    return _binary(get, a, b)
+
+
+def _seq_len(a):
+    if _is_const(a):
+        return _fold(codec.seq_len_total, a)
+    return lambda nums, strs: codec.seq_len_total(_value(a, nums, strs))
+
+
+def _len(svar):
+    return lambda nums, strs: codec.set_length(svar(strs))
+
+
+# --- compiled formulas ---
+
+
+def _compare(leq: bool, a, b) -> Callable[[_Run], bool]:
+    if _is_const(a) and _is_const(b):
+        return _true if (a <= b if leq else a == b) else _false
+    if not leq and callable(a) and _is_const(b):
+        def run(r):
+            try:
+                return a(r.nums, r.strs) == b
+            except KeyError as e:
+                raise _unbound(e) from None
+        return run
+    test = operator.le if leq else operator.eq
+
+    def run(r):
+        try:
+            return test(_value(a, r.nums, r.strs), _value(b, r.nums, r.strs))
+        except KeyError as e:
+            raise _unbound(e) from None
+    return run
+
+
+def _str_var(name):
+    """A string variable as a reader of strs, or a closure raising its sort error."""
+    return _sort_error(name, False) or (lambda strs: strs[name])
+
+
+def _eq_str(left, right) -> Callable[[_Run], bool]:
+    def run(r):
+        try:
+            return codec.sets_equal(left(r.strs), right(r.strs))
+        except KeyError as e:
+            raise _unbound(e) from None
+    return run
+
+
+def _memb(svar, index) -> Callable[[_Run], bool]:
+    def run(r):
+        try:
+            return codec.bit_at(svar(r.strs), _value(index, r.nums, r.strs))
+        except KeyError as e:
+            raise _unbound(e) from None
+    return run
+
+
+def _all(parts: tuple) -> Callable[[_Run], bool]:
+    def run(r):
+        for part in parts:
+            if not part(r):
+                return False
+        return True
+    return run
+
+
+def _any(parts: tuple) -> Callable[[_Run], bool]:
+    def run(r):
+        for part in parts:
+            if part(r):
+                return True
+        return False
+    return run
+
+
+def _not(body) -> Callable[[_Run], bool]:
+    return lambda r: not body(r)
+
+
+def _imp(left, right) -> Callable[[_Run], bool]:
+    return lambda r: not left(r) or right(r)
+
+
+def _bound(bound, r: _Run) -> int:
+    try:
+        b = _value(bound, r.nums, r.strs)
+    except KeyError as e:
+        raise _unbound(e) from None
+    if b > r.num_bound:
+        raise SliceExceededError(f"quantifier bound {b} exceeds num_bound {r.num_bound}")
+    return b
+
+
+def _num_quant(exists: bool, var: str, bound, body) -> Callable[[_Run], bool]:
+    def run(r):
+        b = _bound(bound, r)
+        nums = r.nums
+        prev = nums.get(var)
+        try:
+            if exists and r.roles and var in r.roles:
+                v = r.roles[var](r.env)
+                if v > b:
+                    return False
+                nums[var] = v
+                return body(r)
+            for v in range(b + 1):
+                nums[var] = v
+                if body(r) == exists:
+                    return exists
+        finally:
+            if prev is None:
+                nums.pop(var, None)
+            else:
+                nums[var] = prev
+        return not exists
+    return run
+
+
+def _str_quant(exists: bool, var: str, bound, body) -> Callable[[_Run], bool]:
+    def run(r):
+        b = _bound(bound, r)
+        if b > r.str_width:
+            raise SliceExceededError(f"string bound {b} exceeds str_width {r.str_width}")
+        strs = r.strs
+        prev = strs.get(var)
+        try:
+            for mask in range(1 << b):
+                strs[var] = codec.mask_to_bits(mask)
+                if body(r) == exists:
+                    return exists
+        finally:
+            if prev is None:
+                strs.pop(var, None)
+            else:
+                strs[var] = prev
+        return not exists
+    return run
 
 
 def comprehension_witness(phi: Formula, y: int, s: FiniteSlice,

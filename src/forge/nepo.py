@@ -11,23 +11,24 @@ VALIDITY clauses that acc.Tableau builds over the grid code's cells.
 Honest evaluation of the emitted formulas would sweep astronomically large
 number quantifiers (a grid code has hundreds of bits), so each artifact also
 carries certificate roles: selected existential variables get callbacks that
-compute the unique admissible value from the machine simulator, and
-evaluate.eval_formula sweeps only the small quantifiers (see the soundness
-note in the evaluate module docstring).  The equivalence of the two evaluation
-modes rests on the grid clauses pinning the witness uniquely, which the test
-suite checks exhaustively at miniature scales.
+compute the unique admissible value from the machine simulator, and the
+artifact's formula, compiled once by evaluate.compile_formula, sweeps only the
+small quantifiers (see the soundness note in the evaluate module docstring).
+The equivalence of the two evaluation modes rests on the grid clauses pinning
+the witness uniquely, which the test suite checks exhaustively at miniature
+scales.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
 from .acc import Tableau, holds, iff
 from .codec import bit_at, encode_seq, seq_code_bound, seq_get_total, set_length, trim
 from .errors import BudgetError
-from .evaluate import Assignment, FiniteSlice, Roles, eval_formula
+from .evaluate import Assignment, Compiled, FiniteSlice, Roles, compile_formula
 from .formulas import (AlN, AlS, And, EqNum, ExN, ExS, Formula, Imp,
                        Len, Leq, Memb, Not, NumTerm, NVar, One, Or, Plus,
                        SeqAt, SeqLen, Times, const_term, formula_size, land)
@@ -175,11 +176,16 @@ class NepoArtifact:
     formula: Formula
     roles: Roles
     slice: FiniteSlice
+    _compiled: Compiled | None = field(default=None, init=False, repr=False)
 
     def evaluate(self, env: Assignment, roles_override: Roles | None = None,
                  s: FiniteSlice | None = None) -> bool:
+        """eval_formula of the formula with these roles, through the formula
+        compiled at the first call and kept for the artifact's lifetime."""
+        if self._compiled is None:
+            object.__setattr__(self, "_compiled", compile_formula(self.formula))
         roles = self.roles if roles_override is None else {**self.roles, **roles_override}
-        return eval_formula(self.formula, s or self.slice, env, roles)
+        return self._compiled(s or self.slice, env, roles)
 
 
 class _Emitter:

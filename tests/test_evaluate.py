@@ -1,17 +1,27 @@
 """Finite-slice evaluation, comprehension, and monotone tree values."""
 
+import dataclasses
+import gc
 import random
+import sys
+from collections import Counter
+from contextlib import contextmanager
+from fractions import Fraction
 
 import pytest
+from test_formulas import gen_formula
 
+from forge import acc, evaluate, nepo, sexpr
 from forge import formulas as F
-from forge.codec import bit_at, mask_to_bits, sets_equal
+from forge.codec import bit_at, encode_seq, mask_to_bits, sets_equal
 from forge.errors import (ClassError, SliceExceededError, SortMismatchError,
                           UnboundVariableError)
 from forge.evaluate import (Assignment, FiniteSlice, MonotoneTree, check_mfv,
-                            comprehension_witness, eval_formula, eval_term,
-                            mfv_witness, node_value, node_value_depth_bound,
-                            node_value_instrumented)
+                            compile_formula, comprehension_witness,
+                            eval_formula, eval_term, mfv_witness, node_value,
+                            node_value_depth_bound, node_value_instrumented)
+from forge.formulas import formula_size
+from forge.machine import corpus_machine, initial_configuration, parse_tm
 from forge.sexpr import parse_formula
 
 S8 = FiniteSlice(num_bound=8, str_width=8)
@@ -85,7 +95,6 @@ def test_eval_slice_errors():
 
 
 def test_eval_seq_terms():
-    from forge.codec import encode_seq
     code = encode_seq([4, 9])
     env = Assignment(nums={"s": code})
     assert eval_term(F.SeqAt(F.NVar("s"), F.One()), env) == 9
@@ -350,3 +359,259 @@ def test_tree_validation():
         MonotoneTree("01", 4)
     with pytest.raises(ValueError):
         MonotoneTree("0x", 2)
+
+
+# --- compiled evaluation against the walker ---
+
+
+def outcome(fn):
+    """fn()'s bool, or the class of the error it raised."""
+    try:
+        return fn()
+    except (UnboundVariableError, SortMismatchError, SliceExceededError, TypeError) as e:
+        return type(e)
+
+
+class Bogus:
+    """A node of no known type, in term or formula position."""
+
+
+def poison(rng: random.Random, f: F.Formula, rate: float = 0.06) -> F.Formula:
+    """f with a few leaves replaced by nodes the evaluators must reject when,
+    and only when, evaluation reaches them."""
+    def term(t):
+        if rng.random() < rate:
+            return rng.choice([F.NVar("Z"), F.NVar(5), F.Len("w"), Bogus()])
+        if type(t) in (F.Plus, F.Times, F.SeqAt, F.SeqLen):
+            return dataclasses.replace(t, **{fd.name: term(getattr(t, fd.name))
+                                             for fd in dataclasses.fields(t)})
+        return t
+
+    def name(svar):
+        return "w" if rng.random() < 4 * rate else svar
+
+    def formula(g):
+        tg = type(g)
+        if rng.random() < rate / 2:
+            return Bogus()
+        if tg in (F.EqNum, F.Leq):
+            return tg(term(g.left), term(g.right))
+        if tg is F.Memb:
+            return F.Memb(term(g.index), name(g.svar))
+        if tg is F.EqStr:
+            return F.EqStr(name(g.left), name(g.right))
+        if tg in (F.And, F.Or, F.Imp):
+            return tg(formula(g.left), formula(g.right))
+        if tg is F.Not:
+            return F.Not(formula(g.body))
+        if tg in F.QUANTIFIERS:
+            return tg(g.var, term(g.bound), formula(g.body))
+        return g
+
+    return formula(f)
+
+
+DIFF_SLICES = [FiniteSlice(2, 0), FiniteSlice(5, 2), FiniteSlice(9, 3)]
+
+
+def diff_envs(rng: random.Random) -> list[Assignment]:
+    """Assignments over x, y, X, Y, some of them leaving a name unbound."""
+    out = []
+    for _ in range(3):
+        nums = {v: rng.randrange(12) for v in ("x", "y") if rng.random() < 0.85}
+        strs = {v: "".join(rng.choice("01") for _ in range(rng.randrange(5)))
+                for v in ("X", "Y") if rng.random() < 0.85}
+        out.append(Assignment(nums, strs))
+    return out
+
+
+def agree(f: F.Formula, s: FiniteSlice, env: Assignment, roles=None):
+    """Both evaluators' outcome on one case, after checking that they agree
+    and that each leaves env as it found it."""
+    compiled = compile_formula(f)
+    before = env.copy()
+    got = outcome(lambda: compiled(s, env, roles))
+    assert env == before
+    want = outcome(lambda: eval_formula(f, s, env, roles))
+    assert env == before
+    assert got == want, (f, s, env)
+    return got
+
+
+def test_compiled_matches_walker_on_generated_formulas():
+    rng = random.Random(20261018)
+    seen = Counter()
+    for seed in range(120):
+        g = random.Random(seed)
+        f = gen_formula(g, 4, [0], ["x", "y"], ["X", "Y"], consts=True)
+        if seed % 2:
+            f = poison(g, f)
+        for s in DIFF_SLICES:
+            for env in diff_envs(rng):
+                got = agree(f, s, env)
+                seen[got if isinstance(got, bool) else got.__name__] += 1
+    # the corpus reaches every outcome, so a mismatch in any has a chance to show
+    assert set(seen) == {True, False, "UnboundVariableError", "SortMismatchError",
+                         "SliceExceededError", "TypeError"}, seen
+    assert min(seen.values()) >= 50 and seen[True] + seen[False] > 400, seen
+
+
+def test_compiled_folds_and_short_circuits_like_the_walker():
+    x, u, one, two = F.NVar("x"), F.NVar("u"), F.One(), F.const_term(2)
+    unbound, sort = UnboundVariableError, SortMismatchError
+    env = Assignment(nums={"x": 3})
+    cases = [
+        # a closed subterm folds to its value, the open one is read at run time
+        (F.EqNum(F.Plus(F.Times(two, F.const_term(5)), one), F.const_term(11)), True),
+        (F.EqNum(F.Plus(F.Times(x, two), F.Times(two, two)), F.const_term(10)), True),
+        (F.EqNum(F.SeqAt(F.const_term(encode_seq([4, 9])), one), F.const_term(9)), True),
+        (F.EqNum(F.SeqLen(F.const_term(encode_seq([4, 9, 1]))), F.const_term(3)), True),
+        # a chain stops at its first deciding part, before an error after it
+        (F.land([F.TRUE, F.FALSE, F.Leq(u, one)]), False),
+        (F.lor([F.FALSE, F.TRUE, F.Memb(x, "w")]), True),
+        (F.Imp(F.FALSE, Bogus()), True),
+        # and reaches an error before it
+        (F.land([F.TRUE, F.Leq(u, one), F.FALSE]), unbound),
+        (F.lor([F.FALSE, F.Memb(x, "w"), F.TRUE]), sort),
+        # the left operand is read first
+        (F.EqNum(u, F.Len("w")), unbound),
+        (F.EqNum(F.Len("w"), u), sort),
+        (F.EqStr("U", "w"), unbound),
+        (F.EqStr("w", "U"), sort),
+        (F.EqNum(F.Plus(F.Times(F.Len("w"), two), u), one), sort),
+        (F.EqNum(F.SeqAt(u, F.Plus(F.Len("w"), one)), one), unbound),
+        # binders restore, also when their body raises
+        (F.ExN("x", two, F.Leq(F.NVar("x"), F.Zero())), True),
+        (F.ExN("z", two, F.Leq(u, F.NVar("z"))), unbound),
+        (F.ExS("Y", two, F.Memb(one, "Y")), True),
+    ]
+    assert [agree(f, S8, env) for f, _ in cases] == [want for _, want in cases]
+    assert env == Assignment(nums={"x": 3})
+
+
+def test_compiled_matches_walker_with_certificate_roles():
+    toggle = parse_tm("states 1\n1 0 -> 1 1 2\n1 1 -> 1 0 2\n")
+    micro = nepo.NepoBounds(c=1, eps=Fraction(1, 2), k=1, m=4)
+    tight = FiniteSlice(micro.width, 4)  # below the grid-code bound
+    verdicts = Counter()
+    for level in (0, 1):
+        art = nepo.reach_artifact(toggle, micro, level)
+        sub = sorted(art.roles)
+        overrides = [None,
+                     {sub[-1]: lambda e, cb=art.roles[sub[-1]]: cb(e) ^ 4},
+                     {sub[0]: lambda e: art.slice.num_bound + 1}]
+        for x in ("1", "01"):
+            i_str = acc.config_to_string(initial_configuration(x, 2), toggle.state_bits)
+            for p1 in range(micro.span + 1):
+                for cell in range(6):
+                    env = Assignment(nums={"p1": p1, "p2": 1, "cell": cell},
+                                     strs={"I": i_str})
+                    for override in overrides:
+                        roles = {**art.roles, **(override or {})}
+                        got = agree(art.formula, art.slice, env, roles)
+                        assert art.evaluate(env, override) == got
+                        verdicts[got] += 1
+                    assert agree(art.formula, tight, env, art.roles) is SliceExceededError
+                    with pytest.raises(SliceExceededError):
+                        art.evaluate(env, s=tight)
+    assert verdicts[True] and verdicts[False]
+    # a role value past the bound falsifies the binder even where the body
+    # would hold, and only ExN binders take roles
+    c = F.NVar("c")
+    assert agree(F.ExN("c", F.const_term(3), F.EqNum(c, F.const_term(5))), S8,
+                 Assignment(), {"c": lambda e: 5}) is False
+    assert agree(F.AlN("c", F.const_term(3), F.Leq(c, F.const_term(3))), S8,
+                 Assignment(), {"c": lambda e: 9}) is True
+
+
+X = F.NVar("x")
+NODE_SAMPLES = {
+    F.Zero: F.Zero(), F.One: F.One(), F.Const: F.Const(6), F.NVar: X,
+    F.Plus: F.Plus(X, F.One()), F.Times: F.Times(F.const_term(3), X),
+    F.Len: F.Len("X"), F.SeqAt: F.SeqAt(F.const_term(encode_seq([4, 9, 2])), F.One()),
+    F.SeqLen: F.SeqLen(F.NVar("c")),
+    F.EqNum: F.EqNum(X, F.const_term(3)), F.Leq: F.Leq(X, F.One()),
+    F.EqStr: F.EqStr("X", "Y"), F.Memb: F.Memb(F.One(), "X"),
+    F.And: F.And(F.TRUE, F.TRUE), F.Or: F.Or(F.FALSE, F.TRUE), F.Not: F.Not(F.FALSE),
+    F.Imp: F.Imp(F.TRUE, F.FALSE),
+    F.ExN: F.ExN("z", X, F.EqNum(F.NVar("z"), F.const_term(2))),
+    F.AlN: F.AlN("z", X, F.Leq(F.NVar("z"), X)),
+    F.ExS: F.ExS("Z", F.const_term(2), F.EqStr("Z", "X")),
+    F.AlS: F.AlS("Z", F.const_term(2), F.Leq(F.Len("Z"), F.const_term(2))),
+}
+
+
+def test_both_evaluators_cover_every_node_type():
+    node_types = {c for c in vars(F).values() if isinstance(c, type)
+                  and issubclass(c, (F.NumTerm, F.Formula))
+                  and c not in (F.NumTerm, F.Formula)}
+    # a new node type needs a sample here, and then both evaluators must take it
+    assert node_types == set(NODE_SAMPLES)
+    env = Assignment(nums={"x": 3, "c": encode_seq([1, 1, 0, 1])},
+                     strs={"X": "0101", "Y": "01010"})
+    for node in NODE_SAMPLES.values():
+        if isinstance(node, F.NumTerm):
+            node = F.EqNum(node, F.const_term(eval_term(node, env)))
+        assert isinstance(agree(node, S8, env), bool), node
+    for bogus in (F.Leq(Bogus(), F.One()), Bogus()):
+        assert agree(bogus, S8, env) is TypeError
+
+
+def stack_depth() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+@contextmanager
+def frame_budget(frames: int):
+    """Allow only `frames` Python frames above the caller's."""
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(stack_depth() + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
+
+
+def test_compiled_depth_costs_one_frame_per_level():
+    levels = sexpr.MAX_DEPTH
+    nots = "(not " * (levels - 1) + "(leq 0 1)" + ")" * (levels - 1)
+    chain = "(leq 1 1)"
+    for k in range(levels - 1):
+        chain = f"({'and' if k % 2 else 'or'} (leq {k % 2} 0) {chain})"
+    for text, want in ((nots, levels % 2 == 1), (chain, True)):
+        f = parse_formula(text)
+        with frame_budget(levels + 25):
+            compiled = compile_formula(f)
+            assert compiled(S8) == eval_formula(f, S8) == want
+
+
+def test_compile_acceptance_at_m1024_in_one_frame_per_level():
+    b = nepo.NepoBounds(c=1, eps=Fraction(1, 3), k=2, m=1024)
+    phi = nepo.compile_acceptance_sigma0(corpus_machine("parity"), b)
+    levels, term_levels, stack = 0, 0, [(phi, 1)]
+    while stack:
+        node, d = stack.pop()
+        if isinstance(node, F.Formula):
+            levels = max(levels, d)
+        else:
+            term_levels = max(term_levels, d)
+        stack += [(v, d + 1) for v in vars_of(node)]
+    assert F.depth(phi) == 20 and formula_size(phi) == 102_708
+    with frame_budget(levels + term_levels + 25):
+        compile_formula(phi)
+
+
+def vars_of(node) -> list:
+    return [getattr(node, fd.name) for fd in dataclasses.fields(node)
+            if isinstance(getattr(node, fd.name), (F.NumTerm, F.Formula))]
+
+
+def test_compile_drops_its_memo():
+    f = F.land([F.Leq(X, F.const_term(k)) for k in range(50)])
+    compiled = compile_formula(f)
+    gc.collect()
+    assert [o for o in gc.get_objects() if type(o) is evaluate._Compiler] == []
+    assert compiled(S8, Assignment(nums={"x": 0}))

@@ -14,7 +14,7 @@ import pytest
 from forge import acc, nepo
 from forge.codec import all_strings
 from forge.errors import BudgetError, ParseError, UnboundVariableError
-from forge.evaluate import Assignment, eval_formula, eval_term
+from forge.evaluate import Assignment, compile_formula, eval_formula, eval_term
 from forge.formulas import EqStr, ExN, classify, const_term, formula_size, free_vars
 from forge.machine import (PolyBound, accepts, corpus_machine,
                            initial_configuration, parse_tm, run_from)
@@ -152,6 +152,25 @@ def test_certified_matches_honest_eval_level0():
     # an unbound string raises the honest evaluator's error, not a KeyError
     with pytest.raises(UnboundVariableError):
         nepo.NepoArtifact(EqStr("X", "Y"), {}, s).evaluate(Assignment())
+
+
+def test_artifact_compiles_once_at_first_evaluate(monkeypatch):
+    compiles = []
+
+    def counting(f):
+        compiles.append(f)
+        return compile_formula(f)
+
+    monkeypatch.setattr(nepo, "compile_formula", counting)
+    art = nepo.reach_artifact(TOGGLE, MICRO, 1)
+    assert compiles == []
+    i_str = config_str(TOGGLE, MICRO_STARTS[0])
+    good, bad_bit, _ = cells_for(TOGGLE, MICRO_STARTS[0], 2 * MICRO.span, 1)
+    assert [nepo.eval_reach_level(art, i_str, 2, 1, c) for c in (good, bad_bit)] \
+        == [True, False]
+    env = Assignment(nums={"p1": 2, "p2": 1, "cell": good}, strs={"I": i_str})
+    assert art.evaluate(env, roles_override={}, s=art.slice)
+    assert compiles == [art.formula]
 
 
 def test_comp_uniqueness_exhaustive():
