@@ -1,9 +1,9 @@
 """Compile machine acceptance and reachability into bounded formulas.
 
 compile_acc(tm, p) emits an existential formula over one free string X: a
-witness string W holds a full computation tableau (layout as in machine.py,
-stride = tape width times the per-cell field count) and the matrix pins W
-down row by row:
+witness string W holds a full computation tableau (the rows of
+machine.tableau_to_witness, stride = tape width times the per-cell field
+count) and the matrix pins W down row by row:
 
   INIT        row 0 is X padded, head on cell 0 in state 1
   FRAME       bits away from the head carry over unchanged
@@ -22,8 +22,9 @@ instead of enumerating strings.
 
 compile_reach(tm, p) keeps the middle clauses but pins row 0 and row
 p(|Y|) to free configuration strings Y and Z.  A configuration string is
-one tableau row followed by a sentinel 1 bit, so its length is determined
-by the tape width and rows can be addressed with stride |Y|.
+one tableau row, written and read by machine.encode_row and decode_row,
+followed by a sentinel 1 bit, so its length is determined by the tape width
+and rows can be addressed with stride |Y|.
 
 `Tableau` is the one place the FRAME, TRANS and VALIDITY clauses (and the
 mark tests SINGLE-HEAD is written with) are built, for both this module and
@@ -38,15 +39,15 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .codec import bit_at, set_length, trim
+from .codec import set_length, trim
 from .errors import LayoutError
 from .evaluate import Assignment, FiniteSlice, eval_formula
 from .formulas import (TRUE, AlN, And, EqNum, ExN, ExS, Formula, Imp, Len,
                        Memb, Not, NumTerm, NVar, One, Or, Plus, Times, Zero,
                        const_term, land, lt)
 from .machine import (MOVE_LEFT, MOVE_RIGHT, Configuration, PolyBound,
-                      TableauLayout, TMDescription, run, run_from,
-                      tableau_to_witness)
+                      TableauLayout, TMDescription, decode_row, encode_row,
+                      run, run_from, tableau_to_witness)
 
 
 def poly_term(p: PolyBound, var: NumTerm) -> NumTerm:
@@ -262,14 +263,8 @@ def eval_acc(tm: TMDescription, p: PolyBound, x: str) -> bool:
 
 
 def config_to_string(conf: Configuration, state_bits: int) -> str:
-    """One tableau row flattened, plus a sentinel 1 pinning the length."""
-    bits = []
-    for bit, mark in conf.cells:
-        bits.append(str(bit))
-        for f in range(state_bits):
-            bits.append(str((mark >> f) & 1))
-    bits.append("1")
-    return "".join(bits)
+    """One tableau row encoded, plus a sentinel 1 pinning the length."""
+    return encode_row(conf, state_bits) + "1"
 
 
 def string_to_config(s: str, tm: TMDescription) -> Configuration:
@@ -277,23 +272,12 @@ def string_to_config(s: str, tm: TMDescription) -> Configuration:
     n = set_length(s)
     if n < 1 or (n - 1) % fields:
         raise LayoutError(f"length {n} does not fit {fields}-bit cells plus sentinel")
-    cells = []
-    for base in range(0, n - 1, fields):
-        bit = 1 if bit_at(s, base) else 0
-        mark = 0
-        for f in range(tm.state_bits):
-            if bit_at(s, base + 1 + f):
-                mark |= 1 << f
-        if mark > tm.k:
-            raise LayoutError(f"cell at bit {base} marks nonexistent state {mark}")
-        cells.append((bit, mark))
-    return Configuration(tuple(cells))
+    return decode_row([1 if c == "1" else 0 for c in s[:n - 1]], tm.state_bits, tm.k)
 
 
-def reach_matrix(tm: TMDescription, p: PolyBound, yvar: str = "Y",
-                 zvar: str = "Z") -> Formula:
+def reach_matrix(tm: TMDescription, p: PolyBound) -> Formula:
     fields = const_term(1 + tm.state_bits)
-    size = Len(yvar)
+    size = Len("Y")
 
     def fits(v: NumTerm) -> Formula:
         """The whole field block of cell v lies left of the sentinel."""
@@ -301,10 +285,10 @@ def reach_matrix(tm: TMDescription, p: PolyBound, yvar: str = "Y",
 
     tab = Tableau(tm, _witness_cells(tm, size), poly_term(p, size), size, inside=fits)
     j, t = NVar("j"), NVar("t")
-    boundary0 = forall_below("j", size, iff(Memb(j, "W"), Memb(j, yvar)))
+    boundary0 = forall_below("j", size, iff(Memb(j, "W"), Memb(j, "Y")))
     boundary_end = forall_below(
         "j", size,
-        iff(Memb(Plus(Times(tab.steps, size), j), "W"), Memb(j, zvar)))
+        iff(Memb(Plus(Times(tab.steps, size), j), "W"), Memb(j, "Z")))
     sentinels = tab.each_row("t", ExN(
         "s", size,
         And(EqNum(Plus(NVar("s"), One()), size),
@@ -312,15 +296,13 @@ def reach_matrix(tm: TMDescription, p: PolyBound, yvar: str = "Y",
     return land([boundary0, boundary_end, sentinels, *_shared_clauses(tab)])
 
 
-def reach_witness_bound(tm: TMDescription, p: PolyBound, yvar: str = "Y") -> NumTerm:
-    return Times(Plus(poly_term(p, Len(yvar)), One()), Len(yvar))
+def reach_witness_bound(tm: TMDescription, p: PolyBound) -> NumTerm:
+    return Times(Plus(poly_term(p, Len("Y")), One()), Len("Y"))
 
 
-def compile_reach(tm: TMDescription, p: PolyBound, yvar: str = "Y",
-                  zvar: str = "Z") -> Formula:
-    """Configuration zvar is reached from yvar after p(|yvar|) steps."""
-    return ExS("W", reach_witness_bound(tm, p, yvar),
-               reach_matrix(tm, p, yvar, zvar))
+def compile_reach(tm: TMDescription, p: PolyBound) -> Formula:
+    """Configuration Z is reached from Y after p(|Y|) steps."""
+    return ExS("W", reach_witness_bound(tm, p), reach_matrix(tm, p))
 
 
 def reach_witness(tm: TMDescription, start: Configuration, steps: int) -> str:

@@ -16,6 +16,7 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,34 +38,12 @@ _PROG = "forge"
 _USAGE_EXIT = 2
 _DOMAIN_EXIT = 1
 
+# a string-variable name the formula reader accepts
+_STR_VAR = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
+
 
 class _UsageError(Exception):
     """Bad flags for an otherwise known subcommand."""
-
-
-@dataclass(frozen=True, slots=True)
-class RunConfig:
-    """One resolved invocation: subcommand, inputs, bounds, output, chatter."""
-
-    subcommand: str
-    inputs: tuple[Path, ...] = ()
-    num_bound: int | None = None
-    str_width: int | None = None
-    time_exp: int | None = None
-    eps: Fraction | None = None
-    root_exp: int | None = None
-    scale: int | None = None
-    depth: int | None = None
-    out: Path | None = None
-    verbosity: int = 0
-
-    def __post_init__(self):
-        if self.num_bound is not None and self.num_bound < 1:
-            raise ValueError("--num-bound must be positive")
-        if self.str_width is not None and self.str_width < 0:
-            raise ValueError("--str-width must be non-negative")
-        if self.eps is not None and not 0 < self.eps < 1:
-            raise ValueError("--eps must be a fraction p/q with 0 < p < q")
 
 
 @dataclass(slots=True)
@@ -100,6 +79,29 @@ def _parse_eps(text: str) -> Fraction:
     return Fraction(p, q)
 
 
+def _num_bound(args: argparse.Namespace, default: int | None = None) -> int | None:
+    if args.num_bound is None:
+        return default
+    if args.num_bound < 1:
+        raise _UsageError("--num-bound must be positive")
+    return args.num_bound
+
+
+def _str_width(args: argparse.Namespace, default: int | None) -> int | None:
+    if args.str_width is None:
+        return default
+    if args.str_width < 0:
+        raise _UsageError("--str-width must be non-negative")
+    return args.str_width
+
+
+def _parse_str_var(text: str) -> str:
+    """An input string name that parses back and is not the witness W."""
+    if not _STR_VAR.match(text) or text == "W":
+        raise _UsageError(f"bad --var {text!r}: need an uppercase identifier other than W")
+    return text
+
+
 def _parse_bits(text: str, flag: str) -> str:
     if set(text) - {"0", "1"}:
         raise _UsageError(f"{flag} must be a string of 0s and 1s")
@@ -132,11 +134,11 @@ def _cap_guard(nodes: int) -> None:
         raise BudgetError(f"emitted formula has {nodes} nodes, over FORGE_NODE_CAP={cap}")
 
 
-def _deliver(formula_text: str, cfg: RunConfig, rep: _Report) -> None:
+def _deliver(formula_text: str, args: argparse.Namespace, rep: _Report) -> None:
     """Route the printable formula to --out or to the text report."""
-    if cfg.out is not None:
-        cfg.out.write_text(formula_text + "\n")
-        rep.lines.append(f"wrote: {cfg.out}")
+    if args.out is not None:
+        args.out.write_text(formula_text + "\n")
+        rep.lines.append(f"wrote: {args.out}")
     else:
         rep.lines.append(formula_text)
 
@@ -144,27 +146,28 @@ def _deliver(formula_text: str, cfg: RunConfig, rep: _Report) -> None:
 # --- subcommand handlers ---
 
 
-def _do_compile_acc(cfg: RunConfig, args: argparse.Namespace) -> _Report:
-    tm = parse_tm(_read_text(cfg.inputs[0]))
+def _do_compile_acc(args: argparse.Namespace) -> _Report:
+    tm = parse_tm(_read_text(args.tm))
     p = _parse_poly(args.poly)
-    phi = compile_acc(tm, p, args.var)
+    phi = compile_acc(tm, p, _parse_str_var(args.var))
     nodes = formula_size(phi)
     _cap_guard(nodes)
     text = print_formula(phi)
-    rep = _Report(data={"subcommand": "compile-acc", "machine": str(cfg.inputs[0]),
+    rep = _Report(data={"subcommand": "compile-acc", "machine": str(args.tm),
                         "poly": args.poly, "nodes": nodes,
                         "class": str(classify(phi)), "formula": text})
-    if cfg.verbosity:
+    if args.verbose:
         print(f"{nodes} nodes, class {classify(phi)}", file=sys.stderr)
-    _deliver(text, cfg, rep)
+    _deliver(text, args, rep)
     return rep
 
 
-def _do_compile_nepo(cfg: RunConfig, args: argparse.Namespace) -> _Report:
-    tm = parse_tm(_read_text(cfg.inputs[0]))
+def _do_compile_nepo(args: argparse.Namespace) -> _Report:
+    eps = _parse_eps(args.eps)
+    tm = parse_tm(_read_text(args.tm))
     try:
-        b = NepoBounds(c=cfg.time_exp, eps=cfg.eps, k=cfg.root_exp,
-                       m=cfg.scale, d=-1 if cfg.depth is None else cfg.depth)
+        b = NepoBounds(c=args.c, eps=eps, k=args.k,
+                       m=args.m, d=-1 if args.d is None else args.d)
     except ValueError as e:
         raise _UsageError(str(e)) from None
     phi = compile_acceptance_sigma0(tm, b)
@@ -173,11 +176,11 @@ def _do_compile_nepo(cfg: RunConfig, args: argparse.Namespace) -> _Report:
     cap = _node_cap()
     report = size_report(tm, b, node_cap=cap if cap is not None else 500_000)
     text = print_formula(phi)
-    rep = _Report(data={"subcommand": "compile-nepo", "machine": str(cfg.inputs[0]),
+    rep = _Report(data={"subcommand": "compile-nepo", "machine": str(args.tm),
                         "m": b.m, "eps": str(b.eps), "k": b.k, "c": b.c, "d": b.d,
                         "sizes": report["sizes"], "node_cap": report["node_cap"],
                         "over_cap": report["over_cap"], "formula": text})
-    _deliver(text, cfg, rep)
+    _deliver(text, args, rep)
     for name in sorted(report["sizes"]):
         rep.lines.append(f"nodes[{name}]: {report['sizes'][name]}")
     rep.lines.append(f"node-cap: {report['node_cap']}"
@@ -192,8 +195,9 @@ def _split_binding(text: str) -> tuple[str, str]:
     return name, value
 
 
-def _do_eval(cfg: RunConfig, args: argparse.Namespace) -> _Report:
-    phi = parse_formula(_read_text(cfg.inputs[0]))
+def _do_eval(args: argparse.Namespace) -> _Report:
+    s = FiniteSlice(_num_bound(args), _str_width(args, 0))
+    phi = parse_formula(_read_text(args.formula))
     env = Assignment()
     for raw in args.bind or []:
         name, value = _split_binding(raw)
@@ -216,17 +220,17 @@ def _do_eval(cfg: RunConfig, args: argparse.Namespace) -> _Report:
     if unused:
         raise _UsageError("binding(s) for variable(s) not free in the formula: "
                           + ", ".join(unused))
-    s = FiniteSlice(cfg.num_bound, cfg.str_width if cfg.str_width is not None else 0)
     value = eval_formula(phi, s, env)
     word = "true" if value else "false"
-    return _Report(data={"subcommand": "eval", "formula": str(cfg.inputs[0]),
+    return _Report(data={"subcommand": "eval", "formula": str(args.formula),
                          "num_bound": s.num_bound, "str_width": s.str_width,
                          "value": value},
                    lines=[f"value: {word}"])
 
 
-def _do_translate(cfg: RunConfig, args: argparse.Namespace) -> _Report:
-    phi = parse_formula(_read_text(cfg.inputs[0]))
+def _do_translate(args: argparse.Namespace) -> _Report:
+    bound = _num_bound(args, 1 << 16)
+    phi = parse_formula(_read_text(args.formula))
     lengths: dict[str, int] = {}
     values: dict[str, int] = {}
     for raw in args.len or []:
@@ -253,22 +257,21 @@ def _do_translate(cfg: RunConfig, args: argparse.Namespace) -> _Report:
     missing = sorted(free_nums - values.keys()) + sorted(free_strs - lengths.keys())
     if missing:
         raise _UsageError("unbound variable(s): " + ", ".join(missing))
-    bound = cfg.num_bound if cfg.num_bound is not None else 1 << 16
     p = translate(phi, sizes, num_bound=bound)
     nodes = prop_size(p)
     _cap_guard(nodes)
     text = prop_to_sexpr(p)
-    rep = _Report(data={"subcommand": "translate", "formula": str(cfg.inputs[0]),
+    rep = _Report(data={"subcommand": "translate", "formula": str(args.formula),
                         "lengths": dict(sorted(lengths.items())),
                         "values": dict(sorted(values.items())),
                         "nodes": nodes, "depth": prop_depth(p), "prop": text})
-    _deliver(text, cfg, rep)
-    if cfg.verbosity:
+    _deliver(text, args, rep)
+    if args.verbose:
         print(f"{nodes} nodes, depth {prop_depth(p)}", file=sys.stderr)
     return rep
 
 
-def _do_mfv(cfg: RunConfig, args: argparse.Namespace) -> _Report:
+def _do_mfv(args: argparse.Namespace) -> _Report:
     gates = _parse_bits(args.tree, "--tree")
     inputs = _parse_bits(args.input, "--input")
     try:
@@ -286,8 +289,8 @@ def _do_mfv(cfg: RunConfig, args: argparse.Namespace) -> _Report:
                           f"mfv-check: {'PASS' if ok else 'FAIL'}"])
 
 
-def _do_check_proof(cfg: RunConfig, args: argparse.Namespace) -> _Report:
-    pi = proofs.parse_proof(_read_text(cfg.inputs[0]))
+def _do_check_proof(args: argparse.Namespace) -> _Report:
+    pi = proofs.parse_proof(_read_text(args.proof))
     target = proofs.proof_target(pi)
     if args.depth is not None and args.depth < 0:
         raise _UsageError("--depth must be non-negative")
@@ -299,20 +302,21 @@ def _do_check_proof(cfg: RunConfig, args: argparse.Namespace) -> _Report:
         ok = proofs.check_depth_frege(pi, target, args.depth)
     system = "frege" if args.depth is None else f"depth-frege({args.depth})"
     rep = _Report(status=0 if ok else _DOMAIN_EXIT,
-                  data={"subcommand": "check-proof", "proof": str(cfg.inputs[0]),
+                  data={"subcommand": "check-proof", "proof": str(args.proof),
                         "system": system, "lines": len(pi.lines), "accepted": ok},
                   lines=[f"system: {system}", f"lines: {len(pi.lines)}",
                          f"proof: {'ACCEPTED' if ok else 'REJECTED'}"])
-    if cfg.verbosity and target is not None:
+    if args.verbose and target is not None:
         print(f"endsequent formula: {prop_to_sexpr(target)}", file=sys.stderr)
     return rep
 
 
-def _do_reflect(cfg: RunConfig, args: argparse.Namespace) -> _Report:
+def _do_reflect(args: argparse.Namespace) -> _Report:
+    num_bound, str_width = _num_bound(args), _str_width(args, None)
     if args.system == "depth-frege":
-        if cfg.depth is None:
+        if args.d is None:
             raise _UsageError("depth-frege needs --d")
-        system = ("depth-frege", cfg.depth)
+        system = ("depth-frege", args.d)
     else:
         system = "frege"
     t = _parse_poly(args.t)
@@ -323,17 +327,17 @@ def _do_reflect(cfg: RunConfig, args: argparse.Namespace) -> _Report:
         raise _UsageError(str(e)) from None
     bound = t.eval(args.x)
     data = {"subcommand": "reflect", "system": args.system,
-            "d": cfg.depth, "t": args.t, "x": args.x, "bound": bound,
+            "d": args.d, "t": args.t, "x": args.x, "bound": bound,
             "checker": checker, "class": str(classify(phi))}
     if not args.sweep:
         nodes = formula_size(phi)
         _cap_guard(nodes)
         text = print_formula(phi)
         rep = _Report(data={**data, "nodes": nodes, "formula": text})
-        _deliver(text, cfg, rep)
+        _deliver(text, args, rep)
         return rep
-    s = FiniteSlice(cfg.num_bound if cfg.num_bound is not None else max(1, bound),
-                    cfg.str_width if cfg.str_width is not None else bound)
+    s = FiniteSlice(num_bound if num_bound is not None else max(1, bound),
+                    str_width if str_width is not None else bound)
     holds = eval_formula(phi, s)
     return _Report(status=0 if holds else _DOMAIN_EXIT,
                    data={**data, "num_bound": s.num_bound, "str_width": s.str_width,
@@ -342,8 +346,8 @@ def _do_reflect(cfg: RunConfig, args: argparse.Namespace) -> _Report:
                           f"reflection: {'HOLDS' if holds else 'FAILS'}"])
 
 
-def _do_oracle_test(cfg: RunConfig, args: argparse.Namespace) -> _Report:
-    tm = parse_tm(_read_text(cfg.inputs[0]))
+def _do_oracle_test(args: argparse.Namespace) -> _Report:
+    tm = parse_tm(_read_text(args.tm))
     p = _parse_poly(args.poly)
     if args.max_len < 1:
         raise _UsageError("--max-len must be positive")
@@ -364,10 +368,10 @@ def _do_oracle_test(cfg: RunConfig, args: argparse.Namespace) -> _Report:
                 mismatches.append(x)
     ok = not mismatches
     verdict = "PASS" if ok else "FAIL"
-    lines = [f"machine: {cfg.inputs[0]}", f"inputs: {checked}",
+    lines = [f"machine: {args.tm}", f"inputs: {checked}",
              f"mismatches: {len(mismatches)}", f"acc-equivalence: {verdict}"]
     return _Report(status=0 if ok else _DOMAIN_EXIT,
-                   data={"subcommand": "oracle-test", "machine": str(cfg.inputs[0]),
+                   data={"subcommand": "oracle-test", "machine": str(args.tm),
                          "poly": args.poly, "max_len": args.max_len,
                          "seed": args.seed, "sample": args.sample,
                          "inputs": checked, "mismatches": mismatches,
@@ -411,7 +415,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     sp.add_argument("--tm", required=True, type=Path, help="machine description file")
     sp.add_argument("--poly", required=True,
                     help="step bound coefficients, low degree first, e.g. 2,1")
-    sp.add_argument("--var", default="X", help="input variable name (default X)")
+    sp.add_argument("--var", default="X",
+                    help="input string name, an uppercase identifier other than W (default X)")
     sp.add_argument("--out", type=Path, help="write the formula here instead of stdout")
 
     sp = sub("compile-nepo", "emit the divide-and-conquer acceptance formula")
@@ -479,27 +484,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, table
 
 
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    paths = [getattr(args, name) for name in ("tm", "formula", "proof")
-             if getattr(args, name, None) is not None]
-    try:
-        return RunConfig(
-            subcommand=args.subcommand,
-            inputs=tuple(paths),
-            num_bound=getattr(args, "num_bound", None),
-            str_width=getattr(args, "str_width", None),
-            time_exp=getattr(args, "c", None),
-            eps=_parse_eps(args.eps) if getattr(args, "eps", None) else None,
-            root_exp=getattr(args, "k", None),
-            scale=getattr(args, "m", None),
-            depth=getattr(args, "d", None),
-            out=getattr(args, "out", None),
-            verbosity=args.verbose,
-        )
-    except ValueError as e:
-        raise _UsageError(str(e)) from None
-
-
 def main(argv: list[str] | None = None) -> int:
     parser, table = _build_parser()
     try:
@@ -511,8 +495,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{_PROG}: error: a subcommand is required", file=sys.stderr)
         return _USAGE_EXIT
     try:
-        cfg = _config_from_args(args)
-        rep = _HANDLERS[args.subcommand](cfg, args)
+        rep = _HANDLERS[args.subcommand](args)
     except _UsageError as e:
         sub = table[args.subcommand]
         print(sub.format_usage(), end="", file=sys.stderr)

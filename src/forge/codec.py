@@ -3,20 +3,17 @@
 Sequence codes are self-describing numbers: the low 5 bits hold the field
 width w, and the rest is the packed payload topped by a sentinel bit, so the
 element count is (bitlen(payload) - 1) // w.  This keeps codes linear in the
-payload size (nesting Cantor pairs would square it).  Access comes in two
-flavors: seq_get/seq_len validate the code, while the _total variants read
-any natural number leniently so term evaluation stays total.
+payload size (nesting Cantor pairs would square it).  Reads are lenient:
+seq_get_total and seq_len_total accept any natural number, so term
+evaluation stays total.
 
 Bit strings are plain '0'/'1' text read as sets of positions.  Two strings
 are the same set iff they agree after stripping trailing zeros, and the
 length of a set is one past its largest element, so "0110" has length 3.
 """
 
-from .errors import DecodeError, SliceExceededError
-
 WIDTH_BITS = 5
 MAX_FIELD_WIDTH = (1 << WIDTH_BITS) - 1
-DECODE_LENGTH_CAP = 1 << 20
 
 
 def encode_seq(xs: list[int] | tuple[int, ...]) -> int:
@@ -66,53 +63,10 @@ def seq_get_total(code: int, j: int) -> int:
     return (body >> (j * w)) & ((1 << w) - 1)
 
 
-def decode_seq(code: int) -> list[int]:
-    """Strict inverse of encode_seq; rejects non-canonical codes."""
-    n = seq_len_total(code)
-    if n > DECODE_LENGTH_CAP:
-        raise DecodeError(f"length header {n} exceeds decode cap")
-    xs = [seq_get_total(code, j) for j in range(n)]
-    if encode_seq(xs) != code:
-        raise DecodeError(f"{code} is not a canonical sequence code")
-    return xs
-
-
-def seq_len(code: int) -> int:
-    """Element count of a canonical code; DecodeError on anything else."""
-    return len(decode_seq(code))
-
-
-def seq_get(code: int, j: int) -> int:
-    """Element j of a canonical code; out-of-range reads give 0."""
-    xs = decode_seq(code)
-    if j < 0:
-        raise IndexError("sequence positions are non-negative")
-    return xs[j] if j < len(xs) else 0
-
-
 def seq_code_bound(n_elems: int, width: int) -> int:
     """Smallest bound above every code of n_elems fields at width bits."""
     body_max = (1 << (n_elems * width + 1)) - 1
     return body_max * (MAX_FIELD_WIDTH + 1) + MAX_FIELD_WIDTH + 1
-
-
-def str_to_num(bits: str, width: int | None = None) -> int:
-    """Identify a short bit string with a width-1 sequence code."""
-    if width is not None and len(bits) > width:
-        raise SliceExceededError(f"string of length {len(bits)} exceeds width {width}")
-    return encode_seq([_bit(c) for c in bits])
-
-
-def num_to_str(code: int, n: int) -> str:
-    return "".join("1" if seq_get(code, j) else "0" for j in range(n))
-
-
-def _bit(c: str) -> int:
-    if c == "0":
-        return 0
-    if c == "1":
-        return 1
-    raise ValueError(f"bit strings may only contain 0 and 1, got {c!r}")
 
 
 # --- bit strings as sets of positions ---
@@ -141,17 +95,3 @@ def mask_to_bits(mask: int) -> str:
     if mask == 0:
         return ""
     return format(mask, "b")[::-1]
-
-
-def bits_to_mask(s: str) -> int:
-    m = 0
-    for i, c in enumerate(s):
-        if _bit(c):
-            m |= 1 << i
-    return m
-
-
-def all_strings(max_length: int):
-    """Every distinct set with elements below max_length, as trimmed strings."""
-    for mask in range(1 << max_length):
-        yield mask_to_bits(mask)

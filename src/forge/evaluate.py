@@ -637,10 +637,6 @@ def node_value(t: MonotoneTree, inputs: str, i: int) -> int:
     return node_value_instrumented(t, inputs, i)[0]
 
 
-def node_value_depth_bound(t: MonotoneTree) -> int:
-    return (2 * t.a + 1).bit_length() + 1  # ceil(log2(2a+1)) + 1 for powers of 2
-
-
 def mfv_witness(t: MonotoneTree, inputs: str) -> str:
     """Evaluation table for the whole tree, one bit per heap position.
 

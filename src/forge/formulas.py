@@ -224,30 +224,22 @@ def const_term(n: int) -> NumTerm:
 # --- variable bookkeeping ---
 
 
-def term_num_vars(t: NumTerm, acc: set[str]) -> None:
-    if type(t) is NVar:
-        acc.add(t.name)
-    elif type(t) in (Plus, Times):
-        term_num_vars(t.left, acc)
-        term_num_vars(t.right, acc)
-    elif type(t) is SeqAt:
-        term_num_vars(t.seq, acc)
-        term_num_vars(t.index, acc)
-    elif type(t) is SeqLen:
-        term_num_vars(t.seq, acc)
-
-
-def term_str_vars(t: NumTerm, acc: set[str]) -> None:
-    if type(t) is Len:
-        acc.add(t.svar)
-    elif type(t) in (Plus, Times):
-        term_str_vars(t.left, acc)
-        term_str_vars(t.right, acc)
-    elif type(t) is SeqAt:
-        term_str_vars(t.seq, acc)
-        term_str_vars(t.index, acc)
-    elif type(t) is SeqLen:
-        term_str_vars(t.seq, acc)
+def term_vars(t: NumTerm, nums: set[str], strs: set[str]) -> None:
+    """Add the number variables of t to nums and its string variables to strs."""
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        tu = type(u)
+        if tu is NVar:
+            nums.add(u.name)
+        elif tu is Len:
+            strs.add(u.svar)
+        elif tu in (Plus, Times):
+            stack += (u.left, u.right)
+        elif tu is SeqAt:
+            stack += (u.seq, u.index)
+        elif tu is SeqLen:
+            stack.append(u.seq)
 
 
 def free_vars(f: Formula) -> tuple[set[str], set[str]]:
@@ -255,42 +247,33 @@ def free_vars(f: Formula) -> tuple[set[str], set[str]]:
     nums: set[str] = set()
     strs: set[str] = set()
 
+    def term(t: NumTerm, bound_n: frozenset[str], bound_s: frozenset[str]) -> None:
+        ns: set[str] = set()
+        ss: set[str] = set()
+        term_vars(t, ns, ss)
+        nums.update(ns - bound_n)
+        strs.update(ss - bound_s)
+
     def walk(g: Formula, bound_n: frozenset[str], bound_s: frozenset[str]) -> None:
         tg = type(g)
         if tg in (EqNum, Leq):
-            ns: set[str] = set()
-            ss: set[str] = set()
-            for t in (g.left, g.right):
-                term_num_vars(t, ns)
-                term_str_vars(t, ss)
-            nums.update(ns - bound_n)
-            strs.update(ss - bound_s)
+            term(g.left, bound_n, bound_s)
+            term(g.right, bound_n, bound_s)
         elif tg is EqStr:
             strs.update({g.left, g.right} - bound_s)
         elif tg is Memb:
-            ns, ss = set(), set()
-            term_num_vars(g.index, ns)
-            term_str_vars(g.index, ss)
-            nums.update(ns - bound_n)
-            strs.update((ss | {g.svar}) - bound_s)
+            term(g.index, bound_n, bound_s)
+            strs.update({g.svar} - bound_s)
         elif tg in (And, Or, Imp):
             walk(g.left, bound_n, bound_s)
             walk(g.right, bound_n, bound_s)
         elif tg is Not:
             walk(g.body, bound_n, bound_s)
         elif tg in NUM_QUANTIFIERS:
-            ns, ss = set(), set()
-            term_num_vars(g.bound, ns)
-            term_str_vars(g.bound, ss)
-            nums.update(ns - bound_n)
-            strs.update(ss - bound_s)
+            term(g.bound, bound_n, bound_s)
             walk(g.body, bound_n | {g.var}, bound_s)
         elif tg in STR_QUANTIFIERS:
-            ns, ss = set(), set()
-            term_num_vars(g.bound, ns)
-            term_str_vars(g.bound, ss)
-            nums.update(ns - bound_n)
-            strs.update(ss - bound_s)
+            term(g.bound, bound_n, bound_s)
             walk(g.body, bound_n, bound_s | {g.var})
         else:
             raise TypeError(f"not a formula: {g!r}")
@@ -324,8 +307,7 @@ def substitute(f: Formula, var: str, repl: NumTerm) -> Formula:
     CaptureError when var is still free below it.
     """
     repl_names: set[str] = set()
-    term_num_vars(repl, repl_names)
-    term_str_vars(repl, repl_names)
+    term_vars(repl, repl_names, repl_names)
 
     def walk(g: Formula) -> Formula:
         tg = type(g)

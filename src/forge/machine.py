@@ -5,14 +5,20 @@ States are numbered 1..k with 1 initial and k accepting; moves are 0 stay,
 1 left, 2 right.  Both tape ends clamp: a left move at cell 0 and a right
 move at the last cell stay put.
 
-A computation tableau flattens to a bit-string witness with the fields of
-cell (row t, column i) stored consecutively: field 0 is the tape bit and
-fields 1..state_bits hold the head mark (0 when the head is elsewhere) in
-binary, at string position (t * width + i) * (1 + state_bits) + field.
+This module owns the row layout every other module writes and reads.  A
+row is width cells of 1 + state_bits fields each, stored consecutively:
+field 0 is the tape bit and fields 1..state_bits hold the head mark (0 when
+the head is elsewhere) in binary, low bit first.  `encode_row` and
+`decode_row` are the one encoder and the one decoder of that layout: the
+acc witness string is the encoded rows joined (cell (t, i) field f at
+position (t * width + i) * (1 + state_bits) + f, see `TableauLayout`), an
+acc configuration string is one encoded row plus a sentinel 1, and a nepo
+grid code packs the same bits as a width-1 sequence code.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from importlib import resources
 
@@ -176,37 +182,33 @@ class TableauLayout:
         return (t * self.width + i) * self.fields + f
 
 
-def tableau_to_witness(tableau: ComputationTableau) -> str:
-    layout = TableauLayout(tableau.width, len(tableau.rows) - 1, tableau.state_bits)
-    bits = ["0"] * layout.total_bits
-    for t, row in enumerate(tableau.rows):
-        for i, (bit, mark) in enumerate(row.cells):
-            bits[layout.pos(t, i, 0)] = str(bit)
-            for f in range(tableau.state_bits):
-                bits[layout.pos(t, i, 1 + f)] = str((mark >> f) & 1)
-    return "".join(bits)
+def encode_row(row: Configuration, state_bits: int) -> str:
+    """The row's bits: per cell the tape bit, then the mark low bit first."""
+    return "".join(str(bit) + "".join(str(mark >> f & 1) for f in range(state_bits))
+                   for bit, mark in row.cells)
 
 
-def witness_to_tableau(bits: str, layout: TableauLayout) -> ComputationTableau:
-    """Inverse of tableau_to_witness for strings laid out by layout.
+def decode_row(bits: Sequence[int], state_bits: int, k: int) -> Configuration:
+    """The row whose encoding is bits, one cell per 1 + state_bits of them.
 
-    Rows that violate the one-head invariant raise ValueError, so this is
-    also a cheap structural check on candidate witnesses.
+    A mark above k raises LayoutError at the first cell that has one, before
+    a row without exactly one head raises ValueError.
     """
-    from .codec import bit_at
+    fields = 1 + state_bits
+    cells = []
+    for base in range(0, len(bits), fields):
+        mark = 0
+        for f in range(state_bits):
+            mark |= bits[base + 1 + f] << f
+        if mark > k:
+            raise LayoutError(f"cell at bit {base} marks nonexistent state {mark}")
+        cells.append((bits[base], mark))
+    return Configuration(tuple(cells))
 
-    rows = []
-    for t in range(layout.steps + 1):
-        cells = []
-        for i in range(layout.width):
-            bit = 1 if bit_at(bits, layout.pos(t, i, 0)) else 0
-            mark = 0
-            for f in range(layout.state_bits):
-                if bit_at(bits, layout.pos(t, i, 1 + f)):
-                    mark |= 1 << f
-            cells.append((bit, mark))
-        rows.append(Configuration(tuple(cells)))
-    return ComputationTableau(tuple(rows), layout.width, layout.state_bits)
+
+def tableau_to_witness(tableau: ComputationTableau) -> str:
+    """The acc witness string: every row encoded, first row first."""
+    return "".join(encode_row(row, tableau.state_bits) for row in tableau.rows)
 
 
 # --- text format and shipped corpus ---

@@ -5,6 +5,9 @@ acceptance formula with no string quantifiers at all: the computation grid is
 small enough to live inside a single number.  Each recursion level splits the
 run into `span` chunks, stores one configuration row per chunk boundary in a
 width-1 sequence code, and delegates chunk verification to the level below.
+The bits of each row are machine's row layout: the callbacks write rows with
+machine.encode_row, and the readers of a start row (a configuration string,
+a configuration code or a grid row) decode it with machine.decode_row.
 Level 0 checks single machine steps directly, with the FRAME, TRANS and
 VALIDITY clauses that acc.Tableau builds over the grid code's cells.
 
@@ -26,14 +29,14 @@ from fractions import Fraction
 from typing import Callable
 
 from .acc import Tableau, holds, iff
-from .codec import bit_at, encode_seq, seq_code_bound, seq_get_total, set_length, trim
-from .errors import BudgetError
+from .codec import encode_seq, seq_code_bound, seq_get_total, set_length, trim
+from .errors import BudgetError, LayoutError
 from .evaluate import Assignment, Compiled, FiniteSlice, Roles, compile_formula
 from .formulas import (AlN, AlS, And, EqNum, ExN, ExS, Formula, Imp,
                        Len, Leq, Memb, Not, NumTerm, NVar, One, Or, Plus,
                        SeqAt, SeqLen, Times, const_term, formula_size, land)
-from .machine import (ComputationTableau, Configuration, TMDescription,
-                      initial_configuration, run_from, tableau_to_witness)
+from .machine import (Configuration, TMDescription, decode_row, encode_row,
+                      initial_configuration, run_from)
 
 __all__ = [
     "NepoBounds", "NepoArtifact", "compile_reach0", "compile_Reach",
@@ -245,7 +248,7 @@ class _Emitter:
             s = env.strs.get(svar, "")
             if set_length(s) != self.row_bits + 1:
                 return None
-            return self._bits_to_config(lambda p: int(bit_at(s, p)))
+            return self._decode([1 if c == "1" else 0 for c in s[:self.row_bits]])
 
         pin = EqNum(Len(svar), const_term(self.row_bits + 1))
         return sym, read, pin
@@ -271,8 +274,7 @@ class _Emitter:
             return self.cells(con)(0, z, f)
 
         def read(env: Assignment) -> Configuration | None:
-            v = env.nums[con]
-            return self._bits_to_config(lambda p: seq_get_total(v, p))
+            return self._decode(self._row_bits(env.nums[con], 0))
 
         return sym, read, None
 
@@ -281,24 +283,21 @@ class _Emitter:
             return self.cells(comp)(NVar(tvar), z, f)
 
         def read(env: Assignment) -> Configuration | None:
-            v = env.nums[comp]
-            base = env.nums[tvar] * self.row_bits
-            return self._bits_to_config(lambda p: seq_get_total(v, base + p))
+            return self._decode(self._row_bits(env.nums[comp], env.nums[tvar]))
 
         return sym, read, None
 
-    def _bits_to_config(self, bit: Callable[[int], int]) -> Configuration | None:
-        cells = []
-        for z in range(self.width):
-            mark = 0
-            for f in range(self.sb):
-                mark |= bit(z * self.fields + 1 + f) << f
-            if mark > self.tm.k:
-                return None
-            cells.append((bit(z * self.fields), mark))
+    def _row_bits(self, code: int, t: int) -> list[int]:
+        """Row t of grid code `code`, read leniently bit by bit."""
+        base = t * self.row_bits
+        return [seq_get_total(code, base + p) for p in range(self.row_bits)]
+
+    def _decode(self, bits: list[int]) -> Configuration | None:
+        """The row bits encode, or None (so the callback yields 0) when they
+        encode no configuration of this machine."""
         try:
-            return Configuration(tuple(cells))
-        except ValueError:
+            return decode_row(bits, self.sb, self.tm.k)
+        except (LayoutError, ValueError):
             return None
 
     # --- grid clauses ---
@@ -342,10 +341,8 @@ class _Emitter:
             start = read(env)
             if start is None:
                 return 0
-            tableau = run_from(self.tm, start, self.span * stride)
-            rows = tableau.rows[::stride]
-            bits = tableau_to_witness(
-                ComputationTableau(tuple(rows), self.width, self.sb))
+            rows = run_from(self.tm, start, self.span * stride).rows[::stride]
+            bits = "".join(encode_row(row, self.sb) for row in rows)
             return encode_seq([int(ch) for ch in bits])
 
         return callback
@@ -383,10 +380,7 @@ class _Emitter:
                   self._same_row(con, 0, comp, NVar(digit)))
 
         def callback(env: Assignment) -> int:
-            v = env.nums[comp]
-            base = env.nums[digit] * self.row_bits
-            bits = [seq_get_total(v, base + p) for p in range(self.row_bits)]
-            return encode_seq(bits)
+            return encode_seq(self._row_bits(env.nums[comp], env.nums[digit]))
 
         self.roles[con] = callback
         return ExN(con, const_term(self.con_bound),

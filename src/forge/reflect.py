@@ -32,7 +32,9 @@ premise one-hots.  Absent records and unused one-hots are all zero.
 
 The checker formulas quantify the three geometry numbers, locate every
 field by term arithmetic over them, and verify one rule branch per line.
-They use only number quantifiers, so they classify as SigmaB(0).
+They use only number quantifiers, so they classify as SigmaB(0).  They read
+fixed string names, the ones reflection_instance binds: X for the formula,
+P for the proof and Z for the assignment.
 """
 
 from .acc import iff
@@ -329,9 +331,9 @@ def _forall_lt(var: str, sweep: NumTerm, limit: NumTerm, body: Formula) -> Formu
     return AlN(var, sweep, Imp(lt(NVar(var), limit), body))
 
 
-def compile_formula_wf(formula_var: str = "X") -> Formula:
-    """Layout validity of a packed formula, one local check per slot."""
-    X = formula_var
+def compile_formula_wf() -> Formula:
+    """Layout validity of the packed formula X, one local check per slot."""
+    X = "X"
     s = NVar("fs")
     base = Plus(const_term(2), Times(NVar("j"), const_term(NODE_WIDTH)))
     bit = lambda k: Memb(_sh(base, k), X)
@@ -356,9 +358,8 @@ def compile_formula_wf(formula_var: str = "X") -> Formula:
     ]))
 
 
-def compile_sat(assign_var: str = "Z", formula_var: str = "X",
-                slot_cap: int = 1) -> Formula:
-    """Truth of the packed formula under the assignment string.
+def compile_sat(slot_cap: int = 1) -> Formula:
+    """Truth of the packed formula X under the assignment string Z.
 
     The heap recursion is unrolled over constant slot indices, so the
     result is quantifier free.  Slots beyond slot_cap read as false.
@@ -370,17 +371,17 @@ def compile_sat(assign_var: str = "Z", formula_var: str = "X",
         if i > slot_cap:
             return FALSE
         base = const_term(2 + (i - 1) * NODE_WIDTH)
-        var_case = lor([And(_pattern(formula_var, _sh(base, 3), v, 3),
-                            Memb(const_term(v), assign_var))
+        var_case = lor([And(_pattern("X", _sh(base, 3), v, 3),
+                            Memb(const_term(v), "Z"))
                         for v in range(VAR_LIMIT)])
         return lor([
-            _pattern(formula_var, base, TAG_TRUE, NODE_WIDTH),
-            And(_pattern(formula_var, base, TAG_VAR, 3), var_case),
-            And(_pattern(formula_var, base, TAG_AND, NODE_WIDTH),
+            _pattern("X", base, TAG_TRUE, NODE_WIDTH),
+            And(_pattern("X", base, TAG_VAR, 3), var_case),
+            And(_pattern("X", base, TAG_AND, NODE_WIDTH),
                 And(node(2 * i), node(2 * i + 1))),
-            And(_pattern(formula_var, base, TAG_OR, NODE_WIDTH),
+            And(_pattern("X", base, TAG_OR, NODE_WIDTH),
                 Or(node(2 * i), node(2 * i + 1))),
-            And(_pattern(formula_var, base, TAG_NOT, NODE_WIDTH),
+            And(_pattern("X", base, TAG_NOT, NODE_WIDTH),
                 Not(node(2 * i))),
         ])
 
@@ -394,12 +395,10 @@ def _graft(slot: int, child: int) -> int:
 
 
 class _ProofGeom:
-    """Field positions of the packed proof, as terms over the quantified
+    """Field positions of the packed proof P, as terms over the quantified
     geometry numbers nl (lines), nf (side capacity), ns (record slots)."""
 
-    def __init__(self, pvar: str, xvar: str, slot_cap: int):
-        self.P = pvar
-        self.X = xvar
+    def __init__(self, slot_cap: int):
         self.cap = slot_cap
         self.nl, self.nf, self.ns = NVar("nl"), NVar("nf"), NVar("ns")
         self.rw = Times(self.ns, const_term(NODE_WIDTH))
@@ -410,7 +409,7 @@ class _ProofGeom:
         self.hdr = Plus(const_term(5), Plus(self.nl, Plus(self.nf, self.ns)))
 
     def bit(self, pos: NumTerm) -> Formula:
-        return Memb(pos, self.P)
+        return Memb(pos, "P")
 
     def line_base(self, line: NumTerm) -> NumTerm:
         return Plus(self.hdr, Times(line, self.block))
@@ -444,7 +443,7 @@ class _ProofGeom:
         return base if k == 0 else Plus(base, self.nl)
 
     def sweep(self) -> NumTerm:
-        return Len(self.P)
+        return Len("P")
 
 
 def _rec_eq(g: _ProofGeom, lc, sc, jc, lp, sp, jp) -> Formula:
@@ -454,7 +453,7 @@ def _rec_eq(g: _ProofGeom, lc, sc, jc, lp, sp, jp) -> Formula:
 
 
 def _node_is(g: _ProofGeom, line, side, j, tag: int) -> Formula:
-    return _pattern(g.P, g.rec_base(line, side, j), tag, NODE_WIDTH)
+    return _pattern("P", g.rec_base(line, side, j), tag, NODE_WIDTH)
 
 
 def _sub_eq(g: _ProofGeom, lc, sc, jc, child: int, lp, sp, jp) -> Formula:
@@ -506,7 +505,7 @@ def _seg_eq(g: _ProofGeom, lc, sc, fc: int, lp, sp, fp: int, n: NumTerm) -> Form
 
 
 def _tag_is(g: _ProofGeom, line, rule: str) -> Formula:
-    return _pattern(g.P, g.rule_base(line), RULES.index(rule), 4)
+    return _pattern("P", g.rule_base(line), RULES.index(rule), 4)
 
 
 def _zero_cut(g: _ProofGeom, line) -> Formula:
@@ -689,13 +688,13 @@ def _endsequent_is(g: _ProofGeom) -> Formula:
     le, sx, b = NVar("le"), NVar("sx"), NVar("b")
     width = Times(sx, const_term(NODE_WIDTH))
     content = _forall_lt("b", g.sweep(), width,
-                         iff(Memb(Plus(const_term(2), b), g.X),
+                         iff(Memb(Plus(const_term(2), b), "X"),
                              g.rec_bit(le, RIGHT, Zero(), b)))
     padding = AlN("b", g.sweep(),
                   Imp(And(Leq(width, b), lt(b, g.rw)),
                       Not(g.rec_bit(le, RIGHT, Zero(), b))))
-    target = ExN("sx", Len(g.X), land([
-        EqNum(Len(g.X), Plus(width, const_term(3))),
+    target = ExN("sx", Len("X"), land([
+        EqNum(Len("X"), Plus(width, const_term(3))),
         Leq(sx, g.ns),
         content,
         padding,
@@ -727,9 +726,8 @@ def _depth_cap(g: _ProofGeom, depth: int) -> Formula:
     return _forall_lt("l", g.sweep(), g.nl, land(per_side))
 
 
-def compile_proof_check(system, proof_var: str = "P", formula_var: str = "X",
-                        slot_cap: int = 8) -> Formula:
-    """Validity of the packed proof with the packed target as endsequent.
+def compile_proof_check(system, slot_cap: int = 8) -> Formula:
+    """Validity of the packed proof P with the packed target X as endsequent.
 
     Quantifies the header geometry, re-reads every framing field, and
     requires one rule branch per line with premises strictly earlier.
@@ -739,7 +737,7 @@ def compile_proof_check(system, proof_var: str = "P", formula_var: str = "X",
     depth = system_depth(system)
     if slot_cap < 1:
         raise ValueError("slot_cap must be at least 1")
-    g = _ProofGeom(proof_var, formula_var, slot_cap)
+    g = _ProofGeom(slot_cap)
     line = NVar("l")
     branches = lor([_branch(g, line, rule) for rule in RULES])
     lines_ok = _forall_lt("l", g.sweep(), g.nl, land([
@@ -750,7 +748,7 @@ def compile_proof_check(system, proof_var: str = "P", formula_var: str = "X",
     body = [
         Leq(One(), g.ns),
         Not(g.bit(Plus(const_term(4), Plus(g.nl, Plus(g.nf, g.ns))))),
-        EqNum(Len(g.P), Plus(g.hdr, Plus(Times(g.nl, g.block), One()))),
+        EqNum(Len("P"), Plus(g.hdr, Plus(Times(g.nl, g.block), One()))),
         Leq(g.ns, const_term(slot_cap)),
         _forall_lt("j", g.sweep(), g.ns,
                    g.bit(Plus(const_term(4), Plus(g.nl, Plus(g.nf, NVar("j")))))),
@@ -773,7 +771,7 @@ def compile_proof_check(system, proof_var: str = "P", formula_var: str = "X",
         _forall_lt("j", g.sweep(), g.nl, g.bit(_sh(NVar("j"), 2))),
         with_nf,
     ]))
-    return land([Memb(Zero(), proof_var), Not(Memb(One(), proof_var)), with_nl])
+    return land([Memb(Zero(), "P"), Not(Memb(One(), "P")), with_nl])
 
 
 def reflection_instance(system, t: PolyBound, x: int,
@@ -791,9 +789,9 @@ def reflection_instance(system, t: PolyBound, x: int,
     system_depth(system)
     bound = const_term(t.eval(x))
     slot_cap = max(1, t.eval(x) // NODE_WIDTH)
-    fla = compile_formula_wf("X")
-    sat = compile_sat("Z", "X", slot_cap)
-    prf = (compile_proof_check(system, "P", "X", slot_cap)
+    fla = compile_formula_wf()
+    sat = compile_sat(slot_cap)
+    prf = (compile_proof_check(system, slot_cap)
            if checker == "honest" else EqNum(Len("P"), Len("P")))
     return AlS("X", bound,
                Imp(fla, AlS("P", bound,

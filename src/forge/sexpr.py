@@ -277,11 +277,6 @@ def parse_formula(source: str) -> Formula:
     return _parse_formula(_only(_read(toks)), {}, _Binders(reserved))
 
 
-def parse_term(source: str) -> NumTerm:
-    """Parse one closed or open term."""
-    return _parse_term(read_one(source), {})
-
-
 # --- printing ---
 
 

@@ -3,9 +3,10 @@
 import itertools
 
 import pytest
+from oracles import all_strings
 
 from forge import acc, nepo
-from forge.codec import all_strings, encode_seq, mask_to_bits, set_length
+from forge.codec import encode_seq, mask_to_bits, set_length
 from forge.errors import LayoutError
 from forge.evaluate import Assignment, FiniteSlice, eval_formula
 from forge.formulas import (Memb, NVar, Plus, SeqAt, Times, classify, const_term,

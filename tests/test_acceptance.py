@@ -11,11 +11,12 @@ import random
 import time
 from fractions import Fraction
 
+from oracles import node_value_depth_bound
+
 from forge import acc, nepo, proofs, reflect
 from forge.codec import set_length
 from forge.evaluate import (Assignment, FiniteSlice, MonotoneTree, check_mfv,
-                            eval_formula, mfv_witness, node_value_depth_bound,
-                            node_value_instrumented)
+                            eval_formula, mfv_witness, node_value_instrumented)
 from forge.formulas import (AlN, And, EqNum, ExN, Imp, Len, Leq, Memb, Not,
                             NVar, One, Or, Plus, Zero, classify, const_term,
                             lt)

@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from forge.cli import RunConfig, main
+from forge.cli import main
+from forge.formulas import free_vars
 from forge.prop import parse_prop
 from forge.sexpr import parse_formula
 
@@ -116,6 +117,29 @@ def test_compile_acc_prints_a_parseable_formula(capsys):
                        "--poly", "2,1")
     assert code == 0
     parse_formula(out)
+
+
+def test_compile_acc_var_names_the_input(capsys):
+    code, out, _ = run(capsys, "compile-acc", "--tm", str(MACHINES / "parity.tm"),
+                       "--poly", "2,1", "--var", "Y")
+    assert code == 0
+    assert free_vars(parse_formula(out)) == (set(), {"Y"})
+
+
+@pytest.mark.parametrize("var", ["x", "1X", "", "W", "X-1", "X Y"])
+def test_compile_acc_rejects_bad_var(capsys, var):
+    # lowercase, non-identifier and empty names print a formula the reader
+    # rejects; W would be captured by the witness binder exS W
+    code, out, err = run(capsys, "compile-acc", "--tm", str(MACHINES / "parity.tm"),
+                         "--poly", "2,1", "--var", var)
+    assert (code, out) == (2, "")
+    assert "usage: forge compile-acc" in err
+    assert "--var" in err
+    proc = subprocess.run([sys.executable, "-m", "forge.cli", "compile-acc", "--tm",
+                           str(MACHINES / "parity.tm"), "--poly", "2,1", "--var", var],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
 
 
 def test_compile_nepo_report_and_out_file(tmp_path, capsys):
@@ -335,13 +359,22 @@ def test_compile_nepo_wide_constants_do_not_recurse():
     assert proc.stdout.startswith("(and ")
 
 
-# --- RunConfig invariants ---
+# --- bound flags ---
 
-def test_runconfig_validates_bounds():
-    with pytest.raises(ValueError):
-        RunConfig(subcommand="eval", num_bound=0)
-    with pytest.raises(ValueError):
-        RunConfig(subcommand="eval", str_width=-1)
-    with pytest.raises(ValueError):
-        RunConfig(subcommand="compile-nepo", eps=2)
-    RunConfig(subcommand="eval", num_bound=4, str_width=0)
+def test_bound_flags_are_validated(tmp_path, capsys):
+    f = tmp_path / "f.sexp"
+    f.write_text("(leq 0 1)\n")
+    nepo = ["compile-nepo", "--tm", str(MACHINES / "scan1.tm"), "--m", "4", "--k", "2"]
+    for argv, message in [
+            (["eval", "--formula", str(f), "--num-bound", "0"], "--num-bound must be positive"),
+            (["eval", "--formula", str(f), "--num-bound", "4", "--str-width", "-1"],
+             "--str-width must be non-negative"),
+            (nepo + ["--eps", "2/1"], "bad --eps '2/1': need 0 < p < q"),
+            (nepo + ["--eps", ""], "bad --eps '': expected the form p/q")]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert f"usage: forge {argv[0]}" in err
+        assert message in err
+    code, out, _ = run(capsys, "eval", "--formula", str(f), "--num-bound", "4",
+                       "--str-width", "0")
+    assert (code, out) == (0, "value: true\n")

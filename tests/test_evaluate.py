@@ -9,6 +9,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from oracles import node_value_depth_bound
 from test_formulas import gen_formula
 
 from forge import acc, evaluate, nepo, sexpr
@@ -19,7 +20,7 @@ from forge.errors import (ClassError, SliceExceededError, SortMismatchError,
 from forge.evaluate import (Assignment, FiniteSlice, MonotoneTree, check_mfv,
                             compile_formula, comprehension_witness,
                             eval_formula, eval_term, mfv_witness, node_value,
-                            node_value_depth_bound, node_value_instrumented)
+                            node_value_instrumented)
 from forge.formulas import formula_size
 from forge.machine import corpus_machine, initial_configuration, parse_tm
 from forge.sexpr import parse_formula

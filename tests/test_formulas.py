@@ -79,8 +79,6 @@ def test_parse_sort_mismatches():
                 "(exS x 1 (leq 0 0))", "(seteq X y)", "(= (len x) 0)"]:
         with pytest.raises(SortMismatchError):
             sexpr.parse_formula(bad)
-    with pytest.raises(SortMismatchError):
-        sexpr.parse_term("(len x)")
 
 
 def test_parse_rejects_rebinding_on_a_path():

@@ -1,12 +1,19 @@
-"""Machine simulator, corpus behavior, tableau witnesses."""
+"""Machine simulator, corpus behavior, tableau witnesses, the row codec."""
+
+from fractions import Fraction
 
 import pytest
+from oracles import witness_to_tableau
 
+from forge import acc, nepo
+from forge.codec import bit_at, encode_seq, seq_get_total, set_length
 from forge.errors import LayoutError, MachineFormatError
-from forge.machine import (Configuration, PolyBound, TableauLayout,
-                           TMDescription, accepts, corpus_machine,
+from forge.evaluate import Assignment
+from forge.machine import (ComputationTableau, Configuration, PolyBound,
+                           TableauLayout, TMDescription, accepts,
+                           corpus_machine, decode_row, encode_row,
                            initial_configuration, parse_tm, run, step,
-                           tableau_to_witness, witness_to_tableau)
+                           tableau_to_witness)
 
 P_N_PLUS_2 = PolyBound((2, 1))
 
@@ -173,6 +180,164 @@ def test_witness_layout_fields():
     # row 1: scan1 saw the 1 and locked into state 2 without moving
     assert w[layout.pos(1, 0, 1)] == "0"
     assert w[layout.pos(1, 0, 2)] == "1"
+
+
+# --- the row codec against the decoders it replaced ---
+#
+# Until the row codec, acc.string_to_config, nepo's _Emitter._bits_to_config
+# and machine.witness_to_tableau each decoded rows on their own, and
+# machine.tableau_to_witness placed every bit through TableauLayout.pos.
+# These copies of them are the references the one codec must reproduce.
+
+
+def ref_string_to_config(s: str, tm: TMDescription) -> Configuration:
+    fields = 1 + tm.state_bits
+    n = set_length(s)
+    if n < 1 or (n - 1) % fields:
+        raise LayoutError(f"length {n} does not fit {fields}-bit cells plus sentinel")
+    cells = []
+    for base in range(0, n - 1, fields):
+        bit = 1 if bit_at(s, base) else 0
+        mark = 0
+        for f in range(tm.state_bits):
+            if bit_at(s, base + 1 + f):
+                mark |= 1 << f
+        if mark > tm.k:
+            raise LayoutError(f"cell at bit {base} marks nonexistent state {mark}")
+        cells.append((bit, mark))
+    return Configuration(tuple(cells))
+
+
+def ref_bits_to_config(bit, width: int, tm: TMDescription) -> Configuration | None:
+    fields = 1 + tm.state_bits
+    cells = []
+    for z in range(width):
+        mark = 0
+        for f in range(tm.state_bits):
+            mark |= bit(z * fields + 1 + f) << f
+        if mark > tm.k:
+            return None
+        cells.append((bit(z * fields), mark))
+    try:
+        return Configuration(tuple(cells))
+    except ValueError:
+        return None
+
+
+def ref_witness_to_tableau(bits: str, layout: TableauLayout) -> ComputationTableau:
+    rows = []
+    for t in range(layout.steps + 1):
+        cells = []
+        for i in range(layout.width):
+            bit = 1 if bit_at(bits, layout.pos(t, i, 0)) else 0
+            mark = 0
+            for f in range(layout.state_bits):
+                if bit_at(bits, layout.pos(t, i, 1 + f)):
+                    mark |= 1 << f
+            cells.append((bit, mark))
+        rows.append(Configuration(tuple(cells)))
+    return ComputationTableau(tuple(rows), layout.width, layout.state_bits)
+
+
+def ref_tableau_to_witness(tableau: ComputationTableau) -> str:
+    layout = TableauLayout(tableau.width, len(tableau.rows) - 1, tableau.state_bits)
+    bits = ["0"] * layout.total_bits
+    for t, row in enumerate(tableau.rows):
+        for i, (bit, mark) in enumerate(row.cells):
+            bits[layout.pos(t, i, 0)] = str(bit)
+            for f in range(tableau.state_bits):
+                bits[layout.pos(t, i, 1 + f)] = str((mark >> f) & 1)
+    return "".join(bits)
+
+
+def outcome(fn, *args):
+    """What a decoder gives: its value, or the class of the error it raises."""
+    try:
+        return fn(*args)
+    except (LayoutError, ValueError) as e:
+        return type(e)
+
+
+ONE_STATE = parse_tm("states 1\n1 0 -> 1 1 2\n1 1 -> 1 0 2\n")
+CODEC_MACHINES = [corpus_machine(name) for name in ("scan1", "parity", "zeros")] + [ONE_STATE]
+
+
+def patterns(n: int):
+    """Every string of n bits, as lists of 0 and 1."""
+    for mask in range(1 << n):
+        yield [mask >> p & 1 for p in range(n)]
+
+
+def row_emitter(tm: TMDescription, width: int) -> nepo._Emitter:
+    """An emitter whose readers take rows of `width` cells; no bounds give a
+    one-cell tape, so the width is set after construction."""
+    em = nepo._Emitter(tm, nepo.NepoBounds(c=1, eps=Fraction(1, 2), k=1, m=4))
+    em.width, em.row_bits = width, width * em.fields
+    return em
+
+
+def test_config_strings_decode_as_before():
+    # every string up to three cells plus a sentinel, aligned or not
+    for tm in CODEC_MACHINES:
+        fields = 1 + tm.state_bits
+        seen = set()
+        for n in range(3 * fields + 2):
+            for bits in patterns(n):
+                s = "".join(map(str, bits))
+                got = outcome(acc.string_to_config, s, tm)
+                assert got == outcome(ref_string_to_config, s, tm), (tm, s)
+                seen.add(got if isinstance(got, type) else Configuration)
+        assert seen == {Configuration, LayoutError, ValueError}
+
+
+def test_nepo_row_readers_decode_as_before():
+    for tm in CODEC_MACHINES:
+        for width in (1, 2, 3):
+            em = row_emitter(tm, width)
+            _, from_string, _ = em.config_string_source("I")
+            _, from_code, _ = em.con_source("con")
+            _, from_grid, _ = em.row_source("comp", "t")
+            for bits in patterns(em.row_bits):
+                s = "".join(map(str, bits)) + "1"
+                want = ref_bits_to_config(lambda p: int(bit_at(s, p)), width, tm)
+                assert from_string(Assignment(strs={"I": s})) == want
+                code = encode_seq(bits)
+                want = ref_bits_to_config(lambda p: seq_get_total(code, p), width, tm)
+                assert from_code(Assignment(nums={"con": code})) == want
+                # the row sits between two rows of ones in a three-row grid
+                grid = encode_seq([1] * em.row_bits + bits + [1] * em.row_bits)
+                for t in (0, 1, 2):
+                    want = ref_bits_to_config(
+                        lambda p: seq_get_total(grid, t * em.row_bits + p), width, tm)
+                    assert from_grid(Assignment(nums={"comp": grid, "t": t})) == want
+
+
+def test_one_row_witnesses_decode_as_before():
+    for tm in CODEC_MACHINES:
+        fields = 1 + tm.state_bits
+        for width in (1, 2, 3):
+            layout = TableauLayout(width, 0, tm.state_bits)
+            for bits in patterns(width * fields):
+                w = "".join(map(str, bits))
+                want = outcome(ref_witness_to_tableau, w, layout)
+                assert outcome(witness_to_tableau, w, layout) == want
+                if isinstance(want, ComputationTableau):
+                    assert encode_row(want.rows[0], tm.state_bits) == w
+                    assert decode_row(bits, tm.state_bits, (1 << tm.state_bits) - 1) == \
+                        want.rows[0]
+
+
+def test_witnesses_are_unchanged_on_the_corpus_runs():
+    for name in ("scan1", "parity", "zeros"):
+        tm = corpus_machine(name)
+        for bits in ("", "1", "0110", "10101"):
+            t = run(tm, bits, len(bits) + 2, len(bits) + 2)
+            assert tableau_to_witness(t) == ref_tableau_to_witness(t)
+        t = run(tm, "1", 1, 2)
+        assert tableau_to_witness(t) == ref_tableau_to_witness(t)
+        for bits in all_inputs(4):
+            t = run(tm, bits, len(bits) + 2, len(bits) + 2 or 1)
+            assert tableau_to_witness(t) == ref_tableau_to_witness(t)
 
 
 # --- text format ---

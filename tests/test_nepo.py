@@ -10,9 +10,9 @@ counted exhaustively.
 from fractions import Fraction
 
 import pytest
+from oracles import all_strings
 
 from forge import acc, nepo
-from forge.codec import all_strings
 from forge.errors import BudgetError, ParseError, UnboundVariableError
 from forge.evaluate import Assignment, compile_formula, eval_formula, eval_term
 from forge.formulas import EqStr, ExN, classify, const_term, formula_size, free_vars

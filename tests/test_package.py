@@ -24,6 +24,16 @@ def test_every_all_entry_resolves():
     assert checked  # the scan found exports to check
 
 
+def exported(source: str) -> set[str]:
+    """The names a module's `__all__` lists."""
+    names: set[str] = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            names.update(ast.literal_eval(node.value))
+    return names
+
+
 def unused_imports(source: str) -> list[str]:
     """Names bound by an import that no expression reads and `__all__` omits."""
     tree = ast.parse(source)
@@ -38,9 +48,7 @@ def unused_imports(source: str) -> list[str]:
                 imported.setdefault(name, node.lineno)
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used.update(ast.literal_eval(node.value))
+    used |= exported(source)
     return [f"{imported[n]}: {n}" for n in sorted(imported, key=imported.get)
             if n not in used]
 
@@ -71,9 +79,11 @@ def references(source: str) -> list[tuple[str, int]]:
 
 
 def dead_definitions(sources: dict[str, str], checked: list[str],
-                     texts: list[str] = ()) -> list[str]:
+                     texts: list[str] = (), tests: list[str] = ()) -> list[str]:
     """Top-level defs and classes of the `checked` sources that no source
-    references outside the definition itself and no text names."""
+    references outside the definition itself and no text names.  A reference
+    from one of the `tests` sources counts only for a name its module's
+    `__all__` lists."""
     used: dict[str, list[tuple[str, int]]] = {}
     for path, source in sources.items():
         for name, line in references(source):
@@ -81,11 +91,13 @@ def dead_definitions(sources: dict[str, str], checked: list[str],
     words = set(re.findall(r"\w+", "\n".join(texts)))
     dead = []
     for path in checked:
+        public = exported(sources[path])
         for node in ast.parse(sources[path]).body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name in words:
                 continue
             inside = range(node.lineno, node.end_lineno + 1)
-            if all(p == path and line in inside for p, line in used.get(node.name, ())):
+            if all((p == path and line in inside) or (p in tests and node.name not in public)
+                   for p, line in used.get(node.name, ())):
                 dead.append(f"{path}:{node.lineno}: {node.name}")
     return dead
 
@@ -96,10 +108,28 @@ def test_dead_definitions_are_found():
                "t.py": "from m import used\nused()\n"}
     assert dead_definitions(sources, ["m.py"]) == ["m.py:5: dead", "m.py:9: Named"]
     assert dead_definitions(sources, ["m.py"], ["[scripts]\nx = 'm:Named'"]) == ["m.py:5: dead"]
+    # a reference from a test alone keeps nothing alive ...
+    assert dead_definitions(sources, ["m.py"], tests=["t.py"]) == \
+        ["m.py:1: used", "m.py:5: dead", "m.py:9: Named"]
+    # ... unless __all__ lists the name or a text names it
+    exporting = {**sources, "m.py": sources["m.py"] + "\n__all__ = ['used']\n"}
+    assert dead_definitions(exporting, ["m.py"], tests=["t.py"]) == \
+        ["m.py:5: dead", "m.py:9: Named"]
+    assert dead_definitions(sources, ["m.py"], ["| `m` | `used` |"], tests=["t.py"]) == \
+        ["m.py:5: dead", "m.py:9: Named"]
+
+
+def library_layout() -> str:
+    """The code spans of README's Library layout table."""
+    readme = (ROOT / "README.md").read_text()
+    table = readme.split("## Library layout", 1)[1].split("\n\n", 2)[1]
+    return " ".join(re.findall(r"`([^`]*)`", table))
 
 
 def test_no_dead_definitions():
     files = [p for d in ("src/forge", "tests", "perfbench") for p in sorted((ROOT / d).glob("*.py"))]
     sources = {str(p.relative_to(ROOT)): p.read_text() for p in files}
     checked = [path for path in sources if path.startswith("src/")]
-    assert dead_definitions(sources, checked, [(ROOT / "pyproject.toml").read_text()]) == []
+    tests = [path for path in sources if path.startswith("tests/")]
+    texts = [(ROOT / "pyproject.toml").read_text(), library_layout()]
+    assert dead_definitions(sources, checked, texts, tests) == []

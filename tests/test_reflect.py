@@ -223,7 +223,7 @@ def _wf_oracle(x: str) -> bool:
 
 
 def test_wf_formula_matches_oracle_below_12():
-    fla = compile_formula_wf("X")
+    fla = compile_formula_wf()
     assert str(classify(fla)) == "SigmaB(0)"
     assert free_vars(fla) == (set(), {"X"})
     sl = FiniteSlice(12, 12)
@@ -239,7 +239,7 @@ def test_wf_formula_matches_oracle_below_12():
 
 
 def test_wf_formula_accepts_corpus_targets():
-    fla = compile_formula_wf("X")
+    fla = compile_formula_wf()
     for name, pi in corpus_proofs():
         enc = encode_formula(proof_target(pi))
         sl = FiniteSlice(len(enc), len(enc))
@@ -252,7 +252,7 @@ def test_wf_formula_accepts_corpus_targets():
 def _sat_holds(p, zmask: int) -> bool:
     enc = encode_formula(p)
     cap = (len(enc) - 3) // 6
-    sat = compile_sat("Z", "X", cap)
+    sat = compile_sat(cap)
     sl = FiniteSlice(max(8, len(enc)), 8)
     zs = mask_to_bits(zmask)
     return eval_formula(sat, sl, Assignment(strs={"Z": zs, "X": enc}))
@@ -274,19 +274,19 @@ def test_sat_matches_prop_semantics_random(p, zmask):
 
 
 def test_sat_is_quantifier_free():
-    sat = compile_sat("Z", "X", 4)
+    sat = compile_sat(4)
     assert str(classify(sat)) == "SigmaB(0)"
     assert free_vars(sat) == (set(), {"X", "Z"})
 
 
 def test_sat_slot_cap_truncates():
     enc = encode_formula(PAnd((Z0, Z1)))  # needs three slots
-    sat = compile_sat("Z", "X", 1)
+    sat = compile_sat(1)
     sl = FiniteSlice(len(enc), 8)
     env = Assignment(strs={"Z": "11", "X": enc})
     assert not eval_formula(sat, sl, env)
     with pytest.raises(ValueError):
-        compile_sat("Z", "X", 0)
+        compile_sat(0)
 
 
 # --- the proof-validity formula ---
