@@ -33,15 +33,24 @@ in nepo a field of a number-coded grid.
 
 String lengths follow set semantics everywhere: the input length seen by
 the compiled formula is one past the highest 1 bit of X.
+
+check_witness and check_reach_witness evaluate their matrix through
+evaluate.compile_formula, compiled at the first check of a machine and
+polynomial and kept in a small bounded memo keyed by the machine's content
+(TMDescription holds a dict, so it is not hashable itself).  A handful of
+matrices serve every check of a sweep, and compiling once per check would
+cost more than walking the tree.
 """
 
 from __future__ import annotations
 
+import re
+from functools import lru_cache
 from typing import Callable
 
 from .codec import set_length, trim
 from .errors import LayoutError
-from .evaluate import Assignment, FiniteSlice, eval_formula
+from .evaluate import Assignment, Compiled, FiniteSlice, compile_formula
 from .formulas import (TRUE, AlN, And, EqNum, ExN, ExS, Formula, Imp, Len,
                        Memb, Not, NumTerm, NVar, One, Or, Plus, Times, Zero,
                        const_term, land, lt)
@@ -199,9 +208,21 @@ def _witness_cells(tm: TMDescription, stride: NumTerm) -> Callable[[Row, Row, in
     return cell
 
 
+# a string-variable name the formula reader accepts
+_STR_VAR = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
+
+
+def _input_width(p: PolyBound, xvar: str) -> NumTerm:
+    """p(|xvar|), the tape width and step count, for an input name that
+    parses back and that the witness binder exS W does not capture."""
+    if not _STR_VAR.match(xvar) or xvar == "W":
+        raise ValueError("need an uppercase identifier other than W")
+    return poly_term(p, Len(xvar))
+
+
 def acc_matrix(tm: TMDescription, p: PolyBound, xvar: str = "X") -> Formula:
     """The string-quantifier-free body of the acceptance formula."""
-    width = poly_term(p, Len(xvar))  # also the step count
+    width = _input_width(p, xvar)  # also the step count
     stride = Times(width, const_term(1 + tm.state_bits))
     tab = Tableau(tm, _witness_cells(tm, stride), width, width)
     i = NVar("i")
@@ -216,7 +237,7 @@ def acc_matrix(tm: TMDescription, p: PolyBound, xvar: str = "X") -> Formula:
 
 
 def acc_witness_bound(tm: TMDescription, p: PolyBound, xvar: str = "X") -> NumTerm:
-    width = poly_term(p, Len(xvar))  # also the step count
+    width = _input_width(p, xvar)  # also the step count
     return Times(Plus(width, One()), Times(width, const_term(1 + tm.state_bits)))
 
 
@@ -237,6 +258,18 @@ def _eval_slice(total_bits: int, step_bound: int) -> FiniteSlice:
     return FiniteSlice(num_bound=total_bits + step_bound + 2, str_width=0)
 
 
+@lru_cache(maxsize=32)
+def _compiled(matrix: Callable[[TMDescription, PolyBound], Formula], k: int,
+              rules: tuple, p: PolyBound) -> Compiled:
+    return compile_formula(matrix(TMDescription(k, dict(rules)), p))
+
+
+def _compiled_matrix(matrix: Callable[[TMDescription, PolyBound], Formula],
+                     tm: TMDescription, p: PolyBound) -> Compiled:
+    """matrix(tm, p) compiled once per matrix kind, machine content and p."""
+    return _compiled(matrix, tm.k, tuple(sorted(tm.delta.items())), p)
+
+
 def check_witness(tm: TMDescription, p: PolyBound, x: str, w: str) -> bool:
     """Evaluate the acceptance matrix at a concrete witness string."""
     layout = acc_layout(tm, p, set_length(x))
@@ -245,7 +278,7 @@ def check_witness(tm: TMDescription, p: PolyBound, x: str, w: str) -> bool:
             f"witness has {len(w)} bits, layout needs {layout.total_bits}")
     env = Assignment(strs={"X": x, "W": w})
     s = _eval_slice(layout.total_bits, layout.steps)
-    return eval_formula(acc_matrix(tm, p), s, env)
+    return _compiled_matrix(acc_matrix, tm, p)(s, env)
 
 
 def eval_acc(tm: TMDescription, p: PolyBound, x: str) -> bool:
@@ -318,7 +351,7 @@ def check_reach_witness(tm: TMDescription, p: PolyBound, y: str, z: str,
     if len(w) < total:
         raise LayoutError(f"witness has {len(w)} bits, layout needs {total}")
     env = Assignment(strs={"Y": y, "Z": z, "W": w})
-    return eval_formula(reach_matrix(tm, p), _eval_slice(total, steps), env)
+    return _compiled_matrix(reach_matrix, tm, p)(_eval_slice(total, steps), env)
 
 
 def eval_reach(tm: TMDescription, p: PolyBound, y: str, z: str) -> bool:

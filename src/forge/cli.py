@@ -16,7 +16,6 @@ import argparse
 import json
 import os
 import random
-import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -37,10 +36,6 @@ _PROG = "forge"
 
 _USAGE_EXIT = 2
 _DOMAIN_EXIT = 1
-
-# a string-variable name the formula reader accepts
-_STR_VAR = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
-
 
 class _UsageError(Exception):
     """Bad flags for an otherwise known subcommand."""
@@ -95,13 +90,6 @@ def _str_width(args: argparse.Namespace, default: int | None) -> int | None:
     return args.str_width
 
 
-def _parse_str_var(text: str) -> str:
-    """An input string name that parses back and is not the witness W."""
-    if not _STR_VAR.match(text) or text == "W":
-        raise _UsageError(f"bad --var {text!r}: need an uppercase identifier other than W")
-    return text
-
-
 def _parse_bits(text: str, flag: str) -> str:
     if set(text) - {"0", "1"}:
         raise _UsageError(f"{flag} must be a string of 0s and 1s")
@@ -137,7 +125,10 @@ def _cap_guard(nodes: int) -> None:
 def _deliver(formula_text: str, args: argparse.Namespace, rep: _Report) -> None:
     """Route the printable formula to --out or to the text report."""
     if args.out is not None:
-        args.out.write_text(formula_text + "\n")
+        try:
+            args.out.write_text(formula_text + "\n")
+        except OSError as e:
+            raise _UsageError(f"cannot write {args.out}: {e.strerror or e}") from None
         rep.lines.append(f"wrote: {args.out}")
     else:
         rep.lines.append(formula_text)
@@ -149,7 +140,10 @@ def _deliver(formula_text: str, args: argparse.Namespace, rep: _Report) -> None:
 def _do_compile_acc(args: argparse.Namespace) -> _Report:
     tm = parse_tm(_read_text(args.tm))
     p = _parse_poly(args.poly)
-    phi = compile_acc(tm, p, _parse_str_var(args.var))
+    try:
+        phi = compile_acc(tm, p, args.var)
+    except ValueError as e:  # the only ValueError compile_acc raises: a bad input name
+        raise _UsageError(f"bad --var {args.var!r}: {e}") from None
     nodes = formula_size(phi)
     _cap_guard(nodes)
     text = print_formula(phi)

@@ -8,7 +8,7 @@ from oracles import all_strings
 from forge import acc, nepo
 from forge.codec import encode_seq, mask_to_bits, set_length
 from forge.errors import LayoutError
-from forge.evaluate import Assignment, FiniteSlice, eval_formula
+from forge.evaluate import Assignment, FiniteSlice, compile_formula, eval_formula
 from forge.formulas import (Memb, NVar, Plus, SeqAt, Times, classify, const_term,
                             free_vars)
 from forge.machine import (Configuration, PolyBound, accepts, corpus_machine,
@@ -29,6 +29,16 @@ def test_compile_acc_shape():
     nums, strs = free_vars(f)
     assert nums == set()
     assert strs == {"X"}
+
+
+@pytest.mark.parametrize("xvar", ["W", "x", "1X", "", "X-1", "X Y"])
+def test_acc_rejects_bad_input_names(xvar):
+    # W would be captured by the witness binder exS W; the others do not parse back
+    tm = corpus_machine("scan1")
+    for build in (acc.acc_matrix, acc.acc_witness_bound, acc.compile_acc):
+        with pytest.raises(ValueError, match="uppercase identifier other than W"):
+            build(tm, P, xvar)
+    assert free_vars(acc.compile_acc(tm, P, "In_1")) == (set(), {"In_1"})
 
 
 def test_eval_acc_pinned_examples():
@@ -98,6 +108,81 @@ def test_witness_uniqueness_micro_exhaustive():
         if expect:
             sim = tableau_to_witness(run(tm, x, layout.steps, layout.width))
             assert hits[0] == int(sim[::-1] or "0", 2)
+
+
+def walked_witness(tm, p, x, w):
+    """check_witness as the tree walker decides it: acc_matrix rebuilt and
+    walked at every call, over the same slice."""
+    layout = acc.acc_layout(tm, p, set_length(x))
+    s = FiniteSlice(num_bound=layout.total_bits + layout.steps + 2, str_width=0)
+    return eval_formula(acc.acc_matrix(tm, p), s, Assignment(strs={"X": x, "W": w}))
+
+
+def flips(w):
+    return [w[:pos] + ("0" if w[pos] == "1" else "1") + w[pos + 1:] for pos in range(len(w))]
+
+
+@pytest.mark.parametrize("name", ["scan1", "parity", "zeros"])
+def test_compiled_witness_check_matches_walker(name):
+    """The memoised compiled matrix gives the walker's verdict at the
+    simulator witness and at every single-bit flip of it, and a witness one
+    bit short is still refused before any evaluation."""
+    tm = corpus_machine(name)
+    for p in (P, PolyBound((1, 1))):
+        for x in ("1", "01", "110", "1011"):
+            layout = acc.acc_layout(tm, p, set_length(x))
+            w = tableau_to_witness(run(tm, x, layout.steps, layout.width))
+            for cand in [w, *flips(w)]:
+                assert acc.check_witness(tm, p, x, cand) == walked_witness(tm, p, x, cand), \
+                    (name, p, x, cand)
+            with pytest.raises(LayoutError, match=f"witness has {len(w) - 1} bits, "
+                                                  f"layout needs {len(w)}"):
+                acc.check_witness(tm, p, x, w[:-1])
+
+
+def test_witness_matrix_compiles_once_per_machine_and_poly(monkeypatch):
+    compiles = []
+
+    def counting(f):
+        compiles.append(f)
+        return compile_formula(f)
+
+    monkeypatch.setattr(acc, "compile_formula", counting)
+    acc._compiled.cache_clear()
+    tm = corpus_machine("scan1")
+    for x in all_strings(4):
+        assert acc.eval_acc(tm, P, x) == accepts(tm, x, P), x
+    assert len(compiles) == 1
+    # a separately parsed equal machine shares the entry
+    assert acc.eval_acc(corpus_machine("scan1"), P, "01")
+    assert len(compiles) == 1
+    acc.eval_acc(tm, PolyBound((1, 1)), "01")
+    assert len(compiles) == 2
+    # the reach matrix of the same machine and poly is another kind
+    y = acc.config_to_string(run(tm, "01", 0, 2).rows[0], tm.state_bits)
+    for z in (y, "1" + y[1:]):
+        acc.eval_reach(tm, P, y, z)
+    assert len(compiles) == 3
+
+
+def test_a_machine_one_rule_apart_gets_its_own_matrix(monkeypatch):
+    compiles = []
+
+    def counting(f):
+        compiles.append(f)
+        return compile_formula(f)
+
+    monkeypatch.setattr(acc, "compile_formula", counting)
+    acc._compiled.cache_clear()
+    scan1 = corpus_machine("scan1")
+    # scan1 with (1, 1) left in state 1: it never reaches the accepting state
+    stuck = parse_tm("states 2\n1 0 -> 1 0 2\n1 1 -> 1 1 0\n2 0 -> 2 0 0\n2 1 -> 2 1 0\n")
+    verdicts = {}
+    for tm in (scan1, stuck, scan1, stuck):
+        verdicts[tm.delta[1, 1]] = [acc.eval_acc(tm, P, x) for x in all_strings(3)]
+        assert verdicts[tm.delta[1, 1]] == [accepts(tm, x, P) for x in all_strings(3)]
+    assert len(compiles) == 2
+    assert any(verdicts[2, 1, 0]) and not any(verdicts[1, 1, 0])
 
 
 def test_full_existential_eval_matches_certificate_micro():
@@ -179,6 +264,32 @@ def test_reach_composes_along_corpus_traces():
     assert acc.eval_reach(tm, P, y0, y1)
     assert acc.eval_reach(tm, P, y1, y2)
     assert run_from(tm, start, 2 * steps).rows[-1] == far_conf
+
+
+def reach_cases():
+    """(machine, start configuration) of the reach tests above."""
+    return [(corpus_machine("parity"), run(corpus_machine("parity"), "1101", 0, 5).rows[0]),
+            (STAY_TM, Configuration(((1, 1), (0, 0)))),
+            (corpus_machine("scan1"), run(corpus_machine("scan1"), "001", 0, 4).rows[0]),
+            (corpus_machine("zeros"), run(corpus_machine("zeros"), "0000", 0, 6).rows[0])]
+
+
+def test_compiled_reach_check_matches_walker():
+    for tm, start in reach_cases():
+        y = acc.config_to_string(start, tm.state_bits)
+        steps = P.eval(set_length(y))
+        w = acc.reach_witness(tm, start, steps)
+        z = acc.config_to_string(run_from(tm, start, steps).rows[-1], tm.state_bits)
+        total = (steps + 1) * set_length(y)
+        s = FiniteSlice(num_bound=total + steps + 2, str_width=0)
+        walker = acc.reach_matrix(tm, P)
+        for cand in [w, *flips(w)]:
+            walked = eval_formula(walker, s, Assignment(strs={"Y": y, "Z": z, "W": cand}))
+            assert acc.check_reach_witness(tm, P, y, z, cand) == walked, (y, cand)
+        assert acc.check_reach_witness(tm, P, y, z, w)
+        with pytest.raises(LayoutError, match=f"witness has {total - 1} bits, "
+                                              f"layout needs {total}"):
+            acc.check_reach_witness(tm, P, y, z, w[:total - 1])
 
 
 def test_full_reach_eval_matches_certificate_micro():

@@ -1,11 +1,15 @@
 """Exit codes, report formats, and determinism of the command line."""
 
+import io
 import json
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from forge.cli import main
 from forge.formulas import free_vars
@@ -150,6 +154,15 @@ def test_compile_nepo_report_and_out_file(tmp_path, capsys):
     assert f"wrote: {dest}" in out
     assert "nodes[acceptance]:" in out
     parse_formula(dest.read_text())
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    for dest in (tmp_path, tmp_path / "missing" / "f.sexp"):
+        code, out, err = run(capsys, "compile-acc", "--tm", str(MACHINES / "parity.tm"),
+                             "--poly", "2,1", "--out", str(dest))
+        assert (code, out) == (2, ""), dest
+        assert f"cannot write {dest}" in err
+        assert "usage: forge compile-acc" in err
 
 
 def test_compile_nepo_budget_failure_is_domain_error(capsys):
@@ -378,3 +391,97 @@ def test_bound_flags_are_validated(tmp_path, capsys):
     code, out, _ = run(capsys, "eval", "--formula", str(f), "--num-bound", "4",
                        "--str-width", "0")
     assert (code, out) == (0, "value: true\n")
+
+
+# --- fuzzing: small argv from each subcommand's flags ---
+
+def mix(good, bad):
+    """Mostly a good value, so handlers run; sometimes a bad one."""
+    return st.integers(0, 3).flatmap(lambda n: good if n else bad)
+
+
+def fuzz_flags(tmp: Path) -> dict[str, dict]:
+    """Per subcommand, a value strategy per flag (None for a switch).
+
+    Numbers stay small, so every run is quick."""
+    def files(name, *texts):
+        paths = []
+        for n, text in enumerate(texts):
+            path = tmp / f"{n}.{name}"
+            path.write_text(text)
+            paths.append(str(path))
+        return st.sampled_from(paths)
+
+    unreadable = st.sampled_from([str(tmp / "missing" / "in"), str(tmp)])
+    junk = st.text("01,/=-xXWi ", max_size=3)
+
+    def num(lo, hi):
+        return mix(st.integers(lo, hi).map(str), st.sampled_from(["-1", "", "x", "1.5"]))
+
+    tm = mix(st.sampled_from([str(MACHINES / "scan1.tm"), str(MACHINES / "parity.tm")])
+             | files("tm", "states 1\n1 0 -> 1 0 0\n1 1 -> 1 1 0\n"),
+             unreadable | files("bad.tm", "", "states 2\n1 0 -> 9 9 9\n", "states x\n"))
+    poly = mix(st.sampled_from(["2,1", "1,1", "1", "0,2"]),
+               st.sampled_from(["0", "1,-1", "2,1,0"]) | junk)
+    formula = mix(files("sexp", "(and (in i X) (leq i 2))", "(exS Y (+ 1 1) (in 0 Y))",
+                        "(alN i (len X) (or (in i X) (not (in i X))))", "(= x (+ 1 1))"),
+                  unreadable | files("bad.sexp", "", "(leq 0", "(in x i)",
+                                     "(not " * 1000 + "(leq 0 1)" + ")" * 1000))
+    bind = mix(st.sampled_from(["X=01", "X=1", "i=1", "i=2", "x=0"]),
+               st.sampled_from(["X=2", "i=-1", "i=x", "x", "=1", "Y=3"]) | junk)
+    out = mix(st.just(str(tmp / "out.txt")),
+              st.sampled_from([str(tmp), str(tmp / "missing" / "out")]))
+    bits = mix(st.text("01", min_size=1, max_size=8), junk)
+    return {
+        "compile-acc": {"--tm": tm, "--poly": poly, "--out": out,
+                        "--var": mix(st.sampled_from(["X", "Y", "In_1"]),
+                                     st.sampled_from(["W", "x", "1X"]) | junk)},
+        "compile-nepo": {"--tm": tm, "--m": num(1, 8), "--k": num(1, 3), "--c": num(1, 2),
+                         "--d": num(0, 3), "--out": out,
+                         "--eps": mix(st.sampled_from(["1/3", "1/2", "2/3"]),
+                                      st.sampled_from(["3/2", "0/1", "1/0"]) | junk)},
+        "eval": {"--formula": formula, "--num-bound": num(1, 6), "--str-width": num(0, 3),
+                 "--bind": bind},
+        "translate": {"--formula": formula, "--len": bind, "--val": bind,
+                      "--num-bound": num(1, 6), "--out": out},
+        "mfv": {"--tree": bits, "--a": num(1, 8), "--input": bits, "--node": num(1, 7)},
+        "check-proof": {"--depth": num(0, 4), "--proof": mix(
+            st.sampled_from([str(PK / "corpus01.pk"), str(PK / "corpus05.pk")]),
+            unreadable | files("pk", "", "1: (seq () ((pv z 0))) axiom\n", "junk",
+                               "(pnot " * 900))},
+        "reflect": {"--system": st.sampled_from(["frege", "depth-frege", "x"]),
+                    "--d": num(0, 3), "--x": num(0, 2), "--sweep": None, "--broken": None,
+                    "--t": mix(st.sampled_from(["0,1", "1", "0,2", "2,1"]),
+                               st.sampled_from(["", "x", "0,-1", "0"])),
+                    "--num-bound": num(1, 5), "--str-width": num(0, 3), "--out": out},
+        "oracle-test": {"--tm": tm, "--max-len": num(1, 4), "--poly": poly,
+                        "--sample": num(0, 3), "--seed": num(0, 3)},
+    }
+
+
+@st.composite
+def fuzz_argv(draw, sub: str, flags: dict) -> list[str]:
+    argv = [sub]
+    for flag in draw(st.permutations(sorted(flags) + ["--json", "-v"])):
+        if draw(st.integers(0, 7)):  # most flags present, so handlers run
+            argv.append(flag)
+            if flags.get(flag) is not None:
+                argv.append(draw(flags[flag]))
+    return argv
+
+
+@pytest.mark.parametrize("sub", ["compile-acc", "compile-nepo", "eval", "translate",
+                                 "mfv", "check-proof", "reflect", "oracle-test"])
+def test_fuzzed_argv_exits_cleanly(tmp_path, sub):
+    flags = fuzz_flags(tmp_path)[sub]
+
+    @settings(max_examples=40, deadline=None)
+    @given(fuzz_argv(sub, flags))
+    def exits_cleanly(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 1, 2), argv
+        assert "Traceback" not in err.getvalue(), argv
+
+    exits_cleanly()
