@@ -44,7 +44,6 @@ cost more than walking the tree.
 
 from __future__ import annotations
 
-import re
 from functools import lru_cache
 from typing import Callable
 
@@ -57,6 +56,7 @@ from .formulas import (TRUE, AlN, And, EqNum, ExN, ExS, Formula, Imp, Len,
 from .machine import (MOVE_LEFT, MOVE_RIGHT, Configuration, PolyBound,
                       TableauLayout, TMDescription, decode_row, encode_row,
                       run, run_from, tableau_to_witness)
+from .sexpr import is_str_ident
 
 
 def poly_term(p: PolyBound, var: NumTerm) -> NumTerm:
@@ -208,14 +208,10 @@ def _witness_cells(tm: TMDescription, stride: NumTerm) -> Callable[[Row, Row, in
     return cell
 
 
-# a string-variable name the formula reader accepts
-_STR_VAR = re.compile(r"[A-Z][A-Za-z0-9_]*\Z")
-
-
 def _input_width(p: PolyBound, xvar: str) -> NumTerm:
     """p(|xvar|), the tape width and step count, for an input name that
     parses back and that the witness binder exS W does not capture."""
-    if not _STR_VAR.match(xvar) or xvar == "W":
+    if not is_str_ident(xvar) or xvar == "W":
         raise ValueError("need an uppercase identifier other than W")
     return poly_term(p, Len(xvar))
 

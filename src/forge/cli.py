@@ -138,8 +138,8 @@ def _deliver(formula_text: str, args: argparse.Namespace, rep: _Report) -> None:
 
 
 def _do_compile_acc(args: argparse.Namespace) -> _Report:
-    tm = parse_tm(_read_text(args.tm))
     p = _parse_poly(args.poly)
+    tm = parse_tm(_read_text(args.tm))
     try:
         phi = compile_acc(tm, p, args.var)
     except ValueError as e:  # the only ValueError compile_acc raises: a bad input name
@@ -158,12 +158,12 @@ def _do_compile_acc(args: argparse.Namespace) -> _Report:
 
 def _do_compile_nepo(args: argparse.Namespace) -> _Report:
     eps = _parse_eps(args.eps)
-    tm = parse_tm(_read_text(args.tm))
     try:
         b = NepoBounds(c=args.c, eps=eps, k=args.k,
                        m=args.m, d=-1 if args.d is None else args.d)
     except ValueError as e:
         raise _UsageError(str(e)) from None
+    tm = parse_tm(_read_text(args.tm))
     phi = compile_acceptance_sigma0(tm, b)
     nodes = formula_size(phi)
     _cap_guard(nodes)
@@ -191,7 +191,6 @@ def _split_binding(text: str) -> tuple[str, str]:
 
 def _do_eval(args: argparse.Namespace) -> _Report:
     s = FiniteSlice(_num_bound(args), _str_width(args, 0))
-    phi = parse_formula(_read_text(args.formula))
     env = Assignment()
     for raw in args.bind or []:
         name, value = _split_binding(raw)
@@ -206,6 +205,7 @@ def _do_eval(args: argparse.Namespace) -> _Report:
                 raise _UsageError(f"bad binding {raw!r}: value must be non-negative")
         else:
             raise _UsageError(f"bad binding {raw!r}: name must be a sorted identifier")
+    phi = parse_formula(_read_text(args.formula))
     free_nums, free_strs = free_vars(phi)
     missing = sorted(free_nums - env.nums.keys()) + sorted(free_strs - env.strs.keys())
     if missing:
@@ -224,7 +224,6 @@ def _do_eval(args: argparse.Namespace) -> _Report:
 
 def _do_translate(args: argparse.Namespace) -> _Report:
     bound = _num_bound(args, 1 << 16)
-    phi = parse_formula(_read_text(args.formula))
     lengths: dict[str, int] = {}
     values: dict[str, int] = {}
     for raw in args.len or []:
@@ -247,6 +246,7 @@ def _do_translate(args: argparse.Namespace) -> _Report:
         sizes = SizeProfile(lengths=lengths, values=values)
     except ValueError as e:
         raise _UsageError(str(e)) from None
+    phi = parse_formula(_read_text(args.formula))
     free_nums, free_strs = free_vars(phi)
     missing = sorted(free_nums - values.keys()) + sorted(free_strs - lengths.keys())
     if missing:
@@ -284,10 +284,10 @@ def _do_mfv(args: argparse.Namespace) -> _Report:
 
 
 def _do_check_proof(args: argparse.Namespace) -> _Report:
-    pi = proofs.parse_proof(_read_text(args.proof))
-    target = proofs.proof_target(pi)
     if args.depth is not None and args.depth < 0:
         raise _UsageError("--depth must be non-negative")
+    pi = proofs.parse_proof(_read_text(args.proof))
+    target = proofs.proof_target(pi)
     if target is None:
         ok = False
     elif args.depth is None:
@@ -341,12 +341,12 @@ def _do_reflect(args: argparse.Namespace) -> _Report:
 
 
 def _do_oracle_test(args: argparse.Namespace) -> _Report:
-    tm = parse_tm(_read_text(args.tm))
     p = _parse_poly(args.poly)
     if args.max_len < 1:
         raise _UsageError("--max-len must be positive")
     if args.sample < 0:
         raise _UsageError("--sample must be non-negative")
+    tm = parse_tm(_read_text(args.tm))
     rng = random.Random(args.seed)
     checked = 0
     mismatches: list[str] = []

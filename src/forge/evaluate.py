@@ -17,9 +17,14 @@ same nodes and leave the assignment as they found it:
                     keeps its per-read sort checks.
   compile_formula   turns a formula into nested closures once: closed
                     subterms fold to numbers, variable sorts are checked at
-                    compile time, and And/Or chains run as loops.  Callers
-                    that evaluate one formula many times compile it once and
-                    keep the result: nepo artifacts at their first
+                    compile time, and And/Or chains run as loops.  It compiles
+                    the sublanguage nepo and acc emit: number atoms,
+                    membership, Len and sequence terms, the connectives and
+                    number quantifiers over well-sorted names.  Every other
+                    node (set equality, string quantifiers, ill-sorted names,
+                    unknown nodes) runs through the walker at that node.
+                    Callers that evaluate one formula many times compile it
+                    once and keep the result: nepo artifacts at their first
                     evaluation, and acc.check_witness and
                     acc.check_reach_witness in a bounded memo per matrix
                     kind, machine and polynomial.
@@ -208,9 +213,11 @@ def _eval(f: Formula, s: FiniteSlice, env: Assignment, roles: Roles | None) -> b
 #
 # A compiled formula is a closure (run) -> bool over a _Run.  Variable reads
 # index the assignment's dicts directly, and each atom and quantifier bound
-# turns the KeyError of an unbound name into UnboundVariableError.  Sort
-# errors, failing folds and nodes of unknown type compile to closures that
-# raise when reached, as the walker does.
+# turns the KeyError of an unbound name into UnboundVariableError.  A node
+# outside the compiled sublanguage (see the module docstring), and an atom or
+# number quantifier holding a name that is not a str of the right sort,
+# compiles to a closure that runs the walker on it, so it raises what the
+# walker raises where it raises.
 
 Compiled = Callable[[FiniteSlice, Assignment | None, Roles | None], bool]
 
@@ -218,14 +225,13 @@ Compiled = Callable[[FiniteSlice, Assignment | None, Roles | None], bool]
 class _Run:
     """What one call of a compiled formula reads besides its structure."""
 
-    __slots__ = ("nums", "strs", "env", "num_bound", "str_width", "roles")
+    __slots__ = ("nums", "strs", "env", "slice", "roles")
 
     def __init__(self, env: Assignment, s: FiniteSlice, roles: Roles | None):
         self.nums = env.nums
         self.strs = env.strs
         self.env = env
-        self.num_bound = s.num_bound
-        self.str_width = s.str_width
+        self.slice = s
         self.roles = roles
 
 
@@ -247,43 +253,27 @@ def compile_formula(f: Formula) -> Compiled:
     return run
 
 
-def _raising(make_error: Callable[[], Exception]):
-    """A compiled term or formula that raises a fresh make_error() when reached."""
-    def run(*_):
-        raise make_error()
-    return run
+class _Walk(Exception):
+    """A node the compiler leaves to the walker.  Raised by a term, it hands
+    the whole atom or quantifier that holds the term to the walker."""
+
+
+def _walk(f: Formula) -> Callable[[_Run], bool]:
+    """f run through the walker when reached."""
+    return lambda r: _eval(f, r.slice, r.env, r.roles)
+
+
+def _name(name, num: bool) -> str:
+    """name when it is a str of the wanted sort, else _Walk."""
+    if type(name) is str and (is_num_name(name) if num else is_str_name(name)):
+        return name
+    raise _Walk
 
 
 def _unbound(e: KeyError) -> UnboundVariableError:
     name = e.args[0]
     sort = "number" if is_num_name(name) else "string"
     return UnboundVariableError(f"{sort} variable {name} is unbound")
-
-
-def _deferred(e: Exception):
-    """A closure raising a copy of e; it keeps no traceback, so no compile frame."""
-    cls, args = type(e), e.args
-    return _raising(lambda: cls(*args))
-
-
-def _sort_error(name, num: bool):
-    """None when name has the wanted sort, else a raising closure."""
-    try:
-        ok = is_num_name(name) if num else is_str_name(name)
-    except Exception as e:  # a name that is not a str fails as the walker's lookup does
-        return _deferred(e)
-    if ok:
-        return None
-    sort = "number" if num else "string"
-    return _raising(lambda: SortMismatchError(f"{name} is not a {sort} variable"))
-
-
-def _fold(fn, *args):
-    """fn(*args) now, or a closure raising its error when reached."""
-    try:
-        return fn(*args)
-    except Exception as e:
-        return _deferred(e)
 
 
 def _true(_run):
@@ -317,19 +307,19 @@ class _Compiler:
         elif tt is Const:
             out = t.value
         elif tt is NVar:
-            out = _sort_error(t.name, True) or t.name
+            out = _name(t.name, True)
         elif tt is Plus:
             out = _plus(self.term(t.left), self.term(t.right))
         elif tt is Times:
             out = _times(self.term(t.left), self.term(t.right))
         elif tt is Len:
-            out = _len(_str_var(t.svar))
+            out = _len(_name(t.svar, False))
         elif tt is SeqAt:
             out = _seq_at(self.term(t.seq), self.term(t.index))
         elif tt is SeqLen:
             out = _seq_len(self.term(t.seq))
         else:
-            out = _raising(lambda: TypeError(f"not a term: {t!r}"))
+            raise _Walk
         self.terms[id(t)] = out
         return out
 
@@ -338,29 +328,29 @@ class _Compiler:
         if out is not None:
             return out
         tf = type(f)
-        if tf is EqNum or tf is Leq:
-            out = _compare(tf is Leq, self.term(f.left), self.term(f.right))
-        elif tf is EqStr:
-            out = _eq_str(_str_var(f.left), _str_var(f.right))
-        elif tf is Memb:
-            out = _memb(_str_var(f.svar), self.term(f.index))
-        elif tf is And or tf is Or:
-            parts, g = [], f
-            while type(g) is tf:
-                parts.append(self.formula(g.left))
-                g = g.right
-            parts.append(self.formula(g))
-            out = (_all if tf is And else _any)(tuple(parts))
-        elif tf is Not:
-            out = _not(self.formula(f.body))
-        elif tf is Imp:
-            out = _imp(self.formula(f.left), self.formula(f.right))
-        elif tf is ExN or tf is AlN:
-            out = _num_quant(tf is ExN, f.var, self.term(f.bound), self.formula(f.body))
-        elif tf is ExS or tf is AlS:
-            out = _str_quant(tf is ExS, f.var, self.term(f.bound), self.formula(f.body))
-        else:
-            out = _raising(lambda: TypeError(f"not a formula: {f!r}"))
+        try:
+            if tf is EqNum or tf is Leq:
+                out = _compare(tf is Leq, self.term(f.left), self.term(f.right))
+            elif tf is Memb:
+                out = _memb(_name(f.svar, False), self.term(f.index))
+            elif tf is And or tf is Or:
+                parts, g = [], f
+                while type(g) is tf:
+                    parts.append(self.formula(g.left))
+                    g = g.right
+                parts.append(self.formula(g))
+                out = (_all if tf is And else _any)(tuple(parts))
+            elif tf is Not:
+                out = _not(self.formula(f.body))
+            elif tf is Imp:
+                out = _imp(self.formula(f.left), self.formula(f.right))
+            elif tf is ExN or tf is AlN:
+                out = _num_quant(tf is ExN, _name(f.var, True), self.term(f.bound),
+                                 self.formula(f.body))
+            else:
+                raise _Walk
+        except _Walk:
+            out = _walk(f)
         self.formulas[id(f)] = out
         return out
 
@@ -374,7 +364,8 @@ class _Compiler:
 # EqNum of such a read against a constant: on the certify benchmark these
 # closures take 94% of term and comparison calls, and running any one of them
 # through _binary instead costs 10-13% of its ops per second.  Other shapes go
-# through _binary.
+# through _binary.  Constants are natural numbers, on which every term
+# operation is total, so folding never raises.
 
 
 def _is_const(a) -> bool:
@@ -390,7 +381,7 @@ def _value(a, nums, strs):
 def _binary(op, a, b):
     """op over two compiled operands, folded when both are constants."""
     if _is_const(a) and _is_const(b):
-        return _fold(op, a, b)
+        return op(a, b)
     return lambda nums, strs: op(_value(a, nums, strs), _value(b, nums, strs))
 
 
@@ -419,12 +410,12 @@ def _seq_at(a, b):
 
 def _seq_len(a):
     if _is_const(a):
-        return _fold(codec.seq_len_total, a)
+        return codec.seq_len_total(a)
     return lambda nums, strs: codec.seq_len_total(_value(a, nums, strs))
 
 
-def _len(svar):
-    return lambda nums, strs: codec.set_length(svar(strs))
+def _len(svar: str):
+    return lambda nums, strs: codec.set_length(strs[svar])
 
 
 # --- compiled formulas ---
@@ -450,24 +441,10 @@ def _compare(leq: bool, a, b) -> Callable[[_Run], bool]:
     return run
 
 
-def _str_var(name):
-    """A string variable as a reader of strs, or a closure raising its sort error."""
-    return _sort_error(name, False) or (lambda strs: strs[name])
-
-
-def _eq_str(left, right) -> Callable[[_Run], bool]:
+def _memb(svar: str, index) -> Callable[[_Run], bool]:
     def run(r):
         try:
-            return codec.sets_equal(left(r.strs), right(r.strs))
-        except KeyError as e:
-            raise _unbound(e) from None
-    return run
-
-
-def _memb(svar, index) -> Callable[[_Run], bool]:
-    def run(r):
-        try:
-            return codec.bit_at(svar(r.strs), _value(index, r.nums, r.strs))
+            return codec.bit_at(r.strs[svar], _value(index, r.nums, r.strs))
         except KeyError as e:
             raise _unbound(e) from None
     return run
@@ -504,8 +481,9 @@ def _bound(bound, r: _Run) -> int:
         b = _value(bound, r.nums, r.strs)
     except KeyError as e:
         raise _unbound(e) from None
-    if b > r.num_bound:
-        raise SliceExceededError(f"quantifier bound {b} exceeds num_bound {r.num_bound}")
+    if b > r.slice.num_bound:
+        raise SliceExceededError(
+            f"quantifier bound {b} exceeds num_bound {r.slice.num_bound}")
     return b
 
 
@@ -530,27 +508,6 @@ def _num_quant(exists: bool, var: str, bound, body) -> Callable[[_Run], bool]:
                 nums.pop(var, None)
             else:
                 nums[var] = prev
-        return not exists
-    return run
-
-
-def _str_quant(exists: bool, var: str, bound, body) -> Callable[[_Run], bool]:
-    def run(r):
-        b = _bound(bound, r)
-        if b > r.str_width:
-            raise SliceExceededError(f"string bound {b} exceeds str_width {r.str_width}")
-        strs = r.strs
-        prev = strs.get(var)
-        try:
-            for mask in range(1 << b):
-                strs[var] = codec.mask_to_bits(mask)
-                if body(r) == exists:
-                    return exists
-        finally:
-            if prev is None:
-                strs.pop(var, None)
-            else:
-                strs[var] = prev
         return not exists
     return run
 

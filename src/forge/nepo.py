@@ -405,13 +405,12 @@ def _reach_emitter(tm: TMDescription, b: NepoBounds, level: int) -> _Emitter:
 
 
 def compile_reach0(tm: TMDescription, b: NepoBounds) -> Formula:
-    """Level-0 grid relation with the computation code left free.
+    """Level-0 grid relation with the computation code left free: the body
+    of reach_artifact(tm, b, 0) under its exists comp.
 
     Free variables: I (configuration string), p1, p2, cell, comp.
     """
-    em = _Emitter(tm, b)
-    grid = em.grid(0, "comp", em.config_string_source("I"))
-    return And(grid, em.query("comp", NVar("p1"), NVar("p2"), "cell"))
+    return reach_artifact(tm, b, 0).formula.body
 
 
 def reach_artifact(tm: TMDescription, b: NepoBounds, level: int) -> NepoArtifact:

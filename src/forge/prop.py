@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from .errors import (BudgetError, ClassError, ParseError, SliceExceededError,
                      UnboundVariableError)
 from .evaluate import Assignment, eval_term
-from .formulas import (AlN, AlS, And, EqNum, EqStr, ExN, ExS, Formula, Imp,
-                       Leq, Memb, Not, Or, classify)
+from .formulas import (And, EqNum, EqStr, ExN, Formula, Imp, Leq, Memb, Not, Or,
+                       classify)
 from .sexpr import Node, read_one
 
 __all__ = [
@@ -182,22 +182,19 @@ def translate(phi: Formula, sizes: SizeProfile,
             return left if left == stop else join((left, go(f.right, env)))
         if k is Not:
             return pnot(go(f.body, env))
-        if k is ExN or k is AlN:
-            b = eval_term(f.bound, env)
-            if b > num_bound:
-                raise SliceExceededError(
-                    f"quantifier bound {b} exceeds expansion cap {num_bound}")
-            join, stop = (por, PConst(1)) if k is ExN else (pand, PConst(0))
-            parts = []
-            for v in range(b + 1):
-                part = go(f.body, Assignment({**env.nums, f.var: v}, env.strs))
-                if part == stop:
-                    return stop
-                parts.append(part)
-            return join(parts)
-        if k is ExS or k is AlS:
-            raise ClassError("string quantifier has no propositional image")
-        raise TypeError(f"unknown formula {f!r}")
+        # ExN or AlN: classify has rejected string quantifiers and unknown nodes
+        b = eval_term(f.bound, env)
+        if b > num_bound:
+            raise SliceExceededError(
+                f"quantifier bound {b} exceeds expansion cap {num_bound}")
+        join, stop = (por, PConst(1)) if k is ExN else (pand, PConst(0))
+        parts = []
+        for v in range(b + 1):
+            part = go(f.body, Assignment({**env.nums, f.var: v}, env.strs))
+            if part == stop:
+                return stop
+            parts.append(part)
+        return join(parts)
 
     # Canonical exact-length strings, so that Len reads back each length.
     strs = {name: ("0" * (n - 1) + "1") if n else ""

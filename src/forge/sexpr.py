@@ -117,6 +117,11 @@ def _ident(node: Node, want: str) -> str:
     return node.text
 
 
+def is_str_ident(name: str) -> bool:
+    """Does the reader take name as a string-variable name?"""
+    return bool(_IDENT.match(name)) and is_str_name(name)
+
+
 def _num_name(node: Node) -> str:
     name = _ident(node, "number-variable")
     if not is_num_name(name):

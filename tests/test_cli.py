@@ -393,6 +393,41 @@ def test_bound_flags_are_validated(tmp_path, capsys):
     assert (code, out) == (0, "value: true\n")
 
 
+FLAG_CHECKS = [
+    pytest.param("check-proof", "--proof", PK / "corpus01.pk", ["--depth", "-1"],
+                 "--depth must be non-negative", id="check-proof--depth"),
+    pytest.param("eval", "--formula", "good.sexp", ["--num-bound", "4", "--bind", "X=2"],
+                 "--bind X must be a string of 0s and 1s", id="eval--bind"),
+    pytest.param("translate", "--formula", "good.sexp", ["--len", "X=a"],
+                 "--len 'X=a': length must be an integer", id="translate--len"),
+    pytest.param("translate", "--formula", "good.sexp", ["--val", "i=-1"],
+                 "value of i must be non-negative", id="translate--val"),
+    pytest.param("compile-acc", "--tm", MACHINES / "scan1.tm", ["--poly", "x"],
+                 "bad polynomial 'x'", id="compile-acc--poly"),
+    pytest.param("compile-nepo", "--tm", MACHINES / "scan1.tm",
+                 ["--m", "1", "--eps", "1/3", "--k", "2"], "need m >= 2",
+                 id="compile-nepo--m"),
+    pytest.param("oracle-test", "--tm", MACHINES / "scan1.tm", ["--max-len", "0"],
+                 "--max-len must be positive", id="oracle-test--max-len"),
+    pytest.param("oracle-test", "--tm", MACHINES / "scan1.tm",
+                 ["--max-len", "2", "--sample", "-1"], "--sample must be non-negative",
+                 id="oracle-test--sample"),
+]
+
+
+@pytest.mark.parametrize("sub, file_flag, good, flags, message", FLAG_CHECKS)
+def test_flag_values_are_checked_before_the_input_is_read(tmp_path, capsys, sub,
+                                                          file_flag, good, flags, message):
+    (tmp_path / "good.sexp").write_text("(leq 0 1)\n")
+    bad = tmp_path / "bad"
+    bad.write_text("(garbage\n")
+    # a malformed input file does not hide the flag's error behind exit 1
+    for path in (tmp_path / good, bad):
+        code, out, err = run(capsys, sub, file_flag, str(path), *flags)
+        assert (code, out) == (2, ""), (path, err)
+        assert f"usage: forge {sub}" in err and message in err, err
+
+
 # --- fuzzing: small argv from each subcommand's flags ---
 
 def mix(good, bad):

@@ -22,7 +22,8 @@ from forge.evaluate import (Assignment, FiniteSlice, MonotoneTree, check_mfv,
                             eval_formula, eval_term, mfv_witness, node_value,
                             node_value_instrumented)
 from forge.formulas import formula_size
-from forge.machine import corpus_machine, initial_configuration, parse_tm
+from forge.machine import (CORPUS, PolyBound, corpus_machine,
+                           initial_configuration, parse_tm)
 from forge.sexpr import parse_formula
 
 S8 = FiniteSlice(num_bound=8, str_width=8)
@@ -616,3 +617,23 @@ def test_compile_drops_its_memo():
     gc.collect()
     assert [o for o in gc.get_objects() if type(o) is evaluate._Compiler] == []
     assert compiled(S8, Assignment(nums={"x": 0}))
+
+
+def test_nepo_and_acc_formulas_compile_without_the_walker(monkeypatch):
+    walked = []
+    walk = evaluate._walk
+    monkeypatch.setattr(evaluate, "_walk", lambda f: walked.append(f) or walk(f))
+    compile_formula(F.land([F.TRUE, F.EqStr("X", "Y"), F.Leq(X, F.Len("x"))]))
+    assert len(walked) == 2  # the count sees the nodes handed to the walker
+    walked.clear()
+    # what nepo certificates and acc witness checks evaluate, at the criterion-4 bounds
+    b = nepo.NepoBounds(c=1, eps=Fraction(1, 3), k=2, m=64)
+    for name in CORPUS:
+        tm = corpus_machine(name)
+        for art in (nepo.acceptance_artifact(tm, b), nepo.cell_artifact(tm, b),
+                    nepo.reach_artifact(tm, b, 0), nepo.reach_artifact(tm, b, b.d)):
+            compile_formula(art.formula)
+        for p in (PolyBound((2, 1)), PolyBound((1, 1, 1))):
+            compile_formula(acc.acc_matrix(tm, p))
+            compile_formula(acc.reach_matrix(tm, p))
+    assert walked == []

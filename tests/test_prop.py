@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from forge.errors import BudgetError, ClassError, ParseError, SliceExceededError
 from forge.evaluate import Assignment, FiniteSlice, eval_formula
-from forge.formulas import (AlN, And, EqNum, EqStr, ExN, ExS, Imp, Len, Leq,
+from forge.formulas import (TRUE, AlN, And, EqNum, EqStr, ExN, ExS, Imp, Len, Leq,
                             Memb, Not, NVar, One, Or, Zero, const_term, lt)
 from forge.prop import (PAnd, PConst, PNot, POr, PVar, SizeProfile, eval_prop,
                         pand, parse_prop, pnot, por, prop_depth, prop_size,
@@ -110,6 +110,11 @@ def test_number_values_from_profile():
 def test_translate_rejects_string_quantifier():
     with pytest.raises(ClassError):
         translate(ExS("Y", One(), EqStr("Y", "Y")), SizeProfile())
+    # also below a connective, and an unknown node anywhere
+    with pytest.raises(ClassError):
+        translate(And(TRUE, ExS("Y", One(), EqStr("Y", "Y"))), SizeProfile())
+    with pytest.raises(TypeError):
+        translate(And(TRUE, object()), SizeProfile())
 
 
 def test_translate_expansion_cap():
