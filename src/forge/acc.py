@@ -38,8 +38,8 @@ check_witness and check_reach_witness evaluate their matrix through
 evaluate.compile_formula, compiled at the first check of a machine and
 polynomial and kept in a small bounded memo keyed by the machine's content
 (TMDescription holds a dict, so it is not hashable itself).  A handful of
-matrices serve every check of a sweep, and compiling once per check would
-cost more than walking the tree.
+matrices serve every check of a sweep, so each compiles once rather than
+at every check.
 """
 
 from __future__ import annotations
@@ -208,11 +208,16 @@ def _witness_cells(tm: TMDescription, stride: NumTerm) -> Callable[[Row, Row, in
     return cell
 
 
-def _input_width(p: PolyBound, xvar: str) -> NumTerm:
-    """p(|xvar|), the tape width and step count, for an input name that
-    parses back and that the witness binder exS W does not capture."""
+def check_input_name(xvar: str) -> None:
+    """ValueError unless xvar parses back as a string name and the witness
+    binder exS W does not capture it."""
     if not is_str_ident(xvar) or xvar == "W":
         raise ValueError("need an uppercase identifier other than W")
+
+
+def _input_width(p: PolyBound, xvar: str) -> NumTerm:
+    """p(|xvar|), the tape width and step count, for a checked input name."""
+    check_input_name(xvar)
     return poly_term(p, Len(xvar))
 
 

@@ -22,7 +22,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import proofs, reflect
-from .acc import compile_acc, eval_acc
+from .acc import check_input_name, compile_acc, eval_acc
 from .errors import BudgetError, ForgeError
 from .evaluate import (Assignment, FiniteSlice, MonotoneTree, check_mfv,
                        eval_formula, mfv_witness, node_value)
@@ -139,11 +139,11 @@ def _deliver(formula_text: str, args: argparse.Namespace, rep: _Report) -> None:
 
 def _do_compile_acc(args: argparse.Namespace) -> _Report:
     p = _parse_poly(args.poly)
-    tm = parse_tm(_read_text(args.tm))
     try:
-        phi = compile_acc(tm, p, args.var)
-    except ValueError as e:  # the only ValueError compile_acc raises: a bad input name
+        check_input_name(args.var)
+    except ValueError as e:
         raise _UsageError(f"bad --var {args.var!r}: {e}") from None
+    phi = compile_acc(parse_tm(_read_text(args.tm)), p, args.var)
     nodes = formula_size(phi)
     _cap_guard(nodes)
     text = print_formula(phi)

@@ -9,43 +9,40 @@ Strings are read as sets of positions: the length of a string is one past
 its largest element, membership beyond the text is false, and equality
 ignores trailing zeros.
 
-Two entry points compute the same truth value, raise the same errors at the
-same nodes and leave the assignment as they found it:
-  eval_formula      walks the tree at every visit.  One-shot callers use it
-                    (cli eval, reflect, comprehension_witness), and it is the
-                    reference the compiled path is tested against, so it
-                    keeps its per-read sort checks.
-  compile_formula   turns a formula into nested closures once: closed
-                    subterms fold to numbers, variable sorts are checked at
-                    compile time, and And/Or chains run as loops.  It compiles
-                    the sublanguage nepo and acc emit: number atoms,
-                    membership, Len and sequence terms, the connectives and
-                    number quantifiers over well-sorted names.  Every other
-                    node (set equality, string quantifiers, ill-sorted names,
-                    unknown nodes) runs through the walker at that node.
-                    Callers that evaluate one formula many times compile it
-                    once and keep the result: nepo artifacts at their first
-                    evaluation, and acc.check_witness and
-                    acc.check_reach_witness in a bounded memo per matrix
-                    kind, machine and polynomial.
-Compiling costs more than one walk.  Measured on the benchmark workloads,
-compiling at every eval_formula call made the median acc.check_witness call
-take 29% longer, and on proof-check evaluation (a large shared formula,
-evaluated a few times per compile) it cut ops per second by 41%, made the
-median op take 67% longer and raised peak memory by 58%.  Compiling once and
-keeping the result pays: once per nepo artifact roughly doubles certificate
-evaluation, and once per acc matrix runs witness checks at 1.9 times the ops
-per second (median op 1.65 ms walked, 0.78 ms compiled; peak memory +1%).
+One evaluator.  A formula runs as nested closures (Feeley and Lapalme,
+"Using closures for code generation", 1987): closed subterms fold to
+numbers, variable sorts are checked when a node compiles, and And/Or chains
+run as loops.  A node compiles the first time evaluation reaches it: a
+connective or quantifier closure keeps its child formulas and compiles them
+on its first run (an And/Or chain, each part when its loop first gets
+there), and an atom compiles its terms when the atom compiles.
+A node evaluation must reject (a name of the wrong sort or not a str, a
+node of unknown type) compiles to a closure that raises when it is reached,
+so an error shows where, and only where, evaluation reaches it.  A
+subformula or term shared by several parents compiles once per compile.
 
-Certificate roles: both entry points optionally take a map from variable
-names to callbacks.  An ExN binder whose variable has a role is not swept;
-its callback computes a value from the current assignment, the binder is
-false if that value exceeds the bound, and otherwise the body is evaluated
-once with the value bound.  This is sound, and agrees with honest
-evaluation, only when each callback produces the only admissible value: the
-one value below the bound, if any, that can satisfy the body.  Compilers
-that attach roles (nepo) must emit clauses that pin their witnesses
-uniquely.
+eval_formula and comprehension_witness compile per call, and the compile
+goes when the call returns.  compile_formula keeps its compile for callers
+that evaluate one formula many times: nepo artifacts, and acc's witness
+checks in a bounded memo per matrix kind, machine and polynomial; each run
+compiles only what no earlier run reached.  term_reader reads terms the
+same way for prop.translate.
+
+The compile memos are keyed by node identity.  That is sound because a
+closure keeps every node it may still compile alive: the memo's keys name
+nodes that were alive, beside every node still to compile, when the compile
+began, so no node still to compile can share an id with a key.
+term_reader, whose callers pass terms one at a time, holds every term it
+has read for the same reason.
+
+Certificate roles: evaluation optionally takes a map from variable names to
+callbacks.  An ExN binder whose variable has a role is not swept; its
+callback computes a value from the current assignment, the binder is false
+if that value exceeds the bound, and otherwise the body is evaluated once
+with the value bound.  This is sound, and agrees with honest evaluation,
+only when each callback produces the only admissible value: the one value
+below the bound, if any, that can satisfy the body.  Compilers that attach
+roles (nepo) must emit clauses that pin their witnesses uniquely.
 """
 
 from __future__ import annotations
@@ -87,54 +84,7 @@ class Assignment:
 
 
 Roles = dict[str, Callable[[Assignment], int]]
-
-
-def _num_lookup(env: Assignment, name: str) -> int:
-    if not is_num_name(name):
-        raise SortMismatchError(f"{name} is not a number variable")
-    try:
-        return env.nums[name]
-    except KeyError:
-        raise UnboundVariableError(f"number variable {name} is unbound") from None
-
-
-def _str_lookup(env: Assignment, name: str) -> str:
-    if not is_str_name(name):
-        raise SortMismatchError(f"{name} is not a string variable")
-    try:
-        return env.strs[name]
-    except KeyError:
-        raise UnboundVariableError(f"string variable {name} is unbound") from None
-
-
-def eval_term(t: NumTerm, env: Assignment) -> int:
-    tt = type(t)
-    if tt is Zero:
-        return 0
-    if tt is One:
-        return 1
-    if tt is Const:
-        return t.value
-    if tt is NVar:
-        return _num_lookup(env, t.name)
-    if tt is Plus:
-        return eval_term(t.left, env) + eval_term(t.right, env)
-    if tt is Times:
-        return eval_term(t.left, env) * eval_term(t.right, env)
-    if tt is Len:
-        return codec.set_length(_str_lookup(env, t.svar))
-    if tt is SeqAt:
-        return codec.seq_get_total(eval_term(t.seq, env), eval_term(t.index, env))
-    if tt is SeqLen:
-        return codec.seq_len_total(eval_term(t.seq, env))
-    raise TypeError(f"not a term: {t!r}")
-
-
-def _quant_bound(t: NumTerm, s: FiniteSlice, env: Assignment) -> int:
-    b = eval_term(t, env)
-    if b > s.num_bound:
-        raise SliceExceededError(f"quantifier bound {b} exceeds num_bound {s.num_bound}")
-    return b
+Compiled = Callable[[FiniteSlice, Assignment | None, Roles | None], bool]
 
 
 def eval_formula(f: Formula, s: FiniteSlice, env: Assignment | None = None,
@@ -142,132 +92,129 @@ def eval_formula(f: Formula, s: FiniteSlice, env: Assignment | None = None,
     """Truth of f in the slice; quantifier bounds are inclusive.
 
     roles settles the listed ExN binders by callback instead of a sweep; see
-    the module docstring for when that is sound.
+    the module docstring for when that is sound.  f compiles as far as this
+    evaluation reaches, and the compile goes when the call returns.
+    """
+    compiler = _Compiler()
+    return compiler.formula(f)(_Run(env, s, roles, compiler))
+
+
+def compile_formula(f: Formula) -> Compiled:
+    """f as a function (s, env=None, roles=None) -> bool equal to
+    eval_formula(f, s, env, roles).
+
+    Each node compiles the first time a run reaches it and stays compiled
+    for the life of the returned function.  Compiling a node takes one
+    Python frame (plus one per level of its terms), and a run takes one per
+    formula level, And and Or chains running as loops.
+    """
+    compiler = _Compiler()
+    root = compiler.formula(f)
+
+    def run(s: FiniteSlice, env: Assignment | None = None,
+            roles: Roles | None = None) -> bool:
+        return root(_Run(env, s, roles, compiler))
+
+    return run
+
+
+def term_reader() -> Callable[[NumTerm, Assignment], int]:
+    """A function (t, env) -> the value of t under env, raising what
+    evaluation raises on an atom that holds t.  Each term object compiles
+    once per reader, at its first read."""
+    term = _Compiler().term
+    held = {}  # every term read, so that no later term can take its id
+
+    def read(t: NumTerm, env: Assignment) -> int:
+        held[id(t)] = t
+        try:
+            return _value(term(t), env.nums, env.strs)
+        except KeyError as e:
+            raise _unbound(e) from None
+
+    return read
+
+
+def comprehension_witness(phi: Formula, y: int, s: FiniteSlice,
+                          env: Assignment | None = None,
+                          var: str | None = None) -> str:
+    """Bit vector X of length y with X(z) iff phi(z), for z < y.
+
+    phi must sit at level 0 of the string-quantifier hierarchy; its one free
+    number variable not covered by env is the comprehension variable unless
+    var names it explicitly.
     """
     if env is None:
         env = Assignment()
-    return _eval(f, s, env, roles)
+    qc = classify(phi)
+    if qc.level != 0:
+        raise ClassError(f"comprehension needs a level-0 formula, got {qc}")
+    if var is None:
+        nums, _ = free_vars(phi)
+        candidates = sorted(nums - env.nums.keys())
+        if len(candidates) != 1:
+            raise ValueError(
+                f"cannot infer the comprehension variable from {candidates}")
+        var = candidates[0]
+    holds = compile_formula(phi)
+    prev = env.nums.get(var)
+    bits = []
+    try:
+        for z in range(y):
+            env.nums[var] = z
+            bits.append("1" if holds(s, env) else "0")
+    finally:
+        if prev is None:
+            env.nums.pop(var, None)
+        else:
+            env.nums[var] = prev
+    return "".join(bits)
 
 
-def _eval(f: Formula, s: FiniteSlice, env: Assignment, roles: Roles | None) -> bool:
-    tf = type(f)
-    if tf is EqNum:
-        return eval_term(f.left, env) == eval_term(f.right, env)
-    if tf is Leq:
-        return eval_term(f.left, env) <= eval_term(f.right, env)
-    if tf is EqStr:
-        return codec.sets_equal(_str_lookup(env, f.left), _str_lookup(env, f.right))
-    if tf is Memb:
-        return codec.bit_at(_str_lookup(env, f.svar), eval_term(f.index, env))
-    if tf is And:
-        return _eval(f.left, s, env, roles) and _eval(f.right, s, env, roles)
-    if tf is Or:
-        return _eval(f.left, s, env, roles) or _eval(f.right, s, env, roles)
-    if tf is Not:
-        return not _eval(f.body, s, env, roles)
-    if tf is Imp:
-        return (not _eval(f.left, s, env, roles)) or _eval(f.right, s, env, roles)
-    if tf in (ExN, AlN):
-        b = _quant_bound(f.bound, s, env)
-        want = tf is ExN
-        prev = env.nums.get(f.var)
-        try:
-            if want and roles and f.var in roles:
-                v = roles[f.var](env)
-                if v > b:
-                    return False
-                env.nums[f.var] = v
-                return _eval(f.body, s, env, roles)
-            for v in range(b + 1):
-                env.nums[f.var] = v
-                if _eval(f.body, s, env, roles) == want:
-                    return want
-        finally:
-            if prev is None:
-                env.nums.pop(f.var, None)
-            else:
-                env.nums[f.var] = prev
-        return not want
-    if tf in (ExS, AlS):
-        b = _quant_bound(f.bound, s, env)
-        if b > s.str_width:
-            raise SliceExceededError(
-                f"string bound {b} exceeds str_width {s.str_width}")
-        want = tf is ExS
-        prev = env.strs.get(f.var)
-        try:
-            for mask in range(1 << b):
-                env.strs[f.var] = codec.mask_to_bits(mask)
-                if _eval(f.body, s, env, roles) == want:
-                    return want
-        finally:
-            if prev is None:
-                env.strs.pop(f.var, None)
-            else:
-                env.strs[f.var] = prev
-        return not want
-    raise TypeError(f"not a formula: {f!r}")
-
-
-# --- compiled evaluation ---
+# --- the compiler ---
 #
 # A compiled formula is a closure (run) -> bool over a _Run.  Variable reads
 # index the assignment's dicts directly, and each atom and quantifier bound
-# turns the KeyError of an unbound name into UnboundVariableError.  A node
-# outside the compiled sublanguage (see the module docstring), and an atom or
-# number quantifier holding a name that is not a str of the right sort,
-# compiles to a closure that runs the walker on it, so it raises what the
-# walker raises where it raises.
-
-Compiled = Callable[[FiniteSlice, Assignment | None, Roles | None], bool]
+# turns the KeyError of an unbound name into UnboundVariableError.  Closures
+# never hold the compiler: the _Run carries it to the first run of a closure
+# whose children still wait to compile, so a compile and its closures form
+# no cycle and go as soon as the caller drops them.
 
 
 class _Run:
     """What one call of a compiled formula reads besides its structure."""
 
-    __slots__ = ("nums", "strs", "env", "slice", "roles")
+    __slots__ = ("nums", "strs", "env", "slice", "roles", "compiler")
 
-    def __init__(self, env: Assignment, s: FiniteSlice, roles: Roles | None):
+    def __init__(self, env: Assignment | None, s: FiniteSlice, roles: Roles | None,
+                 compiler: "_Compiler"):
+        if env is None:
+            env = Assignment()
         self.nums = env.nums
         self.strs = env.strs
         self.env = env
         self.slice = s
         self.roles = roles
+        self.compiler = compiler
 
 
-def compile_formula(f: Formula) -> Compiled:
-    """f as a function (s, env=None, roles=None) -> bool equal to
-    eval_formula(f, s, env, roles), built once.
-
-    Each node compiles once per call of compile_formula, so a subformula or
-    term shared by several parents compiles once; the memo is dropped when
-    the compile returns.  The compiler recurses once per formula level (And
-    and Or chains compile as n-ary loops), as the closures do when run.
-    """
-    root = _Compiler().formula(f)
-
-    def run(s: FiniteSlice, env: Assignment | None = None,
-            roles: Roles | None = None) -> bool:
-        return root(_Run(Assignment() if env is None else env, s, roles))
-
+def _error(kind: type[Exception], message: str):
+    """A closure, in term or formula position, that raises kind(message)
+    each time it runs."""
+    def run(*_):
+        raise kind(message)
     return run
 
 
-class _Walk(Exception):
-    """A node the compiler leaves to the walker.  Raised by a term, it hands
-    the whole atom or quantifier that holds the term to the walker."""
-
-
-def _walk(f: Formula) -> Callable[[_Run], bool]:
-    """f run through the walker when reached."""
-    return lambda r: _eval(f, r.slice, r.env, r.roles)
-
-
-def _name(name, num: bool) -> str:
-    """name when it is a str of the wanted sort, else _Walk."""
-    if type(name) is str and (is_num_name(name) if num else is_str_name(name)):
+def _name(name, num: bool):
+    """name when it is a str of the wanted sort, else a closure raising the
+    sort check's error."""
+    if type(name) is not str:
+        return _error(TypeError, f"variable name {name!r} is not a str")
+    if is_num_name(name) if num else is_str_name(name):
         return name
-    raise _Walk
+    return _error(SortMismatchError,
+                  f"{name} is not a {'number' if num else 'string'} variable")
 
 
 def _unbound(e: KeyError) -> UnboundVariableError:
@@ -285,41 +232,47 @@ def _false(_run):
 
 
 class _Compiler:
-    """One compile: memos by node identity, for terms and for formulas.
+    """Memos by node identity, for terms and for formulas (sound while the
+    closures keep alive every node they may still compile; see the module
+    docstring).
 
-    term and formula look up the memo and build in one frame, so a compile
-    takes one Python frame per level of the formula (and of its terms).
+    term compiles a whole term in one frame per level; formula compiles one
+    node in one frame, its child formulas waiting for the node's first run.
+    Leaf terms compile to a constant or a name and skip the memo.
     """
+
+    __slots__ = ("terms", "formulas")
 
     def __init__(self):
         self.terms: dict[int, object] = {}
         self.formulas: dict[int, Callable[[_Run], bool]] = {}
 
     def term(self, t: NumTerm):
+        tt = type(t)
+        if tt is NVar:
+            return _name(t.name, True)
+        if tt is Const:
+            return t.value
+        if tt is Zero:
+            return 0
+        if tt is One:
+            return 1
         out = self.terms.get(id(t))
         if out is not None:
             return out
-        tt = type(t)
-        if tt is Zero:
-            out = 0
-        elif tt is One:
-            out = 1
-        elif tt is Const:
-            out = t.value
-        elif tt is NVar:
-            out = _name(t.name, True)
-        elif tt is Plus:
+        if tt is Plus:
             out = _plus(self.term(t.left), self.term(t.right))
         elif tt is Times:
             out = _times(self.term(t.left), self.term(t.right))
         elif tt is Len:
-            out = _len(_name(t.svar, False))
+            svar = _name(t.svar, False)
+            out = svar if callable(svar) else _len(svar)
         elif tt is SeqAt:
             out = _seq_at(self.term(t.seq), self.term(t.index))
         elif tt is SeqLen:
             out = _seq_len(self.term(t.seq))
         else:
-            raise _Walk
+            out = _error(TypeError, f"not a term: {t!r}")
         self.terms[id(t)] = out
         return out
 
@@ -328,29 +281,29 @@ class _Compiler:
         if out is not None:
             return out
         tf = type(f)
-        try:
-            if tf is EqNum or tf is Leq:
-                out = _compare(tf is Leq, self.term(f.left), self.term(f.right))
-            elif tf is Memb:
-                out = _memb(_name(f.svar, False), self.term(f.index))
-            elif tf is And or tf is Or:
-                parts, g = [], f
-                while type(g) is tf:
-                    parts.append(self.formula(g.left))
-                    g = g.right
-                parts.append(self.formula(g))
-                out = (_all if tf is And else _any)(tuple(parts))
-            elif tf is Not:
-                out = _not(self.formula(f.body))
-            elif tf is Imp:
-                out = _imp(self.formula(f.left), self.formula(f.right))
-            elif tf is ExN or tf is AlN:
-                out = _num_quant(tf is ExN, _name(f.var, True), self.term(f.bound),
-                                 self.formula(f.body))
-            else:
-                raise _Walk
-        except _Walk:
-            out = _walk(f)
+        if tf is EqNum or tf is Leq:
+            out = _compare(tf is Leq, self.term(f.left), self.term(f.right))
+        elif tf is Memb:
+            svar = _name(f.svar, False)  # read before the index
+            out = svar if callable(svar) else _memb(svar, self.term(f.index))
+        elif tf is EqStr:
+            out = _eq_str(_name(f.left, False), _name(f.right, False))
+        elif tf is And or tf is Or:
+            parts, g = [], f
+            while type(g) is tf:
+                parts.append(g.left)
+                g = g.right
+            parts.append(g)
+            out = _chain(tf is And, parts)
+        elif tf is Not:
+            out = _not(f.body)
+        elif tf is Imp:
+            out = _imp(f.left, f.right)
+        elif tf is ExN or tf is AlN or tf is ExS or tf is AlS:
+            out = _quant(tf is ExN or tf is ExS, tf is ExS or tf is AlS, f.var,
+                         self.term(f.bound), f.body)
+        else:
+            out = _error(TypeError, f"not a formula: {f!r}")
         self.formulas[id(f)] = out
         return out
 
@@ -359,13 +312,16 @@ class _Compiler:
 #
 # A compiled term is a folded constant, a str (the name of a number variable,
 # read straight from nums by its parent) or a closure (nums, strs) -> int.
-# The operand shapes of nepo's grid reads, a sequence variable at a position
-# scaled and offset by constants, get closures of their own, and so does an
-# EqNum of such a read against a constant: on the certify benchmark these
-# closures take 94% of term and comparison calls, and running any one of them
-# through _binary instead costs 10-13% of its ops per second.  Other shapes go
-# through _binary.  Constants are natural numbers, on which every term
-# operation is total, so folding never raises.
+# Plus and Times get one closure per operand shape, holding just its two
+# operands: on the proof-check formula of the reflect benchmark that takes 7%
+# less memory to compile than _binary closures.  nepo's grid reads (a sequence
+# variable at a position scaled and offset by constants) and an EqNum of such
+# a read against a constant get closures of their own too: on the certify
+# benchmark these shapes take 94% of term and comparison calls, and running
+# any one of them through _binary instead costs 10-13% of its ops per second.
+# Other shapes go through _binary.  Constants
+# are natural numbers, on which every term operation is total, so folding
+# never raises, and a constant operand may be read after the other.
 
 
 def _is_const(a) -> bool:
@@ -386,19 +342,39 @@ def _binary(op, a, b):
 
 
 def _plus(a, b):
-    if callable(a) and _is_const(b):
+    if _is_const(a):
+        if _is_const(b):
+            return a + b
+        a, b = b, a  # a constant neither raises nor reads, so it may go last
+    if callable(a):
+        if callable(b):
+            return lambda nums, strs: a(nums, strs) + b(nums, strs)
+        if type(b) is str:
+            return lambda nums, strs: a(nums, strs) + nums[b]
         return lambda nums, strs: a(nums, strs) + b
-    if callable(a) and type(b) is str:
-        return lambda nums, strs: a(nums, strs) + nums[b]
-    return _binary(operator.add, a, b)
+    if callable(b):
+        return lambda nums, strs: nums[a] + b(nums, strs)
+    if type(b) is str:
+        return lambda nums, strs: nums[a] + nums[b]
+    return lambda nums, strs: nums[a] + b
 
 
 def _times(a, b):
-    if callable(a) and _is_const(b):
+    if _is_const(a):
+        if _is_const(b):
+            return a * b
+        a, b = b, a  # as in _plus
+    if callable(a):
+        if callable(b):
+            return lambda nums, strs: a(nums, strs) * b(nums, strs)
+        if type(b) is str:
+            return lambda nums, strs: a(nums, strs) * nums[b]
         return lambda nums, strs: a(nums, strs) * b
-    if type(a) is str and _is_const(b):
-        return lambda nums, strs: nums[a] * b
-    return _binary(operator.mul, a, b)
+    if callable(b):
+        return lambda nums, strs: nums[a] * b(nums, strs)
+    if type(b) is str:
+        return lambda nums, strs: nums[a] * nums[b]
+    return lambda nums, strs: nums[a] * b
 
 
 def _seq_at(a, b):
@@ -419,6 +395,10 @@ def _len(svar: str):
 
 
 # --- compiled formulas ---
+#
+# A closure with child formulas holds the child nodes until its first run,
+# which compiles them through the run's compiler and keeps the closures in
+# their place.
 
 
 def _compare(leq: bool, a, b) -> Callable[[_Run], bool]:
@@ -450,17 +430,36 @@ def _memb(svar: str, index) -> Callable[[_Run], bool]:
     return run
 
 
-def _all(parts: tuple) -> Callable[[_Run], bool]:
+def _eq_str(left, right) -> Callable[[_Run], bool]:
     def run(r):
-        for part in parts:
-            if not part(r):
-                return False
-        return True
+        try:
+            texts = [r.strs[n] if type(n) is str else n() for n in (left, right)]
+        except KeyError as e:
+            raise _unbound(e) from None
+        return codec.sets_equal(*texts)
     return run
 
 
-def _any(parts: tuple) -> Callable[[_Run], bool]:
+def _chain(conj: bool, parts: list) -> Callable[[_Run], bool]:
+    """An And (conj) or Or chain over parts, a list of nodes in which each
+    part is replaced by its closure the first time the loop reaches it."""
+    ready, n = 0, len(parts)
+
     def run(r):
+        nonlocal ready
+        if ready < n:
+            for i in range(n):
+                if i == ready:
+                    parts[i] = r.compiler.formula(parts[i])
+                    ready += 1
+                if bool(parts[i](r)) is not conj:
+                    return not conj
+            return conj
+        if conj:
+            for part in parts:
+                if not part(r):
+                    return False
+            return True
         for part in parts:
             if part(r):
                 return True
@@ -469,82 +468,71 @@ def _any(parts: tuple) -> Callable[[_Run], bool]:
 
 
 def _not(body) -> Callable[[_Run], bool]:
-    return lambda r: not body(r)
+    compiled = False
+
+    def run(r):
+        nonlocal body, compiled
+        if not compiled:
+            body, compiled = r.compiler.formula(body), True
+        return not body(r)
+    return run
 
 
 def _imp(left, right) -> Callable[[_Run], bool]:
-    return lambda r: not left(r) or right(r)
+    compiled = False
 
-
-def _bound(bound, r: _Run) -> int:
-    try:
-        b = _value(bound, r.nums, r.strs)
-    except KeyError as e:
-        raise _unbound(e) from None
-    if b > r.slice.num_bound:
-        raise SliceExceededError(
-            f"quantifier bound {b} exceeds num_bound {r.slice.num_bound}")
-    return b
-
-
-def _num_quant(exists: bool, var: str, bound, body) -> Callable[[_Run], bool]:
     def run(r):
-        b = _bound(bound, r)
-        nums = r.nums
-        prev = nums.get(var)
+        nonlocal left, right, compiled
+        if not compiled:
+            left, right = r.compiler.formula(left), r.compiler.formula(right)
+            compiled = True
+        return not left(r) or right(r)
+    return run
+
+
+def _quant(exists: bool, strings: bool, var: str, bound,
+           body) -> Callable[[_Run], bool]:
+    """A number quantifier sweeps 0..bound; a string quantifier sweeps every
+    set below bound, which must stay within str_width."""
+    compiled = False
+
+    def run(r):
+        nonlocal body, compiled
+        if not compiled:
+            body, compiled = r.compiler.formula(body), True
         try:
-            if exists and r.roles and var in r.roles:
+            b = _value(bound, r.nums, r.strs)
+        except KeyError as e:
+            raise _unbound(e) from None
+        if b > r.slice.num_bound:
+            raise SliceExceededError(
+                f"quantifier bound {b} exceeds num_bound {r.slice.num_bound}")
+        if strings:
+            if b > r.slice.str_width:
+                raise SliceExceededError(
+                    f"string bound {b} exceeds str_width {r.slice.str_width}")
+            env, values = r.strs, map(codec.mask_to_bits, range(1 << b))
+        else:
+            env, values = r.nums, range(b + 1)
+        prev = env.get(var)
+        try:
+            if exists and not strings and r.roles and var in r.roles:
                 v = r.roles[var](r.env)
                 if v > b:
                     return False
-                nums[var] = v
+                env[var] = v
                 return body(r)
-            for v in range(b + 1):
-                nums[var] = v
+            for v in values:
+                env[var] = v
                 if body(r) == exists:
                     return exists
         finally:
             if prev is None:
-                nums.pop(var, None)
+                env.pop(var, None)
             else:
-                nums[var] = prev
+                env[var] = prev
         return not exists
     return run
-
-
-def comprehension_witness(phi: Formula, y: int, s: FiniteSlice,
-                          env: Assignment | None = None,
-                          var: str | None = None) -> str:
-    """Bit vector X of length y with X(z) iff phi(z), for z < y.
-
-    phi must sit at level 0 of the string-quantifier hierarchy; its one free
-    number variable not covered by env is the comprehension variable unless
-    var names it explicitly.
-    """
-    if env is None:
-        env = Assignment()
-    qc = classify(phi)
-    if qc.level != 0:
-        raise ClassError(f"comprehension needs a level-0 formula, got {qc}")
-    if var is None:
-        nums, _ = free_vars(phi)
-        candidates = sorted(nums - env.nums.keys())
-        if len(candidates) != 1:
-            raise ValueError(
-                f"cannot infer the comprehension variable from {candidates}")
-        var = candidates[0]
-    prev = env.nums.get(var)
-    bits = []
-    try:
-        for z in range(y):
-            env.nums[var] = z
-            bits.append("1" if _eval(phi, s, env, None) else "0")
-    finally:
-        if prev is None:
-            env.nums.pop(var, None)
-        else:
-            env.nums[var] = prev
-    return "".join(bits)
 
 
 # --- monotone heap-layout trees ---

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import (BudgetError, ClassError, ParseError, SliceExceededError,
                      UnboundVariableError)
-from .evaluate import Assignment, eval_term
+from .evaluate import Assignment, term_reader
 from .formulas import (And, EqNum, EqStr, ExN, Formula, Imp, Leq, Memb, Not, Or,
                        classify)
 from .sexpr import Node, read_one
@@ -151,15 +151,16 @@ def translate(phi: Formula, sizes: SizeProfile,
     """Propositional image of a level-0 formula at the given sizes."""
     if classify(phi).level != 0:
         raise ClassError("only string-quantifier-free formulas translate")
+    term = term_reader()
 
     def go(f: Formula, env: Assignment) -> PropFormula:
         k = type(f)
         if k is EqNum:
-            return PConst(int(eval_term(f.left, env) == eval_term(f.right, env)))
+            return PConst(int(term(f.left, env) == term(f.right, env)))
         if k is Leq:
-            return PConst(int(eval_term(f.left, env) <= eval_term(f.right, env)))
+            return PConst(int(term(f.left, env) <= term(f.right, env)))
         if k is Memb:
-            return _bit(f.svar, eval_term(f.index, env), sizes)
+            return _bit(f.svar, term(f.index, env), sizes)
         if k is EqStr:
             m = sizes.lengths.get(f.left)
             n = sizes.lengths.get(f.right)
@@ -183,7 +184,7 @@ def translate(phi: Formula, sizes: SizeProfile,
         if k is Not:
             return pnot(go(f.body, env))
         # ExN or AlN: classify has rejected string quantifiers and unknown nodes
-        b = eval_term(f.bound, env)
+        b = term(f.bound, env)
         if b > num_bound:
             raise SliceExceededError(
                 f"quantifier bound {b} exceeds expansion cap {num_bound}")

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from oracles import all_strings
+from oracles import all_strings, walk_formula, walk_term
 
 from forge import acc, nepo
 from forge.codec import encode_seq, mask_to_bits, set_length
@@ -115,7 +115,7 @@ def walked_witness(tm, p, x, w):
     walked at every call, over the same slice."""
     layout = acc.acc_layout(tm, p, set_length(x))
     s = FiniteSlice(num_bound=layout.total_bits + layout.steps + 2, str_width=0)
-    return eval_formula(acc.acc_matrix(tm, p), s, Assignment(strs={"X": x, "W": w}))
+    return walk_formula(acc.acc_matrix(tm, p), s, Assignment(strs={"X": x, "W": w}))
 
 
 def flips(w):
@@ -284,7 +284,7 @@ def test_compiled_reach_check_matches_walker():
         s = FiniteSlice(num_bound=total + steps + 2, str_width=0)
         walker = acc.reach_matrix(tm, P)
         for cand in [w, *flips(w)]:
-            walked = eval_formula(walker, s, Assignment(strs={"Y": y, "Z": z, "W": cand}))
+            walked = walk_formula(walker, s, Assignment(strs={"Y": y, "Z": z, "W": cand}))
             assert acc.check_reach_witness(tm, P, y, z, cand) == walked, (y, cand)
         assert acc.check_reach_witness(tm, P, y, z, w)
         with pytest.raises(LayoutError, match=f"witness has {total - 1} bits, "
@@ -311,12 +311,11 @@ def test_full_reach_eval_matches_certificate_micro():
 
 def test_poly_term_matches_eval():
     from forge.formulas import NVar
-    from forge.evaluate import eval_term
     for coeffs, flag in (((2, 1), False), ((0, 0, 3), False), ((7,), True)):
         p = PolyBound(coeffs, flag)
         t = acc.poly_term(p, NVar("n"))
         for n in range(6):
-            got = eval_term(t, Assignment(nums={"n": n}))
+            got = walk_term(t, Assignment(nums={"n": n}))
             assert got == p.eval(n)
 
 

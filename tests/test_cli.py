@@ -404,6 +404,8 @@ FLAG_CHECKS = [
                  "value of i must be non-negative", id="translate--val"),
     pytest.param("compile-acc", "--tm", MACHINES / "scan1.tm", ["--poly", "x"],
                  "bad polynomial 'x'", id="compile-acc--poly"),
+    pytest.param("compile-acc", "--tm", MACHINES / "scan1.tm",
+                 ["--poly", "2,1", "--var", "x"], "bad --var 'x'", id="compile-acc--var"),
     pytest.param("compile-nepo", "--tm", MACHINES / "scan1.tm",
                  ["--m", "1", "--eps", "1/3", "--k", "2"], "need m >= 2",
                  id="compile-nepo--m"),

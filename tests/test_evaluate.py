@@ -9,7 +9,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from oracles import node_value_depth_bound
+from oracles import node_value_depth_bound, walk_formula, walk_term
 from test_formulas import gen_formula
 
 from forge import acc, evaluate, nepo, sexpr
@@ -19,11 +19,10 @@ from forge.errors import (ClassError, SliceExceededError, SortMismatchError,
                           UnboundVariableError)
 from forge.evaluate import (Assignment, FiniteSlice, MonotoneTree, check_mfv,
                             compile_formula, comprehension_witness,
-                            eval_formula, eval_term, mfv_witness, node_value,
-                            node_value_instrumented)
+                            eval_formula, mfv_witness, node_value,
+                            node_value_instrumented, term_reader)
 from forge.formulas import formula_size
-from forge.machine import (CORPUS, PolyBound, corpus_machine,
-                           initial_configuration, parse_tm)
+from forge.machine import corpus_machine, initial_configuration, parse_tm
 from forge.sexpr import parse_formula
 
 S8 = FiniteSlice(num_bound=8, str_width=8)
@@ -93,15 +92,25 @@ def test_eval_slice_errors():
     with pytest.raises(UnboundVariableError):
         ev("(in 0 X)")
     with pytest.raises(SortMismatchError):
-        eval_term(F.Len("x"), Assignment(nums={"x": 1}))
+        term_reader()(F.Len("x"), Assignment(nums={"x": 1}))
 
 
 def test_eval_seq_terms():
     code = encode_seq([4, 9])
     env = Assignment(nums={"s": code})
-    assert eval_term(F.SeqAt(F.NVar("s"), F.One()), env) == 9
-    assert eval_term(F.SeqLen(F.NVar("s")), env) == 2
-    assert eval_term(F.SeqAt(F.NVar("s"), F.const_term(7)), env) == 0
+    read = term_reader()
+    assert read(F.SeqAt(F.NVar("s"), F.One()), env) == 9
+    assert read(F.SeqLen(F.NVar("s")), env) == 2
+    assert read(F.SeqAt(F.NVar("s"), F.const_term(7)), env) == 0
+
+
+def test_term_reader_holds_what_it_read():
+    # each term is a temporary, freed after its read unless the reader holds
+    # it: the next one may then take its id and get its closure from the memo
+    read = term_reader()
+    env = Assignment(nums={"x": 1})
+    assert [read(F.Plus(F.NVar("x"), F.Const(k)), env) for k in range(2, 50)] \
+        == list(range(3, 51))
 
 
 def test_eval_restores_environment():
@@ -428,13 +437,13 @@ def diff_envs(rng: random.Random) -> list[Assignment]:
 
 
 def agree(f: F.Formula, s: FiniteSlice, env: Assignment, roles=None):
-    """Both evaluators' outcome on one case, after checking that they agree
-    and that each leaves env as it found it."""
+    """The compiled outcome on one case, after checking that the oracle
+    walker agrees and that each leaves env as it found it."""
     compiled = compile_formula(f)
     before = env.copy()
     got = outcome(lambda: compiled(s, env, roles))
     assert env == before
-    want = outcome(lambda: eval_formula(f, s, env, roles))
+    want = outcome(lambda: walk_formula(f, s, env, roles))
     assert env == before
     assert got == want, (f, s, env)
     return got
@@ -553,7 +562,7 @@ def test_both_evaluators_cover_every_node_type():
                      strs={"X": "0101", "Y": "01010"})
     for node in NODE_SAMPLES.values():
         if isinstance(node, F.NumTerm):
-            node = F.EqNum(node, F.const_term(eval_term(node, env)))
+            node = F.EqNum(node, F.const_term(walk_term(node, env)))
         assert isinstance(agree(node, S8, env), bool), node
     for bogus in (F.Leq(Bogus(), F.One()), Bogus()):
         assert agree(bogus, S8, env) is TypeError
@@ -577,63 +586,136 @@ def frame_budget(frames: int):
         sys.setrecursionlimit(old)
 
 
+def levels_of(f: F.Formula) -> tuple[dict[int, int], int]:
+    """The level of each formula node of f by identity, 1 at the root, and
+    the greatest level of any term."""
+    levels, term_levels, stack = {}, 0, [(f, 1)]
+    while stack:
+        node, d = stack.pop()
+        if isinstance(node, F.Formula):
+            levels[id(node)] = max(levels.get(id(node), 0), d)
+        else:
+            term_levels = max(term_levels, d)
+        stack += [(getattr(node, fd.name), d + 1) for fd in dataclasses.fields(node)
+                  if isinstance(getattr(node, fd.name), (F.NumTerm, F.Formula))]
+    return levels, term_levels
+
+
+class Reached(Exception):
+    """Ends a run at the first watched node it evaluates."""
+
+
+@contextmanager
+def watching(nodes: set[int], stop: bool):
+    """Record the value of each run of a node whose id is in nodes, and with
+    stop end the run there.  Nodes compile when evaluation first reaches
+    them, so the watch sits on the compiler."""
+    ran = []
+    formula = evaluate._Compiler.formula
+
+    def compile_watched(self, f):
+        out = formula(self, f)
+        if id(f) not in nodes:
+            return out
+
+        def run(r):
+            ran.append(out(r))
+            if stop:
+                raise Reached
+            return ran[-1]
+        return run
+
+    evaluate._Compiler.formula = compile_watched
+    try:
+        yield ran
+    finally:
+        evaluate._Compiler.formula = formula
+
+
 def test_compiled_depth_costs_one_frame_per_level():
     levels = sexpr.MAX_DEPTH
     nots = "(not " * (levels - 1) + "(leq 0 1)" + ")" * (levels - 1)
     chain = "(leq 1 1)"
     for k in range(levels - 1):
-        chain = f"({'and' if k % 2 else 'or'} (leq {k % 2} 0) {chain})"
+        # each left part is true under and, false under or, so the run goes on
+        chain = f"({'and' if k % 2 else 'or'} (leq {(k + 1) % 2} 0) {chain})"
     for text, want in ((nots, levels % 2 == 1), (chain, True)):
         f = parse_formula(text)
-        with frame_budget(levels + 25):
-            compiled = compile_formula(f)
-            assert compiled(S8) == eval_formula(f, S8) == want
+        depth_of, _ = levels_of(f)
+        assert max(depth_of.values()) == levels
+        deepest = {n for n, d in depth_of.items() if d == levels}
+        with watching(deepest, stop=False) as ran, frame_budget(levels + 25):
+            assert eval_formula(f, S8) == want
+        assert len(ran) == len(deepest)  # each node of the deepest level ran
 
 
 def test_compile_acceptance_at_m1024_in_one_frame_per_level():
     b = nepo.NepoBounds(c=1, eps=Fraction(1, 3), k=2, m=1024)
-    phi = nepo.compile_acceptance_sigma0(corpus_machine("parity"), b)
-    levels, term_levels, stack = 0, 0, [(phi, 1)]
-    while stack:
-        node, d = stack.pop()
-        if isinstance(node, F.Formula):
-            levels = max(levels, d)
-        else:
-            term_levels = max(term_levels, d)
-        stack += [(v, d + 1) for v in vars_of(node)]
-    assert F.depth(phi) == 20 and formula_size(phi) == 102_708
-    with frame_budget(levels + term_levels + 25):
-        compile_formula(phi)
+    art = nepo.acceptance_artifact(corpus_machine("parity"), b)
+    phi = art.formula
+    depth_of, term_levels = levels_of(phi)
+    levels = max(depth_of.values())
+    assert F.depth(phi) == 20 and formula_size(phi) == 102_708 and levels == 32
+    # a full evaluation takes seconds at this m, so the run ends at the first
+    # node of the deepest level it evaluates
+    deepest = {n for n, d in depth_of.items() if d == levels}
+    with watching(deepest, stop=True) as ran:
+        with frame_budget(levels + term_levels + 25), pytest.raises(Reached):
+            eval_formula(phi, art.slice, Assignment(strs={"X": "0110"}), art.roles)
+    assert len(ran) == 1
 
 
-def vars_of(node) -> list:
-    return [getattr(node, fd.name) for fd in dataclasses.fields(node)
-            if isinstance(getattr(node, fd.name), (F.NumTerm, F.Formula))]
+def test_no_compile_outlives_eval_formula():
+    f = F.land([F.Leq(X, F.const_term(k)) for k in range(50)]
+               + [F.ExS("Y", F.One(), F.Not(F.Memb(F.Zero(), "Y")))])
 
+    def compilers():
+        return [o for o in gc.get_objects() if type(o) is evaluate._Compiler]
 
-def test_compile_drops_its_memo():
-    f = F.land([F.Leq(X, F.const_term(k)) for k in range(50)])
-    compiled = compile_formula(f)
     gc.collect()
-    assert [o for o in gc.get_objects() if type(o) is evaluate._Compiler] == []
-    assert compiled(S8, Assignment(nums={"x": 0}))
+    kept = compilers()  # those of compile_formula results still in use
+    gc.disable()
+    try:
+        # without the cycle collector only reference counts free the compile
+        assert eval_formula(f, S8, Assignment(nums={"x": 0}))
+        assert comprehension_witness(F.Leq(X, F.One()), 3, S8, var="x") == "110"
+        assert compilers() == kept
+    finally:
+        gc.enable()
 
 
-def test_nepo_and_acc_formulas_compile_without_the_walker(monkeypatch):
-    walked = []
-    walk = evaluate._walk
-    monkeypatch.setattr(evaluate, "_walk", lambda f: walked.append(f) or walk(f))
-    compile_formula(F.land([F.TRUE, F.EqStr("X", "Y"), F.Leq(X, F.Len("x"))]))
-    assert len(walked) == 2  # the count sees the nodes handed to the walker
-    walked.clear()
-    # what nepo certificates and acc witness checks evaluate, at the criterion-4 bounds
-    b = nepo.NepoBounds(c=1, eps=Fraction(1, 3), k=2, m=64)
-    for name in CORPUS:
-        tm = corpus_machine(name)
-        for art in (nepo.acceptance_artifact(tm, b), nepo.cell_artifact(tm, b),
-                    nepo.reach_artifact(tm, b, 0), nepo.reach_artifact(tm, b, b.d)):
-            compile_formula(art.formula)
-        for p in (PolyBound((2, 1)), PolyBound((1, 1, 1))):
-            compile_formula(acc.acc_matrix(tm, p))
-            compile_formula(acc.reach_matrix(tm, p))
-    assert walked == []
+def record_compiles(monkeypatch) -> list:
+    """The formula nodes compiled from here on, in order: under lazy compile,
+    the nodes evaluation reaches."""
+    compiled = []
+    formula = evaluate._Compiler.formula
+    monkeypatch.setattr(evaluate._Compiler, "formula",
+                        lambda self, f: compiled.append(f) or formula(self, f))
+    return compiled
+
+
+def test_evaluation_compiles_only_what_it_reaches(monkeypatch):
+    compiled = record_compiles(monkeypatch)
+    low = F.Leq(X, F.Zero())
+    chain = F.land([low, F.Leq(X, F.One()), F.Not(F.Leq(X, X))])
+    some = F.ExN("y", F.One(), F.Leq(F.NVar("y"), X))
+    f = F.Or(chain, some)
+    # x = 1: the chain stops at its first part, and the sweep at y = 0
+    assert eval_formula(f, S8, Assignment(nums={"x": 1}))
+    assert compiled == [f, chain, low, some, some.body]
+
+
+def test_every_node_kind_reaches_the_compiler(monkeypatch):
+    # one evaluator: no tree walker to hand a node to
+    assert not {"_eval", "eval_term", "_walk", "_Walk", "_num_lookup", "_str_lookup",
+                "_quant_bound"} & set(vars(evaluate))
+    compiled = record_compiles(monkeypatch)
+    env = Assignment(nums={"x": 3}, strs={"X": "01", "Y": "010"})
+    kinds = [F.EqStr("X", "Y"), F.ExS("Z", F.One(), F.Memb(F.Zero(), "Z")),
+             F.AlS("Z", F.One(), F.EqStr("Z", "X")), F.Leq(X, F.Len("x")),
+             F.Memb(F.One(), "x"), F.EqNum(F.NVar("Z"), X), F.EqNum(F.NVar(5), X),
+             F.ExN("X", F.One(), F.Memb(F.Zero(), "X")), Bogus(), F.Leq(Bogus(), X)]
+    for node in kinds:
+        compiled.clear()
+        assert agree(node, S8, env) == outcome(lambda: eval_formula(node, S8, env))
+        assert compiled[0] is node

@@ -10,11 +10,11 @@ counted exhaustively.
 from fractions import Fraction
 
 import pytest
-from oracles import all_strings
+from oracles import all_strings, walk_term
 
 from forge import acc, nepo
 from forge.errors import BudgetError, ParseError, UnboundVariableError
-from forge.evaluate import Assignment, compile_formula, eval_formula, eval_term
+from forge.evaluate import Assignment, compile_formula, eval_formula
 from forge.formulas import EqStr, ExN, classify, const_term, formula_size, free_vars
 from forge.machine import (PolyBound, accepts, corpus_machine,
                            initial_configuration, parse_tm, run_from)
@@ -127,7 +127,7 @@ def test_number_sized_bounds():
                   nepo.compile_cell_predicate(tm, b),
                   nepo.compile_acceptance_sigma0(tm, b)):
             for bound in nepo.collect_quantifier_bounds(f):
-                assert eval_term(bound, Assignment()) <= s.num_bound
+                assert walk_term(bound, Assignment()) <= s.num_bound
 
 
 MICRO_STARTS = [initial_configuration("1", 2), initial_configuration("01", 2)]

@@ -2,6 +2,7 @@
 
 import pytest
 from hypothesis import given, strategies as st
+from oracles import walk_formula
 
 from forge.errors import BudgetError, ClassError, ParseError, SliceExceededError
 from forge.evaluate import Assignment, FiniteSlice, eval_formula
@@ -105,6 +106,17 @@ def test_number_values_from_profile():
     assert translate(phi, sizes) == PVar(X, 1)
     with pytest.raises(Exception):
         translate(phi, for_len(4))  # i unbound
+
+
+@pytest.mark.parametrize("phi", [
+    Memb(NVar("j"), X), Leq(NVar("Y"), One()), EqNum(Len("i"), One()),
+    EqNum(Len("Y"), One()), Leq(One(), NVar(5)), ExN("z", NVar("j"), TRUE)])
+def test_translate_raises_the_oracle_error_on_a_bad_name(phi):
+    # unbound, of the other sort or not a str: the oracle walker's error type
+    with pytest.raises(Exception) as want:
+        walk_formula(phi, FiniteSlice(8, 4), Assignment({"i": 1}, {"X": "0001"}))
+    with pytest.raises(want.type):
+        translate(phi, SizeProfile(lengths={"X": 4}, values={"i": 1}))
 
 
 def test_translate_rejects_string_quantifier():

@@ -1,5 +1,6 @@
 """Bit-string encodings and the checker formulas that read them."""
 
+import hashlib
 import random
 
 import pytest
@@ -14,8 +15,8 @@ from forge.proofs import (Proof, ProofLine, Sequent, check_frege,
                           corpus_proofs, proof_mutations, proof_target,
                           soundness_sweep)
 from forge.prop import (PAnd, PConst, PNot, POr, PVar, SizeProfile, eval_prop,
-                        translate)
-from forge.reflect import (ENCODING_VERSION, compile_formula_wf,
+                        prop_to_sexpr, translate)
+from forge.reflect import (ENCODING_VERSION, NODE_WIDTH, compile_formula_wf,
                            compile_proof_check, compile_sat, decode_formula,
                            decode_proof, encode_formula, encode_proof,
                            reflection_instance)
@@ -383,6 +384,30 @@ def test_proof_check_image_at_the_smallest_proof_length():
         bits = {("P", j): int(b) for j, b in enumerate(p)}
         bits.update({("X", j): int(b) for j, b in enumerate(xenc)})
         assert eval_prop(img, bits) == _accepts(prf, p, xenc)
+
+
+# sha256 prefixes of prop_to_sexpr(translate(...)), recorded before term reads
+# in translate went through the compiler: a change to how translate reads
+# terms must leave every image byte for byte as it was
+SAT_IMAGES = {1: "0a512954883f4087", 2: "2ea21d8198504552", 3: "303af46880c88988",
+              4: "3fe019ce9810738e", 5: "9792526d0cca6d90", 6: "087f04efd7ca0e52",
+              7: "72b6975982616652", 8: "24ab775226b1b7d1"}
+PROOF_CHECK_IMAGES = {8: "f5b152b0f2af86dc", 16: "f5b152b0f2af86dc", 32: "b89a6871b5913750"}
+
+
+def image_digest(p) -> str:
+    return hashlib.sha256(prop_to_sexpr(p).encode()).hexdigest()[:16]
+
+
+def test_translate_images_are_pinned():
+    for cap, digest in SAT_IMAGES.items():
+        sizes = SizeProfile(lengths={"X": 2 + cap * NODE_WIDTH, "Z": 8})
+        assert image_digest(translate(compile_sat(cap), sizes)) == digest, cap
+    prf = compile_proof_check("frege", slot_cap=1)
+    xlen = len(encode_formula(PConst(1)))
+    for plen, digest in PROOF_CHECK_IMAGES.items():
+        img = translate(prf, SizeProfile(lengths={"P": plen, "X": 4 if plen < 32 else xlen}))
+        assert image_digest(img) == digest, plen
 
 
 def test_proof_check_vacuous_below_frame_minimum():
