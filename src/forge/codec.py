@@ -5,7 +5,9 @@ width w, and the rest is the packed payload topped by a sentinel bit, so the
 element count is (bitlen(payload) - 1) // w.  This keeps codes linear in the
 payload size (nesting Cantor pairs would square it).  Reads are lenient:
 seq_get_total and seq_len_total accept any natural number, so term
-evaluation stays total.
+evaluation stays total.  seq_fields decodes a code once into all of its
+elements under the same reading, for readers that index one code many
+times; encode_bits builds the width-1 code of a 0/1 text without a loop.
 
 Bit strings are plain '0'/'1' text read as sets of positions.  Two strings
 are the same set iff they agree after stripping trailing zeros, and the
@@ -30,6 +32,15 @@ def encode_seq(xs: list[int] | tuple[int, ...]) -> int:
         packed |= x << (j * w)
     body = packed | 1 << (len(xs) * w)
     return body * (MAX_FIELD_WIDTH + 1) + w
+
+
+def encode_bits(bits: str) -> int:
+    """encode_seq([int(ch) for ch in bits]) for a text of digits, built in
+    one int() call when every digit is 0 or 1 (the width-1 code)."""
+    try:
+        return (int("1" + bits[::-1], 2) << WIDTH_BITS) + 1
+    except ValueError:  # a digit above 1 needs wider fields
+        return encode_seq([int(ch) for ch in bits])
 
 
 def seq_len_total(code: int) -> int:
@@ -61,6 +72,29 @@ def seq_get_total(code: int, j: int) -> int:
     if j >= n:
         return 0
     return (body >> (j * w)) & ((1 << w) - 1)
+
+
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def seq_fields(code: int) -> bytes | tuple[int, ...]:
+    """Every element of code under the lenient reading, element j at index
+    j: seq_get_total(code, j) for each j < seq_len_total(code), with the same
+    ValueError for a negative code.  bytes when the field width is at most 8
+    or the code has no usable header, else a tuple.
+    """
+    if code < 0:
+        raise ValueError("sequence codes are non-negative")
+    body, w = divmod(code, MAX_FIELD_WIDTH + 1)
+    if w == 0 or body == 0:
+        return b""
+    if w == 1:  # the digits after the sentinel, element 0 last
+        return bin(body)[:2:-1].encode().translate(_BIT_VALUES)
+    digits = bin(body)[3:]
+    end = len(digits)
+    fields = [int(digits[end - j - w:end - j], 2)
+              for j in range(0, (end // w) * w, w)]
+    return bytes(fields) if w <= 8 else tuple(fields)
 
 
 def seq_code_bound(n_elems: int, width: int) -> int:

@@ -113,6 +113,7 @@ def compile_formula(f: Formula) -> Compiled:
 
     def run(s: FiniteSlice, env: Assignment | None = None,
             roles: Roles | None = None) -> bool:
+        compiler.codes.clear()
         return root(_Run(env, s, roles, compiler))
 
     return run
@@ -238,14 +239,17 @@ class _Compiler:
 
     term compiles a whole term in one frame per level; formula compiles one
     node in one frame, its child formulas waiting for the node's first run.
-    Leaf terms compile to a constant or a name and skip the memo.
+    Leaf terms compile to a constant or a name and skip the memo.  codes is
+    the table of decoded sequence codes that the grid reads share; a
+    compile_formula run starts it empty.
     """
 
-    __slots__ = ("terms", "formulas")
+    __slots__ = ("terms", "formulas", "codes")
 
     def __init__(self):
         self.terms: dict[int, object] = {}
         self.formulas: dict[int, Callable[[_Run], bool]] = {}
+        self.codes: dict[int, bytes | tuple[int, ...]] = {}
 
     def term(self, t: NumTerm):
         tt = type(t)
@@ -268,7 +272,11 @@ class _Compiler:
             svar = _name(t.svar, False)
             out = svar if callable(svar) else _len(svar)
         elif tt is SeqAt:
-            out = _seq_at(self.term(t.seq), self.term(t.index))
+            seq, index = self.term(t.seq), _affine(t.index)
+            if type(seq) is str and index is not None:
+                out = _seq_read(seq, *index, self.codes)
+            else:
+                out = _binary(codec.seq_get_total, seq, self.term(t.index))
         elif tt is SeqLen:
             out = _seq_len(self.term(t.seq))
         else:
@@ -314,14 +322,28 @@ class _Compiler:
 # read straight from nums by its parent) or a closure (nums, strs) -> int.
 # Plus and Times get one closure per operand shape, holding just its two
 # operands: on the proof-check formula of the reflect benchmark that takes 7%
-# less memory to compile than _binary closures.  nepo's grid reads (a sequence
-# variable at a position scaled and offset by constants) and an EqNum of such
-# a read against a constant get closures of their own too: on the certify
-# benchmark these shapes take 94% of term and comparison calls, and running
-# any one of them through _binary instead costs 10-13% of its ops per second.
-# Other shapes go through _binary.  Constants
-# are natural numbers, on which every term operation is total, so folding
-# never raises, and a constant operand may be read after the other.
+# less memory to compile than _binary closures.  Constants are natural
+# numbers, on which every term operation is total, so folding never raises,
+# and a constant operand may be read after the other.
+#
+# A grid read, SeqAt of a number variable at an index that folds to
+# c0 + k1*v1 + k2*v2 + ... over number variables (every read nepo emits),
+# compiles to one closure.  It reads the variables in the order the
+# Plus/Times closures would, so the first unbound name it reports is
+# theirs, and it takes the element from the compiler's table of decoded
+# codes (codec.seq_fields), keyed by the code's value, so each code decodes
+# once per run where seq_get_total re-derives width and length from the
+# whole code on every read.  A certify run reads its 2 to 8 distinct codes
+# about 27K times.  The table is emptied at the start of each run, so it
+# holds only the current run's codes, and when it reaches _TABLE_CAP of
+# them, which bounds a sweep over grid codes.  A negative code, or an index
+# outside the code, goes through seq_get_total for its errors and its 0.
+# With nepo's width-1 encoder this took certify from a median 16.2 to 29.8
+# ops/s over 10 perfbench pairs on a 2-vCPU host.  One read takes about a
+# third of the time of the Plus/Times chain and seq_get_total (timeit,
+# interleaved in one process); the closure of its own for two variables,
+# the shape of most reads, takes about 0.8x the time of the general loop,
+# some 7% of a certify op.  Any other SeqAt goes through _binary.
 
 
 def _is_const(a) -> bool:
@@ -377,11 +399,71 @@ def _times(a, b):
     return lambda nums, strs: nums[a] * b
 
 
-def _seq_at(a, b):
+_TABLE_CAP = 4096  # codes per table
+
+
+def _affine(t) -> tuple[int, dict[str, int]] | None:
+    """t as (c0, {name: k}) with t = c0 + sum of k * name, the names in the
+    order a read of t meets them, or None when t has another shape or an
+    ill-sorted name."""
+    tt = type(t)
+    if tt is NVar:
+        name = t.name
+        return (0, {name: 1}) if type(name) is str and is_num_name(name) else None
+    if tt is Const:
+        return t.value, {}
+    if tt is Zero or tt is One:
+        return int(tt is One), {}
+    if tt is not Plus and tt is not Times:
+        return None
+    left, right = _affine(t.left), _affine(t.right)
+    if left is None or right is None:
+        return None
+    (c, ks), (d, ls) = left, right
+    if tt is Plus:
+        for name, k in ls.items():
+            ks[name] = ks.get(name, 0) + k
+        return c + d, ks
+    if ks and ls:
+        return None
+    # a name scaled to 0 is still read, so that it can still be unbound
+    return c * d, {name: k * d for name, k in ks.items()} or {
+        name: c * k for name, k in ls.items()}
+
+
+def _seq_read(seq: str, c0: int, coeffs: dict[str, int], codes: dict):
+    """SeqAt(seq, c0 + sum of k * name over coeffs) as one closure over the
+    decoded-code table codes."""
     get = codec.seq_get_total
-    if type(a) is str and callable(b):
-        return lambda nums, strs: get(nums[a], b(nums, strs))
-    return _binary(get, a, b)
+
+    def decode(code):
+        if len(codes) >= _TABLE_CAP:
+            codes.clear()
+        row = codes[code] = codec.seq_fields(code)  # ValueError if negative
+        return row
+
+    names = tuple(coeffs.items())
+    if len(names) == 2:  # most of certify's reads
+        (v, k), (w, l) = names
+
+        def read(nums, strs):
+            code = nums[seq]
+            j = c0 + k * nums[v] + l * nums[w]
+            row = codes.get(code)
+            if row is None:
+                row = decode(code)
+            return row[j] if 0 <= j < len(row) else get(code, j)
+    else:
+        def read(nums, strs):
+            code = nums[seq]
+            j = c0
+            for v, k in names:
+                j += k * nums[v]
+            row = codes.get(code)
+            if row is None:
+                row = decode(code)
+            return row[j] if 0 <= j < len(row) else get(code, j)
+    return read
 
 
 def _seq_len(a):

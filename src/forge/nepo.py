@@ -26,10 +26,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 from .acc import Tableau, holds, iff
-from .codec import encode_seq, seq_code_bound, seq_get_total, set_length, trim
+from .codec import (encode_bits, encode_seq, seq_code_bound, seq_fields,
+                    set_length, trim)
 from .errors import BudgetError, LayoutError
 from .evaluate import Assignment, Compiled, FiniteSlice, Roles, compile_formula
 from .formulas import (AlN, AlS, And, EqNum, ExN, ExS, Formula, Imp,
@@ -287,12 +288,19 @@ class _Emitter:
 
         return sym, read, None
 
-    def _row_bits(self, code: int, t: int) -> list[int]:
-        """Row t of grid code `code`, read leniently bit by bit."""
+    def _row_bits(self, code: int, t: int) -> Sequence[int]:
+        """Row t of grid code `code` under seq_get_total's lenient reading:
+        fields past the code read 0, and a negative code or row raises."""
+        fields = seq_fields(code)
+        if t < 0:
+            raise IndexError("sequence positions are non-negative")
         base = t * self.row_bits
-        return [seq_get_total(code, base + p) for p in range(self.row_bits)]
+        row = fields[base:base + self.row_bits]
+        if len(row) < self.row_bits:
+            row = list(row) + [0] * (self.row_bits - len(row))
+        return row
 
-    def _decode(self, bits: list[int]) -> Configuration | None:
+    def _decode(self, bits: Sequence[int]) -> Configuration | None:
         """The row bits encode, or None (so the callback yields 0) when they
         encode no configuration of this machine."""
         try:
@@ -342,8 +350,7 @@ class _Emitter:
             if start is None:
                 return 0
             rows = run_from(self.tm, start, self.span * stride).rows[::stride]
-            bits = "".join(encode_row(row, self.sb) for row in rows)
-            return encode_seq([int(ch) for ch in bits])
+            return encode_bits("".join(encode_row(row, self.sb) for row in rows))
 
         return callback
 
@@ -380,7 +387,10 @@ class _Emitter:
                   self._same_row(con, 0, comp, NVar(digit)))
 
         def callback(env: Assignment) -> int:
-            return encode_seq(self._row_bits(env.nums[comp], env.nums[digit]))
+            row = self._row_bits(env.nums[comp], env.nums[digit])
+            if max(row) > 1:  # only a code wider than the callbacks write
+                return encode_seq(row)
+            return encode_bits("".join(map(str, row)))
 
         self.roles[con] = callback
         return ExN(con, const_term(self.con_bound),

@@ -1,5 +1,7 @@
 """Sequence codes and bit-string sets."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -86,8 +88,43 @@ def test_str_roundtrip_exhaustive_to_length_10():
             x = bits_code(s)
             assert "".join(str(codec.seq_get_total(x, j)) for j in range(n)) == s
             assert codec.seq_len_total(x) == n
+            assert codec.encode_bits(s) == x
             assert x not in codes  # injective even across lengths
             codes.add(x)
+
+
+def test_encode_bits_is_encode_seq():
+    rng = random.Random(12)
+    for n in [0, 1, 2, 63, 64, 65, 246, 400] + [rng.randrange(401) for _ in range(200)]:
+        s = "".join(rng.choice("01") for _ in range(n))
+        assert codec.encode_bits(s) == bits_code(s), s
+    # a digit above 1 takes the wider fields encode_seq picks
+    for s in ("2", "0120", "1" * 40 + "3"):
+        assert codec.encode_bits(s) == bits_code(s)
+
+
+def fields_agree(code: int) -> None:
+    fields = codec.seq_fields(code)
+    n = codec.seq_len_total(code)
+    assert len(fields) == n, code
+    assert list(fields) == [codec.seq_get_total(code, j) for j in range(n)], code
+
+
+def test_seq_fields_matches_total_reads():
+    # every code below 2**14: w == 0, body == 0, every width up to 31 with
+    # short bodies, and trailing partial fields
+    for code in range(1 << 14):
+        fields_agree(code)
+    rng = random.Random(14)
+    for w in range(32):
+        for bits in [0, 1, w, w + 1, 2 * w + 1] + [rng.randrange(1, 600) for _ in range(40)]:
+            body = rng.getrandbits(bits) | 1 << bits if bits else 0
+            code = body * 32 + w
+            fields_agree(code)
+            if codec.seq_len_total(code):
+                assert type(codec.seq_fields(code)) is (bytes if w <= 8 else tuple)
+    with pytest.raises(ValueError, match="sequence codes are non-negative"):
+        codec.seq_fields(-1)
 
 
 def test_set_semantics():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import inspect
 import random
 import sys
 from collections import Counter
@@ -719,3 +720,86 @@ def test_every_node_kind_reaches_the_compiler(monkeypatch):
         compiled.clear()
         assert agree(node, S8, env) == outcome(lambda: eval_formula(node, S8, env))
         assert compiled[0] is node
+
+
+# --- grid reads: one closure over the run's table of decoded codes ---
+
+
+def grid_read(t: F.NumTerm) -> bool:
+    """Does t compile to the one-closure read over the decoded-code table?"""
+    out = evaluate._Compiler().term(t)
+    return callable(out) and out.__qualname__.startswith("_seq_read.")
+
+
+def read_outcome(fn):
+    """fn()'s result, or the class and text of the error it raised."""
+    try:
+        return fn()
+    except (ValueError, IndexError, UnboundVariableError, SortMismatchError) as e:
+        return type(e), str(e)
+
+
+SEQ, I, J, K = F.NVar("s"), F.NVar("i"), F.NVar("j"), F.NVar("k")
+TWO, THREE = F.const_term(2), F.const_term(3)
+# (term, compiles to the one-closure read)
+READS = [
+    (F.SeqAt(SEQ, F.Plus(F.Times(F.Plus(F.Times(I, TWO), J), THREE), F.One())), True),
+    (F.SeqAt(SEQ, F.Times(F.Plus(TWO, I), THREE)), True),
+    (F.SeqAt(SEQ, F.Plus(F.Times(J, F.Zero()), I)), True),  # j is still read
+    (F.SeqAt(SEQ, F.Plus(I, F.Times(TWO, I))), True),
+    (F.SeqAt(SEQ, F.Plus(F.Plus(F.Times(I, THREE), J), K)), True),
+    (F.SeqAt(SEQ, THREE), True),
+    (F.SeqAt(SEQ, F.Times(I, J)), False),
+    (F.SeqAt(F.Plus(SEQ, F.Zero()), I), False),
+    (F.SeqAt(SEQ, F.Plus(F.NVar("Z"), I)), False),  # ill-sorted index name
+    (F.SeqAt(F.NVar("S"), I), False),  # ill-sorted sequence name
+    (F.SeqAt(SEQ, F.SeqLen(SEQ)), False),
+]
+CODES = [encode_seq([1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1]),  # bytes row
+         encode_seq([5, 300, 7, 2]),                      # tuple row
+         0, 77, -5, None]
+
+
+def read_envs():
+    for code in CODES:
+        for i in (-1, 0, 1, 2, None):
+            for j in (0, 1, 4, None):
+                nums = {"s": code, "i": i, "j": j, "k": 2}
+                yield Assignment({n: v for n, v in nums.items() if v is not None})
+
+
+def test_grid_reads_agree_with_the_walker():
+    seen = Counter()
+    for t, fast in READS:
+        assert grid_read(t) == fast, t
+        read, holds = term_reader(), compile_formula(F.EqNum(t, F.One()))
+        for env in read_envs():
+            got = read_outcome(lambda: read(t, env))
+            assert got == read_outcome(lambda: walk_term(t, env)), (t, env)
+            assert read_outcome(lambda: holds(S8, env)) \
+                == read_outcome(lambda: walk_formula(F.EqNum(t, F.One()), S8, env))
+            if fast:
+                seen[got if type(got) is int else got[0].__name__] += 1
+    # in-range reads of both row types, reads past the code, and every error
+    assert {0, 1, 5, 300, 7, "ValueError", "IndexError", "UnboundVariableError"} \
+        <= set(seen), seen
+    assert read_outcome(lambda: term_reader()(READS[0][0], Assignment({"s": 1}))) \
+        == (UnboundVariableError, "number variable i is unbound")
+
+
+def test_grid_read_table_holds_one_runs_codes(monkeypatch):
+    holds = compile_formula(F.EqNum(F.SeqAt(SEQ, I), F.One()))
+    codes = inspect.getclosurevars(holds).nonlocals["compiler"].codes
+    a, b = encode_seq([1, 0]), encode_seq([0, 1])
+    assert holds(S8, Assignment({"s": a, "i": 0}))
+    assert holds(S8, Assignment({"s": a, "i": 2})) is False
+    assert list(codes) == [a]
+    assert holds(S8, Assignment({"s": b, "i": 1}))
+    assert list(codes) == [b]
+    # a sweep over more codes than the table takes keeps at most _TABLE_CAP
+    monkeypatch.setattr(evaluate, "_TABLE_CAP", 4)
+    sweep = compile_formula(
+        F.ExN("s", F.const_term(40), F.EqNum(F.SeqAt(SEQ, F.Zero()), TWO)))
+    codes = inspect.getclosurevars(sweep).nonlocals["compiler"].codes
+    assert not sweep(FiniteSlice(40, 0))
+    assert 0 < len(codes) <= 4

@@ -7,16 +7,21 @@ results can be compared, and the uniqueness of the computation code can be
 counted exhaustively.
 """
 
+import dataclasses
+import random
 from fractions import Fraction
 
 import pytest
 from oracles import all_strings, walk_term
+from test_evaluate import grid_read, read_outcome
 
 from forge import acc, nepo
+from forge.codec import encode_seq, seq_get_total
 from forge.errors import BudgetError, ParseError, UnboundVariableError
 from forge.evaluate import Assignment, compile_formula, eval_formula
-from forge.formulas import EqStr, ExN, classify, const_term, formula_size, free_vars
-from forge.machine import (PolyBound, accepts, corpus_machine,
+from forge.formulas import (EqStr, ExN, SeqAt, classify, const_term, formula_size,
+                            free_vars)
+from forge.machine import (CORPUS, PolyBound, accepts, corpus_machine,
                            initial_configuration, parse_tm, run_from)
 from forge.sexpr import parse_formula, print_formula
 
@@ -180,14 +185,48 @@ def test_comp_uniqueness_exhaustive():
     start = MICRO_STARTS[0]
     i_str = config_str(TOGGLE, start)
     good, bad_bit, _ = cells_for(TOGGLE, start, 2, 1)
+    holds = compile_formula(body)
     for cell, expect in ((good, 1), (bad_bit, 0)):
         hits = 0
         env = Assignment(nums={"p1": 2, "p2": 1, "cell": cell}, strs={"I": i_str})
         for comp in range(s.num_bound + 1):
             env.nums["comp"] = comp
-            if eval_formula(body, s, env):
+            if holds(s, env):
                 hits += 1
         assert hits == expect, (cell, hits)
+
+
+def test_every_certify_grid_read_is_one_closure():
+    """Every SeqAt of the acceptance formulas at FULL (the certify benchmark's
+    bounds) compiles to the one-closure read, so an emitter change that
+    loses the affine index shape fails here, not only in the benchmark."""
+    for name in CORPUS:
+        stack, reads = [nepo.acceptance_artifact(corpus_machine(name), FULL).formula], []
+        while stack:
+            node = stack.pop()
+            if type(node) is SeqAt:
+                reads.append(node)
+            stack += [v for fd in dataclasses.fields(node)
+                      if dataclasses.is_dataclass(v := getattr(node, fd.name))]
+        assert len(reads) > 150 and all(grid_read(t) for t in reads), name
+
+
+def test_row_reads_are_lenient_reads():
+    em = nepo._Emitter(TOGGLE, MICRO)
+    n = em.row_bits
+    certify = em.roles[em.exists_con("comp", "digit", lambda con: EqStr("X", "X")).var]
+    rng = random.Random(7)
+    codes = [encode_seq([rng.randrange(2) for _ in range(em.grid_bits)]),
+             encode_seq([rng.randrange(2) for _ in range(n + 1)]),  # short
+             encode_seq([3, 0, 1, 12] * n),  # wider than the callbacks write
+             0, 77, -1]
+    for code in codes:
+        for t in (-1, 0, 1, 2, 5):
+            want = read_outcome(lambda: [seq_get_total(code, t * n + p) for p in range(n)])
+            got = read_outcome(lambda: list(em._row_bits(code, t)))
+            assert got == want, (code, t)
+            if type(want) is list:  # exists_con's certificate is encode_seq's
+                assert certify(Assignment({"comp": code, "digit": t})) == encode_seq(want)
 
 
 def test_reach_levels_match_simulator_micro():
