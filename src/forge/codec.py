@@ -35,12 +35,10 @@ def encode_seq(xs: list[int] | tuple[int, ...]) -> int:
 
 
 def encode_bits(bits: str) -> int:
-    """encode_seq([int(ch) for ch in bits]) for a text of digits, built in
-    one int() call when every digit is 0 or 1 (the width-1 code)."""
-    try:
-        return (int("1" + bits[::-1], 2) << WIDTH_BITS) + 1
-    except ValueError:  # a digit above 1 needs wider fields
-        return encode_seq([int(ch) for ch in bits])
+    """encode_seq([int(ch) for ch in bits]) for a text of '0' and '1' only:
+    the width-1 code, built in one int() call.  Other text gives no
+    sequence code of its digits."""
+    return (int("1" + bits[::-1], 2) << WIDTH_BITS) + 1
 
 
 def seq_len_total(code: int) -> int:

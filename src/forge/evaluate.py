@@ -338,12 +338,9 @@ class _Compiler:
 # holds only the current run's codes, and when it reaches _TABLE_CAP of
 # them, which bounds a sweep over grid codes.  A negative code, or an index
 # outside the code, goes through seq_get_total for its errors and its 0.
-# With nepo's width-1 encoder this took certify from a median 16.2 to 29.8
-# ops/s over 10 perfbench pairs on a 2-vCPU host.  One read takes about a
-# third of the time of the Plus/Times chain and seq_get_total (timeit,
-# interleaved in one process); the closure of its own for two variables,
-# the shape of most reads, takes about 0.8x the time of the general loop,
-# some 7% of a certify op.  Any other SeqAt goes through _binary.
+# With nepo's width-1 encoder this took certify from a median 16.0 to 27.3
+# ops/s over 10 perfbench pairs on a 2-vCPU host.  Any other SeqAt goes
+# through _binary.
 
 
 def _is_const(a) -> bool:
@@ -443,26 +440,16 @@ def _seq_read(seq: str, c0: int, coeffs: dict[str, int], codes: dict):
         return row
 
     names = tuple(coeffs.items())
-    if len(names) == 2:  # most of certify's reads
-        (v, k), (w, l) = names
 
-        def read(nums, strs):
-            code = nums[seq]
-            j = c0 + k * nums[v] + l * nums[w]
-            row = codes.get(code)
-            if row is None:
-                row = decode(code)
-            return row[j] if 0 <= j < len(row) else get(code, j)
-    else:
-        def read(nums, strs):
-            code = nums[seq]
-            j = c0
-            for v, k in names:
-                j += k * nums[v]
-            row = codes.get(code)
-            if row is None:
-                row = decode(code)
-            return row[j] if 0 <= j < len(row) else get(code, j)
+    def read(nums, strs):
+        code = nums[seq]
+        j = c0
+        for v, k in names:
+            j += k * nums[v]
+        row = codes.get(code)
+        if row is None:
+            row = decode(code)
+        return row[j] if 0 <= j < len(row) else get(code, j)
     return read
 
 

@@ -1,11 +1,12 @@
 """Reference decoders, enumerators, bounds and a formula walker that only
 the tests use.
 
-Each one is an oracle the library is checked against, or a harness that
-feeds it inputs; none of them is part of the library.
+Each one is an oracle the library is checked against, a harness that
+feeds it inputs, or a probe of which path the compiler takes; none of them
+is part of the library.
 """
 
-from forge import codec
+from forge import codec, evaluate
 from forge.codec import encode_seq, mask_to_bits, seq_get_total, seq_len_total
 from forge.errors import (DecodeError, SliceExceededError, SortMismatchError,
                           UnboundVariableError)
@@ -180,3 +181,17 @@ def _walk(f: Formula, s: FiniteSlice, env: Assignment, roles: Roles | None) -> b
                 env.strs[f.var] = prev
         return not want
     raise TypeError(f"not a formula: {f!r}")
+
+
+def grid_read(t: NumTerm) -> bool:
+    """Does t compile to the one-closure read over the decoded-code table?"""
+    out = evaluate._Compiler().term(t)
+    return callable(out) and out.__qualname__.startswith("_seq_read.")
+
+
+def read_outcome(fn):
+    """fn()'s result, or the class and text of the error it raised."""
+    try:
+        return fn()
+    except (ValueError, IndexError, UnboundVariableError, SortMismatchError) as e:
+        return type(e), str(e)

@@ -10,7 +10,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from oracles import node_value_depth_bound, walk_formula, walk_term
+from oracles import (grid_read, node_value_depth_bound, read_outcome, walk_formula,
+                     walk_term)
 from test_formulas import gen_formula
 
 from forge import acc, evaluate, nepo, sexpr
@@ -723,20 +724,6 @@ def test_every_node_kind_reaches_the_compiler(monkeypatch):
 
 
 # --- grid reads: one closure over the run's table of decoded codes ---
-
-
-def grid_read(t: F.NumTerm) -> bool:
-    """Does t compile to the one-closure read over the decoded-code table?"""
-    out = evaluate._Compiler().term(t)
-    return callable(out) and out.__qualname__.startswith("_seq_read.")
-
-
-def read_outcome(fn):
-    """fn()'s result, or the class and text of the error it raised."""
-    try:
-        return fn()
-    except (ValueError, IndexError, UnboundVariableError, SortMismatchError) as e:
-        return type(e), str(e)
 
 
 SEQ, I, J, K = F.NVar("s"), F.NVar("i"), F.NVar("j"), F.NVar("k")

@@ -12,8 +12,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import all_strings, walk_term
-from test_evaluate import grid_read, read_outcome
+from oracles import all_strings, grid_read, read_outcome, walk_term
 
 from forge import acc, nepo
 from forge.codec import encode_seq, seq_get_total
