@@ -243,42 +243,41 @@ def term_vars(t: NumTerm, nums: set[str], strs: set[str]) -> None:
 
 
 def free_vars(f: Formula) -> tuple[set[str], set[str]]:
-    """Free (number, string) variable names of f."""
+    """Free (number, string) variable names of f.  Iterative, and it leaves
+    no reference cycle behind, so that evaluation can call it per compile."""
     nums: set[str] = set()
     strs: set[str] = set()
-
-    def term(t: NumTerm, bound_n: frozenset[str], bound_s: frozenset[str]) -> None:
-        ns: set[str] = set()
-        ss: set[str] = set()
-        term_vars(t, ns, ss)
-        nums.update(ns - bound_n)
-        strs.update(ss - bound_s)
-
-    def walk(g: Formula, bound_n: frozenset[str], bound_s: frozenset[str]) -> None:
+    stack: list[tuple[Formula, frozenset[str], frozenset[str]]] = [
+        (f, frozenset(), frozenset())]
+    while stack:
+        g, bound_n, bound_s = stack.pop()
         tg = type(g)
+        terms: tuple = ()
         if tg in (EqNum, Leq):
-            term(g.left, bound_n, bound_s)
-            term(g.right, bound_n, bound_s)
+            terms = (g.left, g.right)
         elif tg is EqStr:
             strs.update({g.left, g.right} - bound_s)
         elif tg is Memb:
-            term(g.index, bound_n, bound_s)
+            terms = (g.index,)
             strs.update({g.svar} - bound_s)
         elif tg in (And, Or, Imp):
-            walk(g.left, bound_n, bound_s)
-            walk(g.right, bound_n, bound_s)
+            stack += [(g.right, bound_n, bound_s), (g.left, bound_n, bound_s)]
         elif tg is Not:
-            walk(g.body, bound_n, bound_s)
+            stack.append((g.body, bound_n, bound_s))
         elif tg in NUM_QUANTIFIERS:
-            term(g.bound, bound_n, bound_s)
-            walk(g.body, bound_n | {g.var}, bound_s)
+            terms = (g.bound,)
+            stack.append((g.body, bound_n | {g.var}, bound_s))
         elif tg in STR_QUANTIFIERS:
-            term(g.bound, bound_n, bound_s)
-            walk(g.body, bound_n, bound_s | {g.var})
+            terms = (g.bound,)
+            stack.append((g.body, bound_n, bound_s | {g.var}))
         else:
             raise TypeError(f"not a formula: {g!r}")
-
-    walk(f, frozenset(), frozenset())
+        for t in terms:
+            ns: set[str] = set()
+            ss: set[str] = set()
+            term_vars(t, ns, ss)
+            nums.update(ns - bound_n)
+            strs.update(ss - bound_s)
     return nums, strs
 
 

@@ -17,6 +17,13 @@ carries certificate roles: selected existential variables get callbacks that
 compute the unique admissible value from the machine simulator, and the
 artifact's formula, compiled once by evaluate.compile_formula, sweeps only the
 small quantifiers (see the soundness note in the evaluate module docstring).
+The grid callbacks of one artifact share a memo of certificate codes: a
+grid's code depends only on its stride (machine steps per row) and its start
+configuration, so the memo maps that pair to the code, and the grid a con
+callback starts shares its code with the sub-grid at the same row.
+NepoArtifact.evaluate empties the memo at the start of each call, so it
+holds one evaluation's codes (callbacks run outside evaluate share it until
+the next call), and so does reaching _CERTIFICATE_CAP codes.
 The equivalence of the two evaluation modes rests on the grid clauses pinning
 the witness uniquely, which the test suite checks exhaustively at miniature
 scales.
@@ -168,6 +175,8 @@ def _add(a: int | NumTerm, b: int | NumTerm) -> int | NumTerm:
     return Plus(_term(a), _term(b))
 
 
+_CERTIFICATE_CAP = 4096  # codes per memo
+
 _Source = tuple[Callable[[int | NumTerm, int], "NumTerm | Formula"],
                 Callable[[Assignment], Configuration | None],
                 Formula | None]
@@ -175,11 +184,17 @@ _Source = tuple[Callable[[int | NumTerm, int], "NumTerm | Formula"],
 
 @dataclass(frozen=True, eq=False, slots=True)
 class NepoArtifact:
-    """A compiled formula plus the certificate callbacks for its existentials."""
+    """A compiled formula plus the certificate callbacks for its existentials.
+
+    certificates is the memo the grid callbacks share, from (stride, start
+    configuration) to certificate code; each evaluate call starts it empty.
+    """
 
     formula: Formula
     roles: Roles
     slice: FiniteSlice
+    certificates: dict[tuple[int, Configuration], int] = field(
+        default_factory=dict, repr=False)
     _compiled: Compiled | None = field(default=None, init=False, repr=False)
 
     def evaluate(self, env: Assignment, roles_override: Roles | None = None,
@@ -188,6 +203,7 @@ class NepoArtifact:
         compiled at the first call and kept for the artifact's lifetime."""
         if self._compiled is None:
             object.__setattr__(self, "_compiled", compile_formula(self.formula))
+        self.certificates.clear()
         roles = self.roles if roles_override is None else {**self.roles, **roles_override}
         return self._compiled(s or self.slice, env, roles)
 
@@ -208,6 +224,7 @@ class _Emitter:
         self.con_bound = seq_code_bound(self.row_bits, 1)
         self.used = {"I", "X", "i", "j", "p1", "p2", "cell", "comp"}
         self.roles: Roles = {}
+        self.certificates: dict[tuple[int, Configuration], int] = {}
 
     def fresh(self, base: str) -> str:
         name = base
@@ -344,13 +361,20 @@ class _Emitter:
 
     def _grid_callback(self, level: int, read) -> Callable[[Assignment], int]:
         stride = self.span ** level
+        memo = self.certificates
 
         def callback(env: Assignment) -> int:
             start = read(env)
             if start is None:
                 return 0
-            rows = run_from(self.tm, start, self.span * stride).rows[::stride]
-            return encode_bits("".join(encode_row(row, self.sb) for row in rows))
+            code = memo.get((stride, start))
+            if code is None:
+                if len(memo) >= _CERTIFICATE_CAP:
+                    memo.clear()
+                rows = run_from(self.tm, start, self.span * stride).rows[::stride]
+                code = encode_bits("".join(encode_row(row, self.sb) for row in rows))
+                memo[stride, start] = code
+            return code
 
         return callback
 
@@ -429,7 +453,7 @@ def reach_artifact(tm: TMDescription, b: NepoBounds, level: int) -> NepoArtifact
         level, em.config_string_source("I"),
         lambda comp: [em.query(comp, NVar("p1"), NVar("p2"), "cell")],
         name="comp")
-    return NepoArtifact(f, em.roles, nepo_slice(tm, b))
+    return NepoArtifact(f, em.roles, nepo_slice(tm, b), em.certificates)
 
 
 def compile_Reach(tm: TMDescription, b: NepoBounds, level: int) -> Formula:
@@ -470,7 +494,7 @@ def cell_artifact(tm: TMDescription, b: NepoBounds) -> NepoArtifact:
     f = _cell_chain(
         em, NVar("i"), em.input_string_source("X"),
         lambda comp, digit: em.query(comp, NVar(digit), NVar("j"), "cell"))
-    return NepoArtifact(f, em.roles, nepo_slice(tm, b))
+    return NepoArtifact(f, em.roles, nepo_slice(tm, b), em.certificates)
 
 
 def compile_cell_predicate(tm: TMDescription, b: NepoBounds) -> Formula:
@@ -492,7 +516,7 @@ def acceptance_artifact(tm: TMDescription, b: NepoBounds) -> NepoArtifact:
     fits = Leq(Len("X"), const_term(b.width))
     chain = _cell_chain(em, const_term(b.last_row),
                         em.input_string_source("X"), accepting)
-    return NepoArtifact(And(fits, chain), em.roles, nepo_slice(tm, b))
+    return NepoArtifact(And(fits, chain), em.roles, nepo_slice(tm, b), em.certificates)
 
 
 def compile_acceptance_sigma0(tm: TMDescription, b: NepoBounds) -> Formula:

@@ -14,7 +14,7 @@ from forge.evaluate import Assignment, FiniteSlice, MonotoneTree, Roles
 from forge.formulas import (AlN, AlS, And, Const, EqNum, EqStr, ExN, ExS,
                             Formula, Imp, Len, Leq, Memb, Not, NumTerm, NVar,
                             One, Or, Plus, SeqAt, SeqLen, Times, Zero,
-                            is_num_name, is_str_name)
+                            free_vars, is_num_name, is_str_name)
 from forge.machine import ComputationTableau, TableauLayout, decode_row
 
 DECODE_LENGTH_CAP = 1 << 20
@@ -195,3 +195,21 @@ def read_outcome(fn):
         return fn()
     except (ValueError, IndexError, UnboundVariableError, SortMismatchError) as e:
         return type(e), str(e)
+
+
+def role_free_names(f: Formula, roles: Roles) -> dict[str, tuple[tuple, tuple]]:
+    """For each ExN binder of f whose variable has a role, the (number,
+    string) names free in its body other than its variable, sorted: the
+    names a certificate callback may read and the verdict memo keys on."""
+    out, stack = {}, [f]
+    while stack:
+        g = stack.pop()
+        tg = type(g)
+        if tg is ExN and g.var in roles:
+            nums, strs = free_vars(g.body)
+            out[g.var] = tuple(sorted(nums - {g.var})), tuple(sorted(strs))
+        if tg in (And, Or, Imp):
+            stack += [g.left, g.right]
+        elif tg in (Not, ExN, AlN, ExS, AlS):
+            stack.append(g.body)
+    return out

@@ -10,8 +10,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
-from oracles import (grid_read, node_value_depth_bound, read_outcome, walk_formula,
-                     walk_term)
+from oracles import (grid_read, node_value_depth_bound, read_outcome,
+                     role_free_names, walk_formula, walk_term)
 from test_formulas import gen_formula
 
 from forge import acc, evaluate, nepo, sexpr
@@ -502,20 +502,54 @@ def test_compiled_folds_and_short_circuits_like_the_walker():
     assert env == Assignment(nums={"x": 3})
 
 
+def test_comparisons_read_like_the_walker_in_every_operand_shape():
+    """EqNum and Leq compile to one closure per operand shape (constant,
+    name, closure), reading the left operand first; none reads through
+    _value."""
+    operands = [F.const_term(3), X, F.NVar("u"), F.Plus(X, F.One()),
+                F.Len("w"), F.Len("Y"), F.const_term(4)]
+    env = Assignment(nums={"x": 3}, strs={"W": "0110"})
+    seen = Counter()
+    for left in operands:
+        for right in operands:
+            for node in (F.EqNum(left, right), F.Leq(left, right)):
+                got = read_outcome(lambda: eval_formula(node, S8, env))
+                assert got == read_outcome(lambda: walk_formula(node, S8, env)), node
+                seen[got if type(got) is bool else got[0].__name__] += 1
+                run = evaluate._Compiler().formula(node)
+                assert "_value" not in inspect.getclosurevars(run).globals
+    assert set(seen) == {True, False, "UnboundVariableError", "SortMismatchError"}
+
+
 def test_compiled_matches_walker_with_certificate_roles():
     toggle = parse_tm("states 1\n1 0 -> 1 1 2\n1 1 -> 1 0 2\n")
+    # halts at once on a 1, so its sub-grids repeat and a level-2 run meets
+    # some memo key twice
+    halting = parse_tm("states 2\n1 0 -> 1 0 0\n1 1 -> 2 1 0\n2 0 -> 2 0 0\n2 1 -> 2 1 0\n")
     micro = nepo.NepoBounds(c=1, eps=Fraction(1, 2), k=1, m=4)
+    deep = nepo.NepoBounds(c=2, eps=Fraction(1, 2), k=1, m=4)  # micro's grids, d 3
     tight = FiniteSlice(micro.width, 4)  # below the grid-code bound
-    verdicts = Counter()
-    for level in (0, 1):
-        art = nepo.reach_artifact(toggle, micro, level)
+    verdicts, calls, repeats = Counter(), [], 0
+
+    def counting(var, callback):
+        """callback, recording each call with its binder's memo key."""
+        nums, strs = free[var]
+
+        def run(e):
+            calls.append((var, tuple(map(e.nums.get, nums)), tuple(map(e.strs.get, strs))))
+            return callback(e)
+        return run
+
+    for tm, b, level in ((toggle, micro, 0), (toggle, micro, 1), (halting, deep, 2)):
+        art = nepo.reach_artifact(tm, b, level)
+        free = role_free_names(art.formula, art.roles)
         sub = sorted(art.roles)
         overrides = [None,
                      {sub[-1]: lambda e, cb=art.roles[sub[-1]]: cb(e) ^ 4},
                      {sub[0]: lambda e: art.slice.num_bound + 1}]
         for x in ("1", "01"):
-            i_str = acc.config_to_string(initial_configuration(x, 2), toggle.state_bits)
-            for p1 in range(micro.span + 1):
+            i_str = acc.config_to_string(initial_configuration(x, 2), tm.state_bits)
+            for p1 in range(b.span + 1):
                 for cell in range(6):
                     env = Assignment(nums={"p1": p1, "p2": 1, "cell": cell},
                                      strs={"I": i_str})
@@ -524,10 +558,21 @@ def test_compiled_matches_walker_with_certificate_roles():
                         got = agree(art.formula, art.slice, env, roles)
                         assert art.evaluate(env, override) == got
                         verdicts[got] += 1
+                        # a run settles each binder once per memo key, and
+                        # meets the keys the walker meets
+                        counted = {v: counting(v, cb) for v, cb in roles.items()}
+                        calls.clear()
+                        walk_formula(art.formula, art.slice, env, counted)
+                        walked = calls[:]
+                        calls.clear()
+                        assert art.evaluate(env, counted) == got
+                        assert len(calls) == len(set(calls)) and set(calls) == set(walked)
+                        repeats += len(walked) - len(calls)
                     assert agree(art.formula, tight, env, art.roles) is SliceExceededError
                     with pytest.raises(SliceExceededError):
                         art.evaluate(env, s=tight)
     assert verdicts[True] and verdicts[False]
+    assert repeats > 0  # the walker settled some binder twice for one key
     # a role value past the bound falsifies the binder even where the body
     # would hold, and only ExN binders take roles
     c = F.NVar("c")
@@ -535,6 +580,70 @@ def test_compiled_matches_walker_with_certificate_roles():
                  Assignment(), {"c": lambda e: 5}) is False
     assert agree(F.AlN("c", F.const_term(3), F.Leq(c, F.const_term(3))), S8,
                  Assignment(), {"c": lambda e: 9}) is True
+
+
+def test_memoized_binder_raises_where_the_walker_does():
+    """The memo key reads the binder's free names with .get: a name left
+    unbound behind a short-circuit is part of the key, and raises only
+    where the body reaches it."""
+    c, u = F.NVar("c"), F.NVar("u")
+    settle = F.ExN("c", F.const_term(3), F.Or(F.EqNum(X, F.Zero()), F.EqNum(c, u)))
+    f = F.AlN("y", F.One(), settle)  # y is not free in the binder's body
+    calls = []
+    roles = {"c": lambda e: calls.append(1) or 2}
+    holds, seen = compile_formula(f), []
+    for nums in ({"x": 0}, {"x": 1}, {"x": 1, "u": 2}, {"x": 1, "u": 3}, {"x": 0}, {"x": 1}):
+        env = Assignment(nums=nums)
+        want = read_outcome(lambda: walk_formula(f, S8, env, roles))
+        calls.clear()
+        assert read_outcome(lambda: holds(S8, env, roles)) == want, nums
+        assert len(calls) == 1  # y = 1 reuses y = 0's verdict, or y = 0 raised
+        assert read_outcome(lambda: eval_formula(f, S8, env, roles)) == want
+        seen.append(want)
+    assert seen == [True, (UnboundVariableError, "number variable u is unbound"),
+                    True, False, True, seen[1]]
+    # a node of unknown type in the body (free_vars rejects it) keeps the
+    # binder from memoizing, and raises only where the body reaches it
+    odd = F.ExN("c", F.const_term(3), F.Or(F.EqNum(X, F.Zero()), Bogus()))
+    holds = compile_formula(odd)
+    for x in (0, 1, 0):
+        env = Assignment(nums={"x": x})
+        assert outcome(lambda: holds(S8, env, roles)) == agree(odd, S8, env, roles)
+    assert [agree(odd, S8, Assignment(nums={"x": x}), roles) for x in (0, 1)] \
+        == [True, TypeError]
+
+
+def test_verdict_table_holds_one_runs_verdicts(monkeypatch):
+    f = F.AlN("y", F.const_term(6), F.ExN("c", F.const_term(3),
+                                          F.Leq(F.NVar("c"), F.NVar("y"))))
+    holds = compile_formula(f)
+    verdicts = inspect.getclosurevars(holds).nonlocals["compiler"].verdicts
+    assert holds(S8, Assignment(), {"c": lambda e: 0})
+    assert list(verdicts.values()) == [True] * 7  # one per value of y
+    assert holds(S8, Assignment(), {"c": lambda e: 2}) is False
+    assert list(verdicts.values()) == [False]  # y = 0 only
+    monkeypatch.setattr(evaluate, "_TABLE_CAP", 2)
+    assert holds(S8, Assignment(), {"c": lambda e: 0})
+    assert len(verdicts) == 1  # y = 6, the cap having emptied it at y = 2 and 4
+
+
+def test_repeated_evaluation_leaves_no_cycles():
+    """A compile and its closures form no cycle, memoized verdicts
+    included: 50 more calls leave the cycle collector no more to find than
+    one call does."""
+    f = F.AlN("y", F.One(), F.ExN("c", F.const_term(3),
+                                  F.Leq(F.NVar("y"), F.NVar("c"))))
+    roles = {"c": lambda e: 2}
+    gc.collect()
+    gc.disable()
+    try:
+        assert eval_formula(f, S8, Assignment(), roles)
+        once = gc.collect()
+        for _ in range(50):
+            assert eval_formula(f, S8, Assignment(), roles)
+        assert gc.collect() <= once
+    finally:
+        gc.enable()
 
 
 X = F.NVar("x")

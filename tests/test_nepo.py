@@ -12,7 +12,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import all_strings, grid_read, read_outcome, walk_term
+from oracles import (all_strings, grid_read, read_outcome, role_free_names,
+                     walk_formula, walk_term)
 
 from forge import acc, nepo
 from forge.codec import encode_seq, seq_get_total
@@ -264,7 +265,106 @@ def test_corrupted_certificate_is_rejected():
     for name in sub_comps:
         honest_cb = art.roles[name]
         override = {name: lambda e, cb=honest_cb: cb(e) ^ (1 << 40)}
-        assert not art.evaluate(env.copy(), roles_override=override)
+        # no verdict or certificate outlives its run
+        assert [art.evaluate(env.copy(), roles_override=o) for o in (override, None, override)] \
+            == [False, True, False]
+
+
+class Reading(dict):
+    """A dict that adds each name read from it to the set `read`."""
+
+    def __init__(self, items, read: set):
+        super().__init__(items)
+        self.read = read
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+    def get(self, name, default=None):
+        self.read.add(name)
+        return super().get(name, default)
+
+    def __contains__(self, name):
+        self.read.add(name)
+        return super().__contains__(name)
+
+
+def micro_runs(tm):
+    """Each artifact of tm at MICRO, with assignments that reach its roles."""
+    starts = {x: initial_configuration(x, MICRO.width) for x in all_strings(2)}
+    for level in range(MICRO.d + 1):
+        stride = MICRO.span ** level
+        yield nepo.reach_artifact(tm, MICRO, level), [
+            Assignment(nums={"p1": p1, "p2": p2,
+                             "cell": cells_for(tm, start, p1 * stride, p2)[0]},
+                       strs={"I": config_str(tm, start)})
+            for start in starts.values()
+            for p1 in range(MICRO.span + 1) for p2 in range(MICRO.width)]
+    yield nepo.cell_artifact(tm, MICRO), [
+        Assignment(nums={"i": i, "j": j, "cell": cells_for(tm, start, i, j)[0]},
+                   strs={"X": x})
+        for x, start in starts.items()
+        for i in range(MICRO.last_row + 1) for j in range(MICRO.width)]
+    yield nepo.acceptance_artifact(tm, MICRO), [
+        Assignment(strs={"X": x}) for x in all_strings(3)]
+
+
+def test_certificate_callbacks_read_only_their_binders_free_names():
+    """The contract the verdict memo rests on (see the evaluate module
+    docstring): a callback reads only names free in its binder's body, other
+    than the binder's own.  The walker runs every callback call, memo or
+    not."""
+    for name in CORPUS:
+        tm = corpus_machine(name)
+        for art, envs in micro_runs(tm):
+            free = role_free_names(art.formula, art.roles)
+            read = {var: set() for var in art.roles}
+
+            def recording(var, callback):
+                def run(env):
+                    return callback(Assignment(Reading(env.nums, read[var]),
+                                               Reading(env.strs, read[var])))
+                return run
+
+            roles = {var: recording(var, cb) for var, cb in art.roles.items()}
+            for env in envs:
+                walk_formula(art.formula, art.slice, env, roles)
+            assert set(free) == set(art.roles)
+            for var, names in read.items():
+                # every callback ran, and read only its binder's free names
+                assert names and names <= {*free[var][0], *free[var][1]}, (name, var)
+
+
+def test_grid_certificates_are_shared_within_one_evaluate(monkeypatch):
+    """The grid callbacks of an artifact share one memo of certificate
+    codes, keyed by stride and start configuration, which each evaluate call
+    starts empty: a run simulates each (stride, start) once, and the con
+    path and the row path share codes."""
+    runs = []
+
+    def counting_run_from(tm, start, steps):
+        runs.append((steps, start))
+        return run_from(tm, start, steps)
+
+    monkeypatch.setattr(nepo, "run_from", counting_run_from)
+    tm = corpus_machine("parity")
+    art = nepo.acceptance_artifact(tm, FULL)
+    budget = PolyBound((FULL.m ** FULL.c,), constant=True)
+    calls = []
+    counted = {v: lambda e, cb=cb: calls.append(1) or cb(e)
+               for v, cb in art.roles.items() if v.startswith("comp")}
+    simulated = []
+    for x in ("0110", "1", "0110"):
+        runs.clear()
+        calls.clear()
+        assert art.evaluate(Assignment(strs={"X": x}), counted) == accepts(tm, x, budget)
+        assert len(runs) == len(set(runs)) == len(art.certificates)
+        assert len(calls) > len(runs)  # some codes came from the memo
+        simulated.append(len(runs))
+    assert simulated[0] == simulated[2]  # nothing carried over between calls
+    monkeypatch.setattr(nepo, "_CERTIFICATE_CAP", 2)
+    assert not art.evaluate(Assignment(strs={"X": "0110"})) and len(art.certificates) <= 2
 
 
 def test_reach_levels_match_simulator_mid_scale():
