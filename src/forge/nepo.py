@@ -186,15 +186,16 @@ _Source = tuple[Callable[[int | NumTerm, int], "NumTerm | Formula"],
 class NepoArtifact:
     """A compiled formula plus the certificate callbacks for its existentials.
 
-    certificates is the memo the grid callbacks share, from (stride, start
-    configuration) to certificate code; each evaluate call starts it empty.
+    _certificates is the memo the emitter's grid callbacks share, from
+    (stride, start configuration) to certificate code; each evaluate call
+    starts it empty.
     """
 
     formula: Formula
     roles: Roles
     slice: FiniteSlice
-    certificates: dict[tuple[int, Configuration], int] = field(
-        default_factory=dict, repr=False)
+    _certificates: dict[tuple[int, Configuration], int] = field(
+        default_factory=dict, init=False, repr=False)
     _compiled: Compiled | None = field(default=None, init=False, repr=False)
 
     def evaluate(self, env: Assignment, roles_override: Roles | None = None,
@@ -203,7 +204,7 @@ class NepoArtifact:
         compiled at the first call and kept for the artifact's lifetime."""
         if self._compiled is None:
             object.__setattr__(self, "_compiled", compile_formula(self.formula))
-        self.certificates.clear()
+        self._certificates.clear()
         roles = self.roles if roles_override is None else {**self.roles, **roles_override}
         return self._compiled(s or self.slice, env, roles)
 
@@ -430,6 +431,13 @@ def single_head(tab: Tableau) -> Formula:
     return tab.each_row(tvar, tab.each_cell(zvar, lone))
 
 
+def _artifact(em: _Emitter, f: Formula) -> NepoArtifact:
+    """The artifact of f, with em's roles and the certificate memo they share."""
+    art = NepoArtifact(f, em.roles, nepo_slice(em.tm, em.b))
+    object.__setattr__(art, "_certificates", em.certificates)
+    return art
+
+
 def _reach_emitter(tm: TMDescription, b: NepoBounds, level: int) -> _Emitter:
     if level > b.d:
         raise ValueError(f"level {level} exceeds recursion depth {b.d}")
@@ -453,7 +461,7 @@ def reach_artifact(tm: TMDescription, b: NepoBounds, level: int) -> NepoArtifact
         level, em.config_string_source("I"),
         lambda comp: [em.query(comp, NVar("p1"), NVar("p2"), "cell")],
         name="comp")
-    return NepoArtifact(f, em.roles, nepo_slice(tm, b), em.certificates)
+    return _artifact(em, f)
 
 
 def compile_Reach(tm: TMDescription, b: NepoBounds, level: int) -> Formula:
@@ -494,7 +502,7 @@ def cell_artifact(tm: TMDescription, b: NepoBounds) -> NepoArtifact:
     f = _cell_chain(
         em, NVar("i"), em.input_string_source("X"),
         lambda comp, digit: em.query(comp, NVar(digit), NVar("j"), "cell"))
-    return NepoArtifact(f, em.roles, nepo_slice(tm, b), em.certificates)
+    return _artifact(em, f)
 
 
 def compile_cell_predicate(tm: TMDescription, b: NepoBounds) -> Formula:
@@ -516,7 +524,7 @@ def acceptance_artifact(tm: TMDescription, b: NepoBounds) -> NepoArtifact:
     fits = Leq(Len("X"), const_term(b.width))
     chain = _cell_chain(em, const_term(b.last_row),
                         em.input_string_source("X"), accepting)
-    return NepoArtifact(And(fits, chain), em.roles, nepo_slice(tm, b), em.certificates)
+    return _artifact(em, And(fits, chain))
 
 
 def compile_acceptance_sigma0(tm: TMDescription, b: NepoBounds) -> Formula:

@@ -504,8 +504,8 @@ def test_compiled_folds_and_short_circuits_like_the_walker():
 
 def test_comparisons_read_like_the_walker_in_every_operand_shape():
     """EqNum and Leq compile to one closure per operand shape (constant,
-    name, closure), reading the left operand first; none reads through
-    _value."""
+    name, closure), reading the left operand first, save that a name
+    compared with a name or a closure reads the right one through _value."""
     operands = [F.const_term(3), X, F.NVar("u"), F.Plus(X, F.One()),
                 F.Len("w"), F.Len("Y"), F.const_term(4)]
     env = Assignment(nums={"x": 3}, strs={"W": "0110"})
@@ -517,7 +517,10 @@ def test_comparisons_read_like_the_walker_in_every_operand_shape():
                 assert got == read_outcome(lambda: walk_formula(node, S8, env)), node
                 seen[got if type(got) is bool else got[0].__name__] += 1
                 run = evaluate._Compiler().formula(node)
-                assert "_value" not in inspect.getclosurevars(run).globals
+                seen_by = inspect.getclosurevars(run)
+                a, b = (seen_by.nonlocals.get(n) for n in "ab")
+                generic = type(a) is str and not evaluate._is_const(b)
+                assert ("_value" in seen_by.globals) == generic, node
     assert set(seen) == {True, False, "UnboundVariableError", "SortMismatchError"}
 
 

@@ -359,12 +359,14 @@ def test_grid_certificates_are_shared_within_one_evaluate(monkeypatch):
         runs.clear()
         calls.clear()
         assert art.evaluate(Assignment(strs={"X": x}), counted) == accepts(tm, x, budget)
-        assert len(runs) == len(set(runs)) == len(art.certificates)
+        assert len(runs) == len(set(runs)) == len(art._certificates)
         assert len(calls) > len(runs)  # some codes came from the memo
         simulated.append(len(runs))
     assert simulated[0] == simulated[2]  # nothing carried over between calls
     monkeypatch.setattr(nepo, "_CERTIFICATE_CAP", 2)
-    assert not art.evaluate(Assignment(strs={"X": "0110"})) and len(art.certificates) <= 2
+    assert not art.evaluate(Assignment(strs={"X": "0110"})) and len(art._certificates) <= 2
+    with pytest.raises(TypeError):  # the memo is the emitter's, not a parameter
+        nepo.NepoArtifact(art.formula, art.roles, art.slice, {})
 
 
 def test_reach_levels_match_simulator_mid_scale():
