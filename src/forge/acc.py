@@ -52,7 +52,7 @@ from .errors import LayoutError
 from .evaluate import Assignment, Compiled, FiniteSlice, compile_formula
 from .formulas import (TRUE, AlN, And, EqNum, ExN, ExS, Formula, Imp, Len,
                        Memb, Not, NumTerm, NVar, One, Or, Plus, Times, Zero,
-                       const_term, land, lt)
+                       const_term, forall_lt, iff, land, lt)
 from .machine import (MOVE_LEFT, MOVE_RIGHT, Configuration, PolyBound,
                       TableauLayout, TMDescription, decode_row, encode_row,
                       run, run_from, tableau_to_witness)
@@ -65,15 +65,6 @@ def poly_term(p: PolyBound, var: NumTerm) -> NumTerm:
     for c in reversed(p.coeffs[:-1]):
         acc = Plus(const_term(c), Times(var, acc))
     return acc
-
-
-def iff(a: Formula, b: Formula) -> Formula:
-    return And(Imp(a, b), Imp(b, a))
-
-
-def forall_below(var: str, bound: NumTerm, body: Formula) -> Formula:
-    """All values strictly below bound (inclusive binder plus guard)."""
-    return AlN(var, bound, Imp(lt(NVar(var), bound), body))
 
 
 Row = int | NumTerm
@@ -132,7 +123,7 @@ class Tableau:
         """body for every row that has a successor row."""
         if isinstance(self.steps, int):
             return AlN(var, const_term(self.steps - 1), body)
-        return forall_below(var, self.steps, body)
+        return forall_lt(var, self.steps, self.steps, body)
 
     def each_cell(self, var: str, body: Formula) -> Formula:
         if self.cell_guard is not None:
@@ -319,9 +310,9 @@ def reach_matrix(tm: TMDescription, p: PolyBound) -> Formula:
 
     tab = Tableau(tm, _witness_cells(tm, size), poly_term(p, size), size, inside=fits)
     j, t = NVar("j"), NVar("t")
-    boundary0 = forall_below("j", size, iff(Memb(j, "W"), Memb(j, "Y")))
-    boundary_end = forall_below(
-        "j", size,
+    boundary0 = forall_lt("j", size, size, iff(Memb(j, "W"), Memb(j, "Y")))
+    boundary_end = forall_lt(
+        "j", size, size,
         iff(Memb(Plus(Times(tab.steps, size), j), "W"), Memb(j, "Z")))
     sentinels = tab.each_row("t", ExN(
         "s", size,

@@ -74,20 +74,14 @@ def _parse_eps(text: str) -> Fraction:
     return Fraction(p, q)
 
 
-def _num_bound(args: argparse.Namespace, default: int | None = None) -> int | None:
-    if args.num_bound is None:
+def _at_least(value: int | None, least: int, flag: str,
+              default: int | None = None) -> int | None:
+    """value, or default when the flag was not given; least is 0 or 1."""
+    if value is None:
         return default
-    if args.num_bound < 1:
-        raise _UsageError("--num-bound must be positive")
-    return args.num_bound
-
-
-def _str_width(args: argparse.Namespace, default: int | None) -> int | None:
-    if args.str_width is None:
-        return default
-    if args.str_width < 0:
-        raise _UsageError("--str-width must be non-negative")
-    return args.str_width
+    if value < least:
+        raise _UsageError(f"{flag} must be {'positive' if least else 'non-negative'}")
+    return value
 
 
 def _parse_bits(text: str, flag: str) -> str:
@@ -190,7 +184,8 @@ def _split_binding(text: str) -> tuple[str, str]:
 
 
 def _do_eval(args: argparse.Namespace) -> _Report:
-    s = FiniteSlice(_num_bound(args), _str_width(args, 0))
+    s = FiniteSlice(_at_least(args.num_bound, 1, "--num-bound"),
+                    _at_least(args.str_width, 0, "--str-width", 0))
     env = Assignment()
     for raw in args.bind or []:
         name, value = _split_binding(raw)
@@ -223,7 +218,7 @@ def _do_eval(args: argparse.Namespace) -> _Report:
 
 
 def _do_translate(args: argparse.Namespace) -> _Report:
-    bound = _num_bound(args, 1 << 16)
+    bound = _at_least(args.num_bound, 1, "--num-bound", 1 << 16)
     lengths: dict[str, int] = {}
     values: dict[str, int] = {}
     for raw in args.len or []:
@@ -284,8 +279,7 @@ def _do_mfv(args: argparse.Namespace) -> _Report:
 
 
 def _do_check_proof(args: argparse.Namespace) -> _Report:
-    if args.depth is not None and args.depth < 0:
-        raise _UsageError("--depth must be non-negative")
+    _at_least(args.depth, 0, "--depth")
     pi = proofs.parse_proof(_read_text(args.proof))
     target = proofs.proof_target(pi)
     if target is None:
@@ -306,7 +300,8 @@ def _do_check_proof(args: argparse.Namespace) -> _Report:
 
 
 def _do_reflect(args: argparse.Namespace) -> _Report:
-    num_bound, str_width = _num_bound(args), _str_width(args, None)
+    num_bound = _at_least(args.num_bound, 1, "--num-bound")
+    str_width = _at_least(args.str_width, 0, "--str-width")
     if args.system == "depth-frege":
         if args.d is None:
             raise _UsageError("depth-frege needs --d")
@@ -342,10 +337,8 @@ def _do_reflect(args: argparse.Namespace) -> _Report:
 
 def _do_oracle_test(args: argparse.Namespace) -> _Report:
     p = _parse_poly(args.poly)
-    if args.max_len < 1:
-        raise _UsageError("--max-len must be positive")
-    if args.sample < 0:
-        raise _UsageError("--sample must be non-negative")
+    _at_least(args.max_len, 1, "--max-len")
+    _at_least(args.sample, 0, "--sample")
     tm = parse_tm(_read_text(args.tm))
     rng = random.Random(args.seed)
     checked = 0

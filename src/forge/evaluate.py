@@ -100,8 +100,7 @@ def eval_formula(f: Formula, s: FiniteSlice, env: Assignment | None = None,
     the module docstring for when that is sound.  f compiles as far as this
     evaluation reaches, and the compile goes when the call returns.
     """
-    compiler = _Compiler()
-    return compiler.formula(f)(_Run(env, s, roles, compiler))
+    return compile_formula(f)(s, env, roles)
 
 
 def compile_formula(f: Formula) -> Compiled:
@@ -328,9 +327,13 @@ class _Compiler:
 #
 # A compiled term is a folded constant, a str (the name of a number variable,
 # read straight from nums by its parent) or a closure (nums, strs) -> int.
-# Plus and Times get one closure per operand shape, holding just its two
-# operands: on the proof-check formula of the reflect benchmark that takes 7%
-# less memory to compile than _binary closures.  Constants are natural
+# Plus gets one closure per operand shape, holding just its two operands:
+# on the proof-check formula of the reflect benchmark that takes 7% less
+# memory to compile than _binary closures.  Times gets one for each shape
+# that one seed-1 block of every benchmark workload compiled: closure times
+# closure (61 times), closure times constant (785), name times closure
+# (1523) and name times constant (145).  A closure or a name times a name
+# never occurred there, and goes through _binary.  Constants are natural
 # numbers, on which every term operation is total, so folding never raises,
 # and a constant operand may be read after the other.
 #
@@ -394,14 +397,13 @@ def _times(a, b):
     if callable(a):
         if callable(b):
             return lambda nums, strs: a(nums, strs) * b(nums, strs)
-        if type(b) is str:
-            return lambda nums, strs: a(nums, strs) * nums[b]
-        return lambda nums, strs: a(nums, strs) * b
-    if callable(b):
+        if _is_const(b):
+            return lambda nums, strs: a(nums, strs) * b
+    elif callable(b):
         return lambda nums, strs: nums[a] * b(nums, strs)
-    if type(b) is str:
-        return lambda nums, strs: nums[a] * nums[b]
-    return lambda nums, strs: nums[a] * b
+    elif _is_const(b):
+        return lambda nums, strs: nums[a] * b
+    return _binary(operator.mul, a, b)
 
 
 _TABLE_CAP = 4096  # codes per table

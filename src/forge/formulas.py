@@ -456,26 +456,35 @@ TRUE = Leq(Zero(), Zero())
 FALSE = Leq(One(), Zero())
 
 
-def land(parts: list[Formula]) -> Formula:
-    """Right-nested conjunction; empty list is the true constant."""
+def fold_right(make, parts, empty):
+    """make(p1, make(p2, ... make(pn-1, pn))) over the list parts, or empty."""
     if not parts:
-        return TRUE
+        return empty
     acc = parts[-1]
     for g in reversed(parts[:-1]):
-        acc = And(g, acc)
+        acc = make(g, acc)
     return acc
+
+
+def land(parts: list[Formula]) -> Formula:
+    """Right-nested conjunction; empty list is the true constant."""
+    return fold_right(And, parts, TRUE)
 
 
 def lor(parts: list[Formula]) -> Formula:
     """Right-nested disjunction; empty list is the false constant."""
-    if not parts:
-        return FALSE
-    acc = parts[-1]
-    for g in reversed(parts[:-1]):
-        acc = Or(g, acc)
-    return acc
+    return fold_right(Or, parts, FALSE)
 
 
 def lt(a: NumTerm, b: NumTerm) -> Formula:
     """a < b over naturals."""
     return Leq(Plus(a, One()), b)
+
+
+def iff(a: Formula, b: Formula) -> Formula:
+    return And(Imp(a, b), Imp(b, a))
+
+
+def forall_lt(var: str, sweep: NumTerm, limit: NumTerm, body: Formula) -> Formula:
+    """body for each var below limit, var sweeping 0..sweep inclusive."""
+    return AlN(var, sweep, Imp(lt(NVar(var), limit), body))

@@ -35,14 +35,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .acc import Tableau, holds, iff
+from .acc import Tableau, holds
 from .codec import (encode_bits, encode_seq, seq_code_bound, seq_fields,
                     set_length, trim)
 from .errors import BudgetError, LayoutError
 from .evaluate import Assignment, Compiled, FiniteSlice, Roles, compile_formula
 from .formulas import (AlN, AlS, And, EqNum, ExN, ExS, Formula, Imp,
                        Len, Leq, Memb, Not, NumTerm, NVar, One, Or, Plus,
-                       SeqAt, SeqLen, Times, const_term, formula_size, land)
+                       SeqAt, SeqLen, Times, const_term, formula_size, iff, land)
 from .machine import (Configuration, TMDescription, decode_row, encode_row,
                       initial_configuration, run_from)
 
@@ -288,21 +288,16 @@ class _Emitter:
 
         return sym, read, None
 
-    def con_source(self, con: str) -> _Source:
+    def row_source(self, code: str, row: int | str) -> _Source:
+        """Row `row` of grid code `code`: 0, or the name of a row variable."""
+        t = row if row == 0 else NVar(row)
+
         def sym(z, f):
-            return self.cells(con)(0, z, f)
+            return self.cells(code)(t, z, f)
 
         def read(env: Assignment) -> Configuration | None:
-            return self._decode(self._row_bits(env.nums[con], 0))
-
-        return sym, read, None
-
-    def row_source(self, comp: str, tvar: str) -> _Source:
-        def sym(z, f):
-            return self.cells(comp)(NVar(tvar), z, f)
-
-        def read(env: Assignment) -> Configuration | None:
-            return self._decode(self._row_bits(env.nums[comp], env.nums[tvar]))
+            return self._decode(self._row_bits(env.nums[code],
+                                               env.nums[row] if row else 0))
 
         return sym, read, None
 
@@ -351,12 +346,10 @@ class _Emitter:
         return land(parts)
 
     def exists_grid(self, level: int, source: _Source,
-                    extra: Callable[[str], list[Formula]] | None = None,
+                    extra: Callable[[str], list[Formula]],
                     name: str | None = None) -> Formula:
         comp = name or self.fresh("comp")
-        body = [self.grid(level, comp, source)]
-        if extra is not None:
-            body += extra(comp)
+        body = [self.grid(level, comp, source), *extra(comp)]
         self.roles[comp] = self._grid_callback(level, source[1])
         return ExN(comp, const_term(self.comp_bound), land(body))
 
@@ -489,7 +482,7 @@ def _cell_chain(em: _Emitter, i_term: NumTerm, source: _Source,
             level, src,
             lambda c: [em.exists_con(
                 c, digits[level],
-                lambda con: build(level - 1, em.con_source(con)))])
+                lambda con: build(level - 1, em.row_source(con, 0)))])
 
     body = And(radix, build(b.d, source))
     for name in reversed(digits):

@@ -74,41 +74,32 @@ class PNot(PropFormula):
     arg: PropFormula
 
 
-def pand(args) -> PropFormula:
-    """Conjunction with constant folding and same-connective flattening."""
+def _join(args, kind: type, absorbing: int) -> PropFormula:
+    """args joined by kind (PAnd or POr), flattened, stopping at absorbing."""
     flat: list[PropFormula] = []
     for a in args:
         if type(a) is PConst:
-            if a.bit == 0:
-                return PConst(0)
+            if a.bit == absorbing:
+                return PConst(absorbing)
             continue
-        if type(a) is PAnd:
+        if type(a) is kind:
             flat.extend(a.args)
         else:
             flat.append(a)
     if not flat:
-        return PConst(1)
+        return PConst(1 - absorbing)
     if len(flat) == 1:
         return flat[0]
-    return PAnd(tuple(flat))
+    return kind(tuple(flat))
+
+
+def pand(args) -> PropFormula:
+    """Conjunction with constant folding and same-connective flattening."""
+    return _join(args, PAnd, 0)
 
 
 def por(args) -> PropFormula:
-    flat: list[PropFormula] = []
-    for a in args:
-        if type(a) is PConst:
-            if a.bit == 1:
-                return PConst(1)
-            continue
-        if type(a) is POr:
-            flat.extend(a.args)
-        else:
-            flat.append(a)
-    if not flat:
-        return PConst(0)
-    if len(flat) == 1:
-        return flat[0]
-    return POr(tuple(flat))
+    return _join(args, POr, 1)
 
 
 def pnot(a: PropFormula) -> PropFormula:
@@ -207,20 +198,22 @@ def _iff(a: PropFormula, b: PropFormula) -> PropFormula:
     return pand((por((pnot(a), b)), por((pnot(b), a))))
 
 
+def _nodes(p: PropFormula):
+    """Every node of p, once per occurrence; iterative, so any depth is fine."""
+    todo = [p]
+    while todo:
+        q = todo.pop()
+        yield q
+        k = type(q)
+        if k is PNot:
+            todo.append(q.arg)
+        elif k is PAnd or k is POr:
+            todo.extend(q.args)
+
+
 def prop_vars(p: PropFormula) -> list[tuple[str, int]]:
     """Distinct variables, sorted by (name, index)."""
-    seen: set[tuple[str, int]] = set()
-    stack = [p]
-    while stack:
-        q = stack.pop()
-        k = type(q)
-        if k is PVar:
-            seen.add((q.name, q.index))
-        elif k is PNot:
-            stack.append(q.arg)
-        elif k is PAnd or k is POr:
-            stack.extend(q.args)
-    return sorted(seen)
+    return sorted({(q.name, q.index) for q in _nodes(p) if type(q) is PVar})
 
 
 def eval_prop(p: PropFormula, env: dict[tuple[str, int], int]) -> bool:
@@ -298,17 +291,7 @@ def prop_depth(p: PropFormula) -> int:
 
 def prop_size(p: PropFormula) -> int:
     """Node count, constants and variables included."""
-    n = 0
-    todo = [p]
-    while todo:
-        q = todo.pop()
-        n += 1
-        k = type(q)
-        if k is PNot:
-            todo.append(q.arg)
-        elif k is PAnd or k is POr:
-            todo.extend(q.args)
-    return n
+    return sum(1 for _ in _nodes(p))
 
 
 # --- s-expression text form ---

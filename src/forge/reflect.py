@@ -37,11 +37,11 @@ fixed string names, the ones reflection_instance binds: X for the formula,
 P for the proof and Z for the assignment.
 """
 
-from .acc import iff
 from .errors import DecodeError, EncodeError
 from .formulas import (FALSE, AlN, AlS, And, EqNum, ExN, Formula, Imp, Len,
                        Leq, Memb, Not, NumTerm, NVar, One, Or, Plus, Times,
-                       Zero, const_term, land, lor, lt)
+                       Zero, const_term, fold_right, forall_lt, iff, land, lor,
+                       lt)
 from .machine import PolyBound
 from .proofs import (LEFT, RIGHT, RULE_SHAPES, RULES, Proof, ProofLine, Sequent,
                      system_depth)
@@ -83,13 +83,8 @@ def _binarize(p: PropFormula) -> PropFormula:
     """Right-fold n-ary connectives down to the binary encodable shape."""
     k = type(p)
     if k is PAnd or k is POr:
-        args = [_binarize(a) for a in p.args]
-        if not args:
-            return PConst(1 if k is PAnd else 0)
-        acc = args[-1]
-        for a in reversed(args[:-1]):
-            acc = k((a, acc))
-        return acc
+        return fold_right(lambda a, b: k((a, b)), [_binarize(a) for a in p.args],
+                          PConst(1 if k is PAnd else 0))
     if k is PNot:
         return PNot(_binarize(p.arg))
     return p
@@ -327,10 +322,6 @@ def _pattern(svar: str, base: NumTerm, value: int, width: int) -> Formula:
     return land(parts)
 
 
-def _forall_lt(var: str, sweep: NumTerm, limit: NumTerm, body: Formula) -> Formula:
-    return AlN(var, sweep, Imp(lt(NVar(var), limit), body))
-
-
 def compile_formula_wf() -> Formula:
     """Layout validity of the packed formula X, one local check per slot."""
     X = "X"
@@ -354,7 +345,7 @@ def compile_formula_wf() -> Formula:
         Leq(One(), s),
         Memb(Zero(), X),
         Not(Memb(One(), X)),
-        _forall_lt("j", Len(X), s, local),
+        forall_lt("j", Len(X), s, local),
     ]))
 
 
@@ -448,8 +439,8 @@ class _ProofGeom:
 
 def _rec_eq(g: _ProofGeom, lc, sc, jc, lp, sp, jp) -> Formula:
     b = NVar("b")
-    return _forall_lt("b", g.sweep(), g.rw,
-                      iff(g.rec_bit(lc, sc, jc, b), g.rec_bit(lp, sp, jp, b)))
+    return forall_lt("b", g.sweep(), g.rw,
+                     iff(g.rec_bit(lc, sc, jc, b), g.rec_bit(lp, sp, jp, b)))
 
 
 def _node_is(g: _ProofGeom, line, side, j, tag: int) -> Formula:
@@ -479,7 +470,7 @@ def _sub_eq(g: _ProofGeom, lc, sc, jc, child: int, lp, sp, jp) -> Formula:
 def _count_is(g: _ProofGeom, line, side, n: NumTerm) -> Formula:
     return land([
         Leq(n, g.nf),
-        _forall_lt("j", g.sweep(), n, g.pres(line, side, NVar("j"))),
+        forall_lt("j", g.sweep(), n, g.pres(line, side, NVar("j"))),
         Imp(lt(n, g.nf), Not(g.pres(line, side, n))),
     ])
 
@@ -500,8 +491,8 @@ def _tail_map(g: _ProofGeom, lc, sc, fc: int, lp, sp, fp: int) -> Formula:
 
 def _seg_eq(g: _ProofGeom, lc, sc, fc: int, lp, sp, fp: int, n: NumTerm) -> Formula:
     j = NVar("j")
-    return _forall_lt("j", g.sweep(), n,
-                      _rec_eq(g, lc, sc, _sh(j, fc), lp, sp, _sh(j, fp)))
+    return forall_lt("j", g.sweep(), n,
+                     _rec_eq(g, lc, sc, _sh(j, fc), lp, sp, _sh(j, fp)))
 
 
 def _tag_is(g: _ProofGeom, line, rule: str) -> Formula:
@@ -509,8 +500,8 @@ def _tag_is(g: _ProofGeom, line, rule: str) -> Formula:
 
 
 def _zero_cut(g: _ProofGeom, line) -> Formula:
-    return _forall_lt("j", g.sweep(), g.nf,
-                      Not(g.bit(Plus(g.cut_base(line), NVar("j")))))
+    return forall_lt("j", g.sweep(), g.nf,
+                     Not(g.bit(Plus(g.cut_base(line), NVar("j")))))
 
 
 def _pcount_is(g: _ProofGeom, line, n: int) -> Formula:
@@ -520,8 +511,8 @@ def _pcount_is(g: _ProofGeom, line, n: int) -> Formula:
 
 
 def _no_onehot(g: _ProofGeom, line, k: int) -> Formula:
-    return _forall_lt("u", g.sweep(), g.nl,
-                      Not(g.bit(Plus(g.onehot_base(line, k), NVar("u")))))
+    return forall_lt("u", g.sweep(), g.nl,
+                     Not(g.bit(Plus(g.onehot_base(line, k), NVar("u")))))
 
 
 def _with_premise(g: _ProofGeom, line, k: int, var: str, body) -> Formula:
@@ -677,19 +668,19 @@ def _prefix_closed(g: _ProofGeom, line, side: int) -> Formula:
 
 def _absent_zero(g: _ProofGeom, line, side: int) -> Formula:
     j = NVar("j")
-    blank = _forall_lt("b", g.sweep(), g.rw,
-                       Not(g.rec_bit(line, side, j, NVar("b"))))
-    return _forall_lt("j", g.sweep(), g.nf,
-                      Imp(Not(g.pres(line, side, j)), blank))
+    blank = forall_lt("b", g.sweep(), g.rw,
+                      Not(g.rec_bit(line, side, j, NVar("b"))))
+    return forall_lt("j", g.sweep(), g.nf,
+                     Imp(Not(g.pres(line, side, j)), blank))
 
 
 def _endsequent_is(g: _ProofGeom) -> Formula:
     """Last line is (empty => target), matching the standalone encoding."""
     le, sx, b = NVar("le"), NVar("sx"), NVar("b")
     width = Times(sx, const_term(NODE_WIDTH))
-    content = _forall_lt("b", g.sweep(), width,
-                         iff(Memb(Plus(const_term(2), b), "X"),
-                             g.rec_bit(le, RIGHT, Zero(), b)))
+    content = forall_lt("b", g.sweep(), width,
+                        iff(Memb(Plus(const_term(2), b), "X"),
+                            g.rec_bit(le, RIGHT, Zero(), b)))
     padding = AlN("b", g.sweep(),
                   Imp(And(Leq(width, b), lt(b, g.rw)),
                       Not(g.rec_bit(le, RIGHT, Zero(), b))))
@@ -721,9 +712,9 @@ def _depth_cap(g: _ProofGeom, depth: int) -> Formula:
                       for m in range(NODE_WIDTH)]))
             for k in range(first_deep, g.cap + 1)
         ])
-        per_side.append(_forall_lt("j", g.sweep(), g.nf,
-                                   Imp(g.pres(line, side, j), deep)))
-    return _forall_lt("l", g.sweep(), g.nl, land(per_side))
+        per_side.append(forall_lt("j", g.sweep(), g.nf,
+                                  Imp(g.pres(line, side, j), deep)))
+    return forall_lt("l", g.sweep(), g.nl, land(per_side))
 
 
 def compile_proof_check(system, slot_cap: int = 8) -> Formula:
@@ -740,7 +731,7 @@ def compile_proof_check(system, slot_cap: int = 8) -> Formula:
     g = _ProofGeom(slot_cap)
     line = NVar("l")
     branches = lor([_branch(g, line, rule) for rule in RULES])
-    lines_ok = _forall_lt("l", g.sweep(), g.nl, land([
+    lines_ok = forall_lt("l", g.sweep(), g.nl, land([
         _prefix_closed(g, line, LEFT), _prefix_closed(g, line, RIGHT),
         _absent_zero(g, line, LEFT), _absent_zero(g, line, RIGHT),
         branches,
@@ -750,8 +741,8 @@ def compile_proof_check(system, slot_cap: int = 8) -> Formula:
         Not(g.bit(Plus(const_term(4), Plus(g.nl, Plus(g.nf, g.ns))))),
         EqNum(Len("P"), Plus(g.hdr, Plus(Times(g.nl, g.block), One()))),
         Leq(g.ns, const_term(slot_cap)),
-        _forall_lt("j", g.sweep(), g.ns,
-                   g.bit(Plus(const_term(4), Plus(g.nl, Plus(g.nf, NVar("j")))))),
+        forall_lt("j", g.sweep(), g.ns,
+                  g.bit(Plus(const_term(4), Plus(g.nl, Plus(g.nf, NVar("j")))))),
         lines_ok,
         _endsequent_is(g),
     ]
@@ -761,14 +752,14 @@ def compile_proof_check(system, slot_cap: int = 8) -> Formula:
     with_nf = ExN("nf", g.sweep(), land([
         Leq(One(), g.nf),
         Not(g.bit(Plus(const_term(3), Plus(g.nl, g.nf)))),
-        _forall_lt("j", g.sweep(), g.nf,
-                   g.bit(Plus(const_term(3), Plus(g.nl, NVar("j"))))),
+        forall_lt("j", g.sweep(), g.nf,
+                  g.bit(Plus(const_term(3), Plus(g.nl, NVar("j"))))),
         with_ns,
     ]))
     with_nl = ExN("nl", g.sweep(), land([
         Leq(One(), g.nl),
         Not(g.bit(_sh(g.nl, 2))),
-        _forall_lt("j", g.sweep(), g.nl, g.bit(_sh(NVar("j"), 2))),
+        forall_lt("j", g.sweep(), g.nl, g.bit(_sh(NVar("j"), 2))),
         with_nf,
     ]))
     return land([Memb(Zero(), "P"), Not(Memb(One(), "P")), with_nl])

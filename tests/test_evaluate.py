@@ -10,6 +10,8 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import (grid_read, node_value_depth_bound, read_outcome,
                      role_free_names, walk_formula, walk_term)
 from test_formulas import gen_formula
@@ -469,6 +471,34 @@ def test_compiled_matches_walker_on_generated_formulas():
     assert min(seen.values()) >= 50 and seen[True] + seen[False] > 400, seen
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(1, 9),
+       st.integers(0, 3), st.integers(0, 2**32 - 1))
+def test_compiled_matches_walker_on_drawn_formulas(seed, depth, num_bound,
+                                                   str_width, env_seed):
+    """The drawn form of the seeded corpus above: the compiled function
+    agrees with the walker, and eval_formula says what the walker says,
+    naming the same unbound name (the walker words its TypeErrors its own
+    way, so only their type is compared)."""
+    g = random.Random(seed)
+    f = gen_formula(g, depth, [0], ["x", "y"], ["X", "Y"], consts=True)
+    if seed % 2:
+        f = poison(g, f)
+    s = FiniteSlice(num_bound, str_width)
+
+    def said(fn):
+        try:
+            return fn()
+        except (UnboundVariableError, SortMismatchError, SliceExceededError) as e:
+            return type(e), str(e)
+        except TypeError:
+            return TypeError
+
+    for env in diff_envs(random.Random(env_seed)):
+        agree(f, s, env)
+        assert said(lambda: eval_formula(f, s, env)) == said(lambda: walk_formula(f, s, env))
+
+
 def test_compiled_folds_and_short_circuits_like_the_walker():
     x, u, one, two = F.NVar("x"), F.NVar("u"), F.One(), F.const_term(2)
     unbound, sort = UnboundVariableError, SortMismatchError
@@ -505,13 +535,17 @@ def test_compiled_folds_and_short_circuits_like_the_walker():
 def test_comparisons_read_like_the_walker_in_every_operand_shape():
     """EqNum and Leq compile to one closure per operand shape (constant,
     name, closure), reading the left operand first, save that a name
-    compared with a name or a closure reads the right one through _value."""
-    operands = [F.const_term(3), X, F.NVar("u"), F.Plus(X, F.One()),
+    compared with a name or a closure reads the right one through _value.
+    Times reads its left operand first in every shape too."""
+    operands = [F.const_term(3), X, F.NVar("u"), F.NVar("v"), F.Plus(X, F.One()),
                 F.Len("w"), F.Len("Y"), F.const_term(4)]
     env = Assignment(nums={"x": 3}, strs={"W": "0110"})
     seen = Counter()
     for left in operands:
         for right in operands:
+            product = F.EqNum(F.Times(left, right), X)
+            assert read_outcome(lambda: eval_formula(product, S8, env)) \
+                == read_outcome(lambda: walk_formula(product, S8, env)), product
             for node in (F.EqNum(left, right), F.Leq(left, right)):
                 got = read_outcome(lambda: eval_formula(node, S8, env))
                 assert got == read_outcome(lambda: walk_formula(node, S8, env)), node

@@ -295,7 +295,7 @@ def test_nepo_row_readers_decode_as_before():
         for width in (1, 2, 3):
             em = row_emitter(tm, width)
             _, from_string, _ = em.config_string_source("I")
-            _, from_code, _ = em.con_source("con")
+            _, from_code, _ = em.row_source("con", 0)
             _, from_grid, _ = em.row_source("comp", "t")
             for bits in patterns(em.row_bits):
                 s = "".join(map(str, bits)) + "1"

@@ -34,14 +34,13 @@ def for_len(n: int) -> SizeProfile:
 
 
 def test_smart_constructors():
-    v = PVar("X", 0)
-    assert pand([]) == PConst(1)
-    assert por([]) == PConst(0)
-    assert pand([v, PConst(1)]) == v
-    assert pand([v, PConst(0)]) == PConst(0)
-    assert por([v, PConst(0)]) == v
-    assert por([v, PConst(1)]) == PConst(1)
-    assert pand([PAnd((v, v)), v]) == PAnd((v, v, v))
+    v, w = PVar("X", 0), PVar("X", 1)
+    for join, node, other, unit in ((pand, PAnd, POr, 1), (por, POr, PAnd, 0)):
+        assert join([]) == PConst(unit)
+        assert join([v, PConst(unit)]) == v
+        assert join([v, PConst(1 - unit)]) == PConst(1 - unit)
+        assert join([node((v, w)), v]) == node((v, w, v))
+        assert join([other((v, w)), v]) == node((other((v, w)), v))
     assert pnot(pnot(v)) == v
     assert pnot(PConst(0)) == PConst(1)
 
