@@ -1,11 +1,12 @@
-"""S-expression reader shared by formulas and proofs; formula parser and printer.
+"""S-expression reader shared by formulas, proofs and `prop`; formula parser
+and printer.
 
 Lexical syntax, owned here for every text format of the package: atoms are
 runs of characters other than whitespace, parentheses and `;`; a `;`
 comment runs to end of line.  `read_all` turns source text into `Node`
-trees that carry the line and column of their first character, so every
-`ParseError` raised over them points into the source.  Lists may nest at
-most `MAX_DEPTH` deep.
+trees in one pass over the tokens.  A `Node` is a named tuple that carries
+the line and column of its first character, so every `ParseError` raised
+over it points into the source.  Lists may nest at most `MAX_DEPTH` deep.
 
 Formula grammar
   term     ::= 0 | 1 | <ident> | (+ t t) | (* t t) | (len <Ident>)
@@ -29,7 +30,7 @@ rename on its own.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DuplicateBindingError, ParseError, SortMismatchError
 from .formulas import (AlN, AlS, And, Const, EqNum, EqStr, ExN, ExS, Formula,
@@ -45,8 +46,7 @@ _TOKEN = re.compile(r"\n|;[^\n]*|[()]|[^ \t\r\n();]+")
 MAX_DEPTH = 900
 
 
-@dataclass(frozen=True, slots=True)
-class Node:
+class Node(NamedTuple):
     """Atom (text set) or list (items set), tagged with its source position."""
 
     text: str | None
@@ -55,47 +55,36 @@ class Node:
     col: int
 
 
-def _tokenize(source: str, line: int = 1, col: int = 1) -> list[tuple[str, int, int]]:
-    """(text, line, column) of each atom and parenthesis; comments dropped."""
-    toks = []
-    line_start = 1 - col  # source offset that sits in column 1 of `line`
-    for m in _TOKEN.finditer(source):
-        text = m.group()
-        if text == "\n":
-            line += 1
-            line_start = m.end()
-        elif text[0] != ";":
-            toks.append((text, line, m.start() - line_start + 1))
-    return toks
-
-
-def _read(toks: list[tuple[str, int, int]]) -> list[Node]:
+def read_all(source: str, line: int = 1, col: int = 1) -> list[Node]:
+    """Every top-level expression of `source`, which starts at line:col."""
+    new = tuple.__new__  # builds a Node without a Python-level __init__
     top: list[Node] = []
     open_lists: list[tuple[int, int, list[Node]]] = []
     items = top
-    for text, line, col in toks:
+    line_start = 1 - col  # source offset that sits in column 1 of `line`
+    for m in _TOKEN.finditer(source):
+        text = m.group()
         if text == "(":
+            col = m.start() - line_start + 1
             if len(open_lists) == MAX_DEPTH:
                 raise ParseError(f"lists nest deeper than {MAX_DEPTH}", line, col)
             items = []
             open_lists.append((line, col, items))
         elif text == ")":
             if not open_lists:
-                raise ParseError("unexpected )", line, col)
+                raise ParseError("unexpected )", line, m.start() - line_start + 1)
             start_line, start_col, done = open_lists.pop()
             items = open_lists[-1][2] if open_lists else top
-            items.append(Node(None, tuple(done), start_line, start_col))
-        else:
-            items.append(Node(text, None, line, col))
+            items.append(new(Node, (None, tuple(done), start_line, start_col)))
+        elif text == "\n":
+            line += 1
+            line_start = m.end()
+        elif text[0] != ";":
+            items.append(new(Node, (text, None, line, m.start() - line_start + 1)))
     if open_lists:
         start_line, start_col, _ = open_lists[-1]
         raise ParseError("missing )", start_line, start_col)
     return top
-
-
-def read_all(source: str, line: int = 1, col: int = 1) -> list[Node]:
-    """Every top-level expression of `source`, which starts at line:col."""
-    return _read(_tokenize(source, line, col))
 
 
 def _only(nodes: list[Node]) -> Node:
@@ -141,16 +130,21 @@ def _str_name(node: Node) -> str:
 
 
 class _Binders:
-    """Allocates parse-wide unique binder names, left to right."""
+    """Allocates parse-wide unique binder names, left to right.  A renamed
+    binder also avoids every name in the source, which is read at the first
+    collision: a fresh name is an identifier, and no other token is."""
 
-    def __init__(self, reserved: set[str]):
-        self.reserved = set(reserved)
+    def __init__(self, source: str):
+        self.source = source
+        self.reserved: set[str] | None = None
         self.taken: set[str] = set()
 
     def assign(self, name: str) -> str:
         if name not in self.taken:
             self.taken.add(name)
             return name
+        if self.reserved is None:
+            self.reserved = set(_TOKEN.findall(self.source))
         k = 2
         while f"{name}_{k}" in self.taken or f"{name}_{k}" in self.reserved:
             k += 1
@@ -277,9 +271,7 @@ def _parse_formula(node: Node, env: dict[str, str], binders: _Binders,
 
 def parse_formula(source: str) -> Formula:
     """Parse one formula; see the module docstring for the grammar."""
-    toks = _tokenize(source)
-    reserved = {text for text, _, _ in toks if text != "(" and text != ")"}
-    return _parse_formula(_only(_read(toks)), {}, _Binders(reserved))
+    return _parse_formula(_only(read_all(source)), {}, _Binders(source))
 
 
 # --- printing ---

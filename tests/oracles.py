@@ -1,21 +1,27 @@
-"""Reference decoders, enumerators, bounds and a formula walker that only
-the tests use.
+"""Reference decoders, enumerators, bounds, a formula walker and an
+s-expression reader that only the tests use.
 
 Each one is an oracle the library is checked against, a harness that
 feeds it inputs, or a probe of which path the compiler takes; none of them
 is part of the library.
 """
 
+from __future__ import annotations
+
+import re
+from dataclasses import dataclass
+
 from forge import codec, evaluate
 from forge.codec import encode_seq, mask_to_bits, seq_get_total, seq_len_total
-from forge.errors import (DecodeError, SliceExceededError, SortMismatchError,
-                          UnboundVariableError)
+from forge.errors import (DecodeError, ParseError, SliceExceededError,
+                          SortMismatchError, UnboundVariableError)
 from forge.evaluate import Assignment, FiniteSlice, MonotoneTree, Roles
 from forge.formulas import (AlN, AlS, And, Const, EqNum, EqStr, ExN, ExS,
                             Formula, Imp, Len, Leq, Memb, Not, NumTerm, NVar,
                             One, Or, Plus, SeqAt, SeqLen, Times, Zero,
                             free_vars, is_num_name, is_str_name)
 from forge.machine import ComputationTableau, TableauLayout, decode_row
+from forge.sexpr import MAX_DEPTH
 
 DECODE_LENGTH_CAP = 1 << 20
 
@@ -58,6 +64,64 @@ def node_value_depth_bound(t: MonotoneTree) -> int:
     return (2 * t.a + 1).bit_length() + 1  # ceil(log2(2a+1)) + 1 for powers of 2
 
 
+# --- the reference reader forge.sexpr.read_all is tested against ---
+#
+# Two passes: a token list with positions, then a reader over it, building
+# dataclass nodes.  The lexical syntax is spelled out again here, so a change
+# to forge.sexpr's shows as a difference.
+
+_TOKEN = re.compile(r"\n|;[^\n]*|[()]|[^ \t\r\n();]+")
+
+
+@dataclass(frozen=True, slots=True)
+class RefNode:
+    """Atom (text set) or list (items set), tagged with its source position."""
+
+    text: str | None
+    items: tuple[RefNode, ...] | None
+    line: int
+    col: int
+
+
+def _tokenize(source: str, line: int, col: int) -> list[tuple[str, int, int]]:
+    """(text, line, column) of each atom and parenthesis; comments dropped."""
+    toks = []
+    line_start = 1 - col  # source offset that sits in column 1 of `line`
+    for m in _TOKEN.finditer(source):
+        text = m.group()
+        if text == "\n":
+            line += 1
+            line_start = m.end()
+        elif text[0] != ";":
+            toks.append((text, line, m.start() - line_start + 1))
+    return toks
+
+
+def ref_read_all(source: str, line: int = 1, col: int = 1) -> list[RefNode]:
+    """What forge.sexpr.read_all(source, line, col) reads, or raises."""
+    top: list[RefNode] = []
+    open_lists: list[tuple[int, int, list[RefNode]]] = []
+    items = top
+    for text, line, col in _tokenize(source, line, col):
+        if text == "(":
+            if len(open_lists) == MAX_DEPTH:
+                raise ParseError(f"lists nest deeper than {MAX_DEPTH}", line, col)
+            items = []
+            open_lists.append((line, col, items))
+        elif text == ")":
+            if not open_lists:
+                raise ParseError("unexpected )", line, col)
+            start_line, start_col, done = open_lists.pop()
+            items = open_lists[-1][2] if open_lists else top
+            items.append(RefNode(None, tuple(done), start_line, start_col))
+        else:
+            items.append(RefNode(text, None, line, col))
+    if open_lists:
+        start_line, start_col, _ = open_lists[-1]
+        raise ParseError("missing )", start_line, start_col)
+    return top
+
+
 # --- the tree walker: the reference forge.evaluate's compiler is tested against ---
 #
 # It walks the formula at every visit and checks a name's sort at every
@@ -67,6 +131,8 @@ def node_value_depth_bound(t: MonotoneTree) -> int:
 
 
 def _num_lookup(env: Assignment, name: str) -> int:
+    if type(name) is not str:
+        raise TypeError(f"variable name {name!r} is not a str")
     if not is_num_name(name):
         raise SortMismatchError(f"{name} is not a number variable")
     try:
@@ -76,6 +142,8 @@ def _num_lookup(env: Assignment, name: str) -> int:
 
 
 def _str_lookup(env: Assignment, name: str) -> str:
+    if type(name) is not str:
+        raise TypeError(f"variable name {name!r} is not a str")
     if not is_str_name(name):
         raise SortMismatchError(f"{name} is not a string variable")
     try:

@@ -3,7 +3,9 @@
 import random
 
 import pytest
-from oracles import walk_term
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from oracles import ref_read_all, walk_term
 
 from forge import formulas as F
 from forge import sexpr
@@ -97,10 +99,57 @@ def test_parse_renames_sibling_binders():
 
 
 def test_parse_rename_avoids_existing_names():
-    got = sexpr.parse_formula(
-        "(and (leq x_2 1) (and (exN x 1 (leq x 0)) (exN x 1 (leq x 1))))")
-    assert isinstance(got.right.right, F.ExN)
-    assert got.right.right.var == "x_3"
+    cases = [
+        ("(and (leq x_2 1) (and (exN x 1 (leq x 0)) (exN x 1 (leq x 1))))",
+         "(and (leq x_2 1) (and (exN x 1 (leq x 0)) (exN x_3 1 (leq x_3 1))))"),
+        # a name written after the collision is avoided too
+        ("(and (exN x 1 (leq x 0)) (and (exN x 1 (leq x 1)) (leq x_2 1)))",
+         "(and (exN x 1 (leq x 0)) (and (exN x_3 1 (leq x_3 1)) (leq x_2 1)))"),
+        # a name written only in a comment is not
+        ("(and (exN x 1 (leq x 0)) (exN x 1 (leq x 1))) ; x_2",
+         "(and (exN x 1 (leq x 0)) (exN x_2 1 (leq x_2 1)))"),
+    ]
+    for text, reprint in cases:
+        assert sexpr.print_formula(sexpr.parse_formula(text)) == reprint, text
+
+
+def _read_outcome(read, source, line, col):
+    """(text, line, col) of every node read, in preorder, or the error."""
+    try:
+        todo = list(reversed(read(source, line, col)))
+    except ParseError as e:
+        return type(e), str(e), e.line, e.column
+    out = []
+    while todo:  # a loop, since the trees nest up to MAX_DEPTH deep
+        node = todo.pop()
+        out.append((node.text, node.line, node.col))
+        if node.items is not None:
+            out.append(len(node.items))
+            todo.extend(reversed(node.items))
+    return out
+
+
+_PIECES = st.sampled_from(["(", ")", ";", "\n", "\r", "\t", " ", "a", "X", "1", "x_2"])
+_SOURCES = st.lists(_PIECES, max_size=40).map("".join)
+
+
+def _nested(depth):
+    return st.builds(lambda pre, mid, post: pre + "(" * depth + mid + ")" * depth + post,
+                     _SOURCES, _SOURCES, _SOURCES)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_SOURCES, _nested(sexpr.MAX_DEPTH), _nested(sexpr.MAX_DEPTH + 1)),
+       st.integers(1, 60), st.integers(1, 60))
+@example("(" * sexpr.MAX_DEPTH + ")" * sexpr.MAX_DEPTH, 1, 1)
+@example("(" * (sexpr.MAX_DEPTH + 1) + ")" * (sexpr.MAX_DEPTH + 1), 3, 7)
+@example("a ; (\n) (b\r\n\t(", 4, 4)
+def test_read_all_matches_the_reference_reader(source, line, col):
+    """read_all reads what the two-pass reference reader reads, at the same
+    positions, from any start line and column (parse_proof starts each proof
+    line past its label), and raises the same error where it does."""
+    assert _read_outcome(sexpr.read_all, source, line, col) == \
+        _read_outcome(ref_read_all, source, line, col)
 
 
 def test_parse_seq_terms():
