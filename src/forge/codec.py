@@ -3,11 +3,14 @@
 Sequence codes are self-describing numbers: the low 5 bits hold the field
 width w, and the rest is the packed payload topped by a sentinel bit, so the
 element count is (bitlen(payload) - 1) // w.  This keeps codes linear in the
-payload size (nesting Cantor pairs would square it).  Reads are lenient:
-seq_get_total and seq_len_total accept any natural number, so term
-evaluation stays total.  seq_fields decodes a code once into all of its
-elements under the same reading, for readers that index one code many
-times; encode_bits builds the width-1 code of a 0/1 text without a loop.
+payload size (nesting Cantor pairs would square it).
+
+seq_fields is the one reader of codes, and its reading is lenient, so term
+evaluation stays total: every natural number reads as a code, one with
+w = 0 or nothing above the width has no elements, a partial field under
+the sentinel is dropped, and field_at reads 0 past the last element.  A
+reader decodes a code once and indexes its fields.  encode_bits builds the
+width-1 code of a 0/1 text without a loop.
 
 Bit strings are plain '0'/'1' text read as sets of positions.  Two strings
 are the same set iff they agree after stripping trailing zeros, and the
@@ -41,45 +44,15 @@ def encode_bits(bits: str) -> int:
     return (int("1" + bits[::-1], 2) << WIDTH_BITS) + 1
 
 
-def seq_len_total(code: int) -> int:
-    """Element count under the lenient reading; 0 when no header is usable.
-
-    This is the denotation the formula evaluator gives the seqlen term, so
-    it must accept every natural number.
-    """
-    if code < 0:
-        raise ValueError("sequence codes are non-negative")
-    w = code % (MAX_FIELD_WIDTH + 1)
-    body = code // (MAX_FIELD_WIDTH + 1)
-    if w == 0 or body == 0:
-        return 0
-    return (body.bit_length() - 1) // w
-
-
-def seq_get_total(code: int, j: int) -> int:
-    """Element j under the lenient reading; out-of-range reads give 0."""
-    if code < 0:
-        raise ValueError("sequence codes are non-negative")
-    if j < 0:
-        raise IndexError("sequence positions are non-negative")
-    w = code % (MAX_FIELD_WIDTH + 1)
-    body = code // (MAX_FIELD_WIDTH + 1)
-    if w == 0 or body == 0:
-        return 0
-    n = (body.bit_length() - 1) // w
-    if j >= n:
-        return 0
-    return (body >> (j * w)) & ((1 << w) - 1)
-
-
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 def seq_fields(code: int) -> bytes | tuple[int, ...]:
     """Every element of code under the lenient reading, element j at index
-    j: seq_get_total(code, j) for each j < seq_len_total(code), with the same
-    ValueError for a negative code.  bytes when the field width is at most 8
-    or the code has no usable header, else a tuple.
+    j: the low 5 bits give the width w, and the rest holds, under its top
+    bit (the sentinel), (bitlen(rest) - 1) // w whole w-bit fields, element
+    0 lowest, or none when w or the rest is 0.  bytes when w is at most 8
+    or there are no elements, else a tuple; ValueError for a negative code.
     """
     if code < 0:
         raise ValueError("sequence codes are non-negative")
@@ -93,6 +66,14 @@ def seq_fields(code: int) -> bytes | tuple[int, ...]:
     fields = [int(digits[end - j - w:end - j], 2)
               for j in range(0, (end // w) * w, w)]
     return bytes(fields) if w <= 8 else tuple(fields)
+
+
+def field_at(fields: bytes | tuple[int, ...], j: int) -> int:
+    """Element j of a code's seq_fields under the lenient reading: 0 past
+    the end.  A negative j raises IndexError."""
+    if j < 0:
+        raise IndexError("sequence positions are non-negative")
+    return fields[j] if j < len(fields) else 0
 
 
 def seq_code_bound(n_elems: int, width: int) -> int:

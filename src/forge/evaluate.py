@@ -245,7 +245,7 @@ class _Compiler:
     term compiles a whole term in one frame per level; formula compiles one
     node in one frame, its child formulas waiting for the node's first run.
     Leaf terms compile to a constant or a name and skip the memo.  codes is
-    the table of decoded sequence codes that the grid reads share, and
+    the table of decoded sequence codes that SeqAt and SeqLen share, and
     verdicts the table of verdicts that role binders settle; a
     compile_formula run starts both empty.
     """
@@ -283,9 +283,9 @@ class _Compiler:
             if type(seq) is str and index is not None:
                 out = _seq_read(seq, *index, self.codes)
             else:
-                out = _binary(codec.seq_get_total, seq, self.term(t.index))
+                out = _seq_at(seq, self.term(t.index), self.codes)
         elif tt is SeqLen:
-            out = _seq_len(self.term(t.seq))
+            out = _seq_len(self.term(t.seq), self.codes)
         else:
             out = _error(TypeError, f"not a term: {t!r}")
         self.terms[id(t)] = out
@@ -337,21 +337,22 @@ class _Compiler:
 # numbers, on which every term operation is total, so folding never raises,
 # and a constant operand may be read after the other.
 #
+# SeqAt and SeqLen read codes through the compiler's table of decoded codes
+# (codec.seq_fields, the one reader of codes: the low 5 bits give the field
+# width, the fields sit under a sentinel top bit, and a read past the last
+# gives 0), keyed by the code's value, so each code decodes once per run.
+# A certify run reads its 2 to 8 distinct codes about 16K times.  The table
+# is emptied at the start of each run, so it holds only the current run's
+# codes, and when it reaches _TABLE_CAP of them, which bounds a sweep over
+# codes.  Constant operands fold through seq_fields.
+#
 # A grid read, SeqAt of a number variable at an index that folds to
 # c0 + k1*v1 + k2*v2 + ... over number variables (every read nepo emits),
-# compiles to one closure.  It reads the variables in the order the
+# compiles to one closure that reads the variables in the order the
 # Plus/Times closures would, so the first unbound name it reports is
-# theirs, and it takes the element from the compiler's table of decoded
-# codes (codec.seq_fields), keyed by the code's value, so each code decodes
-# once per run where seq_get_total re-derives width and length from the
-# whole code on every read.  A certify run reads its 2 to 8 distinct codes
-# about 16K times.  The table is emptied at the start of each run, so it
-# holds only the current run's codes, and when it reaches _TABLE_CAP of
-# them, which bounds a sweep over grid codes.  A negative code, or an index
-# outside the code, goes through seq_get_total for its errors and its 0.
-# With nepo's width-1 encoder this took certify from a median 16.0 to 27.3
-# ops/s over 10 perfbench pairs on a 2-vCPU host.  Any other SeqAt goes
-# through _binary.
+# theirs; with nepo's width-1 encoder the table took certify from a median
+# 16.0 to 27.3 ops/s over 10 perfbench pairs on a 2-vCPU host.  Any other
+# SeqAt reads its code, then its index, and only then decodes.
 
 
 def _is_const(a) -> bool:
@@ -438,17 +439,19 @@ def _affine(t) -> tuple[int, dict[str, int]] | None:
         name: c * k for name, k in ls.items()}
 
 
-def _seq_read(seq: str, c0: int, coeffs: dict[str, int], codes: dict):
-    """SeqAt(seq, c0 + sum of k * name over coeffs) as one closure over the
-    decoded-code table codes."""
-    get = codec.seq_get_total
-
-    def decode(code):
+def _fields(codes: dict, code: int) -> bytes | tuple[int, ...]:
+    """codec.seq_fields(code) through the decoded-code table codes."""
+    row = codes.get(code)
+    if row is None:
         if len(codes) >= _TABLE_CAP:
             codes.clear()
         row = codes[code] = codec.seq_fields(code)  # ValueError if negative
-        return row
+    return row
 
+
+def _seq_read(seq: str, c0: int, coeffs: dict[str, int], codes: dict):
+    """SeqAt(seq, c0 + sum of k * name over coeffs) as one closure over the
+    decoded-code table codes."""
     names = tuple(coeffs.items())
 
     def read(nums, strs):
@@ -458,15 +461,25 @@ def _seq_read(seq: str, c0: int, coeffs: dict[str, int], codes: dict):
             j += k * nums[v]
         row = codes.get(code)
         if row is None:
-            row = decode(code)
-        return row[j] if 0 <= j < len(row) else get(code, j)
+            row = _fields(codes, code)
+        return row[j] if 0 <= j < len(row) else codec.field_at(row, j)
     return read
 
 
-def _seq_len(a):
-    if _is_const(a):
-        return codec.seq_len_total(a)
-    return lambda nums, strs: codec.seq_len_total(_value(a, nums, strs))
+def _seq_at(seq, index, codes: dict):
+    if _is_const(seq) and _is_const(index):
+        return codec.field_at(codec.seq_fields(seq), index)
+
+    def read(nums, strs):
+        code, j = _value(seq, nums, strs), _value(index, nums, strs)
+        return codec.field_at(_fields(codes, code), j)
+    return read
+
+
+def _seq_len(seq, codes: dict):
+    if _is_const(seq):
+        return len(codec.seq_fields(seq))
+    return lambda nums, strs: len(_fields(codes, _value(seq, nums, strs)))
 
 
 def _len(svar: str):

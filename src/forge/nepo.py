@@ -48,7 +48,7 @@ from .machine import (Configuration, TMDescription, decode_row, encode_row,
 
 __all__ = [
     "NepoBounds", "NepoArtifact", "compile_reach0", "compile_Reach",
-    "compile_cell_predicate", "compile_acceptance_sigma0", "formula_size",
+    "compile_cell_predicate", "compile_acceptance_sigma0",
     "size_report", "reach_artifact", "cell_artifact", "acceptance_artifact",
     "nepo_slice", "cell_code", "radix_digits",
     "eval_reach_level", "eval_acceptance", "collect_quantifier_bounds",
@@ -302,8 +302,9 @@ class _Emitter:
         return sym, read, None
 
     def _row_bits(self, code: int, t: int) -> Sequence[int]:
-        """Row t of grid code `code` under seq_get_total's lenient reading:
-        fields past the code read 0, and a negative code or row raises."""
+        """Row t of grid code `code`, read through seq_fields: the low 5
+        bits hold the width, the fields sit under a sentinel top bit, and
+        fields past the last read 0; a negative code or row raises."""
         fields = seq_fields(code)
         if t < 0:
             raise IndexError("sequence positions are non-negative")

@@ -4,6 +4,15 @@ s-expression reader that only the tests use.
 Each one is an oracle the library is checked against, a harness that
 feeds it inputs, or a probe of which path the compiler takes; none of them
 is part of the library.
+
+The two reference readers of sequence codes, seq_len_total and
+seq_get_total, read a code from its header by arithmetic, where the
+library decodes every field with codec.seq_fields: the low 5 bits hold the
+width w, the rest holds (bitlen(rest) - 1) // w whole w-bit fields under
+a sentinel top bit, no fields when w or the rest is 0, and a read past the
+last field gives 0.  The walker and the codec, nepo and machine tests read
+codes through them, so no check shares a sequence decoder with the
+library.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ import re
 from dataclasses import dataclass
 
 from forge import codec, evaluate
-from forge.codec import encode_seq, mask_to_bits, seq_get_total, seq_len_total
+from forge.codec import MAX_FIELD_WIDTH, encode_seq, mask_to_bits
 from forge.errors import (DecodeError, ParseError, SliceExceededError,
                           SortMismatchError, UnboundVariableError)
 from forge.evaluate import Assignment, FiniteSlice, MonotoneTree, Roles
@@ -24,6 +33,37 @@ from forge.machine import ComputationTableau, TableauLayout, decode_row
 from forge.sexpr import MAX_DEPTH
 
 DECODE_LENGTH_CAP = 1 << 20
+
+
+def seq_len_total(code: int) -> int:
+    """Element count under the lenient reading; 0 when no header is usable.
+
+    This is the denotation the formula evaluator gives the seqlen term, so
+    it must accept every natural number.
+    """
+    if code < 0:
+        raise ValueError("sequence codes are non-negative")
+    w = code % (MAX_FIELD_WIDTH + 1)
+    body = code // (MAX_FIELD_WIDTH + 1)
+    if w == 0 or body == 0:
+        return 0
+    return (body.bit_length() - 1) // w
+
+
+def seq_get_total(code: int, j: int) -> int:
+    """Element j under the lenient reading; out-of-range reads give 0."""
+    if code < 0:
+        raise ValueError("sequence codes are non-negative")
+    if j < 0:
+        raise IndexError("sequence positions are non-negative")
+    w = code % (MAX_FIELD_WIDTH + 1)
+    body = code // (MAX_FIELD_WIDTH + 1)
+    if w == 0 or body == 0:
+        return 0
+    n = (body.bit_length() - 1) // w
+    if j >= n:
+        return 0
+    return (body >> (j * w)) & ((1 << w) - 1)
 
 
 def decode_seq(code: int) -> list[int]:

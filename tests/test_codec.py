@@ -5,10 +5,12 @@ import random
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from oracles import all_strings, decode_seq
+from oracles import all_strings, decode_seq, seq_get_total, seq_len_total
 
 from forge import codec
 from forge.errors import DecodeError
+from forge.evaluate import Assignment, term_reader
+from forge.formulas import NVar, SeqAt, SeqLen
 
 
 @given(st.lists(st.integers(min_value=0, max_value=2**31 - 1), max_size=40))
@@ -18,10 +20,10 @@ def test_encode_decode_roundtrip(xs):
 
 def test_seq_get_examples():
     code = codec.encode_seq([4, 9])
-    assert codec.seq_get_total(code, 1) == 9
-    assert codec.seq_get_total(code, 5) == 0
-    assert codec.seq_len_total(code) == 2
-    assert codec.seq_get_total(codec.encode_seq([]), 0) == 0
+    assert seq_get_total(code, 1) == 9
+    assert seq_get_total(code, 5) == 0
+    assert seq_len_total(code) == 2
+    assert seq_get_total(codec.encode_seq([]), 0) == 0
 
 
 def test_seq_get_rejects_noncanonical():
@@ -31,16 +33,25 @@ def test_seq_get_rejects_noncanonical():
     wide = body * 32 + 2
     with pytest.raises(DecodeError):
         decode_seq(wide)
-    assert codec.seq_get_total(wide, 0) == 1
-    assert codec.seq_get_total(wide, 1) == 1
-    assert codec.seq_len_total(wide) == 2
+    assert seq_get_total(wide, 0) == 1
+    assert seq_get_total(wide, 1) == 1
+    assert seq_len_total(wide) == 2
 
 
 @given(st.integers(min_value=0, max_value=10**40), st.integers(min_value=0, max_value=300))
 def test_total_reads_never_raise(code, j):
-    v = codec.seq_get_total(code, j)
+    # the reference readers, as the oracle's check of itself
+    v = seq_get_total(code, j)
     assert 0 <= v
-    assert codec.seq_len_total(code) >= 0
+    assert seq_len_total(code) >= 0
+
+
+@given(st.integers(min_value=0, max_value=10**40), st.integers(min_value=0, max_value=300))
+def test_compiled_reads_are_total_and_match_the_reference(code, j):
+    # the totality codec promises, through the library's one reader
+    read, env = term_reader(), Assignment({"s": code, "j": j})
+    assert read(SeqAt(NVar("s"), NVar("j")), env) == seq_get_total(code, j)
+    assert read(SeqLen(NVar("s")), env) == seq_len_total(code)
 
 
 def test_encode_width_cap():
@@ -75,8 +86,8 @@ def bits_code(s: str) -> int:
 
 def test_str_num_identification():
     x = bits_code("101")
-    assert [codec.seq_get_total(x, i) for i in range(3)] == [1, 0, 1]
-    assert codec.seq_len_total(bits_code("0110")) == 4
+    assert [seq_get_total(x, i) for i in range(3)] == [1, 0, 1]
+    assert seq_len_total(bits_code("0110")) == 4
     assert bits_code("") == codec.encode_seq([])
 
 
@@ -86,8 +97,8 @@ def test_str_roundtrip_exhaustive_to_length_10():
         for mask in range(1 << n):
             s = format(mask, f"0{n}b")[::-1] if n else ""
             x = bits_code(s)
-            assert "".join(str(codec.seq_get_total(x, j)) for j in range(n)) == s
-            assert codec.seq_len_total(x) == n
+            assert "".join(str(seq_get_total(x, j)) for j in range(n)) == s
+            assert seq_len_total(x) == n
             assert codec.encode_bits(s) == x
             assert x not in codes  # injective even across lengths
             codes.add(x)
@@ -102,9 +113,9 @@ def test_encode_bits_is_encode_seq():
 
 def fields_agree(code: int) -> None:
     fields = codec.seq_fields(code)
-    n = codec.seq_len_total(code)
+    n = seq_len_total(code)
     assert len(fields) == n, code
-    assert list(fields) == [codec.seq_get_total(code, j) for j in range(n)], code
+    assert list(fields) == [seq_get_total(code, j) for j in range(n)], code
 
 
 def test_seq_fields_matches_total_reads():
@@ -118,7 +129,7 @@ def test_seq_fields_matches_total_reads():
             body = rng.getrandbits(bits) | 1 << bits if bits else 0
             code = body * 32 + w
             fields_agree(code)
-            if codec.seq_len_total(code):
+            if seq_len_total(code):
                 assert type(codec.seq_fields(code)) is (bytes if w <= 8 else tuple)
     with pytest.raises(ValueError, match="sequence codes are non-negative"):
         codec.seq_fields(-1)

@@ -885,6 +885,10 @@ READS = [
     (F.SeqAt(SEQ, F.Plus(F.NVar("Z"), I)), False),  # ill-sorted index name
     (F.SeqAt(F.NVar("S"), I), False),  # ill-sorted sequence name
     (F.SeqAt(SEQ, F.SeqLen(SEQ)), False),
+    (F.SeqLen(SEQ), False),
+    (F.SeqLen(F.Plus(SEQ, F.Zero())), False),  # a closure operand
+    (F.SeqAt(F.const_term(encode_seq([5, 300, 7])), F.One()), False),  # folds
+    (F.SeqLen(F.const_term(encode_seq([5, 300, 7]))), False),  # folds
 ]
 CODES = [encode_seq([1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1]),  # bytes row
          encode_seq([5, 300, 7, 2]),                      # tuple row

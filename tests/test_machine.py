@@ -3,10 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from oracles import witness_to_tableau
+from oracles import seq_get_total, witness_to_tableau
 
 from forge import acc, nepo
-from forge.codec import bit_at, encode_seq, seq_get_total, set_length
+from forge.codec import bit_at, encode_seq, set_length
 from forge.errors import LayoutError, MachineFormatError
 from forge.evaluate import Assignment
 from forge.machine import (ComputationTableau, Configuration, PolyBound,

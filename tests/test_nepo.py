@@ -13,10 +13,10 @@ from fractions import Fraction
 
 import pytest
 from oracles import (all_strings, grid_read, read_outcome, role_free_names,
-                     walk_formula, walk_term)
+                     seq_get_total, walk_formula, walk_term)
 
 from forge import acc, nepo
-from forge.codec import encode_seq, seq_get_total
+from forge.codec import encode_seq
 from forge.errors import BudgetError, ParseError, UnboundVariableError
 from forge.evaluate import Assignment, compile_formula, eval_formula
 from forge.formulas import (EqStr, ExN, SeqAt, classify, const_term, formula_size,

@@ -1,6 +1,6 @@
-"""Package hygiene: every name a module exports must exist, every name a
-module imports must be used, and every top-level definition of the package
-must be used somewhere."""
+"""Package hygiene: every name a module exports must exist and be defined
+there, every name a module imports must be used, and every top-level
+definition of the package must be used somewhere."""
 
 import ast
 import importlib
@@ -32,6 +32,33 @@ def exported(source: str) -> set[str]:
                 isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
             names.update(ast.literal_eval(node.value))
     return names
+
+
+def not_defined(source: str) -> list[str]:
+    """The names a module's `__all__` lists that its top level binds by no
+    def, class or assignment, such as a re-exported import."""
+    defined: set[str] = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, ast.Assign):
+            defined.update(n.id for t in node.targets for n in ast.walk(t)
+                           if isinstance(n, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            defined.add(node.target.id)
+    return sorted(exported(source) - defined)
+
+
+def test_not_defined_exports_are_found():
+    source = "from a import b\nc: int = 1\nD, H = 2, 3\n\n\ndef e():\n    pass\n\n\nclass F:\n    pass\n"
+    assert not_defined(source + "__all__ = ['b', 'c', 'D', 'H', 'e', 'F', 'g']\n") == ["b", "g"]
+
+
+def test_every_all_entry_is_defined_in_its_module():
+    # the package __init__ lists its submodules instead
+    files = [p for p in sorted((ROOT / "src" / "forge").glob("*.py")) if p.name != "__init__.py"]
+    found = {p.name: not_defined(p.read_text()) for p in files}
+    assert {name: names for name, names in found.items() if names} == {}
 
 
 def unused_imports(source: str) -> list[str]:
