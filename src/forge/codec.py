@@ -5,12 +5,13 @@ width w, and the rest is the packed payload topped by a sentinel bit, so the
 element count is (bitlen(payload) - 1) // w.  This keeps codes linear in the
 payload size (nesting Cantor pairs would square it).
 
-seq_fields is the one reader of codes, and its reading is lenient, so term
+seq_fields is the one decoder of codes, and its reading is lenient, so term
 evaluation stays total: every natural number reads as a code, one with
 w = 0 or nothing above the width has no elements, a partial field under
 the sentinel is dropped, and field_at reads 0 past the last element.  A
-reader decodes a code once and indexes its fields.  encode_bits builds the
-width-1 code of a 0/1 text without a loop.
+reader decodes a code once and indexes its fields; seq_len gives the
+element count from the header alone, for a code not decoded.  encode_bits
+builds the width-1 code of a 0/1 text without a loop.
 
 Bit strings are plain '0'/'1' text read as sets of positions.  Two strings
 are the same set iff they agree after stripping trailing zeros, and the
@@ -53,6 +54,7 @@ def seq_fields(code: int) -> bytes | tuple[int, ...]:
     bit (the sentinel), (bitlen(rest) - 1) // w whole w-bit fields, element
     0 lowest, or none when w or the rest is 0.  bytes when w is at most 8
     or there are no elements, else a tuple; ValueError for a negative code.
+    len(seq_fields(code)) equals seq_len(code).
     """
     if code < 0:
         raise ValueError("sequence codes are non-negative")
@@ -66,6 +68,16 @@ def seq_fields(code: int) -> bytes | tuple[int, ...]:
     fields = [int(digits[end - j - w:end - j], 2)
               for j in range(0, (end // w) * w, w)]
     return bytes(fields) if w <= 8 else tuple(fields)
+
+
+def seq_len(code: int) -> int:
+    """The element count of code under the lenient reading, by the header
+    arithmetic of seq_fields, without decoding; ValueError for a negative
+    code."""
+    if code < 0:
+        raise ValueError("sequence codes are non-negative")
+    body, w = divmod(code, MAX_FIELD_WIDTH + 1)
+    return (body.bit_length() - 1) // w if w and body else 0
 
 
 def field_at(fields: bytes | tuple[int, ...], j: int) -> int:

@@ -114,7 +114,7 @@ def test_encode_bits_is_encode_seq():
 def fields_agree(code: int) -> None:
     fields = codec.seq_fields(code)
     n = seq_len_total(code)
-    assert len(fields) == n, code
+    assert len(fields) == n == codec.seq_len(code), code
     assert list(fields) == [seq_get_total(code, j) for j in range(n)], code
 
 
@@ -131,8 +131,9 @@ def test_seq_fields_matches_total_reads():
             fields_agree(code)
             if seq_len_total(code):
                 assert type(codec.seq_fields(code)) is (bytes if w <= 8 else tuple)
-    with pytest.raises(ValueError, match="sequence codes are non-negative"):
-        codec.seq_fields(-1)
+    for read in (codec.seq_fields, codec.seq_len):
+        with pytest.raises(ValueError, match="sequence codes are non-negative"):
+            read(-1)
 
 
 def test_set_semantics():

@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import (grid_read, node_value_depth_bound, read_outcome,
-                     role_free_names, walk_formula, walk_term)
-from test_formulas import gen_formula
+                     role_free_names, seq_len_total, walk_formula, walk_term)
+from test_formulas import gen_formula, gen_term
 
-from forge import acc, evaluate, nepo, sexpr
+from forge import acc, codec, evaluate, nepo, sexpr
 from forge import formulas as F
 from forge.codec import bit_at, encode_seq, mask_to_bits, sets_equal
 from forge.errors import (ClassError, SliceExceededError, SortMismatchError,
@@ -26,7 +26,8 @@ from forge.evaluate import (Assignment, FiniteSlice, MonotoneTree, check_mfv,
                             eval_formula, mfv_witness, node_value,
                             node_value_instrumented, term_reader)
 from forge.formulas import formula_size
-from forge.machine import corpus_machine, initial_configuration, parse_tm
+from forge.machine import PolyBound, corpus_machine, initial_configuration, parse_tm
+from forge.reflect import compile_proof_check
 from forge.sexpr import parse_formula
 
 S8 = FiniteSlice(num_bound=8, str_width=8)
@@ -387,6 +388,15 @@ def outcome(fn):
         return type(e)
 
 
+def said(fn):
+    """fn()'s value, or the class and text of the error it raised."""
+    try:
+        return fn()
+    except (UnboundVariableError, SortMismatchError, SliceExceededError, TypeError,
+            ValueError, IndexError) as e:
+        return type(e), str(e)
+
+
 class Bogus:
     """A node of no known type, in term or formula position."""
 
@@ -484,14 +494,6 @@ def test_compiled_matches_walker_on_drawn_formulas(seed, depth, num_bound,
     if seed % 2:
         f = poison(g, f)
     s = FiniteSlice(num_bound, str_width)
-
-    def said(fn):
-        try:
-            return fn()
-        except (UnboundVariableError, SortMismatchError, SliceExceededError,
-                TypeError) as e:
-            return type(e), str(e)
-
     for env in diff_envs(random.Random(env_seed)):
         agree(f, s, env)
         assert said(lambda: eval_formula(f, s, env)) == said(lambda: walk_formula(f, s, env))
@@ -938,3 +940,132 @@ def test_grid_read_table_holds_one_runs_codes(monkeypatch):
     codes = inspect.getclosurevars(sweep).nonlocals["compiler"].codes
     assert not sweep(FiniteSlice(40, 0))
     assert 0 < len(codes) <= 4
+
+
+def test_seq_len_reads_the_header_without_decoding(monkeypatch):
+    decoded = []
+    seq_fields = codec.seq_fields
+    monkeypatch.setattr(codec, "seq_fields", lambda code: decoded.append(code) or seq_fields(code))
+    rng, codes = random.Random(17), set()
+    while len(codes) < 1000:
+        codes.add(rng.getrandbits(rng.randrange(1, 400)))
+    read, holds = term_reader(), compile_formula(F.EqNum(F.SeqLen(SEQ), TWO))
+    for code in codes:
+        env = Assignment({"s": code})
+        assert read(F.SeqLen(SEQ), env) == seq_len_total(code)
+        assert holds(S8, env) == (seq_len_total(code) == 2)
+    assert decoded == []
+
+
+# --- guarded sweeps: a forall_lt binder sweeps only below its limit ---
+
+
+def compiled_kind(f: F.Formula) -> str:
+    """The closure factory a formula node compiles through, such as _quant."""
+    return evaluate._Compiler().formula(f).__qualname__.split(".")[0]
+
+
+GATED = [Bogus(), F.Leq(F.NVar("u"), F.One()), F.Memb(F.One(), "w")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["v", "x", "V"]),
+       st.sampled_from(["drawn", "0", "past", "unbound", "ill-sorted",
+                        "negative code", "v free"]),
+       st.sampled_from(["drawn", "in range", "past num_bound", "negative"]), st.booleans(),
+       st.sampled_from(["B", "C", None]), st.integers(1, 12))
+def test_guarded_sweeps_match_the_walker(seed, v, limit, sweep, chain, gated, num_bound):
+    """AlN(v, S, Imp(lt(v, L), B)) and AlN(v, S, Imp(And(lt(v, L), C), B))
+    give the walker's value or error, class and text: L may be 0, past
+    S + 1, unbound, ill-sorted or a read of a negative code; S may pass
+    num_bound or be negative; B or C may be false, or reach a node that
+    raises, only for v > k.  The guarded sweep serves exactly the binders
+    whose v is a number name not free in L; the others keep _quant."""
+    g = random.Random(seed)
+    nvars, svars = ["x", "y", v], ["X", "Y"]
+
+    def part():
+        f = gen_formula(g, g.randrange(2), [0], nvars, svars, consts=6)
+        return poison(g, f) if g.random() < 0.25 else f
+
+    lim = {"drawn": lambda: gen_term(g, 2, nvars, svars, 6),
+           "0": F.Zero, "past": lambda: F.const_term(num_bound + 3),
+           "unbound": lambda: F.NVar("u"), "ill-sorted": lambda: F.NVar("Z"),
+           "negative code": lambda: F.SeqAt(F.NVar("n"), F.One()),
+           "v free": lambda: F.Plus(gen_term(g, 1, nvars, svars, 6), F.NVar(v))}[limit]()
+    bound = {"drawn": lambda: gen_term(g, 2, ["x", "y"], svars, 6),
+             "in range": lambda: F.const_term(g.randrange(num_bound + 1)),
+             "past num_bound": lambda: F.const_term(num_bound + 1 + g.randrange(3)),
+             "negative": lambda: F.NVar("m")}[sweep]()
+    b, c = part(), part()
+    if gated:
+        k = F.const_term(g.randrange(4))
+        low = F.Leq(F.NVar(v), k)  # false for v > k; under the Or, v > k raises
+        hit = g.choice([low, F.Or(low, g.choice(GATED))])
+        b, c = (hit, c) if gated == "B" or not chain else (b, hit)
+    guard = F.lt(F.NVar(v), lim)
+    f = F.AlN(v, bound, F.Imp(F.And(guard, c) if chain else guard, b))
+    fast = v != "V" and v not in F.free_vars(F.Leq(lim, lim))[0]
+    assert compiled_kind(f) == ("_guarded" if fast else "_quant"), f
+    assert limit != "v free" or not fast
+    holds, s = compile_formula(f), FiniteSlice(num_bound, 3)
+    for env in diff_envs(random.Random(seed)):
+        env.nums.update(n=-5, m=-2)  # a negative code, and an empty sweep
+        if g.random() < 0.5:
+            env.nums[v] = 7  # the binder restores an outer value
+        before = env.copy()
+        got = said(lambda: holds(s, env))
+        assert env == before
+        assert got == said(lambda: walk_formula(f, s, env)), (f, env)
+        assert env == before
+
+
+def distinct_binders(f: F.Formula) -> list[F.Formula]:
+    """The quantifier nodes of f, each node object once."""
+    seen, stack = {}, [f]
+    while stack:
+        g = stack.pop()
+        if id(g) in seen:
+            continue
+        seen[id(g)] = g
+        if type(g) in (F.And, F.Or, F.Imp):
+            stack += [g.left, g.right]
+        elif type(g) is F.Not or type(g) in F.QUANTIFIERS:
+            stack.append(g.body)
+    return [g for g in seen.values() if type(g) in F.QUANTIFIERS]
+
+
+def forall_lt_shaped(f: F.Formula) -> str | None:
+    """"plain" when f is forall_lt's AlN(v, S, Imp(lt(v, L), B)) with v not
+    free in L, "chain" when lt(v, L) is instead the first part of an And
+    guard, else None; read by node equality with formulas.lt."""
+    if type(f) is not F.AlN or type(f.body) is not F.Imp:
+        return None
+    g = f.body.left
+    first = g.left if type(g) is F.And else g
+    if type(first) is not F.Leq or first != F.lt(F.NVar(f.var), first.right) \
+            or f.var in F.free_vars(F.Leq(first.right, first.right))[0]:
+        return None
+    return "chain" if type(g) is F.And else "plain"
+
+
+def test_guarded_sweep_serves_the_forall_lt_binders():
+    """Over the distinct binder nodes of the reflect benchmark's
+    proof-check formula (each node object once, as the compiler's memo
+    sees them), the guarded sweep takes exactly the forall_lt-shaped AlN
+    binders: 83 with a plain guard and 13 whose guard is an And chain
+    (reflect._with_premise's others), of 116 AlN; none of the 24 ExN takes it, and
+    every forall_lt binder of acc's matrices does."""
+    seen = Counter()
+    for q in distinct_binders(compile_proof_check("frege", slot_cap=19)):
+        kind, shape = compiled_kind(q), forall_lt_shaped(q)
+        assert (kind == "_guarded") == (shape is not None), q
+        seen[type(q).__name__, kind, shape] += 1
+    assert seen == {("AlN", "_guarded", "plain"): 83, ("AlN", "_guarded", "chain"): 13,
+                    ("AlN", "_quant", None): 20, ("ExN", "_quant", None): 24}
+    tm, p = corpus_machine("parity"), PolyBound((2, 1))
+    for matrix in (acc.acc_matrix(tm, p), acc.reach_matrix(tm, p)):
+        kinds = Counter((compiled_kind(q), forall_lt_shaped(q)) for q in distinct_binders(matrix)
+                        if type(q) is F.AlN)
+        assert kinds[("_guarded", "plain")] > 0 and set(kinds) <= {
+            ("_guarded", "plain"), ("_quant", None)}, kinds

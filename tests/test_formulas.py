@@ -173,36 +173,44 @@ def test_roundtrip_handmade():
 # --- a small generator used by the property tests ---
 
 
+def gen_term(rng: random.Random, d: int, nvars: list[str], svars: list[str],
+             consts: int = 0) -> F.NumTerm:
+    """Random term of depth at most d over nvars and the lengths of svars;
+    with `consts`, leaves include constants up to it."""
+    roll = rng.random()
+    if d <= 0 or roll < 0.35:
+        choices: list[F.NumTerm] = [F.Zero(), F.One()]
+        if consts:
+            choices += [F.const_term(rng.randrange(2, 6)),
+                        F.const_term(rng.randrange(consts + 1))]
+        choices += [F.NVar(v) for v in nvars]
+        choices += [F.Len(s) for s in svars]
+        return rng.choice(choices)
+    sub = [gen_term(rng, d - 1, nvars, svars, consts) for _ in range(2)]
+    if roll < 0.6:
+        return F.Plus(*sub)
+    if roll < 0.85:
+        return F.Times(*sub)
+    return F.SeqAt(*sub)
+
+
 def gen_formula(rng: random.Random, depth_budget: int, counter: list[int],
                 nvars: list[str], svars: list[str], consts: int = 0) -> F.Formula:
     """Random formula; with `consts`, leaves include constants up to it."""
-    def gen_term(d: int) -> F.NumTerm:
-        roll = rng.random()
-        if d <= 0 or roll < 0.35:
-            choices: list[F.NumTerm] = [F.Zero(), F.One()]
-            if consts:
-                choices += [F.const_term(rng.randrange(2, 6)),
-                            F.const_term(rng.randrange(consts + 1))]
-            choices += [F.NVar(v) for v in nvars]
-            choices += [F.Len(s) for s in svars]
-            return rng.choice(choices)
-        if roll < 0.6:
-            return F.Plus(gen_term(d - 1), gen_term(d - 1))
-        if roll < 0.85:
-            return F.Times(gen_term(d - 1), gen_term(d - 1))
-        return F.SeqAt(gen_term(d - 1), gen_term(d - 1))
+    def term(d: int) -> F.NumTerm:
+        return gen_term(rng, d, nvars, svars, consts)
 
     if depth_budget <= 0 or rng.random() < 0.25:
         kind = rng.randrange(4)
         if kind == 0:
-            return F.EqNum(gen_term(1), gen_term(1))
+            return F.EqNum(term(1), term(1))
         if kind == 1:
-            return F.Leq(gen_term(1), gen_term(1))
+            return F.Leq(term(1), term(1))
         if kind == 2 and len(svars) >= 2:
             return F.EqStr(rng.choice(svars), rng.choice(svars))
         if svars:
-            return F.Memb(gen_term(1), rng.choice(svars))
-        return F.Leq(gen_term(1), gen_term(1))
+            return F.Memb(term(1), rng.choice(svars))
+        return F.Leq(term(1), term(1))
     kind = rng.randrange(8)
     if kind in (0, 1, 2, 3):
         make = [F.And, F.Or, F.Imp, lambda a, b: F.Not(a)][kind]
@@ -210,7 +218,7 @@ def gen_formula(rng: random.Random, depth_budget: int, counter: list[int],
         b = gen_formula(rng, depth_budget - 1, counter, nvars, svars, consts)
         return make(a, b) if kind != 3 else F.Not(a)
     counter[0] += 1
-    bound = gen_term(1)
+    bound = term(1)
     if kind in (4, 5):
         v = f"q{counter[0]}"
         body = gen_formula(rng, depth_budget - 1, counter, nvars + [v], svars, consts)
