@@ -245,7 +245,7 @@ class _Compiler:
     term compiles a whole term in one frame per level; formula compiles one
     node in one frame, its child formulas waiting for the node's first run.
     Leaf terms compile to a constant or a name and skip the memo.  codes is
-    the table of decoded sequence codes that SeqAt and SeqLen share, and
+    the table of decoded sequence codes that SeqAt reads through, and
     verdicts the table of verdicts that role binders settle; a
     compile_formula run starts both empty.
     """
@@ -285,7 +285,7 @@ class _Compiler:
             else:
                 out = _seq_at(seq, self.term(t.index), self.codes)
         elif tt is SeqLen:
-            out = _seq_len(self.term(t.seq), self.codes)
+            out = _seq_len(self.term(t.seq))
         else:
             out = _error(TypeError, f"not a term: {t!r}")
         self.terms[id(t)] = out
@@ -315,7 +315,8 @@ class _Compiler:
         elif tf is Imp:
             out = _imp(f.left, f.right)
         elif tf is AlN and (limit := _limit(f)) is not None:
-            out = _guarded(f.var, self.term(f.bound), self.term(limit), f.body)
+            out = _quant(False, False, f.var, self.term(f.bound), f.body,
+                         self.term(limit))
         elif tf is ExN or tf is AlN or tf is ExS or tf is AlS:
             out = _quant(tf is ExN or tf is ExS, tf is ExS or tf is AlS, f.var,
                          self.term(f.bound), f.body)
@@ -339,14 +340,16 @@ class _Compiler:
 # numbers, on which every term operation is total, so folding never raises,
 # and a constant operand may be read after the other.
 #
-# SeqAt and SeqLen read codes through the compiler's table of decoded codes
-# (codec.seq_fields, the one reader of codes: the low 5 bits give the field
+# SeqAt reads codes through the compiler's table of decoded codes
+# (codec.seq_fields, the one decoder of codes: the low 5 bits give the field
 # width, the fields sit under a sentinel top bit, and a read past the last
 # gives 0), keyed by the code's value, so each code decodes once per run.
 # A certify run reads its 2 to 8 distinct codes about 16K times.  The table
 # is emptied at the start of each run, so it holds only the current run's
 # codes, and when it reaches _TABLE_CAP of them, which bounds a sweep over
-# codes.  Constant operands fold through seq_fields.
+# codes.  SeqLen never decodes: codec.seq_len gives the element count from
+# the header arithmetic alone, and touches no table.  Constant operands fold
+# through seq_fields and seq_len.
 #
 # A grid read, SeqAt of a number variable at an index that folds to
 # c0 + k1*v1 + k2*v2 + ... over number variables (every read nepo emits),
@@ -478,17 +481,10 @@ def _seq_at(seq, index, codes: dict):
     return read
 
 
-def _seq_len(seq, codes: dict):
-    """SeqLen(seq): the length of a decoded row when the table holds the
-    code, else codec.seq_len, which decodes nothing."""
+def _seq_len(seq):
     if _is_const(seq):
         return codec.seq_len(seq)
-
-    def read(nums, strs):
-        code = _value(seq, nums, strs)
-        row = codes.get(code)
-        return codec.seq_len(code) if row is None else len(row)
-    return read
+    return lambda nums, strs: codec.seq_len(_value(seq, nums, strs))
 
 
 def _len(svar: str):
@@ -518,21 +514,21 @@ def _len(svar: str):
 #
 # An AlN binder of forall_lt's shape, (alN v S (imp G B)) with G lt(v, L) or
 # an And chain whose first part is lt(v, L), v a number name and not free in
-# L, compiles to one guarded sweep (_guarded): it reads S and checks it as
-# _quant does, binds v = 0 and reads L once, and runs the compiled Imp for v
-# below both S + 1 and L.  This agrees exactly with _quant's plain sweep.  L
-# does not depend on v, and the run's assignment is the same at every
-# iteration but for v, so L has one value, or one error, for the whole
-# sweep.  The plain sweep's v = 0 iteration runs whenever S >= 0 and reads L
-# in the guard before anything else, so an error from L comes out at the
-# same point; a negative S, which only the assignment can give, sweeps
+# L (_limit), compiles to a guarded sweep: _quant, given the compiled L,
+# reads and checks S as for any binder, then reads L once and runs the
+# compiled Imp for v below both S + 1 and L.  This agrees exactly with the
+# plain sweep.  L does not depend on v, and the run's assignment is the same
+# at every iteration but for v, so L has one value, or one error, for the
+# whole sweep.  The plain sweep's v = 0 iteration runs whenever S >= 0 and
+# reads L in the guard before anything else, so an error from L comes out at
+# the same point; a negative S, which only the assignment can give, sweeps
 # nothing and reads no L.  For v >= L the guard's Leq, and with it the And,
 # is false first, so the plain sweep never reaches B or the later conjuncts
 # there, and skipping them hides no error.  Children still compile on first
 # reach.  acc's forall_lt(v, b, b, ...) takes the same closure and skips
 # v = b.  On the proof-check formula of the reflect benchmark 96 of 116 AlN
-# binders take it, and it took reflect from a median 18.2 to 23.4 ops/s (p90
-# 92.7 to 63.2 ms) over 10 perfbench pairs on a 2-vCPU host.  Running B
+# binders take it, and it took reflect from a median 18.1 to 23.4 ops/s (p90
+# 93.1 to 61.1 ms) over 10 perfbench pairs on a 2-vCPU host.  Running B
 # directly under a plain guard, whose Leq must hold below L, was 4% faster
 # in ops/s but lost p90 in 7 pairs of 7, so the guard still runs.
 #
@@ -658,10 +654,12 @@ def _imp(left, right) -> Callable[[_Run], bool]:
     return run
 
 
-def _quant(exists: bool, strings: bool, var: str, bound,
-           body) -> Callable[[_Run], bool]:
+def _quant(exists: bool, strings: bool, var: str, bound, body,
+           limit=None) -> Callable[[_Run], bool]:
     """A number quantifier sweeps 0..bound; a string quantifier sweeps every
-    set below bound, which must stay within str_width."""
+    set below bound, which must stay within str_width.  An AlN of a _limit
+    shape, given its compiled limit, reads limit once and sweeps only
+    var < limit."""
     memo = False  # until the first run; then None, or the body's other free names
 
     def run(r):
@@ -670,7 +668,13 @@ def _quant(exists: bool, strings: bool, var: str, bound,
             memo = (_memo_names(body, var)
                     if exists and not strings and r.roles and var in r.roles else None)
             body = r.compiler.formula(body)
-        b = _bound(bound, r)
+        try:
+            b = _value(bound, r.nums, r.strs)
+        except KeyError as e:
+            raise _unbound(e) from None
+        if b > r.slice.num_bound:
+            raise SliceExceededError(
+                f"quantifier bound {b} exceeds num_bound {r.slice.num_bound}")
         if strings:
             if b > r.slice.str_width:
                 raise SliceExceededError(
@@ -678,6 +682,11 @@ def _quant(exists: bool, strings: bool, var: str, bound,
             env, values = r.strs, map(codec.mask_to_bits, range(1 << b))
         else:
             env, values = r.nums, range(b + 1)
+            if limit is not None and b >= 0:
+                try:
+                    values = range(min(b + 1, _value(limit, env, r.strs)))
+                except KeyError as e:
+                    raise _unbound(e) from None
         prev = env.get(var)
         try:
             if exists and not strings and r.roles and var in r.roles:
@@ -711,19 +720,6 @@ def _quant(exists: bool, strings: bool, var: str, bound,
     return run
 
 
-def _bound(bound, r: _Run) -> int:
-    """The value of a quantifier's compiled bound, which must stay within
-    num_bound."""
-    try:
-        b = _value(bound, r.nums, r.strs)
-    except KeyError as e:
-        raise _unbound(e) from None
-    if b > r.slice.num_bound:
-        raise SliceExceededError(
-            f"quantifier bound {b} exceeds num_bound {r.slice.num_bound}")
-    return b
-
-
 def _limit(f: AlN) -> NumTerm | None:
     """L when f is (alN v S (imp G B)) with G lt(v, L) or an And chain whose
     first part is lt(v, L), and v a number name not free in L; else None."""
@@ -742,40 +738,6 @@ def _limit(f: AlN) -> NumTerm | None:
     except TypeError:  # an unhashable name
         return None
     return None if v in names else lt.right
-
-
-def _guarded(var: str, bound, limit, body) -> Callable[[_Run], bool]:
-    """The AlN binder (alN var bound body) of a _limit shape: it binds var
-    to 0 to read limit once, then runs body for var over 0..bound while
-    var < limit."""
-    compiled = False
-
-    def run(r):
-        nonlocal body, compiled
-        if not compiled:
-            body, compiled = r.compiler.formula(body), True
-        b = _bound(bound, r)
-        if b < 0:
-            return True
-        nums = r.nums
-        prev = nums.get(var)
-        try:
-            nums[var] = 0
-            try:
-                n = _value(limit, nums, r.strs)
-            except KeyError as e:
-                raise _unbound(e) from None
-            for v in range(min(b + 1, n)):
-                nums[var] = v
-                if not body(r):
-                    return False
-        finally:
-            if prev is None:
-                nums.pop(var, None)
-            else:
-                nums[var] = prev
-        return True
-    return run
 
 
 def _memo_names(body: Formula, var: str) -> tuple[tuple, tuple] | None:

@@ -961,8 +961,13 @@ def test_seq_len_reads_the_header_without_decoding(monkeypatch):
 
 
 def compiled_kind(f: F.Formula) -> str:
-    """The closure factory a formula node compiles through, such as _quant."""
-    return evaluate._Compiler().formula(f).__qualname__.split(".")[0]
+    """The closure factory a formula node compiles through, such as _quant,
+    or "guarded" for a _quant closure given a limit to sweep under."""
+    run = evaluate._Compiler().formula(f)
+    cells = dict(zip(run.__code__.co_freevars, run.__closure__ or ()))
+    if "limit" in cells and cells["limit"].cell_contents is not None:
+        return "guarded"
+    return run.__qualname__.split(".")[0]
 
 
 GATED = [Bogus(), F.Leq(F.NVar("u"), F.One()), F.Memb(F.One(), "w")]
@@ -1006,7 +1011,7 @@ def test_guarded_sweeps_match_the_walker(seed, v, limit, sweep, chain, gated, nu
     guard = F.lt(F.NVar(v), lim)
     f = F.AlN(v, bound, F.Imp(F.And(guard, c) if chain else guard, b))
     fast = v != "V" and v not in F.free_vars(F.Leq(lim, lim))[0]
-    assert compiled_kind(f) == ("_guarded" if fast else "_quant"), f
+    assert compiled_kind(f) == ("guarded" if fast else "_quant"), f
     assert limit != "v free" or not fast
     holds, s = compile_formula(f), FiniteSlice(num_bound, 3)
     for env in diff_envs(random.Random(seed)):
@@ -1059,13 +1064,13 @@ def test_guarded_sweep_serves_the_forall_lt_binders():
     seen = Counter()
     for q in distinct_binders(compile_proof_check("frege", slot_cap=19)):
         kind, shape = compiled_kind(q), forall_lt_shaped(q)
-        assert (kind == "_guarded") == (shape is not None), q
+        assert (kind == "guarded") == (shape is not None), q
         seen[type(q).__name__, kind, shape] += 1
-    assert seen == {("AlN", "_guarded", "plain"): 83, ("AlN", "_guarded", "chain"): 13,
+    assert seen == {("AlN", "guarded", "plain"): 83, ("AlN", "guarded", "chain"): 13,
                     ("AlN", "_quant", None): 20, ("ExN", "_quant", None): 24}
     tm, p = corpus_machine("parity"), PolyBound((2, 1))
     for matrix in (acc.acc_matrix(tm, p), acc.reach_matrix(tm, p)):
         kinds = Counter((compiled_kind(q), forall_lt_shaped(q)) for q in distinct_binders(matrix)
                         if type(q) is F.AlN)
-        assert kinds[("_guarded", "plain")] > 0 and set(kinds) <= {
-            ("_guarded", "plain"), ("_quant", None)}, kinds
+        assert kinds[("guarded", "plain")] > 0 and set(kinds) <= {
+            ("guarded", "plain"), ("_quant", None)}, kinds
