@@ -18,8 +18,13 @@ on its first run (an And/Or chain, each part when its loop first gets
 there), and an atom compiles its terms when the atom compiles.
 A node evaluation must reject (a name of the wrong sort or not a str, a
 node of unknown type) compiles to a closure that raises when it is reached,
-so an error shows where, and only where, evaluation reaches it.  A
-subformula or term shared by several parents compiles once per compile.
+so an error shows where, and only where, evaluation reaches it.  A read of
+a name the assignment does not bind raises KeyError there, and the two entry
+points turn it into UnboundVariableError: the function compile_formula
+returns (behind eval_formula, comprehension_witness, nepo artifacts and
+acc's witness checks) and term_reader's read.  A KeyError a role callback
+raises comes out the same way.  A subformula or term shared by several
+parents compiles once per compile.
 
 eval_formula and comprehension_witness compile per call, and the compile
 goes when the call returns.  compile_formula keeps its compile for callers
@@ -119,7 +124,10 @@ def compile_formula(f: Formula) -> Compiled:
             roles: Roles | None = None) -> bool:
         compiler.codes.clear()
         compiler.verdicts.clear()
-        return root(_Run(env, s, roles, compiler))
+        try:
+            return root(_Run(env, s, roles, compiler))
+        except KeyError as e:
+            raise _unbound(e) from None
 
     return run
 
@@ -180,11 +188,12 @@ def comprehension_witness(phi: Formula, y: int, s: FiniteSlice,
 # --- the compiler ---
 #
 # A compiled formula is a closure (run) -> bool over a _Run.  Variable reads
-# index the assignment's dicts directly, and each atom and quantifier bound
-# turns the KeyError of an unbound name into UnboundVariableError.  Closures
-# never hold the compiler: the _Run carries it to the first run of a closure
-# whose children still wait to compile, so a compile and its closures form
-# no cycle and go as soon as the caller drops them.
+# index the assignment's dicts directly and let the KeyError of an unbound
+# name propagate; only compile_formula's run and term_reader's read turn it
+# into UnboundVariableError.  Closures never hold the compiler: the _Run
+# carries it to the first run of a closure whose children still wait to
+# compile, so a compile and its closures form no cycle and go as soon as the
+# caller drops them.
 
 
 class _Run:
@@ -224,7 +233,11 @@ def _name(name, num: bool):
 
 
 def _unbound(e: KeyError) -> UnboundVariableError:
-    name = e.args[0]
+    """The error for e, a KeyError from a read of an unbound name or from a
+    role callback, whose key may name no variable."""
+    name = e.args[0] if e.args else None
+    if type(name) is not str:
+        return UnboundVariableError(f"unbound key {name!r}")
     sort = "number" if is_num_name(name) else "string"
     return UnboundVariableError(f"{sort} variable {name} is unbound")
 
@@ -332,11 +345,12 @@ class _Compiler:
 # read straight from nums by its parent) or a closure (nums, strs) -> int.
 # Plus gets one closure per operand shape, holding just its two operands:
 # on the proof-check formula of the reflect benchmark that takes 7% less
-# memory to compile than _binary closures.  Times gets one for each shape
-# that one seed-1 block of every benchmark workload compiled: closure times
-# closure (61 times), closure times constant (785), name times closure
-# (1523) and name times constant (145).  A closure or a name times a name
-# never occurred there, and goes through _binary.  Constants are natural
+# memory to compile than one closure reading both operands through _value.
+# Times gets one for each shape that one seed-1 block of every benchmark
+# workload compiled: closure times closure (61 times), closure times
+# constant (785), name times closure (1523) and name times constant (145).
+# A closure or a name times a name never occurred there, and shares one
+# closure that reads its left operand through _value.  Constants are natural
 # numbers, on which every term operation is total, so folding never raises,
 # and a constant operand may be read after the other.
 #
@@ -368,13 +382,6 @@ def _value(a, nums, strs):
     if type(a) is str:
         return nums[a]
     return a(nums, strs) if callable(a) else a
-
-
-def _binary(op, a, b):
-    """op over two compiled operands, folded when both are constants."""
-    if _is_const(a) and _is_const(b):
-        return op(a, b)
-    return lambda nums, strs: op(_value(a, nums, strs), _value(b, nums, strs))
 
 
 def _plus(a, b):
@@ -409,7 +416,7 @@ def _times(a, b):
         return lambda nums, strs: nums[a] * b(nums, strs)
     elif _is_const(b):
         return lambda nums, strs: nums[a] * b
-    return _binary(operator.mul, a, b)
+    return lambda nums, strs: _value(a, nums, strs) * nums[b]
 
 
 _TABLE_CAP = 4096  # codes per table
@@ -553,55 +560,22 @@ def _compare(leq: bool, a, b) -> Callable[[_Run], bool]:
         a, b, test = b, a, operator.ge if leq else operator.eq
     if callable(a):
         if callable(b):
-            def run(r):
-                try:
-                    return test(a(r.nums, r.strs), b(r.nums, r.strs))
-                except KeyError as e:
-                    raise _unbound(e) from None
-        elif type(b) is str:
-            def run(r):
-                try:
-                    return test(a(r.nums, r.strs), r.nums[b])
-                except KeyError as e:
-                    raise _unbound(e) from None
-        else:
-            def run(r):
-                try:
-                    return test(a(r.nums, r.strs), b)
-                except KeyError as e:
-                    raise _unbound(e) from None
-    elif _is_const(b):
-        def run(r):
-            try:
-                return test(r.nums[a], b)
-            except KeyError as e:
-                raise _unbound(e) from None
-    else:
-        def run(r):
-            try:
-                return test(r.nums[a], _value(b, r.nums, r.strs))
-            except KeyError as e:
-                raise _unbound(e) from None
-    return run
+            return lambda r: test(a(r.nums, r.strs), b(r.nums, r.strs))
+        if type(b) is str:
+            return lambda r: test(a(r.nums, r.strs), r.nums[b])
+        return lambda r: test(a(r.nums, r.strs), b)
+    if _is_const(b):
+        return lambda r: test(r.nums[a], b)
+    return lambda r: test(r.nums[a], _value(b, r.nums, r.strs))
 
 
 def _memb(svar: str, index) -> Callable[[_Run], bool]:
-    def run(r):
-        try:
-            return codec.bit_at(r.strs[svar], _value(index, r.nums, r.strs))
-        except KeyError as e:
-            raise _unbound(e) from None
-    return run
+    return lambda r: codec.bit_at(r.strs[svar], _value(index, r.nums, r.strs))
 
 
 def _eq_str(left, right) -> Callable[[_Run], bool]:
-    def run(r):
-        try:
-            texts = [r.strs[n] if type(n) is str else n() for n in (left, right)]
-        except KeyError as e:
-            raise _unbound(e) from None
-        return codec.sets_equal(*texts)
-    return run
+    return lambda r: codec.sets_equal(
+        *[r.strs[n] if type(n) is str else n() for n in (left, right)])
 
 
 def _chain(conj: bool, parts: list) -> Callable[[_Run], bool]:
@@ -668,10 +642,7 @@ def _quant(exists: bool, strings: bool, var: str, bound, body,
             memo = (_memo_names(body, var)
                     if exists and not strings and r.roles and var in r.roles else None)
             body = r.compiler.formula(body)
-        try:
-            b = _value(bound, r.nums, r.strs)
-        except KeyError as e:
-            raise _unbound(e) from None
+        b = _value(bound, r.nums, r.strs)
         if b > r.slice.num_bound:
             raise SliceExceededError(
                 f"quantifier bound {b} exceeds num_bound {r.slice.num_bound}")
@@ -683,10 +654,7 @@ def _quant(exists: bool, strings: bool, var: str, bound, body,
         else:
             env, values = r.nums, range(b + 1)
             if limit is not None and b >= 0:
-                try:
-                    values = range(min(b + 1, _value(limit, env, r.strs)))
-                except KeyError as e:
-                    raise _unbound(e) from None
+                values = range(min(b + 1, _value(limit, env, r.strs)))
         prev = env.get(var)
         try:
             if exists and not strings and r.roles and var in r.roles:

@@ -280,11 +280,10 @@ class _Emitter:
                 return EqNum(_term(z), const_term(0))
             return Leq(One(), const_term(0))
 
-        def read(env: Assignment) -> Configuration | None:
-            x = trim(env.strs.get(svar, ""))
-            if len(x) > self.width:
-                return None
-            return initial_configuration(x, self.width)
+        def read(env: Assignment) -> Configuration:
+            # INIT reads only the cells below width, so the rest of X is free
+            return initial_configuration(trim(env.strs.get(svar, ""))[:self.width],
+                                         self.width)
 
         return sym, read, None
 

@@ -1,5 +1,5 @@
-"""Reference decoders, enumerators, bounds, a formula walker and an
-s-expression reader that only the tests use.
+"""Reference decoders, enumerators, bounds, a formula walker, an
+s-expression reader and a left-moving machine that only the tests use.
 
 Each one is an oracle the library is checked against, a harness that
 feeds it inputs, or a probe of which path the compiler takes; none of them
@@ -29,7 +29,7 @@ from forge.formulas import (AlN, AlS, And, Const, EqNum, EqStr, ExN, ExS,
                             Formula, Imp, Len, Leq, Memb, Not, NumTerm, NVar,
                             One, Or, Plus, SeqAt, SeqLen, Times, Zero,
                             free_vars, is_num_name, is_str_name)
-from forge.machine import ComputationTableau, TableauLayout, decode_row
+from forge.machine import ComputationTableau, TableauLayout, decode_row, parse_tm
 from forge.sexpr import MAX_DEPTH
 
 DECODE_LENGTH_CAP = 1 << 20
@@ -81,6 +81,18 @@ def all_strings(max_length: int):
     """Every distinct set with elements below max_length, as trimmed strings."""
     for mask in range(1 << max_length):
         yield mask_to_bits(mask)
+
+
+# LEFT3 moves left (from the third step on "0110") and has k = 3, so an empty
+# VALIDITY clause; no corpus machine has either.
+LEFT3 = parse_tm("states 3\n1 0 -> 2 1 1\n1 1 -> 3 0 2\n2 0 -> 1 1 0\n"
+                 "2 1 -> 3 1 1\n3 0 -> 3 0 1\n3 1 -> 1 0 2\n")
+
+
+def moves_left(tableau: ComputationTableau) -> bool:
+    """Does some row's head sit left of the previous row's head?"""
+    heads = [row.head for row in tableau.rows]
+    return any(b < a for a, b in zip(heads, heads[1:]))
 
 
 def witness_to_tableau(bits: str, layout: TableauLayout) -> ComputationTableau:

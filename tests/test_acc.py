@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from oracles import all_strings, walk_formula, walk_term
+from oracles import LEFT3, all_strings, moves_left, walk_formula, walk_term
 
 from forge import acc, nepo
 from forge.codec import encode_seq, mask_to_bits, set_length
@@ -58,6 +58,18 @@ def test_acc_matches_simulator_on_corpus():
         tm = corpus_machine(name)
         for x in all_strings(6):
             assert acc.eval_acc(tm, P, x) == accepts(tm, x, P), (name, x)
+
+
+def test_acc_matches_simulator_on_left_moves():
+    # no corpus machine moves left, so LEFT3 is the one witness of that branch
+    moved = 0
+    for coeffs in ((2, 1), (1, 1, 1), (0, 0, 1)):
+        p = PolyBound(coeffs)
+        for x in filter(None, all_strings(4)):  # (0, 0, 1) lays out no run of ""
+            layout = acc.acc_layout(LEFT3, p, len(x))
+            moved += moves_left(run(LEFT3, x, layout.steps, layout.width))
+            assert acc.eval_acc(LEFT3, p, x) == accepts(LEFT3, x, p), (coeffs, x)
+    assert moved
 
 
 def test_check_witness_pinned_examples():

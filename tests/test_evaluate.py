@@ -100,6 +100,23 @@ def test_eval_slice_errors():
         term_reader()(F.Len("x"), Assignment(nums={"x": 1}))
 
 
+def test_entry_points_turn_every_key_error_into_unbound_variable_error():
+    # the compiled closures let a KeyError through, a role callback's too
+    def no_key(_env):
+        raise KeyError
+
+    f = F.ExN("c", F.const_term(2), F.Leq(F.NVar("c"), F.const_term(2)))
+    cases = [(lambda e: e.nums["q"], "number variable q is unbound"),
+             (lambda e: e.strs["Q"], "string variable Q is unbound"),
+             (lambda e: {}[3], "unbound key 3"), (no_key, "unbound key None")]
+    for callback, text in cases:
+        with pytest.raises(UnboundVariableError) as caught:
+            eval_formula(f, S8, Assignment(), {"c": callback})
+        assert str(caught.value) == text
+    with pytest.raises(UnboundVariableError, match="^number variable y is unbound$"):
+        term_reader()(F.Times(F.NVar("y"), F.NVar("y")), Assignment())
+
+
 def test_eval_seq_terms():
     code = encode_seq([4, 9])
     env = Assignment(nums={"s": code})
@@ -240,6 +257,10 @@ def test_comprehension_uses_environment():
     phi = parse_formula("(in z X)")
     env = Assignment(strs={"X": "0101"})
     assert comprehension_witness(phi, 6, S8, env) == "010100"
+    # a comprehension variable env binds gets its value back
+    env.nums["z"] = 7
+    assert comprehension_witness(phi, 6, S8, env, var="z") == "010100"
+    assert env.nums == {"z": 7}
 
 
 def test_comprehension_rejects_string_quantifiers():

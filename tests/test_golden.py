@@ -12,9 +12,10 @@ import hashlib
 from fractions import Fraction
 
 import pytest
+from oracles import LEFT3
 
 from forge.acc import compile_acc, compile_reach
-from forge.machine import PolyBound, corpus_machine, parse_tm
+from forge.machine import PolyBound, corpus_machine
 from forge.nepo import (NepoBounds, compile_acceptance_sigma0, compile_cell_predicate,
                         compile_Reach)
 from forge.reflect import compile_proof_check, reflection_instance
@@ -25,9 +26,7 @@ from forge.sexpr import parse_formula, print_formula
 # eps 1/3, k 2, "cell:..." is compile_cell_predicate and "Reach<level>:..." is
 # compile_Reach at that level.  case -> (print digest, reprint digest);
 # reprints differ from prints where the parser renames sibling binders apart.
-# "left3" has left moves and k = 3, so an empty VALIDITY; no corpus machine has either.
-LEFT3 = parse_tm("states 3\n1 0 -> 2 1 1\n1 1 -> 3 0 2\n2 0 -> 1 1 0\n"
-                 "2 1 -> 3 1 1\n3 0 -> 3 0 1\n3 1 -> 1 0 2\n")
+# "left3" is the oracles' LEFT3, which has left moves and k = 3.
 GOLDEN = {
     "acc:scan1:2,1": (
         "eb5b90e4818f7be90301240ccb55116830c71116ad489027db152ab6c91b352a",

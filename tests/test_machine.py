@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from oracles import seq_get_total, witness_to_tableau
+from oracles import LEFT3, moves_left, seq_get_total, witness_to_tableau
 
 from forge import acc, nepo
 from forge.codec import bit_at, encode_seq, set_length
@@ -67,6 +67,11 @@ def test_left_and_right_clamping():
     # parity stops advancing at the last cell rather than walking off
     t2 = run(corpus_machine("parity"), "1", 5, 3)
     assert [row.head for row in t2.rows] == [0, 1, 2, 2, 2, 2]
+    assert not moves_left(t2)
+    # LEFT3 on "0110" comes back from cell 3 to cell 2, an unclamped left move
+    t3 = run(LEFT3, "0110", 8, 4)
+    assert [row.head for row in t3.rows] == [0, 0, 0, 1, 2, 3, 2, 2, 3]
+    assert moves_left(t3)
 
 
 def test_single_head_and_frame_invariants():

@@ -12,8 +12,8 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import (all_strings, grid_read, read_outcome, role_free_names,
-                     seq_get_total, walk_formula, walk_term)
+from oracles import (LEFT3, all_strings, grid_read, moves_left, read_outcome,
+                     role_free_names, seq_get_total, walk_formula, walk_term)
 
 from forge import acc, nepo
 from forge.codec import encode_seq
@@ -22,7 +22,7 @@ from forge.evaluate import Assignment, compile_formula, eval_formula
 from forge.formulas import (EqStr, ExN, SeqAt, classify, const_term, formula_size,
                             free_vars)
 from forge.machine import (CORPUS, PolyBound, accepts, corpus_machine,
-                           initial_configuration, parse_tm, run_from)
+                           initial_configuration, parse_tm, run, run_from)
 from forge.sexpr import parse_formula, print_formula
 
 # one state, toggles the scanned bit, marches right and sticks at the edge
@@ -384,16 +384,19 @@ def test_reach_levels_match_simulator_mid_scale():
 
 
 def test_cell_predicate_micro():
-    art = nepo.cell_artifact(TOGGLE, MICRO)
-    for x in ("1", "01"):
-        start = initial_configuration(x, MICRO.width)
-        for i in range(MICRO.last_row + 1):
-            for j in range(MICRO.width):
-                good, bad_bit, _ = cells_for(TOGGLE, start, i, j)
-                env = Assignment(nums={"i": i, "j": j, "cell": good}, strs={"X": x})
-                assert art.evaluate(env)
-                env.nums["cell"] = bad_bit
-                assert not art.evaluate(env)
+    # INIT reads X only below width, so an X one bit wider than the grid
+    # ("111", "001", "010") has the cells of the run on its first width bits
+    for tm in (TOGGLE, corpus_machine("parity")):
+        art = nepo.cell_artifact(tm, MICRO)
+        for x in ("1", "01", "111", "001", "010"):
+            start = initial_configuration(x[:MICRO.width], MICRO.width)
+            for i in range(MICRO.last_row + 1):
+                for j in range(MICRO.width):
+                    good, bad_bit, _ = cells_for(tm, start, i, j)
+                    env = Assignment(nums={"i": i, "j": j, "cell": good}, strs={"X": x})
+                    assert art.evaluate(env), (x, i, j)
+                    env.nums["cell"] = bad_bit
+                    assert not art.evaluate(env), (x, i, j)
 
 
 def test_cell_predicate_row_zero_is_initial_config():
@@ -425,6 +428,18 @@ def test_acceptance_micro_matches_simulator():
     for x in all_strings(2):
         got = nepo.eval_acceptance(art, x)
         assert got == accepts(BIT_TM, x, budget), x
+
+
+@pytest.mark.parametrize("m", [4, 8, 16])
+def test_acceptance_matches_simulator_on_left_moves(m):
+    b = nepo.NepoBounds(c=1, eps=Fraction(1, 3), k=2, m=m)
+    art = nepo.acceptance_artifact(LEFT3, b)
+    moved = 0
+    for x in all_strings(b.width):
+        tableau = run(LEFT3, x, b.last_row, b.width)
+        moved += moves_left(tableau)
+        assert nepo.eval_acceptance(art, x) == (tableau.rows[-1].state == LEFT3.k), x
+    assert moved
 
 
 def test_acceptance_rejects_oversized_input():

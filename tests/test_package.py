@@ -92,6 +92,40 @@ def test_no_unused_imports():
     assert {path: names for path, names in found.items() if names} == {}
 
 
+def key_error_handlers(source: str) -> list[str]:
+    """The dotted def path of each handler in source that can catch a
+    KeyError: a bare except, or one naming KeyError or a base of it."""
+    catching = {"KeyError", "LookupError", "Exception", "BaseException"}
+    found = []
+
+    def visit(node, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, path + [child.name])
+                continue
+            if isinstance(child, ast.ExceptHandler) and (child.type is None or catching & {
+                    n.id for n in ast.walk(child.type) if isinstance(n, ast.Name)}):
+                found.append(".".join(path))
+            visit(child, path)
+
+    visit(ast.parse(source), [])
+    return found
+
+
+def test_key_error_handlers_are_found():
+    source = ("def f():\n    def g():\n        try:\n            pass\n"
+              "        except (ValueError, KeyError):\n            pass\n"
+              "    try:\n        pass\n    except TypeError:\n        pass\n"
+              "    except:\n        pass\n")
+    assert key_error_handlers(source) == ["f.g", "f"]
+
+
+def test_only_the_evaluator_entry_points_catch_unbound_names():
+    # compiled closures let an unbound name's KeyError through to these two
+    source = (ROOT / "src" / "forge" / "evaluate.py").read_text()
+    assert key_error_handlers(source) == ["compile_formula.run", "term_reader.read"]
+
+
 def references(source: str) -> list[tuple[str, int]]:
     """(name, line) of every identifier a module reads or imports."""
     refs = []
