@@ -343,13 +343,17 @@ def _do_oracle_test(args: argparse.Namespace) -> _Report:
     rng = random.Random(args.seed)
     checked = 0
     mismatches: list[str] = []
+    # each non-empty set once, as its shortest string: the strings ending in
+    # 1, on which eval_acc (which reads a set) and accepts (which budgets
+    # p(len(x)) over the raw string) mean the same input
     for length in range(1, args.max_len + 1):
-        if args.sample and args.sample < (1 << length):
-            picks = sorted(rng.sample(range(1 << length), args.sample))
+        count = 1 << (length - 1)
+        if args.sample and args.sample < count:
+            picks = sorted(rng.sample(range(count), args.sample))
         else:
-            picks = range(1 << length)
+            picks = range(count)
         for code in picks:
-            x = format(code, f"0{length}b")
+            x = format(2 * code + 1, f"0{length}b")
             checked += 1
             if eval_acc(tm, p, x) != accepts(tm, x, p):
                 mismatches.append(x)

@@ -26,10 +26,6 @@ class SortMismatchError(ForgeError):
     """A number-sort name was used in string position or vice versa."""
 
 
-class CaptureError(ForgeError):
-    """Substitution would move a free variable under a binder for it."""
-
-
 class DecodeError(ForgeError):
     """A number is not a usable sequence code."""
 

@@ -27,8 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CaptureError
-
 
 # --- terms ---
 
@@ -281,64 +279,6 @@ def free_vars(f: Formula) -> tuple[set[str], set[str]]:
     return nums, strs
 
 
-# --- substitution ---
-
-
-def substitute_term(t: NumTerm, var: str, repl: NumTerm) -> NumTerm:
-    tt = type(t)
-    if tt is NVar:
-        return repl if t.name == var else t
-    if tt is Plus:
-        return Plus(substitute_term(t.left, var, repl), substitute_term(t.right, var, repl))
-    if tt is Times:
-        return Times(substitute_term(t.left, var, repl), substitute_term(t.right, var, repl))
-    if tt is SeqAt:
-        return SeqAt(substitute_term(t.seq, var, repl), substitute_term(t.index, var, repl))
-    if tt is SeqLen:
-        return SeqLen(substitute_term(t.seq, var, repl))
-    return t
-
-
-def substitute(f: Formula, var: str, repl: NumTerm) -> Formula:
-    """Replace free occurrences of the number variable var by repl.
-
-    Bound occurrences shadow; a binder whose name occurs in repl raises
-    CaptureError when var is still free below it.
-    """
-    repl_names: set[str] = set()
-    term_vars(repl, repl_names, repl_names)
-
-    def walk(g: Formula) -> Formula:
-        tg = type(g)
-        if tg in (EqNum, Leq):
-            return tg(substitute_term(g.left, var, repl), substitute_term(g.right, var, repl))
-        if tg is EqStr:
-            return g
-        if tg is Memb:
-            return Memb(substitute_term(g.index, var, repl), g.svar)
-        if tg in (And, Or, Imp):
-            return tg(walk(g.left), walk(g.right))
-        if tg is Not:
-            return Not(walk(g.body))
-        if tg in QUANTIFIERS:
-            bound = substitute_term(g.bound, var, repl)
-            if g.var == var and tg in NUM_QUANTIFIERS:
-                return tg(g.var, bound, g.body)
-            if g.var in repl_names and _occurs_free(g.body, var):
-                raise CaptureError(
-                    f"substituting for {var} would capture {g.var}; rename the binder first"
-                )
-            return tg(g.var, bound, walk(g.body))
-        raise TypeError(f"not a formula: {g!r}")
-
-    return walk(f)
-
-
-def _occurs_free(f: Formula, var: str) -> bool:
-    nums, strs = free_vars(f)
-    return var in nums or var in strs
-
-
 # --- classification ---
 
 
@@ -357,32 +297,32 @@ def classify(f: Formula) -> QuantClass:
 
 
 def _levels(f: Formula) -> tuple[int, int]:
-    """(least sigma level, least pi level) of f."""
-    tf = type(f)
-    if tf in (EqNum, Leq, EqStr, Memb):
-        return 0, 0
-    if tf in (And, Or):
+    """(least sigma level, least pi level) of f.  A right-nested And/Or
+    chain is walked in a loop, so it takes one frame, not one per link."""
+    s = p = 0
+    while (tf := type(f)) is And or tf is Or:
         ls, lp = _levels(f.left)
-        rs, rp = _levels(f.right)
-        return max(ls, rs), max(lp, rp)
+        s, p = max(s, ls), max(p, lp)
+        f = f.right
+    if tf in (EqNum, Leq, EqStr, Memb):
+        return s, p
     if tf is Imp:
         ls, lp = _levels(f.left)
         rs, rp = _levels(f.right)
-        return max(lp, rs), max(ls, rp)
-    if tf is Not:
-        s, p = _levels(f.body)
-        return p, s
-    if tf in NUM_QUANTIFIERS:
-        return _levels(f.body)
-    if tf is ExS:
-        s, p = _levels(f.body)
-        s2 = max(1, s)
-        return s2, s2 + 1
-    if tf is AlS:
-        s, p = _levels(f.body)
-        p2 = max(1, p)
-        return p2 + 1, p2
-    raise TypeError(f"not a formula: {f!r}")
+        ts, tp = max(lp, rs), max(ls, rp)
+    elif tf is Not:
+        tp, ts = _levels(f.body)
+    elif tf in NUM_QUANTIFIERS:
+        ts, tp = _levels(f.body)
+    elif tf is ExS:
+        ts = max(1, _levels(f.body)[0])
+        tp = ts + 1
+    elif tf is AlS:
+        tp = max(1, _levels(f.body)[1])
+        ts = tp + 1
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    return max(s, ts), max(p, tp)
 
 
 # --- depth ---
@@ -416,38 +356,38 @@ def depth(f: Formula) -> int:
 # --- size ---
 
 
-def term_size(t: NumTerm) -> int:
-    tt = type(t)
-    if tt in (Zero, One, NVar, Len):
-        return 1
-    if tt is Const:
-        # the expansion: (* (+ 1 1) .) per bit below the top, (+ . 1) per set one
-        return 1 + 4 * (t.value.bit_length() - 1) + 2 * (t.value.bit_count() - 1)
-    if tt in (Plus, Times):
-        return 1 + term_size(t.left) + term_size(t.right)
-    if tt is SeqAt:
-        return 1 + term_size(t.seq) + term_size(t.index)
-    if tt is SeqLen:
-        return 1 + term_size(t.seq)
-    raise TypeError(f"not a term: {t!r}")
-
-
-def formula_size(f: Formula) -> int:
-    """Node count over the formula and all its terms."""
+def formula_size(f: Formula | NumTerm) -> int:
+    """Node count of a formula or a term, over all its subformulas and terms,
+    a `Const` counted as its binary expansion.  A right-nested And/Or chain
+    is walked in a loop, so it takes one frame, not one per link."""
     tf = type(f)
-    if tf in (EqNum, Leq):
-        return 1 + term_size(f.left) + term_size(f.right)
-    if tf is EqStr:
-        return 3
-    if tf is Memb:
-        return 2 + term_size(f.index)
-    if tf in (And, Or, Imp):
+    if tf in (Zero, One, NVar, Len):
+        return 1
+    if tf in (Plus, Times):
         return 1 + formula_size(f.left) + formula_size(f.right)
-    if tf is Not:
-        return 1 + formula_size(f.body)
+    if tf is Const:
+        # the expansion: (* (+ 1 1) .) per bit below the top, (+ . 1) per set one
+        return 1 + 4 * (f.value.bit_length() - 1) + 2 * (f.value.bit_count() - 1)
+    n = 0
+    while tf is And or tf is Or:
+        n += 1 + formula_size(f.left)
+        f = f.right
+        tf = type(f)
+    if tf in (EqNum, Leq, Imp):
+        return n + 1 + formula_size(f.left) + formula_size(f.right)
     if tf in QUANTIFIERS:
-        return 2 + term_size(f.bound) + formula_size(f.body)
-    raise TypeError(f"not a formula: {f!r}")
+        return n + 2 + formula_size(f.bound) + formula_size(f.body)
+    if tf is Memb:
+        return n + 2 + formula_size(f.index)
+    if tf is Not:
+        return n + 1 + formula_size(f.body)
+    if tf is SeqAt:
+        return 1 + formula_size(f.seq) + formula_size(f.index)
+    if tf is SeqLen:
+        return 1 + formula_size(f.seq)
+    if tf is EqStr:
+        return n + 3
+    raise TypeError(f"not a formula or term: {f!r}")
 
 
 # --- builders used by the compilers ---

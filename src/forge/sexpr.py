@@ -23,8 +23,9 @@ would sit deeper than `MAX_DEPTH` in the reprint is a `ParseError`.
 
 Parsing alpha-renames binders so no name is bound twice anywhere in the
 result: rebinding a name under itself is rejected, a repeat in a sibling
-branch gets a numeric suffix.  Substitution downstream then never needs to
-rename on its own.
+branch gets a numeric suffix.  So a name picks out one binder of the whole
+formula, and a table keyed by variable name, such as the certificate roles
+of `evaluate`, can address any binder of a parsed formula.
 """
 
 from __future__ import annotations
@@ -309,24 +310,30 @@ _QUANT_NAMES = {ExN: "exN", AlN: "alN", ExS: "exS", AlS: "alS"}
 
 
 def print_formula(f: Formula) -> str:
-    tf = type(f)
+    """The text of f.  A right-nested And/Or chain is printed in a loop into
+    one list joined once, so it takes one frame, not one per link."""
+    out = []
+    while (tf := type(f)) is And or tf is Or:
+        out += ("(and " if tf is And else "(or ", print_formula(f.left), " ")
+        f = f.right
     if tf is EqNum:
-        return f"(= {print_term(f.left)} {print_term(f.right)})"
-    if tf is Leq:
-        return f"(leq {print_term(f.left)} {print_term(f.right)})"
-    if tf is EqStr:
-        return f"(seteq {f.left} {f.right})"
-    if tf is Memb:
-        return f"(in {print_term(f.index)} {f.svar})"
-    if tf is And:
-        return f"(and {print_formula(f.left)} {print_formula(f.right)})"
-    if tf is Or:
-        return f"(or {print_formula(f.left)} {print_formula(f.right)})"
-    if tf is Not:
-        return f"(not {print_formula(f.body)})"
-    if tf is Imp:
-        return f"(imp {print_formula(f.left)} {print_formula(f.right)})"
-    if tf in _QUANT_NAMES:
+        tail = f"(= {print_term(f.left)} {print_term(f.right)})"
+    elif tf is Leq:
+        tail = f"(leq {print_term(f.left)} {print_term(f.right)})"
+    elif tf is EqStr:
+        tail = f"(seteq {f.left} {f.right})"
+    elif tf is Memb:
+        tail = f"(in {print_term(f.index)} {f.svar})"
+    elif tf is Not:
+        tail = f"(not {print_formula(f.body)})"
+    elif tf is Imp:
+        tail = f"(imp {print_formula(f.left)} {print_formula(f.right)})"
+    elif tf in _QUANT_NAMES:
         name = _QUANT_NAMES[tf]
-        return f"({name} {f.var} {print_term(f.bound)} {print_formula(f.body)})"
-    raise TypeError(f"not a formula: {f!r}")
+        tail = f"({name} {f.var} {print_term(f.bound)} {print_formula(f.body)})"
+    else:
+        raise TypeError(f"not a formula: {f!r}")
+    if not out:
+        return tail
+    out += (tail, ")" * (len(out) // 3))
+    return "".join(out)

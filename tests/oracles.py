@@ -1,5 +1,6 @@
 """Reference decoders, enumerators, bounds, a formula walker, an
-s-expression reader and a left-moving machine that only the tests use.
+s-expression reader, a left-moving machine and a generator of machines with
+long TRANS chains that only the tests use.
 
 Each one is an oracle the library is checked against, a harness that
 feeds it inputs, or a probe of which path the compiler takes; none of them
@@ -85,8 +86,16 @@ def all_strings(max_length: int):
 
 # LEFT3 moves left (from the third step on "0110") and has k = 3, so an empty
 # VALIDITY clause; no corpus machine has either.
-LEFT3 = parse_tm("states 3\n1 0 -> 2 1 1\n1 1 -> 3 0 2\n2 0 -> 1 1 0\n"
-                 "2 1 -> 3 1 1\n3 0 -> 3 0 1\n3 1 -> 1 0 2\n")
+LEFT3_TEXT = ("states 3\n1 0 -> 2 1 1\n1 1 -> 3 0 2\n2 0 -> 1 1 0\n"
+              "2 1 -> 3 1 1\n3 0 -> 3 0 1\n3 1 -> 1 0 2\n")
+LEFT3 = parse_tm(LEFT3_TEXT)
+
+
+def chain_machine(k: int) -> str:
+    """The text of a k-state machine whose rule `q b -> min(q + 1, k) b 2`
+    moves right and up one state: its TRANS clause is a chain of 2k rules."""
+    rules = (f"{q} {b} -> {min(q + 1, k)} {b} 2" for q in range(1, k + 1) for b in (0, 1))
+    return "\n".join([f"states {k}", *rules]) + "\n"
 
 
 def moves_left(tableau: ComputationTableau) -> bool:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import LEFT3_TEXT, chain_machine
 
 from forge.cli import main
 from forge.formulas import free_vars
@@ -370,6 +371,32 @@ def test_compile_nepo_wide_constants_do_not_recurse():
     assert proc.returncode == 0
     assert "Traceback" not in proc.stderr
     assert proc.stdout.startswith("(and ")
+
+
+def test_compile_acc_takes_a_thousand_rule_trans_chain(tmp_path):
+    # TRANS is a right-nested conjunction of one clause per rule; sizing,
+    # classifying and printing it must not take a frame per link
+    tm = tmp_path / "chain500.tm"
+    tm.write_text(chain_machine(500))
+    proc = subprocess.run([sys.executable, "-m", "forge.cli", "compile-acc",
+                           "--tm", str(tm), "--poly", "2,1", "--json"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["class"] == "SigmaB(1)"
+
+
+@pytest.mark.parametrize("poly", ["2,1", "0,0,1", "1,1,1"])
+def test_oracle_test_agrees_on_left_moves(tmp_path, capsys, poly):
+    # LEFT3's verdict depends on its step budget, which accepts reads off
+    # the raw string and eval_acc off the set: only strings ending in 1
+    # give both the same input
+    tm = tmp_path / "left3.tm"
+    tm.write_text(LEFT3_TEXT)
+    code, out, _ = run(capsys, "oracle-test", "--tm", str(tm), "--poly", poly,
+                       "--max-len", "4")
+    assert code == 0
+    assert "inputs: 15\nmismatches: 0\nacc-equivalence: PASS" in out
 
 
 # --- bound flags ---

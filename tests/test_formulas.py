@@ -1,6 +1,8 @@
-"""Formula AST: parsing, printing, classification, depth, substitution."""
+"""Formula AST: parsing and the parser's binder renaming, printing,
+classification, depth and size."""
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,9 +11,12 @@ from oracles import ref_read_all, walk_term
 
 from forge import formulas as F
 from forge import sexpr
-from forge.errors import (CaptureError, DuplicateBindingError, ForgeError,
-                          ParseError, SortMismatchError)
+from forge.acc import compile_acc, compile_reach
+from forge.errors import DuplicateBindingError, ForgeError, ParseError, SortMismatchError
 from forge.evaluate import Assignment, FiniteSlice, eval_formula
+from forge.machine import CORPUS, PolyBound, corpus_machine
+from forge.nepo import NepoBounds, compile_acceptance_sigma0, compile_Reach
+from forge.reflect import compile_proof_check
 
 
 def atom(k: int = 0) -> F.Formula:
@@ -326,41 +331,48 @@ def test_depth_properties_on_corpus():
         assert F.depth(F.Or(f, f)) >= d
 
 
-# --- substitution ---
+# --- binder renaming ---
 
 
-def test_substitute_pinned_examples():
-    leq_x1 = F.Leq(F.NVar("x"), F.One())
-    assert F.substitute(leq_x1, "x", F.Zero()) == F.Leq(F.Zero(), F.One())
-    bound = F.ExN("x", F.One(), leq_x1)
-    assert F.substitute(bound, "x", F.Zero()) == bound
-    f = F.Leq(F.NVar("x"), F.NVar("y"))
-    got = F.substitute(f, "x", F.Plus(F.NVar("y"), F.One()))
-    assert got == F.Leq(F.Plus(F.NVar("y"), F.One()), F.NVar("y"))
+def binder_names(f: F.Formula) -> list[str]:
+    """The variable of every binder in f, one entry per binder."""
+    out, stack = [], [f]
+    while stack:
+        g = stack.pop()
+        tg = type(g)
+        if tg in F.QUANTIFIERS:
+            out.append(g.var)
+            stack.append(g.body)
+        elif tg in (F.And, F.Or, F.Imp):
+            stack += (g.left, g.right)
+        elif tg is F.Not:
+            stack.append(g.body)
+    return out
 
 
-def test_substitute_into_bound_term_of_shadowing_binder():
-    f = F.ExN("x", F.Plus(F.NVar("x"), F.One()), F.Leq(F.NVar("x"), F.Zero()))
-    got = F.substitute(f, "x", F.One())
-    assert got == F.ExN("x", F.Plus(F.One(), F.One()), F.Leq(F.NVar("x"), F.Zero()))
+def compiled_formulas():
+    p = PolyBound((2, 1))
+    for name in CORPUS:
+        tm = corpus_machine(name)
+        yield compile_acc(tm, p)
+        yield compile_reach(tm, p)
+        for m in (4, 8, 16, 32):
+            b = NepoBounds(c=1, eps=Fraction(1, 3), k=2, m=m)
+            yield compile_acceptance_sigma0(tm, b)
+            yield compile_Reach(tm, b, 0)
+    yield compile_proof_check("frege", slot_cap=1)
 
 
-def test_substitute_capture_raises():
-    f = F.ExN("y", F.One(), F.Leq(F.NVar("x"), F.NVar("y")))
-    with pytest.raises(CaptureError):
-        F.substitute(f, "x", F.NVar("y"))
-    f2 = F.ExS("X", F.One(), F.Memb(F.NVar("t"), "X"))
-    with pytest.raises(CaptureError):
-        F.substitute(f2, "t", F.Len("X"))
-
-
-def test_substitute_on_parsed_formulas_never_captures():
-    # parse-time renaming gives unique binder names, so substituting any
-    # fresh-variable-free term for a free variable is total
-    for f in corpus(60):
-        nums, _ = F.free_vars(f)
-        for v in nums:
-            F.substitute(f, v, F.Plus(F.One(), F.One()))
+def test_parsed_formulas_bind_pairwise_distinct_names():
+    # the compilers reuse binder names across sibling branches, and the
+    # parser renames them apart, so no name is bound twice in the parse
+    reused = 0
+    for f in [*compiled_formulas(), *corpus(60)]:
+        names = binder_names(sexpr.parse_formula(sexpr.print_formula(f)))
+        assert len(names) == len(set(names)), sexpr.print_formula(f)[:200]
+        given = binder_names(f)
+        reused += len(set(given)) < len(given)
+    assert reused >= 7  # acc, reach and the proof checker repeat names
 
 
 # --- helpers ---
@@ -381,9 +393,9 @@ def test_const_term_values_and_size():
         t, ref = F.const_term(n), expansion(n)
         assert type(t) is ({0: F.Zero, 1: F.One}.get(n, F.Const)), n
         assert sexpr.print_term(t) == sexpr.print_term(ref), n
-        assert F.term_size(t) == F.term_size(ref), n
+        assert F.formula_size(t) == F.formula_size(ref), n
         assert walk_term(t, env) == walk_term(ref, env) == n
-    assert F.term_size(F.const_term(10**9)) < 250
+    assert F.formula_size(F.const_term(10**9)) < 250
     with pytest.raises(ValueError):
         F.const_term(-1)
     for bad in (0, 1, -1):
@@ -429,6 +441,28 @@ def test_formula_size_counts_nodes():
     f = F.And(atom(), atom())
     assert F.formula_size(f) == 1 + 2 * F.formula_size(atom())
     assert F.formula_size(F.Leq(F.Zero(), F.One())) == 3
+
+
+def test_walkers_take_long_chains():
+    # size, classify and print walk a right-nested And/Or chain in a loop,
+    # not one frame per link
+    a = atom(5)
+    text = sexpr.print_formula(a)
+    chain = F.land([a] * 5000)
+    assert F.formula_size(chain) == 4999 + 5000 * F.formula_size(a)
+    assert F.classify(chain) == sb(0)
+    assert sexpr.print_formula(chain) == f"(and {text} " * 4999 + text + ")" * 4999
+    mixed = a
+    for k in range(4999):
+        mixed = (F.And if k % 2 else F.Or)(a, mixed)
+    opens = "".join(f"({'and' if k % 2 else 'or'} {text} " for k in reversed(range(4999)))
+    assert sexpr.print_formula(mixed) == opens + text + ")" * 4999
+    assert F.formula_size(mixed) == F.formula_size(chain)
+    ex = F.ExS("W", F.One(), F.Memb(F.Zero(), "W"))
+    al = F.AlS("W", F.One(), F.Memb(F.Zero(), "W"))
+    assert F.classify(F.lor([a] * 4999 + [ex])) == sb(1)
+    assert F.classify(F.land([al] + [a] * 4999)) == pb(1)
+    assert F.classify(F.land([a, al] * 2500 + [F.Or(ex, a)])) == sb(2)
 
 
 def test_builders():
