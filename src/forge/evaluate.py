@@ -533,11 +533,26 @@ def _len(svar: str):
 # is false first, so the plain sweep never reaches B or the later conjuncts
 # there, and skipping them hides no error.  Children still compile on first
 # reach.  acc's forall_lt(v, b, b, ...) takes the same closure and skips
-# v = b.  On the proof-check formula of the reflect benchmark 96 of 116 AlN
-# binders take it, and it took reflect from a median 18.1 to 23.4 ops/s (p90
-# 93.1 to 61.1 ms) over 10 perfbench pairs on a 2-vCPU host.  Running B
-# directly under a plain guard, whose Leq must hold below L, was 4% faster
-# in ops/s but lost p90 in 7 pairs of 7, so the guard still runs.
+# v = b.
+#
+# The same holds of a body that is a right-nested And chain of such Imps,
+# each guard reading lt(v + k, L) instead, k Zero, One or a Const, so
+# k >= 0, and every part's L the same term (reflect's _tail_map).  For
+# v >= L each part's first Leq(v + k + 1, L) is false, having read only v
+# and L, so each Imp is true, the chain is true, and nothing past a guard
+# is reached.  The plain sweep's v = 0 iteration first reads part 1's
+# v + k + 1, which cannot fail, and then L, so an error from L still comes
+# out at the same point; _limit hands _quant part 1's L.
+#
+# On the proof-check formula of the reflect benchmark 115 of 116 AlN binders
+# take the guarded sweep; the one left is _endsequent_is's padding, whose lt
+# is its guard's second conjunct.  The one-Imp shape (96 binders) took
+# reflect from a median 18.1 to 23.4 ops/s (p90 93.1 to 61.1 ms) over 10
+# perfbench pairs on a 2-vCPU host; the chains, with one Memb closure per
+# index shape, took it from 22.8 to 31.8 (p90 65.2 to 46.3 ms) over 12
+# pairs, and cut the body runs of one seed-1 pass from 2.22M to 1.35M.
+# Running B directly under a plain guard, whose Leq must hold below L, was
+# 4% faster in ops/s but lost p90 in 7 pairs of 7, so the guard still runs.
 #
 # EqNum and Leq get one closure per operand shape that evaluation meets
 # often.  Over one seed-1 pass, certify's comparisons are 77% closure
@@ -548,6 +563,11 @@ def _len(svar: str):
 # _value: that left certify and reflect unchanged over 8 perfbench pairs
 # each, while also routing name against constant there lost reflect all 8
 # (median 20.60 to 20.46 ops/s).
+#
+# Memb gets one closure per index shape (closure, name, constant), each
+# reading the string before the index and testing the bit inline, with no
+# _value or codec.bit_at call: it is the reflect formula's most frequent
+# atom, 1.35M runs over one seed-1 pass of the benchmark's 100 ops.
 
 
 def _compare(leq: bool, a, b) -> Callable[[_Run], bool]:
@@ -570,7 +590,21 @@ def _compare(leq: bool, a, b) -> Callable[[_Run], bool]:
 
 
 def _memb(svar: str, index) -> Callable[[_Run], bool]:
-    return lambda r: codec.bit_at(r.strs[svar], _value(index, r.nums, r.strs))
+    """codec.bit_at of the string named svar at a compiled index, one closure
+    per index shape, reading the string first."""
+    if callable(index):
+        def run(r):
+            s, i = r.strs[svar], index(r.nums, r.strs)
+            return 0 <= i < len(s) and s[i] == "1"
+    elif type(index) is str:
+        def run(r):
+            s, i = r.strs[svar], r.nums[index]
+            return 0 <= i < len(s) and s[i] == "1"
+    else:
+        def run(r):
+            s = r.strs[svar]
+            return 0 <= index < len(s) and s[index] == "1"
+    return run
 
 
 def _eq_str(left, right) -> Callable[[_Run], bool]:
@@ -689,23 +723,35 @@ def _quant(exists: bool, strings: bool, var: str, bound, body,
 
 
 def _limit(f: AlN) -> NumTerm | None:
-    """L when f is (alN v S (imp G B)) with G lt(v, L) or an And chain whose
-    first part is lt(v, L), and v a number name not free in L; else None."""
-    v, imp = f.var, f.body
-    if type(v) is not str or not is_num_name(v) or type(imp) is not Imp:
+    """L when f is (alN v S B), B an Imp or a right-nested And chain of Imps,
+    each guarded by lt(t, L) or an And chain whose first part is lt(t, L),
+    with t v or v + k for a constant k, the same L in every part, and v a
+    number name not free in L; else None."""
+    v, rest, limit = f.var, f.body, None
+    if type(v) is not str or not is_num_name(v):
         return None
-    lt = imp.left.left if type(imp.left) is And else imp.left
-    if type(lt) is not Leq or type(lt.left) is not Plus:
-        return None
-    var, one = lt.left.left, lt.left.right
-    if type(var) is not NVar or var.name != v or type(one) is not One:
-        return None
+    while rest is not None:
+        imp, rest = (rest.left, rest.right) if type(rest) is And else (rest, None)
+        if type(imp) is not Imp:
+            return None
+        lt = imp.left.left if type(imp.left) is And else imp.left
+        if type(lt) is not Leq or type(lt.left) is not Plus or type(lt.left.right) is not One:
+            return None
+        t = lt.left.left
+        if type(t) is Plus and type(t.right) in (Zero, One, Const):
+            t = t.left
+        if type(t) is not NVar or t.name != v:
+            return None
+        if limit is None:
+            limit = lt.right  # the first part's L, which the plain sweep reads
+        elif lt.right != limit:
+            return None
     names: set = set()
     try:
-        term_vars(lt.right, names, set())  # L's part of free_vars
+        term_vars(limit, names, set())  # L's part of free_vars
     except TypeError:  # an unhashable name
         return None
-    return None if v in names else lt.right
+    return None if v in names else limit
 
 
 def _memo_names(body: Formula, var: str) -> tuple[tuple, tuple] | None:

@@ -346,8 +346,6 @@ def depth(f: Formula) -> int:
         step = 0 if label == parent else 1
         if tg in (And, Or, Imp):
             return step + max(walk(g.left, label), walk(g.right, label))
-        if tg is Not:
-            return step + walk(g.body, label)
         return step + walk(g.body, label)
 
     return walk(f, None)

@@ -890,6 +890,30 @@ def test_every_node_kind_reaches_the_compiler(monkeypatch):
         assert compiled[0] is node
 
 
+def test_memb_matches_the_walker_on_every_index_shape():
+    """Memb over a constant, a name and a closure index gives the walker's
+    value or error, class and text on indices that are negative, inside or
+    past the string, the empty string, and unbound or ill-sorted names; an
+    unbound string is reported before an unbound index."""
+    i = F.NVar("i")
+    indices = [F.Zero(), F.One(), F.const_term(3), F.const_term(9), i, F.NVar("Z"),
+               F.Plus(i, F.One()), F.Times(i, F.const_term(2)), F.SeqAt(F.NVar("n"), i)]
+    shapes = set()
+    for index in indices:
+        f = F.Memb(index, "X")
+        shapes.add(type(evaluate._Compiler().term(index)).__name__)
+        holds = compile_formula(f)
+        for x in ["", "0", "1", "101", "0110", "111", None]:
+            for j in [-3, -1, 0, 1, 2, 3, 5, 9, None]:
+                nums = {} if j is None else {"i": j, "n": encode_seq([1, 0, 1]) if j else -5}
+                env = Assignment(nums, {} if x is None else {"X": x})
+                assert said(lambda: holds(S8, env)) == said(lambda: walk_formula(f, S8, env)), \
+                    (f, env)
+    assert shapes == {"int", "str", "function"}
+    assert said(lambda: eval_formula(F.Memb(i, "X"), S8, Assignment())) \
+        == (UnboundVariableError, "string variable X is unbound")
+
+
 # --- grid reads: one closure over the run's table of decoded codes ---
 
 
@@ -1046,6 +1070,67 @@ def test_guarded_sweeps_match_the_walker(seed, v, limit, sweep, chain, gated, nu
         assert env == before
 
 
+OFFSETS = [None, F.Zero(), F.One(), F.const_term(2), F.const_term(5)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3),
+       st.sampled_from(["drawn", "0", "past", "unbound", "ill-sorted", "negative code"]),
+       st.sampled_from(["drawn", "in range", "past num_bound", "negative"]),
+       st.sampled_from([None, "other L", "not an Imp", "v free"]), st.integers(1, 12))
+def test_guarded_chains_match_the_walker(seed, n, limit, sweep, spoil, num_bound):
+    """AlN(v, S, B) with B a right-nested And chain of n Imps, each guarded
+    by lt(v + k, L) or And(lt(v + k, L), C) for k absent, 0, 1 or a Const,
+    gives the walker's value or error, class and text: L may be 0, past
+    S + 1, unbound, ill-sorted or a read of a negative code; S may pass
+    num_bound or be negative; a body or C may be false, or reach a node
+    that raises, only for v > k.  One part with another L, a part that is no
+    Imp, or v free in L keeps the binder on _quant."""
+    g = random.Random(seed)
+    nvars, svars = ["x", "y", "v"], ["X", "Y"]
+
+    def formula():
+        f = gen_formula(g, g.randrange(2), [0], nvars, svars, consts=6)
+        if g.random() < 0.3:
+            low = F.Leq(F.NVar("v"), F.const_term(g.randrange(4)))
+            f = g.choice([low, F.Or(low, g.choice(GATED))])  # false, or raises, for v > k
+        return poison(g, f) if g.random() < 0.2 else f
+
+    lim = {"drawn": lambda: gen_term(g, 2, ["x", "y"], svars, 6),
+           "0": F.Zero, "past": lambda: F.const_term(num_bound + 3),
+           "unbound": lambda: F.NVar("u"), "ill-sorted": lambda: F.NVar("Z"),
+           "negative code": lambda: F.SeqAt(F.NVar("n"), F.One())}[limit]()
+    bound = {"drawn": lambda: gen_term(g, 2, ["x", "y"], svars, 6),
+             "in range": lambda: F.const_term(g.randrange(num_bound + 1)),
+             "past num_bound": lambda: F.const_term(num_bound + 1 + g.randrange(3)),
+             "negative": lambda: F.NVar("m")}[sweep]()
+    if spoil == "v free":
+        lim = F.Plus(lim, F.NVar("v"))
+    n = max(n, 2) if spoil == "other L" else n
+    spoilt = g.randrange(n)
+    parts = []
+    for i in range(n):
+        k = g.choice(OFFSETS)
+        t = F.NVar("v") if k is None else F.Plus(F.NVar("v"), k)
+        guard = F.lt(t, F.Plus(lim, F.One()) if spoil == "other L" and i == spoilt else lim)
+        if g.random() < 0.5:
+            guard = F.And(guard, formula())
+        part = F.Imp(guard, formula())
+        parts.append(F.Not(part) if spoil == "not an Imp" and i == spoilt else part)
+    f = F.AlN("v", bound, F.land(parts))
+    assert compiled_kind(f) == ("_quant" if spoil else "guarded"), f
+    holds, s = compile_formula(f), FiniteSlice(num_bound, 3)
+    for env in diff_envs(random.Random(seed)):
+        env.nums.update(n=-5, m=-2)  # a negative code, and an empty sweep
+        if g.random() < 0.5:
+            env.nums["v"] = 7  # the binder restores an outer value
+        before = env.copy()
+        got = said(lambda: holds(s, env))
+        assert env == before
+        assert got == said(lambda: walk_formula(f, s, env)), (f, env)
+        assert env == before
+
+
 def distinct_binders(f: F.Formula) -> list[F.Formula]:
     """The quantifier nodes of f, each node object once."""
     seen, stack = {}, [f]
@@ -1064,31 +1149,53 @@ def distinct_binders(f: F.Formula) -> list[F.Formula]:
 def forall_lt_shaped(f: F.Formula) -> str | None:
     """"plain" when f is forall_lt's AlN(v, S, Imp(lt(v, L), B)) with v not
     free in L, "chain" when lt(v, L) is instead the first part of an And
-    guard, else None; read by node equality with formulas.lt."""
-    if type(f) is not F.AlN or type(f.body) is not F.Imp:
+    guard, "extended" when the body is a right-nested And chain of such Imps
+    or a guard reads lt(v + k, L) for a constant k, all with one L, else
+    None; read by node equality with formulas.lt."""
+    if type(f) is not F.AlN:
         return None
-    g = f.body.left
-    first = g.left if type(g) is F.And else g
-    if type(first) is not F.Leq or first != F.lt(F.NVar(f.var), first.right) \
-            or f.var in F.free_vars(F.Leq(first.right, first.right))[0]:
+    parts, g = [], f.body
+    while type(g) is F.And:
+        parts, g = parts + [g.left], g.right
+    limits, v = set(), F.NVar(f.var)
+    for imp in parts + [g]:
+        if type(imp) is not F.Imp:
+            return None
+        guard = imp.left
+        first = guard.left if type(guard) is F.And else guard
+        if type(first) is not F.Leq or type(first.left) is not F.Plus:
+            return None
+        t = first.left.left
+        if t != v and not (type(t) is F.Plus and t.left == v
+                           and type(t.right) in (F.Zero, F.One, F.Const)):
+            return None
+        if first != F.lt(t, first.right):
+            return None
+        limits.add(first.right)
+        shape = "extended" if t != v else "chain" if type(guard) is F.And else "plain"
+    if len(limits) != 1 or f.var in F.free_vars(F.Leq(*limits, *limits))[0]:
         return None
-    return "chain" if type(g) is F.And else "plain"
+    return "extended" if parts else shape
 
 
 def test_guarded_sweep_serves_the_forall_lt_binders():
     """Over the distinct binder nodes of the reflect benchmark's
     proof-check formula (each node object once, as the compiler's memo
     sees them), the guarded sweep takes exactly the forall_lt-shaped AlN
-    binders: 83 with a plain guard and 13 whose guard is an And chain
-    (reflect._with_premise's others), of 116 AlN; none of the 24 ExN takes it, and
-    every forall_lt binder of acc's matrices does."""
+    binders: 83 with a plain guard, 13 whose guard is an And chain
+    (reflect._with_premise's others) and 19 of the extended shape
+    (reflect._tail_map's three guarded Imps among them), 115 of 116 AlN.
+    reflect._endsequent_is's padding binder, whose lt is its guard's second
+    conjunct, and the 24 ExN keep _quant; every forall_lt binder of acc's
+    matrices takes the guarded sweep."""
     seen = Counter()
     for q in distinct_binders(compile_proof_check("frege", slot_cap=19)):
         kind, shape = compiled_kind(q), forall_lt_shaped(q)
         assert (kind == "guarded") == (shape is not None), q
         seen[type(q).__name__, kind, shape] += 1
     assert seen == {("AlN", "guarded", "plain"): 83, ("AlN", "guarded", "chain"): 13,
-                    ("AlN", "_quant", None): 20, ("ExN", "_quant", None): 24}
+                    ("AlN", "guarded", "extended"): 19, ("AlN", "_quant", None): 1,
+                    ("ExN", "_quant", None): 24}
     tm, p = corpus_machine("parity"), PolyBound((2, 1))
     for matrix in (acc.acc_matrix(tm, p), acc.reach_matrix(tm, p)):
         kinds = Counter((compiled_kind(q), forall_lt_shaped(q)) for q in distinct_binders(matrix)
