@@ -21,17 +21,16 @@ node of unknown type) compiles to a closure that raises when it is reached,
 so an error shows where, and only where, evaluation reaches it.  A read of
 a name the assignment does not bind raises KeyError there, and the two entry
 points turn it into UnboundVariableError: the function compile_formula
-returns (behind eval_formula, comprehension_witness, nepo artifacts and
-acc's witness checks) and term_reader's read.  A KeyError a role callback
-raises comes out the same way.  A subformula or term shared by several
-parents compiles once per compile.
+returns (behind eval_formula, nepo artifacts and acc's witness checks) and
+term_reader's read.  A KeyError a role callback raises comes out the same
+way.  A subformula or term shared by several parents compiles once per
+compile.
 
-eval_formula and comprehension_witness compile per call, and the compile
-goes when the call returns.  compile_formula keeps its compile for callers
-that evaluate one formula many times: nepo artifacts, and acc's witness
-checks in a bounded memo per matrix kind, machine and polynomial; each run
-compiles only what no earlier run reached.  term_reader reads terms the
-same way for prop.translate.
+eval_formula compiles per call, and the compile goes when the call returns.
+compile_formula keeps its compile for callers that evaluate one formula many
+times: nepo artifacts, and acc's witness checks in a bounded memo per matrix
+kind, machine and polynomial; each run compiles only what no earlier run
+reached.  term_reader reads terms the same way for prop.translate.
 
 The compile memos are keyed by node identity.  That is sound because a
 closure keeps every node it may still compile alive: the memo's keys name
@@ -62,12 +61,11 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from . import codec
-from .errors import (ClassError, SliceExceededError, SortMismatchError,
-                     UnboundVariableError)
+from .errors import SliceExceededError, SortMismatchError, UnboundVariableError
 from .formulas import (AlN, AlS, And, Const, EqNum, EqStr, ExN, ExS, Formula,
                        Imp, Len, Leq, Memb, Not, NumTerm, NVar, One, Or, Plus,
-                       SeqAt, SeqLen, Times, Zero, classify, free_vars,
-                       is_num_name, is_str_name, term_vars)
+                       SeqAt, SeqLen, Times, Zero, free_vars, is_num_name,
+                       is_str_name, term_vars)
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,42 +145,6 @@ def term_reader() -> Callable[[NumTerm, Assignment], int]:
             raise _unbound(e) from None
 
     return read
-
-
-def comprehension_witness(phi: Formula, y: int, s: FiniteSlice,
-                          env: Assignment | None = None,
-                          var: str | None = None) -> str:
-    """Bit vector X of length y with X(z) iff phi(z), for z < y.
-
-    phi must sit at level 0 of the string-quantifier hierarchy; its one free
-    number variable not covered by env is the comprehension variable unless
-    var names it explicitly.
-    """
-    if env is None:
-        env = Assignment()
-    qc = classify(phi)
-    if qc.level != 0:
-        raise ClassError(f"comprehension needs a level-0 formula, got {qc}")
-    if var is None:
-        nums, _ = free_vars(phi)
-        candidates = sorted(nums - env.nums.keys())
-        if len(candidates) != 1:
-            raise ValueError(
-                f"cannot infer the comprehension variable from {candidates}")
-        var = candidates[0]
-    holds = compile_formula(phi)
-    prev = env.nums.get(var)
-    bits = []
-    try:
-        for z in range(y):
-            env.nums[var] = z
-            bits.append("1" if holds(s, env) else "0")
-    finally:
-        if prev is None:
-            env.nums.pop(var, None)
-        else:
-            env.nums[var] = prev
-    return "".join(bits)
 
 
 # --- the compiler ---

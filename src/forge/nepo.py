@@ -40,18 +40,16 @@ from .codec import (encode_bits, encode_seq, seq_code_bound, seq_fields,
                     set_length, trim)
 from .errors import BudgetError, LayoutError
 from .evaluate import Assignment, Compiled, FiniteSlice, Roles, compile_formula
-from .formulas import (AlN, AlS, And, EqNum, ExN, ExS, Formula, Imp,
-                       Len, Leq, Memb, Not, NumTerm, NVar, One, Or, Plus,
-                       SeqAt, SeqLen, Times, const_term, formula_size, iff, land)
+from .formulas import (AlN, And, EqNum, ExN, Formula, Imp, Len, Leq, Memb, Not,
+                       NumTerm, NVar, One, Or, Plus, SeqAt, SeqLen, Times,
+                       const_term, formula_size, iff, land)
 from .machine import (Configuration, TMDescription, decode_row, encode_row,
                       initial_configuration, run_from)
 
 __all__ = [
-    "NepoBounds", "NepoArtifact", "compile_reach0", "compile_Reach",
-    "compile_cell_predicate", "compile_acceptance_sigma0",
+    "NepoBounds", "NepoArtifact", "compile_Reach", "compile_acceptance_sigma0",
     "size_report", "reach_artifact", "cell_artifact", "acceptance_artifact",
-    "nepo_slice", "cell_code", "radix_digits",
-    "eval_reach_level", "eval_acceptance", "collect_quantifier_bounds",
+    "eval_acceptance",
 ]
 
 
@@ -134,22 +132,6 @@ class NepoBounds:
     def last_row(self) -> int:
         """Largest virtual tableau row the radix digits can address."""
         return self.span ** (self.d + 1) - 1
-
-
-def radix_digits(i: int, b: NepoBounds) -> tuple[int, ...]:
-    """Digits (low level first) of i in base b.span, one per level."""
-    if not 0 <= i <= b.last_row:
-        raise ValueError(f"row {i} outside [0, {b.last_row}]")
-    digits = []
-    for _ in range(b.d + 1):
-        i, r = divmod(i, b.span)
-        digits.append(r)
-    return tuple(digits)
-
-
-def cell_code(bit: int, mark: int) -> int:
-    """Canonical number for a (bit, head-mark) cell; fields read by position."""
-    return encode_seq([bit, mark])
 
 
 # --- term plumbing ---
@@ -426,7 +408,7 @@ def single_head(tab: Tableau) -> Formula:
 
 def _artifact(em: _Emitter, f: Formula) -> NepoArtifact:
     """The artifact of f, with em's roles and the certificate memo they share."""
-    art = NepoArtifact(f, em.roles, nepo_slice(em.tm, em.b))
+    art = NepoArtifact(f, em.roles, FiniteSlice(em.comp_bound, em.row_bits + 1))
     object.__setattr__(art, "_certificates", em.certificates)
     return art
 
@@ -437,15 +419,6 @@ def _reach_emitter(tm: TMDescription, b: NepoBounds, level: int) -> _Emitter:
     if level < 0:
         raise ValueError("level must be non-negative")
     return _Emitter(tm, b)
-
-
-def compile_reach0(tm: TMDescription, b: NepoBounds) -> Formula:
-    """Level-0 grid relation with the computation code left free: the body
-    of reach_artifact(tm, b, 0) under its exists comp.
-
-    Free variables: I (configuration string), p1, p2, cell, comp.
-    """
-    return reach_artifact(tm, b, 0).formula.body
 
 
 def reach_artifact(tm: TMDescription, b: NepoBounds, level: int) -> NepoArtifact:
@@ -491,19 +464,15 @@ def _cell_chain(em: _Emitter, i_term: NumTerm, source: _Source,
 
 
 def cell_artifact(tm: TMDescription, b: NepoBounds) -> NepoArtifact:
+    """Virtual tableau cell (i, j) of the run on X, addressed by radix digits.
+
+    Free variables: X, i, j, cell.
+    """
     em = _Emitter(tm, b)
     f = _cell_chain(
         em, NVar("i"), em.input_string_source("X"),
         lambda comp, digit: em.query(comp, NVar(digit), NVar("j"), "cell"))
     return _artifact(em, f)
-
-
-def compile_cell_predicate(tm: TMDescription, b: NepoBounds) -> Formula:
-    """Virtual tableau cell (i, j) of the run on X, addressed by radix digits.
-
-    Free variables: X, i, j, cell.
-    """
-    return cell_artifact(tm, b).formula
 
 
 def acceptance_artifact(tm: TMDescription, b: NepoBounds) -> NepoArtifact:
@@ -526,38 +495,11 @@ def compile_acceptance_sigma0(tm: TMDescription, b: NepoBounds) -> Formula:
     return acceptance_artifact(tm, b).formula
 
 
-def nepo_slice(tm: TMDescription, b: NepoBounds) -> FiniteSlice:
-    em = _Emitter(tm, b)
-    return FiniteSlice(em.comp_bound, em.row_bits + 1)
-
-
-def eval_reach_level(artifact: NepoArtifact, config: str, p1: int, p2: int,
-                     cell: int) -> bool:
-    return artifact.evaluate(Assignment(
-        nums={"p1": p1, "p2": p2, "cell": cell}, strs={"I": config}))
-
-
 def eval_acceptance(artifact: NepoArtifact, x: str) -> bool:
     return artifact.evaluate(Assignment(strs={"X": x}))
 
 
-# --- reporting and inspection ---
-
-
-def collect_quantifier_bounds(f: Formula) -> list[NumTerm]:
-    out: list[NumTerm] = []
-    stack = [f]
-    while stack:
-        g = stack.pop()
-        tg = type(g)
-        if tg in (ExN, AlN, ExS, AlS):
-            out.append(g.bound)
-            stack.append(g.body)
-        elif tg in (And, Or, Imp):
-            stack += [g.left, g.right]
-        elif tg is Not:
-            stack.append(g.body)
-    return out
+# --- reporting ---
 
 
 def size_report(tm: TMDescription, b: NepoBounds, node_cap: int = 500_000) -> dict:

@@ -15,15 +15,14 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .errors import MalformedProofError, ParseError
-from .prop import (PAnd, PNot, POr, PropFormula, PVar, node_to_prop, pnot,
-                   por, prop_depth, prop_to_sexpr, taut_check)
+from .prop import (PAnd, PNot, POr, PropFormula, node_to_prop, prop_depth,
+                   prop_to_sexpr)
 from .sexpr import Node, read_all
 
 __all__ = [
     "Sequent", "ProofLine", "Proof", "LEFT", "RIGHT", "RULE_SHAPES", "RULES",
-    "system_depth", "check_frege", "check_depth_frege", "soundness_sweep",
-    "sequent_formula", "parse_proof", "proof_to_text", "corpus_proofs",
-    "proof_mutations", "proof_target",
+    "system_depth", "check_frege", "check_depth_frege", "parse_proof",
+    "proof_to_text", "corpus_proofs", "proof_target",
 ]
 
 LEFT, RIGHT = 0, 1
@@ -65,11 +64,6 @@ class ProofLine:
 @dataclass(frozen=True, slots=True)
 class Proof:
     lines: tuple[ProofLine, ...]
-
-
-def sequent_formula(s: Sequent) -> PropFormula:
-    """The implication a sequent asserts, as one formula."""
-    return por([pnot(f) for f in s.left] + list(s.right))
 
 
 def _meq(a: tuple, b: tuple) -> bool:
@@ -173,27 +167,6 @@ def system_depth(system) -> int | None:
     raise ValueError(f"unknown proof system {system!r}")
 
 
-def soundness_sweep(system, var_cap: int, corpus) -> dict:
-    """Check each proof; every accepted endsequent must be a tautology."""
-    depth = system_depth(system)
-    if depth is None:
-        accept = check_frege
-    else:
-        accept = lambda pi, t: check_depth_frege(pi, t, depth)
-    checked = accepted = 0
-    failures: list[int] = []
-    for idx, pi in enumerate(corpus):
-        checked += 1
-        target = proof_target(pi)
-        if target is None or not accept(pi, target):
-            continue
-        accepted += 1
-        if not taut_check(target, var_cap):
-            failures.append(idx)
-    return {"system": system, "checked": checked, "accepted": accepted,
-            "failures": failures}
-
-
 # --- text format ---
 #
 # One line per proof step:  `n: (seq (<formula>*) (<formula>*)) <rule> [m ...]`
@@ -282,42 +255,3 @@ def corpus_proofs() -> list[tuple[str, Proof]]:
         text = resources.files("forge").joinpath("pk", name).read_text()
         out.append((name, parse_proof(text)))
     return out
-
-
-# --- mutation harness ---
-
-_JUNK = PVar("z", 97)  # index far outside anything the corpus uses
-
-
-def _with_line(pi: Proof, i: int, line: ProofLine) -> Proof:
-    return Proof(pi.lines[:i] + (line,) + pi.lines[i + 1:])
-
-
-def proof_mutations(pi: Proof):
-    """Single-line corruptions; a valid proof must fail the check under each.
-
-    Yields (description, mutated proof).  Operators: rule-tag swap, a junk
-    formula appended to either side, side swap where the sides differ, and
-    dropping the first premise.  Each breaks the line's own derivation, a
-    later line that cites it, or the endsequent shape.
-    """
-    for i, line in enumerate(pi.lines):
-        s = line.sequent
-        swapped_rule = "weak-left" if line.rule == "axiom" else "axiom"
-        yield (f"line {i + 1}: rule -> {swapped_rule}",
-               _with_line(pi, i, ProofLine(s, swapped_rule, line.premises,
-                                           line.cut_index)))
-        for side, seq in (("left", Sequent(s.left + (_JUNK,), s.right)),
-                          ("right", Sequent(s.left, s.right + (_JUNK,)))):
-            yield (f"line {i + 1}: junk appended {side}",
-                   _with_line(pi, i, ProofLine(seq, line.rule, line.premises,
-                                               line.cut_index)))
-        if Counter(s.left) != Counter(s.right):
-            yield (f"line {i + 1}: sides swapped",
-                   _with_line(pi, i, ProofLine(Sequent(s.right, s.left),
-                                               line.rule, line.premises,
-                                               line.cut_index)))
-        if line.premises:
-            yield (f"line {i + 1}: first premise dropped",
-                   _with_line(pi, i, ProofLine(s, line.rule, line.premises[1:],
-                                               line.cut_index)))

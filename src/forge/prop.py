@@ -18,13 +18,13 @@ from .errors import (BudgetError, ClassError, ParseError, SliceExceededError,
 from .evaluate import Assignment, term_reader
 from .formulas import (And, EqNum, EqStr, ExN, Formula, Imp, Leq, Memb, Not, Or,
                        classify)
-from .sexpr import Node, read_one
+from .sexpr import Node
 
 __all__ = [
     "PropFormula", "PConst", "PVar", "PAnd", "POr", "PNot", "SizeProfile",
     "pand", "por", "pnot", "translate", "taut_check", "prop_depth",
-    "prop_size", "prop_vars", "eval_prop", "prop_to_sexpr", "parse_prop",
-    "node_to_prop", "MAX_PROP_DEPTH",
+    "prop_size", "prop_vars", "eval_prop", "prop_to_sexpr", "node_to_prop",
+    "MAX_PROP_DEPTH",
 ]
 
 # Parsed formulas nest at most this deep: the generated `__eq__` and
@@ -357,7 +357,3 @@ def _to_prop(node: Node, depth: int) -> PropFormula:
         parts = tuple(_to_prop(a, depth + 1) for a in args)
         return PAnd(parts) if head == "pand" else POr(parts)
     raise ParseError(f"unknown operator {head}", items[0].line, items[0].col)
-
-
-def parse_prop(text: str) -> PropFormula:
-    return node_to_prop(read_one(text))

@@ -88,17 +88,14 @@ def read_all(source: str, line: int = 1, col: int = 1) -> list[Node]:
     return top
 
 
-def _only(nodes: list[Node]) -> Node:
+def read_one(source: str) -> Node:
+    """The single expression `source` holds."""
+    nodes = read_all(source)
     if not nodes:
         raise ParseError("empty input", 1, 1)
     if len(nodes) > 1:
         raise ParseError("trailing input after expression", nodes[1].line, nodes[1].col)
     return nodes[0]
-
-
-def read_one(source: str) -> Node:
-    """The single expression `source` holds."""
-    return _only(read_all(source))
 
 
 def _ident(node: Node, want: str) -> str:
@@ -272,7 +269,7 @@ def _parse_formula(node: Node, env: dict[str, str], binders: _Binders,
 
 def parse_formula(source: str) -> Formula:
     """Parse one formula; see the module docstring for the grammar."""
-    return _parse_formula(_only(read_all(source)), {}, _Binders(source))
+    return _parse_formula(read_one(source), {}, _Binders(source))
 
 
 # --- printing ---

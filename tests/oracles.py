@@ -1,6 +1,7 @@
 """Reference decoders, enumerators, bounds, a formula walker, an
-s-expression reader, a left-moving machine and a generator of machines with
-long TRANS chains that only the tests use.
+s-expression reader, a left-moving machine, a generator of machines with
+long TRANS chains, nepo's row digits and cell codes, and the proof mutation
+and soundness harnesses, which only the tests use.
 
 Each one is an oracle the library is checked against, a harness that
 feeds it inputs, or a probe of which path the compiler takes; none of them
@@ -19,6 +20,7 @@ library.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 
 from forge import codec, evaluate
@@ -31,6 +33,10 @@ from forge.formulas import (AlN, AlS, And, Const, EqNum, EqStr, ExN, ExS,
                             One, Or, Plus, SeqAt, SeqLen, Times, Zero,
                             free_vars, is_num_name, is_str_name)
 from forge.machine import ComputationTableau, TableauLayout, decode_row, parse_tm
+from forge.nepo import NepoArtifact, NepoBounds
+from forge.proofs import (Proof, ProofLine, Sequent, check_depth_frege,
+                          check_frege, proof_target, system_depth)
+from forge.prop import PropFormula, PVar, pnot, por, taut_check
 from forge.sexpr import MAX_DEPTH
 
 DECODE_LENGTH_CAP = 1 << 20
@@ -123,6 +129,113 @@ def witness_to_tableau(bits: str, layout: TableauLayout) -> ComputationTableau:
 
 def node_value_depth_bound(t: MonotoneTree) -> int:
     return (2 * t.a + 1).bit_length() + 1  # ceil(log2(2a+1)) + 1 for powers of 2
+
+
+# --- nepo: row digits, cell codes, quantifier bounds, reach queries ---
+
+
+def radix_digits(i: int, b: NepoBounds) -> tuple[int, ...]:
+    """Digits (low level first) of i in base b.span, one per level."""
+    if not 0 <= i <= b.last_row:
+        raise ValueError(f"row {i} outside [0, {b.last_row}]")
+    digits = []
+    for _ in range(b.d + 1):
+        i, r = divmod(i, b.span)
+        digits.append(r)
+    return tuple(digits)
+
+
+def cell_code(bit: int, mark: int) -> int:
+    """Canonical number for a (bit, head-mark) cell; fields read by position."""
+    return encode_seq([bit, mark])
+
+
+def collect_quantifier_bounds(f: Formula) -> list[NumTerm]:
+    out: list[NumTerm] = []
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        tg = type(g)
+        if tg in (ExN, AlN, ExS, AlS):
+            out.append(g.bound)
+            stack.append(g.body)
+        elif tg in (And, Or, Imp):
+            stack += [g.left, g.right]
+        elif tg is Not:
+            stack.append(g.body)
+    return out
+
+
+def eval_reach_level(artifact: NepoArtifact, config: str, p1: int, p2: int,
+                     cell: int) -> bool:
+    return artifact.evaluate(Assignment(
+        nums={"p1": p1, "p2": p2, "cell": cell}, strs={"I": config}))
+
+
+# --- proofs: the soundness sweep and the mutation harness ---
+
+
+def sequent_formula(s: Sequent) -> PropFormula:
+    """The implication a sequent asserts, as one formula."""
+    return por([pnot(f) for f in s.left] + list(s.right))
+
+
+def soundness_sweep(system, var_cap: int, corpus) -> dict:
+    """Check each proof; every accepted endsequent must be a tautology."""
+    depth = system_depth(system)
+    if depth is None:
+        accept = check_frege
+    else:
+        accept = lambda pi, t: check_depth_frege(pi, t, depth)
+    checked = accepted = 0
+    failures: list[int] = []
+    for idx, pi in enumerate(corpus):
+        checked += 1
+        target = proof_target(pi)
+        if target is None or not accept(pi, target):
+            continue
+        accepted += 1
+        if not taut_check(target, var_cap):
+            failures.append(idx)
+    return {"system": system, "checked": checked, "accepted": accepted,
+            "failures": failures}
+
+
+_JUNK = PVar("z", 97)  # index far outside anything the corpus uses
+
+
+def _with_line(pi: Proof, i: int, line: ProofLine) -> Proof:
+    return Proof(pi.lines[:i] + (line,) + pi.lines[i + 1:])
+
+
+def proof_mutations(pi: Proof):
+    """Single-line corruptions; a valid proof must fail the check under each.
+
+    Yields (description, mutated proof).  Operators: rule-tag swap, a junk
+    formula appended to either side, side swap where the sides differ, and
+    dropping the first premise.  Each breaks the line's own derivation, a
+    later line that cites it, or the endsequent shape.
+    """
+    for i, line in enumerate(pi.lines):
+        s = line.sequent
+        swapped_rule = "weak-left" if line.rule == "axiom" else "axiom"
+        yield (f"line {i + 1}: rule -> {swapped_rule}",
+               _with_line(pi, i, ProofLine(s, swapped_rule, line.premises,
+                                           line.cut_index)))
+        for side, seq in (("left", Sequent(s.left + (_JUNK,), s.right)),
+                          ("right", Sequent(s.left, s.right + (_JUNK,)))):
+            yield (f"line {i + 1}: junk appended {side}",
+                   _with_line(pi, i, ProofLine(seq, line.rule, line.premises,
+                                               line.cut_index)))
+        if Counter(s.left) != Counter(s.right):
+            yield (f"line {i + 1}: sides swapped",
+                   _with_line(pi, i, ProofLine(Sequent(s.right, s.left),
+                                               line.rule, line.premises,
+                                               line.cut_index)))
+        if line.premises:
+            yield (f"line {i + 1}: first premise dropped",
+                   _with_line(pi, i, ProofLine(s, line.rule, line.premises[1:],
+                                               line.cut_index)))
 
 
 # --- the reference reader forge.sexpr.read_all is tested against ---

@@ -11,7 +11,8 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import node_value_depth_bound
+from oracles import (cell_code, eval_reach_level, node_value_depth_bound,
+                     proof_mutations, soundness_sweep)
 
 from forge import acc, nepo, proofs, reflect
 from forge.codec import set_length
@@ -101,8 +102,8 @@ def test_criterion_3_nepo_level_equivalence():
                         want = row.cells[p2]
                         for bit in (0, 1):
                             for mark in range(1 << tm.state_bits):
-                                got = nepo.eval_reach_level(
-                                    art, i_str, p1, p2, nepo.cell_code(bit, mark))
+                                got = eval_reach_level(
+                                    art, i_str, p1, p2, cell_code(bit, mark))
                                 assert got == ((bit, mark) == want), \
                                     (name, level, x, p1, p2, bit, mark)
     elapsed = time.monotonic() - started
@@ -250,7 +251,7 @@ def test_criterion_8_proof_checking():
         target = proofs.proof_target(pi)
         assert proofs.check_frege(pi, target), name
         assert taut_check(target, var_cap=12), name
-        for desc, mut in proofs.proof_mutations(pi):
+        for desc, mut in proof_mutations(pi):
             try:
                 ok = proofs.check_frege(mut, target)
             except proofs.MalformedProofError:
@@ -259,7 +260,7 @@ def test_criterion_8_proof_checking():
         verdicts = [proofs.check_depth_frege(pi, target, d) for d in range(1, 5)]
         for lo, hi in zip(verdicts, verdicts[1:]):
             assert not lo or hi, (name, verdicts)
-    sweep = proofs.soundness_sweep("frege", 12, [pi for _, pi in corpus])
+    sweep = soundness_sweep("frege", 12, [pi for _, pi in corpus])
     assert sweep["failures"] == [] and sweep["accepted"] == 10
     elapsed = time.monotonic() - started
     assert elapsed <= 60, f"{elapsed:.1f}s over the 60s budget"

@@ -14,8 +14,8 @@ from oracles import LEFT3_TEXT, chain_machine
 
 from forge.cli import main
 from forge.formulas import free_vars
-from forge.prop import parse_prop
-from forge.sexpr import parse_formula
+from forge.prop import node_to_prop
+from forge.sexpr import parse_formula, read_one
 
 MACHINES = Path(__file__).resolve().parents[1] / "src" / "forge" / "machines"
 PK = Path(__file__).resolve().parents[1] / "src" / "forge" / "pk"
@@ -42,6 +42,19 @@ def test_invalid_proof_is_domain_failure(tmp_path, capsys):
     code, out, _ = run(capsys, "check-proof", "--proof", str(bad))
     assert code == 1
     assert "proof: REJECTED" in out
+    # no target: an endsequent with a left side, or no lines at all
+    for text in ("1: (seq ((pv z 0)) ((pv z 0))) axiom\n", "# no lines\n"):
+        bad.write_text(text)
+        code, out, _ = run(capsys, "check-proof", "--proof", str(bad))
+        assert (code, "proof: REJECTED" in out) == (1, True), text
+
+
+def test_eval_parse_error_is_domain_failure(tmp_path, capsys):
+    f = tmp_path / "f.sexp"
+    f.write_text("(leq (+ 1) 0)\n")
+    code, out, err = run(capsys, "eval", "--formula", str(f), "--num-bound", "4")
+    assert (code, out) == (1, "")
+    assert err == "forge eval: error: 1:6: (+ t t) takes two arguments\n"
 
 
 def test_eval_unbound_variable_is_usage_error(tmp_path, capsys):
@@ -186,6 +199,10 @@ def test_node_cap_blocks_large_output(monkeypatch, capsys):
     monkeypatch.setenv("FORGE_NODE_CAP", "many")
     assert run(capsys, "compile-acc", "--tm", str(MACHINES / "parity.tm"),
                "--poly", "2,1")[0] == 2
+    monkeypatch.setenv("FORGE_NODE_CAP", "0")
+    code, _, err = run(capsys, "compile-acc", "--tm", str(MACHINES / "parity.tm"),
+                       "--poly", "2,1")
+    assert code == 2 and "FORGE_NODE_CAP must be positive" in err
 
 
 # --- translate ---
@@ -199,7 +216,7 @@ def test_translate_reports_shape(tmp_path, capsys):
     data = json.loads(out)
     assert set(data) == {"subcommand", "formula", "lengths", "values",
                          "nodes", "depth", "prop"}
-    parse_prop(data["prop"])
+    node_to_prop(read_one(data["prop"]))
 
 
 def test_translate_missing_length_is_usage_error(tmp_path, capsys):
@@ -410,7 +427,14 @@ def test_bound_flags_are_validated(tmp_path, capsys):
             (["eval", "--formula", str(f), "--num-bound", "4", "--str-width", "-1"],
              "--str-width must be non-negative"),
             (nepo + ["--eps", "2/1"], "bad --eps '2/1': need 0 < p < q"),
-            (nepo + ["--eps", ""], "bad --eps '': expected the form p/q")]:
+            (nepo + ["--eps", ""], "bad --eps '': expected the form p/q"),
+            (nepo + ["--eps", "a/3"], "bad --eps 'a/3': expected the form p/q"),
+            (["eval", "--formula", str(f), "--num-bound", "4", "--bind", "i=-1"],
+             "bad binding 'i=-1': value must be non-negative"),
+            (["eval", "--formula", str(f), "--num-bound", "4", "--bind", "_x=1"],
+             "bad binding '_x=1': name must be a sorted identifier"),
+            (["reflect", "--system", "depth-frege", "--d", "-1", "--t", "4", "--x", "1"],
+             "unknown proof system ('depth-frege', -1)")]:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert f"usage: forge {argv[0]}" in err

@@ -1,4 +1,4 @@
-"""Finite-slice evaluation, comprehension, and monotone tree values."""
+"""Finite-slice evaluation and monotone tree values."""
 
 import dataclasses
 import gc
@@ -18,13 +18,11 @@ from test_formulas import gen_formula, gen_term
 
 from forge import acc, codec, evaluate, nepo, sexpr
 from forge import formulas as F
-from forge.codec import bit_at, encode_seq, mask_to_bits, sets_equal
-from forge.errors import (ClassError, SliceExceededError, SortMismatchError,
-                          UnboundVariableError)
+from forge.codec import bit_at, encode_seq, mask_to_bits
+from forge.errors import SliceExceededError, SortMismatchError, UnboundVariableError
 from forge.evaluate import (Assignment, FiniteSlice, MonotoneTree, check_mfv,
-                            compile_formula, comprehension_witness,
-                            eval_formula, mfv_witness, node_value,
-                            node_value_instrumented, term_reader)
+                            compile_formula, eval_formula, mfv_witness,
+                            node_value, node_value_instrumented, term_reader)
 from forge.formulas import formula_size
 from forge.machine import PolyBound, corpus_machine, initial_configuration, parse_tm
 from forge.reflect import compile_proof_check
@@ -239,58 +237,6 @@ def test_eval_num_bound_enlargement_invariant():
         small = eval_formula(f, FiniteSlice(3, 4))
         for nb in (5, 17, 1000):
             assert eval_formula(f, FiniteSlice(nb, 4)) == small
-
-
-# --- comprehension ---
-
-
-def test_comprehension_pinned_examples():
-    phi = parse_formula("(leq z 1)")
-    assert comprehension_witness(phi, 3, S8) == "110"
-    false_phi = parse_formula("(leq 1 0)")
-    assert sets_equal(comprehension_witness(false_phi, 3, S8, var="z"), "")
-    true_phi = parse_formula("(leq 0 0)")
-    assert comprehension_witness(true_phi, 2, S8, var="z") == "11"
-
-
-def test_comprehension_uses_environment():
-    phi = parse_formula("(in z X)")
-    env = Assignment(strs={"X": "0101"})
-    assert comprehension_witness(phi, 6, S8, env) == "010100"
-    # a comprehension variable env binds gets its value back
-    env.nums["z"] = 7
-    assert comprehension_witness(phi, 6, S8, env, var="z") == "010100"
-    assert env.nums == {"z": 7}
-
-
-def test_comprehension_rejects_string_quantifiers():
-    phi = parse_formula("(exS W 1 (in z W))")
-    with pytest.raises(ClassError):
-        comprehension_witness(phi, 2, S8)
-
-
-def test_comprehension_satisfies_its_axiom_instance():
-    # X(z) <-> phi(z) for all z < y, checked by the evaluator itself
-    texts = ["(leq z (+ 1 1))", "(exN u z (= (+ u u) z))",
-             "(and (in z X) (not (= z (+ 1 1))))"]
-    y = 6
-    for text in texts:
-        phi = parse_formula(text)
-        env = Assignment(strs={"X": "011011"})
-        w = comprehension_witness(phi, y, S8, env)
-        env.strs["W"] = w
-        inst = F.AlN("z", F.const_term(y - 1),
-                     F.And(F.Imp(F.Memb(F.NVar("z"), "W"), phi),
-                           F.Imp(phi, F.Memb(F.NVar("z"), "W"))))
-        assert eval_formula(inst, S8, env)
-
-
-def test_comprehension_variable_inference():
-    phi = parse_formula("(leq z x)")
-    env = Assignment(nums={"x": 1})
-    assert comprehension_witness(phi, 3, S8, env) == "110"
-    with pytest.raises(ValueError):
-        comprehension_witness(phi, 3, S8)  # two candidates
 
 
 # --- monotone trees ---
@@ -847,7 +793,6 @@ def test_no_compile_outlives_eval_formula():
     try:
         # without the cycle collector only reference counts free the compile
         assert eval_formula(f, S8, Assignment(nums={"x": 0}))
-        assert comprehension_witness(F.Leq(X, F.One()), 3, S8, var="x") == "110"
         assert compilers() == kept
     finally:
         gc.enable()

@@ -16,6 +16,7 @@ from forge.errors import DuplicateBindingError, ForgeError, ParseError, SortMism
 from forge.evaluate import Assignment, FiniteSlice, eval_formula
 from forge.machine import CORPUS, PolyBound, corpus_machine
 from forge.nepo import NepoBounds, compile_acceptance_sigma0, compile_Reach
+from forge.prop import node_to_prop
 from forge.reflect import compile_proof_check
 
 
@@ -47,6 +48,42 @@ def test_parse_positions():
     with pytest.raises(ParseError) as e:
         sexpr.parse_formula("(and (leq 0 1)\n  (leq 0 ()))")
     assert e.value.line == 2
+
+
+def read_prop(text: str):
+    return node_to_prop(sexpr.read_one(text))
+
+
+# The reader, a malformed text and the error it raises at the offending list:
+# an arity, an unknown operator, an atom or empty list where a formula goes.
+MALFORMED = [
+    (sexpr.parse_formula, "(leq (+ 1) 0)", "1:6: (+ t t) takes two arguments"),
+    (sexpr.parse_formula, "(leq (len) 0)", "1:6: (len X) takes one argument"),
+    (sexpr.parse_formula, "(leq (seq 1) 0)", "1:6: (seq t t) takes two arguments"),
+    (sexpr.parse_formula, "(leq (seqlen) 0)", "1:6: (seqlen t) takes one argument"),
+    (sexpr.parse_formula, "(leq (foo 1) 0)", "1:7: unknown term operator foo"),
+    (sexpr.parse_formula, "(not x)", "1:6: expected a formula, got an atom"),
+    (sexpr.parse_formula, "(not ())", "1:6: expected a formula operator"),
+    (sexpr.parse_formula, "(= 1)", "1:1: (= t t) takes two arguments"),
+    (sexpr.parse_formula, "(seteq X)", "1:1: (seteq X Y) takes two arguments"),
+    (sexpr.parse_formula, "(memb 0 X X)", "1:1: (in t X) takes two arguments"),
+    (sexpr.parse_formula, "(not)", "1:1: (not f) takes one argument"),
+    (sexpr.parse_formula, "(imp (leq 0 0))", "1:1: (imp f f ...) takes at least two arguments"),
+    (sexpr.parse_formula, "(exN x 1)", "1:1: (exN v t f) takes three arguments"),
+    (sexpr.parse_formula, "(foo)", "1:2: unknown formula operator foo"),
+    (read_prop, "(pnot x)", "1:7: expected a propositional formula, got an atom"),
+    (read_prop, "(pnot ())", "1:7: expected a propositional operator"),
+    (read_prop, "(pv z)", "1:1: (pv name index) takes a name and an index"),
+    (read_prop, "(pnot)", "1:1: (pnot f) takes one argument"),
+]
+
+
+@pytest.mark.parametrize("read, text, message", MALFORMED,
+                         ids=[text for _, text, _ in MALFORMED])
+def test_malformed_lists_are_rejected_where_they_stand(read, text, message):
+    with pytest.raises(ParseError) as e:
+        read(text)
+    assert str(e.value) == message
 
 
 def test_parse_nesting_cap():
@@ -435,6 +472,7 @@ def test_free_vars():
     nums, strs = F.free_vars(f)
     assert nums == {"y"}
     assert strs == {"X", "Y"}
+    assert F.free_vars(sexpr.parse_formula("(alS Y 1 (seteq X Y))")) == (set(), {"X"})
 
 
 def test_formula_size_counts_nodes():

@@ -16,14 +16,14 @@ from oracles import LEFT3
 
 from forge.acc import compile_acc, compile_reach
 from forge.machine import PolyBound, corpus_machine
-from forge.nepo import (NepoBounds, compile_acceptance_sigma0, compile_cell_predicate,
+from forge.nepo import (NepoBounds, cell_artifact, compile_acceptance_sigma0,
                         compile_Reach)
 from forge.reflect import compile_proof_check, reflection_instance
 from forge.sexpr import parse_formula, print_formula
 
 # "acc:<machine>:<poly coefficients>" is compile_acc and "reach:..." is
 # compile_reach; "sigma0:<machine>:m<m>" is compile_acceptance_sigma0 at c 1,
-# eps 1/3, k 2, "cell:..." is compile_cell_predicate and "Reach<level>:..." is
+# eps 1/3, k 2, "cell:..." is cell_artifact's formula and "Reach<level>:..." is
 # compile_Reach at that level.  case -> (print digest, reprint digest);
 # reprints differ from prints where the parser renames sibling binders apart.
 # "left3" is the oracles' LEFT3, which has left moves and k = 3.
@@ -203,7 +203,7 @@ def _compile(case: str):
     if kind == "sigma0":
         return compile_acceptance_sigma0(tm, b)
     if kind == "cell":
-        return compile_cell_predicate(tm, b)
+        return cell_artifact(tm, b).formula
     return compile_Reach(tm, b, int(kind.removeprefix("Reach")))
 
 

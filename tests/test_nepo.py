@@ -12,8 +12,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import (LEFT3, all_strings, grid_read, moves_left, read_outcome,
-                     role_free_names, seq_get_total, walk_formula, walk_term)
+from oracles import (LEFT3, all_strings, cell_code, collect_quantifier_bounds,
+                     eval_reach_level, grid_read, moves_left, radix_digits,
+                     read_outcome, role_free_names, seq_get_total, walk_formula,
+                     walk_term)
 
 from forge import acc, nepo
 from forge.codec import encode_seq
@@ -46,9 +48,8 @@ def sim_cell(tm, start, steps, z):
 def cells_for(tm, start, steps, z):
     """Canonical, bit-corrupted, and mark-corrupted codes for one cell."""
     bit, mark = sim_cell(tm, start, steps, z)
-    good = nepo.cell_code(bit, mark)
-    return good, nepo.cell_code(1 - bit, mark), \
-        nepo.cell_code(bit, mark ^ 1)
+    good = cell_code(bit, mark)
+    return good, cell_code(1 - bit, mark), cell_code(bit, mark ^ 1)
 
 
 def test_bound_arithmetic():
@@ -82,21 +83,21 @@ def test_bound_validation():
 def test_radix_digits_unique_exhaustively():
     for b in (MICRO, FULL):
         for i in range(b.last_row + 1):
-            digits = nepo.radix_digits(i, b)
+            digits = radix_digits(i, b)
             assert len(digits) == b.d + 1
             assert all(0 <= r < b.span for r in digits)
             assert sum(r * b.span ** level for level, r in enumerate(digits)) == i
         # every digit tuple hits a distinct row, so decompositions are unique
         seen = set()
         for i in range(b.last_row + 1):
-            seen.add(nepo.radix_digits(i, b))
+            seen.add(radix_digits(i, b))
         assert len(seen) == b.last_row + 1
     with pytest.raises(ValueError):
-        nepo.radix_digits(FULL.last_row + 1, FULL)
+        radix_digits(FULL.last_row + 1, FULL)
 
 
 def test_shapes_and_classification():
-    f0 = nepo.compile_reach0(TOGGLE, MICRO)
+    f0 = nepo.reach_artifact(TOGGLE, MICRO, 0).formula.body
     assert str(classify(f0)) == "SigmaB(0)"
     assert free_vars(f0) == ({"p1", "p2", "cell", "comp"}, {"I"})
 
@@ -104,7 +105,7 @@ def test_shapes_and_classification():
     assert str(classify(f1)) == "SigmaB(0)"
     assert free_vars(f1) == ({"p1", "p2", "cell"}, {"I"})
 
-    cp = nepo.compile_cell_predicate(TOGGLE, MICRO)
+    cp = nepo.cell_artifact(TOGGLE, MICRO).formula
     assert str(classify(cp)) == "SigmaB(0)"
     assert free_vars(cp) == ({"i", "j", "cell"}, {"X"})
 
@@ -114,9 +115,9 @@ def test_shapes_and_classification():
 
 
 def test_reach_level0_is_wrapped_reach0():
-    em_bound = nepo.nepo_slice(TOGGLE, MICRO).num_bound
-    expected = ExN("comp", const_term(em_bound), nepo.compile_reach0(TOGGLE, MICRO))
-    assert nepo.compile_Reach(TOGGLE, MICRO, 0) == expected
+    art = nepo.reach_artifact(TOGGLE, MICRO, 0)
+    expected = ExN("comp", const_term(art.slice.num_bound), art.formula.body)
+    assert nepo.compile_Reach(TOGGLE, MICRO, 0) == art.formula == expected
 
 
 def test_reach_level_cap():
@@ -127,12 +128,10 @@ def test_reach_level_cap():
 def test_number_sized_bounds():
     for tm, b in ((TOGGLE, MICRO), (corpus_machine("scan1"), MID),
                   (corpus_machine("parity"), FULL)):
-        s = nepo.nepo_slice(tm, b)
-        for f in (nepo.compile_Reach(tm, b, b.d),
-                  nepo.compile_cell_predicate(tm, b),
-                  nepo.compile_acceptance_sigma0(tm, b)):
-            for bound in nepo.collect_quantifier_bounds(f):
-                assert walk_term(bound, Assignment()) <= s.num_bound
+        for art in (nepo.reach_artifact(tm, b, b.d), nepo.cell_artifact(tm, b),
+                    nepo.acceptance_artifact(tm, b)):
+            for bound in collect_quantifier_bounds(art.formula):
+                assert walk_term(bound, Assignment()) <= art.slice.num_bound
 
 
 MICRO_STARTS = [initial_configuration("1", 2), initial_configuration("01", 2)]
@@ -171,7 +170,7 @@ def test_artifact_compiles_once_at_first_evaluate(monkeypatch):
     assert compiles == []
     i_str = config_str(TOGGLE, MICRO_STARTS[0])
     good, bad_bit, _ = cells_for(TOGGLE, MICRO_STARTS[0], 2 * MICRO.span, 1)
-    assert [nepo.eval_reach_level(art, i_str, 2, 1, c) for c in (good, bad_bit)] \
+    assert [eval_reach_level(art, i_str, 2, 1, c) for c in (good, bad_bit)] \
         == [True, False]
     env = Assignment(nums={"p1": 2, "p2": 1, "cell": good}, strs={"I": i_str})
     assert art.evaluate(env, roles_override={}, s=art.slice)
@@ -180,8 +179,8 @@ def test_artifact_compiles_once_at_first_evaluate(monkeypatch):
 
 def test_comp_uniqueness_exhaustive():
     """At most one code satisfies the level-0 body; exactly one when true."""
-    body = nepo.compile_reach0(TOGGLE, MICRO)
-    s = nepo.nepo_slice(TOGGLE, MICRO)
+    art = nepo.reach_artifact(TOGGLE, MICRO, 0)
+    body, s = art.formula.body, art.slice
     start = MICRO_STARTS[0]
     i_str = config_str(TOGGLE, start)
     good, bad_bit, _ = cells_for(TOGGLE, start, 2, 1)
@@ -238,17 +237,17 @@ def test_reach_levels_match_simulator_micro():
             for p1 in range(MICRO.span + 1):
                 for p2 in range(MICRO.width):
                     good, bad_bit, bad_mark = cells_for(TOGGLE, start, p1 * stride, p2)
-                    assert nepo.eval_reach_level(art, i_str, p1, p2, good)
-                    assert not nepo.eval_reach_level(art, i_str, p1, p2, bad_bit)
-                    assert not nepo.eval_reach_level(art, i_str, p1, p2, bad_mark)
+                    assert eval_reach_level(art, i_str, p1, p2, good)
+                    assert not eval_reach_level(art, i_str, p1, p2, bad_bit)
+                    assert not eval_reach_level(art, i_str, p1, p2, bad_mark)
 
 
 def test_reach_rejects_invalid_start_config():
     art = nepo.reach_artifact(TOGGLE, MICRO, 0)
-    good = nepo.cell_code(1, 1)
+    good = cell_code(1, 1)
     # headless, double-headed, and wrong-length strings all fail
     for bogus in ("0000" + "1", "0101" + "1", "01" + "1"):
-        assert not nepo.eval_reach_level(art, bogus, 0, 0, good)
+        assert not eval_reach_level(art, bogus, 0, 0, good)
 
 
 def test_corrupted_certificate_is_rejected():
@@ -379,8 +378,8 @@ def test_reach_levels_match_simulator_mid_scale():
         for p2 in range(0, MID.width, 3):
             good, bad_bit, _ = cells_for(tm, start, p1, p2)
             for art in (art0, art1):
-                assert nepo.eval_reach_level(art, i_str, p1, p2, good)
-                assert not nepo.eval_reach_level(art, i_str, p1, p2, bad_bit)
+                assert eval_reach_level(art, i_str, p1, p2, good)
+                assert not eval_reach_level(art, i_str, p1, p2, bad_bit)
 
 
 def test_cell_predicate_micro():
@@ -405,7 +404,7 @@ def test_cell_predicate_row_zero_is_initial_config():
     conf = initial_configuration(x, MICRO.width)
     for j, (bit, mark) in enumerate(conf.cells):
         env = Assignment(nums={"i": 0, "j": j,
-                               "cell": nepo.cell_code(bit, mark)},
+                               "cell": cell_code(bit, mark)},
                          strs={"X": x})
         assert art.evaluate(env)
 

@@ -4,14 +4,14 @@ import hashlib
 import random
 
 import pytest
+from oracles import proof_mutations, sequent_formula, soundness_sweep
 
 from forge.errors import MalformedProofError, ParseError
 from forge.prop import MAX_PROP_DEPTH, PAnd, PNot, POr, PVar, taut_check
 from forge.proofs import (RULE_SHAPES, RULES, Proof, ProofLine, Sequent,
                           _rule_holds, check_depth_frege, check_frege,
-                          corpus_proofs, parse_proof, proof_mutations,
-                          proof_target, proof_to_text, sequent_formula,
-                          soundness_sweep, system_depth)
+                          corpus_proofs, parse_proof, proof_target,
+                          proof_to_text, system_depth)
 
 P = PVar("z", 0)
 EM = POr((PNot(P), P))  # excluded middle

@@ -4,13 +4,15 @@ import pytest
 from hypothesis import given, strategies as st
 from oracles import walk_formula
 
-from forge.errors import BudgetError, ClassError, ParseError, SliceExceededError
+from forge.errors import (BudgetError, ClassError, ParseError, SliceExceededError,
+                          UnboundVariableError)
 from forge.evaluate import Assignment, FiniteSlice, eval_formula
 from forge.formulas import (TRUE, AlN, And, EqNum, EqStr, ExN, ExS, Imp, Len, Leq,
                             Memb, Not, NVar, One, Or, Zero, const_term, lt)
 from forge.prop import (PAnd, PConst, PNot, POr, PVar, SizeProfile, eval_prop,
-                        pand, parse_prop, pnot, por, prop_depth, prop_size,
+                        node_to_prop, pand, pnot, por, prop_depth, prop_size,
                         prop_to_sexpr, prop_vars, taut_check, translate)
+from forge.sexpr import parse_formula, read_one
 
 X, Z = "X", NVar("z")
 
@@ -186,9 +188,15 @@ def test_vars_sorted_unique():
     assert prop_vars(p) == [("a", 2), ("b", 1)]
 
 
+def test_translate_names_a_string_with_no_length():
+    for text in ("(in 0 Y)", "(seteq X Y)", "(seteq Y X)"):
+        with pytest.raises(UnboundVariableError, match="string parameter Y has no length"):
+            translate(parse_formula(text), SizeProfile(lengths={"X": 2}))
+
+
 def test_sexpr_roundtrip_fixed():
     p = PAnd((POr((PVar("X", 0), PNot(PVar("X", 1)))), PConst(1)))
-    assert parse_prop(prop_to_sexpr(p)) == p
+    assert node_to_prop(read_one(prop_to_sexpr(p))) == p
     assert prop_to_sexpr(PVar("X", 3)) == "(pv X 3)"
     assert prop_to_sexpr(PConst(0)) == "(pc 0)"
 
@@ -196,7 +204,7 @@ def test_sexpr_roundtrip_fixed():
 def test_sexpr_parse_errors():
     for bad in ["(pq 1)", "(pc 2)", "(pv X 3) junk", "(pand (pc 1)", ""]:
         with pytest.raises(ParseError):
-            parse_prop(bad)
+            node_to_prop(read_one(bad))
 
 
 def _props(depth: int, min_args: int = 1):
@@ -216,7 +224,7 @@ def _props(depth: int, min_args: int = 1):
 
 @given(_props(3))
 def test_sexpr_roundtrip_random(p):
-    assert parse_prop(prop_to_sexpr(p)) == p
+    assert node_to_prop(read_one(prop_to_sexpr(p))) == p
 
 
 @given(_props(3))

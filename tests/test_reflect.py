@@ -5,15 +5,15 @@ import random
 
 import pytest
 from hypothesis import given, strategies as st
+from oracles import proof_mutations, soundness_sweep
 
 from forge.codec import bit_at, mask_to_bits
 from forge.errors import DecodeError, EncodeError
 from forge.evaluate import Assignment, FiniteSlice, eval_formula
 from forge.formulas import classify, free_vars
 from forge.machine import PolyBound
-from forge.proofs import (Proof, ProofLine, Sequent, check_frege,
-                          corpus_proofs, proof_mutations, proof_target,
-                          soundness_sweep)
+from forge.proofs import (RULES, Proof, ProofLine, Sequent, check_frege,
+                          corpus_proofs, proof_target)
 from forge.prop import (PAnd, PConst, PNot, POr, PVar, SizeProfile, eval_prop,
                         prop_to_sexpr, translate)
 from forge.reflect import (ENCODING_VERSION, NODE_WIDTH, compile_formula_wf,
@@ -175,11 +175,39 @@ def test_decode_proof_rejects_field_violations():
         "bits in unused premise slot": _flip(enc, 29),
         "junk beyond the frame": enc + "01",
         "terminator": enc[:-1] + "0",
+        "empty proof": "10" + "0" + "10" + "10" + "1",
+        "zero field capacity in header": "10" + "10" + "0" + "10" + "1",
+    }
+    # line 1 of corpus01, an axiom whose left side leaves a record absent,
+    # in a proof the checker formula accepts
+    pi = dict(corpus_proofs())["corpus01.pk"]
+    good = encode_proof(pi)
+    nl, ns, nf = (len(ones) for ones in good[2:].split("0")[:3])
+    line1 = 2 + nl + ns + nf + 3
+    rule = line1 + 2 * ns * (1 + nf * NODE_WIDTH)
+    counts = rule + 4 + ns
+    cut_tag = format(RULES.index("cut"), "04b")[::-1]  # low bit first
+    rejects = {
+        "nonzero bits in an absent record": _flip(good, line1 + ns + nf * NODE_WIDTH),
+        "cut position is not a one-hot": good[:rule] + cut_tag + good[rule + 4:],
+        "premise reference is not a one-hot": good[:counts] + "10" + good[counts + 2:],
     }
     for label, bad in cases.items():
         with pytest.raises(DecodeError):
             decode_proof(bad)
         assert decode_proof(enc) == _axiom_proof(), label  # flip was local
+    for message, bad in rejects.items():
+        with pytest.raises(DecodeError, match=message):
+            decode_proof(bad)
+    # the checker formula rejects every string the decoder rejects
+    prf = compile_proof_check("frege", slot_cap=4)
+    xenc = encode_formula(proof_target(pi))
+    assert _accepts(prf, good, xenc)
+    for label, bad in {**cases, **rejects}.items():
+        assert not _accepts(prf, bad, xenc), label
+    with pytest.raises(EncodeError, match="cut index exceeds side capacity"):
+        encode_proof(Proof(_axiom_proof().lines + (
+            ProofLine(Sequent((), (Z0,)), "cut", (0, 0), cut_index=5),)))
 
 
 def test_decode_proof_rejects_every_truncation():
