@@ -27,7 +27,7 @@ class SortMismatchError(ForgeError):
 
 
 class DecodeError(ForgeError):
-    """A number is not a usable sequence code."""
+    """A bit string is not a valid `reflect` encoding of a formula or proof."""
 
 
 class UnboundVariableError(ForgeError):

@@ -87,9 +87,6 @@ class Assignment:
     nums: dict[str, int] = field(default_factory=dict)
     strs: dict[str, str] = field(default_factory=dict)
 
-    def copy(self) -> "Assignment":
-        return Assignment(dict(self.nums), dict(self.strs))
-
 
 Roles = dict[str, Callable[[Assignment], int]]
 Compiled = Callable[[FiniteSlice, Assignment | None, Roles | None], bool]

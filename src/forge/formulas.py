@@ -325,32 +325,6 @@ def _levels(f: Formula) -> tuple[int, int]:
     return max(s, ts), max(p, tp)
 
 
-# --- depth ---
-
-_LABELS = {And: "and", Or: "or", Not: "not", Imp: "imp",
-           ExN: "exN", AlN: "alN", ExS: "exS", AlS: "alS"}
-
-
-def depth(f: Formula) -> int:
-    """Alternation depth: maximal runs of equal connectives on any path.
-
-    Adjacent identical connectives or quantifiers count once, so a block of
-    conjunctions adds a single level regardless of fan-in.
-    """
-
-    def walk(g: Formula, parent: str | None) -> int:
-        tg = type(g)
-        label = _LABELS.get(tg)
-        if label is None:
-            return 0
-        step = 0 if label == parent else 1
-        if tg in (And, Or, Imp):
-            return step + max(walk(g.left, label), walk(g.right, label))
-        return step + walk(g.body, label)
-
-    return walk(f, None)
-
-
 # --- size ---
 
 

@@ -9,11 +9,11 @@ This module owns the row layout every other module writes and reads.  A
 row is width cells of 1 + state_bits fields each, stored consecutively:
 field 0 is the tape bit and fields 1..state_bits hold the head mark (0 when
 the head is elsewhere) in binary, low bit first.  `encode_row` and
-`decode_row` are the one encoder and the one decoder of that layout: the
-acc witness string is the encoded rows joined (cell (t, i) field f at
-position (t * width + i) * (1 + state_bits) + f, see `TableauLayout`), an
-acc configuration string is one encoded row plus a sentinel 1, and a nepo
-grid code packs the same bits as a width-1 sequence code.
+`decode_row` are the one encoder and the one decoder of that layout, so a
+field sits where `encode_row` puts it: the acc witness string is the
+encoded rows joined, first row first, an acc configuration string is one
+encoded row plus a sentinel 1, and a nepo grid code packs the same bits as
+a width-1 sequence code.
 """
 
 from __future__ import annotations
@@ -73,10 +73,6 @@ class Configuration:
     @property
     def state(self) -> int:
         return self.cells[self.head][1]
-
-    @property
-    def bits(self) -> str:
-        return "".join(str(b) for b, _ in self.cells)
 
 
 def initial_configuration(input_bits: str, width: int) -> Configuration:
@@ -162,7 +158,8 @@ def accepts(tm: TMDescription, input_bits: str, p: PolyBound) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class TableauLayout:
-    """Where each tableau field lives inside the flat witness string."""
+    """The shape of a witness string: steps + 1 rows of width cells, each
+    of `fields` bits, laid out by `encode_row`."""
 
     width: int
     steps: int
@@ -175,11 +172,6 @@ class TableauLayout:
     @property
     def total_bits(self) -> int:
         return (self.steps + 1) * self.width * self.fields
-
-    def pos(self, t: int, i: int, f: int) -> int:
-        if not (0 <= t <= self.steps and 0 <= i < self.width and 0 <= f < self.fields):
-            raise LayoutError(f"field ({t},{i},{f}) outside the layout")
-        return (t * self.width + i) * self.fields + f
 
 
 def encode_row(row: Configuration, state_bits: int) -> str:

@@ -48,13 +48,12 @@ from .proofs import (LEFT, RIGHT, RULE_SHAPES, RULES, Proof, ProofLine, Sequent,
 from .prop import PAnd, PConst, PNot, POr, PropFormula, PVar
 
 __all__ = [
-    "ENCODING_VERSION", "NODE_WIDTH", "VAR_LIMIT", "SLOT_LIMIT",
+    "NODE_WIDTH", "VAR_LIMIT", "SLOT_LIMIT",
     "encode_formula", "decode_formula", "encode_proof", "decode_proof",
     "compile_formula_wf", "compile_sat", "compile_proof_check",
     "reflection_instance",
 ]
 
-ENCODING_VERSION = 1
 NODE_WIDTH = 6
 TAG_FALSE, TAG_TRUE, TAG_VAR, TAG_AND, TAG_OR, TAG_NOT = range(6)
 _TAG_OF = {PAnd: TAG_AND, POr: TAG_OR, PNot: TAG_NOT}

@@ -1,5 +1,6 @@
 """Reference decoders, enumerators, bounds, a formula walker, an
-s-expression reader, a left-moving machine, a generator of machines with
+s-expression reader, a left-moving machine and a one-step one, the truth of
+a formula over all strings of one length, a generator of machines with
 long TRANS chains, nepo's row digits and cell codes, and the proof mutation
 and soundness harnesses, which only the tests use.
 
@@ -27,7 +28,7 @@ from forge import codec, evaluate
 from forge.codec import MAX_FIELD_WIDTH, encode_seq, mask_to_bits
 from forge.errors import (DecodeError, ParseError, SliceExceededError,
                           SortMismatchError, UnboundVariableError)
-from forge.evaluate import Assignment, FiniteSlice, MonotoneTree, Roles
+from forge.evaluate import Assignment, FiniteSlice, MonotoneTree, Roles, eval_formula
 from forge.formulas import (AlN, AlS, And, Const, EqNum, EqStr, ExN, ExS,
                             Formula, Imp, Len, Leq, Memb, Not, NumTerm, NVar,
                             One, Or, Plus, SeqAt, SeqLen, Times, Zero,
@@ -90,11 +91,30 @@ def all_strings(max_length: int):
         yield mask_to_bits(mask)
 
 
+def exact_len_strings(n: int) -> list[str]:
+    """All bit strings whose set-length is exactly n."""
+    if n == 0:
+        return [""]
+    return [format(m, f"0{n - 1}b")[::-1] + "1" if n > 1 else "1"
+            for m in range(1 << (n - 1))]
+
+
+def holds_for_all(phi: Formula, n: int) -> bool:
+    """Does phi hold with X bound to each string of set-length n?  The slice
+    admits quantifier bounds up to max(n, 8) + 2; a wider one changes no
+    value, only which bounds raise SliceExceededError."""
+    s = FiniteSlice(max(n, 8) + 2, max(n, 1))
+    return all(eval_formula(phi, s, Assignment(strs={"X": x}))
+               for x in exact_len_strings(n))
+
+
 # LEFT3 moves left (from the third step on "0110") and has k = 3, so an empty
 # VALIDITY clause; no corpus machine has either.
 LEFT3_TEXT = ("states 3\n1 0 -> 2 1 1\n1 1 -> 3 0 2\n2 0 -> 1 1 0\n"
               "2 1 -> 3 1 1\n3 0 -> 3 0 1\n3 1 -> 1 0 2\n")
 LEFT3 = parse_tm(LEFT3_TEXT)
+# BIT_TM accepts iff its first bit is 1, decided in one step.
+BIT_TM = parse_tm("states 2\n1 0 -> 1 0 0\n1 1 -> 2 1 0\n2 0 -> 2 0 0\n2 1 -> 2 1 0\n")
 
 
 def chain_machine(k: int) -> str:
@@ -125,6 +145,12 @@ def witness_to_tableau(bits: str, layout: TableauLayout) -> ComputationTableau:
         rows.append(decode_row([1 if c == "1" else 0 for c in row],
                                layout.state_bits, every_mark))
     return ComputationTableau(tuple(rows), layout.width, layout.state_bits)
+
+
+def field_pos(layout: TableauLayout, t: int, i: int, f: int) -> int:
+    """Where field f of cell i of row t sits in a witness string of layout's
+    shape, by arithmetic: the reference for machine.encode_row's order."""
+    return (t * layout.width + i) * layout.fields + f
 
 
 def node_value_depth_bound(t: MonotoneTree) -> int:

@@ -3,7 +3,8 @@
 import itertools
 
 import pytest
-from oracles import LEFT3, all_strings, moves_left, walk_formula, walk_term
+from oracles import (BIT_TM, LEFT3, all_strings, field_pos, moves_left, walk_formula,
+                     walk_term)
 
 from forge import acc, nepo
 from forge.codec import encode_seq, mask_to_bits, set_length
@@ -16,8 +17,6 @@ from forge.machine import (Configuration, PolyBound, accepts, corpus_machine,
 
 P = PolyBound((2, 1))  # n + 2
 
-# one cell of interest: accepts iff its first bit is 1, decided in one step
-BIT_TM = parse_tm("states 2\n1 0 -> 1 0 0\n1 1 -> 2 1 0\n2 0 -> 2 0 0\n2 1 -> 2 1 0\n")
 P1 = PolyBound((1,), constant=True)
 
 STAY_TM = parse_tm("states 1\n1 0 -> 1 0 0\n1 1 -> 1 1 0\n")
@@ -79,7 +78,7 @@ def test_check_witness_pinned_examples():
     assert not acc.check_witness(tm, P, "1", "0" * len(w))
     # clearing the final head mark breaks the accepting clause
     layout = acc.acc_layout(tm, P, 1)
-    pos = layout.pos(3, run(tm, "1", 3, 3).rows[3].head, 2)
+    pos = field_pos(layout, 3, run(tm, "1", 3, 3).rows[3].head, 2)
     edited = w[:pos] + "0" + w[pos + 1:]
     assert not acc.check_witness(tm, P, "1", edited)
 

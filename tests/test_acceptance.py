@@ -11,13 +11,13 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import (cell_code, eval_reach_level, node_value_depth_bound,
-                     proof_mutations, soundness_sweep)
+from oracles import (cell_code, eval_reach_level, holds_for_all,
+                     node_value_depth_bound, proof_mutations, soundness_sweep)
 
 from forge import acc, nepo, proofs, reflect
 from forge.codec import set_length
-from forge.evaluate import (Assignment, FiniteSlice, MonotoneTree, check_mfv,
-                            eval_formula, mfv_witness, node_value_instrumented)
+from forge.evaluate import (FiniteSlice, MonotoneTree, check_mfv, eval_formula,
+                            mfv_witness, node_value_instrumented)
 from forge.formulas import (AlN, And, EqNum, ExN, Imp, Len, Leq, Memb, Not,
                             NVar, One, Or, Plus, Zero, classify, const_term,
                             lt)
@@ -201,19 +201,6 @@ SENTENCES = [
 ]
 
 
-def _exact_len_strings(n):
-    if n == 0:
-        return [""]
-    return [format(m, f"0{n - 1}b")[::-1] + "1" if n > 1 else "1"
-            for m in range(1 << (n - 1))]
-
-
-def _holds_for_all(phi, n):
-    s = FiniteSlice(max(n, 8) + 2, max(n, 1))
-    return all(eval_formula(phi, s, Assignment(strs={"X": x}))
-               for x in _exact_len_strings(n))
-
-
 def _power_fit(sizes):
     """Least-squares C, D for size ~ C * n**D over n = 1..4."""
     xs = [math.log(n) for n in range(1, 5)]
@@ -230,7 +217,7 @@ def test_criterion_7_translation_adequacy():
         images = {n: translate(phi, SizeProfile(lengths={"X": n}))
                   for n in range(9)}
         for n in range(7):
-            assert taut_check(images[n]) == _holds_for_all(phi, n), (name, n)
+            assert taut_check(images[n]) == holds_for_all(phi, n), (name, n)
         depths = [prop_depth(images[n]) for n in range(1, 9)]
         assert len(set(depths)) == 1, (name, depths)
         sizes = [prop_size(images[n]) for n in range(1, 9)]

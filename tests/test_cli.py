@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import LEFT3_TEXT, chain_machine
 
+from forge import cli
 from forge.cli import main
 from forge.formulas import free_vars
 from forge.prop import node_to_prop
@@ -34,6 +35,19 @@ def test_oracle_test_reports_pass(capsys):
                        "--max-len", "6")
     assert code == 0
     assert "acc-equivalence: PASS" in out
+
+
+def test_oracle_test_reports_a_mismatch(monkeypatch, capsys):
+    # the formula's verdict flipped on one input shows as its one mismatch
+    real = cli.eval_acc
+    monkeypatch.setattr(cli, "eval_acc", lambda tm, p, x: real(tm, p, x) != (x == "11"))
+    argv = ("oracle-test", "--tm", str(MACHINES / "scan1.tm"), "--max-len", "3")
+    code, out, _ = run(capsys, *argv)
+    assert (code, out.splitlines()[1:]) == \
+        (1, ["inputs: 7", "mismatches: 1", "acc-equivalence: FAIL"])
+    code, out, _ = run(capsys, *argv, "--json")
+    data = json.loads(out)
+    assert (code, data["inputs"], data["mismatches"], data["pass"]) == (1, 7, ["11"], False)
 
 
 def test_invalid_proof_is_domain_failure(tmp_path, capsys):
@@ -240,6 +254,17 @@ def test_mfv_reports_value_and_table(capsys):
                        "--input", "1101")
     assert code == 0
     assert out.splitlines() == ["value: 1", "table: 11101101", "mfv-check: PASS"]
+
+
+def test_mfv_reports_a_failed_check(monkeypatch, capsys):
+    real = cli.check_mfv
+    monkeypatch.setattr(cli, "check_mfv", lambda *args: not real(*args))
+    argv = ("mfv", "--tree", "1011", "--a", "4", "--input", "1101")
+    code, out, _ = run(capsys, *argv)
+    assert (code, out.splitlines()) == (1, ["value: 1", "table: 11101101", "mfv-check: FAIL"])
+    code, out, _ = run(capsys, *argv, "--json")
+    data = json.loads(out)
+    assert (code, data["table"], data["check"]) == (1, "11101101", False)
 
 
 def test_mfv_bad_geometry_is_usage_error(capsys):

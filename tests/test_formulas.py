@@ -340,34 +340,6 @@ def test_classify_level_zero_iff_no_string_quantifier():
         assert (F.classify(f).level == 0) == (not has_sq)
 
 
-# --- depth ---
-
-
-def test_depth_pinned_examples():
-    a, b, c = atom(0), atom(1), atom(2)
-    assert F.depth(a) == 0
-    assert F.depth(F.And(F.Or(a, b), c)) == 2
-    assert F.depth(F.And(F.And(a, b), c)) == 1
-
-
-def test_depth_merges_runs():
-    a = atom()
-    assert F.depth(F.Not(F.Not(a))) == 1
-    assert F.depth(F.land([a] * 10)) == 1
-    assert F.depth(F.lor([F.land([a, a]), F.land([a, a])])) == 2
-    f = F.ExN("x", F.One(), F.ExN("y", F.One(), atom()))
-    assert F.depth(f) == 1
-    assert F.depth(F.AlN("z", F.One(), f)) == 2
-
-
-def test_depth_properties_on_corpus():
-    for f in corpus(80):
-        d = F.depth(f)
-        assert F.depth(F.Not(f)) <= d + 1
-        assert F.depth(F.And(f, f)) >= d
-        assert F.depth(F.Or(f, f)) >= d
-
-
 # --- binder renaming ---
 
 

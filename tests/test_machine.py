@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from oracles import LEFT3, moves_left, seq_get_total, witness_to_tableau
+from oracles import LEFT3, field_pos, moves_left, seq_get_total, witness_to_tableau
 
 from forge import acc, nepo
 from forge.codec import bit_at, encode_seq, set_length
@@ -32,10 +32,10 @@ def test_step_scan1_examples():
     tm = corpus_machine("scan1")
     c = initial_configuration("00", 2)
     nxt = step(tm, c)
-    assert (nxt.head, nxt.state, nxt.bits) == (1, 1, "00")
+    assert (nxt.head, nxt.state, [b for b, _ in nxt.cells]) == (1, 1, [0, 0])
     c1 = initial_configuration("10", 2)
     nxt1 = step(tm, c1)
-    assert (nxt1.head, nxt1.state, nxt1.bits) == (0, 2, "10")
+    assert (nxt1.head, nxt1.state, [b for b, _ in nxt1.cells]) == (0, 2, [1, 0])
 
 
 def test_step_composes_with_run():
@@ -148,20 +148,6 @@ def test_poly_bound_validation():
 # --- layout and witnesses ---
 
 
-def test_layout_positions_are_compact():
-    layout = TableauLayout(width=3, steps=2, state_bits=2)
-    seen = []
-    for t in range(3):
-        for i in range(3):
-            for f in range(3):
-                seen.append(layout.pos(t, i, f))
-    assert seen == list(range(layout.total_bits))
-    with pytest.raises(LayoutError):
-        layout.pos(0, 3, 0)
-    with pytest.raises(LayoutError):
-        layout.pos(3, 0, 0)
-
-
 def test_witness_roundtrip():
     for name in ("scan1", "parity", "zeros"):
         tm = corpus_machine(name)
@@ -179,19 +165,20 @@ def test_witness_layout_fields():
     w = tableau_to_witness(t)
     layout = TableauLayout(2, 1, tm.state_bits)
     # row 0, cell 0 carries bit 1 and mark 1 (= binary 10 over low-first fields)
-    assert w[layout.pos(0, 0, 0)] == "1"
-    assert w[layout.pos(0, 0, 1)] == "1"
-    assert w[layout.pos(0, 0, 2)] == "0"
+    assert w[field_pos(layout, 0, 0, 0)] == "1"
+    assert w[field_pos(layout, 0, 0, 1)] == "1"
+    assert w[field_pos(layout, 0, 0, 2)] == "0"
     # row 1: scan1 saw the 1 and locked into state 2 without moving
-    assert w[layout.pos(1, 0, 1)] == "0"
-    assert w[layout.pos(1, 0, 2)] == "1"
+    assert w[field_pos(layout, 1, 0, 1)] == "0"
+    assert w[field_pos(layout, 1, 0, 2)] == "1"
 
 
 # --- the row codec against the decoders it replaced ---
 #
 # Until the row codec, acc.string_to_config, nepo's _Emitter._bits_to_config
 # and machine.witness_to_tableau each decoded rows on their own, and
-# machine.tableau_to_witness placed every bit through TableauLayout.pos.
+# machine.tableau_to_witness placed every bit through TableauLayout.pos,
+# whose arithmetic is oracles.field_pos.
 # These copies of them are the references the one codec must reproduce.
 
 
@@ -234,10 +221,10 @@ def ref_witness_to_tableau(bits: str, layout: TableauLayout) -> ComputationTable
     for t in range(layout.steps + 1):
         cells = []
         for i in range(layout.width):
-            bit = 1 if bit_at(bits, layout.pos(t, i, 0)) else 0
+            bit = 1 if bit_at(bits, field_pos(layout, t, i, 0)) else 0
             mark = 0
             for f in range(layout.state_bits):
-                if bit_at(bits, layout.pos(t, i, 1 + f)):
+                if bit_at(bits, field_pos(layout, t, i, 1 + f)):
                     mark |= 1 << f
             cells.append((bit, mark))
         rows.append(Configuration(tuple(cells)))
@@ -249,9 +236,9 @@ def ref_tableau_to_witness(tableau: ComputationTableau) -> str:
     bits = ["0"] * layout.total_bits
     for t, row in enumerate(tableau.rows):
         for i, (bit, mark) in enumerate(row.cells):
-            bits[layout.pos(t, i, 0)] = str(bit)
+            bits[field_pos(layout, t, i, 0)] = str(bit)
             for f in range(tableau.state_bits):
-                bits[layout.pos(t, i, 1 + f)] = str((mark >> f) & 1)
+                bits[field_pos(layout, t, i, 1 + f)] = str((mark >> f) & 1)
     return "".join(bits)
 
 

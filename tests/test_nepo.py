@@ -12,7 +12,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from oracles import (LEFT3, all_strings, cell_code, collect_quantifier_bounds,
+from oracles import (BIT_TM, LEFT3, all_strings, cell_code, collect_quantifier_bounds,
                      eval_reach_level, grid_read, moves_left, radix_digits,
                      read_outcome, role_free_names, seq_get_total, walk_formula,
                      walk_term)
@@ -29,8 +29,6 @@ from forge.sexpr import parse_formula, print_formula
 
 # one state, toggles the scanned bit, marches right and sticks at the edge
 TOGGLE = parse_tm("states 1\n1 0 -> 1 1 2\n1 1 -> 1 0 2\n")
-# accepts iff the first bit is 1, decided in one step
-BIT_TM = parse_tm("states 2\n1 0 -> 1 0 0\n1 1 -> 2 1 0\n2 0 -> 2 0 0\n2 1 -> 2 1 0\n")
 
 MICRO = nepo.NepoBounds(c=1, eps=Fraction(1, 2), k=1, m=4)  # width 2, span 2, d 1
 MID = nepo.NepoBounds(c=1, eps=Fraction(1, 2), k=2, m=16, d=1)  # width 16, span 1
@@ -150,7 +148,7 @@ def test_certified_matches_honest_eval_level0():
                 for cell in (good, bad_bit):
                     env = Assignment(nums={"p1": p1, "p2": p2, "cell": cell},
                                      strs={"I": i_str})
-                    want = eval_formula(honest, s, env.copy())
+                    want = eval_formula(honest, s, Assignment(dict(env.nums), dict(env.strs)))
                     assert art.evaluate(env) == want
                     assert want == (cell == good)
     # an unbound string raises the honest evaluator's error, not a KeyError
@@ -260,13 +258,14 @@ def test_corrupted_certificate_is_rejected():
     good, _, _ = cells_for(TOGGLE, start, MICRO.span, 1)
     env = Assignment(nums={"p1": MICRO.span, "p2": 1, "cell": good},
                      strs={"I": i_str})
-    assert art.evaluate(env.copy())
+    assert art.evaluate(Assignment(dict(env.nums), dict(env.strs)))
     for name in sub_comps:
         honest_cb = art.roles[name]
         override = {name: lambda e, cb=honest_cb: cb(e) ^ (1 << 40)}
         # no verdict or certificate outlives its run
-        assert [art.evaluate(env.copy(), roles_override=o) for o in (override, None, override)] \
-            == [False, True, False]
+        runs = [art.evaluate(Assignment(dict(env.nums), dict(env.strs)), roles_override=o)
+                for o in (override, None, override)]
+        assert runs == [False, True, False]
 
 
 class Reading(dict):

@@ -1,6 +1,7 @@
 """Package hygiene: every name a module exports must exist and be defined
-there, every name a module imports must be used, and every top-level
-definition of the package must be used outside the tests."""
+there, every name a module imports must be used, and every top-level def,
+class, constant, method and property of the package must be used outside
+the tests."""
 
 import ast
 import importlib
@@ -126,51 +127,116 @@ def test_only_the_evaluator_entry_points_catch_unbound_names():
     assert key_error_handlers(source) == ["compile_formula.run", "term_reader.read"]
 
 
-def references(source: str) -> list[tuple[str, int]]:
-    """(name, line) of every identifier a module reads or imports."""
+def local_names(fn: ast.FunctionDef | ast.Lambda) -> set[str]:
+    """The names a function binds in its own scope: its parameters and each
+    name it assigns or defines."""
+    a = fn.args
+    names = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p}
+    stack = list(fn.body) if isinstance(fn.body, list) else [fn.body]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)  # its body is a scope of its own
+        elif not isinstance(node, ast.Lambda):
+            stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def references(source: str, module: str, modules: set[str]) -> list[tuple[str, int]]:
+    """(key, line) of each use the source, the text of `module`, makes of a
+    definition.  A module-level name of m has key `m.name` and is used when
+    it is read bare in m, read after an import from m, or read as an
+    attribute of a name bound to m; `self.name` in class C of m has key
+    `m.C.name`; an attribute read on anything else but a module has key
+    `.name`, the use of any method of that name.  A name a function binds
+    locally reaches nothing outside it."""
+    tree = ast.parse(source)
+    names: dict[str, str] = {}  # bound by `from m import name`: "m.name"
+    mods: dict[str, str] = {}   # bound to a module, forge's or foreign: its last part
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                parts = alias.name.split(".")
+                mods[alias.asname or parts[0]] = parts[-1] if alias.asname else parts[0]
+        elif isinstance(node, ast.ImportFrom):
+            origin = (node.module or "").split(".")[-1]
+            for alias in node.names:
+                if origin in modules:
+                    names[alias.asname or alias.name] = f"{origin}.{alias.name}"
+                elif alias.name in modules:
+                    mods[alias.asname or alias.name] = alias.name
     refs = []
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
-            refs.append((node.id, node.lineno))
-        elif isinstance(node, ast.Attribute):
-            refs.append((node.attr, node.lineno))
-        elif isinstance(node, ast.alias):
-            refs += [(part, node.lineno) for part in node.name.split(".")]
+
+    def visit(node, local: set[str], cls: str | None):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load) \
+                    and child.id not in local:
+                refs.append((names.get(child.id, f"{module}.{child.id}"), child.lineno))
+            elif isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Load):
+                owner = child.value.id if isinstance(child.value, ast.Name) else None
+                if owner == "self" and cls:
+                    refs.append((f"{module}.{cls}.{child.attr}", child.lineno))
+                elif owner in mods and owner not in local:
+                    refs.append((f"{mods[owner]}.{child.attr}", child.lineno))
+                else:
+                    refs.append((f".{child.attr}", child.lineno))
+            if isinstance(child, (ast.FunctionDef, ast.Lambda)):
+                visit(child, local | local_names(child), cls)
+            else:
+                visit(child, local, child.name if isinstance(child, ast.ClassDef) else cls)
+
+    visit(tree, set(), None)
     return refs
+
+
+def definitions(source: str, module: str):
+    """(key, name, node) of each top-level def, class and constant but
+    `__all__`, and of each method and property but the dunders, whose name
+    is `Class.method`."""
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield f"{module}.{node.name}", node.name, node
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield f"{module}.{node.name}.{item.name}", f"{node.name}.{item.name}", item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for n in (n for t in targets for n in ast.walk(t)):
+                if isinstance(n, ast.Name) and n.id != "__all__":
+                    yield f"{module}.{n.id}", n.id, node
 
 
 def dead_definitions(sources: dict[str, str], checked: list[str],
                      texts: list[str] = (), tests: list[str] = (),
                      exempt: dict[str, str] = ()) -> list[str]:
-    """Top-level defs and classes of the `checked` sources that no source
-    outside `tests` references outside the definition itself and no text
-    names, except the `exempt` ones (keyed `module.name`); and each exempt
-    entry that has such a reference or names no definition, as stale.
-
-    The match is by name, not by binding: an identifier or attribute spelled
-    like a definition counts as a use of it.  So `cli`'s `args.depth` keeps
-    `formulas.depth` alive, though only tests call that function.
-    """
+    """The `definitions` of the `checked` sources that no source outside
+    `tests` uses (see `references`) outside the definition itself and no
+    entry point (`"module:name"`) in the texts names, except the `exempt`
+    ones (keyed `module.name`); and each exempt entry that has such a use
+    or names no definition, as stale."""
+    modules = {Path(path).stem for path in checked}
     used: dict[str, list[tuple[str, int]]] = {}
     for path, source in sources.items():
         if path not in tests:
-            for name, line in references(source):
-                used.setdefault(name, []).append((path, line))
-    words = set(re.findall(r"\w+", "\n".join(texts)))
+            for key, line in references(source, Path(path).stem, modules):
+                used.setdefault(key, []).append((path, line))
+    points = {f"{m.split('.')[-1]}.{name}"
+              for m, name in re.findall(r"[\"']([\w.]+):(\w+)[\"']", "\n".join(texts))}
     found, seen = [], set()
     for path in checked:
-        for node in ast.parse(sources[path]).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            key = f"{Path(path).stem}.{node.name}"
+        for key, name, node in definitions(sources[path], Path(path).stem):
             seen.add(key)
+            uses = used.get(key, [])
+            if "." in name:
+                uses = uses + used.get("." + name.split(".")[1], [])
             inside = range(node.lineno, node.end_lineno + 1)
-            alive = node.name in words or any(
-                p != path or line not in inside for p, line in used.get(node.name, ()))
+            alive = key in points or any(p != path or line not in inside for p, line in uses)
             if key in exempt and alive:
-                found.append(f"{path}:{node.lineno}: {node.name} is exempt but has a caller")
+                found.append(f"{path}:{node.lineno}: {name} is exempt but has a caller")
             elif key not in exempt and not alive:
-                found.append(f"{path}:{node.lineno}: {node.name}")
+                found.append(f"{path}:{node.lineno}: {name}")
     return found + [f"{key} is exempt but not defined" for key in exempt if key not in seen]
 
 
@@ -212,6 +278,21 @@ def test_dead_definitions_are_found(tmp_path):
         (tmp_path / path).parent.mkdir(parents=True, exist_ok=True)
         (tmp_path / path).write_text(text)
     assert dead_in(tmp_path, {}) == ["src/forge/m.py:1: used", "src/forge/m.py:9: Named"]
+    # a use goes through a binding, not a spelling: an attribute of an object
+    # reaches a method but no module-level name, an attribute of a module
+    # (forge's or foreign) no method, and `self.name` only its own class's
+    # method; a constant is checked like a def, and a local name shadows it
+    bound = {"m.py": "LIMIT = 3\nSHOWN = 4\n\n\ndef dead(LIMIT):\n    return LIMIT\n\n\n"
+                     "class Box:\n    def copy(self):\n        return self.copy()\n\n"
+                     "    def size(self):\n        return SHOWN\n\n"
+                     "    def grow(self):\n        pass\n\n\n"
+                     "class Other:\n    def grow(self):\n        return self.size()\n",
+             "c.py": "import shutil\n\nfrom m import Box, Other, dead\n\n\n"
+                     "def main(args):\n    shutil.copy('a', 'b')\n    Other().grow()\n"
+                     "    return args.dead, Box\n",
+             "t.py": "import m\nm.LIMIT\nm.Box().copy()\nm.Box().size()\n"}
+    assert dead_definitions(bound, ["m.py"], tests=["t.py"]) == \
+        ["m.py:1: LIMIT", "m.py:5: dead", "m.py:10: Box.copy", "m.py:13: Box.size"]
 
 
 # Library definitions that only tests call, each kept for the reason given.

@@ -98,33 +98,9 @@ def test_cut_requires_matching_contexts():
     assert not check_frege(Proof(pi.lines[:-1] + (oob,)), target)
 
 
-def test_corpus_all_valid_and_sound():
-    corpus = corpus_proofs()
-    assert len(corpus) == 10
-    for name, pi in corpus:
-        target = proof_target(pi)
-        assert target is not None, name
-        assert check_frege(pi, target), name
-        assert taut_check(target), name
-    report = soundness_sweep("frege", 12, [pi for _, pi in corpus])
-    assert report["accepted"] == 10
-    assert report["failures"] == []
-
-
 def test_corpus_text_roundtrip():
     for name, pi in corpus_proofs():
         assert parse_proof(proof_to_text(pi)) == pi, name
-
-
-def test_every_mutation_rejected():
-    for name, pi in corpus_proofs():
-        target = proof_target(pi)
-        for desc, mut in proof_mutations(pi):
-            try:
-                ok = check_frege(mut, target)
-            except MalformedProofError:
-                ok = False
-            assert not ok, f"{name}: {desc}"
 
 
 def test_depth_frege_examples():
@@ -183,11 +159,14 @@ def test_depth_frege_sweep():
             system_depth(bad)
 
 
-def test_sequent_formula_reading():
-    q = PVar("z", 1)
-    s = Sequent((P,), (q,))
-    assert sequent_formula(s) == POr((PNot(P), q))
-    assert sequent_formula(Sequent((), (q,))) == q
+def test_every_corpus_line_is_a_tautological_sequent():
+    # the rules are sound line by line, not only at the endsequent
+    corpus = corpus_proofs()
+    lines = [(name, i, ln) for name, pi in corpus for i, ln in enumerate(pi.lines, 1)]
+    assert len(lines) > len(corpus)
+    for name, i, ln in lines:
+        assert taut_check(sequent_formula(ln.sequent)), (name, i)
+    assert not taut_check(sequent_formula(Sequent((P,), (PVar("z", 1),))))
 
 
 def test_parse_errors():

@@ -2,11 +2,11 @@
 
 import pytest
 from hypothesis import given, strategies as st
-from oracles import walk_formula
+from oracles import holds_for_all, walk_formula
 
 from forge.errors import (BudgetError, ClassError, ParseError, SliceExceededError,
                           UnboundVariableError)
-from forge.evaluate import Assignment, FiniteSlice, eval_formula
+from forge.evaluate import Assignment, FiniteSlice
 from forge.formulas import (TRUE, AlN, And, EqNum, EqStr, ExN, ExS, Imp, Len, Leq,
                             Memb, Not, NVar, One, Or, Zero, const_term, lt)
 from forge.prop import (PAnd, PConst, PNot, POr, PVar, SizeProfile, eval_prop,
@@ -15,20 +15,6 @@ from forge.prop import (PAnd, PConst, PNot, POr, PVar, SizeProfile, eval_prop,
 from forge.sexpr import parse_formula, read_one
 
 X, Z = "X", NVar("z")
-
-
-def exact_len_strings(n: int) -> list[str]:
-    """All bit strings whose set-length is exactly n."""
-    if n == 0:
-        return [""]
-    return [format(m, f"0{n - 1}b")[::-1] + "1" if n > 1 else "1"
-            for m in range(1 << (n - 1))]
-
-
-def holds_for_all(phi, n: int) -> bool:
-    s = FiniteSlice(max(n, 4) + 2, max(n, 1))
-    return all(eval_formula(phi, s, Assignment(strs={"X": x}))
-               for x in exact_len_strings(n))
 
 
 def for_len(n: int) -> SizeProfile:
