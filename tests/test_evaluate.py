@@ -780,20 +780,25 @@ def test_compile_acceptance_at_m1024_in_one_frame_per_level():
     assert len(ran) == 1
 
 
-def test_no_compile_outlives_eval_formula():
+def test_eval_formula_keeps_only_its_last_compile():
     f = F.land([F.Leq(X, F.const_term(k)) for k in range(50)]
                + [F.ExS("Y", F.One(), F.Not(F.Memb(F.Zero(), "Y")))])
+    g = F.Leq(X, F.One())
 
     def compilers():
         return [o for o in gc.get_objects() if type(o) is evaluate._Compiler]
 
     gc.collect()
-    kept = compilers()  # those of compile_formula results still in use
+    kept = compilers()  # those of compile_formula results still in use, and the kept one
     gc.disable()
     try:
-        # without the cycle collector only reference counts free the compile
+        # without the cycle collector only reference counts free a compile
         assert eval_formula(f, S8, Assignment(nums={"x": 0}))
-        assert compilers() == kept
+        assert eval_formula(g, S8, Assignment(nums={"x": 0}))
+        alive = compilers()
+        assert not [c for c in alive if id(f) in c.formulas]
+        new = [c for c in alive if c not in kept]
+        assert len(new) == 1 and id(g) in new[0].formulas
     finally:
         gc.enable()
 
@@ -817,6 +822,104 @@ def test_evaluation_compiles_only_what_it_reaches(monkeypatch):
     # x = 1: the chain stops at its first part, and the sweep at y = 0
     assert eval_formula(f, S8, Assignment(nums={"x": 1}))
     assert compiled == [f, chain, low, some, some.body]
+
+
+def test_a_kept_compile_compiles_only_what_no_earlier_call_reached(monkeypatch):
+    compiled = record_compiles(monkeypatch)
+    y = F.NVar("y")
+    below, above = F.Leq(y, X), F.Leq(X, y)
+    f = F.AlN("y", F.const_term(3), F.Or(below, above))
+    assert eval_formula(f, S8, Assignment(nums={"x": 5}))
+    assert compiled == [f, f.body, below]
+    assert eval_formula(f, FiniteSlice(3, 0), Assignment(nums={"x": 5}))
+    assert len(compiled) == 3  # the same formula at another slice compiles nothing
+    assert eval_formula(f, S8, Assignment(nums={"x": 0}))
+    assert compiled[3:] == [above]
+    assert eval_formula(f, S8, Assignment(nums={"x": 0}))
+    assert len(compiled) == 4
+
+
+def test_a_call_from_a_role_callback_compiles_its_own_copy():
+    """A role callback evaluates the same formula at another slice and with
+    other roles.  Sharing the outer run's compile would hand the outer run
+    the inner run's memoized verdicts, whose keys hold neither slice nor
+    roles, and y = 1 would read the inner True."""
+    y, c = F.NVar("y"), F.NVar("c")
+    f = F.AlN("y", F.One(), F.ExN("c", F.const_term(3), F.EqNum(c, y)))
+    inner_slice, inner_roles = FiniteSlice(3, 0), {"c": lambda e: e.nums["y"]}
+    inner = []
+
+    def witness(e: Assignment) -> int:
+        inner.append(eval_formula(f, inner_slice, Assignment(), inner_roles))
+        return 2 * e.nums["y"]  # right at y = 0 only
+
+    want = compile_formula(f)(S8, Assignment(), {"c": lambda e: 2 * e.nums["y"]})
+    want_inner = compile_formula(f)(inner_slice, Assignment(), inner_roles)
+    for _ in range(2):  # the second outer call runs the kept compile
+        inner.clear()
+        assert eval_formula(f, S8, Assignment(), {"c": witness}) is want is False
+        assert inner == [want_inner] * 2 == [True, True]
+
+
+BODY = F.Leq(X, F.const_term(5))
+
+
+@pytest.mark.parametrize("f", [F.Not(BODY), F.Imp(F.TRUE, BODY), F.And(F.TRUE, BODY),
+                               F.AlN("y", F.One(), BODY), F.ExS("Y", F.One(), BODY)])
+def test_a_compile_that_raises_is_retried_at_the_next_call(monkeypatch, f):
+    """A child compile that raises (a RecursionError, say) leaves the kept
+    compile able to run: the next call compiles that child again."""
+    formula = evaluate._Compiler.formula
+    failed = []
+
+    def flaky(self, g):
+        if g is BODY and not failed:
+            failed.append(g)
+            raise RecursionError
+        return formula(self, g)
+
+    monkeypatch.setattr(evaluate._Compiler, "formula", flaky)
+    env = Assignment(nums={"x": 3})
+    with pytest.raises(RecursionError):
+        eval_formula(f, S8, env)
+    assert evaluate._last[0] is f
+    assert eval_formula(f, S8, env) == walk_formula(f, S8, env)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_a_kept_formula_agrees_with_the_walker_at_every_call(seed, depth, env_seed):
+    g = random.Random(seed)
+    f = gen_formula(g, depth, [0], ["x", "y"], ["X", "Y"], consts=True)
+    if seed % 2:
+        f = poison(g, f)
+    rng = random.Random(env_seed)
+    for _ in range(3):
+        for s in DIFF_SLICES:
+            for env in diff_envs(rng):
+                assert said(lambda: eval_formula(f, s, env)) \
+                    == said(lambda: walk_formula(f, s, env)), (f, s, env)
+                assert evaluate._last[0] is f
+
+
+def test_equal_sums_and_products_share_one_closure():
+    compiler = evaluate._Compiler()
+    y = F.NVar("y")
+    make = [lambda: F.Plus(F.Times(X, y), F.One()), lambda: F.Times(F.Plus(X, y), X),
+            lambda: F.Plus(F.Times(F.const_term(3), X), F.Plus(y, F.One()))]
+    for build in make:
+        a, b = build(), build()
+        assert a == b and a is not b
+        assert callable(compiler.term(a)) and compiler.term(a) is compiler.term(b)
+    # an ill-sorted name compiles to a fresh error closure, which no sum shares
+    bad = [F.Plus(F.NVar("Z"), X), F.Plus(F.NVar("Z"), X)]
+    assert compiler.term(bad[0]) is not compiler.term(bad[1])
+    assert compiler.term(F.NVar("Z")) is not compiler.term(F.NVar("Z"))
+    env = Assignment(nums={"x": 2, "y": 3})
+    pair = F.EqNum(make[0](), make[0]())
+    assert agree(pair, S8, env) is True
+    assert said(lambda: eval_formula(F.Leq(bad[0], bad[1]), S8, env)) \
+        == (SortMismatchError, "Z is not a number variable")
 
 
 def test_every_node_kind_reaches_the_compiler(monkeypatch):

@@ -129,19 +129,22 @@ def test_only_the_evaluator_entry_points_catch_unbound_names():
 
 def local_names(fn: ast.FunctionDef | ast.Lambda) -> set[str]:
     """The names a function binds in its own scope: its parameters and each
-    name it assigns or defines."""
+    name it assigns or defines, but those it declares global."""
     a = fn.args
     names = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs + [a.vararg, a.kwarg] if p}
     stack = list(fn.body) if isinstance(fn.body, list) else [fn.body]
+    shared = set()
     while stack:
         node = stack.pop()
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
             names.add(node.id)
+        elif isinstance(node, ast.Global):
+            shared.update(node.names)
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)  # its body is a scope of its own
         elif not isinstance(node, ast.Lambda):
             stack.extend(ast.iter_child_nodes(node))
-    return names
+    return names - shared
 
 
 def references(source: str, module: str, modules: set[str]) -> list[tuple[str, int]]:
@@ -293,6 +296,12 @@ def test_dead_definitions_are_found(tmp_path):
              "t.py": "import m\nm.LIMIT\nm.Box().copy()\nm.Box().size()\n"}
     assert dead_definitions(bound, ["m.py"], tests=["t.py"]) == \
         ["m.py:1: LIMIT", "m.py:5: dead", "m.py:10: Box.copy", "m.py:13: Box.size"]
+    # a constant a function rebinds under `global` and reads is alive; without
+    # the declaration the function's name is its own
+    shared = "COUNT = 0\n\n\ndef bump():\n    global COUNT\n    COUNT += 1\n    return COUNT\n"
+    for source, dead in [(shared, []), (shared.replace("    global COUNT\n", ""), ["m.py:1: COUNT"])]:
+        assert dead_definitions({"m.py": source, "c.py": "from m import bump\nbump()\n"},
+                                ["m.py"]) == dead
 
 
 # Library definitions that only tests call, each kept for the reason given.

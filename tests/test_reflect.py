@@ -287,10 +287,14 @@ def _sat_holds(p, zmask: int) -> bool:
 
 @pytest.mark.parametrize("p", SAMPLE_FORMULAS)
 def test_sat_matches_prop_semantics(p):
+    # _sat_holds for every zmask, with the formula and slice built once
+    enc = encode_formula(p)
+    sat = compile_sat((len(enc) - 3) // 6)
+    sl = FiniteSlice(max(8, len(enc)), 8)
     for zmask in range(256):
         zs = mask_to_bits(zmask)
         want = eval_prop(p, {("z", v): bit_at(zs, v) for v in range(8)})
-        assert _sat_holds(p, zmask) == want, (p, zs)
+        assert eval_formula(sat, sl, Assignment(strs={"Z": zs, "X": enc})) == want, (p, zs)
 
 
 @given(_encodable(), st.integers(0, 255))
