@@ -34,12 +34,11 @@ in nepo a field of a number-coded grid.
 String lengths follow set semantics everywhere: the input length seen by
 the compiled formula is one past the highest 1 bit of X.
 
-check_witness and check_reach_witness evaluate their matrix through
-evaluate.compile_formula, compiled at the first check of a machine and
-polynomial and kept in a small bounded memo keyed by the machine's content
-(TMDescription holds a dict, so it is not hashable itself).  A handful of
-matrices serve every check of a sweep, so each compiles once rather than
-at every check.
+check_witness and check_reach_witness evaluate their matrix with
+evaluate.eval_formula, which keeps its compile, and build it once per
+matrix kind, machine and polynomial, in a small bounded memo keyed by the
+machine's content (TMDescription holds a dict, so it is not hashable
+itself).  So each matrix compiles once rather than at every check.
 """
 
 from __future__ import annotations
@@ -49,7 +48,7 @@ from typing import Callable
 
 from .codec import set_length, trim
 from .errors import LayoutError
-from .evaluate import Assignment, Compiled, FiniteSlice, compile_formula
+from .evaluate import Assignment, FiniteSlice, eval_formula
 from .formulas import (TRUE, AlN, And, EqNum, ExN, ExS, Formula, Imp, Len,
                        Memb, Not, NumTerm, NVar, One, Or, Plus, Times, Zero,
                        const_term, forall_lt, iff, land, lt)
@@ -251,15 +250,11 @@ def _eval_slice(total_bits: int, step_bound: int) -> FiniteSlice:
 
 
 @lru_cache(maxsize=32)
-def _compiled(matrix: Callable[[TMDescription, PolyBound], Formula], k: int,
-              rules: tuple, p: PolyBound) -> Compiled:
-    return compile_formula(matrix(TMDescription(k, dict(rules)), p))
-
-
-def _compiled_matrix(matrix: Callable[[TMDescription, PolyBound], Formula],
-                     tm: TMDescription, p: PolyBound) -> Compiled:
-    """matrix(tm, p) compiled once per matrix kind, machine content and p."""
-    return _compiled(matrix, tm.k, tuple(sorted(tm.delta.items())), p)
+def _matrix(matrix: Callable[[TMDescription, PolyBound], Formula], k: int,
+            rules: tuple, p: PolyBound) -> Formula:
+    """matrix(TMDescription(k, dict(rules)), p), built once per matrix kind,
+    machine and p, so that eval_formula's kept compile serves every check."""
+    return matrix(TMDescription(k, dict(rules)), p)
 
 
 def check_witness(tm: TMDescription, p: PolyBound, x: str, w: str) -> bool:
@@ -270,7 +265,8 @@ def check_witness(tm: TMDescription, p: PolyBound, x: str, w: str) -> bool:
             f"witness has {len(w)} bits, layout needs {layout.total_bits}")
     env = Assignment(strs={"X": x, "W": w})
     s = _eval_slice(layout.total_bits, layout.steps)
-    return _compiled_matrix(acc_matrix, tm, p)(s, env)
+    f = _matrix(acc_matrix, tm.k, tuple(sorted(tm.delta.items())), p)
+    return eval_formula(f, s, env)
 
 
 def eval_acc(tm: TMDescription, p: PolyBound, x: str) -> bool:
@@ -343,7 +339,8 @@ def check_reach_witness(tm: TMDescription, p: PolyBound, y: str, z: str,
     if len(w) < total:
         raise LayoutError(f"witness has {len(w)} bits, layout needs {total}")
     env = Assignment(strs={"Y": y, "Z": z, "W": w})
-    return _compiled_matrix(reach_matrix, tm, p)(_eval_slice(total, steps), env)
+    f = _matrix(reach_matrix, tm.k, tuple(sorted(tm.delta.items())), p)
+    return eval_formula(f, _eval_slice(total, steps), env)
 
 
 def eval_reach(tm: TMDescription, p: PolyBound, y: str, z: str) -> bool:

@@ -21,26 +21,25 @@ node of unknown type) compiles to a closure that raises when it is reached,
 so an error shows where, and only where, evaluation reaches it.  A read of
 a name the assignment does not bind raises KeyError there, and the two entry
 points turn it into UnboundVariableError: the function compile_formula
-returns (behind eval_formula, nepo artifacts and acc's witness checks) and
-term_reader's read.  A KeyError a role callback raises comes out the same
-way.  A subformula or term shared by several parents compiles once per
-compile.
+returns (behind eval_formula) and term_reader's read.  A KeyError a role
+callback raises comes out the same way.  A subformula or term shared by
+several parents compiles once per compile.
 
-eval_formula keeps the compile of the last formula it evaluated, in one
-slot for the whole process, matched by identity, so a caller that evaluates
-one formula many times (reflect's proof check, a sweep over assignments)
-compiles it once; a call on another formula drops it.  compile_formula keeps its compile for callers that
-evaluate several formulas in turn: nepo artifacts, and acc's witness checks
-in a bounded memo per matrix kind, machine and polynomial.  Either way each
-run compiles only what no earlier run reached.  term_reader reads terms the
-same way for prop.translate.
+eval_formula is the one place compiles are kept: those of the last _KEPT
+formulas it evaluated, for the whole process, matched by identity, the
+least recently used dropped first.  So a caller that evaluates one formula
+many times (reflect's proof check) or a few in turn (nepo artifacts, acc's
+witness checks) compiles each once, and each run compiles only what no
+earlier run reached.  A call takes its compile out of the table while it
+runs, so a nested call on the same formula (from a role callback) compiles
+its own copy.  term_reader reads terms the same way for prop.translate.
 
 The compile memos are keyed by node identity.  That is sound because a
 closure keeps every node it may still compile alive: the memo's keys name
 nodes that were alive, beside every node still to compile, when the compile
 began, so no node still to compile can share an id with a key.
 term_reader, whose callers pass terms one at a time, holds every term it
-has read for the same reason, and eval_formula holds the formula it keeps
+has read for the same reason, and eval_formula holds each formula it keeps
 the compile of, so no later formula can take its id.  Sums and products are
 memoized by structure as well (see "compiled terms" below).
 
@@ -97,7 +96,8 @@ Roles = dict[str, Callable[[Assignment], int]]
 Compiled = Callable[[FiniteSlice, Assignment | None, Roles | None], bool]
 
 
-_last: tuple[Formula, Compiled] | None = None  # eval_formula's kept compile
+_KEPT = 32  # compiles eval_formula keeps
+_kept: dict[int, tuple[Formula, Compiled]] = {}  # id(f) -> (f, run), least recently used first
 
 
 def eval_formula(f: Formula, s: FiniteSlice, env: Assignment | None = None,
@@ -106,20 +106,19 @@ def eval_formula(f: Formula, s: FiniteSlice, env: Assignment | None = None,
 
     roles settles the listed ExN binders by callback instead of a sweep; see
     the module docstring for when that is sound.  f compiles as far as this
-    evaluation reaches, and the compile is kept until a call on another
-    formula returns: the next call on f, at any slice, assignment or roles,
-    runs it again and compiles only what no earlier run reached.  A call
-    made while another runs f (from a role callback) compiles f anew.
+    evaluation reaches, and the compile is kept while f is among the _KEPT
+    formulas last evaluated: the next call on f, at any slice, assignment or
+    roles, runs it again and compiles only what no earlier run reached.  A
+    call made while another runs f (from a role callback) compiles f anew.
     """
-    global _last
-    run = _last[1] if _last is not None and _last[0] is f else None
-    _last = None  # no nested call shares this run's tables; an old compile goes now
-    if run is None:
-        run = compile_formula(f)
+    kept = _kept.pop(id(f), None)  # no nested call shares this run's tables
+    run = compile_formula(f) if kept is None else kept[1]
     try:
         return run(s, env, roles)
     finally:
-        _last = f, run
+        _kept[id(f)] = f, run
+        if len(_kept) > _KEPT:
+            del _kept[next(iter(_kept))]
 
 
 def compile_formula(f: Formula) -> Compiled:

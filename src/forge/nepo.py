@@ -15,7 +15,7 @@ Honest evaluation of the emitted formulas would sweep astronomically large
 number quantifiers (a grid code has hundreds of bits), so each artifact also
 carries certificate roles: selected existential variables get callbacks that
 compute the unique admissible value from the machine simulator, and the
-artifact's formula, compiled once by evaluate.compile_formula, sweeps only the
+artifact's formula, whose compile evaluate.eval_formula keeps, sweeps only the
 small quantifiers (see the soundness note in the evaluate module docstring).
 The grid callbacks of one artifact share a memo of certificate codes: a
 grid's code depends only on its stride (machine steps per row) and its start
@@ -39,7 +39,7 @@ from .acc import Tableau, holds
 from .codec import (encode_bits, encode_seq, seq_code_bound, seq_fields,
                     set_length, trim)
 from .errors import BudgetError, LayoutError
-from .evaluate import Assignment, Compiled, FiniteSlice, Roles, compile_formula
+from .evaluate import Assignment, FiniteSlice, Roles, eval_formula
 from .formulas import (AlN, And, EqNum, ExN, Formula, Imp, Len, Leq, Memb, Not,
                        NumTerm, NVar, One, Or, Plus, SeqAt, SeqLen, Times,
                        const_term, formula_size, iff, land)
@@ -178,17 +178,13 @@ class NepoArtifact:
     slice: FiniteSlice
     _certificates: dict[tuple[int, Configuration], int] = field(
         default_factory=dict, init=False, repr=False)
-    _compiled: Compiled | None = field(default=None, init=False, repr=False)
 
     def evaluate(self, env: Assignment, roles_override: Roles | None = None,
                  s: FiniteSlice | None = None) -> bool:
-        """eval_formula of the formula with these roles, through the formula
-        compiled at the first call and kept for the artifact's lifetime."""
-        if self._compiled is None:
-            object.__setattr__(self, "_compiled", compile_formula(self.formula))
+        """eval_formula of the formula, at s or the slice, with these roles."""
         self._certificates.clear()
         roles = self.roles if roles_override is None else {**self.roles, **roles_override}
-        return self._compiled(s or self.slice, env, roles)
+        return eval_formula(self.formula, s or self.slice, env, roles)
 
 
 class _Emitter:

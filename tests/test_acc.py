@@ -6,7 +6,7 @@ import pytest
 from oracles import (BIT_TM, LEFT3, all_strings, field_pos, moves_left, walk_formula,
                      walk_term)
 
-from forge import acc, nepo
+from forge import acc, evaluate, nepo
 from forge.codec import encode_seq, mask_to_bits, set_length
 from forge.errors import LayoutError
 from forge.evaluate import Assignment, FiniteSlice, compile_formula, eval_formula
@@ -158,8 +158,8 @@ def test_witness_matrix_compiles_once_per_machine_and_poly(monkeypatch):
         compiles.append(f)
         return compile_formula(f)
 
-    monkeypatch.setattr(acc, "compile_formula", counting)
-    acc._compiled.cache_clear()
+    monkeypatch.setattr(evaluate, "compile_formula", counting)
+    acc._matrix.cache_clear()
     tm = corpus_machine("scan1")
     for x in all_strings(4):
         assert acc.eval_acc(tm, P, x) == accepts(tm, x, P), x
@@ -183,8 +183,8 @@ def test_a_machine_one_rule_apart_gets_its_own_matrix(monkeypatch):
         compiles.append(f)
         return compile_formula(f)
 
-    monkeypatch.setattr(acc, "compile_formula", counting)
-    acc._compiled.cache_clear()
+    monkeypatch.setattr(evaluate, "compile_formula", counting)
+    acc._matrix.cache_clear()
     scan1 = corpus_machine("scan1")
     # scan1 with (1, 1) left in state 1: it never reaches the accepting state
     stuck = parse_tm("states 2\n1 0 -> 1 0 2\n1 1 -> 1 1 0\n2 0 -> 2 0 0\n2 1 -> 2 1 0\n")

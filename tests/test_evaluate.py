@@ -780,25 +780,26 @@ def test_compile_acceptance_at_m1024_in_one_frame_per_level():
     assert len(ran) == 1
 
 
-def test_eval_formula_keeps_only_its_last_compile():
-    f = F.land([F.Leq(X, F.const_term(k)) for k in range(50)]
-               + [F.ExS("Y", F.One(), F.Not(F.Memb(F.Zero(), "Y")))])
-    g = F.Leq(X, F.One())
+def test_eval_formula_keeps_only_its_last_32_compiles():
+    first = F.land([F.Leq(X, F.const_term(k)) for k in range(50)]
+                   + [F.ExS("Y", F.One(), F.Not(F.Memb(F.Zero(), "Y")))])
+    fs = [first] + [F.Leq(X, F.const_term(k)) for k in range(32)]
 
     def compilers():
         return [o for o in gc.get_objects() if type(o) is evaluate._Compiler]
 
     gc.collect()
-    kept = compilers()  # those of compile_formula results still in use, and the kept one
+    kept = compilers()  # those of compile_formula results still in use, and the kept ones
     gc.disable()
     try:
         # without the cycle collector only reference counts free a compile
-        assert eval_formula(f, S8, Assignment(nums={"x": 0}))
-        assert eval_formula(g, S8, Assignment(nums={"x": 0}))
+        for f in fs:
+            assert eval_formula(f, S8, Assignment(nums={"x": 0}))
         alive = compilers()
-        assert not [c for c in alive if id(f) in c.formulas]
+        assert not [c for c in alive if id(first) in c.formulas]
         new = [c for c in alive if c not in kept]
-        assert len(new) == 1 and id(g) in new[0].formulas
+        assert len(new) == 32
+        assert [sum(id(f) in c.formulas for c in new) for f in fs[1:]] == [1] * 32
     finally:
         gc.enable()
 
@@ -882,7 +883,7 @@ def test_a_compile_that_raises_is_retried_at_the_next_call(monkeypatch, f):
     env = Assignment(nums={"x": 3})
     with pytest.raises(RecursionError):
         eval_formula(f, S8, env)
-    assert evaluate._last[0] is f
+    assert next(reversed(evaluate._kept.values()))[0] is f
     assert eval_formula(f, S8, env) == walk_formula(f, S8, env)
 
 
@@ -899,7 +900,7 @@ def test_a_kept_formula_agrees_with_the_walker_at_every_call(seed, depth, env_se
             for env in diff_envs(rng):
                 assert said(lambda: eval_formula(f, s, env)) \
                     == said(lambda: walk_formula(f, s, env)), (f, s, env)
-                assert evaluate._last[0] is f
+                assert next(reversed(evaluate._kept.values()))[0] is f
 
 
 def test_equal_sums_and_products_share_one_closure():

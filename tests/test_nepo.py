@@ -17,12 +17,12 @@ from oracles import (BIT_TM, LEFT3, all_strings, cell_code, collect_quantifier_b
                      read_outcome, role_free_names, seq_get_total, walk_formula,
                      walk_term)
 
-from forge import acc, nepo
+from forge import acc, evaluate, nepo
 from forge.codec import encode_seq
 from forge.errors import BudgetError, ParseError, UnboundVariableError
-from forge.evaluate import Assignment, compile_formula, eval_formula
-from forge.formulas import (EqStr, ExN, SeqAt, classify, const_term, formula_size,
-                            free_vars)
+from forge.evaluate import Assignment, FiniteSlice, compile_formula, eval_formula
+from forge.formulas import (AlN, EqNum, EqStr, ExN, NVar, One, SeqAt, classify, const_term,
+                            formula_size, free_vars)
 from forge.machine import (CORPUS, PolyBound, accepts, corpus_machine,
                            initial_configuration, parse_tm, run, run_from)
 from forge.sexpr import parse_formula, print_formula
@@ -157,22 +157,49 @@ def test_certified_matches_honest_eval_level0():
 
 
 def test_artifact_compiles_once_at_first_evaluate(monkeypatch):
+    """Three artifacts evaluated in turn, with eval_formula calls on other
+    formulas between them (the alternation of the certify and witness
+    benchmarks), compile once each, at their first evaluate."""
     compiles = []
 
     def counting(f):
         compiles.append(f)
         return compile_formula(f)
 
-    monkeypatch.setattr(nepo, "compile_formula", counting)
-    art = nepo.reach_artifact(TOGGLE, MICRO, 1)
+    monkeypatch.setattr(evaluate, "compile_formula", counting)
+    levels = (1, 0, 1)
+    arts = [nepo.reach_artifact(TOGGLE, MICRO, level) for level in levels]
     assert compiles == []
     i_str = config_str(TOGGLE, MICRO_STARTS[0])
-    good, bad_bit, _ = cells_for(TOGGLE, MICRO_STARTS[0], 2 * MICRO.span, 1)
-    assert [eval_reach_level(art, i_str, 2, 1, c) for c in (good, bad_bit)] \
-        == [True, False]
-    env = Assignment(nums={"p1": 2, "p2": 1, "cell": good}, strs={"I": i_str})
-    assert art.evaluate(env, roles_override={}, s=art.slice)
-    assert compiles == [art.formula]
+    for _ in range(3):
+        for art, level in zip(arts, levels):
+            good, bad_bit, _ = cells_for(TOGGLE, MICRO_STARTS[0], 2 * MICRO.span ** level, 1)
+            assert [eval_reach_level(art, i_str, 2, 1, c) for c in (good, bad_bit)] \
+                == [True, False]
+            env = Assignment(nums={"p1": 2, "p2": 1, "cell": good}, strs={"I": i_str})
+            assert art.evaluate(env, roles_override={}, s=art.slice)
+            assert eval_formula(EqStr("I", "I"), art.slice, env)
+    assert [sum(f is art.formula for f in compiles) for art in arts] == [1, 1, 1]
+    assert len(compiles) == 3 + 9  # and one per formula between them
+
+
+def test_a_role_callback_that_evaluates_the_same_artifact_gets_the_honest_verdict():
+    """The callback evaluates the artifact again, with other roles.  Sharing
+    the outer evaluation's compile would hand it the inner run's memoized
+    verdicts, whose keys hold no roles, and y = 1 would read the inner False."""
+    f = AlN("y", One(), ExN("a", const_term(3), EqNum(NVar("a"), NVar("y"))))
+    art = nepo.NepoArtifact(f, {"a": lambda e: e.nums["y"]}, FiniteSlice(8, 0))
+    inner = []
+
+    def witness(e: Assignment) -> int:
+        inner.append(art.evaluate(Assignment(), {"a": lambda _: 0}))
+        return e.nums["y"]
+
+    want = walk_formula(f, art.slice, Assignment())
+    for _ in range(2):  # the second outer call runs the kept compile
+        inner.clear()
+        assert art.evaluate(Assignment(), {"a": witness}) is want is True
+        assert inner == [False, False]
 
 
 def test_comp_uniqueness_exhaustive():

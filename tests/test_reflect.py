@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +11,7 @@ from oracles import proof_mutations, soundness_sweep
 from forge.codec import bit_at, mask_to_bits
 from forge.errors import DecodeError, EncodeError
 from forge.evaluate import Assignment, FiniteSlice, eval_formula
-from forge.formulas import classify, free_vars
+from forge.formulas import Formula, classify, free_vars
 from forge.machine import PolyBound
 from forge.proofs import (RULES, Proof, ProofLine, Sequent, check_frege,
                           corpus_proofs, proof_target)
@@ -276,10 +277,16 @@ def test_wf_formula_accepts_corpus_targets():
 # --- the satisfaction formula ---
 
 
+@lru_cache(maxsize=None)
+def _sat(cap: int) -> Formula:
+    """compile_sat(cap), built once per cap, so that eval_formula's kept
+    compile of it serves every example with that cap."""
+    return compile_sat(cap)
+
+
 def _sat_holds(p, zmask: int) -> bool:
     enc = encode_formula(p)
-    cap = (len(enc) - 3) // 6
-    sat = compile_sat(cap)
+    sat = _sat((len(enc) - 3) // 6)
     sl = FiniteSlice(max(8, len(enc)), 8)
     zs = mask_to_bits(zmask)
     return eval_formula(sat, sl, Assignment(strs={"Z": zs, "X": enc}))
