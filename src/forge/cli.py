@@ -153,8 +153,7 @@ def _do_compile_acc(args: argparse.Namespace) -> _Report:
 def _do_compile_nepo(args: argparse.Namespace) -> _Report:
     eps = _parse_eps(args.eps)
     try:
-        b = NepoBounds(c=args.c, eps=eps, k=args.k,
-                       m=args.m, d=-1 if args.d is None else args.d)
+        b = NepoBounds(c=args.c, eps=eps, k=args.k, m=args.m, d=args.d)
     except ValueError as e:
         raise _UsageError(str(e)) from None
     tm = parse_tm(_read_text(args.tm))

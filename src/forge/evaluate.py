@@ -20,19 +20,21 @@ A node evaluation must reject (a name of the wrong sort or not a str, a
 node of unknown type) compiles to a closure that raises when it is reached,
 so an error shows where, and only where, evaluation reaches it.  A read of
 a name the assignment does not bind raises KeyError there, and the two entry
-points turn it into UnboundVariableError: the function compile_formula
-returns (behind eval_formula) and term_reader's read.  A KeyError a role
-callback raises comes out the same way.  A subformula or term shared by
-several parents compiles once per compile.
+points, eval_formula and term_reader's read, turn it into
+UnboundVariableError.  A KeyError a role callback raises comes out the same
+way.  A subformula or term shared by several parents compiles once per
+compile.
 
 eval_formula is the one place compiles are kept: those of the last _KEPT
 formulas it evaluated, for the whole process, matched by identity, the
 least recently used dropped first.  So a caller that evaluates one formula
 many times (reflect's proof check) or a few in turn (nepo artifacts, acc's
 witness checks) compiles each once, and each run compiles only what no
-earlier run reached.  A call takes its compile out of the table while it
-runs, so a nested call on the same formula (from a role callback) compiles
-its own copy.  term_reader reads terms the same way for prop.translate.
+earlier run reached.  A compile is one _Compiler, which carries the state
+of its current run.  A call takes its compile out of the table while it
+runs, so no compile has two runs at once: a nested call on the same formula
+(from a role callback) compiles its own copy.  term_reader reads terms the
+same way for prop.translate.
 
 The compile memos are keyed by node identity.  That is sound because a
 closure keeps every node it may still compile alive: the memo's keys name
@@ -93,11 +95,10 @@ class Assignment:
 
 
 Roles = dict[str, Callable[[Assignment], int]]
-Compiled = Callable[[FiniteSlice, Assignment | None, Roles | None], bool]
 
 
 _KEPT = 32  # compiles eval_formula keeps
-_kept: dict[int, tuple[Formula, Compiled]] = {}  # id(f) -> (f, run), least recently used first
+_kept: dict[int, tuple[Formula, _Compiler]] = {}  # id(f) -> (f, compile), least recently used first
 
 
 def eval_formula(f: Formula, s: FiniteSlice, env: Assignment | None = None,
@@ -111,38 +112,16 @@ def eval_formula(f: Formula, s: FiniteSlice, env: Assignment | None = None,
     roles, runs it again and compiles only what no earlier run reached.  A
     call made while another runs f (from a role callback) compiles f anew.
     """
-    kept = _kept.pop(id(f), None)  # no nested call shares this run's tables
-    run = compile_formula(f) if kept is None else kept[1]
+    kept = _kept.pop(id(f), None)  # no nested call shares this run's compile
+    compiler = _Compiler(f) if kept is None else kept[1]
     try:
-        return run(s, env, roles)
+        return compiler.run(s, env, roles)
+    except KeyError as e:
+        raise _unbound(e) from None
     finally:
-        _kept[id(f)] = f, run
+        _kept[id(f)] = f, compiler
         if len(_kept) > _KEPT:
             del _kept[next(iter(_kept))]
-
-
-def compile_formula(f: Formula) -> Compiled:
-    """f as a function (s, env=None, roles=None) -> bool equal to
-    eval_formula(f, s, env, roles).
-
-    Each node compiles the first time a run reaches it and stays compiled
-    for the life of the returned function.  Compiling a node takes one
-    Python frame (plus one per level of its terms), and a run takes one per
-    formula level, And and Or chains running as loops.
-    """
-    compiler = _Compiler()
-    root = compiler.formula(f)
-
-    def run(s: FiniteSlice, env: Assignment | None = None,
-            roles: Roles | None = None) -> bool:
-        compiler.codes.clear()
-        compiler.verdicts.clear()
-        try:
-            return root(_Run(env, s, roles, compiler))
-        except KeyError as e:
-            raise _unbound(e) from None
-
-    return run
 
 
 def term_reader() -> Callable[[NumTerm, Assignment], int]:
@@ -164,30 +143,14 @@ def term_reader() -> Callable[[NumTerm, Assignment], int]:
 
 # --- the compiler ---
 #
-# A compiled formula is a closure (run) -> bool over a _Run.  Variable reads
-# index the assignment's dicts directly and let the KeyError of an unbound
-# name propagate; only compile_formula's run and term_reader's read turn it
-# into UnboundVariableError.  Closures never hold the compiler: the _Run
-# carries it to the first run of a closure whose children still wait to
-# compile, so a compile and its closures form no cycle and go as soon as the
-# caller drops them.
-
-
-class _Run:
-    """What one call of a compiled formula reads besides its structure."""
-
-    __slots__ = ("nums", "strs", "env", "slice", "roles", "compiler")
-
-    def __init__(self, env: Assignment | None, s: FiniteSlice, roles: Roles | None,
-                 compiler: "_Compiler"):
-        if env is None:
-            env = Assignment()
-        self.nums = env.nums
-        self.strs = env.strs
-        self.env = env
-        self.slice = s
-        self.roles = roles
-        self.compiler = compiler
+# A compiled formula is a closure (r) -> bool, r the _Compiler that runs it,
+# which carries the run's assignment, slice and roles.  Variable reads index
+# the assignment's dicts directly and let the KeyError of an unbound name
+# propagate; only eval_formula and term_reader's read turn it into
+# UnboundVariableError.  Closures never hold the compiler: each run hands it
+# to the root, and through it to the first run of a closure whose children
+# still wait to compile, so a compile and its closures form no cycle and go
+# as soon as eval_formula's table drops them.
 
 
 def _error(kind: type[Exception], message: str):
@@ -228,7 +191,9 @@ def _false(_run):
 
 
 class _Compiler:
-    """Memos by node identity, for terms and for formulas (sound while the
+    """A compile of one formula, the root, and the state of its current run.
+
+    Memos by node identity, for terms and for formulas (sound while the
     closures keep alive every node they may still compile; see the module
     docstring), and for Plus and Times also by structure: keyed by the node's
     type and its compiled operands, so equal sums and products share one
@@ -236,19 +201,37 @@ class _Compiler:
 
     term compiles a whole term in one frame per level; formula compiles one
     node in one frame, its child formulas waiting for the node's first run.
-    Leaf terms compile to a constant or a name and skip the memo.  codes is
-    the table of decoded sequence codes that SeqAt reads through, and
-    verdicts the table of verdicts that role binders settle; a
-    compile_formula run starts both empty.
+    Leaf terms compile to a constant or a name and skip the memo.  A run
+    takes one frame per formula level, And and Or chains running as loops.
+    codes is the table of decoded sequence codes that SeqAt reads through,
+    and verdicts the table of verdicts that role binders settle; each run
+    starts both empty.  run puts what the closures read besides the
+    formula's structure (the assignment, its dicts, the slice and the roles)
+    on the compiler, and drops it when the run ends, so a kept compile holds
+    nothing of its last call.
     """
 
-    __slots__ = ("terms", "formulas", "codes", "verdicts")
+    __slots__ = ("terms", "formulas", "codes", "verdicts", "root",
+                 "nums", "strs", "env", "slice", "roles")
 
-    def __init__(self):
+    def __init__(self, f: Formula | None = None):
         self.terms: dict[int | tuple, object] = {}
-        self.formulas: dict[int, Callable[[_Run], bool]] = {}
+        self.formulas: dict[int, Callable[[_Compiler], bool]] = {}
         self.codes: dict[int, bytes | tuple[int, ...]] = {}
         self.verdicts: dict[tuple, bool] = {}
+        self.root = None if f is None else self.formula(f)
+
+    def run(self, s: FiniteSlice, env: Assignment | None, roles: Roles | None) -> bool:
+        """The root's verdict at s under env and roles."""
+        if env is None:
+            env = Assignment()
+        self.codes.clear()
+        self.verdicts.clear()
+        self.nums, self.strs, self.env, self.slice, self.roles = env.nums, env.strs, env, s, roles
+        try:
+            return self.root(self)
+        finally:
+            self.nums = self.strs = self.env = self.slice = self.roles = None
 
     def term(self, t: NumTerm):
         tt = type(t)
@@ -284,7 +267,7 @@ class _Compiler:
         self.terms[id(t)] = out
         return out
 
-    def formula(self, f: Formula) -> Callable[[_Run], bool]:
+    def formula(self, f: Formula) -> Callable[[_Compiler], bool]:
         out = self.formulas.get(id(f))
         if out is not None:
             return out
@@ -493,8 +476,8 @@ def _len(svar: str):
 # --- compiled formulas ---
 #
 # A closure with child formulas holds the child nodes until its first run,
-# which compiles them through the run's compiler and keeps the closures in
-# their place.
+# which compiles them through the compiler that runs it and keeps the
+# closures in their place.
 #
 # An ExN binder whose first run settles it by a role takes, at that run, the
 # free names of its body other than its own, and from then on memoizes each
@@ -562,7 +545,7 @@ def _len(svar: str):
 # atom, 1.35M runs over one seed-1 pass of the benchmark's 100 ops.
 
 
-def _compare(leq: bool, a, b) -> Callable[[_Run], bool]:
+def _compare(leq: bool, a, b) -> Callable[[_Compiler], bool]:
     """EqNum, or Leq when leq, over two compiled terms, reading the left
     operand first."""
     if _is_const(a) and _is_const(b):
@@ -581,7 +564,7 @@ def _compare(leq: bool, a, b) -> Callable[[_Run], bool]:
     return lambda r: test(r.nums[a], _value(b, r.nums, r.strs))
 
 
-def _memb(svar: str, index) -> Callable[[_Run], bool]:
+def _memb(svar: str, index) -> Callable[[_Compiler], bool]:
     """codec.bit_at of the string named svar at a compiled index, one closure
     per index shape, reading the string first."""
     if callable(index):
@@ -599,12 +582,12 @@ def _memb(svar: str, index) -> Callable[[_Run], bool]:
     return run
 
 
-def _eq_str(left, right) -> Callable[[_Run], bool]:
+def _eq_str(left, right) -> Callable[[_Compiler], bool]:
     return lambda r: codec.sets_equal(
         *[r.strs[n] if type(n) is str else n() for n in (left, right)])
 
 
-def _chain(conj: bool, parts: list) -> Callable[[_Run], bool]:
+def _chain(conj: bool, parts: list) -> Callable[[_Compiler], bool]:
     """An And (conj) or Or chain over parts, a list of nodes in which each
     part is replaced by its closure the first time the loop reaches it."""
     ready, n = 0, len(parts)
@@ -614,7 +597,7 @@ def _chain(conj: bool, parts: list) -> Callable[[_Run], bool]:
         if ready < n:
             for i in range(n):
                 if i == ready:
-                    parts[i] = r.compiler.formula(parts[i])
+                    parts[i] = r.formula(parts[i])
                     ready += 1
                 if bool(parts[i](r)) is not conj:
                     return not conj
@@ -631,31 +614,31 @@ def _chain(conj: bool, parts: list) -> Callable[[_Run], bool]:
     return run
 
 
-def _not(body) -> Callable[[_Run], bool]:
+def _not(body) -> Callable[[_Compiler], bool]:
     compiled = False
 
     def run(r):
         nonlocal body, compiled
         if not compiled:
-            body, compiled = r.compiler.formula(body), True
+            body, compiled = r.formula(body), True
         return not body(r)
     return run
 
 
-def _imp(left, right) -> Callable[[_Run], bool]:
+def _imp(left, right) -> Callable[[_Compiler], bool]:
     compiled = False
 
     def run(r):
         nonlocal left, right, compiled
         if not compiled:
-            left, right = r.compiler.formula(left), r.compiler.formula(right)
+            left, right = r.formula(left), r.formula(right)
             compiled = True
         return not left(r) or right(r)
     return run
 
 
 def _quant(exists: bool, strings: bool, var: str, bound, body,
-           limit=None) -> Callable[[_Run], bool]:
+           limit=None) -> Callable[[_Compiler], bool]:
     """A number quantifier sweeps 0..bound; a string quantifier sweeps every
     set below bound, which must stay within str_width.  An AlN of a _limit
     shape, given its compiled limit, reads limit once and sweeps only
@@ -667,7 +650,7 @@ def _quant(exists: bool, strings: bool, var: str, bound, body,
         if memo is False:  # memo is set last, so a compile that raises is retried
             names = (_memo_names(body, var)
                      if exists and not strings and r.roles and var in r.roles else None)
-            body = r.compiler.formula(body)
+            body = r.formula(body)
             memo = names
         b = _value(bound, r.nums, r.strs)
         if b > r.slice.num_bound:
@@ -685,7 +668,7 @@ def _quant(exists: bool, strings: bool, var: str, bound, body,
         prev = env.get(var)
         try:
             if exists and not strings and r.roles and var in r.roles:
-                verdicts, key = r.compiler.verdicts, None
+                verdicts, key = r.verdicts, None
                 if memo is not None:
                     key = (body, var, b, tuple(map(r.nums.get, memo[0])),
                            tuple(map(r.strs.get, memo[1])))

@@ -89,7 +89,7 @@ class NepoBounds:
     eps: Fraction
     k: int
     m: int
-    d: int = -1
+    d: int | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "eps", Fraction(self.eps))
@@ -97,7 +97,7 @@ class NepoBounds:
             raise ValueError("need m >= 2, k >= 1, c >= 0")
         if not 0 < self.eps <= Fraction(1, self.k):
             raise ValueError("space exponent must lie in (0, 1/k]")
-        if self.d == -1:
+        if self.d is None:
             object.__setattr__(self, "d", self._derive_depth())
         elif self.d < 0:
             raise ValueError("depth must be non-negative")

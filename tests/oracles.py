@@ -457,6 +457,20 @@ def grid_read(t: NumTerm) -> bool:
     return callable(out) and out.__qualname__.startswith("_seq_read.")
 
 
+def record_compile_roots(monkeypatch) -> list[Formula]:
+    """The root formula of each compile eval_formula makes from here on, in
+    order."""
+    compiles = []
+
+    class Recording(evaluate._Compiler):
+        def __init__(self, f=None):
+            compiles.append(f)
+            super().__init__(f)
+
+    monkeypatch.setattr(evaluate, "_Compiler", Recording)
+    return compiles
+
+
 def read_outcome(fn):
     """fn()'s result, or the class and text of the error it raised."""
     try:

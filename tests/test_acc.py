@@ -3,13 +3,13 @@
 import itertools
 
 import pytest
-from oracles import (BIT_TM, LEFT3, all_strings, field_pos, moves_left, walk_formula,
-                     walk_term)
+from oracles import (BIT_TM, LEFT3, all_strings, field_pos, moves_left,
+                     record_compile_roots, walk_formula, walk_term)
 
-from forge import acc, evaluate, nepo
+from forge import acc, nepo
 from forge.codec import encode_seq, mask_to_bits, set_length
 from forge.errors import LayoutError
-from forge.evaluate import Assignment, FiniteSlice, compile_formula, eval_formula
+from forge.evaluate import Assignment, FiniteSlice, eval_formula
 from forge.formulas import (Memb, NVar, Plus, SeqAt, Times, classify, const_term,
                             free_vars)
 from forge.machine import (Configuration, PolyBound, accepts, corpus_machine,
@@ -152,13 +152,7 @@ def test_compiled_witness_check_matches_walker(name):
 
 
 def test_witness_matrix_compiles_once_per_machine_and_poly(monkeypatch):
-    compiles = []
-
-    def counting(f):
-        compiles.append(f)
-        return compile_formula(f)
-
-    monkeypatch.setattr(evaluate, "compile_formula", counting)
+    compiles = record_compile_roots(monkeypatch)
     acc._matrix.cache_clear()
     tm = corpus_machine("scan1")
     for x in all_strings(4):
@@ -177,13 +171,7 @@ def test_witness_matrix_compiles_once_per_machine_and_poly(monkeypatch):
 
 
 def test_a_machine_one_rule_apart_gets_its_own_matrix(monkeypatch):
-    compiles = []
-
-    def counting(f):
-        compiles.append(f)
-        return compile_formula(f)
-
-    monkeypatch.setattr(evaluate, "compile_formula", counting)
+    compiles = record_compile_roots(monkeypatch)
     acc._matrix.cache_clear()
     scan1 = corpus_machine("scan1")
     # scan1 with (1, 1) left in state 1: it never reaches the accepting state

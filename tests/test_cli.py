@@ -454,6 +454,7 @@ def test_bound_flags_are_validated(tmp_path, capsys):
             (nepo + ["--eps", "2/1"], "bad --eps '2/1': need 0 < p < q"),
             (nepo + ["--eps", ""], "bad --eps '': expected the form p/q"),
             (nepo + ["--eps", "a/3"], "bad --eps 'a/3': expected the form p/q"),
+            (nepo + ["--eps", "1/2", "--d", "-1"], "depth must be non-negative"),
             (["eval", "--formula", str(f), "--num-bound", "4", "--bind", "i=-1"],
              "bad binding 'i=-1': value must be non-negative"),
             (["eval", "--formula", str(f), "--num-bound", "4", "--bind", "_x=1"],

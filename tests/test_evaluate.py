@@ -5,6 +5,7 @@ import gc
 import inspect
 import random
 import sys
+import weakref
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
@@ -21,8 +22,8 @@ from forge import formulas as F
 from forge.codec import bit_at, encode_seq, mask_to_bits
 from forge.errors import SliceExceededError, SortMismatchError, UnboundVariableError
 from forge.evaluate import (Assignment, FiniteSlice, MonotoneTree, check_mfv,
-                            compile_formula, eval_formula, mfv_witness,
-                            node_value, node_value_instrumented, term_reader)
+                            eval_formula, mfv_witness, node_value,
+                            node_value_instrumented, term_reader)
 from forge.formulas import formula_size
 from forge.machine import PolyBound, corpus_machine, initial_configuration, parse_tm
 from forge.reflect import compile_proof_check
@@ -418,11 +419,10 @@ def diff_envs(rng: random.Random) -> list[Assignment]:
 
 
 def agree(f: F.Formula, s: FiniteSlice, env: Assignment, roles=None):
-    """The compiled outcome on one case, after checking that the oracle
+    """eval_formula's outcome on one case, after checking that the oracle
     walker agrees and that each leaves env as it found it."""
-    compiled = compile_formula(f)
     before = Assignment(dict(env.nums), dict(env.strs))
-    got = outcome(lambda: compiled(s, env, roles))
+    got = outcome(lambda: eval_formula(f, s, env, roles))
     assert env == before
     want = outcome(lambda: walk_formula(f, s, env, roles))
     assert env == before
@@ -595,39 +595,33 @@ def test_memoized_binder_raises_where_the_walker_does():
     f = F.AlN("y", F.One(), settle)  # y is not free in the binder's body
     calls = []
     roles = {"c": lambda e: calls.append(1) or 2}
-    holds, seen = compile_formula(f), []
+    seen = []
     for nums in ({"x": 0}, {"x": 1}, {"x": 1, "u": 2}, {"x": 1, "u": 3}, {"x": 0}, {"x": 1}):
         env = Assignment(nums=nums)
         want = read_outcome(lambda: walk_formula(f, S8, env, roles))
         calls.clear()
-        assert read_outcome(lambda: holds(S8, env, roles)) == want, nums
+        assert read_outcome(lambda: eval_formula(f, S8, env, roles)) == want, nums
         assert len(calls) == 1  # y = 1 reuses y = 0's verdict, or y = 0 raised
-        assert read_outcome(lambda: eval_formula(f, S8, env, roles)) == want
         seen.append(want)
     assert seen == [True, (UnboundVariableError, "number variable u is unbound"),
                     True, False, True, seen[1]]
     # a node of unknown type in the body (free_vars rejects it) keeps the
     # binder from memoizing, and raises only where the body reaches it
     odd = F.ExN("c", F.const_term(3), F.Or(F.EqNum(X, F.Zero()), Bogus()))
-    holds = compile_formula(odd)
-    for x in (0, 1, 0):
-        env = Assignment(nums={"x": x})
-        assert outcome(lambda: holds(S8, env, roles)) == agree(odd, S8, env, roles)
-    assert [agree(odd, S8, Assignment(nums={"x": x}), roles) for x in (0, 1)] \
-        == [True, TypeError]
+    assert [agree(odd, S8, Assignment(nums={"x": x}), roles) for x in (0, 1, 0)] \
+        == [True, TypeError, True]
 
 
 def test_verdict_table_holds_one_runs_verdicts(monkeypatch):
     f = F.AlN("y", F.const_term(6), F.ExN("c", F.const_term(3),
                                           F.Leq(F.NVar("c"), F.NVar("y"))))
-    holds = compile_formula(f)
-    verdicts = inspect.getclosurevars(holds).nonlocals["compiler"].verdicts
-    assert holds(S8, Assignment(), {"c": lambda e: 0})
+    assert eval_formula(f, S8, Assignment(), {"c": lambda e: 0})
+    verdicts = evaluate._kept[id(f)][1].verdicts
     assert list(verdicts.values()) == [True] * 7  # one per value of y
-    assert holds(S8, Assignment(), {"c": lambda e: 2}) is False
+    assert eval_formula(f, S8, Assignment(), {"c": lambda e: 2}) is False
     assert list(verdicts.values()) == [False]  # y = 0 only
     monkeypatch.setattr(evaluate, "_TABLE_CAP", 2)
-    assert holds(S8, Assignment(), {"c": lambda e: 0})
+    assert eval_formula(f, S8, Assignment(), {"c": lambda e: 0})
     assert len(verdicts) == 1  # y = 6, the cap having emptied it at y = 2 and 4
 
 
@@ -789,7 +783,7 @@ def test_eval_formula_keeps_only_its_last_32_compiles():
         return [o for o in gc.get_objects() if type(o) is evaluate._Compiler]
 
     gc.collect()
-    kept = compilers()  # those of compile_formula results still in use, and the kept ones
+    kept = compilers()  # those eval_formula keeps, and any a test still holds
     gc.disable()
     try:
         # without the cycle collector only reference counts free a compile
@@ -854,12 +848,47 @@ def test_a_call_from_a_role_callback_compiles_its_own_copy():
         inner.append(eval_formula(f, inner_slice, Assignment(), inner_roles))
         return 2 * e.nums["y"]  # right at y = 0 only
 
-    want = compile_formula(f)(S8, Assignment(), {"c": lambda e: 2 * e.nums["y"]})
-    want_inner = compile_formula(f)(inner_slice, Assignment(), inner_roles)
+    want = walk_formula(f, S8, Assignment(), {"c": lambda e: 2 * e.nums["y"]})
+    want_inner = walk_formula(f, inner_slice, Assignment(), inner_roles)
     for _ in range(2):  # the second outer call runs the kept compile
         inner.clear()
         assert eval_formula(f, S8, Assignment(), {"c": witness}) is want is False
         assert inner == [want_inner] * 2 == [True, True]
+
+
+class Role:
+    """A role callback, c = x, that a weak reference can watch."""
+
+    def __call__(self, e: Assignment) -> int:
+        return e.nums["x"]
+
+
+def test_a_kept_compile_holds_nothing_of_its_last_call():
+    """The compile eval_formula keeps lets go of a call's roles when the
+    call returns or raises, and the next call runs it as before."""
+    c, b = F.NVar("c"), F.NVar("b")
+    # the role binder runs first, then the sweep bound is read
+    f = F.And(F.ExN("c", F.const_term(3), F.EqNum(c, X)),
+              F.AlN("y", b, F.Leq(F.NVar("y"), b)))
+
+    def call(nums: dict):
+        """f's outcome with a fresh role, and a weak reference to the role."""
+        role = Role()
+        return outcome(lambda: eval_formula(f, S8, Assignment(nums), {"c": role})), \
+            weakref.ref(role)
+
+    for nums, want in (({"x": 1, "b": 2}, True), ({"x": 1, "b": 9}, SliceExceededError)):
+        got, role = call(nums)
+        assert got is want
+        assert evaluate._kept[id(f)][0] is f
+        gc.collect()
+        assert role() is None
+        env = Assignment({"x": 2, "b": 3})
+        assert eval_formula(f, S8, env, {"c": Role()}) \
+            is walk_formula(f, S8, env, {"c": Role()}) is True
+        env = Assignment({"x": 4, "b": 3})
+        assert eval_formula(f, S8, env, {"c": Role()}) \
+            is walk_formula(f, S8, env, {"c": Role()}) is False
 
 
 BODY = F.Leq(X, F.const_term(5))
@@ -926,7 +955,7 @@ def test_equal_sums_and_products_share_one_closure():
 def test_every_node_kind_reaches_the_compiler(monkeypatch):
     # one evaluator: no tree walker to hand a node to
     assert not {"_eval", "eval_term", "_walk", "_Walk", "_num_lookup", "_str_lookup",
-                "_quant_bound"} & set(vars(evaluate))
+                "_quant_bound", "compile_formula", "Compiled", "_Run"} & set(vars(evaluate))
     compiled = record_compiles(monkeypatch)
     env = Assignment(nums={"x": 3}, strs={"X": "01", "Y": "010"})
     kinds = [F.EqStr("X", "Y"), F.ExS("Z", F.One(), F.Memb(F.Zero(), "Z")),
@@ -951,13 +980,12 @@ def test_memb_matches_the_walker_on_every_index_shape():
     for index in indices:
         f = F.Memb(index, "X")
         shapes.add(type(evaluate._Compiler().term(index)).__name__)
-        holds = compile_formula(f)
         for x in ["", "0", "1", "101", "0110", "111", None]:
             for j in [-3, -1, 0, 1, 2, 3, 5, 9, None]:
                 nums = {} if j is None else {"i": j, "n": encode_seq([1, 0, 1]) if j else -5}
                 env = Assignment(nums, {} if x is None else {"X": x})
-                assert said(lambda: holds(S8, env)) == said(lambda: walk_formula(f, S8, env)), \
-                    (f, env)
+                assert said(lambda: eval_formula(f, S8, env)) \
+                    == said(lambda: walk_formula(f, S8, env)), (f, env)
     assert shapes == {"int", "str", "function"}
     assert said(lambda: eval_formula(F.Memb(i, "X"), S8, Assignment())) \
         == (UnboundVariableError, "string variable X is unbound")
@@ -1003,12 +1031,12 @@ def test_grid_reads_agree_with_the_walker():
     seen = Counter()
     for t, fast in READS:
         assert grid_read(t) == fast, t
-        read, holds = term_reader(), compile_formula(F.EqNum(t, F.One()))
+        read, atom = term_reader(), F.EqNum(t, F.One())
         for env in read_envs():
             got = read_outcome(lambda: read(t, env))
             assert got == read_outcome(lambda: walk_term(t, env)), (t, env)
-            assert read_outcome(lambda: holds(S8, env)) \
-                == read_outcome(lambda: walk_formula(F.EqNum(t, F.One()), S8, env))
+            assert read_outcome(lambda: eval_formula(atom, S8, env)) \
+                == read_outcome(lambda: walk_formula(atom, S8, env))
             if fast:
                 seen[got if type(got) is int else got[0].__name__] += 1
     # in-range reads of both row types, reads past the code, and every error
@@ -1019,21 +1047,19 @@ def test_grid_reads_agree_with_the_walker():
 
 
 def test_grid_read_table_holds_one_runs_codes(monkeypatch):
-    holds = compile_formula(F.EqNum(F.SeqAt(SEQ, I), F.One()))
-    codes = inspect.getclosurevars(holds).nonlocals["compiler"].codes
+    f = F.EqNum(F.SeqAt(SEQ, I), F.One())
     a, b = encode_seq([1, 0]), encode_seq([0, 1])
-    assert holds(S8, Assignment({"s": a, "i": 0}))
-    assert holds(S8, Assignment({"s": a, "i": 2})) is False
+    assert eval_formula(f, S8, Assignment({"s": a, "i": 0}))
+    codes = evaluate._kept[id(f)][1].codes
+    assert eval_formula(f, S8, Assignment({"s": a, "i": 2})) is False
     assert list(codes) == [a]
-    assert holds(S8, Assignment({"s": b, "i": 1}))
+    assert eval_formula(f, S8, Assignment({"s": b, "i": 1}))
     assert list(codes) == [b]
     # a sweep over more codes than the table takes keeps at most _TABLE_CAP
     monkeypatch.setattr(evaluate, "_TABLE_CAP", 4)
-    sweep = compile_formula(
-        F.ExN("s", F.const_term(40), F.EqNum(F.SeqAt(SEQ, F.Zero()), TWO)))
-    codes = inspect.getclosurevars(sweep).nonlocals["compiler"].codes
-    assert not sweep(FiniteSlice(40, 0))
-    assert 0 < len(codes) <= 4
+    sweep = F.ExN("s", F.const_term(40), F.EqNum(F.SeqAt(SEQ, F.Zero()), TWO))
+    assert not eval_formula(sweep, FiniteSlice(40, 0))
+    assert 0 < len(evaluate._kept[id(sweep)][1].codes) <= 4
 
 
 def test_seq_len_reads_the_header_without_decoding(monkeypatch):
@@ -1043,11 +1069,11 @@ def test_seq_len_reads_the_header_without_decoding(monkeypatch):
     rng, codes = random.Random(17), set()
     while len(codes) < 1000:
         codes.add(rng.getrandbits(rng.randrange(1, 400)))
-    read, holds = term_reader(), compile_formula(F.EqNum(F.SeqLen(SEQ), TWO))
+    read, atom = term_reader(), F.EqNum(F.SeqLen(SEQ), TWO)
     for code in codes:
         env = Assignment({"s": code})
         assert read(F.SeqLen(SEQ), env) == seq_len_total(code)
-        assert holds(S8, env) == (seq_len_total(code) == 2)
+        assert eval_formula(atom, S8, env) == (seq_len_total(code) == 2)
     assert decoded == []
 
 
@@ -1107,13 +1133,13 @@ def test_guarded_sweeps_match_the_walker(seed, v, limit, sweep, chain, gated, nu
     fast = v != "V" and v not in F.free_vars(F.Leq(lim, lim))[0]
     assert compiled_kind(f) == ("guarded" if fast else "_quant"), f
     assert limit != "v free" or not fast
-    holds, s = compile_formula(f), FiniteSlice(num_bound, 3)
+    s = FiniteSlice(num_bound, 3)
     for env in diff_envs(random.Random(seed)):
         env.nums.update(n=-5, m=-2)  # a negative code, and an empty sweep
         if g.random() < 0.5:
             env.nums[v] = 7  # the binder restores an outer value
         before = Assignment(dict(env.nums), dict(env.strs))
-        got = said(lambda: holds(s, env))
+        got = said(lambda: eval_formula(f, s, env))
         assert env == before
         assert got == said(lambda: walk_formula(f, s, env)), (f, env)
         assert env == before
@@ -1168,13 +1194,13 @@ def test_guarded_chains_match_the_walker(seed, n, limit, sweep, spoil, num_bound
         parts.append(F.Not(part) if spoil == "not an Imp" and i == spoilt else part)
     f = F.AlN("v", bound, F.land(parts))
     assert compiled_kind(f) == ("_quant" if spoil else "guarded"), f
-    holds, s = compile_formula(f), FiniteSlice(num_bound, 3)
+    s = FiniteSlice(num_bound, 3)
     for env in diff_envs(random.Random(seed)):
         env.nums.update(n=-5, m=-2)  # a negative code, and an empty sweep
         if g.random() < 0.5:
             env.nums["v"] = 7  # the binder restores an outer value
         before = Assignment(dict(env.nums), dict(env.strs))
-        got = said(lambda: holds(s, env))
+        got = said(lambda: eval_formula(f, s, env))
         assert env == before
         assert got == said(lambda: walk_formula(f, s, env)), (f, env)
         assert env == before

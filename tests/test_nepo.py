@@ -14,13 +14,13 @@ from fractions import Fraction
 import pytest
 from oracles import (BIT_TM, LEFT3, all_strings, cell_code, collect_quantifier_bounds,
                      eval_reach_level, grid_read, moves_left, radix_digits,
-                     read_outcome, role_free_names, seq_get_total, walk_formula,
-                     walk_term)
+                     read_outcome, record_compile_roots, role_free_names, seq_get_total,
+                     walk_formula, walk_term)
 
-from forge import acc, evaluate, nepo
+from forge import acc, nepo
 from forge.codec import encode_seq
 from forge.errors import BudgetError, ParseError, UnboundVariableError
-from forge.evaluate import Assignment, FiniteSlice, compile_formula, eval_formula
+from forge.evaluate import Assignment, FiniteSlice, eval_formula
 from forge.formulas import (AlN, EqNum, EqStr, ExN, NVar, One, SeqAt, classify, const_term,
                             formula_size, free_vars)
 from forge.machine import (CORPUS, PolyBound, accepts, corpus_machine,
@@ -72,6 +72,8 @@ def test_bound_validation():
         nepo.NepoBounds(c=1, eps=Fraction(0), k=1, m=4)
     with pytest.raises(ValueError):
         nepo.NepoBounds(c=1, eps=Fraction(1, 2), k=1, m=1)
+    with pytest.raises(ValueError, match="depth must be non-negative"):
+        nepo.NepoBounds(c=1, eps=Fraction(1, 2), k=1, m=4, d=-1)
     with pytest.raises(BudgetError):
         nepo.NepoBounds(c=1, eps=Fraction(1, 2), k=2, m=16)  # span 1, no depth fits
     b = nepo.NepoBounds(c=0, eps=Fraction(1, 2), k=2, m=16)
@@ -160,13 +162,7 @@ def test_artifact_compiles_once_at_first_evaluate(monkeypatch):
     """Three artifacts evaluated in turn, with eval_formula calls on other
     formulas between them (the alternation of the certify and witness
     benchmarks), compile once each, at their first evaluate."""
-    compiles = []
-
-    def counting(f):
-        compiles.append(f)
-        return compile_formula(f)
-
-    monkeypatch.setattr(evaluate, "compile_formula", counting)
+    compiles = record_compile_roots(monkeypatch)
     levels = (1, 0, 1)
     arts = [nepo.reach_artifact(TOGGLE, MICRO, level) for level in levels]
     assert compiles == []
@@ -209,13 +205,12 @@ def test_comp_uniqueness_exhaustive():
     start = MICRO_STARTS[0]
     i_str = config_str(TOGGLE, start)
     good, bad_bit, _ = cells_for(TOGGLE, start, 2, 1)
-    holds = compile_formula(body)
     for cell, expect in ((good, 1), (bad_bit, 0)):
         hits = 0
         env = Assignment(nums={"p1": 2, "p2": 1, "cell": cell}, strs={"I": i_str})
         for comp in range(s.num_bound + 1):
             env.nums["comp"] = comp
-            if holds(s, env):
+            if eval_formula(body, s, env):
                 hits += 1
         assert hits == expect, (cell, hits)
 

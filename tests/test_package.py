@@ -124,7 +124,7 @@ def test_key_error_handlers_are_found():
 def test_only_the_evaluator_entry_points_catch_unbound_names():
     # compiled closures let an unbound name's KeyError through to these two
     source = (ROOT / "src" / "forge" / "evaluate.py").read_text()
-    assert key_error_handlers(source) == ["compile_formula.run", "term_reader.read"]
+    assert key_error_handlers(source) == ["eval_formula", "term_reader.read"]
 
 
 def local_names(fn: ast.FunctionDef | ast.Lambda) -> set[str]:
