@@ -5,8 +5,8 @@ slices, translate them to propositional form, and check sequent proofs.
 The command-line front end is `forge.cli`, imported on its own.
 """
 
-from . import (acc, codec, errors, evaluate, formulas, machine, nepo, proofs,
-               prop, reflect, sexpr)
+from . import (acc, codec, errors, evaluate, formulas, machine, mfv, nepo,
+               proofs, prop, reflect, sexpr)
 
-__all__ = ["acc", "codec", "errors", "evaluate", "formulas", "machine", "nepo",
-           "proofs", "prop", "reflect", "sexpr"]
+__all__ = ["acc", "codec", "errors", "evaluate", "formulas", "machine", "mfv",
+           "nepo", "proofs", "prop", "reflect", "sexpr"]

@@ -24,10 +24,10 @@ from pathlib import Path
 from . import proofs, reflect
 from .acc import check_input_name, compile_acc, eval_acc
 from .errors import BudgetError, ForgeError
-from .evaluate import (Assignment, FiniteSlice, MonotoneTree, check_mfv,
-                       eval_formula, mfv_witness, node_value)
+from .evaluate import Assignment, FiniteSlice, eval_formula
 from .formulas import classify, formula_size, free_vars, is_num_name, is_str_name
 from .machine import PolyBound, accepts, parse_tm
+from .mfv import MonotoneTree, check_mfv, mfv_witness, node_value
 from .nepo import NepoBounds, compile_acceptance_sigma0, size_report
 from .prop import SizeProfile, prop_depth, prop_size, prop_to_sexpr, translate
 from .sexpr import parse_formula, print_formula

@@ -19,11 +19,10 @@ there), and an atom compiles its terms when the atom compiles.
 A node evaluation must reject (a name of the wrong sort or not a str, a
 node of unknown type) compiles to a closure that raises when it is reached,
 so an error shows where, and only where, evaluation reaches it.  A read of
-a name the assignment does not bind raises KeyError there, and the two entry
-points, eval_formula and term_reader's read, turn it into
-UnboundVariableError.  A KeyError a role callback raises comes out the same
-way.  A subformula or term shared by several parents compiles once per
-compile.
+a name the assignment does not bind raises KeyError there, and _Compiler.run
+turns it into UnboundVariableError.  A KeyError a role callback raises comes
+out the same way.  A subformula or term shared by several parents compiles
+once per compile.
 
 eval_formula is the one place compiles are kept: those of the last _KEPT
 formulas it evaluated, for the whole process, matched by identity, the
@@ -33,17 +32,16 @@ witness checks) compiles each once, and each run compiles only what no
 earlier run reached.  A compile is one _Compiler, which carries the state
 of its current run.  A call takes its compile out of the table while it
 runs, so no compile has two runs at once: a nested call on the same formula
-(from a role callback) compiles its own copy.  term_reader reads terms the
-same way for prop.translate.
+(from a role callback) compiles its own copy.  prop.translate runs a
+subclass of _Compiler whose closures build images instead of verdicts.
 
 The compile memos are keyed by node identity.  That is sound because a
 closure keeps every node it may still compile alive: the memo's keys name
 nodes that were alive, beside every node still to compile, when the compile
 began, so no node still to compile can share an id with a key.
-term_reader, whose callers pass terms one at a time, holds every term it
-has read for the same reason, and eval_formula holds each formula it keeps
-the compile of, so no later formula can take its id.  Sums and products are
-memoized by structure as well (see "compiled terms" below).
+eval_formula holds each formula it keeps the compile of, so no later
+formula can take its id.  Sums and products are memoized by structure as
+well (see "compiled terms" below).
 
 Certificate roles: evaluation optionally takes a map from variable names to
 callbacks.  An ExN binder whose variable has a role is not swept; its
@@ -116,29 +114,10 @@ def eval_formula(f: Formula, s: FiniteSlice, env: Assignment | None = None,
     compiler = _Compiler(f) if kept is None else kept[1]
     try:
         return compiler.run(s, env, roles)
-    except KeyError as e:
-        raise _unbound(e) from None
     finally:
         _kept[id(f)] = f, compiler
         if len(_kept) > _KEPT:
             del _kept[next(iter(_kept))]
-
-
-def term_reader() -> Callable[[NumTerm, Assignment], int]:
-    """A function (t, env) -> the value of t under env, raising what
-    evaluation raises on an atom that holds t.  Each term object compiles
-    once per reader, at its first read."""
-    term = _Compiler().term
-    held = {}  # every term read, so that no later term can take its id
-
-    def read(t: NumTerm, env: Assignment) -> int:
-        held[id(t)] = t
-        try:
-            return _value(term(t), env.nums, env.strs)
-        except KeyError as e:
-            raise _unbound(e) from None
-
-    return read
 
 
 # --- the compiler ---
@@ -146,11 +125,11 @@ def term_reader() -> Callable[[NumTerm, Assignment], int]:
 # A compiled formula is a closure (r) -> bool, r the _Compiler that runs it,
 # which carries the run's assignment, slice and roles.  Variable reads index
 # the assignment's dicts directly and let the KeyError of an unbound name
-# propagate; only eval_formula and term_reader's read turn it into
-# UnboundVariableError.  Closures never hold the compiler: each run hands it
-# to the root, and through it to the first run of a closure whose children
-# still wait to compile, so a compile and its closures form no cycle and go
-# as soon as eval_formula's table drops them.
+# propagate; only _Compiler.run turns it into UnboundVariableError.  Closures
+# never hold the compiler: each run hands it to the root, and through it to
+# the first run of a closure whose children still wait to compile, so a
+# compile and its closures form no cycle and go as soon as eval_formula's
+# table drops them.
 
 
 def _error(kind: type[Exception], message: str):
@@ -214,12 +193,12 @@ class _Compiler:
     __slots__ = ("terms", "formulas", "codes", "verdicts", "root",
                  "nums", "strs", "env", "slice", "roles")
 
-    def __init__(self, f: Formula | None = None):
+    def __init__(self, f: Formula):
         self.terms: dict[int | tuple, object] = {}
         self.formulas: dict[int, Callable[[_Compiler], bool]] = {}
         self.codes: dict[int, bytes | tuple[int, ...]] = {}
         self.verdicts: dict[tuple, bool] = {}
-        self.root = None if f is None else self.formula(f)
+        self.root = self.formula(f)
 
     def run(self, s: FiniteSlice, env: Assignment | None, roles: Roles | None) -> bool:
         """The root's verdict at s under env and roles."""
@@ -230,6 +209,8 @@ class _Compiler:
         self.nums, self.strs, self.env, self.slice, self.roles = env.nums, env.strs, env, s, roles
         try:
             return self.root(self)
+        except KeyError as e:
+            raise _unbound(e) from None
         finally:
             self.nums = self.strs = self.env = self.slice = self.roles = None
 
@@ -739,85 +720,3 @@ def _memo_names(body: Formula, var: str) -> tuple[tuple, tuple] | None:
         return None
     nums.discard(var)
     return tuple(nums), tuple(strs)
-
-
-# --- monotone heap-layout trees ---
-
-
-@dataclass(frozen=True, slots=True)
-class MonotoneTree:
-    """Complete binary tree in heap layout over gate bits.
-
-    gates has one bit per position 0..a-1; position 0 is padding, position
-    x in [1, a) is an AND node when gates[x] is '1' and an OR node
-    otherwise.  Children of x sit at 2x and 2x+1; inputs occupy positions
-    [a, 2a).
-    """
-
-    gates: str
-    a: int
-
-    def __post_init__(self):
-        if self.a < 1 or self.a & (self.a - 1):
-            raise ValueError("leaf count a must be a power of two")
-        if len(self.gates) != self.a:
-            raise ValueError(f"need {self.a} gate bits, got {len(self.gates)}")
-        if set(self.gates) - {"0", "1"}:
-            raise ValueError("gate bits must be 0 or 1")
-
-
-def node_value_instrumented(t: MonotoneTree, inputs: str, i: int) -> tuple[int, int]:
-    """(value of node i, maximal recursion depth reached)."""
-    if len(inputs) != t.a:
-        raise ValueError(f"need {t.a} input bits, got {len(inputs)}")
-    if i < 1:
-        raise IndexError(f"no node {i}: the root is node 1")
-    deepest = 0
-
-    def rec(x: int, d: int) -> int:
-        nonlocal deepest
-        deepest = max(deepest, d)
-        if x >= 2 * t.a:
-            return 0
-        if x >= t.a:
-            return 1 if inputs[x - t.a] == "1" else 0
-        left = rec(2 * x, d + 1)
-        right = rec(2 * x + 1, d + 1)
-        return (left & right) if t.gates[x] == "1" else (left | right)
-
-    return rec(i, 1), deepest
-
-
-def node_value(t: MonotoneTree, inputs: str, i: int) -> int:
-    """Value of node i; positions at or beyond 2a read as constant 0."""
-    return node_value_instrumented(t, inputs, i)[0]
-
-
-def mfv_witness(t: MonotoneTree, inputs: str) -> str:
-    """Evaluation table for the whole tree, one bit per heap position.
-
-    Position 0 is pinned to 1, leaves copy the inputs, and each inner
-    position holds its node's value, so the formula value sits at bit 1.
-    """
-    if len(inputs) != t.a:
-        raise ValueError(f"need {t.a} input bits, got {len(inputs)}")
-    bits = ["1"]
-    for x in range(1, 2 * t.a):
-        bits.append("1" if node_value(t, inputs, x) else "0")
-    return "".join(bits)
-
-
-def check_mfv(t: MonotoneTree, inputs: str, table: str) -> bool:
-    """Do the local evaluation constraints accept this table?"""
-    if not codec.bit_at(table, 0):
-        return False
-    for x in range(t.a):
-        if codec.bit_at(table, x + t.a) != codec.bit_at(inputs, x):
-            return False
-    for x in range(1, t.a):
-        left = codec.bit_at(table, 2 * x)
-        right = codec.bit_at(table, 2 * x + 1)
-        want = (left and right) if t.gates[x] == "1" else (left or right)
-        if codec.bit_at(table, x) != want:
-            return False
-    return True

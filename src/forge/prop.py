@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 from .errors import (BudgetError, ClassError, ParseError, SliceExceededError,
                      UnboundVariableError)
-from .evaluate import Assignment, term_reader
-from .formulas import (And, EqNum, EqStr, ExN, Formula, Imp, Leq, Memb, Not, Or,
+from .evaluate import Assignment, _Compiler, _compare, _name, _value
+from .formulas import (AlN, And, EqNum, EqStr, ExN, Formula, Imp, Leq, Memb, Not,
                        classify)
 from .sexpr import Node
 
@@ -126,15 +126,7 @@ class SizeProfile:
                 raise ValueError(f"value of {name} must be non-negative")
 
 
-def _bit(name: str, pos: int, sizes: SizeProfile) -> PropFormula:
-    n = sizes.lengths.get(name)
-    if n is None:
-        raise UnboundVariableError(f"string parameter {name} has no length")
-    if pos >= n:
-        return PConst(0)
-    if pos == n - 1:
-        return PConst(1)  # exact length pins the top bit
-    return PVar(name, pos)
+_BITS = PConst(0), PConst(1)
 
 
 def translate(phi: Formula, sizes: SizeProfile,
@@ -142,56 +134,97 @@ def translate(phi: Formula, sizes: SizeProfile,
     """Propositional image of a level-0 formula at the given sizes."""
     if classify(phi).level != 0:
         raise ClassError("only string-quantifier-free formulas translate")
-    term = term_reader()
-
-    def go(f: Formula, env: Assignment) -> PropFormula:
-        k = type(f)
-        if k is EqNum:
-            return PConst(int(term(f.left, env) == term(f.right, env)))
-        if k is Leq:
-            return PConst(int(term(f.left, env) <= term(f.right, env)))
-        if k is Memb:
-            return _bit(f.svar, term(f.index, env), sizes)
-        if k is EqStr:
-            m = sizes.lengths.get(f.left)
-            n = sizes.lengths.get(f.right)
-            if m is None or n is None:
-                missing = f.left if m is None else f.right
-                raise UnboundVariableError(f"string parameter {missing} has no length")
-            if m != n:
-                return PConst(0)
-            return pand(_iff(_bit(f.left, i, sizes), _bit(f.right, i, sizes))
-                        for i in range(max(0, n - 1)))
-        # Conjunctions, disjunctions and sweeps stop at the first part that
-        # settles them, as eval_formula does. The check is made here rather
-        # than by handing pand/por a generator, which would add two frames per
-        # nesting level.
-        if k is And or k is Or or k is Imp:
-            join, stop = (pand, PConst(0)) if k is And else (por, PConst(1))
-            left = go(f.left, env)
-            if k is Imp:
-                left = pnot(left)
-            return left if left == stop else join((left, go(f.right, env)))
-        if k is Not:
-            return pnot(go(f.body, env))
-        # ExN or AlN: classify has rejected string quantifiers and unknown nodes
-        b = term(f.bound, env)
-        if b > num_bound:
-            raise SliceExceededError(
-                f"quantifier bound {b} exceeds expansion cap {num_bound}")
-        join, stop = (por, PConst(1)) if k is ExN else (pand, PConst(0))
-        parts = []
-        for v in range(b + 1):
-            part = go(f.body, Assignment({**env.nums, f.var: v}, env.strs))
-            if part == stop:
-                return stop
-            parts.append(part)
-        return join(parts)
-
     # Canonical exact-length strings, so that Len reads back each length.
     strs = {name: ("0" * (n - 1) + "1") if n else ""
             for name, n in sizes.lengths.items()}
-    return go(phi, Assignment(dict(sizes.values), strs))
+    return _Image(phi, num_bound).run(None, Assignment(dict(sizes.values), strs), None)
+
+
+class _Image(_Compiler):
+    """A compile whose run gives a level-0 formula's image: terms, EqNum and
+    Leq compile as for eval_formula, and every other node with its parent,
+    so that compile and run each take one frame per formula level."""
+
+    __slots__ = ("num_bound",)
+
+    def __init__(self, f: Formula, num_bound: int):
+        self.num_bound = num_bound
+        super().__init__(f)
+
+    def formula(self, f: Formula):
+        out = self.formulas.get(id(f))
+        if out is not None:
+            return out
+        k = type(f)
+        if k is EqNum or k is Leq:
+            test = _compare(k is Leq, self.term(f.left), self.term(f.right))
+            out = lambda r: _BITS[test(r)]
+        elif k is Memb:
+            index = self.term(f.index)
+            out = lambda r: _bit(f.svar, _length(f.svar, r.strs), _value(index, r.nums, r.strs))
+        elif k is EqStr:
+            out = lambda r: _eq_str(f.left, f.right, r.strs)
+        elif k is Not:
+            body = self.formula(f.body)
+            out = lambda r: pnot(body(r))
+        elif k is ExN or k is AlN:
+            out = _sweep(k is ExN, f.var, self.term(f.bound), self.formula(f.body))
+        else:  # And, Or or Imp: classify has rejected every other node
+            out = _connective(k, self.formula(f.left), self.formula(f.right))
+        self.formulas[id(f)] = out
+        return out
+
+
+def _length(name, strs: dict[str, str]) -> int:
+    """The length of the string parameter name, read as evaluation reads it."""
+    if callable(checked := _name(name, False)):
+        checked()  # raises the sort check's error
+    if name not in strs:
+        raise UnboundVariableError(f"string parameter {name} has no length")
+    return len(strs[name])
+
+
+def _bit(name: str, n: int, pos: int) -> PropFormula:
+    if pos < n - 1:
+        return PVar(name, pos)
+    return _BITS[pos == n - 1]  # exact length pins the top bit
+
+
+def _eq_str(left, right, strs: dict[str, str]) -> PropFormula:
+    m, n = _length(left, strs), _length(right, strs)
+    return _BITS[0] if m != n else pand(
+        _iff(_bit(left, n, i), _bit(right, n, i)) for i in range(n - 1))
+
+
+def _connective(k: type, left, right):
+    """And, Or or Imp, stopping at a left part that settles it; the check is
+    made here, as handing pand/por a generator adds two frames per level."""
+    join, stop = (pand, _BITS[0]) if k is And else (por, _BITS[1])
+
+    def run(r):
+        p = pnot(left(r)) if k is Imp else left(r)
+        return p if p == stop else join((p, right(r)))
+    return run
+
+
+def _sweep(exists: bool, var: str, bound, body):
+    """ExN (exists) or AlN, stopping at the first value that settles it."""
+    join, stop = (por, _BITS[1]) if exists else (pand, _BITS[0])
+
+    def run(r):
+        b = _value(bound, r.nums, r.strs)
+        if b > r.num_bound:
+            raise SliceExceededError(
+                f"quantifier bound {b} exceeds expansion cap {r.num_bound}")
+        nums, parts = r.nums, []
+        for v in range(b + 1):
+            r.nums = {**nums, var: v}
+            parts.append(body(r))
+            if parts[-1] == stop:
+                break
+        r.nums = nums
+        return join(parts)
+    return run
 
 
 def _iff(a: PropFormula, b: PropFormula) -> PropFormula:

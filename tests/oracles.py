@@ -28,12 +28,13 @@ from forge import codec, evaluate
 from forge.codec import MAX_FIELD_WIDTH, encode_seq, mask_to_bits
 from forge.errors import (DecodeError, ParseError, SliceExceededError,
                           SortMismatchError, UnboundVariableError)
-from forge.evaluate import Assignment, FiniteSlice, MonotoneTree, Roles, eval_formula
+from forge.evaluate import Assignment, FiniteSlice, Roles, eval_formula
 from forge.formulas import (AlN, AlS, And, Const, EqNum, EqStr, ExN, ExS,
                             Formula, Imp, Len, Leq, Memb, Not, NumTerm, NVar,
                             One, Or, Plus, SeqAt, SeqLen, Times, Zero,
                             free_vars, is_num_name, is_str_name)
 from forge.machine import ComputationTableau, TableauLayout, decode_row, parse_tm
+from forge.mfv import MonotoneTree
 from forge.nepo import NepoArtifact, NepoBounds
 from forge.proofs import (Proof, ProofLine, Sequent, check_depth_frege,
                           check_frege, proof_target, system_depth)
@@ -453,7 +454,7 @@ def _walk(f: Formula, s: FiniteSlice, env: Assignment, roles: Roles | None) -> b
 
 def grid_read(t: NumTerm) -> bool:
     """Does t compile to the one-closure read over the decoded-code table?"""
-    out = evaluate._Compiler().term(t)
+    out = evaluate._Compiler(EqNum(t, Zero())).term(t)
     return callable(out) and out.__qualname__.startswith("_seq_read.")
 
 
@@ -463,7 +464,7 @@ def record_compile_roots(monkeypatch) -> list[Formula]:
     compiles = []
 
     class Recording(evaluate._Compiler):
-        def __init__(self, f=None):
+        def __init__(self, f):
             compiles.append(f)
             super().__init__(f)
 

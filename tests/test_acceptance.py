@@ -16,14 +16,14 @@ from oracles import (cell_code, eval_reach_level, holds_for_all,
 
 from forge import acc, nepo, proofs, reflect
 from forge.codec import set_length
-from forge.evaluate import (FiniteSlice, MonotoneTree, check_mfv, eval_formula,
-                            mfv_witness, node_value_instrumented)
+from forge.evaluate import FiniteSlice, eval_formula
 from forge.formulas import (AlN, And, EqNum, ExN, Imp, Len, Leq, Memb, Not,
                             NVar, One, Or, Plus, Zero, classify, const_term,
                             lt)
 from forge.machine import (PolyBound, accepts, corpus_machine,
                            initial_configuration, run, run_from,
                            tableau_to_witness)
+from forge.mfv import MonotoneTree, check_mfv, mfv_witness, node_value_instrumented
 from forge.prop import SizeProfile, prop_depth, prop_size, taut_check, translate
 
 MACHINES = ("scan1", "parity", "zeros")

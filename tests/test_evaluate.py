@@ -21,11 +21,11 @@ from forge import acc, codec, evaluate, nepo, sexpr
 from forge import formulas as F
 from forge.codec import bit_at, encode_seq, mask_to_bits
 from forge.errors import SliceExceededError, SortMismatchError, UnboundVariableError
-from forge.evaluate import (Assignment, FiniteSlice, MonotoneTree, check_mfv,
-                            eval_formula, mfv_witness, node_value,
-                            node_value_instrumented, term_reader)
+from forge.evaluate import Assignment, FiniteSlice, eval_formula
 from forge.formulas import formula_size
 from forge.machine import PolyBound, corpus_machine, initial_configuration, parse_tm
+from forge.mfv import (MonotoneTree, check_mfv, mfv_witness, node_value,
+                       node_value_instrumented)
 from forge.reflect import compile_proof_check
 from forge.sexpr import parse_formula
 
@@ -96,7 +96,7 @@ def test_eval_slice_errors():
     with pytest.raises(UnboundVariableError):
         ev("(in 0 X)")
     with pytest.raises(SortMismatchError):
-        term_reader()(F.Len("x"), Assignment(nums={"x": 1}))
+        eval_formula(F.EqNum(F.Len("x"), F.One()), S8, Assignment(nums={"x": 1}))
 
 
 def test_entry_points_turn_every_key_error_into_unbound_variable_error():
@@ -113,25 +113,15 @@ def test_entry_points_turn_every_key_error_into_unbound_variable_error():
             eval_formula(f, S8, Assignment(), {"c": callback})
         assert str(caught.value) == text
     with pytest.raises(UnboundVariableError, match="^number variable y is unbound$"):
-        term_reader()(F.Times(F.NVar("y"), F.NVar("y")), Assignment())
+        eval_formula(F.EqNum(F.Times(F.NVar("y"), F.NVar("y")), F.One()), S8, Assignment())
 
 
 def test_eval_seq_terms():
     code = encode_seq([4, 9])
     env = Assignment(nums={"s": code})
-    read = term_reader()
-    assert read(F.SeqAt(F.NVar("s"), F.One()), env) == 9
-    assert read(F.SeqLen(F.NVar("s")), env) == 2
-    assert read(F.SeqAt(F.NVar("s"), F.const_term(7)), env) == 0
-
-
-def test_term_reader_holds_what_it_read():
-    # each term is a temporary, freed after its read unless the reader holds
-    # it: the next one may then take its id and get its closure from the memo
-    read = term_reader()
-    env = Assignment(nums={"x": 1})
-    assert [read(F.Plus(F.NVar("x"), F.Const(k)), env) for k in range(2, 50)] \
-        == list(range(3, 51))
+    for t, value in ((F.SeqAt(F.NVar("s"), F.One()), 9), (F.SeqLen(F.NVar("s")), 2),
+                     (F.SeqAt(F.NVar("s"), F.const_term(7)), 0)):
+        assert eval_formula(F.EqNum(t, F.const_term(value)), S8, env)
 
 
 def test_eval_restores_environment():
@@ -517,7 +507,7 @@ def test_comparisons_read_like_the_walker_in_every_operand_shape():
                 got = read_outcome(lambda: eval_formula(node, S8, env))
                 assert got == read_outcome(lambda: walk_formula(node, S8, env)), node
                 seen[got if type(got) is bool else got[0].__name__] += 1
-                run = evaluate._Compiler().formula(node)
+                run = evaluate._Compiler(node).root
                 seen_by = inspect.getclosurevars(run)
                 a, b = (seen_by.nonlocals.get(n) for n in "ab")
                 generic = type(a) is str and not evaluate._is_const(b)
@@ -933,7 +923,7 @@ def test_a_kept_formula_agrees_with_the_walker_at_every_call(seed, depth, env_se
 
 
 def test_equal_sums_and_products_share_one_closure():
-    compiler = evaluate._Compiler()
+    compiler = evaluate._Compiler(F.TRUE)
     y = F.NVar("y")
     make = [lambda: F.Plus(F.Times(X, y), F.One()), lambda: F.Times(F.Plus(X, y), X),
             lambda: F.Plus(F.Times(F.const_term(3), X), F.Plus(y, F.One()))]
@@ -979,7 +969,7 @@ def test_memb_matches_the_walker_on_every_index_shape():
     shapes = set()
     for index in indices:
         f = F.Memb(index, "X")
-        shapes.add(type(evaluate._Compiler().term(index)).__name__)
+        shapes.add(type(evaluate._Compiler(f).term(index)).__name__)
         for x in ["", "0", "1", "101", "0110", "111", None]:
             for j in [-3, -1, 0, 1, 2, 3, 5, 9, None]:
                 nums = {} if j is None else {"i": j, "n": encode_seq([1, 0, 1]) if j else -5}
@@ -1031,10 +1021,11 @@ def test_grid_reads_agree_with_the_walker():
     seen = Counter()
     for t, fast in READS:
         assert grid_read(t) == fast, t
-        read, atom = term_reader(), F.EqNum(t, F.One())
+        atom = F.EqNum(t, F.One())
         for env in read_envs():
-            got = read_outcome(lambda: read(t, env))
-            assert got == read_outcome(lambda: walk_term(t, env)), (t, env)
+            got = read_outcome(lambda: walk_term(t, env))
+            if type(got) is int:  # the atom that holds t at got reads got
+                assert eval_formula(F.EqNum(t, F.const_term(got)), S8, env), (t, env)
             assert read_outcome(lambda: eval_formula(atom, S8, env)) \
                 == read_outcome(lambda: walk_formula(atom, S8, env))
             if fast:
@@ -1042,7 +1033,8 @@ def test_grid_reads_agree_with_the_walker():
     # in-range reads of both row types, reads past the code, and every error
     assert {0, 1, 5, 300, 7, "ValueError", "IndexError", "UnboundVariableError"} \
         <= set(seen), seen
-    assert read_outcome(lambda: term_reader()(READS[0][0], Assignment({"s": 1}))) \
+    assert read_outcome(lambda: eval_formula(F.EqNum(READS[0][0], F.One()), S8,
+                                             Assignment({"s": 1}))) \
         == (UnboundVariableError, "number variable i is unbound")
 
 
@@ -1069,10 +1061,10 @@ def test_seq_len_reads_the_header_without_decoding(monkeypatch):
     rng, codes = random.Random(17), set()
     while len(codes) < 1000:
         codes.add(rng.getrandbits(rng.randrange(1, 400)))
-    read, atom = term_reader(), F.EqNum(F.SeqLen(SEQ), TWO)
+    atom = F.EqNum(F.SeqLen(SEQ), TWO)
     for code in codes:
         env = Assignment({"s": code})
-        assert read(F.SeqLen(SEQ), env) == seq_len_total(code)
+        assert eval_formula(F.EqNum(F.SeqLen(SEQ), F.const_term(seq_len_total(code))), S8, env)
         assert eval_formula(atom, S8, env) == (seq_len_total(code) == 2)
     assert decoded == []
 
@@ -1083,7 +1075,7 @@ def test_seq_len_reads_the_header_without_decoding(monkeypatch):
 def compiled_kind(f: F.Formula) -> str:
     """The closure factory a formula node compiles through, such as _quant,
     or "guarded" for a _quant closure given a limit to sweep under."""
-    run = evaluate._Compiler().formula(f)
+    run = evaluate._Compiler(f).root
     cells = dict(zip(run.__code__.co_freevars, run.__closure__ or ()))
     if "limit" in cells and cells["limit"].cell_contents is not None:
         return "guarded"

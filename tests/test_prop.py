@@ -1,14 +1,17 @@
 """Propositional translation and tautology checking."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 from oracles import holds_for_all, walk_formula
+from test_formulas import gen_formula
 
 from forge.errors import (BudgetError, ClassError, ParseError, SliceExceededError,
                           UnboundVariableError)
-from forge.evaluate import Assignment, FiniteSlice
+from forge.evaluate import Assignment, FiniteSlice, eval_formula
 from forge.formulas import (TRUE, AlN, And, EqNum, EqStr, ExN, ExS, Imp, Len, Leq,
-                            Memb, Not, NVar, One, Or, Zero, const_term, lt)
+                            Memb, Not, NVar, One, Or, Zero, classify, const_term, lt)
 from forge.prop import (PAnd, PConst, PNot, POr, PVar, SizeProfile, eval_prop,
                         node_to_prop, pand, pnot, por, prop_depth, prop_size,
                         prop_to_sexpr, prop_vars, taut_check, translate)
@@ -87,6 +90,35 @@ def test_translation_adequacy(phi, n):
     assert taut_check(translate(phi, for_len(n))) == holds_for_all(phi, n)
 
 
+def test_translate_commutes_with_eval_formula():
+    # the image at exact lengths, read under a string's bits, is the verdict
+    # eval_formula gives on the string of those bits and that length
+    rng = random.Random(20261019)
+    formulas = []
+    while len(formulas) < 200:
+        f = gen_formula(rng, 4, [0], ["x", "y"], ["X", "Y"])
+        if classify(f).level == 0:
+            formulas.append(f)
+    varying = 0
+    for f in formulas:
+        for _ in range(4):
+            lengths = {"X": rng.randrange(5), "Y": rng.randrange(5)}
+            values = {"x": rng.randrange(3), "y": rng.randrange(3)}
+            try:
+                image = translate(f, SizeProfile(lengths, values), num_bound=12)
+            except SliceExceededError:
+                continue
+            varying += type(image) is not PConst
+            names = [(s, i) for s, n in lengths.items() for i in range(n - 1)]
+            for mask in range(1 << len(names)):
+                bits = {nm: (mask >> k) & 1 for k, nm in enumerate(names)}
+                strs = {s: "".join(str(bits[s, i]) for i in range(n - 1)) + "1" if n else ""
+                        for s, n in lengths.items()}
+                env = Assignment(dict(values), strs)
+                assert eval_formula(f, FiniteSlice(12, 0), env) == eval_prop(image, bits)
+    assert varying >= 100
+
+
 def test_number_values_from_profile():
     phi = Memb(NVar("i"), X)
     sizes = SizeProfile(lengths={"X": 4}, values={"i": 1})
@@ -97,7 +129,8 @@ def test_number_values_from_profile():
 
 @pytest.mark.parametrize("phi", [
     Memb(NVar("j"), X), Leq(NVar("Y"), One()), EqNum(Len("i"), One()),
-    EqNum(Len("Y"), One()), Leq(One(), NVar(5)), ExN("z", NVar("j"), TRUE)])
+    EqNum(Len("Y"), One()), Leq(One(), NVar(5)), ExN("z", NVar("j"), TRUE),
+    Memb(Zero(), "i"), EqStr("i", "X"), EqStr(5, "X")])
 def test_translate_raises_the_oracle_error_on_a_bad_name(phi):
     # unbound, of the other sort or not a str: the oracle walker's error type
     with pytest.raises(Exception) as want:
