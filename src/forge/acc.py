@@ -21,10 +21,10 @@ package evaluate the existential by checking the simulator's own tableau
 instead of enumerating strings.
 
 compile_reach(tm, p) keeps the middle clauses but pins row 0 and row
-p(|Y|) to free configuration strings Y and Z.  A configuration string is
-one tableau row, written and read by machine.encode_row and decode_row,
-followed by a sentinel 1 bit, so its length is determined by the tape width
-and rows can be addressed with stride |Y|.
+p(|Y|) to free configuration strings Y and Z: one row in encode_row's
+layout plus a sentinel 1 bit, so |Y| fixes the tape width w, which the
+formula binds once.  W is laid out exactly as for acceptance; |Z| = |Y|
+and a tight bound on |W| keep Z and the witness unique.
 
 `Tableau` is the one place the FRAME, TRANS and VALIDITY clauses (and the
 mark tests SINGLE-HEAD is written with) are built, for both this module and
@@ -34,11 +34,11 @@ in nepo a field of a number-coded grid.
 String lengths follow set semantics everywhere: the input length seen by
 the compiled formula is one past the highest 1 bit of X.
 
-check_witness and check_reach_witness evaluate their matrix with
-evaluate.eval_formula, which keeps its compile, and build it once per
-matrix kind, machine and polynomial, in a small bounded memo keyed by the
-machine's content (TMDescription holds a dict, so it is not hashable
-itself).  So each matrix compiles once rather than at every check.
+check_witness and check_reach_witness share one helper: it checks the
+witness length against a TableauLayout and evaluates the matrix with
+evaluate.eval_formula, which keeps its compile, building it once per matrix
+kind, machine and polynomial in a small bounded memo keyed by the machine's
+content (TMDescription holds a dict, so it is not hashable itself).
 """
 
 from __future__ import annotations
@@ -50,11 +50,11 @@ from .codec import set_length, trim
 from .errors import LayoutError
 from .evaluate import Assignment, FiniteSlice, eval_formula
 from .formulas import (TRUE, AlN, And, EqNum, ExN, ExS, Formula, Imp, Len,
-                       Memb, Not, NumTerm, NVar, One, Or, Plus, Times, Zero,
-                       const_term, forall_lt, iff, land, lt)
+                       Leq, Memb, Not, NumTerm, NVar, One, Or, Plus, Times,
+                       Zero, const_term, forall_lt, iff, land, lt)
 from .machine import (MOVE_LEFT, MOVE_RIGHT, Configuration, PolyBound,
-                      TableauLayout, TMDescription, decode_row, encode_row,
-                      run, run_from, tableau_to_witness)
+                      TableauLayout, TMDescription, decode_row, run, run_from,
+                      tableau_to_witness)
 from .sexpr import is_str_ident
 
 
@@ -88,16 +88,15 @@ class Tableau:
     Memb(pos, "W") on a witness string, in nepo the term SeqAt(comp, pos) on
     a grid code, compared with 0 and 1.  Int steps and width fix the grid's
     shape: binders run to the exact last row and cell, unguarded.  Term
-    steps and width are measured on a free string: binders run to the term,
-    cut down by lt or, for cells, by `inside`.  A rule sees the right tape
-    edge as that cut failing at i+1 (lt against an int width), which keeps
-    every setting clamp-consistent with the simulator.  fresh names the
-    binders from the bases t (row), z (cell) and u (left neighbour).
+    steps and width leave it open: binders run to the term, cut down by lt.
+    A rule sees the right tape edge as that cut failing at i+1 (lt against
+    an int width), which keeps every setting clamp-consistent with the
+    simulator.  fresh names the binders from the bases t (row), z (cell)
+    and u (left neighbour).
     """
 
     def __init__(self, tm: TMDescription, cell: Callable[[Row, Row, int], Cell],
                  steps: int | NumTerm, width: int | NumTerm,
-                 inside: Callable[[NumTerm], Formula] | None = None,
                  fresh: Callable[[str], str] = _FIXED_NAMES):
         self.tm, self.cell, self.steps, self.fresh = tm, cell, steps, fresh
         if isinstance(width, int):
@@ -105,7 +104,7 @@ class Tableau:
             self.edge_guard = lambda v: lt(v, const_term(width))
         else:
             self.cell_bound = width
-            self.cell_guard = self.edge_guard = inside or (lambda v: lt(v, width))
+            self.cell_guard = self.edge_guard = lambda v: lt(v, width)
 
     def mark_is(self, t: Row, i: Row, mark: int) -> Formula:
         return land([holds(self.cell(t, i, 1 + f), (mark >> f) & 1)
@@ -245,10 +244,6 @@ def acc_layout(tm: TMDescription, p: PolyBound, n: int) -> TableauLayout:
     return TableauLayout(width=m, steps=m, state_bits=tm.state_bits)
 
 
-def _eval_slice(total_bits: int, step_bound: int) -> FiniteSlice:
-    return FiniteSlice(num_bound=total_bits + step_bound + 2, str_width=0)
-
-
 @lru_cache(maxsize=32)
 def _matrix(matrix: Callable[[TMDescription, PolyBound], Formula], k: int,
             rules: tuple, p: PolyBound) -> Formula:
@@ -257,16 +252,21 @@ def _matrix(matrix: Callable[[TMDescription, PolyBound], Formula], k: int,
     return matrix(TMDescription(k, dict(rules)), p)
 
 
+def _check(matrix: Callable[[TMDescription, PolyBound], Formula], tm: TMDescription,
+           p: PolyBound, layout: TableauLayout, strs: dict[str, str]) -> bool:
+    """Evaluate the memoized matrix at strs, whose witness W must fill layout."""
+    w = strs["W"]
+    if len(w) < layout.total_bits:
+        raise LayoutError(f"witness has {len(w)} bits, layout needs {layout.total_bits}")
+    s = FiniteSlice(num_bound=layout.total_bits + layout.steps + 2, str_width=0)
+    f = _matrix(matrix, tm.k, tuple(sorted(tm.delta.items())), p)
+    return eval_formula(f, s, Assignment(strs=strs))
+
+
 def check_witness(tm: TMDescription, p: PolyBound, x: str, w: str) -> bool:
     """Evaluate the acceptance matrix at a concrete witness string."""
     layout = acc_layout(tm, p, set_length(x))
-    if len(w) < layout.total_bits:
-        raise LayoutError(
-            f"witness has {len(w)} bits, layout needs {layout.total_bits}")
-    env = Assignment(strs={"X": x, "W": w})
-    s = _eval_slice(layout.total_bits, layout.steps)
-    f = _matrix(acc_matrix, tm.k, tuple(sorted(tm.delta.items())), p)
-    return eval_formula(f, s, env)
+    return _check(acc_matrix, tm, p, layout, {"X": x, "W": w})
 
 
 def eval_acc(tm: TMDescription, p: PolyBound, x: str) -> bool:
@@ -283,11 +283,6 @@ def eval_acc(tm: TMDescription, p: PolyBound, x: str) -> bool:
 # --- reachability between explicit configurations ---
 
 
-def config_to_string(conf: Configuration, state_bits: int) -> str:
-    """One tableau row encoded, plus a sentinel 1 pinning the length."""
-    return encode_row(conf, state_bits) + "1"
-
-
 def string_to_config(s: str, tm: TMDescription) -> Configuration:
     fields = 1 + tm.state_bits
     n = set_length(s)
@@ -297,50 +292,33 @@ def string_to_config(s: str, tm: TMDescription) -> Configuration:
 
 
 def reach_matrix(tm: TMDescription, p: PolyBound) -> Formula:
-    fields = const_term(1 + tm.state_bits)
-    size = Len("Y")
-
-    def fits(v: NumTerm) -> Formula:
-        """The whole field block of cell v lies left of the sentinel."""
-        return lt(Plus(Times(v, fields), fields), size)
-
-    tab = Tableau(tm, _witness_cells(tm, size), poly_term(p, size), size, inside=fits)
-    j, t = NVar("j"), NVar("t")
-    boundary0 = forall_lt("j", size, size, iff(Memb(j, "W"), Memb(j, "Y")))
-    boundary_end = forall_lt(
-        "j", size, size,
-        iff(Memb(Plus(Times(tab.steps, size), j), "W"), Memb(j, "Z")))
-    sentinels = tab.each_row("t", ExN(
-        "s", size,
-        And(EqNum(Plus(NVar("s"), One()), size),
-            Memb(Plus(Times(t, size), NVar("s")), "W"))))
-    return land([boundary0, boundary_end, sentinels, *_shared_clauses(tab)])
-
-
-def reach_witness_bound(tm: TMDescription, p: PolyBound) -> NumTerm:
-    return Times(Plus(poly_term(p, Len("Y")), One()), Len("Y"))
+    """W is a tableau of tape width w from row Y to row Z, where Y and Z are
+    configuration strings of w cells and a sentinel 1."""
+    size, w = Len("Y"), NVar("w")
+    stride = Times(w, const_term(1 + tm.state_bits))
+    tab = Tableau(tm, _witness_cells(tm, stride), poly_term(p, size), w)
+    j = NVar("j")
+    row0 = forall_lt("j", stride, stride, iff(Memb(j, "W"), Memb(j, "Y")))
+    last = forall_lt("j", stride, stride,
+                     iff(Memb(Plus(Times(tab.steps, stride), j), "W"), Memb(j, "Z")))
+    return ExN("w", size, land([
+        EqNum(size, Plus(stride, One())), EqNum(Len("Z"), size),
+        Leq(Len("W"), Times(Plus(tab.steps, One()), stride)),
+        row0, last, *_shared_clauses(tab)]))
 
 
 def compile_reach(tm: TMDescription, p: PolyBound) -> Formula:
     """Configuration Z is reached from Y after p(|Y|) steps."""
-    return ExS("W", reach_witness_bound(tm, p), reach_matrix(tm, p))
-
-
-def reach_witness(tm: TMDescription, start: Configuration, steps: int) -> str:
-    rows = run_from(tm, start, steps).rows
-    return "".join(config_to_string(r, tm.state_bits) for r in rows)
+    bound = Times(Plus(poly_term(p, Len("Y")), One()), Len("Y"))
+    return ExS("W", bound, reach_matrix(tm, p))
 
 
 def check_reach_witness(tm: TMDescription, p: PolyBound, y: str, z: str,
                         w: str) -> bool:
-    stride = set_length(y)
-    steps = p.eval(stride)
-    total = (steps + 1) * stride
-    if len(w) < total:
-        raise LayoutError(f"witness has {len(w)} bits, layout needs {total}")
-    env = Assignment(strs={"Y": y, "Z": z, "W": w})
-    f = _matrix(reach_matrix, tm.k, tuple(sorted(tm.delta.items())), p)
-    return eval_formula(f, _eval_slice(total, steps), env)
+    """Evaluate the reach matrix at a concrete witness string."""
+    layout = TableauLayout(width=len(string_to_config(y, tm).cells),
+                           steps=p.eval(set_length(y)), state_bits=tm.state_bits)
+    return _check(reach_matrix, tm, p, layout, {"Y": y, "Z": z, "W": w})
 
 
 def eval_reach(tm: TMDescription, p: PolyBound, y: str, z: str) -> bool:
@@ -349,7 +327,5 @@ def eval_reach(tm: TMDescription, p: PolyBound, y: str, z: str) -> bool:
     y must decode to a well-formed configuration; the deterministic run
     from it is the only candidate witness, mirroring eval_acc.
     """
-    start = string_to_config(y, tm)
-    steps = p.eval(set_length(y))
-    w = reach_witness(tm, start, steps)
-    return check_reach_witness(tm, p, y, z, w)
+    tableau = run_from(tm, string_to_config(y, tm), p.eval(set_length(y)))
+    return check_reach_witness(tm, p, y, z, tableau_to_witness(tableau))

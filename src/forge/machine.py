@@ -10,10 +10,12 @@ row is width cells of 1 + state_bits fields each, stored consecutively:
 field 0 is the tape bit and fields 1..state_bits hold the head mark (0 when
 the head is elsewhere) in binary, low bit first.  `encode_row` and
 `decode_row` are the one encoder and the one decoder of that layout, so a
-field sits where `encode_row` puts it: the acc witness string is the
-encoded rows joined, first row first, an acc configuration string is one
-encoded row plus a sentinel 1, and a nepo grid code packs the same bits as
-a width-1 sequence code.
+field sits where `encode_row` puts it: the acc witness string, for
+acceptance and reachability alike, is the encoded rows joined, first row
+first; a configuration string is one encoded row plus a sentinel 1
+(written by the tests' `oracles.config_to_string`, read by
+`acc.string_to_config` and nepo's `I` source); and a nepo grid code packs
+the same bits as a width-1 sequence code.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Reference decoders, enumerators, bounds, a formula walker, an
-s-expression reader, a left-moving machine and a one-step one, the truth of
-a formula over all strings of one length, a generator of machines with
-long TRANS chains, nepo's row digits and cell codes, and the proof mutation
-and soundness harnesses, which only the tests use.
+s-expression reader, a left-moving machine and a one-step one, the writer
+of configuration strings, the truth of a formula over all strings of one
+length, a generator of machines with long TRANS chains, nepo's row digits
+and cell codes, and the proof mutation and soundness harnesses, which only
+the tests use.
 
 Each one is an oracle the library is checked against, a harness that
 feeds it inputs, or a probe of which path the compiler takes; none of them
@@ -33,7 +34,8 @@ from forge.formulas import (AlN, AlS, And, Const, EqNum, EqStr, ExN, ExS,
                             Formula, Imp, Len, Leq, Memb, Not, NumTerm, NVar,
                             One, Or, Plus, SeqAt, SeqLen, Times, Zero,
                             free_vars, is_num_name, is_str_name)
-from forge.machine import ComputationTableau, TableauLayout, decode_row, parse_tm
+from forge.machine import (ComputationTableau, Configuration, TableauLayout,
+                           decode_row, encode_row, parse_tm)
 from forge.mfv import MonotoneTree
 from forge.nepo import NepoArtifact, NepoBounds
 from forge.proofs import (Proof, ProofLine, Sequent, check_depth_frege,
@@ -146,6 +148,12 @@ def witness_to_tableau(bits: str, layout: TableauLayout) -> ComputationTableau:
         rows.append(decode_row([1 if c == "1" else 0 for c in row],
                                layout.state_bits, every_mark))
     return ComputationTableau(tuple(rows), layout.width, layout.state_bits)
+
+
+def config_to_string(conf: Configuration, state_bits: int) -> str:
+    """A configuration string: one tableau row encoded, plus a sentinel 1
+    pinning the length.  acc.string_to_config and nepo's I source read it."""
+    return encode_row(conf, state_bits) + "1"
 
 
 def field_pos(layout: TableauLayout, t: int, i: int, f: int) -> int:

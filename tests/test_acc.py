@@ -1,10 +1,12 @@
 """Acceptance and reachability compilers against the simulator oracle."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
-from oracles import (BIT_TM, LEFT3, all_strings, field_pos, moves_left,
-                     record_compile_roots, walk_formula, walk_term)
+from oracles import (BIT_TM, LEFT3, all_strings, cell_code, config_to_string,
+                     eval_reach_level, field_pos, moves_left, record_compile_roots,
+                     walk_formula, walk_term)
 
 from forge import acc, nepo
 from forge.codec import encode_seq, mask_to_bits, set_length
@@ -12,8 +14,9 @@ from forge.errors import LayoutError
 from forge.evaluate import Assignment, FiniteSlice, eval_formula
 from forge.formulas import (Memb, NVar, Plus, SeqAt, Times, classify, const_term,
                             free_vars)
-from forge.machine import (Configuration, PolyBound, accepts, corpus_machine,
-                           parse_tm, run, run_from, tableau_to_witness)
+from forge.machine import (Configuration, PolyBound, TableauLayout, accepts,
+                           corpus_machine, initial_configuration, parse_tm, run,
+                           run_from, tableau_to_witness)
 
 P = PolyBound((2, 1))  # n + 2
 
@@ -164,7 +167,7 @@ def test_witness_matrix_compiles_once_per_machine_and_poly(monkeypatch):
     acc.eval_acc(tm, PolyBound((1, 1)), "01")
     assert len(compiles) == 2
     # the reach matrix of the same machine and poly is another kind
-    y = acc.config_to_string(run(tm, "01", 0, 2).rows[0], tm.state_bits)
+    y = config_to_string(run(tm, "01", 0, 2).rows[0], tm.state_bits)
     for z in (y, "1" + y[1:]):
         acc.eval_reach(tm, P, y, z)
     assert len(compiles) == 3
@@ -206,7 +209,7 @@ def test_reach_shape():
 def test_config_string_roundtrip():
     tm = corpus_machine("parity")
     conf = run(tm, "101", 2, 4).rows[2]
-    s = acc.config_to_string(conf, tm.state_bits)
+    s = config_to_string(conf, tm.state_bits)
     assert acc.string_to_config(s, tm) == conf
     assert set_length(s) == 4 * 3 + 1
 
@@ -224,28 +227,28 @@ def test_string_to_config_rejects_garbage():
 def test_eval_reach_simulator_rows():
     tm = corpus_machine("parity")
     start = run(tm, "1101", 0, 5).rows[0]
-    y = acc.config_to_string(start, tm.state_bits)
+    y = config_to_string(start, tm.state_bits)
     steps = P.eval(set_length(y))
     target = run_from(tm, start, steps).rows[-1]
-    z = acc.config_to_string(target, tm.state_bits)
+    z = config_to_string(target, tm.state_bits)
     assert acc.eval_reach(tm, P, y, z)
     wrong = run_from(tm, start, steps - 1).rows[-1]
     if wrong != target:
         assert not acc.eval_reach(
-            tm, P, y, acc.config_to_string(wrong, tm.state_bits))
+            tm, P, y, config_to_string(wrong, tm.state_bits))
 
 
 def test_eval_reach_stay_fixed_point():
-    y = acc.config_to_string(Configuration(((1, 1), (0, 0))), STAY_TM.state_bits)
+    y = config_to_string(Configuration(((1, 1), (0, 0))), STAY_TM.state_bits)
     assert acc.eval_reach(STAY_TM, P, y, y)
 
 
 def test_eval_reach_rejects_corrupt_target():
     tm = corpus_machine("scan1")
     start = run(tm, "001", 0, 4).rows[0]
-    y = acc.config_to_string(start, tm.state_bits)
+    y = config_to_string(start, tm.state_bits)
     steps = P.eval(set_length(y))
-    z = acc.config_to_string(run_from(tm, start, steps).rows[-1], tm.state_bits)
+    z = config_to_string(run_from(tm, start, steps).rows[-1], tm.state_bits)
     for pos in range(len(z) - 1):  # leave the sentinel alone
         corrupt = z[:pos] + ("0" if z[pos] == "1" else "1") + z[pos + 1:]
         assert not acc.eval_reach(tm, P, y, corrupt), pos
@@ -254,12 +257,12 @@ def test_eval_reach_rejects_corrupt_target():
 def test_reach_composes_along_corpus_traces():
     tm = corpus_machine("zeros")
     start = run(tm, "0000", 0, 6).rows[0]
-    y0 = acc.config_to_string(start, tm.state_bits)
+    y0 = config_to_string(start, tm.state_bits)
     steps = P.eval(set_length(y0))
     mid_conf = run_from(tm, start, steps).rows[-1]
     far_conf = run_from(tm, start, 2 * steps).rows[-1]
-    y1 = acc.config_to_string(mid_conf, tm.state_bits)
-    y2 = acc.config_to_string(far_conf, tm.state_bits)
+    y1 = config_to_string(mid_conf, tm.state_bits)
+    y2 = config_to_string(far_conf, tm.state_bits)
     assert acc.eval_reach(tm, P, y0, y1)
     assert acc.eval_reach(tm, P, y1, y2)
     assert run_from(tm, start, 2 * steps).rows[-1] == far_conf
@@ -275,11 +278,12 @@ def reach_cases():
 
 def test_compiled_reach_check_matches_walker():
     for tm, start in reach_cases():
-        y = acc.config_to_string(start, tm.state_bits)
+        y = config_to_string(start, tm.state_bits)
         steps = P.eval(set_length(y))
-        w = acc.reach_witness(tm, start, steps)
-        z = acc.config_to_string(run_from(tm, start, steps).rows[-1], tm.state_bits)
-        total = (steps + 1) * set_length(y)
+        w = tableau_to_witness(run_from(tm, start, steps))
+        z = config_to_string(run_from(tm, start, steps).rows[-1], tm.state_bits)
+        total = TableauLayout(len(start.cells), steps, tm.state_bits).total_bits
+        assert len(w) == total
         s = FiniteSlice(num_bound=total + steps + 2, str_width=0)
         walker = acc.reach_matrix(tm, P)
         for cand in [w, *flips(w)]:
@@ -298,7 +302,7 @@ def test_full_reach_eval_matches_certificate_micro():
     for bit in (0, 1):
         for mark in (1, 2):
             start = Configuration(((bit, mark),))
-            y = acc.config_to_string(start, tm.state_bits)
+            y = config_to_string(start, tm.state_bits)
             total = (p.eval(set_length(y)) + 1) * set_length(y)
             s = FiniteSlice(num_bound=total + 4, str_width=total)
             for zmask in range(1 << set_length(y)):
@@ -306,6 +310,104 @@ def test_full_reach_eval_matches_certificate_micro():
                 honest = eval_formula(acc.compile_reach(tm, p), s,
                                       Assignment(strs={"Y": y, "Z": z}))
                 assert honest == acc.eval_reach(tm, p, y, z), (y, z)
+
+
+def test_reach_rejects_a_target_longer_than_y():
+    # Z is one configuration string: the same length as Y, not a longer set
+    for tm, start in reach_cases():
+        y = config_to_string(start, tm.state_bits)
+        z = config_to_string(run_from(tm, start, P.eval(set_length(y))).rows[-1],
+                             tm.state_bits)
+        for tail in ("", "1", "01", "0001", "1" * 20):
+            assert acc.eval_reach(tm, P, y, z + tail) == (tail == ""), (y, tail)
+
+
+def with_cell(z, tm, i, bit, mark):
+    """Configuration string z with cell i replaced by (bit, mark)."""
+    fields = 1 + tm.state_bits
+    block = str(bit) + "".join(str(mark >> f & 1) for f in range(tm.state_bits))
+    return z[:i * fields] + block + z[(i + 1) * fields:]
+
+
+def test_reach_agrees_with_nepo_and_the_simulator():
+    """Nepomnjascij in miniature: the Sigma^B_1 reach formula (acc's, at the
+    constant step bound t) and the Delta^B_0 one (nepo's Reach at the level
+    whose rows are span^level steps apart, row p1) both accept the run's
+    configuration after t = p1 * span^level steps, and both reject every
+    single-cell change of it."""
+    agreed = 0
+    for m, inputs in ((4, ("1", "01", "011")), (8, ("1", "01", "011", "0110"))):
+        b = nepo.NepoBounds(c=1, eps=Fraction(1, 3), k=2, m=m)
+        for name in ("scan1", "parity"):
+            tm = corpus_machine(name)
+            marks = range(1 << tm.state_bits)
+            for level in range(b.d + 1):
+                art = nepo.reach_artifact(tm, b, level)
+                for x in inputs:
+                    start = initial_configuration(x, b.width)
+                    y = config_to_string(start, tm.state_bits)
+                    for p1 in range(b.span + 1):
+                        t = p1 * b.span ** level
+                        p = PolyBound((t,), constant=True)
+                        row = run_from(tm, start, t).rows[-1]
+                        z = config_to_string(row, tm.state_bits)
+                        assert acc.eval_reach(tm, p, y, z), (name, m, level, x, p1)
+                        for p2, cell in enumerate(row.cells):
+                            assert eval_reach_level(art, y, p1, p2, cell_code(*cell))
+                            for other in itertools.product((0, 1), marks):
+                                if other == cell:
+                                    continue
+                                case = (name, m, level, x, p1, p2, other)
+                                assert not acc.eval_reach(
+                                    tm, p, y, with_cell(z, tm, p2, *other)), case
+                                assert not eval_reach_level(
+                                    art, y, p1, p2, cell_code(*other)), case
+                        agreed += 1
+    assert agreed == 108
+
+
+def test_honest_reach_sweep_agrees_with_eval_reach():
+    """compile_reach decided by sweeping every witness string, with no
+    simulator run, gives eval_reach's verdict and the simulator's on the
+    true target and on each bit flip of it below |Y| + 2, which reaches
+    past the sentinel."""
+    checked = 0
+    for name in ("scan1", "parity"):
+        tm = corpus_machine(name)
+        for t in (0, 1, 2):
+            p = PolyBound((t,), constant=True)
+            for bit, mark in itertools.product((0, 1), range(1, tm.k + 1)):
+                start = Configuration(((bit, mark),))
+                y = config_to_string(start, tm.state_bits)
+                z = config_to_string(run_from(tm, start, t).rows[-1], tm.state_bits)
+                total = (t + 1) * set_length(y)  # compile_reach's bound on W
+                s = FiniteSlice(num_bound=total + 4, str_width=total)
+                for cand in [z, *flips(z.ljust(set_length(y) + 2, "0"))]:
+                    honest = eval_formula(acc.compile_reach(tm, p), s,
+                                          Assignment(strs={"Y": y, "Z": cand}))
+                    assert honest == acc.eval_reach(tm, p, y, cand) == (cand == z), \
+                        (name, t, y, cand)
+                    checked += 1
+    assert checked == 168
+
+
+def test_reach_witness_is_unique_micro():
+    """Sweep every W below compile_reach's bound: at width 1 the reach
+    matrix has exactly one model per start and step count, the simulator's
+    tableau.  The |W| conjunct is what rules out the same tableau with
+    bits set past its last row."""
+    for tm in (BIT_TM, corpus_machine("scan1"), corpus_machine("parity")):
+        for t in (0, 1):
+            p = PolyBound((t,), constant=True)
+            for bit, mark in itertools.product((0, 1), range(1, tm.k + 1)):
+                start = Configuration(((bit, mark),))
+                y = config_to_string(start, tm.state_bits)
+                z = config_to_string(run_from(tm, start, t).rows[-1], tm.state_bits)
+                bound = (t + 1) * set_length(y)
+                hits = [mask for mask in range(1 << bound) if acc.check_reach_witness(
+                    tm, p, y, z, mask_to_bits(mask).ljust(bound, "0"))]
+                sim = tableau_to_witness(run_from(tm, start, t))
+                assert hits == [int(sim[::-1], 2)], (tm, t, y, hits)
 
 
 def test_poly_term_matches_eval():

@@ -11,7 +11,7 @@ import random
 import time
 from fractions import Fraction
 
-from oracles import (cell_code, eval_reach_level, holds_for_all,
+from oracles import (cell_code, config_to_string, eval_reach_level, holds_for_all,
                      node_value_depth_bound, proof_mutations, soundness_sweep)
 
 from forge import acc, nepo, proofs, reflect
@@ -95,7 +95,7 @@ def test_criterion_3_nepo_level_equivalence():
             stride = bounds.span ** level
             for x in ("1", "0110", "10110"):
                 start = initial_configuration(x, bounds.width)
-                i_str = acc.config_to_string(start, tm.state_bits)
+                i_str = config_to_string(start, tm.state_bits)
                 for p1 in range(bounds.span + 1):
                     row = run_from(tm, start, p1 * stride).rows[-1]
                     for p2 in range(bounds.width):

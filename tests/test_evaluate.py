@@ -13,8 +13,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (grid_read, node_value_depth_bound, read_outcome,
-                     role_free_names, seq_len_total, walk_formula, walk_term)
+from oracles import (config_to_string, grid_read, node_value_depth_bound,
+                     read_outcome, role_free_names, seq_len_total, walk_formula,
+                     walk_term)
 from test_formulas import gen_formula, gen_term
 
 from forge import acc, codec, evaluate, nepo, sexpr
@@ -542,7 +543,7 @@ def test_compiled_matches_walker_with_certificate_roles():
                      {sub[-1]: lambda e, cb=art.roles[sub[-1]]: cb(e) ^ 4},
                      {sub[0]: lambda e: art.slice.num_bound + 1}]
         for x in ("1", "01"):
-            i_str = acc.config_to_string(initial_configuration(x, 2), tm.state_bits)
+            i_str = config_to_string(initial_configuration(x, 2), tm.state_bits)
             for p1 in range(b.span + 1):
                 for cell in range(6):
                     env = Assignment(nums={"p1": p1, "p2": 1, "cell": cell},

@@ -74,23 +74,23 @@ GOLDEN = {
         "72bace9ee26a4ec077b8038340882e26589df35b8d3b1b929bc7b2305008c873",
         "72bace9ee26a4ec077b8038340882e26589df35b8d3b1b929bc7b2305008c873"),
     "reach:scan1:2,1": (
-        "86a84d6541864b316fa7a68188ebf9c525c29e9d0f3cdeed74b8e812e667ec35",
-        "a732127ed90d81e97ac55df1e918b5c713a225bb8ed8ba8669459c49ddf36ad9"),
+        "a16c7cc8af3d64098a50113c5e16e6024dfd8b10bfadb475b06e3ff7b341a768",
+        "79109a236e17e319ecf09938412a1024f0239139fa03654dbde18e61643ebbad"),
     "reach:scan1:1,1,1": (
-        "ec97fd6fd2d9c7a8ac499a9214fcd220fe8797dd069be12a31df8c8ba91a3bf4",
-        "ee893682628f0e64be0cf52d26b6d43896c63bc499318f9aca8216e1a1c09872"),
+        "c78376b2525e088a360e36c38ac85b4a515622652dabd42a87b47164d6eadf97",
+        "eb49cf400474024310723eb0f5fae330fdff8bb9da0b6effc5e948749344cca0"),
     "reach:parity:2,1": (
-        "8c93817b5cbb66aa47ca766914bd6b9a85fd2791b0529b60c9ac4684b48498f6",
-        "ae6ad99d4862ad6ca4af4f85aedb2031b735fc71f07353855afc2005d97aa352"),
+        "afefc596a6f996819d041d3931cba4c91c0c8dba7029bc34fe23aa061875b5a4",
+        "4fd9bbd470c0d4254cf71c18106fd22a6b6b588c8495d845a9141c63335d849f"),
     "reach:parity:1,1,1": (
-        "50a4d29bad275b616771c14f6ac25be33b743f63e8c0363e003c009e53b6905c",
-        "4ed831f7b5a3b985aa4e736b81f4378d660579889670ea2a01221b8fb103c81f"),
+        "c91bf196e8e97a3a865dc2d4540a43b602a5bc4af4a42b28c4bdc83432c8f66e",
+        "7e15b006f024fc33fdcbe9d221809c1fbcc5323188de473124c6b5f119d05435"),
     "reach:zeros:2,1": (
-        "55a6ed5c74dedb6450d571ed1e24cf932dc974c60acc0554d510de9fd1cc6a23",
-        "4716811585bd1dc5c396fd54af0934fe8588d9e53993b043f7a7885d5bda3a13"),
+        "fffaf49239ea23b1dd59b5472d8b363373c8ee6f1f0538656f15f333ed84c824",
+        "bf5aa6659212e8217cd14adc550b0474343e7d271d80a45b354a0d6b64ede642"),
     "reach:zeros:1,1,1": (
-        "3db1feeac49d6a8f57f9a2140c6f7987d815fac7275d92706767d8bb6f43fc93",
-        "b0fb00407e3bbb40c35df3b55a2c151e09cd1b27869bdb3b1b5074e42e964602"),
+        "cf3c905ea288626c857394097ea506077d72c72b954f72d35937cf0f7ea7a342",
+        "46e4f370c4de96387671f62415dc0ade3070f435ad20bdf6b9399474c8bae6ae"),
     "Reach0:scan1:m4": (
         "0d23e4977456bcf66460f036b4f5bdf0936d5339ed2a563926599e60a9dad1c3",
         "0d23e4977456bcf66460f036b4f5bdf0936d5339ed2a563926599e60a9dad1c3"),
@@ -149,8 +149,8 @@ GOLDEN = {
         "dd3773d2c64a09ae6036ed21d42d5948f6688520153d3d7020b9ebaed8a4936b",
         "85c20516f31bff059031b7b50950eb4f9dd8ef7f37ffc5d057e74b3f7f765975"),
     "reach:left3:2,1": (
-        "d66f4def8931d657ab695c7969d935e41b45143e485067108fdbdc22b788ebc4",
-        "3548dd842c94677d2abf2074c8d00677342a78e08598fc9c697e09d72691b89b"),
+        "05ef60d2fd6edf0133d7f01b54c78ee5b37982f44938702b47ca363cc177c2ef",
+        "9aa3e85f0f03ff2b4be15c682bf6676a8dc2c353c31fb8732343f52296c691d7"),
     "sigma0:left3:m4": (
         "8ad1d9c5f34d7ccdf0bafbab933f29ec4f7db5a0349a708f6d5723e7e0781e19",
         "8ad1d9c5f34d7ccdf0bafbab933f29ec4f7db5a0349a708f6d5723e7e0781e19"),

@@ -13,11 +13,11 @@ from fractions import Fraction
 
 import pytest
 from oracles import (BIT_TM, LEFT3, all_strings, cell_code, collect_quantifier_bounds,
-                     eval_reach_level, grid_read, moves_left, radix_digits,
+                     config_to_string, eval_reach_level, grid_read, moves_left, radix_digits,
                      read_outcome, record_compile_roots, role_free_names, seq_get_total,
                      walk_formula, walk_term)
 
-from forge import acc, nepo
+from forge import nepo
 from forge.codec import encode_seq
 from forge.errors import BudgetError, ParseError, UnboundVariableError
 from forge.evaluate import Assignment, FiniteSlice, eval_formula
@@ -36,7 +36,7 @@ FULL = nepo.NepoBounds(c=1, eps=Fraction(1, 3), k=2, m=64)  # width 16, span 4, 
 
 
 def config_str(tm, conf):
-    return acc.config_to_string(conf, tm.state_bits)
+    return config_to_string(conf, tm.state_bits)
 
 
 def sim_cell(tm, start, steps, z):

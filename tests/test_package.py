@@ -306,13 +306,51 @@ def test_dead_definitions_are_found(tmp_path):
                                 ["m.py"]) == dead
 
 
-# Library definitions that only tests call, each kept for the reason given.
+# Library definitions that only tests call, each kept for the reason given;
+# every reason cites the test that justifies it.
 ONLY_TESTS_CALL = {
-    "acc.compile_reach": "comparing it with nepo's reach decides if acc's reach half stays",
-    "acc.eval_reach": "the same decision as acc.compile_reach",
-    "nepo.cell_artifact": "the Delta^B_0 cell predicate, pinned by the cell:* golden digests",
+    "acc.compile_reach": "the Sigma^B_1 reach formula, decided by its honest witness sweep in "
+                         "tests/test_acc.py::test_honest_reach_sweep_agrees_with_eval_reach",
+    "acc.eval_reach": "the Sigma^B_1 side that tests/test_acc.py::"
+                      "test_reach_agrees_with_nepo_and_the_simulator compares with nepo's reach",
+    "nepo.cell_artifact": "the Delta^B_0 cell predicate, pinned by the cell:* digests of "
+                          "tests/test_golden.py::test_print_and_reprint_digests",
 }
 
 
 def test_no_dead_definitions():
     assert dead_in(ROOT, ONLY_TESTS_CALL) == []
+
+
+def uncited(root: Path, exempt: dict[str, str]) -> list[str]:
+    """The exemptions whose reason cites no `tests/<file>.py::<test>` that
+    the file defines at top level, or whose cited file never names them."""
+    found = []
+    for name, reason in exempt.items():
+        cited = re.search(r"tests/(\w+\.py)::(\w+)", reason)
+        if not cited or not (root / "tests" / cited[1]).is_file():
+            found.append(f"{name} cites no test file")
+            continue
+        source = (root / "tests" / cited[1]).read_text()
+        if cited[2] not in {node.name for node in ast.parse(source).body
+                            if isinstance(node, ast.FunctionDef)}:
+            found.append(f"{name} cites {cited[0]}, which is not defined")
+        elif not re.search(rf"\b{name.rsplit('.', 1)[1]}\b", source):
+            found.append(f"{name} cites {cited[0]}, whose file never names it")
+    return found
+
+
+def test_uncited_exemptions_are_found(tmp_path):
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "t.py").write_text("def test_a():\n    m.used()\n")
+    exempt = {"m.used": "see tests/t.py::test_a", "m.vague": "kept for now",
+              "m.lost": "see tests/u.py::test_a", "m.gone": "see tests/t.py::test_b",
+              "m.other": "see tests/t.py::test_a"}
+    assert uncited(tmp_path, exempt) == [
+        "m.vague cites no test file", "m.lost cites no test file",
+        "m.gone cites tests/t.py::test_b, which is not defined",
+        "m.other cites tests/t.py::test_a, whose file never names it"]
+
+
+def test_each_exemption_cites_its_test():
+    assert uncited(ROOT, ONLY_TESTS_CALL) == []
