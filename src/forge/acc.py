@@ -23,8 +23,10 @@ instead of enumerating strings.
 compile_reach(tm, p) keeps the middle clauses but pins row 0 and row
 p(|Y|) to free configuration strings Y and Z: one row in encode_row's
 layout plus a sentinel 1 bit, so |Y| fixes the tape width w, which the
-formula binds once.  W is laid out exactly as for acceptance; |Z| = |Y|
-and a tight bound on |W| keep Z and the witness unique.
+formula binds once.  Row 0 must carry a head (Tableau.has_head, which nepo
+asks of its level-0 grids too), so a headless Y reaches nothing.  W is laid
+out exactly as for acceptance; |Z| = |Y| and a tight bound on |W| keep Z
+and the witness unique.
 
 `Tableau` is the one place the FRAME, TRANS and VALIDITY clauses (and the
 mark tests SINGLE-HEAD is written with) are built, for both this module and
@@ -112,6 +114,11 @@ class Tableau:
 
     def marked(self, t: Row, i: Row) -> Formula:
         return Not(self.mark_is(t, i, 0))
+
+    def has_head(self, t: Row) -> Formula:
+        """Some cell of row t carries a head mark."""
+        ivar = self.fresh("z")
+        return self.some_cell(ivar, self.marked(t, NVar(ivar)))
 
     def each_row(self, var: str, body: Formula) -> Formula:
         steps = self.steps
@@ -304,7 +311,7 @@ def reach_matrix(tm: TMDescription, p: PolyBound) -> Formula:
     return ExN("w", size, land([
         EqNum(size, Plus(stride, One())), EqNum(Len("Z"), size),
         Leq(Len("W"), Times(Plus(tab.steps, One()), stride)),
-        row0, last, *_shared_clauses(tab)]))
+        row0, tab.has_head(Zero()), last, *_shared_clauses(tab)]))
 
 
 def compile_reach(tm: TMDescription, p: PolyBound) -> Formula:

@@ -309,9 +309,7 @@ class _Emitter:
             parts.append(pin)
         parts.append(self._init(tab, sym))
         if level == 0:
-            zvar = self.fresh("z")
-            has_head = tab.some_cell(zvar, tab.marked(0, NVar(zvar)))
-            parts += [has_head, tab.transitions(), tab.frame(), single_head(tab)]
+            parts += [tab.has_head(0), tab.transitions(), tab.frame(), single_head(tab)]
             validity = tab.validity()
             if validity is not None:
                 parts.append(validity)

@@ -158,15 +158,15 @@ class _Image(_Compiler):
         k = type(f)
         if k is EqNum or k is Leq:
             test = _compare(k is Leq, self.term(f.left), self.term(f.right))
-            out = lambda r: _BITS[test(r)]
-        elif k is Memb:
+            out = lambda r, test=test: _BITS[test(r)]
+        elif k is Memb:  # defaults bind, so that no call makes a cell for f
             index = self.term(f.index)
-            out = lambda r: _bit(f.svar, _length(f.svar, r.strs), _value(index, r.nums, r.strs))
+            out = lambda r, s=f.svar, i=index: _bit(s, _length(s, r.strs), _value(i, r.nums, r.strs))
         elif k is EqStr:
-            out = lambda r: _eq_str(f.left, f.right, r.strs)
+            out = lambda r, a=f.left, b=f.right: _eq_str(a, b, r.strs)
         elif k is Not:
             body = self.formula(f.body)
-            out = lambda r: pnot(body(r))
+            out = lambda r, body=body: pnot(body(r))
         elif k is ExN or k is AlN:
             out = _sweep(k is ExN, f.var, self.term(f.bound), self.formula(f.body))
         else:  # And, Or or Imp: classify has rejected every other node

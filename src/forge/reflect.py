@@ -170,6 +170,11 @@ def decode_formula(bits: str) -> PropFormula:
     return _read_node(bits, 2, (len(bits) - 3) // NODE_WIDTH, 1)
 
 
+def _hot_bits(n: int, at: int | None) -> str:
+    """n zero bits, except bit `at` when a position is given."""
+    return "".join("1" if i == at else "0" for i in range(n))
+
+
 def encode_proof(pi: Proof) -> str:
     """Pack a proof into its framed bit string."""
     if not pi.lines:
@@ -208,17 +213,9 @@ def encode_proof(pi: Proof) -> str:
                 out.append(_record_chunk(maps[j], cap_slot) if j < len(maps)
                            else "0" * rec_w)
         out.append(_le_bits(RULES.index(ln.rule), 4))
-        cut = ["0"] * cap_side
-        if ln.rule == "cut":
-            cut[ln.cut_index] = "1"
-        out.append("".join(cut))
-        out.append(("1" if ln.premises else "0")
-                   + ("1" if len(ln.premises) > 1 else "0"))
-        for k in range(2):
-            hot = ["0"] * nlines
-            if k < len(ln.premises):
-                hot[ln.premises[k]] = "1"
-            out.append("".join(hot))
+        out.append(_hot_bits(cap_side, ln.cut_index if ln.rule == "cut" else None))
+        out.append("1" * len(ln.premises) + "0" * (2 - len(ln.premises)))
+        out += [_hot_bits(nlines, p) for p in (*ln.premises, None, None)[:2]]
     out.append("1")
     return "".join(out)
 
@@ -241,6 +238,15 @@ def decode_proof(bits: str) -> Proof:
         while take(1, what) == "1":
             n += 1
         return n
+
+    def hot(n: int, what: str, used: bool, unused: str) -> int:
+        """The set bit of an n-bit one-hot field; 0 when unused, and all clear."""
+        at = [i for i, c in enumerate(take(n, what)) if c == "1"]
+        if used and len(at) != 1:
+            raise DecodeError(f"{what} is not a one-hot")
+        if not used and at:
+            raise DecodeError(unused)
+        return at[0] if used else 0
 
     if take(2, "version prefix") != "10":
         raise DecodeError("unsupported version prefix")
@@ -278,30 +284,15 @@ def decode_proof(bits: str) -> Proof:
         if tag >= len(RULES):
             raise DecodeError(f"invalid rule tag {tag}")
         rule = RULES[tag]
-        hot = [i for i, c in enumerate(take(cap_side, "cut position")) if c == "1"]
-        if rule == "cut":
-            if len(hot) != 1:
-                raise DecodeError("cut position is not a one-hot")
-            cut_index = hot[0]
-        elif hot:
-            raise DecodeError("cut bits on a non-cut line")
-        else:
-            cut_index = 0
+        cut_index = hot(cap_side, "cut position", rule == "cut",
+                        "cut bits on a non-cut line")
         counts = take(2, "premise count bits")
         if counts == "01":
             raise DecodeError("premise count bits not monotone")
         nprem = counts.count("1")
-        premises = []
-        for k in range(2):
-            hot = [i for i, c in enumerate(take(nlines, "premise reference"))
-                   if c == "1"]
-            if k < nprem:
-                if len(hot) != 1:
-                    raise DecodeError("premise reference is not a one-hot")
-                premises.append(hot[0])
-            elif hot:
-                raise DecodeError("bits in an unused premise slot")
-        lines.append(ProofLine(Sequent(*sides), rule, tuple(premises), cut_index))
+        premises = tuple(hot(nlines, "premise reference", k < nprem,
+                             "bits in an unused premise slot") for k in range(2))
+        lines.append(ProofLine(Sequent(*sides), rule, premises[:nprem], cut_index))
     take(1, "terminator")
     return Proof(tuple(lines))
 
@@ -386,10 +377,12 @@ def _graft(slot: int, child: int) -> int:
 
 class _ProofGeom:
     """Field positions of the packed proof P, as terms over the quantified
-    geometry numbers nl (lines), nf (side capacity), ns (record slots)."""
+    geometry numbers nl (lines), nf (side capacity), ns (record slots).
+    Every sweep runs to the one bound term `sweep`, |P|."""
 
     def __init__(self, slot_cap: int):
         self.cap = slot_cap
+        self.sweep = Len("P")
         self.nl, self.nf, self.ns = NVar("nl"), NVar("nf"), NVar("ns")
         self.rw = Times(self.ns, const_term(NODE_WIDTH))
         self.sw = Plus(self.nf, Times(self.nf, self.rw))
@@ -419,6 +412,11 @@ class _ProofGeom:
         o = const_term(off) if isinstance(off, int) else off
         return self.bit(Plus(self.rec_base(line, side, j), o))
 
+    def slot_clear(self, line: NumTerm, side: int, j: NumTerm, k: int) -> Formula:
+        """Heap slot k of record j holds no node: its six bits are all zero."""
+        return land([Not(self.rec_bit(line, side, j, (k - 1) * NODE_WIDTH + m))
+                     for m in range(NODE_WIDTH)])
+
     def rule_base(self, line: NumTerm) -> NumTerm:
         return Plus(self.line_base(line), Times(const_term(2), self.sw))
 
@@ -432,13 +430,10 @@ class _ProofGeom:
         base = Plus(self.pcount_base(line), const_term(2))
         return base if k == 0 else Plus(base, self.nl)
 
-    def sweep(self) -> NumTerm:
-        return Len("P")
-
 
 def _rec_eq(g: _ProofGeom, lc, sc, jc, lp, sp, jp) -> Formula:
     b = NVar("b")
-    return forall_lt("b", g.sweep(), g.rw,
+    return forall_lt("b", g.sweep, g.rw,
                      iff(g.rec_bit(lc, sc, jc, b), g.rec_bit(lp, sp, jp, b)))
 
 
@@ -459,17 +454,16 @@ def _sub_eq(g: _ProofGeom, lc, sc, jc, child: int, lp, sp, jp) -> Formula:
         eq = land([iff(g.rec_bit(lc, sc, jc, (img - 1) * NODE_WIDTH + m),
                        g.rec_bit(lp, sp, jp, (k - 1) * NODE_WIDTH + m))
                    for m in range(NODE_WIDTH)])
-        empty = land([Not(g.rec_bit(lp, sp, jp, (k - 1) * NODE_WIDTH + m))
-                      for m in range(NODE_WIDTH)])
         parts.append(Imp(And(here, Leq(const_term(img), g.ns)), eq))
-        parts.append(Imp(And(here, lt(g.ns, const_term(img))), empty))
+        parts.append(Imp(And(here, lt(g.ns, const_term(img))),
+                         g.slot_clear(lp, sp, jp, k)))
     return land(parts)
 
 
 def _count_is(g: _ProofGeom, line, side, n: NumTerm) -> Formula:
     return land([
         Leq(n, g.nf),
-        forall_lt("j", g.sweep(), n, g.pres(line, side, NVar("j"))),
+        forall_lt("j", g.sweep, n, g.pres(line, side, NVar("j"))),
         Imp(lt(n, g.nf), Not(g.pres(line, side, n))),
     ])
 
@@ -481,7 +475,7 @@ def _tail_map(g: _ProofGeom, lc, sc, fc: int, lp, sp, fp: int) -> Formula:
     c_in, p_in = lt(ci, g.nf), lt(pi, g.nf)
     same = And(iff(g.pres(lc, sc, ci), g.pres(lp, sp, pi)),
                Imp(g.pres(lc, sc, ci), _rec_eq(g, lc, sc, ci, lp, sp, pi)))
-    return AlN("j", g.sweep(), land([
+    return AlN("j", g.sweep, land([
         Imp(And(c_in, p_in), same),
         Imp(And(c_in, Not(p_in)), Not(g.pres(lc, sc, ci))),
         Imp(And(p_in, Not(c_in)), Not(g.pres(lp, sp, pi))),
@@ -490,17 +484,12 @@ def _tail_map(g: _ProofGeom, lc, sc, fc: int, lp, sp, fp: int) -> Formula:
 
 def _seg_eq(g: _ProofGeom, lc, sc, fc: int, lp, sp, fp: int, n: NumTerm) -> Formula:
     j = NVar("j")
-    return forall_lt("j", g.sweep(), n,
+    return forall_lt("j", g.sweep, n,
                      _rec_eq(g, lc, sc, _sh(j, fc), lp, sp, _sh(j, fp)))
 
 
 def _tag_is(g: _ProofGeom, line, rule: str) -> Formula:
     return _pattern("P", g.rule_base(line), RULES.index(rule), 4)
-
-
-def _zero_cut(g: _ProofGeom, line) -> Formula:
-    return forall_lt("j", g.sweep(), g.nf,
-                     Not(g.bit(Plus(g.cut_base(line), NVar("j")))))
 
 
 def _pcount_is(g: _ProofGeom, line, n: int) -> Formula:
@@ -509,25 +498,30 @@ def _pcount_is(g: _ProofGeom, line, n: int) -> Formula:
     return And(b0 if n >= 1 else Not(b0), b1 if n >= 2 else Not(b1))
 
 
-def _no_onehot(g: _ProofGeom, line, k: int) -> Formula:
-    return forall_lt("u", g.sweep(), g.nl,
-                     Not(g.bit(Plus(g.onehot_base(line, k), NVar("u")))))
+def _clear(g: _ProofGeom, var: str, base: NumTerm, limit: NumTerm) -> Formula:
+    """The limit-bit field at base is all zero."""
+    return forall_lt(var, g.sweep, limit, Not(g.bit(Plus(base, NVar(var)))))
+
+
+def _one_hot(g: _ProofGeom, var: str, base: NumTerm, limit: NumTerm,
+             below: NumTerm, rest: Formula) -> Formula:
+    """Bind var to the one set bit, below `below`, of the limit-bit field at base."""
+    v, u = NVar(var), NVar("u")
+    others = AlN("u", g.sweep, Imp(And(lt(u, limit), Not(EqNum(u, v))),
+                                    Not(g.bit(Plus(base, u)))))
+    return ExN(var, g.sweep, land([g.bit(Plus(base, v)), lt(v, below), others, rest]))
 
 
 def _with_premise(g: _ProofGeom, line, k: int, var: str, body) -> Formula:
     """Bind var to the unique earlier line the k-th one-hot points at."""
-    v = NVar(var)
-    hot = g.bit(Plus(g.onehot_base(line, k), v))
-    others = AlN("u", g.sweep(),
-                 Imp(And(lt(NVar("u"), g.nl), Not(EqNum(NVar("u"), v))),
-                     Not(g.bit(Plus(g.onehot_base(line, k), NVar("u"))))))
-    return ExN(var, g.sweep(), land([hot, lt(v, line), others, body(v)]))
+    return _one_hot(g, var, g.onehot_base(line, k), g.nl, line, body(NVar(var)))
 
 
 def _branch_axiom(g: _ProofGeom, line, rule: str, side, tag) -> Formula:
     return land([
         _tag_is(g, line, rule), _pcount_is(g, line, 0),
-        _no_onehot(g, line, 0), _no_onehot(g, line, 1), _zero_cut(g, line),
+        *[_clear(g, "u", g.onehot_base(line, k), g.nl) for k in (0, 1)],
+        _clear(g, "j", g.cut_base(line), g.nf),
         _count_is(g, line, LEFT, One()), _count_is(g, line, RIGHT, One()),
         _rec_eq(g, line, LEFT, Zero(), line, RIGHT, Zero()),
     ])
@@ -536,7 +530,8 @@ def _branch_axiom(g: _ProofGeom, line, rule: str, side, tag) -> Formula:
 def _one_premise(g: _ProofGeom, line, rule: str, body) -> Formula:
     """The rule tag, a lone premise and no cut position; body reads the premise."""
     return land([_tag_is(g, line, rule), _pcount_is(g, line, 1),
-                 _no_onehot(g, line, 1), _zero_cut(g, line),
+                 _clear(g, "u", g.onehot_base(line, 1), g.nl),
+                 _clear(g, "j", g.cut_base(line), g.nf),
                  _with_premise(g, line, 0, "pa", body)])
 
 
@@ -546,7 +541,7 @@ def _branch_weak(g: _ProofGeom, line, rule: str, side: int, tag) -> Formula:
         e = NVar("e")
         at_front = And(g.pres(line, side, Zero()),
                        _tail_map(g, line, side, 1, p, side, 0))
-        at_back = ExN("e", g.sweep(), land([
+        at_back = ExN("e", g.sweep, land([
             _count_is(g, p, side, e),
             _count_is(g, line, side, Plus(e, One())),
             _seg_eq(g, line, side, 0, p, side, 0, e),
@@ -572,7 +567,7 @@ def _branch_not(g: _ProofGeom, line, rule: str, side: int, tag: int) -> Formula:
             _node_is(g, line, side, Zero(), tag),
             g.pres(line, side, Zero()),
             _tail_map(g, line, side, 1, p, side, 0),
-            ExN("e", g.sweep(), moved),
+            ExN("e", g.sweep, moved),
         ])
 
     return _one_premise(g, line, rule, body)
@@ -611,27 +606,22 @@ def _branch_split(g: _ProofGeom, line, rule: str, side: int, tag: int) -> Formul
             return land([
                 _node_is(g, line, side, Zero(), tag),
                 g.pres(line, side, Zero()),
-                ExN("e", g.sweep(),
+                ExN("e", g.sweep,
                     land([_count_is(g, line, side, Plus(e, One()))] + per_child)),
             ])
 
         return _with_premise(g, line, 1, "pb", inner)
 
     return land([_tag_is(g, line, rule), _pcount_is(g, line, 2),
-                 _zero_cut(g, line), _with_premise(g, line, 0, "pa", body)])
+                 _clear(g, "j", g.cut_base(line), g.nf),
+                 _with_premise(g, line, 0, "pa", body)])
 
 
 def _branch_cut(g: _ProofGeom, line, rule: str, side, tag) -> Formula:
     def body(pa):
         def inner(pb):
             c = NVar("cc")
-            hot = g.bit(Plus(g.cut_base(line), c))
-            others = AlN("u", g.sweep(),
-                         Imp(And(lt(NVar("u"), g.nf),
-                                 Not(EqNum(NVar("u"), c))),
-                             Not(g.bit(Plus(g.cut_base(line), NVar("u"))))))
-            return ExN("cc", g.sweep(), land([
-                hot, lt(c, g.nf), others,
+            return _one_hot(g, "cc", g.cut_base(line), g.nf, g.nf, land([
                 _count_is(g, line, RIGHT, c),
                 _count_is(g, pa, RIGHT, Plus(c, One())),
                 _seg_eq(g, line, RIGHT, 0, pa, RIGHT, 0, c),
@@ -660,27 +650,25 @@ def _branch(g: _ProofGeom, line, rule: str) -> Formula:
 
 def _prefix_closed(g: _ProofGeom, line, side: int) -> Formula:
     j = NVar("j")
-    return AlN("j", g.sweep(),
+    return AlN("j", g.sweep,
                Imp(And(lt(_sh(j, 1), g.nf), g.pres(line, side, _sh(j, 1))),
                    g.pres(line, side, j)))
 
 
 def _absent_zero(g: _ProofGeom, line, side: int) -> Formula:
     j = NVar("j")
-    blank = forall_lt("b", g.sweep(), g.rw,
-                      Not(g.rec_bit(line, side, j, NVar("b"))))
-    return forall_lt("j", g.sweep(), g.nf,
-                     Imp(Not(g.pres(line, side, j)), blank))
+    blank = _clear(g, "b", g.rec_base(line, side, j), g.rw)
+    return forall_lt("j", g.sweep, g.nf, Imp(Not(g.pres(line, side, j)), blank))
 
 
 def _endsequent_is(g: _ProofGeom) -> Formula:
     """Last line is (empty => target), matching the standalone encoding."""
     le, sx, b = NVar("le"), NVar("sx"), NVar("b")
     width = Times(sx, const_term(NODE_WIDTH))
-    content = forall_lt("b", g.sweep(), width,
+    content = forall_lt("b", g.sweep, width,
                         iff(Memb(Plus(const_term(2), b), "X"),
                             g.rec_bit(le, RIGHT, Zero(), b)))
-    padding = AlN("b", g.sweep(),
+    padding = AlN("b", g.sweep,
                   Imp(And(Leq(width, b), lt(b, g.rw)),
                       Not(g.rec_bit(le, RIGHT, Zero(), b))))
     target = ExN("sx", Len("X"), land([
@@ -689,7 +677,7 @@ def _endsequent_is(g: _ProofGeom) -> Formula:
         content,
         padding,
     ]))
-    return ExN("le", g.sweep(), land([
+    return ExN("le", g.sweep, land([
         EqNum(Plus(le, One()), g.nl),
         _count_is(g, le, LEFT, Zero()),
         _count_is(g, le, RIGHT, One()),
@@ -705,15 +693,11 @@ def _depth_cap(g: _ProofGeom, depth: int) -> Formula:
     line, j = NVar("l"), NVar("j")
     per_side = []
     for side in (LEFT, RIGHT):
-        deep = land([
-            Imp(Leq(const_term(k), g.ns),
-                land([Not(g.rec_bit(line, side, j, (k - 1) * NODE_WIDTH + m))
-                      for m in range(NODE_WIDTH)]))
-            for k in range(first_deep, g.cap + 1)
-        ])
-        per_side.append(forall_lt("j", g.sweep(), g.nf,
+        deep = land([Imp(Leq(const_term(k), g.ns), g.slot_clear(line, side, j, k))
+                     for k in range(first_deep, g.cap + 1)])
+        per_side.append(forall_lt("j", g.sweep, g.nf,
                                   Imp(g.pres(line, side, j), deep)))
-    return forall_lt("l", g.sweep(), g.nl, land(per_side))
+    return forall_lt("l", g.sweep, g.nl, land(per_side))
 
 
 def compile_proof_check(system, slot_cap: int = 8) -> Formula:
@@ -730,7 +714,7 @@ def compile_proof_check(system, slot_cap: int = 8) -> Formula:
     g = _ProofGeom(slot_cap)
     line = NVar("l")
     branches = lor([_branch(g, line, rule) for rule in RULES])
-    lines_ok = forall_lt("l", g.sweep(), g.nl, land([
+    lines_ok = forall_lt("l", g.sweep, g.nl, land([
         _prefix_closed(g, line, LEFT), _prefix_closed(g, line, RIGHT),
         _absent_zero(g, line, LEFT), _absent_zero(g, line, RIGHT),
         branches,
@@ -740,25 +724,25 @@ def compile_proof_check(system, slot_cap: int = 8) -> Formula:
         Not(g.bit(Plus(const_term(4), Plus(g.nl, Plus(g.nf, g.ns))))),
         EqNum(Len("P"), Plus(g.hdr, Plus(Times(g.nl, g.block), One()))),
         Leq(g.ns, const_term(slot_cap)),
-        forall_lt("j", g.sweep(), g.ns,
+        forall_lt("j", g.sweep, g.ns,
                   g.bit(Plus(const_term(4), Plus(g.nl, Plus(g.nf, NVar("j")))))),
         lines_ok,
         _endsequent_is(g),
     ]
     if depth is not None:
         body.append(_depth_cap(g, depth))
-    with_ns = ExN("ns", g.sweep(), land(body))
-    with_nf = ExN("nf", g.sweep(), land([
+    with_ns = ExN("ns", g.sweep, land(body))
+    with_nf = ExN("nf", g.sweep, land([
         Leq(One(), g.nf),
         Not(g.bit(Plus(const_term(3), Plus(g.nl, g.nf)))),
-        forall_lt("j", g.sweep(), g.nf,
+        forall_lt("j", g.sweep, g.nf,
                   g.bit(Plus(const_term(3), Plus(g.nl, NVar("j"))))),
         with_ns,
     ]))
-    with_nl = ExN("nl", g.sweep(), land([
+    with_nl = ExN("nl", g.sweep, land([
         Leq(One(), g.nl),
         Not(g.bit(_sh(g.nl, 2))),
-        forall_lt("j", g.sweep(), g.nl, g.bit(_sh(NVar("j"), 2))),
+        forall_lt("j", g.sweep, g.nl, g.bit(_sh(NVar("j"), 2))),
         with_nf,
     ]))
     return land([Memb(Zero(), "P"), Not(Memb(One(), "P")), with_nl])

@@ -1,6 +1,7 @@
 """Acceptance and reachability compilers against the simulator oracle."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -322,11 +323,60 @@ def test_reach_rejects_a_target_longer_than_y():
             assert acc.eval_reach(tm, P, y, z + tail) == (tail == ""), (y, tail)
 
 
+def test_reach_rejects_a_headless_y():
+    """A Y whose one row carries no head mark is no configuration: the honest
+    compile_reach is false on it, as nepo's Reach is at every level, while
+    eval_reach, which decodes Y before it runs, raises; the one place where
+    the two sides of acc differ."""
+    tm = corpus_machine("scan1")
+    y = "0001"  # one cell: tape 0, mark 0, then the sentinel
+    honest = eval_formula(acc.compile_reach(tm, P1), FiniteSlice(12, 8),
+                          Assignment(strs={"Y": y, "Z": y}))
+    assert honest is False
+    with pytest.raises(ValueError, match="exactly one head, found 0"):
+        acc.eval_reach(tm, P1, y, y)
+    b = nepo.NepoBounds(c=1, eps=Fraction(1, 3), k=2, m=4)
+    headless = "0" * (b.width * (1 + tm.state_bits)) + "1"
+    for level in range(b.d + 1):
+        art = nepo.reach_artifact(tm, b, level)
+        for cell in itertools.product((0, 1), range(1 << tm.state_bits)):
+            assert not eval_reach_level(art, headless, 1, 0, cell_code(*cell)), (level, cell)
+
+
 def with_cell(z, tm, i, bit, mark):
     """Configuration string z with cell i replaced by (bit, mark)."""
     fields = 1 + tm.state_bits
     block = str(bit) + "".join(str(mark >> f & 1) for f in range(tm.state_bits))
     return z[:i * fields] + block + z[(i + 1) * fields:]
+
+
+def reach_agreements(name, tm, b, starts, changes) -> int:
+    """For each level of b, start and row p1 <= span, acc.eval_reach at the
+    constant bound t = p1 * span^level and nepo's Reach at that level accept
+    the run's configuration after t steps, cell by cell, and both reject each
+    single-cell change (p2, (bit, mark)) that changes(row) gives; returns the
+    number of (level, start, p1) cases."""
+    agreed = 0
+    for level in range(b.d + 1):
+        art = nepo.reach_artifact(tm, b, level)
+        for start in starts:
+            y = config_to_string(start, tm.state_bits)
+            for p1 in range(b.span + 1):
+                t = p1 * b.span ** level
+                p = PolyBound((t,), constant=True)
+                row = run_from(tm, start, t).rows[-1]
+                z = config_to_string(row, tm.state_bits)
+                case = (name, b.m, level, y, p1)
+                assert acc.eval_reach(tm, p, y, z), case
+                for p2, cell in enumerate(row.cells):
+                    assert eval_reach_level(art, y, p1, p2, cell_code(*cell)), case
+                for p2, other in changes(row):
+                    assert not acc.eval_reach(tm, p, y, with_cell(z, tm, p2, *other)), \
+                        (case, p2, other)
+                    assert not eval_reach_level(art, y, p1, p2, cell_code(*other)), \
+                        (case, p2, other)
+                agreed += 1
+    return agreed
 
 
 def test_reach_agrees_with_nepo_and_the_simulator():
@@ -340,30 +390,37 @@ def test_reach_agrees_with_nepo_and_the_simulator():
         b = nepo.NepoBounds(c=1, eps=Fraction(1, 3), k=2, m=m)
         for name in ("scan1", "parity"):
             tm = corpus_machine(name)
-            marks = range(1 << tm.state_bits)
-            for level in range(b.d + 1):
-                art = nepo.reach_artifact(tm, b, level)
-                for x in inputs:
-                    start = initial_configuration(x, b.width)
-                    y = config_to_string(start, tm.state_bits)
-                    for p1 in range(b.span + 1):
-                        t = p1 * b.span ** level
-                        p = PolyBound((t,), constant=True)
-                        row = run_from(tm, start, t).rows[-1]
-                        z = config_to_string(row, tm.state_bits)
-                        assert acc.eval_reach(tm, p, y, z), (name, m, level, x, p1)
-                        for p2, cell in enumerate(row.cells):
-                            assert eval_reach_level(art, y, p1, p2, cell_code(*cell))
-                            for other in itertools.product((0, 1), marks):
-                                if other == cell:
-                                    continue
-                                case = (name, m, level, x, p1, p2, other)
-                                assert not acc.eval_reach(
-                                    tm, p, y, with_cell(z, tm, p2, *other)), case
-                                assert not eval_reach_level(
-                                    art, y, p1, p2, cell_code(*other)), case
-                        agreed += 1
+            cells = list(itertools.product((0, 1), range(1 << tm.state_bits)))
+            starts = [initial_configuration(x, b.width) for x in inputs]
+            agreed += reach_agreements(name, tm, b, starts, lambda row: [
+                (p2, other) for p2, cell in enumerate(row.cells)
+                for other in cells if other != cell])
     assert agreed == 108
+
+
+def test_reach_agrees_with_nepo_from_any_start():
+    """As above, from non-initial starts and on LEFT3 too: the head on each
+    cell in each state 1..k over the all-0, all-1 and alternating tapes,
+    with one seeded single-cell change per case."""
+    rng = random.Random(0)
+    agreed = 0
+    for m in (4, 8):
+        b = nepo.NepoBounds(c=1, eps=Fraction(1, 3), k=2, m=m)
+        w = b.width
+        tapes = ((0,) * w, (1,) * w, tuple(i % 2 for i in range(w)))
+        for name, tm in (("scan1", corpus_machine("scan1")),
+                         ("parity", corpus_machine("parity")), ("left3", LEFT3)):
+            cells = list(itertools.product((0, 1), range(1 << tm.state_bits)))
+            starts = [Configuration(tuple((bit, q if i == h else 0)
+                                          for i, bit in enumerate(tape)))
+                      for tape in tapes for h in range(w) for q in range(1, tm.k + 1)]
+
+            def one_change(row):
+                p2 = rng.randrange(w)
+                return [(p2, rng.choice([c for c in cells if c != row.cells[p2]]))]
+
+            agreed += reach_agreements(name, tm, b, starts, one_change)
+    assert agreed == 1134
 
 
 def test_honest_reach_sweep_agrees_with_eval_reach():

@@ -3,7 +3,8 @@
 The sha256 of `print_formula` output for the corpus machines, and of its
 parse -> print reprint, pinned so that a refactor of the compilers, the
 reader or the printer cannot change a printed byte unnoticed; the proof
-checker formulas of `reflect` are pinned by their print alone.  Regenerate
+checker formulas of `reflect` are pinned by their print alone, and the
+proof corpus by the digests of its bit-string encodings.  Regenerate
 only on purpose: `PYTHONPATH=src python3 tests/test_golden.py` prints the
 current tables.
 """
@@ -18,7 +19,8 @@ from forge.acc import compile_acc, compile_reach
 from forge.machine import PolyBound, corpus_machine
 from forge.nepo import (NepoBounds, cell_artifact, compile_acceptance_sigma0,
                         compile_Reach)
-from forge.reflect import compile_proof_check, reflection_instance
+from forge.proofs import corpus_proofs
+from forge.reflect import compile_proof_check, encode_proof, reflection_instance
 from forge.sexpr import parse_formula, print_formula
 
 # "acc:<machine>:<poly coefficients>" is compile_acc and "reach:..." is
@@ -74,23 +76,23 @@ GOLDEN = {
         "72bace9ee26a4ec077b8038340882e26589df35b8d3b1b929bc7b2305008c873",
         "72bace9ee26a4ec077b8038340882e26589df35b8d3b1b929bc7b2305008c873"),
     "reach:scan1:2,1": (
-        "a16c7cc8af3d64098a50113c5e16e6024dfd8b10bfadb475b06e3ff7b341a768",
-        "79109a236e17e319ecf09938412a1024f0239139fa03654dbde18e61643ebbad"),
+        "435274cc7c2b39ed3f615933565db8c03be8e5b2796ff2d0975ccc938bb89e6f",
+        "880bce8f75fd8d13d938ac473efb79247b7ef43ef353289a6eddc0defa356908"),
     "reach:scan1:1,1,1": (
-        "c78376b2525e088a360e36c38ac85b4a515622652dabd42a87b47164d6eadf97",
-        "eb49cf400474024310723eb0f5fae330fdff8bb9da0b6effc5e948749344cca0"),
+        "d9e9edc3b33b444a5da7238955ecbe3df2661872253ee81a2df28393411dff8a",
+        "af5a236d3ce93346948163cdf86063a12d42528e6c914fca1fda4688511b2602"),
     "reach:parity:2,1": (
-        "afefc596a6f996819d041d3931cba4c91c0c8dba7029bc34fe23aa061875b5a4",
-        "4fd9bbd470c0d4254cf71c18106fd22a6b6b588c8495d845a9141c63335d849f"),
+        "f97d61a90e2948d99e1e80064e20d7f395e7fb548e6f66cc87a2eb441082955e",
+        "151c46e19e8546bd23a9aedaf123b52b74f17f3c426cd4b0f4641cc725cafcc0"),
     "reach:parity:1,1,1": (
-        "c91bf196e8e97a3a865dc2d4540a43b602a5bc4af4a42b28c4bdc83432c8f66e",
-        "7e15b006f024fc33fdcbe9d221809c1fbcc5323188de473124c6b5f119d05435"),
+        "91bc380894e9a34e9f382a7ca864376013dd574916efa90d10e603ff4ab9867a",
+        "f50098af02cce4b331924ed1f8c3b182d82cce1bc773bcf1236a309469e9ab6d"),
     "reach:zeros:2,1": (
-        "fffaf49239ea23b1dd59b5472d8b363373c8ee6f1f0538656f15f333ed84c824",
-        "bf5aa6659212e8217cd14adc550b0474343e7d271d80a45b354a0d6b64ede642"),
+        "0c6d54fcd3d84afbbe282d3774382239fc1e4fbed184dccc35794a0d0575c9d6",
+        "93b8577ca215b5034b353da766671e63cb2205fdd7f7af6c39ddbba21a7c7eb7"),
     "reach:zeros:1,1,1": (
-        "cf3c905ea288626c857394097ea506077d72c72b954f72d35937cf0f7ea7a342",
-        "46e4f370c4de96387671f62415dc0ade3070f435ad20bdf6b9399474c8bae6ae"),
+        "968c64e1f6d0ecf0124dc796b2a57830300f6402630d6567c8d3e45f08e621fa",
+        "15fc9f81d28ec5e1c7fdeaad5c42077f8b4d9a4cf87f662c901df2ba248e1cb1"),
     "Reach0:scan1:m4": (
         "0d23e4977456bcf66460f036b4f5bdf0936d5339ed2a563926599e60a9dad1c3",
         "0d23e4977456bcf66460f036b4f5bdf0936d5339ed2a563926599e60a9dad1c3"),
@@ -149,8 +151,8 @@ GOLDEN = {
         "dd3773d2c64a09ae6036ed21d42d5948f6688520153d3d7020b9ebaed8a4936b",
         "85c20516f31bff059031b7b50950eb4f9dd8ef7f37ffc5d057e74b3f7f765975"),
     "reach:left3:2,1": (
-        "05ef60d2fd6edf0133d7f01b54c78ee5b37982f44938702b47ca363cc177c2ef",
-        "9aa3e85f0f03ff2b4be15c682bf6676a8dc2c353c31fb8732343f52296c691d7"),
+        "fe795cde102f6e76168dfd4ed1ad0b38eea2e3f71ed21d01301214a46fae9aec",
+        "2df708988cda1cbcab358bbd91977b9cbfde3c7762d7df101bcb9ace942a8feb"),
     "sigma0:left3:m4": (
         "8ad1d9c5f34d7ccdf0bafbab933f29ec4f7db5a0349a708f6d5723e7e0781e19",
         "8ad1d9c5f34d7ccdf0bafbab933f29ec4f7db5a0349a708f6d5723e7e0781e19"),
@@ -185,6 +187,32 @@ PRINT_GOLDEN = {
         "364d325a9b4c6ee87f7354287e4f3b938e869e1d5a73b5efe613ca488c0407a8",
     "reflection:frege:x1":
         "e154f7ad571483ad93610e5c8fd407d14d0dfcabb97291331993c6fa30d36755",
+}
+
+
+# "encode:<file>" is encode_proof of that corpus proof: the layout of every
+# field, one-hots included, not just the decode round trip.
+ENCODE_GOLDEN = {
+    "encode:corpus01.pk":
+        "0ceb62bc0f6365630dd753bba4a5ca2489c4424fe670c8adf896c969733c52e1",
+    "encode:corpus02.pk":
+        "89e5f5c272206d6072acb5b82895716ecd4672e3e27137cc2c477b4d33082ca2",
+    "encode:corpus03.pk":
+        "88c94ff6438a699783143828e8e5e3c89343991ab0c56d0a3dc52a76a152f1a8",
+    "encode:corpus04.pk":
+        "b772a529687973219147159b2dcb04374e79f321b9cb0bbf1d314ca24efd9034",
+    "encode:corpus05.pk":
+        "e63abb2cfba78cce74ce86650e8b462bd056dcf2dafede5017add0a1737110fa",
+    "encode:corpus06.pk":
+        "09ec92ddd548b3936491477630fee9619a358cf8787bc72caa5d9b8ba3d06721",
+    "encode:corpus07.pk":
+        "48e50fa86b6817367432fc58ef413d920c8fe683c598ac5cc5b413b1f7b90b62",
+    "encode:corpus08.pk":
+        "17ede991197d0019166452c71f30d6f093adbcde036e708ffaa0422f2b70e0f4",
+    "encode:corpus09.pk":
+        "23cbf695b5aab00642a98f1f9e9ba783e5d55a02f988848cdcbb97ec99e7351d",
+    "encode:corpus10.pk":
+        "b7e121394c167c08c9919157549a983ed9bca8882f41ed43341a2a5cb95c83f2",
 }
 
 
@@ -226,9 +254,19 @@ def test_print_digests(case):
     assert _sha(print_formula(_compile(case))) == PRINT_GOLDEN[case]
 
 
+def _encodings() -> dict[str, str]:
+    return {f"encode:{name}": _sha(encode_proof(pi)) for name, pi in corpus_proofs()}
+
+
+def test_encode_digests():
+    assert _encodings() == ENCODE_GOLDEN
+
+
 if __name__ == "__main__":
     for case in GOLDEN:
         printed, reprinted = _digests(case)
         print(f'    "{case}": (\n        "{printed}",\n        "{reprinted}"),')
     for case in PRINT_GOLDEN:
         print(f'    "{case}":\n        "{_sha(print_formula(_compile(case)))}",')
+    for case, digest in _encodings().items():
+        print(f'    "{case}":\n        "{digest}",')

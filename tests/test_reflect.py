@@ -161,6 +161,21 @@ def _flip(s: str, at: int) -> str:
     return s[:at] + ("1" if s[at] == "0" else "0") + s[at + 1:]
 
 
+def _hot_field(enc: str, line: int, field: str) -> tuple[int, int]:
+    """(offset, width) of one-hot field "cut", "pa" or "pb" of a line of
+    the proof string enc, by the layout arithmetic of the module docstring."""
+    nl, nf, ns = (len(ones) for ones in enc[2:].split("0")[:3])
+    side = nf * (1 + ns * NODE_WIDTH)
+    cut = 2 + nl + nf + ns + 3 + line * (2 * side + 6 + nf + 2 * nl) + 2 * side + 4
+    return {"cut": (cut, nf), "pa": (cut + nf + 2, nl), "pb": (cut + nf + 2 + nl, nl)}[field]
+
+
+def _hot_flip(enc: str, line: int, field: str, at: int) -> str:
+    off, width = _hot_field(enc, line, field)
+    assert at < width
+    return _flip(enc, off + at)
+
+
 def test_decode_proof_rejects_field_violations():
     enc = encode_proof(_axiom_proof())
     # layout: version 0..2, unary header 2..8, presence 8, left record
@@ -203,6 +218,32 @@ def test_decode_proof_rejects_field_violations():
     xenc = encode_formula(proof_target(pi))
     assert _accepts(prf, good, xenc)
     for label, bad in {**cases, **rejects}.items():
+        assert not _accepts(prf, bad, xenc), label
+    # each one-hot field two-hot, clear while used and set while unused, on
+    # corpus03: line 7 is a cut at 1 from lines 3 and 6, line 1 has one
+    # premise and line 0 none
+    pi = dict(corpus_proofs())["corpus03.pk"]
+    good = encode_proof(pi)
+    assert [_hot_field(good, 7, f) for f in ("cut", "pa", "pb")] == [
+        (991, 2), (995, 8), (1003, 8)]
+    assert good[991:] == "01" "11" "00010000" "00000010" "1"
+    not_hot, unused = "premise reference is not a one-hot", "bits in an unused premise slot"
+    one_hots = {
+        ("cut", "two-hot"): (_hot_flip(good, 7, "cut", 0), "cut position is not a one-hot"),
+        ("cut", "clear"): (_hot_flip(good, 7, "cut", 1), "cut position is not a one-hot"),
+        ("cut", "unused"): (_hot_flip(good, 0, "cut", 0), "cut bits on a non-cut line"),
+        ("pa", "two-hot"): (_hot_flip(good, 7, "pa", 0), not_hot),
+        ("pa", "clear"): (_hot_flip(good, 7, "pa", 3), not_hot),
+        ("pa", "unused"): (_hot_flip(good, 0, "pa", 0), unused),
+        ("pb", "two-hot"): (_hot_flip(good, 7, "pb", 0), not_hot),
+        ("pb", "clear"): (_hot_flip(good, 7, "pb", 6), not_hot),
+        ("pb", "unused"): (_hot_flip(good, 1, "pb", 0), unused),
+    }
+    xenc = encode_formula(proof_target(pi))
+    assert _accepts(prf, good, xenc)
+    for label, (bad, message) in one_hots.items():
+        with pytest.raises(DecodeError, match=message):
+            decode_proof(bad)
         assert not _accepts(prf, bad, xenc), label
     with pytest.raises(EncodeError, match="cut index exceeds side capacity"):
         encode_proof(Proof(_axiom_proof().lines + (
