@@ -304,7 +304,7 @@ def _do_reflect(args: argparse.Namespace) -> _Report:
     if args.system == "depth-frege":
         if args.d is None:
             raise _UsageError("depth-frege needs --d")
-        system = ("depth-frege", args.d)
+        system = ("depth-frege", _at_least(args.d, 0, "--d"))
     else:
         system = "frege"
     t = _parse_poly(args.t)

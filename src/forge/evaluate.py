@@ -272,8 +272,11 @@ class _Compiler:
         elif tf is Imp:
             out = _imp(f.left, f.right)
         elif tf is AlN and (limit := _limit(f)) is not None:
-            out = _quant(False, False, f.var, self.term(f.bound), f.body,
-                         self.term(limit))
+            out = _quant(False, False, f.var, self.term(f.bound), f.body, self.term(limit),
+                         self.scan(f.var, _bit_run(f)))
+        elif tf is ExN and (pin := _first_zero(f)) is not None:
+            out = _quant(True, False, f.var, self.term(f.bound), f.body,
+                         scan=self.scan(f.var, pin))
         elif tf is ExN or tf is AlN or tf is ExS or tf is AlS:
             out = _quant(tf is ExN or tf is ExS, tf is ExS or tf is AlS, f.var,
                          self.term(f.bound), f.body)
@@ -281,6 +284,26 @@ class _Compiler:
             out = _error(TypeError, f"not a formula: {f!r}")
         self.formulas[id(f)] = out
         return out
+
+    def scan(self, var: str, shape: tuple[int, NumTerm, str, bool] | None):
+        """None for no shape; else, for shape (low, t, X, one) of a bit-run
+        AlN (_bit_run) or first-zero ExN (_first_zero) of variable var, the
+        narrowing of its sweep: given the values to sweep, the one value at
+        which the body can settle the binder, or none."""
+        if shape is None:
+            return None
+        low, t, svar, one = shape
+        index = self.term(t)
+
+        def narrow(r, values):
+            values = values[low:]
+            if not values:
+                return values
+            s = r.strs[svar]  # read before the index, as the Memb reads them
+            v = r.nums[var] = values.start
+            k = _run_length(s, _value(index, r.nums, r.strs) - v, values.stop, one)
+            return range(k, k + 1) if v <= k < values.stop else range(0)
+        return narrow
 
 
 # --- compiled terms ---
@@ -500,6 +523,44 @@ def _len(svar: str):
 # v + k + 1, which cannot fail, and then L, so an error from L still comes
 # out at the same point; _limit hands _quant part 1's L.
 #
+# A bit run: a guarded sweep of one Imp whose guard is exactly lt(v, L) and
+# whose B is (in t X) or (not (in t X)), X a string name and t a Plus spine
+# with the summand v once and v free in none of the others, u (_bit_run),
+# holds iff the n = min(S + 1, L) bits of X from base = t - v are all 1, or
+# all not 1.  The sweep's values are range(n), and with n <= 0 (a negative
+# S, or L <= 0) no guard holds and _Compiler.scan reads nothing.  Otherwise
+# it binds v to 0 and reads X, then t, as the plain sweep's v = 0 iteration
+# reads them in B's Memb after a guard that holds, so an unbound X, or a
+# name of u unbound or ill-sorted, raises there and only there.  Every
+# later iteration reads X and u again, with the same values, so none can
+# raise, and t is base + v exactly: Plus adds integers.  The scan finds the
+# first v below n whose bit breaks the run, with one str.find or lstrip
+# over X[base, base + n), a position below 0 or at or past len(X) reading
+# as Memb reads it, never a 1; the sweep runs the body at that v alone, and
+# is false where the plain sweep stops, or runs nothing and is true.
+#
+# A first-zero pin: (exN v S B), B an And chain whose parts are, in order,
+# (leq c v) for a constant c, (not (in v + u X)), EqNum or Leq parts over
+# sums, products, constants, lengths and names, reading only v, X and
+# names of u, each of its sort, and the bit run (alN j S (imp (lt j v)
+# (in j + u X))), v not free in S (_first_zero: reflect's nl, nf, ns).  At
+# most one candidate passes those parts: the bits from base = u must be 1
+# below v and not 1 at v, so v is v*, the first position at or after base
+# not holding a 1, less base.  Below c the Leq is false having read only v,
+# so the scan sweeps from c and reads nothing when S < c.  At c the plain
+# sweep's Memb reads X and then u, and the scan reads them there, so an
+# error from either comes out at the same point; an ill-sorted X is not
+# this shape and keeps _quant, whose Memb raises before its index.  At a
+# later candidate v other than v*, the chain either is false at the Not,
+# having read X and u again, or runs the middle parts, which read only
+# bound names of their sort and cannot raise, and then the bit run: its S
+# has the value it had outside, v not being free in it and j bound only
+# after it, so it passes the slice check, its reads cannot raise, and it is
+# false, since its run covers v* < v.  So no skipped candidate raises or
+# holds, and the sweep runs the body once, at v* when c <= v* <= S, or not
+# at all.  A negative base, or one at or past len(X), gives v* = 0.  A role
+# on v settles the binder before any scan.
+#
 # On the proof-check formula of the reflect benchmark 115 of 116 AlN binders
 # take the guarded sweep; the one left is _endsequent_is's padding, whose lt
 # is its guard's second conjunct.  The one-Imp shape (96 binders) took
@@ -509,6 +570,12 @@ def _len(svar: str):
 # pairs, and cut the body runs of one seed-1 pass from 2.22M to 1.35M.
 # Running B directly under a plain guard, whose Leq must hold below L, was
 # 4% faster in ops/s but lost p90 in 7 pairs of 7, so the guard still runs.
+# Of the 115, 42 are bit runs, 23 of 1 bits and 19 of 0 bits (reflect's
+# _clear, _count_is and the header pins), and 3 of the formula's 24 ExN are
+# first-zero pins.  These took the body runs of that pass from 1.354M to
+# 116K, of which the one-hot binders pa and pb run 67K, and reflect from a
+# median 42.7 to 210.4 ops/s (p90 36.4 to 8.4 ms) over 10 perfbench pairs
+# on a 2-vCPU host.
 #
 # EqNum and Leq get one closure per operand shape that evaluation meets
 # often.  Over one seed-1 pass, certify's comparisons are 77% closure
@@ -523,7 +590,8 @@ def _len(svar: str):
 # Memb gets one closure per index shape (closure, name, constant), each
 # reading the string before the index and testing the bit inline, with no
 # _value or codec.bit_at call: it is the reflect formula's most frequent
-# atom, 1.35M runs over one seed-1 pass of the benchmark's 100 ops.
+# atom, 1.35M runs over one seed-1 pass of the benchmark's 100 ops before
+# bit runs and first-zero pins scan, 112K after.
 
 
 def _compare(leq: bool, a, b) -> Callable[[_Compiler], bool]:
@@ -619,11 +687,12 @@ def _imp(left, right) -> Callable[[_Compiler], bool]:
 
 
 def _quant(exists: bool, strings: bool, var: str, bound, body,
-           limit=None) -> Callable[[_Compiler], bool]:
+           limit=None, scan=None) -> Callable[[_Compiler], bool]:
     """A number quantifier sweeps 0..bound; a string quantifier sweeps every
     set below bound, which must stay within str_width.  An AlN of a _limit
     shape, given its compiled limit, reads limit once and sweeps only
-    var < limit."""
+    var < limit.  A binder given a scan (_Compiler.scan) sweeps only the
+    values it leaves, when no role settles the binder."""
     memo = False  # until the first run; then None, or the body's other free names
 
     def run(r):
@@ -666,6 +735,8 @@ def _quant(exists: bool, strings: bool, var: str, bound, body,
                         verdicts.clear()
                     verdicts[key] = verdict
                 return verdict
+            if scan is not None:
+                values = scan(r, values)
             for v in values:
                 env[var] = v
                 if body(r) == exists:
@@ -677,6 +748,17 @@ def _quant(exists: bool, strings: bool, var: str, bound, body,
                 env[var] = prev
         return not exists
     return run
+
+
+def _run_length(s: str, base: int, n: int, one: bool) -> int:
+    """How many of the positions base, base + 1, ... below base + n, in a row
+    from base, hold a 1 of s (one) or do not (not one), read as Memb reads."""
+    if one:
+        end = min(base + n, len(s))
+        return 0 if base < 0 or end <= base else end - base - len(s[base:end].lstrip("1"))
+    start = max(base, 0)
+    at = s.find("1", start, base + n) if start < base + n else -1
+    return n if at < 0 else at - base
 
 
 def _limit(f: AlN) -> NumTerm | None:
@@ -703,12 +785,112 @@ def _limit(f: AlN) -> NumTerm | None:
             limit = lt.right  # the first part's L, which the plain sweep reads
         elif lt.right != limit:
             return None
-    names: set = set()
-    try:
-        term_vars(limit, names, set())  # L's part of free_vars
-    except TypeError:  # an unhashable name
+    names = _term_names([limit])  # L's part of free_vars
+    return None if names is None or v in names[0] else limit
+
+
+def _bit_run(f: AlN) -> tuple[int, NumTerm, str, bool] | None:
+    """(0, t, X, one) when f, of a _limit shape, is (alN v S (imp (lt v L)
+    B)) with B (in t X), one, or (not (in t X)), X a string name and
+    t = v + u (_offset); else None."""
+    imp, v = f.body, NVar(f.var)
+    if type(imp) is not Imp or type(imp.left) is not Leq or imp.left.left != Plus(v, One()):
         return None
-    return None if v in names else limit
+    bit, one = imp.right, type(imp.right) is Memb
+    if not one and type(bit) is Not:
+        bit = bit.body
+    if type(bit) is not Memb or type(bit.svar) is not str or not is_str_name(bit.svar):
+        return None
+    return None if _offset(bit.index, f.var) is None else (0, bit.index, bit.svar, one)
+
+
+def _first_zero(f: ExN) -> tuple[int, NumTerm, str, bool] | None:
+    """(c, t, X, True) when f is (exN v S B), B an And chain whose parts are, in
+    order, (leq c v) with c a constant, (not (in t X)) with X a string name
+    and t = v + u (_offset), none or more EqNum and Leq over sums, products,
+    constants, lengths and names, every name v, X or one of u's, and a
+    bit-run (alN j S (imp (lt j v) (in (j + u) X))) with v not free in S;
+    else None."""
+    v, parts, g = f.var, [], f.body
+    while type(g) is And:
+        parts.append(g.left)
+        g = g.right
+    parts.append(g)
+    if type(v) is not str or not is_num_name(v) or len(parts) < 3:
+        return None
+    low, pin = parts[0], parts[1]
+    if (type(low) is not Leq or type(low.left) not in (Zero, One, Const)
+            or low.right != NVar(v) or type(pin) is not Not or type(pin.body) is not Memb):
+        return None
+    t, x = pin.body.index, pin.body.svar
+    u, names = _offset(t, v), _term_names([t])
+    if u is None or names is None or type(x) is not str or not is_str_name(x):
+        return None
+    names[1].add(x)
+    for part in parts[2:]:
+        if type(part) is AlN:
+            break
+        if type(part) not in (EqNum, Leq) or not _reads_only(part, *names):
+            return None
+    else:
+        return None
+    run = _bit_run(part) if _limit(part) == NVar(v) else None
+    if run is None or run[2:] != (x, True) or _offset(run[1], part.var) != u:
+        return None
+    names = _term_names([f.bound])
+    if part.bound != f.bound or names is None or v in names[0]:
+        return None
+    return _affine(low.left)[0], t, x, True
+
+
+def _offset(t: NumTerm, v: str) -> list | None:
+    """u, the summands of the Plus spine t other than its one summand
+    NVar(v), when v is not free in them; else None."""
+    leaves, stack = [], [t]
+    while stack:
+        g = stack.pop()
+        if type(g) is Plus:
+            stack += (g.right, g.left)
+        else:
+            leaves.append(g)
+    at = [i for i, g in enumerate(leaves) if type(g) is NVar and g.name == v]
+    if len(at) != 1:
+        return None
+    u = leaves[:at[0]] + leaves[at[0] + 1:]
+    names = _term_names(u)
+    return None if names is None or v in names[0] else u
+
+
+def _term_names(terms) -> tuple[set, set] | None:
+    """The (number, string) names the terms read, or None for an unhashable
+    name."""
+    nums: set = set()
+    strs: set = set()
+    try:
+        for t in terms:
+            term_vars(t, nums, strs)
+    except TypeError:
+        return None
+    return nums, strs
+
+
+def _reads_only(f: EqNum | Leq, nums: set, strs: set) -> bool:
+    """Whether f's terms are built of Plus, Times, constants, number names
+    in nums and lengths of string names in strs, each of its sort."""
+    stack = [f.left, f.right]
+    while stack:
+        t = stack.pop()
+        tt = type(t)
+        if tt is Plus or tt is Times:
+            stack += (t.left, t.right)
+        elif tt is NVar or tt is Len:
+            name = t.name if tt is NVar else t.svar
+            if type(name) is not str or name not in (nums if tt is NVar else strs) or not (
+                    is_num_name(name) if tt is NVar else is_str_name(name)):
+                return False
+        elif tt not in (Zero, One, Const):
+            return False
+    return True
 
 
 def _memo_names(body: Formula, var: str) -> tuple[tuple, tuple] | None:

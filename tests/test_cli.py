@@ -324,6 +324,21 @@ def test_reflect_depth_frege_needs_d(capsys):
                "--t", "12", "--x", "1", "--sweep")[0] == 0
 
 
+def test_reflect_checks_d_as_check_proof_checks_depth(capsys):
+    """A negative --d is a usage error worded as check-proof's --depth -1,
+    not the library's unknown proof system; --d 0 is a depth."""
+    reflect = ["reflect", "--system", "depth-frege", "--t", "4", "--x", "1"]
+    code, out, err = run(capsys, *reflect, "--d", "-1")
+    assert (code, out) == (2, "")
+    assert "error: --d must be non-negative" in err and "unknown proof system" not in err
+    code, out, err = run(capsys, "check-proof", "--proof", str(PK / "corpus01.pk"),
+                         "--depth", "-1")
+    assert (code, out) == (2, "") and "error: --depth must be non-negative" in err
+    code, out, _ = run(capsys, *reflect, "--d", "0")
+    assert code == 0
+    parse_formula(out)
+
+
 # --- determinism and JSON stability ---
 
 def test_stdout_is_deterministic(capsys):
@@ -460,7 +475,7 @@ def test_bound_flags_are_validated(tmp_path, capsys):
             (["eval", "--formula", str(f), "--num-bound", "4", "--bind", "_x=1"],
              "bad binding '_x=1': name must be a sorted identifier"),
             (["reflect", "--system", "depth-frege", "--d", "-1", "--t", "4", "--x", "1"],
-             "unknown proof system ('depth-frege', -1)")]:
+             "--d must be non-negative")]:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert f"usage: forge {argv[0]}" in err

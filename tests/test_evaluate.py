@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import inspect
+import itertools
 import random
 import sys
 import weakref
@@ -18,7 +19,7 @@ from oracles import (config_to_string, grid_read, node_value_depth_bound,
                      walk_term)
 from test_formulas import gen_formula, gen_term
 
-from forge import acc, codec, evaluate, nepo, sexpr
+from forge import acc, codec, evaluate, nepo, proofs, sexpr
 from forge import formulas as F
 from forge.codec import bit_at, encode_seq, mask_to_bits
 from forge.errors import SliceExceededError, SortMismatchError, UnboundVariableError
@@ -27,7 +28,7 @@ from forge.formulas import formula_size
 from forge.machine import PolyBound, corpus_machine, initial_configuration, parse_tm
 from forge.mfv import (MonotoneTree, check_mfv, mfv_witness, node_value,
                        node_value_instrumented)
-from forge.reflect import compile_proof_check
+from forge.reflect import compile_proof_check, encode_formula, encode_proof
 from forge.sexpr import parse_formula
 
 S8 = FiniteSlice(num_bound=8, str_width=8)
@@ -419,6 +420,16 @@ def agree(f: F.Formula, s: FiniteSlice, env: Assignment, roles=None):
     assert env == before
     assert got == want, (f, s, env)
     return got
+
+
+def agrees_with_the_walker(f: F.Formula, s: FiniteSlice, env: Assignment, roles=None):
+    """Check that eval_formula gives walk_formula's value, or error class
+    and text (said), and that each leaves env as it found it."""
+    before = Assignment(dict(env.nums), dict(env.strs))
+    got = said(lambda: eval_formula(f, s, env, roles))
+    assert env == before
+    assert got == said(lambda: walk_formula(f, s, env, roles)), (f, env)
+    assert env == before
 
 
 def test_compiled_matches_walker_on_generated_formulas():
@@ -1131,11 +1142,7 @@ def test_guarded_sweeps_match_the_walker(seed, v, limit, sweep, chain, gated, nu
         env.nums.update(n=-5, m=-2)  # a negative code, and an empty sweep
         if g.random() < 0.5:
             env.nums[v] = 7  # the binder restores an outer value
-        before = Assignment(dict(env.nums), dict(env.strs))
-        got = said(lambda: eval_formula(f, s, env))
-        assert env == before
-        assert got == said(lambda: walk_formula(f, s, env)), (f, env)
-        assert env == before
+        agrees_with_the_walker(f, s, env)
 
 
 OFFSETS = [None, F.Zero(), F.One(), F.const_term(2), F.const_term(5)]
@@ -1192,11 +1199,7 @@ def test_guarded_chains_match_the_walker(seed, n, limit, sweep, spoil, num_bound
         env.nums.update(n=-5, m=-2)  # a negative code, and an empty sweep
         if g.random() < 0.5:
             env.nums["v"] = 7  # the binder restores an outer value
-        before = Assignment(dict(env.nums), dict(env.strs))
-        got = said(lambda: eval_formula(f, s, env))
-        assert env == before
-        assert got == said(lambda: walk_formula(f, s, env)), (f, env)
-        assert env == before
+        agrees_with_the_walker(f, s, env)
 
 
 def distinct_binders(f: F.Formula) -> list[F.Formula]:
@@ -1246,6 +1249,317 @@ def forall_lt_shaped(f: F.Formula) -> str | None:
     return "extended" if parts else shape
 
 
+# --- bit runs and first-zero pins: a scan finds where a sweep can stop ---
+
+
+def scan_kind(f: F.Formula) -> str | None:
+    """"ones" or "zeros" for a binder the compiler scans as a run of 1 bits
+    or of 0 bits, "first zero" for an ExN it scans as a first-zero pin, else
+    None."""
+    run = evaluate._Compiler(f).root
+    cells = dict(zip(run.__code__.co_freevars, run.__closure__ or ()))
+    scan = cells["scan"].cell_contents if "scan" in cells else None
+    if scan is None:
+        return None
+    if type(f) is F.ExN:
+        return "first zero"
+    one = dict(zip(scan.__code__.co_freevars, scan.__closure__))["one"].cell_contents
+    return "ones" if one else "zeros"
+
+
+def spine(t: F.NumTerm) -> list[F.NumTerm]:
+    """The summands of t's Plus spine, left to right."""
+    return spine(t.left) + spine(t.right) if type(t) is F.Plus else [t]
+
+
+def others(t: F.NumTerm, v: str) -> list[F.NumTerm] | None:
+    """The summands of t other than NVar(v), when v is one summand of t and
+    free in no other, else None."""
+    rest = [s for s in spine(t) if s != F.NVar(v)]
+    if len(rest) != len(spine(t)) - 1 or v in F.free_vars(F.land([F.EqNum(s, s) for s in rest]))[0]:
+        return None
+    return rest
+
+
+def bit_run_shaped(f: F.Formula) -> str | None:
+    """"ones" or "zeros" when f is forall_lt(v, S, L, B) with B (in t X) or
+    (not (in t X)), X a string name and t a sum with v one summand (others),
+    else None; read by node equality with formulas.forall_lt."""
+    if forall_lt_shaped(f) != "plain" or type(f.body.left) is F.And:
+        return None
+    b = f.body.right
+    bit = b.body if type(b) is F.Not else b
+    if (type(bit) is not F.Memb or type(bit.svar) is not str or not F.is_str_name(bit.svar)
+            or others(bit.index, f.var) is None):
+        return None
+    return "ones" if bit is b else "zeros"
+
+
+def first_zero_shaped(f: F.Formula) -> str | None:
+    """"first zero" when f is ExN(v, S, And chain) whose parts are Leq(c, v)
+    for a constant c, Not(Memb(t, X)) with t a sum with v one summand, Plus/Times
+    comparisons over v, Len(X), constants and t's names, and then the bit
+    run forall_lt(j, S, v, Memb(t', X)), t' t with j for v, v not free in S;
+    else None."""
+    if type(f) is not F.ExN:
+        return None
+    parts, g = [], f.body
+    while type(g) is F.And:
+        parts, g = parts + [g.left], g.right
+    parts.append(g)
+    v = F.NVar(f.var)
+    runs = [i for i, p in enumerate(parts) if i >= 2 and type(p) is F.AlN]
+    if (not runs or type(parts[0]) is not F.Leq or parts[0].right != v
+            or type(parts[0].left) not in (F.Zero, F.One, F.Const)
+            or type(parts[1]) is not F.Not or type(parts[1].body) is not F.Memb):
+        return None
+    t, x, run = parts[1].body.index, parts[1].body.svar, parts[runs[0]]
+    nums, strs = F.free_vars(F.EqNum(t, t))
+    names = {F.NVar(n) for n in nums if F.is_num_name(n)} | {
+        F.Len(s) for s in strs | {x} if type(s) is str and F.is_str_name(s)}
+    for p in parts[2:runs[0]]:
+        if type(p) not in (F.EqNum, F.Leq):
+            return None
+        stack = [p.left, p.right]
+        while stack:
+            s = stack.pop()
+            if type(s) in (F.Plus, F.Times):
+                stack += [s.left, s.right]
+            elif type(s) not in (F.Zero, F.One, F.Const) and s not in names:
+                return None
+    u = others(t, f.var)
+    if (bit_run_shaped(run) != "ones" or run.bound != f.bound or run.body.left.right != v
+            or run.body.right.svar != x or f.var in F.free_vars(F.EqNum(f.bound, f.bound))[0]
+            or u is None or u != others(run.body.right.index, run.var)):
+        return None
+    return "first zero"
+
+
+RUN_OFFSETS = ["drawn", "none", "length", "negative", "past the text", "unbound",
+               "ill-sorted", "negative code"]
+
+
+def run_offset(g: random.Random, kind: str) -> F.NumTerm | None:
+    """u for a bit at v + u: a drawn term, none, the length of X, -2 or -5,
+    a position past every text, an unbound or ill-sorted name, or a
+    read of a negative code."""
+    return {"drawn": lambda: gen_term(g, 2, ["x", "y"], ["X", "Y"], 6), "none": lambda: None,
+            "length": lambda: F.Len("X"), "negative": lambda: F.NVar(g.choice("mn")),
+            "past the text": lambda: F.const_term(12 + g.randrange(3)),
+            "unbound": lambda: F.NVar("u"), "ill-sorted": lambda: F.NVar("Z"),
+            "negative code": lambda: F.SeqAt(F.NVar("n"), F.One())}[kind]()
+
+
+def offset_by(arrangement: int, v: F.NumTerm, u: F.NumTerm | None) -> F.NumTerm:
+    """v + u as a Plus spine with v at one of three places."""
+    if u is None:
+        return v
+    return [F.Plus(v, u), F.Plus(u, v), F.Plus(F.One(), F.Plus(u, v))][arrangement]
+
+
+def run_envs(rng: random.Random, ones: bool) -> list[Assignment]:
+    """Assignments over x and y, negative ones among them, and X and Y up to
+    10 bits long, leaning to 1 bits when ones; some leave a name unbound."""
+    out = []
+    for _ in range(6):
+        nums = {v: rng.randrange(-3, 9) for v in ("x", "y") if rng.random() < 0.9}
+        lean = 0.85 if ones else 0.15
+        strs = {s: "".join("1" if rng.random() < lean else "0" for _ in range(rng.randrange(11)))
+                for s in ("X", "Y") if rng.random() < 0.9}
+        out.append(Assignment({**nums, "n": -5, "m": -2}, strs))
+    return out
+
+
+SWEEPS = ["drawn", "in range", "past num_bound", "negative"]
+
+
+def sweep_bound(g: random.Random, kind: str, num_bound: int) -> F.NumTerm:
+    return {"drawn": lambda: gen_term(g, 2, ["x", "y"], ["X", "Y"], 6),
+            "in range": lambda: F.const_term(g.randrange(num_bound + 1)),
+            "past num_bound": lambda: F.const_term(num_bound + 1 + g.randrange(3)),
+            "negative": lambda: F.NVar("m")}[kind]()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["X", "unbound", "ill-sorted"]),
+       st.sampled_from(["drawn", "0", "past", "unbound", "v free"]), st.sampled_from(SWEEPS),
+       st.sampled_from([None] * 3 + ["2v", "v in u", "extra conjunct", "v + 1"]),
+       st.integers(1, 12))
+def test_bit_runs_match_the_walker(seed, svar, limit, sweep, spoil, num_bound):
+    """AlN(v, S, Imp(lt(v, L), B)), B Memb(v + u, X) or its Not, gives the
+    walker's value or error, class and text, for u each of RUN_OFFSETS: X
+    may be unbound or ill-sorted; L may be 0, past S + 1 or unbound; S may
+    pass num_bound or be negative.  The binder scans exactly when it is a
+    guarded sweep with X a string name; a coefficient 2 on v, v free in u, a
+    guard with a second conjunct or lt(v + 1, L) keeps the guarded sweep,
+    and v free in L keeps _quant."""
+    g = random.Random(seed)
+    v = F.NVar("v")
+    x = {"X": "X", "unbound": "W", "ill-sorted": "x"}[svar]
+    lim = {"drawn": lambda: gen_term(g, 2, ["x", "y"], ["X", "Y"], 6), "0": F.Zero,
+           "past": lambda: F.const_term(num_bound + 3), "unbound": lambda: F.NVar("w"),
+           "v free": lambda: F.Plus(F.NVar("x"), v)}[limit]()
+    guard = F.lt(F.Plus(v, F.One()) if spoil == "v + 1" else v, lim)
+    if spoil == "extra conjunct":
+        guard = F.And(guard, gen_formula(g, 1, [0], ["x", "y", "v"], ["X", "Y"], consts=6))
+    bound, s = sweep_bound(g, sweep, num_bound), FiniteSlice(num_bound, 3)
+    guarded = limit != "v free"
+    for ones in (True, False):
+        for offset in RUN_OFFSETS:
+            u = run_offset(g, offset)
+            if spoil == "v in u":
+                u = F.Times(v, F.One()) if u is None else F.Plus(u, F.Times(v, F.One()))
+            t = offset_by(g.randrange(3), F.Times(F.const_term(2), v) if spoil == "2v" else v, u)
+            bit = F.Memb(t, x) if ones else F.Not(F.Memb(t, x))
+            f = F.AlN("v", bound, F.Imp(guard, bit))
+            want = None if spoil or svar == "ill-sorted" or not guarded else (
+                "ones" if ones else "zeros")
+            assert (compiled_kind(f), scan_kind(f)) == ("guarded" if guarded else "_quant",
+                                                        want), f
+            assert bit_run_shaped(f) == want, f
+            for env in run_envs(g, ones):
+                if g.random() < 0.5:
+                    env.nums["v"] = 7  # the binder restores an outer value
+                agrees_with_the_walker(f, s, env)
+
+
+def arith(g: random.Random, d: int, leaves: list[F.NumTerm]) -> F.NumTerm:
+    """A term of depth at most d over leaves and small constants, built by
+    Plus and Times."""
+    if d <= 0 or g.random() < 0.4:
+        return g.choice(leaves + [F.Zero(), F.One(), F.const_term(g.randrange(2, 6))])
+    return g.choice([F.Plus, F.Times])(arith(g, d - 1, leaves), arith(g, d - 1, leaves))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["X", "unbound", "ill-sorted"]),
+       st.sampled_from(SWEEPS), st.integers(0, 3), st.integers(0, 2),
+       st.sampled_from([None] * 4 + ["2v", "v in u", "other u", "other bound", "v in S",
+                                    "SeqAt part", "extra conjunct"]),
+       st.booleans(), st.integers(1, 12))
+def test_first_zero_pins_match_the_walker(seed, svar, sweep, low, middle, spoil, role,
+                                          num_bound):
+    """ExN(v, S, Leq(c, v) & Not(Memb(v + u, X)) & middle & forall_lt(j, S, v,
+    Memb(j + u, X)) & rest) gives the walker's value or error, class and
+    text, with or without a role on v, for u each of RUN_OFFSETS: X may be
+    unbound or ill-sorted; S may pass num_bound, be negative or fall below
+    c; the middle comparisons over v, Len(X), u's names and constants, and
+    rest, may be false, and rest may raise.  The binder scans exactly when X
+    is a string name and nothing below spoils it: a coefficient 2 on v, v
+    free in u, another u or another bound in the run, v free in S, a middle
+    part reading a SeqAt of a negative code, or a run guard with a second
+    conjunct keep _quant."""
+    g = random.Random(seed)
+    v, j = F.NVar("v"), F.NVar("j")
+    x = {"X": "X", "unbound": "W", "ill-sorted": "x"}[svar]
+    scaled = (lambda w: F.Times(F.const_term(2), w)) if spoil == "2v" else (lambda w: w)
+    bound = sweep_bound(g, sweep, num_bound)
+    if spoil == "v in S":
+        bound = F.Plus(bound, F.Times(v, F.Zero()))
+    guard = F.lt(j, v)
+    if spoil == "extra conjunct":
+        guard = F.And(guard, gen_formula(g, 1, [0], ["x", "y", "j"], ["X", "Y"], consts=6))
+    want = "first zero" if not spoil and svar != "ill-sorted" else None
+    roles = {"v": lambda e: e.nums.get("y", 3) % 5} if role else None
+    s = FiniteSlice(num_bound, 3)
+    for offset in RUN_OFFSETS:
+        u = uj = run_offset(g, offset)
+        if spoil == "v in u":
+            u = uj = F.Times(v, F.One()) if u is None else F.Plus(u, F.Times(v, F.One()))
+        if spoil == "other u":
+            uj = F.One() if u is None else F.Plus(u, F.One())
+        arrangement = g.randrange(3)
+        t, tj = offset_by(arrangement, scaled(v), u), offset_by(arrangement, scaled(j), uj)
+        nums, strs = F.free_vars(F.EqNum(u, u)) if u is not None else (set(), set())
+        leaves = [v] + [F.NVar(n) for n in sorted(nums) if F.is_num_name(n)] + [
+            F.Len(s) for s in sorted(strs | {x}) if F.is_str_name(s)]
+        parts = [g.choice([F.EqNum, F.Leq])(arith(g, 2, leaves), arith(g, 2, leaves))
+                 for _ in range(middle)]
+        if spoil == "SeqAt part":
+            parts.insert(g.randrange(middle + 1), F.EqNum(F.SeqAt(F.NVar("n"), v), F.Zero()))
+        run = F.AlN("j", F.Plus(bound, F.One()) if spoil == "other bound" else bound,
+                    F.Imp(guard, F.Memb(tj, x)))
+        rest = gen_formula(g, g.randrange(3), [0], ["x", "y", "v"], ["X", "Y"], consts=6)
+        rest = poison(g, rest) if g.random() < 0.25 else rest
+        f = F.ExN("v", bound, F.land([F.Leq(F.const_term(low), v), F.Not(F.Memb(t, x)),
+                                      *parts, run, rest]))
+        assert (compiled_kind(f), scan_kind(f), first_zero_shaped(f)) == ("_quant", want, want), f
+        for env in run_envs(g, True):
+            if g.random() < 0.5:
+                env.nums["v"] = 7  # the binder restores an outer value
+            agrees_with_the_walker(f, s, env, roles)
+
+
+def short_string_cases(c: int, spoil: str | None = None) -> tuple[F.Formula, F.Formula]:
+    """A first-zero pin at leading constant c, with a middle part and a rest
+    that reads y, and the run of 1s inside it, each spoilt as named: a
+    coefficient 2 on v, v free in u, another bound for the run, a middle
+    SeqAt part, or a run guard with a second conjunct."""
+    v, j, x = F.NVar("v"), F.NVar("j"), "X"
+    u = F.Plus(F.NVar("u"), F.Times(v, F.Zero())) if spoil == "v in u" else F.NVar("u")
+    scaled = (lambda w: F.Times(F.const_term(2), w)) if spoil == "2v" else (lambda w: w)
+    guard = F.lt(j, v)
+    if spoil == "extra conjunct":
+        guard = F.And(guard, F.Leq(j, F.NVar("y")))
+    middle = (F.EqNum(F.SeqAt(F.NVar("u"), v), F.Zero()) if spoil == "SeqAt part"
+              else F.Leq(v, F.Plus(F.Len(x), F.One())))
+    bound = F.Plus(F.NVar("s"), F.One()) if spoil == "other bound" else F.NVar("s")
+    run = F.AlN("j", bound, F.Imp(guard, F.Memb(F.Plus(scaled(j), u), x)))
+    return F.ExN("v", F.NVar("s"), F.land([
+        F.Leq(F.const_term(c), v), F.Not(F.Memb(F.Plus(scaled(v), u), x)), middle, run,
+        F.Leq(F.NVar("y"), v)])), run
+
+
+def test_scans_match_the_walker_on_every_short_string():
+    """Bit runs of 1s and of 0s, and first-zero pins, give the walker's value
+    or error on every X of at most 5 bits, unbound X included, at offsets u
+    below 0, inside and past the text, limits L from 0 past S + 1, bounds S
+    from negative to past num_bound, c from 0 to 2, and a role on v or none;
+    each spoilt pin keeps _quant and agrees as well."""
+    v, u, x = F.NVar("v"), F.NVar("u"), "X"
+    runs = [F.forall_lt("v", F.NVar("s"), F.NVar("l"), bit)
+            for bit in (F.Memb(F.Plus(u, v), x), F.Not(F.Memb(F.Plus(v, u), x)))]
+    pins = [short_string_cases(c)[0] for c in range(3)]
+    spoilt = [short_string_cases(1, spoil) for spoil in (
+        "2v", "v in u", "other bound", "SeqAt part", "extra conjunct")]
+    assert [scan_kind(f) for f in runs + pins] == ["ones", "zeros"] + ["first zero"] * 3
+    assert [(scan_kind(f), scan_kind(run)) for f, run in spoilt] == [
+        (None, None), (None, "ones"), (None, "ones"), (None, "ones"), (None, None)]
+    texts = [None] + ["".join(bits) for n in range(6) for bits in itertools.product("01", repeat=n)]
+    s, pins = FiniteSlice(7, 0), pins + [f for f, _ in spoilt]
+    for text, at, bound, roles in itertools.product(
+            texts, (-3, -1, 0, 1, 3, 6), (-2, 0, 1, 3, 7, 8),
+            (None, {"v": lambda e: e.nums["u"] % 3})):
+        strs = {} if text is None else {"X": text}
+        for f in pins:
+            agrees_with_the_walker(f, s, Assignment({"u": at, "s": bound, "y": 2}, strs), roles)
+        for f, limit in itertools.product(runs, (0, 2, 9)) if roles is None else ():
+            agrees_with_the_walker(f, s, Assignment({"u": at, "s": bound, "l": limit}, strs))
+
+
+def test_proof_check_agrees_with_the_walker_at_header_flips():
+    """eval_formula equals walk_formula on the cap-19 proof check at the
+    corpus01 proof, at every flip of its header bits (the unary nl, nf and
+    ns the first-zero pins scan) and at seeded flips past them."""
+    f = compile_proof_check("frege", slot_cap=19)
+    pi = dict(proofs.corpus_proofs())["corpus01.pk"]
+    p, x = encode_proof(pi), encode_formula(proofs.proof_target(pi))
+    nl = p.index("0", 2) - 2
+    nf = p.index("0", 3 + nl) - 3 - nl
+    ns = p.index("0", 4 + nl + nf) - 4 - nl - nf
+    head = 5 + nl + nf + ns
+    ats = [None, *range(head), *random.Random(29).sample(range(head, len(p)), 24)]
+    verdicts = Counter()
+    for at in ats:
+        bits = p if at is None else p[:at] + "10"[int(p[at])] + p[at + 1:]
+        n = max(len(bits), len(x))
+        s = FiniteSlice(n, n)
+        env = Assignment(strs={"P": bits, "X": x})
+        verdicts[eval_formula(f, s, env)] += 1
+        agrees_with_the_walker(f, s, env)
+    assert verdicts[True] >= 1 and verdicts[False] >= head
+
+
 def test_guarded_sweep_serves_the_forall_lt_binders():
     """Over the distinct binder nodes of the reflect benchmark's
     proof-check formula (each node object once, as the compiler's memo
@@ -1253,20 +1567,32 @@ def test_guarded_sweep_serves_the_forall_lt_binders():
     binders: 83 with a plain guard, 13 whose guard is an And chain
     (reflect._with_premise's others) and 19 of the extended shape
     (reflect._tail_map's three guarded Imps among them), 115 of 116 AlN.
-    reflect._endsequent_is's padding binder, whose lt is its guard's second
-    conjunct, and the 24 ExN keep _quant; every forall_lt binder of acc's
-    matrices takes the guarded sweep."""
+    42 of the plain ones scan as bit runs, 23 of 1 bits and 19 of 0 bits
+    (reflect._clear, _count_is and the header pins), and 3 of the 24 ExN
+    (nl, nf and ns) scan as first-zero pins, each exactly where the test's
+    own reading finds that shape.  reflect._endsequent_is's padding binder,
+    whose lt is its guard's second conjunct, and the other 21 ExN keep
+    _quant.  Every forall_lt binder of acc's matrices takes the guarded
+    sweep, and neither they nor nepo's acceptance formula scan."""
     seen = Counter()
     for q in distinct_binders(compile_proof_check("frege", slot_cap=19)):
-        kind, shape = compiled_kind(q), forall_lt_shaped(q)
+        kind, shape, scan = compiled_kind(q), forall_lt_shaped(q), scan_kind(q)
         assert (kind == "guarded") == (shape is not None), q
-        seen[type(q).__name__, kind, shape] += 1
-    assert seen == {("AlN", "guarded", "plain"): 83, ("AlN", "guarded", "chain"): 13,
-                    ("AlN", "guarded", "extended"): 19, ("AlN", "_quant", None): 1,
-                    ("ExN", "_quant", None): 24}
+        assert scan == (bit_run_shaped(q) or first_zero_shaped(q)), q
+        seen[type(q).__name__, kind, shape, scan] += 1
+    assert seen == {("AlN", "guarded", "plain", None): 41,
+                    ("AlN", "guarded", "plain", "ones"): 23,
+                    ("AlN", "guarded", "plain", "zeros"): 19,
+                    ("AlN", "guarded", "chain", None): 13,
+                    ("AlN", "guarded", "extended", None): 19, ("AlN", "_quant", None, None): 1,
+                    ("ExN", "_quant", None, "first zero"): 3, ("ExN", "_quant", None, None): 21}
     tm, p = corpus_machine("parity"), PolyBound((2, 1))
     for matrix in (acc.acc_matrix(tm, p), acc.reach_matrix(tm, p)):
         kinds = Counter((compiled_kind(q), forall_lt_shaped(q)) for q in distinct_binders(matrix)
                         if type(q) is F.AlN)
         assert kinds[("guarded", "plain")] > 0 and set(kinds) <= {
             ("guarded", "plain"), ("_quant", None)}, kinds
+        assert not any(map(scan_kind, distinct_binders(matrix)))
+    bounds = nepo.NepoBounds(c=1, eps=Fraction(1, 3), k=2, m=64)
+    acceptance = nepo.acceptance_artifact(tm, bounds).formula
+    assert not any(map(scan_kind, distinct_binders(acceptance)))
