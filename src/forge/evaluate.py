@@ -274,7 +274,7 @@ class _Compiler:
         elif tf is AlN and (limit := _limit(f)) is not None:
             out = _quant(False, False, f.var, self.term(f.bound), f.body, self.term(limit),
                          self.scan(f.var, _bit_run(f)))
-        elif tf is ExN and (pin := _first_zero(f)) is not None:
+        elif tf is ExN and (pin := _first_zero(f) or _set_bit(f)) is not None:
             out = _quant(True, False, f.var, self.term(f.bound), f.body,
                          scan=self.scan(f.var, pin))
         elif tf is ExN or tf is AlN or tf is ExS or tf is AlS:
@@ -285,15 +285,31 @@ class _Compiler:
         self.formulas[id(f)] = out
         return out
 
-    def scan(self, var: str, shape: tuple[int, NumTerm, str, bool] | None):
-        """None for no shape; else, for shape (low, t, X, one) of a bit-run
-        AlN (_bit_run) or first-zero ExN (_first_zero) of variable var, the
-        narrowing of its sweep: given the values to sweep, the one value at
-        which the body can settle the binder, or none."""
+    def scan(self, var: str, shape: tuple[int, NumTerm, str, bool, NumTerm | None] | None):
+        """None for no shape; else, for shape (low, t, X, one, L) of a
+        bit-run AlN (_bit_run), first-zero ExN (_first_zero) or set-bit ExN
+        (_set_bit, the one with an L) of variable var, the narrowing of its
+        sweep: given the values to sweep, the values at which the body can
+        settle the binder, in order."""
         if shape is None:
             return None
-        low, t, svar, one = shape
+        low, t, svar, one, limit = shape
         index = self.term(t)
+        if limit is not None:
+            limit = self.term(limit)
+
+            def set_bits(r, values):
+                if not values:
+                    return values
+                s = r.strs[svar]  # read before the index, as the Memb reads them
+                r.nums[var] = 0
+                base = _value(index, r.nums, r.strs)
+                start, end = max(base, 0), base + values.stop
+                at = s.find("1", start, end) if start < end else -1
+                if at < 0:
+                    return ()
+                return _set_bits(s, base, at, min(end, base + _value(limit, r.nums, r.strs)))
+            return set_bits
 
         def narrow(r, values):
             values = values[low:]
@@ -561,6 +577,32 @@ def _len(svar: str):
 # at all.  A negative base, or one at or past len(X), gives v* = 0.  A role
 # on v settles the binder before any scan.
 #
+# A set-bit pin: (exN v S B), B an And chain whose first part is (in t X),
+# X a string name and t = v + u (_offset), and whose second is exactly
+# lt(v, L), v a number name not free in L; later parts are any formulas
+# (_set_bit: reflect's _one_hot, so pa, pb and cc).  The body can hold only
+# at a v <= S whose bit X[base + v] is 1, base being t at v = 0, and only
+# for v < L, so the scan sweeps those values alone, in order, and the body
+# runs in full at each.  The skipped candidates raise nothing the plain
+# sweep would raise first.  With S < 0 the sweep is empty and the scan
+# reads nothing.  Otherwise it binds v to 0 and reads X, then t, where the
+# plain sweep's v = 0 iteration reads them in the first Memb, so an unbound
+# X, or a name of u unbound or ill-sorted, raises there and only there; an
+# ill-sorted X is not this shape and keeps _quant.  Every later candidate
+# reads X and u again, with the same values, and t is base + v.  A
+# candidate whose bit is not 1 makes the Memb, and with it the chain, false
+# having read only those, so with no 1 in X[base, base + S + 1) the binder
+# is false and neither reads L.  The plain sweep reads L first at the first
+# set bit, in the lt after a Memb that holds, having read v + 1, which
+# cannot fail; the scan reads L only once it finds that bit, with v bound,
+# so an error from L comes out at the same point, and an unbound L still
+# raises when the first 1 is at or past L.  L does not depend on v and the
+# assignment is the same at every candidate but for v, so L keeps that one
+# value.  A set bit at or past L is skipped: there the Memb is true and the
+# lt false, both reading only values already read.  A negative base, or
+# one at or past len(X), reads positions as Memb reads them: below 0 or
+# past the text, never a 1.  A role on v settles the binder before any scan.
+#
 # On the proof-check formula of the reflect benchmark 115 of 116 AlN binders
 # take the guarded sweep; the one left is _endsequent_is's padding, whose lt
 # is its guard's second conjunct.  The one-Imp shape (96 binders) took
@@ -573,9 +615,14 @@ def _len(svar: str):
 # Of the 115, 42 are bit runs, 23 of 1 bits and 19 of 0 bits (reflect's
 # _clear, _count_is and the header pins), and 3 of the formula's 24 ExN are
 # first-zero pins.  These took the body runs of that pass from 1.354M to
-# 116K, of which the one-hot binders pa and pb run 67K, and reflect from a
+# 116K, of which the one-hot binders pa and pb ran 67K, and reflect from a
 # median 42.7 to 210.4 ops/s (p90 36.4 to 8.4 ms) over 10 perfbench pairs
-# on a 2-vCPU host.
+# on a 2-vCPU host.  13 more ExN are set-bit pins (pa 9, pb 3, cc 1), which
+# took pa and pb from 67K body runs to 163 and the pass from 116K to 49K,
+# of which e runs 26K and b 19K, and reflect from a median 217.7 to 378.5
+# ops/s (p90 8.2 to 5.4 ms) over 10 perfbench pairs on a 2-vCPU host.
+# acc's matrices and nepo's acceptance formula have none of the three scan
+# shapes.
 #
 # EqNum and Leq get one closure per operand shape that evaluation meets
 # often.  Over one seed-1 pass, certify's comparisons are 77% closure
@@ -591,7 +638,8 @@ def _len(svar: str):
 # reading the string before the index and testing the bit inline, with no
 # _value or codec.bit_at call: it is the reflect formula's most frequent
 # atom, 1.35M runs over one seed-1 pass of the benchmark's 100 ops before
-# bit runs and first-zero pins scan, 112K after.
+# bit runs and first-zero pins scan, 112K after, and 45K once set-bit pins
+# scan too.
 
 
 def _compare(leq: bool, a, b) -> Callable[[_Compiler], bool]:
@@ -761,6 +809,17 @@ def _run_length(s: str, base: int, n: int, one: bool) -> int:
     return n if at < 0 else at - base
 
 
+def _set_bits(s: str, base: int, start: int, end: int):
+    """p - base for each position p of s from start below end that holds a
+    1, in order; start >= 0."""
+    while start < end:
+        p = s.find("1", start, end)
+        if p < 0:
+            return
+        yield p - base
+        start = p + 1
+
+
 def _limit(f: AlN) -> NumTerm | None:
     """L when f is (alN v S B), B an Imp or a right-nested And chain of Imps,
     each guarded by lt(t, L) or an And chain whose first part is lt(t, L),
@@ -789,10 +848,10 @@ def _limit(f: AlN) -> NumTerm | None:
     return None if names is None or v in names[0] else limit
 
 
-def _bit_run(f: AlN) -> tuple[int, NumTerm, str, bool] | None:
-    """(0, t, X, one) when f, of a _limit shape, is (alN v S (imp (lt v L)
-    B)) with B (in t X), one, or (not (in t X)), X a string name and
-    t = v + u (_offset); else None."""
+def _bit_run(f: AlN) -> tuple[int, NumTerm, str, bool, None] | None:
+    """(0, t, X, one, None) when f, of a _limit shape, is (alN v S (imp
+    (lt v L) B)) with B (in t X), one, or (not (in t X)), X a string name
+    and t = v + u (_offset); else None."""
     imp, v = f.body, NVar(f.var)
     if type(imp) is not Imp or type(imp.left) is not Leq or imp.left.left != Plus(v, One()):
         return None
@@ -801,16 +860,16 @@ def _bit_run(f: AlN) -> tuple[int, NumTerm, str, bool] | None:
         bit = bit.body
     if type(bit) is not Memb or type(bit.svar) is not str or not is_str_name(bit.svar):
         return None
-    return None if _offset(bit.index, f.var) is None else (0, bit.index, bit.svar, one)
+    return None if _offset(bit.index, f.var) is None else (0, bit.index, bit.svar, one, None)
 
 
-def _first_zero(f: ExN) -> tuple[int, NumTerm, str, bool] | None:
-    """(c, t, X, True) when f is (exN v S B), B an And chain whose parts are, in
-    order, (leq c v) with c a constant, (not (in t X)) with X a string name
-    and t = v + u (_offset), none or more EqNum and Leq over sums, products,
-    constants, lengths and names, every name v, X or one of u's, and a
-    bit-run (alN j S (imp (lt j v) (in (j + u) X))) with v not free in S;
-    else None."""
+def _first_zero(f: ExN) -> tuple[int, NumTerm, str, bool, None] | None:
+    """(c, t, X, True, None) when f is (exN v S B), B an And chain whose
+    parts are, in order, (leq c v) with c a constant, (not (in t X)) with X
+    a string name and t = v + u (_offset), none or more EqNum and Leq over
+    sums, products, constants, lengths and names, every name v, X or one of
+    u's, and a bit-run (alN j S (imp (lt j v) (in (j + u) X))) with v not
+    free in S; else None."""
     v, parts, g = f.var, [], f.body
     while type(g) is And:
         parts.append(g.left)
@@ -835,12 +894,29 @@ def _first_zero(f: ExN) -> tuple[int, NumTerm, str, bool] | None:
     else:
         return None
     run = _bit_run(part) if _limit(part) == NVar(v) else None
-    if run is None or run[2:] != (x, True) or _offset(run[1], part.var) != u:
+    if run is None or run[2:] != (x, True, None) or _offset(run[1], part.var) != u:
         return None
     names = _term_names([f.bound])
     if part.bound != f.bound or names is None or v in names[0]:
         return None
-    return _affine(low.left)[0], t, x, True
+    return _affine(low.left)[0], t, x, True, None
+
+
+def _set_bit(f: ExN) -> tuple[int, NumTerm, str, bool, NumTerm] | None:
+    """(0, t, X, True, L) when f is (exN v S B), B an And chain whose first
+    part is (in t X), X a string name and t = v + u (_offset), and whose
+    second is lt(v, L), v a number name not free in L; else None."""
+    v, body = f.var, f.body
+    if type(v) is not str or not is_num_name(v) or type(body) is not And:
+        return None
+    bit, lt = body.left, body.right.left if type(body.right) is And else body.right
+    if (type(bit) is not Memb or type(bit.svar) is not str or not is_str_name(bit.svar)
+            or type(lt) is not Leq or lt.left != Plus(NVar(v), One())):
+        return None
+    names = _term_names([lt.right])
+    if names is None or v in names[0] or _offset(bit.index, v) is None:
+        return None
+    return 0, bit.index, bit.svar, True, lt.right
 
 
 def _offset(t: NumTerm, v: str) -> list | None:

@@ -424,7 +424,7 @@ def _walk(f: Formula, s: FiniteSlice, env: Assignment, roles: Roles | None) -> b
         prev = env.nums.get(f.var)
         try:
             if want and roles and f.var in roles:
-                v = roles[f.var](env)
+                v = _role_value(roles[f.var], env)
                 if v > b:
                     return False
                 env.nums[f.var] = v
@@ -458,6 +458,19 @@ def _walk(f: Formula, s: FiniteSlice, env: Assignment, roles: Roles | None) -> b
                 env.strs[f.var] = prev
         return not want
     raise TypeError(f"not a formula: {f!r}")
+
+
+def _role_value(callback, env: Assignment) -> int:
+    """callback(env), a KeyError it raises turned into the
+    UnboundVariableError an unbound read of its key gives."""
+    try:
+        return callback(env)
+    except KeyError as e:
+        key = e.args[0] if e.args else None
+        if type(key) is not str:
+            raise UnboundVariableError(f"unbound key {key!r}") from None
+        sort = "number" if is_num_name(key) else "string"
+        raise UnboundVariableError(f"{sort} variable {key} is unbound") from None
 
 
 def grid_read(t: NumTerm) -> bool:

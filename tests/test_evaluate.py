@@ -10,6 +10,7 @@ import weakref
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -102,7 +103,8 @@ def test_eval_slice_errors():
 
 
 def test_entry_points_turn_every_key_error_into_unbound_variable_error():
-    # the compiled closures let a KeyError through, a role callback's too
+    # the compiled closures let a KeyError through, a role callback's too;
+    # the walker turns a role callback's into the same error
     def no_key(_env):
         raise KeyError
 
@@ -111,9 +113,10 @@ def test_entry_points_turn_every_key_error_into_unbound_variable_error():
              (lambda e: e.strs["Q"], "string variable Q is unbound"),
              (lambda e: {}[3], "unbound key 3"), (no_key, "unbound key None")]
     for callback, text in cases:
-        with pytest.raises(UnboundVariableError) as caught:
-            eval_formula(f, S8, Assignment(), {"c": callback})
-        assert str(caught.value) == text
+        for evaluator in (eval_formula, walk_formula):
+            with pytest.raises(UnboundVariableError) as caught:
+                evaluator(f, S8, Assignment(), {"c": callback})
+            assert str(caught.value) == text
     with pytest.raises(UnboundVariableError, match="^number variable y is unbound$"):
         eval_formula(F.EqNum(F.Times(F.NVar("y"), F.NVar("y")), F.One()), S8, Assignment())
 
@@ -1249,20 +1252,26 @@ def forall_lt_shaped(f: F.Formula) -> str | None:
     return "extended" if parts else shape
 
 
-# --- bit runs and first-zero pins: a scan finds where a sweep can stop ---
+# --- bit runs, first-zero and set-bit pins: a scan finds where a sweep can stop ---
+
+
+def compiled_scan(f: F.Formula):
+    """The narrowing (evaluate._Compiler.scan) of the closure f compiles to,
+    or None."""
+    run = evaluate._Compiler(f).root
+    cells = dict(zip(run.__code__.co_freevars, run.__closure__ or ()))
+    return cells["scan"].cell_contents if "scan" in cells else None
 
 
 def scan_kind(f: F.Formula) -> str | None:
     """"ones" or "zeros" for a binder the compiler scans as a run of 1 bits
-    or of 0 bits, "first zero" for an ExN it scans as a first-zero pin, else
-    None."""
-    run = evaluate._Compiler(f).root
-    cells = dict(zip(run.__code__.co_freevars, run.__closure__ or ()))
-    scan = cells["scan"].cell_contents if "scan" in cells else None
+    or of 0 bits, "first zero" or "set bit" for an ExN it scans as a
+    first-zero or a set-bit pin, else None."""
+    scan = compiled_scan(f)
     if scan is None:
         return None
     if type(f) is F.ExN:
-        return "first zero"
+        return "set bit" if scan.__name__ == "set_bits" else "first zero"
     one = dict(zip(scan.__code__.co_freevars, scan.__closure__))["one"].cell_contents
     return "ones" if one else "zeros"
 
@@ -1333,6 +1342,24 @@ def first_zero_shaped(f: F.Formula) -> str | None:
             or u is None or u != others(run.body.right.index, run.var)):
         return None
     return "first zero"
+
+
+def set_bit_shaped(f: F.Formula) -> str | None:
+    """"set bit" when f is ExN(v, S, And chain), v a number name, whose
+    first part is Memb(t, X), X a string name and t a sum with v one summand
+    (others), and whose second is lt(v, L) with v not free in L; else None;
+    read by node equality with formulas.lt."""
+    if (type(f) is not F.ExN or type(f.body) is not F.And or type(f.var) is not str
+            or not F.is_num_name(f.var)):
+        return None
+    bit, rest = f.body.left, f.body.right
+    second = rest.left if type(rest) is F.And else rest
+    if (type(bit) is not F.Memb or type(bit.svar) is not str or not F.is_str_name(bit.svar)
+            or others(bit.index, f.var) is None or type(second) is not F.Leq
+            or second != F.lt(F.NVar(f.var), second.right)
+            or f.var in F.free_vars(F.EqNum(second.right, second.right))[0]):
+        return None
+    return "set bit"
 
 
 RUN_OFFSETS = ["drawn", "none", "length", "negative", "past the text", "unbound",
@@ -1460,7 +1487,7 @@ def test_first_zero_pins_match_the_walker(seed, svar, sweep, low, middle, spoil,
     if spoil == "extra conjunct":
         guard = F.And(guard, gen_formula(g, 1, [0], ["x", "y", "j"], ["X", "Y"], consts=6))
     want = "first zero" if not spoil and svar != "ill-sorted" else None
-    roles = {"v": lambda e: e.nums.get("y", 3) % 5} if role else None
+    roles = {"v": lambda e: e.nums["y"] % 5} if role else None
     s = FiniteSlice(num_bound, 3)
     for offset in RUN_OFFSETS:
         u = uj = run_offset(g, offset)
@@ -1490,6 +1517,93 @@ def test_first_zero_pins_match_the_walker(seed, svar, sweep, low, middle, spoil,
             agrees_with_the_walker(f, s, env, roles)
 
 
+def hot_envs(rng: random.Random) -> list[Assignment]:
+    """Assignments over x and y, negative ones among them, and X and Y up to
+    10 bits long with no, one, two or any number of 1 bits; some leave a
+    name unbound."""
+    out = []
+    for ones in (0, 1, 2, None, None):
+        nums = {v: rng.randrange(-3, 9) for v in ("x", "y") if rng.random() < 0.9}
+        strs = {}
+        for name in ("X", "Y"):
+            n = rng.randrange(11)
+            at = rng.sample(range(n), min(n, rng.randrange(n + 1) if ones is None else ones))
+            if rng.random() < 0.9:
+                strs[name] = "".join("1" if i in at else "0" for i in range(n))
+        out.append(Assignment({**nums, "n": -5, "m": -2}, strs))
+    return out
+
+
+def set_bit_values(f: F.Formula, env: Assignment) -> tuple[list[int], list[int]]:
+    """The values the compiled scan of f, a set-bit pin, leaves its sweep
+    under env, and the v <= S at which the walker finds f's first two parts
+    true, S f's bound as the walker reads it."""
+    scan = compiled_scan(f)
+    head = F.And(f.body.left, f.body.right.left if type(f.body.right) is F.And else f.body.right)
+    values = range(walk_term(f.bound, env) + 1)
+    got = list(scan(SimpleNamespace(nums=dict(env.nums), strs=env.strs), values))
+    return got, [v for v in values if walk_formula(
+        head, FiniteSlice(1, 0), Assignment({**env.nums, f.var: v}, env.strs))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["X", "unbound", "ill-sorted"]),
+       st.sampled_from(["drawn", "0", "small", "past", "unbound", "negative", "v free"]),
+       st.sampled_from(SWEEPS),
+       st.sampled_from([None] * 4 + ["Memb second", "lt third", "2v", "v in u", "v + 1"]),
+       st.booleans(), st.booleans(), st.integers(1, 12))
+def test_set_bit_pins_match_the_walker(seed, svar, limit, sweep, spoil, hot, role, num_bound):
+    """ExN(v, S, Memb(v + u, X) & lt(v, L) & rest) gives the walker's value
+    or error, class and text, with or without a role on v that may read an
+    unbound y, for u each of RUN_OFFSETS, on fields with no, one, two or
+    more set bits: X may be unbound or ill-sorted; L may be 0, small enough
+    that the first set bit is at or past it, past S + 1, unbound or
+    negative; S may pass num_bound or be negative; rest may be false or
+    raise, and may open with _one_hot's others, false at two set bits.
+    Where the walker gives a value, the scan leaves exactly the v <= S at
+    which the Memb and the lt hold.  The binder scans exactly when X is a
+    string name and nothing spoils it: the Memb second, the lt third, a
+    coefficient 2 on v, v free in u, v free in L, or lt(v + 1, L) keep
+    _quant."""
+    g = random.Random(seed)
+    v, j = F.NVar("v"), F.NVar("j")
+    x = {"X": "X", "unbound": "W", "ill-sorted": "x"}[svar]
+    lim = {"drawn": lambda: gen_term(g, 2, ["x", "y"], ["X", "Y"], 6), "0": F.Zero,
+           "small": lambda: F.const_term(g.randrange(1, 3)),
+           "past": lambda: F.const_term(num_bound + 3), "unbound": lambda: F.NVar("w"),
+           "negative": lambda: F.NVar("m"), "v free": lambda: F.Plus(F.NVar("x"), v)}[limit]()
+    lt = F.lt(F.Plus(v, F.One()) if spoil == "v + 1" else v, lim)
+    bound, s = sweep_bound(g, sweep, num_bound), FiniteSlice(num_bound, 3)
+    scaled = (lambda w: F.Times(F.const_term(2), w)) if spoil == "2v" else (lambda w: w)
+    want = None if spoil or svar == "ill-sorted" or limit == "v free" else "set bit"
+    roles = {"v": lambda e: e.nums["y"] % 5} if role else None
+    for offset in RUN_OFFSETS:
+        u = run_offset(g, offset)
+        if spoil == "v in u":
+            u = F.Times(v, F.One()) if u is None else F.Plus(u, F.Times(v, F.One()))
+        arrangement = g.randrange(3)
+        t, tj = offset_by(arrangement, scaled(v), u), offset_by(arrangement, scaled(j), u)
+        rest = gen_formula(g, g.randrange(3), [0], ["x", "y", "v"], ["X", "Y"], consts=6)
+        rest = poison(g, rest) if g.random() < 0.25 else rest
+        if hot:
+            rest = F.And(F.AlN("j", bound, F.Imp(F.And(F.lt(j, lim), F.Not(F.EqNum(j, v))),
+                                                 F.Not(F.Memb(tj, x)))), rest)
+        parts = [F.Memb(t, x), lt, rest]
+        if spoil == "Memb second":
+            parts[:2] = parts[1::-1]
+        if spoil == "lt third":
+            parts.insert(1, F.Leq(F.NVar("x"), F.NVar("y")))  # may be false or raise
+        f = F.ExN("v", bound, F.land(parts))
+        assert (compiled_kind(f), scan_kind(f), set_bit_shaped(f)) == ("_quant", want, want), f
+        for env in hot_envs(g):
+            if g.random() < 0.5:
+                env.nums["v"] = 7  # the binder restores an outer value
+            agrees_with_the_walker(f, s, env, roles)
+            if want and type(said(lambda: walk_formula(f, s, env))) is bool:
+                got, expected = set_bit_values(f, env)
+                assert got == expected, (f, env)
+
+
 def short_string_cases(c: int, spoil: str | None = None) -> tuple[F.Formula, F.Formula]:
     """A first-zero pin at leading constant c, with a middle part and a rest
     that reads y, and the run of 1s inside it, each spoilt as named: a
@@ -1510,21 +1624,47 @@ def short_string_cases(c: int, spoil: str | None = None) -> tuple[F.Formula, F.F
         F.Leq(F.NVar("y"), v)])), run
 
 
+def one_hot_case(spoil: str | None = None) -> F.Formula:
+    """A set-bit pin on the l-bit field of X at u, in _one_hot's shape: the
+    Memb, lt(v, l), the others binder and a rest that reads y, spoilt as
+    named: Memb second, lt third, a coefficient 2 on v, v free in u, or
+    lt(v + 1, l)."""
+    v, j, x, lim = F.NVar("v"), F.NVar("j"), "X", F.NVar("l")
+    u = F.Plus(F.NVar("u"), F.Times(v, F.Zero())) if spoil == "v in u" else F.NVar("u")
+    scaled = (lambda w: F.Times(F.const_term(2), w)) if spoil == "2v" else (lambda w: w)
+    others = F.AlN("j", F.NVar("s"), F.Imp(F.And(F.lt(j, lim), F.Not(F.EqNum(j, v))),
+                                           F.Not(F.Memb(F.Plus(u, scaled(j)), x))))
+    parts = [F.Memb(F.Plus(u, scaled(v)), x),
+             F.lt(F.Plus(v, F.One()) if spoil == "v + 1" else v, lim), others,
+             F.Leq(F.NVar("y"), v)]
+    if spoil == "Memb second":
+        parts[:2] = parts[1::-1]
+    if spoil == "lt third":
+        parts[1:3] = parts[2:0:-1]
+    return F.ExN("v", F.NVar("s"), F.land(parts))
+
+
 def test_scans_match_the_walker_on_every_short_string():
-    """Bit runs of 1s and of 0s, and first-zero pins, give the walker's value
-    or error on every X of at most 5 bits, unbound X included, at offsets u
-    below 0, inside and past the text, limits L from 0 past S + 1, bounds S
-    from negative to past num_bound, c from 0 to 2, and a role on v or none;
-    each spoilt pin keeps _quant and agrees as well."""
+    """Bit runs of 1s and of 0s, first-zero pins and set-bit pins give the
+    walker's value or error on every X of at most 5 bits, unbound X
+    included, at offsets u below 0, inside and past the text, limits L from
+    0 past S + 1 (and unbound for set-bit pins), bounds S from negative to
+    past num_bound, c from 0 to 2,
+    and a role on v or none; each spoilt pin keeps _quant and agrees as
+    well, and the set-bit scan leaves exactly the v at which its Memb and
+    lt hold."""
     v, u, x = F.NVar("v"), F.NVar("u"), "X"
     runs = [F.forall_lt("v", F.NVar("s"), F.NVar("l"), bit)
             for bit in (F.Memb(F.Plus(u, v), x), F.Not(F.Memb(F.Plus(v, u), x)))]
     pins = [short_string_cases(c)[0] for c in range(3)]
     spoilt = [short_string_cases(1, spoil) for spoil in (
         "2v", "v in u", "other bound", "SeqAt part", "extra conjunct")]
+    hots = [one_hot_case(spoil) for spoil in (
+        None, "Memb second", "lt third", "2v", "v in u", "v + 1")]
     assert [scan_kind(f) for f in runs + pins] == ["ones", "zeros"] + ["first zero"] * 3
     assert [(scan_kind(f), scan_kind(run)) for f, run in spoilt] == [
         (None, None), (None, "ones"), (None, "ones"), (None, "ones"), (None, None)]
+    assert [scan_kind(f) for f in hots] == ["set bit"] + [None] * 5
     texts = [None] + ["".join(bits) for n in range(6) for bits in itertools.product("01", repeat=n)]
     s, pins = FiniteSlice(7, 0), pins + [f for f, _ in spoilt]
     for text, at, bound, roles in itertools.product(
@@ -1533,6 +1673,14 @@ def test_scans_match_the_walker_on_every_short_string():
         strs = {} if text is None else {"X": text}
         for f in pins:
             agrees_with_the_walker(f, s, Assignment({"u": at, "s": bound, "y": 2}, strs), roles)
+        for f, limit in itertools.product(hots, (0, 2, 9, None)):
+            env = Assignment({"u": at, "s": bound, "y": 2}, strs)
+            if limit is not None:
+                env.nums["l"] = limit
+            agrees_with_the_walker(f, s, env, roles)
+            if f is hots[0] and type(said(lambda: walk_formula(f, s, env))) is bool:
+                got, want = set_bit_values(f, env)
+                assert got == want, (text, at, bound, limit)
         for f, limit in itertools.product(runs, (0, 2, 9)) if roles is None else ():
             agrees_with_the_walker(f, s, Assignment({"u": at, "s": bound, "l": limit}, strs))
 
@@ -1560,6 +1708,40 @@ def test_proof_check_agrees_with_the_walker_at_header_flips():
     assert verdicts[True] >= 1 and verdicts[False] >= head
 
 
+def test_proof_check_agrees_with_the_walker_at_one_hot_flips():
+    """eval_formula equals walk_formula on the cap-19 proof check at the
+    corpus03 proof, which has a cut, and at flips of the one-hot fields the
+    set-bit pins scan: each bit of the cut line's cut position and each set
+    bit of its premise references, and a seeded sample of the other bits of
+    every line's fields (all 144 flips cost the walker about 18 s)."""
+    f = compile_proof_check("frege", slot_cap=19)
+    pi = dict(proofs.corpus_proofs())["corpus03.pk"]
+    p, x = encode_proof(pi), encode_formula(proofs.proof_target(pi))
+    nl = p.index("0", 2) - 2
+    nf = p.index("0", 3 + nl) - 3 - nl
+    ns = p.index("0", 4 + nl + nf) - 4 - nl - nf
+    side = nf + nf * ns * 6  # the presence bits and records of one side
+    block = 2 * side + 6 + nf + 2 * nl
+    fields = {}
+    for line in range(nl):
+        cut = 5 + nl + nf + ns + line * block + 2 * side + 4
+        fields[line] = [*range(cut, cut + nf), *range(cut + nf + 2, cut + nf + 2 + 2 * nl)]
+    (cut_line,) = [i for i, ln in enumerate(pi.lines) if ln.rule == "cut"]
+    cut_bits = fields[cut_line][:nf]
+    hot = [at for at in fields[cut_line][nf:] if p[at] == "1"]
+    assert len(hot) == 2  # pa and pb
+    rest = sorted({at for ats in fields.values() for at in ats} - {*cut_bits, *hot})
+    verdicts = Counter()
+    for at in [None, *cut_bits, *hot, *random.Random(30).sample(rest, 12)]:
+        bits = p if at is None else p[:at] + "10"[int(p[at])] + p[at + 1:]
+        n = max(len(bits), len(x))
+        s = FiniteSlice(n, n)
+        env = Assignment(strs={"P": bits, "X": x})
+        verdicts[eval_formula(f, s, env)] += 1
+        agrees_with_the_walker(f, s, env)
+    assert verdicts[True] == 1 and verdicts[False] == nf + 2 + 12
+
+
 def test_guarded_sweep_serves_the_forall_lt_binders():
     """Over the distinct binder nodes of the reflect benchmark's
     proof-check formula (each node object once, as the compiler's memo
@@ -1569,23 +1751,27 @@ def test_guarded_sweep_serves_the_forall_lt_binders():
     (reflect._tail_map's three guarded Imps among them), 115 of 116 AlN.
     42 of the plain ones scan as bit runs, 23 of 1 bits and 19 of 0 bits
     (reflect._clear, _count_is and the header pins), and 3 of the 24 ExN
-    (nl, nf and ns) scan as first-zero pins, each exactly where the test's
-    own reading finds that shape.  reflect._endsequent_is's padding binder,
-    whose lt is its guard's second conjunct, and the other 21 ExN keep
-    _quant.  Every forall_lt binder of acc's matrices takes the guarded
-    sweep, and neither they nor nepo's acceptance formula scan."""
-    seen = Counter()
+    (nl, nf and ns) scan as first-zero pins and 13 (reflect._one_hot's pa,
+    pb and cc) as set-bit pins, each exactly where the test's own reading
+    finds that shape.  reflect._endsequent_is's padding binder, whose lt is
+    its guard's second conjunct, and the other 8 ExN keep _quant.  Every
+    forall_lt binder of acc's matrices takes the guarded sweep, and neither
+    they nor nepo's acceptance formula scan."""
+    seen, hot = Counter(), Counter()
     for q in distinct_binders(compile_proof_check("frege", slot_cap=19)):
         kind, shape, scan = compiled_kind(q), forall_lt_shaped(q), scan_kind(q)
         assert (kind == "guarded") == (shape is not None), q
-        assert scan == (bit_run_shaped(q) or first_zero_shaped(q)), q
+        assert scan == (bit_run_shaped(q) or first_zero_shaped(q) or set_bit_shaped(q)), q
         seen[type(q).__name__, kind, shape, scan] += 1
+        hot[q.var] += scan == "set bit"
     assert seen == {("AlN", "guarded", "plain", None): 41,
                     ("AlN", "guarded", "plain", "ones"): 23,
                     ("AlN", "guarded", "plain", "zeros"): 19,
                     ("AlN", "guarded", "chain", None): 13,
                     ("AlN", "guarded", "extended", None): 19, ("AlN", "_quant", None, None): 1,
-                    ("ExN", "_quant", None, "first zero"): 3, ("ExN", "_quant", None, None): 21}
+                    ("ExN", "_quant", None, "first zero"): 3,
+                    ("ExN", "_quant", None, "set bit"): 13, ("ExN", "_quant", None, None): 8}
+    assert +hot == {"pa": 9, "pb": 3, "cc": 1}
     tm, p = corpus_machine("parity"), PolyBound((2, 1))
     for matrix in (acc.acc_matrix(tm, p), acc.reach_matrix(tm, p)):
         kinds = Counter((compiled_kind(q), forall_lt_shaped(q)) for q in distinct_binders(matrix)
