@@ -53,9 +53,10 @@ below the bound, if any, that can satisfy the body.  Compilers that attach
 roles (nepo) must emit clauses that pin their witnesses uniquely.  A
 callback must also read only its binder's free variables: names free in the
 binder's body other than the binder's own.  Then, within one run, the
-binder's verdict is a function of the bound's value and those names'
-values, and a run settles each binder once per such key (see "compiled
-formulas" below).
+verdict of a number binder that a role settles, or whose body's other free
+number names all have roles, is a function of the bound's value and the
+values of its body's other free names, and a run settles each such binder
+once per such key (see "compiled formulas" below).
 """
 
 from __future__ import annotations
@@ -183,8 +184,8 @@ class _Compiler:
     Leaf terms compile to a constant or a name and skip the memo.  A run
     takes one frame per formula level, And and Or chains running as loops.
     codes is the table of decoded sequence codes that SeqAt reads through,
-    and verdicts the table of verdicts that role binders settle; each run
-    starts both empty.  run puts what the closures read besides the
+    and verdicts the table of verdicts that number binders memoize; each
+    run starts both empty.  run puts what the closures read besides the
     formula's structure (the assignment, its dicts, the slice and the roles)
     on the compiler, and drops it when the run ends, so a kept compile holds
     nothing of its last call.
@@ -353,7 +354,8 @@ class _Compiler:
 # (codec.seq_fields, the one decoder of codes: the low 5 bits give the field
 # width, the fields sit under a sentinel top bit, and a read past the last
 # gives 0), keyed by the code's value, so each code decodes once per run.
-# A certify run reads its 2 to 8 distinct codes about 16K times.  The table
+# A certify run reads its 2 to 8 distinct codes about 8.8K times (16K before
+# sweeps over role variables memoized their verdicts).  The table
 # is emptied at the start of each run, so it holds only the current run's
 # codes, and when it reaches _TABLE_CAP of them, which bounds a sweep over
 # codes.  SeqLen never decodes: codec.seq_len gives the element count from
@@ -499,20 +501,29 @@ def _len(svar: str):
 # which compiles them through the compiler that runs it and keeps the
 # closures in their place.
 #
-# An ExN binder whose first run settles it by a role takes, at that run, the
-# free names of its body other than its own, and from then on memoizes each
-# verdict it settles by a role in the compiler's verdicts table, keyed by
-# (compiled body, variable, bound value, values of those names).  The values
-# are read with .get, so an unbound name is part of the key and raises only
-# where the body reaches it.  The run's slice and roles are not in the key:
-# the table is emptied at the start of each run, and when it reaches
-# _TABLE_CAP verdicts.  The key holds no closure of the binder's own, so the
-# compile still forms no cycle.  A binder whose first run had no role never
-# memoizes; sweeps never do.  A certify acceptance run settles role
-# binders 29 times for 20 distinct keys, and each repeat saves a callback
-# and the check of a whole sub-grid.  With nepo's certificate memo and the
-# EqNum/Leq closures below, this took certify from a median 32.3 to 60.8
-# ops/s over 10 perfbench pairs on a 2-vCPU host.
+# A number binder memoizes its verdicts in the compiler's verdicts table
+# when, at its first run, the run has roles and a role settles it (an ExN
+# whose variable has one) or each number name free in its body but its own
+# has one, as nepo's level-0 clauses over a grid code do.  The key is
+# (compiled body, exists, variable, bound value, values of the body's other
+# free number names, then string names): looked up once the bound is
+# checked, stored once the role or the sweep settles, never on a raise.
+# Within one run the slice and roles are fixed: the table is emptied at the
+# start of each run, and when it reaches _TABLE_CAP verdicts.  The body
+# (the compiled body and exists: an AlN and an ExN over one body never
+# share an entry), with a guarded sweep's limit or a scan, reads names free
+# in it, which are in the key, and names it binds, whose values follow from
+# those; a callback reads only its binder's free names (see "Certificate
+# roles"), each bound inside the body or free in it.  So the verdict is a
+# function of the key.  The values are read with .get, so an unbound name
+# is part of the key and raises only where the body reaches it.  The key
+# holds no closure of the binder's own, so the compile still forms no
+# cycle.  A binder first run without roles never memoizes.  Role binders
+# alone, with nepo's certificate memo and the EqNum/Leq closures below,
+# took certify from a median 32.3 to 60.8 ops/s over 10 perfbench pairs on
+# a 2-vCPU host.  Sweeps took one seed-1 certify pass (108 runs) from 6,640
+# level-0 clause settlements to 2,785 and from 1.77M grid reads to 0.95M,
+# and certify from a median 59.4 to 102.5 ops/s over 10 pairs.
 #
 # An AlN binder of forall_lt's shape, (alN v S (imp G B)) with G lt(v, L) or
 # an And chain whose first part is lt(v, L), v a number name and not free in
@@ -740,14 +751,14 @@ def _quant(exists: bool, strings: bool, var: str, bound, body,
     set below bound, which must stay within str_width.  An AlN of a _limit
     shape, given its compiled limit, reads limit once and sweeps only
     var < limit.  A binder given a scan (_Compiler.scan) sweeps only the
-    values it leaves, when no role settles the binder."""
+    values it leaves, when no role settles the binder.  A number binder may
+    memoize its verdicts (see "compiled formulas")."""
     memo = False  # until the first run; then None, or the body's other free names
 
     def run(r):
         nonlocal body, memo
         if memo is False:  # memo is set last, so a compile that raises is retried
-            names = (_memo_names(body, var)
-                     if exists and not strings and r.roles and var in r.roles else None)
+            names = None if strings or not r.roles else _memo_names(body, var, exists, r.roles)
             body = r.formula(body)
             memo = names
         b = _value(bound, r.nums, r.strs)
@@ -763,38 +774,40 @@ def _quant(exists: bool, strings: bool, var: str, bound, body,
             env, values = r.nums, range(b + 1)
             if limit is not None and b >= 0:
                 values = range(min(b + 1, _value(limit, env, r.strs)))
+        if memo is not None:
+            key = (body, exists, var, b, tuple(map(r.nums.get, memo[0])),
+                   tuple(map(r.strs.get, memo[1])))
+            verdict = r.verdicts.get(key)
+            if verdict is not None:
+                return verdict
         prev = env.get(var)
         try:
             if exists and not strings and r.roles and var in r.roles:
-                verdicts, key = r.verdicts, None
-                if memo is not None:
-                    key = (body, var, b, tuple(map(r.nums.get, memo[0])),
-                           tuple(map(r.strs.get, memo[1])))
-                    verdict = verdicts.get(key)
-                    if verdict is not None:
-                        return verdict
                 v = r.roles[var](r.env)
                 verdict = v <= b
                 if verdict:
                     env[var] = v
                     verdict = body(r)
-                if key is not None:
-                    if len(verdicts) >= _TABLE_CAP:
-                        verdicts.clear()
-                    verdicts[key] = verdict
-                return verdict
-            if scan is not None:
-                values = scan(r, values)
-            for v in values:
-                env[var] = v
-                if body(r) == exists:
-                    return exists
+            else:
+                if scan is not None:
+                    values = scan(r, values)
+                for v in values:
+                    env[var] = v
+                    if body(r) == exists:
+                        verdict = exists
+                        break
+                else:
+                    verdict = not exists
         finally:
             if prev is None:
                 env.pop(var, None)
             else:
                 env[var] = prev
-        return not exists
+        if memo is not None:
+            if len(r.verdicts) >= _TABLE_CAP:
+                r.verdicts.clear()
+            r.verdicts[key] = verdict
+        return verdict
     return run
 
 
@@ -969,12 +982,17 @@ def _reads_only(f: EqNum | Leq, nums: set, strs: set) -> bool:
     return True
 
 
-def _memo_names(body: Formula, var: str) -> tuple[tuple, tuple] | None:
-    """The free (number, string) names of body other than var, or None, so
-    that the binder does not memoize, when free_vars rejects the body."""
+def _memo_names(body: Formula, var: str, exists: bool,
+                roles: Roles) -> tuple[tuple, tuple] | None:
+    """The free (number, string) names of the number binder of var over body
+    other than var, when it memoizes under roles: a role settles it, or each
+    of those number names has a role.  Else None, as when free_vars rejects
+    the body."""
     try:
         nums, strs = free_vars(body)
     except TypeError:  # a node of unknown type, or an unhashable name
         return None
     nums.discard(var)
+    if not (exists and var in roles) and not nums <= roles.keys():
+        return None
     return tuple(nums), tuple(strs)

@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import oracles
 from oracles import (config_to_string, grid_read, node_value_depth_bound,
                      read_outcome, role_free_names, seq_len_total, walk_formula,
                      walk_term)
@@ -621,32 +622,178 @@ def test_verdict_table_holds_one_runs_verdicts(monkeypatch):
     f = F.AlN("y", F.const_term(6), F.ExN("c", F.const_term(3),
                                           F.Leq(F.NVar("c"), F.NVar("y"))))
     assert eval_formula(f, S8, Assignment(), {"c": lambda e: 0})
-    verdicts = evaluate._kept[id(f)][1].verdicts
-    assert list(verdicts.values()) == [True] * 7  # one per value of y
+    compiled = evaluate._kept[id(f)][1]
+    verdicts = compiled.verdicts
+    # the outer sweep's body has no free name but its own, so it memoizes too,
+    # after the ExN it swept
+    outer = (compiled.formulas[id(f.body)], False, "y", 6, (), ())
+    assert list(verdicts.values()) == [True] * 8  # one per value of y, and y's
+    assert list(verdicts)[-1] == outer and verdicts[outer] is True
     assert eval_formula(f, S8, Assignment(), {"c": lambda e: 2}) is False
-    assert list(verdicts.values()) == [False]  # y = 0 only
+    assert list(verdicts.items())[1:] == [(outer, False)]  # y = 0 only, then y's
     monkeypatch.setattr(evaluate, "_TABLE_CAP", 2)
     assert eval_formula(f, S8, Assignment(), {"c": lambda e: 0})
-    assert len(verdicts) == 1  # y = 6, the cap having emptied it at y = 2 and 4
+    # y = 6 and y's, the cap having emptied it at y = 2, 4 and 6
+    assert len(verdicts) == 2 and verdicts[outer] is True
+
+
+def memoizes(f: F.Formula, roles) -> bool:
+    """Whether the number binder f memoizes its verdicts in a run under
+    roles: a role settles it, or each number name free in its body but its
+    own has a role."""
+    try:
+        nums, _ = F.free_vars(f.body)
+    except TypeError:
+        return False
+    return bool(roles) and (type(f) is F.ExN and f.var in roles
+                            or nums - {f.var} <= roles.keys())
+
+
+def settlement_key(f: F.Formula, s: FiniteSlice, env: Assignment) -> tuple | None:
+    """The walker's settlement of the number binder f at env as a memo key:
+    (body node, exists, variable, bound value, values of the body's other
+    free number names, then string names, in sorted order), or None when
+    the bound passes num_bound."""
+    b, (nums, strs) = walk_term(f.bound, env), F.free_vars(f.body)
+    return (id(f.body), type(f) is F.ExN, f.var, b,
+            tuple(env.nums.get(n) for n in sorted(nums - {f.var})),
+            tuple(env.strs.get(n) for n in sorted(strs))) if b <= s.num_bound else None
+
+
+class Stores(dict):
+    """A verdict table that logs the key of every store."""
+
+    def __init__(self):
+        super().__init__()
+        self.log = []
+
+    def __setitem__(self, key, value):
+        self.log.append(key)
+        super().__setitem__(key, value)
+
+
+MEMO_CASES = ["drawn", "shared", "short-circuit", "past num_bound", "no role"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(MEMO_CASES), st.integers(1, 3),
+       st.integers(3, 9))
+def test_memoized_sweeps_match_the_walker(seed, case, n, num_bound):
+    """Sweeps AlN/ExN z whose free number names (c, and d, a role name no
+    binder binds) all have roles, inside an ExN c whose role gives y % 3, so
+    that the outer AlN y repeats them, give the walker's value or error,
+    class and text.  Each number binder that memoizes stores one verdict per
+    distinct key at which the walker settles it and the settlement
+    completes, and no other binder stores any; the role callbacks run once
+    per distinct key, at the keys the walker meets.  Cases: an AlN and an
+    ExN over one body node and variable, whose entries stay apart; d read
+    behind a short-circuit; a bound c + k past num_bound at c = 2; a sweep
+    reading y, which has no role, and so does not memoize."""
+    g = random.Random(seed)
+    y, c, z = F.NVar("y"), F.NVar("c"), F.NVar("z")
+    calls, walked = [], []
+
+    def atom(names):
+        a, b = (g.choice([F.NVar(v) for v in names] + [F.One(), F.const_term(2)]) for _ in "ab")
+        return g.choice([F.Leq(a, b), F.EqNum(a, b), F.Memb(F.Plus(a, b), "X"),
+                         F.Leq(F.Plus(a, b), F.const_term(g.randrange(6)))])
+
+    def body(names, depth):
+        if depth == 0 or g.random() < 0.3:
+            return atom(names)
+        if g.random() < 0.2:  # an inner sweep, which reads z and so does not memoize
+            return g.choice([F.AlN, F.ExN])("w", F.const_term(g.randrange(4)),
+                                            body(["w", "z", "c"], depth - 1))
+        if g.random() < 0.2:
+            return F.Not(body(names, depth - 1))
+        return g.choice([F.And, F.Or, F.Imp])(body(names, depth - 1), body(names, depth - 1))
+
+    def sweep(b=None, bound=None):
+        return g.choice([F.AlN, F.ExN])("z", bound or F.const_term(g.randrange(num_bound + 1)),
+                                        b or body(["z", "c", "c"] + ["d"] * (g.random() < 0.2), 2))
+
+    parts = [sweep() for _ in range(n)]
+    b, bound = body(["z", "c"], 2), F.const_term(g.randrange(num_bound + 1))
+    ex, al = F.ExN("z", bound, b), F.AlN("z", bound, b)
+    spoilt = {"drawn": None,
+              "shared": F.Or(F.Not(ex), F.Not(al)),  # al runs where ex holds
+              "short-circuit": sweep(F.Or(F.Leq(z, c), F.Leq(F.NVar("d"), z))),
+              "past num_bound": sweep(bound=F.Plus(c, F.const_term(num_bound - 1))),
+              "no role": sweep(F.Or(body(["z", "c"], 1), F.Leq(y, z)))}[case]
+    if spoilt is not None:
+        parts.insert(g.randrange(1, n + 1), spoilt)
+    # the first part runs at every y the outer loop reaches, so it repeats
+    parts[0] = F.Or(parts[0], F.Not(parts[0]))
+    settle = F.ExN("c", F.const_term(2), F.land([F.Leq(F.Zero(), y), *parts]))
+    f = F.AlN("y", F.const_term(g.randrange(3, num_bound + 1)),
+              F.Or(settle, F.Leq(y, F.const_term(g.randrange(num_bound + 1)))))
+    roles = {"c": lambda e: calls.append(("c", e.nums["y"])) or e.nums["y"] % 3,
+             "d": lambda e: 1}
+    binders = [h for h in distinct_binders(f) if type(h) in (F.AlN, F.ExN)]
+    memo = {id(h): memoizes(h, roles) for h in binders}
+    assert memo[id(parts[0].left)]
+    if case in ("short-circuit", "no role"):
+        assert memo[id(spoilt)] is (case == "short-circuit")
+    s = FiniteSlice(num_bound, 0)
+    x = "".join(g.choice("01") for _ in range(g.randrange(8))) if g.random() < 0.9 else None
+    env = Assignment(nums={"z": 7} if g.random() < 0.5 else {},
+                     strs={} if x is None else {"X": x})
+    agrees_with_the_walker(f, s, env, roles)
+
+    def recording(h, s, env, roles):
+        key = settlement_key(h, s, env) if memo.get(id(h)) else None
+        out = walk(h, s, env, roles)
+        if key is not None:
+            walked.append(key)
+        return out
+
+    walk = oracles._walk
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "_walk", recording)
+        want = said(lambda: walk_formula(f, s, env, roles))
+    called, calls[:] = calls[:], []
+    compiled = evaluate._Compiler(f)
+    compiled.verdicts = stores = Stores()
+    assert said(lambda: compiled.run(s, env, roles)) == want
+    assert len(calls) == len(set(calls)) and set(calls) == set(called)
+    assert len(stores.log) == len(set(stores.log))  # one settlement per key
+    stored = Counter(k[:3] for k in stores.log)
+    for h in binders:
+        at = compiled.formulas.get(id(h.body)), type(h) is F.ExN, h.var
+        keys = {k for k in walked if k[:3] == (id(h.body), *at[1:])}
+        assert stored[at] == (len(keys) if memo[id(h)] else 0), (case, h)
+    if want is True:  # y reached 3, where c is 0 again, so parts[0] ran twice
+        assert len(walked) > len(set(walked))
 
 
 def test_repeated_evaluation_leaves_no_cycles():
     """A compile and its closures form no cycle, memoized verdicts
-    included: 50 more calls leave the cycle collector no more to find than
-    one call does."""
-    f = F.AlN("y", F.One(), F.ExN("c", F.const_term(3),
-                                  F.Leq(F.NVar("y"), F.NVar("c"))))
+    included, of a role binder and of a sweep over a role name: 50 more
+    calls leave the cycle collector no more to find than one call does, and
+    no key holds a binder's own closure."""
+    y, c = F.NVar("y"), F.NVar("c")
+    sweep = F.AlN("y", c, F.Leq(y, c))  # c, its one free name, has a role
     roles = {"c": lambda e: 2}
-    gc.collect()
-    gc.disable()
-    try:
-        assert eval_formula(f, S8, Assignment(), roles)
-        once = gc.collect()
-        for _ in range(50):
+    for f, key in ((F.AlN("y", F.One(), F.ExN("c", F.const_term(3), F.Leq(y, c))), None),
+                   (F.ExN("c", F.const_term(3), F.And(F.Leq(c, F.const_term(3)), sweep)),
+                    (sweep.body, False, "y", 2, (2,), ()))):
+        gc.collect()
+        gc.disable()
+        try:
             assert eval_formula(f, S8, Assignment(), roles)
-        assert gc.collect() <= once
-    finally:
-        gc.enable()
+            once = gc.collect()
+            for _ in range(50):
+                assert eval_formula(f, S8, Assignment(), roles)
+            assert gc.collect() <= once
+        finally:
+            gc.enable()
+        compiled = evaluate._kept[id(f)][1]
+        verdicts, closures = compiled.verdicts, compiled.formulas
+        if key is not None:
+            assert verdicts[(closures[id(key[0])], *key[1:])] is True
+        for h in distinct_binders(f):
+            own, body = closures[id(h)], closures[id(h.body)]
+            assert all(own not in k for k in verdicts if k[0] is body)
 
 
 X = F.NVar("x")
