@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from itertools import chain, islice, takewhile
 from typing import Callable
 
 from . import codec
@@ -274,43 +275,29 @@ class _Compiler:
             out = _imp(f.left, f.right)
         elif tf is AlN and (limit := _limit(f)) is not None:
             out = _quant(False, False, f.var, self.term(f.bound), f.body, self.term(limit),
-                         self.scan(f.var, _bit_run(f)))
-        elif tf is ExN and (pin := _first_zero(f) or _set_bit(f)) is not None:
-            out = _quant(True, False, f.var, self.term(f.bound), f.body,
-                         scan=self.scan(f.var, pin))
+                         self.scan(f))
         elif tf is ExN or tf is AlN or tf is ExS or tf is AlS:
             out = _quant(tf is ExN or tf is ExS, tf is ExS or tf is AlS, f.var,
-                         self.term(f.bound), f.body)
+                         self.term(f.bound), f.body, scan=self.scan(f) if tf is ExN else None)
         else:
             out = _error(TypeError, f"not a formula: {f!r}")
         self.formulas[id(f)] = out
         return out
 
-    def scan(self, var: str, shape: tuple[int, NumTerm, str, bool, NumTerm | None] | None):
-        """None for no shape; else, for shape (low, t, X, one, L) of a
-        bit-run AlN (_bit_run), first-zero ExN (_first_zero) or set-bit ExN
-        (_set_bit, the one with an L) of variable var, the narrowing of its
-        sweep: given the values to sweep, the values at which the body can
-        settle the binder, in order."""
+    def scan(self, f: Formula):
+        """None when f has no _bit_literal shape; else the narrowing of its
+        sweep, one closure for every shape: given the values to sweep, it
+        reads X and t at the first value from low and gives an iterator over
+        those whose bit is 1 (one) or is not, the first alone when first,
+        and those below L, read at the first, when there is an L (see
+        "compiled formulas")."""
+        shape = _bit_literal(f)
         if shape is None:
             return None
-        low, t, svar, one, limit = shape
-        index = self.term(t)
+        low, t, svar, one, limit, first = shape
+        var, index = f.var, self.term(t)
         if limit is not None:
             limit = self.term(limit)
-
-            def set_bits(r, values):
-                if not values:
-                    return values
-                s = r.strs[svar]  # read before the index, as the Memb reads them
-                r.nums[var] = 0
-                base = _value(index, r.nums, r.strs)
-                start, end = max(base, 0), base + values.stop
-                at = s.find("1", start, end) if start < end else -1
-                if at < 0:
-                    return ()
-                return _set_bits(s, base, at, min(end, base + _value(limit, r.nums, r.strs)))
-            return set_bits
 
         def narrow(r, values):
             values = values[low:]
@@ -318,8 +305,11 @@ class _Compiler:
                 return values
             s = r.strs[svar]  # read before the index, as the Memb reads them
             v = r.nums[var] = values.start
-            k = _run_length(s, _value(index, r.nums, r.strs) - v, values.stop, one)
-            return range(k, k + 1) if v <= k < values.stop else range(0)
+            out = _positions(s, _value(index, r.nums, r.strs) - v, values, one)
+            if limit is None or (v := next(out, None)) is None:
+                return islice(out, 1) if first else out
+            # L is read at the first value kept, as the body reads it
+            return takewhile(_value(limit, r.nums, r.strs).__gt__, chain((v,), out))
         return narrow
 
 
@@ -550,69 +540,51 @@ def _len(svar: str):
 # v + k + 1, which cannot fail, and then L, so an error from L still comes
 # out at the same point; _limit hands _quant part 1's L.
 #
-# A bit run: a guarded sweep of one Imp whose guard is exactly lt(v, L) and
-# whose B is (in t X) or (not (in t X)), X a string name and t a Plus spine
-# with the summand v once and v free in none of the others, u (_bit_run),
-# holds iff the n = min(S + 1, L) bits of X from base = t - v are all 1, or
-# all not 1.  The sweep's values are range(n), and with n <= 0 (a negative
-# S, or L <= 0) no guard holds and _Compiler.scan reads nothing.  Otherwise
-# it binds v to 0 and reads X, then t, as the plain sweep's v = 0 iteration
-# reads them in B's Memb after a guard that holds, so an unbound X, or a
-# name of u unbound or ill-sorted, raises there and only there.  Every
-# later iteration reads X and u again, with the same values, so none can
-# raise, and t is base + v exactly: Plus adds integers.  The scan finds the
-# first v below n whose bit breaks the run, with one str.find or lstrip
-# over X[base, base + n), a position below 0 or at or past len(X) reading
-# as Memb reads it, never a 1; the sweep runs the body at that v alone, and
-# is false where the plain sweep stops, or runs nothing and is true.
+# A bit literal is (in t X) or (not (in t X)), X a string name and t a Plus
+# spine with the summand v once and v free in none of the others, u.  Three
+# number binders of v can be settled only at values whose bit X[t] is 1, or
+# is not (_bit_literal):
+# - a bit run, a guarded sweep of one Imp whose guard is exactly lt(v, L)
+#   and whose B is a bit literal: false only where B fails;
+# - a set-bit pin, (exN v S B), B an And chain opening with (in t X) and
+#   then exactly lt(v, L), v not free in L: true only where the bit is 1;
+# - a first-zero pin, (exN v S B), B an And chain of (leq c v) for a
+#   constant c, (not (in t X)), EqNum and Leq parts over sums, products,
+#   constants, lengths and names reading only v, X and names of u, each of
+#   its sort, and the bit run (alN j S (imp (lt j v) (in j + u X))), v not
+#   free in S: true only at v >= c where the bit is not 1.
+# _Compiler.scan sweeps those values alone, in order, from values[low:]
+# (low is c for a first-zero pin, else 0), found by str.find (_positions),
+# and the body runs in full at each.  This agrees exactly with the plain
+# sweep.  Below low the Leq is false having read only v.  With no value
+# from low, no guard or Leq holds, or there is no iteration, so the plain
+# sweep reaches no literal, and the scan reads nothing.  Otherwise the scan
+# binds v to the first value and reads X, then t, as the plain sweep's
+# first iteration there reads them in the literal, after a guard or a Leq
+# that holds, or first, so an unbound X, or a name of u unbound or
+# ill-sorted, raises there and only there; an ill-sorted X is not this
+# shape and keeps _quant, whose Memb raises before its index.  Every later
+# iteration reads X and u again, with the same values, so none can raise,
+# and t is base + v exactly: Plus adds integers.  A position below 0 or at
+# or past len(X) reads as Memb reads it, never a 1.  At a skipped value the
+# literal settles nothing (B holds, or the chain is false) having read only
+# v, X, u and a guard's L, which the guarded sweep read already.  A role on
+# v settles the binder before any scan.  Two steps remain.
 #
-# A first-zero pin: (exN v S B), B an And chain whose parts are, in order,
-# (leq c v) for a constant c, (not (in v + u X)), EqNum or Leq parts over
-# sums, products, constants, lengths and names, reading only v, X and
-# names of u, each of its sort, and the bit run (alN j S (imp (lt j v)
-# (in j + u X))), v not free in S (_first_zero: reflect's nl, nf, ns).  At
-# most one candidate passes those parts: the bits from base = u must be 1
-# below v and not 1 at v, so v is v*, the first position at or after base
-# not holding a 1, less base.  Below c the Leq is false having read only v,
-# so the scan sweeps from c and reads nothing when S < c.  At c the plain
-# sweep's Memb reads X and then u, and the scan reads them there, so an
-# error from either comes out at the same point; an ill-sorted X is not
-# this shape and keeps _quant, whose Memb raises before its index.  At a
-# later candidate v other than v*, the chain either is false at the Not,
-# having read X and u again, or runs the middle parts, which read only
-# bound names of their sort and cannot raise, and then the bit run: its S
-# has the value it had outside, v not being free in it and j bound only
-# after it, so it passes the slice check, its reads cannot raise, and it is
-# false, since its run covers v* < v.  So no skipped candidate raises or
-# holds, and the sweep runs the body once, at v* when c <= v* <= S, or not
-# at all.  A negative base, or one at or past len(X), gives v* = 0.  A role
-# on v settles the binder before any scan.
+# A set-bit pin reads L at its first value, and keeps the values below L.
+# The plain sweep first reads L there, in the lt after a Memb that holds,
+# having read v + 1, which cannot fail, so an error from L comes out at the
+# same point, and with no 1 neither reads L.  L does not depend on v, so it
+# keeps that value; at a set bit at or past L the Memb is true and the lt
+# false, both reading only values already read.
 #
-# A set-bit pin: (exN v S B), B an And chain whose first part is (in t X),
-# X a string name and t = v + u (_offset), and whose second is exactly
-# lt(v, L), v a number name not free in L; later parts are any formulas
-# (_set_bit: reflect's _one_hot, so pa, pb and cc).  The body can hold only
-# at a v <= S whose bit X[base + v] is 1, base being t at v = 0, and only
-# for v < L, so the scan sweeps those values alone, in order, and the body
-# runs in full at each.  The skipped candidates raise nothing the plain
-# sweep would raise first.  With S < 0 the sweep is empty and the scan
-# reads nothing.  Otherwise it binds v to 0 and reads X, then t, where the
-# plain sweep's v = 0 iteration reads them in the first Memb, so an unbound
-# X, or a name of u unbound or ill-sorted, raises there and only there; an
-# ill-sorted X is not this shape and keeps _quant.  Every later candidate
-# reads X and u again, with the same values, and t is base + v.  A
-# candidate whose bit is not 1 makes the Memb, and with it the chain, false
-# having read only those, so with no 1 in X[base, base + S + 1) the binder
-# is false and neither reads L.  The plain sweep reads L first at the first
-# set bit, in the lt after a Memb that holds, having read v + 1, which
-# cannot fail; the scan reads L only once it finds that bit, with v bound,
-# so an error from L comes out at the same point, and an unbound L still
-# raises when the first 1 is at or past L.  L does not depend on v and the
-# assignment is the same at every candidate but for v, so L keeps that one
-# value.  A set bit at or past L is skipped: there the Memb is true and the
-# lt false, both reading only values already read.  A negative base, or
-# one at or past len(X), reads positions as Memb reads them: below 0 or
-# past the text, never a 1.  A role on v settles the binder before any scan.
+# A first-zero pin keeps its first value only.  Let v* be the first position
+# at or after base not holding a 1, less base.  At a value v > v* the chain
+# is false at a middle part, which reads only bound names of their sort and
+# cannot raise, or at the bit run: its S has the value it had outside, v not
+# being free in it and j bound only after it, so it passes the slice check,
+# its reads cannot raise, and its run covers v* < v.  So the first value is
+# v* when c <= v* <= S, and none holds or raises otherwise.
 #
 # On the proof-check formula of the reflect benchmark 115 of 116 AlN binders
 # take the guarded sweep; the one left is _endsequent_is's padding, whose lt
@@ -623,17 +595,14 @@ def _len(svar: str):
 # pairs, and cut the body runs of one seed-1 pass from 2.22M to 1.35M.
 # Running B directly under a plain guard, whose Leq must hold below L, was
 # 4% faster in ops/s but lost p90 in 7 pairs of 7, so the guard still runs.
-# Of the 115, 42 are bit runs, 23 of 1 bits and 19 of 0 bits (reflect's
-# _clear, _count_is and the header pins), and 3 of the formula's 24 ExN are
-# first-zero pins.  These took the body runs of that pass from 1.354M to
-# 116K, of which the one-hot binders pa and pb ran 67K, and reflect from a
-# median 42.7 to 210.4 ops/s (p90 36.4 to 8.4 ms) over 10 perfbench pairs
-# on a 2-vCPU host.  13 more ExN are set-bit pins (pa 9, pb 3, cc 1), which
-# took pa and pb from 67K body runs to 163 and the pass from 116K to 49K,
-# of which e runs 26K and b 19K, and reflect from a median 217.7 to 378.5
-# ops/s (p90 8.2 to 5.4 ms) over 10 perfbench pairs on a 2-vCPU host.
-# acc's matrices and nepo's acceptance formula have none of the three scan
-# shapes.
+# By shape, 58 binders scan: 42 bit runs, 23 of 1 bits and 19 of 0 bits
+# (reflect's _clear, _count_is and the header pins), 3 first-zero pins of
+# the 24 ExN (nl, nf, ns) and 13 set-bit pins (_one_hot's pa 9, pb 3, cc 1).
+# They took that pass from 1.354M body runs to 49K, and reflect from a
+# median 42.7 to 378.5 ops/s over 10 perfbench pairs each on a 2-vCPU
+# host; a first-zero pin keeping every value costs 535K body runs.  e (26K)
+# and b (19K) fit no shape: e's chain opens with Leq(e, nf), b's B is an
+# iff.  acc's and nepo's formulas have no bit literal to scan.
 #
 # EqNum and Leq get one closure per operand shape that evaluation meets
 # often.  Over one seed-1 pass, certify's comparisons are 77% closure
@@ -649,8 +618,7 @@ def _len(svar: str):
 # reading the string before the index and testing the bit inline, with no
 # _value or codec.bit_at call: it is the reflect formula's most frequent
 # atom, 1.35M runs over one seed-1 pass of the benchmark's 100 ops before
-# bit runs and first-zero pins scan, 112K after, and 45K once set-bit pins
-# scan too.
+# bit literals scan, 45K after.
 
 
 def _compare(leq: bool, a, b) -> Callable[[_Compiler], bool]:
@@ -750,8 +718,8 @@ def _quant(exists: bool, strings: bool, var: str, bound, body,
     """A number quantifier sweeps 0..bound; a string quantifier sweeps every
     set below bound, which must stay within str_width.  An AlN of a _limit
     shape, given its compiled limit, reads limit once and sweeps only
-    var < limit.  A binder given a scan (_Compiler.scan) sweeps only the
-    values it leaves, when no role settles the binder.  A number binder may
+    var < limit.  A binder given a scan (_Compiler.scan, for a bit
+    literal) sweeps only the values it leaves, when no role settles it.  A number binder may
     memoize its verdicts (see "compiled formulas")."""
     memo = False  # until the first run; then None, or the body's other free names
 
@@ -811,26 +779,25 @@ def _quant(exists: bool, strings: bool, var: str, bound, body,
     return run
 
 
-def _run_length(s: str, base: int, n: int, one: bool) -> int:
-    """How many of the positions base, base + 1, ... below base + n, in a row
-    from base, hold a 1 of s (one) or do not (not one), read as Memb reads."""
+def _positions(s: str, base: int, values: range, one: bool):
+    """Each v in values, in order, whose bit of s at base + v, read as Memb
+    reads it (never a 1 below 0 or past the text), is 1 (one) or is not."""
+    p, stop = base + values.start, base + values.stop
     if one:
-        end = min(base + n, len(s))
-        return 0 if base < 0 or end <= base else end - base - len(s[base:end].lstrip("1"))
-    start = max(base, 0)
-    at = s.find("1", start, base + n) if start < base + n else -1
-    return n if at < 0 else at - base
-
-
-def _set_bits(s: str, base: int, start: int, end: int):
-    """p - base for each position p of s from start below end that holds a
-    1, in order; start >= 0."""
-    while start < end:
-        p = s.find("1", start, end)
-        if p < 0:
-            return
+        p = max(p, 0)
+        # p < stop first: str.find reads a negative end from the text's end
+        while p < stop and (p := s.find("1", p, stop)) >= 0:
+            yield p - base
+            p += 1
+        return
+    while p < stop:
+        if 0 <= p < len(s) and s[p] == "1":
+            p = s.find("0", p, stop)  # 0 <= p < stop
+            if p < 0:
+                p = len(s)  # the rest of the text holds 1s
+                continue
         yield p - base
-        start = p + 1
+        p += 1
 
 
 def _limit(f: AlN) -> NumTerm | None:
@@ -861,75 +828,54 @@ def _limit(f: AlN) -> NumTerm | None:
     return None if names is None or v in names[0] else limit
 
 
-def _bit_run(f: AlN) -> tuple[int, NumTerm, str, bool, None] | None:
-    """(0, t, X, one, None) when f, of a _limit shape, is (alN v S (imp
-    (lt v L) B)) with B (in t X), one, or (not (in t X)), X a string name
-    and t = v + u (_offset); else None."""
-    imp, v = f.body, NVar(f.var)
-    if type(imp) is not Imp or type(imp.left) is not Leq or imp.left.left != Plus(v, One()):
+def _bit_literal(f: Formula) -> tuple[int, NumTerm, str, bool, NumTerm | None, bool] | None:
+    """(low, t, X, one, L, first) when f is a bit run, a set-bit pin or a
+    first-zero pin (see "compiled formulas") over the bit literal (in t X) or
+    (not (in t X)), its body settling it only at values from low whose bit
+    is 1 (one) or is not, below L if any, and at the first of them if
+    first; else None."""
+    v, g, parts = f.var, f.body, []
+    if type(f) is AlN and type(g) is Imp:
+        parts = [g.left, g.right]
+    elif type(f) is ExN:
+        while type(g) is And:
+            parts.append(g.left)
+            g = g.right
+        parts.append(g)
+    if type(v) is not str or not is_num_name(v) or len(parts) < 2:
         return None
-    bit, one = imp.right, type(imp.right) is Memb
-    if not one and type(bit) is Not:
-        bit = bit.body
-    if type(bit) is not Memb or type(bit.svar) is not str or not is_str_name(bit.svar):
+    first = type(f) is ExN and type(parts[0]) is not Memb  # a first-zero pin
+    head, literal = parts[1::-1] if type(f) is ExN and not first else parts[:2]
+    if type(head) is not Leq:
         return None
-    return None if _offset(bit.index, f.var) is None else (0, bit.index, bit.svar, one, None)
-
-
-def _first_zero(f: ExN) -> tuple[int, NumTerm, str, bool, None] | None:
-    """(c, t, X, True, None) when f is (exN v S B), B an And chain whose
-    parts are, in order, (leq c v) with c a constant, (not (in t X)) with X
-    a string name and t = v + u (_offset), none or more EqNum and Leq over
-    sums, products, constants, lengths and names, every name v, X or one of
-    u's, and a bit-run (alN j S (imp (lt j v) (in (j + u) X))) with v not
-    free in S; else None."""
-    v, parts, g = f.var, [], f.body
-    while type(g) is And:
-        parts.append(g.left)
-        g = g.right
-    parts.append(g)
-    if type(v) is not str or not is_num_name(v) or len(parts) < 3:
+    if first and (type(head.left) not in (Zero, One, Const) or head.right != NVar(v)
+                  or type(literal) is not Not):
         return None
-    low, pin = parts[0], parts[1]
-    if (type(low) is not Leq or type(low.left) not in (Zero, One, Const)
-            or low.right != NVar(v) or type(pin) is not Not or type(pin.body) is not Memb):
+    if not first and (head.left != Plus(NVar(v), One())
+                      or (names := _term_names([head.right])) is None or v in names[0]):
         return None
-    t, x = pin.body.index, pin.body.svar
-    u, names = _offset(t, v), _term_names([t])
-    if u is None or names is None or type(x) is not str or not is_str_name(x):
+    bit = literal.body if type(literal) is Not else literal
+    if (type(bit) is not Memb or type(bit.svar) is not str or not is_str_name(bit.svar)
+            or (u := _offset(bit.index, v)) is None):
         return None
-    names[1].add(x)
+    t, x = bit.index, bit.svar
+    if not first:  # one: the bit at which an ExN's literal holds, or an AlN's fails
+        return (0, t, x, (type(literal) is Not) == (type(f) is AlN),
+                head.right if type(f) is ExN else None, False)
+    nums, strs = _term_names([t])  # not None, as u's are not
     for part in parts[2:]:
         if type(part) is AlN:
             break
-        if type(part) not in (EqNum, Leq) or not _reads_only(part, *names):
+        if type(part) not in (EqNum, Leq) or not _reads_only(part, nums, strs | {x}):
             return None
     else:
         return None
-    run = _bit_run(part) if _limit(part) == NVar(v) else None
-    if run is None or run[2:] != (x, True, None) or _offset(run[1], part.var) != u:
+    run, names = _bit_literal(part), _term_names([f.bound])
+    if (run is None or part.body.left.right != NVar(v) or run[2:] != (x, False, None, False)
+            or _offset(run[1], part.var) != u or part.bound != f.bound
+            or names is None or v in names[0]):
         return None
-    names = _term_names([f.bound])
-    if part.bound != f.bound or names is None or v in names[0]:
-        return None
-    return _affine(low.left)[0], t, x, True, None
-
-
-def _set_bit(f: ExN) -> tuple[int, NumTerm, str, bool, NumTerm] | None:
-    """(0, t, X, True, L) when f is (exN v S B), B an And chain whose first
-    part is (in t X), X a string name and t = v + u (_offset), and whose
-    second is lt(v, L), v a number name not free in L; else None."""
-    v, body = f.var, f.body
-    if type(v) is not str or not is_num_name(v) or type(body) is not And:
-        return None
-    bit, lt = body.left, body.right.left if type(body.right) is And else body.right
-    if (type(bit) is not Memb or type(bit.svar) is not str or not is_str_name(bit.svar)
-            or type(lt) is not Leq or lt.left != Plus(NVar(v), One())):
-        return None
-    names = _term_names([lt.right])
-    if names is None or v in names[0] or _offset(bit.index, v) is None:
-        return None
-    return 0, bit.index, bit.svar, True, lt.right
+    return _affine(head.left)[0], t, x, False, None, True
 
 
 def _offset(t: NumTerm, v: str) -> list | None:

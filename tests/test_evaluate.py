@@ -1410,17 +1410,21 @@ def compiled_scan(f: F.Formula):
     return cells["scan"].cell_contents if "scan" in cells else None
 
 
+SCAN_KINDS = {(False, False, False): "ones", (False, True, False): "zeros",
+              (True, False, False): "first zero", (False, True, True): "set bit"}
+
+
 def scan_kind(f: F.Formula) -> str | None:
     """"ones" or "zeros" for a binder the compiler scans as a run of 1 bits
     or of 0 bits, "first zero" or "set bit" for an ExN it scans as a
-    first-zero or a set-bit pin, else None."""
+    first-zero or a set-bit pin, else None: read from the scan's shape, whether
+    it keeps the first value only, the bit it looks for and whether it has
+    an L."""
     scan = compiled_scan(f)
     if scan is None:
         return None
-    if type(f) is F.ExN:
-        return "set bit" if scan.__name__ == "set_bits" else "first zero"
-    one = dict(zip(scan.__code__.co_freevars, scan.__closure__))["one"].cell_contents
-    return "ones" if one else "zeros"
+    cells = {name: c.cell_contents for name, c in zip(scan.__code__.co_freevars, scan.__closure__)}
+    return SCAN_KINDS[cells["first"], cells["one"], cells["limit"] is not None]
 
 
 def spine(t: F.NumTerm) -> list[F.NumTerm]:
@@ -1681,16 +1685,35 @@ def hot_envs(rng: random.Random) -> list[Assignment]:
     return out
 
 
-def set_bit_values(f: F.Formula, env: Assignment) -> tuple[list[int], list[int]]:
-    """The values the compiled scan of f, a set-bit pin, leaves its sweep
-    under env, and the v <= S at which the walker finds f's first two parts
-    true, S f's bound as the walker reads it."""
-    scan = compiled_scan(f)
-    head = F.And(f.body.left, f.body.right.left if type(f.body.right) is F.And else f.body.right)
-    values = range(walk_term(f.bound, env) + 1)
-    got = list(scan(SimpleNamespace(nums=dict(env.nums), strs=env.strs), values))
-    return got, [v for v in values if walk_formula(
-        head, FiniteSlice(1, 0), Assignment({**env.nums, f.var: v}, env.strs))]
+def scan_values(f: F.Formula, s: FiniteSlice, env: Assignment) -> tuple[list[int], list[int]]:
+    """The values the compiled scan of f leaves its sweep under env, the
+    first alone for a bit run, whose sweep stops there, and the values the
+    walker says it must leave, S being f's bound as the walker reads it: for
+    a bit run, the first v below S + 1 and L at which its literal fails, or
+    none; for a set-bit pin, each v <= S at which its Memb and lt hold; for
+    a first-zero pin, v*, the first v whose bit is not 1, when c <= v* <= S,
+    else none, but for v* < c the first such v from c, at which the walker
+    finds the body false."""
+    kind, bound = scan_kind(f), walk_term(f.bound, env)
+    values = range(bound + 1)
+
+    def holds(g: F.Formula, v: int) -> bool:
+        return walk_formula(g, s, Assignment({**env.nums, f.var: v}, env.strs))
+
+    if kind in ("ones", "zeros"):
+        values = range(min(bound + 1, walk_term(f.body.left.right, env)))
+        want = [v for v in values if not holds(f.body.right, v)][:1]
+    elif kind == "set bit":
+        lt = f.body.right.left if type(f.body.right) is F.And else f.body.right
+        want = [v for v in values if holds(F.And(f.body.left, lt), v)]
+    else:
+        c, zero = walk_term(f.body.left.left, env), f.body.right.left
+        want = [v for v in values[c:] if holds(zero, v)][:1]
+        if want:
+            vstar = next(v for v in itertools.count() if holds(zero, v))
+            assert want == [vstar] or vstar < c and not holds(f.body, want[0]), (f, env)
+    got = compiled_scan(f)(SimpleNamespace(nums=dict(env.nums), strs=env.strs), values)
+    return list(itertools.islice(got, 1 if kind in ("ones", "zeros") else None)), want
 
 
 @settings(max_examples=150, deadline=None)
@@ -1747,7 +1770,7 @@ def test_set_bit_pins_match_the_walker(seed, svar, limit, sweep, spoil, hot, rol
                 env.nums["v"] = 7  # the binder restores an outer value
             agrees_with_the_walker(f, s, env, roles)
             if want and type(said(lambda: walk_formula(f, s, env))) is bool:
-                got, expected = set_bit_values(f, env)
+                got, expected = scan_values(f, s, env)
                 assert got == expected, (f, env)
 
 
@@ -1791,6 +1814,20 @@ def one_hot_case(spoil: str | None = None) -> F.Formula:
     return F.ExN("v", F.NVar("s"), F.land(parts))
 
 
+def test_positions_read_bits_as_memb_does():
+    """_positions leaves, in order, exactly the v of a range whose bit at
+    base + v, read as Memb reads it, is 1 (one) or is not: on every string
+    of at most 6 bits, base from -4 to 8 and every range from -2 to 9,
+    empty ones and ones that end below 0 included."""
+    texts = ["".join(bits) for n in range(7) for bits in itertools.product("01", repeat=n)]
+    ranges = [range(a, b) for a in range(-2, 10) for b in range(-2, 10)]
+    for text, base, one in itertools.product(texts, range(-4, 9), (True, False)):
+        for values in ranges:
+            got = itertools.islice(evaluate._positions(text, base, values, one), len(values) + 1)
+            want = [v for v in values if bit_at(text, base + v) == one]
+            assert list(got) == want, (text, base, values, one)
+
+
 def test_scans_match_the_walker_on_every_short_string():
     """Bit runs of 1s and of 0s, first-zero pins and set-bit pins give the
     walker's value or error on every X of at most 5 bits, unbound X
@@ -1798,8 +1835,8 @@ def test_scans_match_the_walker_on_every_short_string():
     0 past S + 1 (and unbound for set-bit pins), bounds S from negative to
     past num_bound, c from 0 to 2,
     and a role on v or none; each spoilt pin keeps _quant and agrees as
-    well, and the set-bit scan leaves exactly the v at which its Memb and
-    lt hold."""
+    well, and where the walker gives a value each scan leaves exactly the
+    values scan_values asks of its shape."""
     v, u, x = F.NVar("v"), F.NVar("u"), "X"
     runs = [F.forall_lt("v", F.NVar("s"), F.NVar("l"), bit)
             for bit in (F.Memb(F.Plus(u, v), x), F.Not(F.Memb(F.Plus(v, u), x)))]
@@ -1813,23 +1850,28 @@ def test_scans_match_the_walker_on_every_short_string():
         (None, None), (None, "ones"), (None, "ones"), (None, "ones"), (None, None)]
     assert [scan_kind(f) for f in hots] == ["set bit"] + [None] * 5
     texts = [None] + ["".join(bits) for n in range(6) for bits in itertools.product("01", repeat=n)]
-    s, pins = FiniteSlice(7, 0), pins + [f for f, _ in spoilt]
+    s, scanned = FiniteSlice(7, 0), {id(f) for f in pins + runs + hots[:1]}
+
+    def agrees(f: F.Formula, env: Assignment, roles=None):
+        agrees_with_the_walker(f, s, env, roles)
+        if id(f) in scanned and type(said(lambda: walk_formula(f, s, env))) is bool:
+            got, want = scan_values(f, s, env)
+            assert got == want, (f, env)
+
+    pins += [f for f, _ in spoilt]
     for text, at, bound, roles in itertools.product(
             texts, (-3, -1, 0, 1, 3, 6), (-2, 0, 1, 3, 7, 8),
             (None, {"v": lambda e: e.nums["u"] % 3})):
         strs = {} if text is None else {"X": text}
         for f in pins:
-            agrees_with_the_walker(f, s, Assignment({"u": at, "s": bound, "y": 2}, strs), roles)
+            agrees(f, Assignment({"u": at, "s": bound, "y": 2}, strs), roles)
         for f, limit in itertools.product(hots, (0, 2, 9, None)):
             env = Assignment({"u": at, "s": bound, "y": 2}, strs)
             if limit is not None:
                 env.nums["l"] = limit
-            agrees_with_the_walker(f, s, env, roles)
-            if f is hots[0] and type(said(lambda: walk_formula(f, s, env))) is bool:
-                got, want = set_bit_values(f, env)
-                assert got == want, (text, at, bound, limit)
+            agrees(f, env, roles)
         for f, limit in itertools.product(runs, (0, 2, 9)) if roles is None else ():
-            agrees_with_the_walker(f, s, Assignment({"u": at, "s": bound, "l": limit}, strs))
+            agrees(f, Assignment({"u": at, "s": bound, "l": limit}, strs))
 
 
 def test_proof_check_agrees_with_the_walker_at_header_flips():
