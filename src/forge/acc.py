@@ -120,6 +120,11 @@ class Tableau:
         ivar = self.fresh("z")
         return self.some_cell(ivar, self.marked(t, NVar(ivar)))
 
+    def accepts(self, t: Row) -> Formula:
+        """Some cell of row t carries the accepting state (ACCEPT)."""
+        ivar = self.fresh("z")
+        return self.some_cell(ivar, self.mark_is(t, NVar(ivar), self.tm.k))
+
     def each_row(self, var: str, body: Formula) -> Formula:
         steps = self.steps
         return AlN(var, const_term(steps) if isinstance(steps, int) else steps, body)
@@ -229,8 +234,7 @@ def acc_matrix(tm: TMDescription, p: PolyBound, xvar: str = "X") -> Formula:
         Imp(EqNum(i, Zero()), tab.mark_is(row0, i, 1)),
         Imp(Not(EqNum(i, Zero())), tab.mark_is(row0, i, 0)),
     ]))
-    accept = tab.some_cell("i", tab.mark_is(tab.steps, i, tm.k))
-    return land([init, *_shared_clauses(tab), accept])
+    return land([init, *_shared_clauses(tab), tab.accepts(tab.steps)])
 
 
 def acc_witness_bound(tm: TMDescription, p: PolyBound, xvar: str = "X") -> NumTerm:

@@ -25,7 +25,8 @@ from . import proofs, reflect
 from .acc import check_input_name, compile_acc, eval_acc
 from .errors import BudgetError, ForgeError
 from .evaluate import Assignment, FiniteSlice, eval_formula
-from .formulas import classify, formula_size, free_vars, is_num_name, is_str_name
+from .formulas import (Formula, classify, formula_size, free_vars, is_num_name,
+                       is_str_name)
 from .machine import PolyBound, accepts, parse_tm
 from .mfv import MonotoneTree, check_mfv, mfv_witness, node_value
 from .nepo import NepoBounds, compile_acceptance_sigma0, size_report
@@ -175,11 +176,27 @@ def _do_compile_nepo(args: argparse.Namespace) -> _Report:
     return rep
 
 
-def _split_binding(text: str) -> tuple[str, str]:
+def _split_binding(text: str, *bound: dict) -> tuple[str, str]:
+    """NAME and VALUE of text, a name already in one of the bound tables a
+    usage error."""
     name, sep, value = text.partition("=")
     if not sep or not name:
         raise _UsageError(f"bad binding {text!r}: expected NAME=VALUE")
+    if any(name in table for table in bound):
+        raise _UsageError(f"bad binding {text!r}: {name} is bound twice")
     return name, value
+
+
+def _check_free(phi: Formula, nums: dict, strs: dict) -> None:
+    """A usage error unless nums and strs bind exactly phi's free names."""
+    free_nums, free_strs = free_vars(phi)
+    missing = sorted(free_nums - nums.keys()) + sorted(free_strs - strs.keys())
+    if missing:
+        raise _UsageError("unbound variable(s): " + ", ".join(missing))
+    unused = sorted((nums.keys() - free_nums) | (strs.keys() - free_strs))
+    if unused:
+        raise _UsageError("binding(s) for variable(s) not free in the formula: "
+                          + ", ".join(unused))
 
 
 def _do_eval(args: argparse.Namespace) -> _Report:
@@ -187,7 +204,7 @@ def _do_eval(args: argparse.Namespace) -> _Report:
                     _at_least(args.str_width, 0, "--str-width", 0))
     env = Assignment()
     for raw in args.bind or []:
-        name, value = _split_binding(raw)
+        name, value = _split_binding(raw, env.nums, env.strs)
         if is_str_name(name):
             env.strs[name] = _parse_bits(value, f"--bind {name}")
         elif is_num_name(name):
@@ -200,14 +217,7 @@ def _do_eval(args: argparse.Namespace) -> _Report:
         else:
             raise _UsageError(f"bad binding {raw!r}: name must be a sorted identifier")
     phi = parse_formula(_read_text(args.formula))
-    free_nums, free_strs = free_vars(phi)
-    missing = sorted(free_nums - env.nums.keys()) + sorted(free_strs - env.strs.keys())
-    if missing:
-        raise _UsageError("unbound variable(s): " + ", ".join(missing))
-    unused = sorted((env.nums.keys() - free_nums) | (env.strs.keys() - free_strs))
-    if unused:
-        raise _UsageError("binding(s) for variable(s) not free in the formula: "
-                          + ", ".join(unused))
+    _check_free(phi, env.nums, env.strs)
     value = eval_formula(phi, s, env)
     word = "true" if value else "false"
     return _Report(data={"subcommand": "eval", "formula": str(args.formula),
@@ -221,7 +231,7 @@ def _do_translate(args: argparse.Namespace) -> _Report:
     lengths: dict[str, int] = {}
     values: dict[str, int] = {}
     for raw in args.len or []:
-        name, value = _split_binding(raw)
+        name, value = _split_binding(raw, lengths)
         if not is_str_name(name):
             raise _UsageError(f"--len {raw!r}: {name} is not a string variable")
         try:
@@ -229,7 +239,7 @@ def _do_translate(args: argparse.Namespace) -> _Report:
         except ValueError:
             raise _UsageError(f"--len {raw!r}: length must be an integer") from None
     for raw in args.val or []:
-        name, value = _split_binding(raw)
+        name, value = _split_binding(raw, values)
         if not is_num_name(name):
             raise _UsageError(f"--val {raw!r}: {name} is not a number variable")
         try:
@@ -241,10 +251,7 @@ def _do_translate(args: argparse.Namespace) -> _Report:
     except ValueError as e:
         raise _UsageError(str(e)) from None
     phi = parse_formula(_read_text(args.formula))
-    free_nums, free_strs = free_vars(phi)
-    missing = sorted(free_nums - values.keys()) + sorted(free_strs - lengths.keys())
-    if missing:
-        raise _UsageError("unbound variable(s): " + ", ".join(missing))
+    _check_free(phi, values, lengths)
     p = translate(phi, sizes, num_bound=bound)
     nodes = prop_size(p)
     _cap_guard(nodes)
@@ -308,6 +315,7 @@ def _do_reflect(args: argparse.Namespace) -> _Report:
     else:
         system = "frege"
     t = _parse_poly(args.t)
+    _at_least(args.x, 0, "--x")
     checker = "broken" if args.broken else "honest"
     try:
         phi = reflect.reflection_instance(system, t, args.x, checker=checker)

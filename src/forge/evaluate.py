@@ -70,8 +70,8 @@ from . import codec
 from .errors import SliceExceededError, SortMismatchError, UnboundVariableError
 from .formulas import (AlN, AlS, And, Const, EqNum, EqStr, ExN, ExS, Formula,
                        Imp, Len, Leq, Memb, Not, NumTerm, NVar, One, Or, Plus,
-                       SeqAt, SeqLen, Times, Zero, free_vars, is_num_name,
-                       is_str_name, term_vars)
+                       SeqAt, SeqLen, Times, free_vars, is_num_name, is_str_name,
+                       term_vars)
 
 
 @dataclass(frozen=True, slots=True)
@@ -222,10 +222,6 @@ class _Compiler:
             return _name(t.name, True)
         if tt is Const:
             return t.value
-        if tt is Zero:
-            return 0
-        if tt is One:
-            return 1
         out = self.terms.get(id(t))
         if out is not None:
             return out
@@ -419,8 +415,6 @@ def _affine(t) -> tuple[int, dict[str, int]] | None:
         return (0, {name: 1}) if type(name) is str and is_num_name(name) else None
     if tt is Const:
         return t.value, {}
-    if tt is Zero or tt is One:
-        return int(tt is One), {}
     if tt is not Plus and tt is not Times:
         return None
     left, right = _affine(t.left), _affine(t.right)
@@ -532,8 +526,8 @@ def _len(svar: str):
 # v = b.
 #
 # The same holds of a body that is a right-nested And chain of such Imps,
-# each guard reading lt(v + k, L) instead, k Zero, One or a Const, so
-# k >= 0, and every part's L the same term (reflect's _tail_map).  For
+# each guard reading lt(v + k, L) instead, k a Const, so k >= 0, and
+# every part's L the same term (reflect's _tail_map).  For
 # v >= L each part's first Leq(v + k + 1, L) is false, having read only v
 # and L, so each Imp is true, the chain is true, and nothing past a guard
 # is reached.  The plain sweep's v = 0 iteration first reads part 1's
@@ -813,10 +807,10 @@ def _limit(f: AlN) -> NumTerm | None:
         if type(imp) is not Imp:
             return None
         lt = imp.left.left if type(imp.left) is And else imp.left
-        if type(lt) is not Leq or type(lt.left) is not Plus or type(lt.left.right) is not One:
+        if type(lt) is not Leq or type(lt.left) is not Plus or lt.left.right != One():
             return None
         t = lt.left.left
-        if type(t) is Plus and type(t.right) in (Zero, One, Const):
+        if type(t) is Plus and type(t.right) is Const:
             t = t.left
         if type(t) is not NVar or t.name != v:
             return None
@@ -848,7 +842,7 @@ def _bit_literal(f: Formula) -> tuple[int, NumTerm, str, bool, NumTerm | None, b
     head, literal = parts[1::-1] if type(f) is ExN and not first else parts[:2]
     if type(head) is not Leq:
         return None
-    if first and (type(head.left) not in (Zero, One, Const) or head.right != NVar(v)
+    if first and (type(head.left) is not Const or head.right != NVar(v)
                   or type(literal) is not Not):
         return None
     if not first and (head.left != Plus(NVar(v), One())
@@ -923,7 +917,7 @@ def _reads_only(f: EqNum | Leq, nums: set, strs: set) -> bool:
             if type(name) is not str or name not in (nums if tt is NVar else strs) or not (
                     is_num_name(name) if tt is NVar else is_str_name(name)):
                 return False
-        elif tt not in (Zero, One, Const):
+        elif tt is not Const:
             return False
     return True
 

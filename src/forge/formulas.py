@@ -1,16 +1,17 @@
 """AST for bounded two-sorted formulas plus structural operations.
 
 Terms are number-valued:
-  Zero, One      the constants 0 and 1, the only forms of 0 and 1;
-  Const(n)       a constant n >= 2 as one leaf;
+  Const(n)       a constant n >= 0 as one leaf;
   NVar           a number variable;
   Plus, Times    sum and product;
   Len            the length of a string variable;
   SeqAt, SeqLen  element access and element count over number codes.
-A `Const` stands for the binary expansion of n over {0, 1, +, *}, where 2m
-is (* (+ 1 1) m) and 2m + 1 is (+ (* (+ 1 1) m) 1): it prints as that
-expansion and is sized as that expansion, so the text language has no
-numerals beyond 0 and 1, and a printed `Const` parses back as the expansion.
+Zero() and One() are the shared leaves Const(0) and Const(1), and
+const_term is Const.  A `Const` of 2 or more stands for the binary
+expansion of n over {0, 1, +, *}, where 2m is (* (+ 1 1) m) and 2m + 1 is
+(+ (* (+ 1 1) m) 1): it prints as that expansion and is sized as that
+expansion, so the text language has no numerals beyond 0 and 1, and a
+printed `Const` parses back as the expansion.
 The sequence primitives stand in for a fixed definable coding of short
 sequences by numbers, which the rest of the toolchain treats as part of the
 base language.
@@ -36,24 +37,26 @@ class NumTerm:
 
 
 @dataclass(frozen=True, slots=True)
-class Zero(NumTerm):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class One(NumTerm):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
 class Const(NumTerm):
-    """The constant `value` (at least 2) as a single leaf."""
+    """The constant `value` (at least 0) as a single leaf."""
 
     value: int
 
     def __post_init__(self):
-        if self.value < 2:
-            raise ValueError("Const holds numbers of 2 or more; use Zero() or One()")
+        if self.value < 0:
+            raise ValueError("terms denote non-negative numbers")
+
+
+const_term = Const
+_ZERO, _ONE = Const(0), Const(1)
+
+
+def Zero() -> Const:
+    return _ZERO
+
+
+def One() -> Const:
+    return _ONE
 
 
 @dataclass(frozen=True, slots=True)
@@ -205,20 +208,6 @@ def is_str_name(name: str) -> bool:
     return bool(name) and name[0].isupper()
 
 
-# --- constant terms ---
-
-
-def const_term(n: int) -> NumTerm:
-    """The term for n: Zero(), One() or a Const leaf."""
-    if n < 0:
-        raise ValueError("terms denote non-negative numbers")
-    if n == 0:
-        return Zero()
-    if n == 1:
-        return One()
-    return Const(n)
-
-
 # --- variable bookkeeping ---
 
 
@@ -333,13 +322,15 @@ def formula_size(f: Formula | NumTerm) -> int:
     a `Const` counted as its binary expansion.  A right-nested And/Or chain
     is walked in a loop, so it takes one frame, not one per link."""
     tf = type(f)
-    if tf in (Zero, One, NVar, Len):
+    if tf is Const:
+        # 0 and 1 are leaves; above them the expansion: (* (+ 1 1) .) per bit
+        # below the top, (+ . 1) per set one
+        n = f.value
+        return 1 + 4 * (n.bit_length() - 1) + 2 * (n.bit_count() - 1) if n > 1 else 1
+    if tf is NVar or tf is Len:
         return 1
     if tf in (Plus, Times):
         return 1 + formula_size(f.left) + formula_size(f.right)
-    if tf is Const:
-        # the expansion: (* (+ 1 1) .) per bit below the top, (+ . 1) per set one
-        return 1 + 4 * (f.value.bit_length() - 1) + 2 * (f.value.bit_count() - 1)
     n = 0
     while tf is And or tf is Or:
         n += 1 + formula_size(f.left)

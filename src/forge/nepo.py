@@ -40,8 +40,8 @@ from .codec import (encode_bits, encode_seq, seq_code_bound, seq_fields,
                     set_length, trim)
 from .errors import BudgetError, LayoutError
 from .evaluate import Assignment, FiniteSlice, Roles, eval_formula
-from .formulas import (AlN, And, EqNum, ExN, Formula, Imp, Len, Leq, Memb, Not,
-                       NumTerm, NVar, One, Or, Plus, SeqAt, SeqLen, Times,
+from .formulas import (FALSE, AlN, And, EqNum, ExN, Formula, Imp, Len, Leq,
+                       Memb, Not, NumTerm, NVar, Or, Plus, SeqAt, SeqLen, Times,
                        const_term, formula_size, iff, land)
 from .machine import (Configuration, TMDescription, decode_row, encode_row,
                       initial_configuration, run_from)
@@ -177,7 +177,7 @@ class NepoArtifact:
     roles: Roles
     slice: FiniteSlice
     _certificates: dict[tuple[int, Configuration], int] = field(
-        default_factory=dict, init=False, repr=False)
+        default_factory=dict, repr=False)
 
     def evaluate(self, env: Assignment, roles_override: Roles | None = None,
                  s: FiniteSlice | None = None) -> bool:
@@ -256,7 +256,7 @@ class _Emitter:
                 return Memb(_term(z), svar)
             if f == 1:
                 return EqNum(_term(z), const_term(0))
-            return Leq(One(), const_term(0))
+            return FALSE
 
         def read(env: Assignment) -> Configuration:
             # INIT reads only the cells below width, so the rest of X is free
@@ -402,9 +402,8 @@ def single_head(tab: Tableau) -> Formula:
 
 def _artifact(em: _Emitter, f: Formula) -> NepoArtifact:
     """The artifact of f, with em's roles and the certificate memo they share."""
-    art = NepoArtifact(f, em.roles, FiniteSlice(em.comp_bound, em.row_bits + 1))
-    object.__setattr__(art, "_certificates", em.certificates)
-    return art
+    return NepoArtifact(f, em.roles, FiniteSlice(em.comp_bound, em.row_bits + 1),
+                        em.certificates)
 
 
 def _reach_emitter(tm: TMDescription, b: NepoBounds, level: int) -> _Emitter:
@@ -471,15 +470,9 @@ def cell_artifact(tm: TMDescription, b: NepoBounds) -> NepoArtifact:
 
 def acceptance_artifact(tm: TMDescription, b: NepoBounds) -> NepoArtifact:
     em = _Emitter(tm, b)
-
-    def accepting(comp: str, digit: str) -> Formula:
-        tab = em.tableau(comp)
-        zvar = em.fresh("z")
-        return tab.some_cell(zvar, tab.mark_is(NVar(digit), NVar(zvar), tm.k))
-
     fits = Leq(Len("X"), const_term(b.width))
-    chain = _cell_chain(em, const_term(b.last_row),
-                        em.input_string_source("X"), accepting)
+    chain = _cell_chain(em, const_term(b.last_row), em.input_string_source("X"),
+                        lambda comp, digit: em.tableau(comp).accepts(NVar(digit)))
     return _artifact(em, And(fits, chain))
 
 

@@ -38,10 +38,10 @@ P for the proof and Z for the assignment.
 """
 
 from .errors import DecodeError, EncodeError
-from .formulas import (FALSE, AlN, AlS, And, EqNum, ExN, Formula, Imp, Len,
-                       Leq, Memb, Not, NumTerm, NVar, One, Or, Plus, Times,
-                       Zero, const_term, fold_right, forall_lt, iff, land, lor,
-                       lt)
+from .formulas import (FALSE, TRUE, AlN, AlS, And, EqNum, ExN, Formula, Imp,
+                       Len, Leq, Memb, Not, NumTerm, NVar, One, Or, Plus,
+                       Times, Zero, const_term, fold_right, forall_lt, iff,
+                       land, lor, lt)
 from .machine import PolyBound
 from .proofs import (LEFT, RIGHT, RULE_SHAPES, RULES, Proof, ProofLine, Sequent,
                      system_depth)
@@ -689,7 +689,7 @@ def _depth_cap(g: _ProofGeom, depth: int) -> Formula:
     """No record in the proof occupies a heap slot at depth above d."""
     first_deep = 1 << depth
     if first_deep > g.cap:
-        return Leq(Zero(), Zero())
+        return TRUE
     line, j = NVar("l"), NVar("j")
     per_side = []
     for side in (LEFT, RIGHT):

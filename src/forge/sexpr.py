@@ -277,11 +277,9 @@ def parse_formula(source: str) -> Formula:
 
 def print_term(t: NumTerm) -> str:
     tt = type(t)
-    if tt is Zero:
-        return "0"
-    if tt is One:
-        return "1"
     if tt is Const:
+        if t.value < 2:
+            return str(t.value)
         # n = 2m or 2m + 1 prints as (* (+ 1 1) m) or (+ (* (+ 1 1) m) 1),
         # down to m = 1; built flat so wide constants cost no recursion
         bits = bin(t.value)[3:]

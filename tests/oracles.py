@@ -32,8 +32,8 @@ from forge.errors import (DecodeError, ParseError, SliceExceededError,
 from forge.evaluate import Assignment, FiniteSlice, Roles, eval_formula
 from forge.formulas import (AlN, AlS, And, Const, EqNum, EqStr, ExN, ExS,
                             Formula, Imp, Len, Leq, Memb, Not, NumTerm, NVar,
-                            One, Or, Plus, SeqAt, SeqLen, Times, Zero,
-                            free_vars, is_num_name, is_str_name)
+                            Or, Plus, SeqAt, SeqLen, Times, Zero, free_vars,
+                            is_num_name, is_str_name)
 from forge.machine import (ComputationTableau, Configuration, TableauLayout,
                            decode_row, encode_row, parse_tm)
 from forge.mfv import MonotoneTree
@@ -363,10 +363,6 @@ def _str_lookup(env: Assignment, name: str) -> str:
 
 def walk_term(t: NumTerm, env: Assignment) -> int:
     tt = type(t)
-    if tt is Zero:
-        return 0
-    if tt is One:
-        return 1
     if tt is Const:
         return t.value
     if tt is NVar:

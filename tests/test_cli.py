@@ -241,6 +241,37 @@ def test_translate_missing_length_is_usage_error(tmp_path, capsys):
     assert "unbound variable(s): X" in err
 
 
+def test_translate_unused_binding_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "f.sexp"
+    f.write_text("(in 0 X)")
+    for extra, names in [(["--val", "j=5"], "j"), (["--len", "Q=3"], "Q"),
+                         (["--val", "j=5", "--len", "Q=3"], "Q, j")]:
+        code, out, err = run(capsys, "translate", "--formula", str(f), "--len", "X=2",
+                             *extra)
+        assert (code, out) == (2, ""), extra
+        assert "usage: forge translate" in err
+        assert f"binding(s) for variable(s) not free in the formula: {names}" in err
+
+
+def test_a_name_bound_twice_is_usage_error(tmp_path, capsys):
+    f = tmp_path / "f.sexp"
+    f.write_text("(and (in i X) (= i 1))")
+    for argv, raw in [
+            (["eval", "--num-bound", "4", "--bind", "X=01", "--bind", "i=1",
+              "--bind", "i=3"], "i=3"),
+            (["eval", "--num-bound", "4", "--bind", "X=01", "--bind", "X=1",
+              "--bind", "i=1"], "X=1"),
+            (["translate", "--len", "X=2", "--val", "i=1", "--val", "i=3"], "i=3"),
+            (["translate", "--len", "X=2", "--len", "X=3", "--val", "i=1"], "X=3")]:
+        code, out, err = run(capsys, argv[0], "--formula", str(f), *argv[1:])
+        assert (code, out) == (2, ""), argv
+        assert f"usage: forge {argv[0]}" in err
+        assert f"bad binding {raw!r}: {raw[0]} is bound twice" in err
+    code, out, _ = run(capsys, "eval", "--formula", str(f), "--num-bound", "4",
+                       "--bind", "X=01", "--bind", "i=1")
+    assert (code, out) == (0, "value: true\n")
+
+
 def test_translate_refuses_string_quantifiers(tmp_path, capsys):
     f = tmp_path / "f.sexp"
     f.write_text("(exS W (+ 1 1) (in 0 W))")
@@ -475,7 +506,8 @@ def test_bound_flags_are_validated(tmp_path, capsys):
             (["eval", "--formula", str(f), "--num-bound", "4", "--bind", "_x=1"],
              "bad binding '_x=1': name must be a sorted identifier"),
             (["reflect", "--system", "depth-frege", "--d", "-1", "--t", "4", "--x", "1"],
-             "--d must be non-negative")]:
+             "--d must be non-negative"),
+            (["reflect", "--t", "2,1", "--x", "-1", "--sweep"], "--x must be non-negative")]:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, ""), argv
         assert f"usage: forge {argv[0]}" in err

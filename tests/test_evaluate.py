@@ -1,4 +1,4 @@
-"""Finite-slice evaluation and monotone tree values."""
+"""Finite-slice evaluation: the compiled evaluator against the tree walker."""
 
 import dataclasses
 import gc
@@ -16,9 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import oracles
-from oracles import (config_to_string, grid_read, node_value_depth_bound,
-                     read_outcome, role_free_names, seq_len_total, walk_formula,
-                     walk_term)
+from oracles import (config_to_string, grid_read, read_outcome, role_free_names,
+                     seq_len_total, walk_formula, walk_term)
 from test_formulas import gen_formula, gen_term
 
 from forge import acc, codec, evaluate, nepo, proofs, sexpr
@@ -28,8 +27,6 @@ from forge.errors import SliceExceededError, SortMismatchError, UnboundVariableE
 from forge.evaluate import Assignment, FiniteSlice, eval_formula
 from forge.formulas import formula_size
 from forge.machine import PolyBound, corpus_machine, initial_configuration, parse_tm
-from forge.mfv import (MonotoneTree, check_mfv, mfv_witness, node_value,
-                       node_value_instrumented)
 from forge.reflect import compile_proof_check, encode_formula, encode_proof
 from forge.sexpr import parse_formula
 
@@ -234,111 +231,6 @@ def test_eval_num_bound_enlargement_invariant():
         small = eval_formula(f, FiniteSlice(3, 4))
         for nb in (5, 17, 1000):
             assert eval_formula(f, FiniteSlice(nb, 4)) == small
-
-
-# --- monotone trees ---
-
-
-def level_eval(t: MonotoneTree, inputs: str) -> list[int]:
-    """Oracle: bottom-up table of node values, independent of the recursion."""
-    vals = [0] * (2 * t.a)
-    for x in range(t.a, 2 * t.a):
-        vals[x] = 1 if inputs[x - t.a] == "1" else 0
-    for x in range(t.a - 1, 0, -1):
-        if t.gates[x] == "1":
-            vals[x] = vals[2 * x] & vals[2 * x + 1]
-        else:
-            vals[x] = vals[2 * x] | vals[2 * x + 1]
-    return vals
-
-
-def test_node_value_frozen_example():
-    t = MonotoneTree("0100", 4)
-    assert node_value(t, "1001", 1) == 1
-    assert node_value(t, "0000", 1) == 0
-
-
-def test_node_value_positions_beyond_tree():
-    t = MonotoneTree("0100", 4)
-    assert node_value(t, "1111", 8) == 0
-    assert node_value(t, "1111", 97) == 0
-    with pytest.raises(IndexError):
-        node_value(t, "1111", 0)
-
-
-def test_node_value_matches_level_oracle():
-    rng = random.Random(7)
-    for a in (1, 2, 4, 8):
-        if a <= 4:
-            gate_sets = [format(g, f"0{a}b") for g in range(1 << a)]
-        else:
-            gate_sets = ["".join(rng.choice("01") for _ in range(a))
-                         for _ in range(100)]
-        for gates in gate_sets:
-            t = MonotoneTree(gates, a)
-            for mask in range(1 << a):
-                inputs = format(mask, f"0{a}b")
-                vals = level_eval(t, inputs)
-                if a <= 4:
-                    positions = range(1, 2 * t.a)
-                else:
-                    positions = [1, rng.randrange(1, 2 * a), rng.randrange(1, 2 * a)]
-                for x in positions:
-                    got, depth_used = node_value_instrumented(t, inputs, x)
-                    assert got == vals[x]
-                    assert depth_used <= node_value_depth_bound(t)
-
-
-def test_mfv_witness_examples():
-    t = MonotoneTree("01", 2)
-    y = mfv_witness(t, "11")
-    assert bit_at(y, 1) and bit_at(y, 2) and bit_at(y, 3)
-    assert not bit_at(mfv_witness(t, "10"), 1)
-    leaf = MonotoneTree("0", 1)
-    assert bit_at(mfv_witness(leaf, "1"), 1)
-    assert not bit_at(mfv_witness(leaf, "0"), 1)
-
-
-def test_mfv_witness_padding_bit():
-    t = MonotoneTree("01", 2)
-    assert mfv_witness(t, "00")[0] == "1"
-
-
-def test_check_mfv_accepts_witness_and_rejects_flips():
-    rng = random.Random(3)
-    for a in (1, 2, 4, 8):
-        gates = "".join(rng.choice("01") for _ in range(a))
-        t = MonotoneTree(gates, a)
-        for _ in range(6):
-            inputs = "".join(rng.choice("01") for _ in range(a))
-            y = mfv_witness(t, inputs)
-            assert check_mfv(t, inputs, y)
-            for pos in range(len(y)):
-                flipped = y[:pos] + ("0" if y[pos] == "1" else "1") + y[pos + 1:]
-                assert not check_mfv(t, inputs, flipped)
-
-
-def test_check_mfv_rejects_leaf_disagreement():
-    t = MonotoneTree("01", 2)
-    y = mfv_witness(t, "10")
-    assert not check_mfv(t, "01", y)
-
-
-def test_mfv_size_mismatch():
-    t = MonotoneTree("01", 2)
-    with pytest.raises(ValueError):
-        mfv_witness(t, "101")
-    with pytest.raises(ValueError):
-        node_value(t, "1", 1)
-
-
-def test_tree_validation():
-    with pytest.raises(ValueError):
-        MonotoneTree("010", 3)
-    with pytest.raises(ValueError):
-        MonotoneTree("01", 4)
-    with pytest.raises(ValueError):
-        MonotoneTree("0x", 2)
 
 
 # --- compiled evaluation against the walker ---
@@ -798,7 +690,7 @@ def test_repeated_evaluation_leaves_no_cycles():
 
 X = F.NVar("x")
 NODE_SAMPLES = {
-    F.Zero: F.Zero(), F.One: F.One(), F.Const: F.Const(6), F.NVar: X,
+    F.Const: F.Const(6), F.NVar: X,
     F.Plus: F.Plus(X, F.One()), F.Times: F.Times(F.const_term(3), X),
     F.Len: F.Len("X"), F.SeqAt: F.SeqAt(F.const_term(encode_seq([4, 9, 2])), F.One()),
     F.SeqLen: F.SeqLen(F.NVar("c")),
@@ -1388,7 +1280,7 @@ def forall_lt_shaped(f: F.Formula) -> str | None:
             return None
         t = first.left.left
         if t != v and not (type(t) is F.Plus and t.left == v
-                           and type(t.right) in (F.Zero, F.One, F.Const)):
+                           and type(t.right) is F.Const):
             return None
         if first != F.lt(t, first.right):
             return None
@@ -1470,7 +1362,7 @@ def first_zero_shaped(f: F.Formula) -> str | None:
     v = F.NVar(f.var)
     runs = [i for i, p in enumerate(parts) if i >= 2 and type(p) is F.AlN]
     if (not runs or type(parts[0]) is not F.Leq or parts[0].right != v
-            or type(parts[0].left) not in (F.Zero, F.One, F.Const)
+            or type(parts[0].left) is not F.Const
             or type(parts[1]) is not F.Not or type(parts[1].body) is not F.Memb):
         return None
     t, x, run = parts[1].body.index, parts[1].body.svar, parts[runs[0]]
@@ -1485,7 +1377,7 @@ def first_zero_shaped(f: F.Formula) -> str | None:
             s = stack.pop()
             if type(s) in (F.Plus, F.Times):
                 stack += [s.left, s.right]
-            elif type(s) not in (F.Zero, F.One, F.Const) and s not in names:
+            elif type(s) is not F.Const and s not in names:
                 return None
     u = others(t, f.var)
     if (bit_run_shaped(run) != "ones" or run.bound != f.bound or run.body.left.right != v

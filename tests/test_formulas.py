@@ -400,16 +400,16 @@ def test_const_term_values_and_size():
     env = Assignment()
     for n in list(range(260)) + [511, 512, 1023, 10**6, 2**300 + 1]:
         t, ref = F.const_term(n), expansion(n)
-        assert type(t) is ({0: F.Zero, 1: F.One}.get(n, F.Const)), n
+        assert type(t) is F.Const and t.value == n, n
         assert sexpr.print_term(t) == sexpr.print_term(ref), n
         assert F.formula_size(t) == F.formula_size(ref), n
         assert walk_term(t, env) == walk_term(ref, env) == n
     assert F.formula_size(F.const_term(10**9)) < 250
-    with pytest.raises(ValueError):
-        F.const_term(-1)
-    for bad in (0, 1, -1):
-        with pytest.raises(ValueError):
-            F.Const(bad)
+    for bad in (-1, -2**70):
+        with pytest.raises(ValueError, match="terms denote non-negative numbers"):
+            F.const_term(bad)
+    # 0 and 1 are Const leaves too, each one shared object
+    assert F.Zero() is F.Zero() == F.Const(0) and F.One() is F.One() == F.Const(1)
 
 
 def test_const_spellings_agree_on_generated_formulas():
