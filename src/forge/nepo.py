@@ -19,11 +19,10 @@ artifact's formula, whose compile evaluate.eval_formula keeps, sweeps only the
 small quantifiers (see the soundness note in the evaluate module docstring).
 The grid callbacks of one artifact share a memo of certificate codes: a
 grid's code depends only on its stride (machine steps per row) and its start
-configuration, so the memo maps that pair to the code, and the grid a con
-callback starts shares its code with the sub-grid at the same row.
-NepoArtifact.evaluate empties the memo at the start of each call, so it
-holds one evaluation's codes (callbacks run outside evaluate share it until
-the next call), and so does reaching _CERTIFICATE_CAP codes.
+configuration, so the memo maps that pair to the code, every evaluation of
+the artifact shares it, and the grid a con callback starts shares its code
+with the sub-grid at the same row.  It is emptied only on reaching
+_CERTIFICATE_CAP codes.
 The equivalence of the two evaluation modes rests on the grid clauses pinning
 the witness uniquely, which the test suite checks exhaustively at miniature
 scales.
@@ -31,7 +30,7 @@ scales.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -166,23 +165,15 @@ _Source = tuple[Callable[[int | NumTerm, int], "NumTerm | Formula"],
 
 @dataclass(frozen=True, eq=False, slots=True)
 class NepoArtifact:
-    """A compiled formula plus the certificate callbacks for its existentials.
-
-    _certificates is the memo the emitter's grid callbacks share, from
-    (stride, start configuration) to certificate code; each evaluate call
-    starts it empty.
-    """
+    """A compiled formula plus the certificate callbacks for its existentials."""
 
     formula: Formula
     roles: Roles
     slice: FiniteSlice
-    _certificates: dict[tuple[int, Configuration], int] = field(
-        default_factory=dict, repr=False)
 
     def evaluate(self, env: Assignment, roles_override: Roles | None = None,
                  s: FiniteSlice | None = None) -> bool:
         """eval_formula of the formula, at s or the slice, with these roles."""
-        self._certificates.clear()
         roles = self.roles if roles_override is None else {**self.roles, **roles_override}
         return eval_formula(self.formula, s or self.slice, env, roles)
 
@@ -401,21 +392,16 @@ def single_head(tab: Tableau) -> Formula:
 
 
 def _artifact(em: _Emitter, f: Formula) -> NepoArtifact:
-    """The artifact of f, with em's roles and the certificate memo they share."""
-    return NepoArtifact(f, em.roles, FiniteSlice(em.comp_bound, em.row_bits + 1),
-                        em.certificates)
+    """The artifact of f, with em's roles."""
+    return NepoArtifact(f, em.roles, FiniteSlice(em.comp_bound, em.row_bits + 1))
 
 
-def _reach_emitter(tm: TMDescription, b: NepoBounds, level: int) -> _Emitter:
+def reach_artifact(tm: TMDescription, b: NepoBounds, level: int) -> NepoArtifact:
     if level > b.d:
         raise ValueError(f"level {level} exceeds recursion depth {b.d}")
     if level < 0:
         raise ValueError("level must be non-negative")
-    return _Emitter(tm, b)
-
-
-def reach_artifact(tm: TMDescription, b: NepoBounds, level: int) -> NepoArtifact:
-    em = _reach_emitter(tm, b, level)
+    em = _Emitter(tm, b)
     f = em.exists_grid(
         level, em.config_string_source("I"),
         lambda comp: [em.query(comp, NVar("p1"), NVar("p2"), "cell")],

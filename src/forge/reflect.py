@@ -517,22 +517,27 @@ def _with_premise(g: _ProofGeom, line, k: int, var: str, body) -> Formula:
     return _one_hot(g, var, g.onehot_base(line, k), g.nl, line, body(NVar(var)))
 
 
+def _premised(g: _ProofGeom, line, rule: str, n: int, body) -> Formula:
+    """A line of `rule` with n premises, framed as decode_proof reads it: the
+    rule tag, the premise count, every premise one-hot k >= n clear and the
+    cut position clear unless the rule is cut.  body() gives the axiom's
+    other conjuncts, body(pa) or body(pa, pb) the formula over the premises."""
+    frame = [_tag_is(g, line, rule), _pcount_is(g, line, n),
+             *[_clear(g, "u", g.onehot_base(line, k), g.nl) for k in range(n, 2)]]
+    if rule != "cut":
+        frame.append(_clear(g, "j", g.cut_base(line), g.nf))
+    if n == 0:
+        return land(frame + body())
+    first = body if n == 1 else lambda pa: _with_premise(
+        g, line, 1, "pb", lambda pb: body(pa, pb))
+    return land([*frame, _with_premise(g, line, 0, "pa", first)])
+
+
 def _branch_axiom(g: _ProofGeom, line, rule: str, side, tag) -> Formula:
-    return land([
-        _tag_is(g, line, rule), _pcount_is(g, line, 0),
-        *[_clear(g, "u", g.onehot_base(line, k), g.nl) for k in (0, 1)],
-        _clear(g, "j", g.cut_base(line), g.nf),
+    return _premised(g, line, rule, 0, lambda: [
         _count_is(g, line, LEFT, One()), _count_is(g, line, RIGHT, One()),
         _rec_eq(g, line, LEFT, Zero(), line, RIGHT, Zero()),
     ])
-
-
-def _one_premise(g: _ProofGeom, line, rule: str, body) -> Formula:
-    """The rule tag, a lone premise and no cut position; body reads the premise."""
-    return land([_tag_is(g, line, rule), _pcount_is(g, line, 1),
-                 _clear(g, "u", g.onehot_base(line, 1), g.nl),
-                 _clear(g, "j", g.cut_base(line), g.nf),
-                 _with_premise(g, line, 0, "pa", body)])
 
 
 def _branch_weak(g: _ProofGeom, line, rule: str, side: int, tag) -> Formula:
@@ -549,7 +554,7 @@ def _branch_weak(g: _ProofGeom, line, rule: str, side: int, tag) -> Formula:
         return And(Or(at_front, at_back),
                    _tail_map(g, line, 1 - side, 0, p, 1 - side, 0))
 
-    return _one_premise(g, line, rule, body)
+    return _premised(g, line, rule, 1, body)
 
 
 def _branch_not(g: _ProofGeom, line, rule: str, side: int, tag: int) -> Formula:
@@ -570,7 +575,7 @@ def _branch_not(g: _ProofGeom, line, rule: str, side: int, tag: int) -> Formula:
             ExN("e", g.sweep, moved),
         ])
 
-    return _one_premise(g, line, rule, body)
+    return _premised(g, line, rule, 1, body)
 
 
 def _branch_merge(g: _ProofGeom, line, rule: str, side: int, tag: int) -> Formula:
@@ -587,55 +592,46 @@ def _branch_merge(g: _ProofGeom, line, rule: str, side: int, tag: int) -> Formul
             _tail_map(g, line, 1 - side, 0, p, 1 - side, 0),
         ])
 
-    return _one_premise(g, line, rule, body)
+    return _premised(g, line, rule, 1, body)
 
 
 def _branch_split(g: _ProofGeom, line, rule: str, side: int, tag: int) -> Formula:
     """One premise per child, context copied."""
-    def body(pa):
-        def inner(pb):
-            e = NVar("e")
-            per_child = []
-            for child, p in ((2, pa), (3, pb)):
-                per_child += [
-                    _count_is(g, p, side, Plus(e, One())),
-                    _seg_eq(g, line, side, 1, p, side, 0, e),
-                    _sub_eq(g, line, side, Zero(), child, p, side, e),
-                    _tail_map(g, line, 1 - side, 0, p, 1 - side, 0),
-                ]
-            return land([
-                _node_is(g, line, side, Zero(), tag),
-                g.pres(line, side, Zero()),
-                ExN("e", g.sweep,
-                    land([_count_is(g, line, side, Plus(e, One()))] + per_child)),
-            ])
+    def body(pa, pb):
+        e = NVar("e")
+        per_child = []
+        for child, p in ((2, pa), (3, pb)):
+            per_child += [
+                _count_is(g, p, side, Plus(e, One())),
+                _seg_eq(g, line, side, 1, p, side, 0, e),
+                _sub_eq(g, line, side, Zero(), child, p, side, e),
+                _tail_map(g, line, 1 - side, 0, p, 1 - side, 0),
+            ]
+        return land([
+            _node_is(g, line, side, Zero(), tag),
+            g.pres(line, side, Zero()),
+            ExN("e", g.sweep,
+                land([_count_is(g, line, side, Plus(e, One()))] + per_child)),
+        ])
 
-        return _with_premise(g, line, 1, "pb", inner)
-
-    return land([_tag_is(g, line, rule), _pcount_is(g, line, 2),
-                 _clear(g, "j", g.cut_base(line), g.nf),
-                 _with_premise(g, line, 0, "pa", body)])
+    return _premised(g, line, rule, 2, body)
 
 
 def _branch_cut(g: _ProofGeom, line, rule: str, side, tag) -> Formula:
-    def body(pa):
-        def inner(pb):
-            c = NVar("cc")
-            return _one_hot(g, "cc", g.cut_base(line), g.nf, g.nf, land([
-                _count_is(g, line, RIGHT, c),
-                _count_is(g, pa, RIGHT, Plus(c, One())),
-                _seg_eq(g, line, RIGHT, 0, pa, RIGHT, 0, c),
-                _tail_map(g, line, LEFT, 0, pa, LEFT, 0),
-                g.pres(pb, LEFT, Zero()),
-                _tail_map(g, line, LEFT, 0, pb, LEFT, 1),
-                _tail_map(g, line, RIGHT, 0, pb, RIGHT, 0),
-                _rec_eq(g, pa, RIGHT, c, pb, LEFT, Zero()),
-            ]))
+    def body(pa, pb):
+        c = NVar("cc")
+        return _one_hot(g, "cc", g.cut_base(line), g.nf, g.nf, land([
+            _count_is(g, line, RIGHT, c),
+            _count_is(g, pa, RIGHT, Plus(c, One())),
+            _seg_eq(g, line, RIGHT, 0, pa, RIGHT, 0, c),
+            _tail_map(g, line, LEFT, 0, pa, LEFT, 0),
+            g.pres(pb, LEFT, Zero()),
+            _tail_map(g, line, LEFT, 0, pb, LEFT, 1),
+            _tail_map(g, line, RIGHT, 0, pb, RIGHT, 0),
+            _rec_eq(g, pa, RIGHT, c, pb, LEFT, Zero()),
+        ]))
 
-        return _with_premise(g, line, 1, "pb", inner)
-
-    return land([_tag_is(g, line, rule), _pcount_is(g, line, 2),
-                 _with_premise(g, line, 0, "pa", body)])
+    return _premised(g, line, rule, 2, body)
 
 
 _BRANCHES = {"axiom": _branch_axiom, "weak": _branch_weak, "not": _branch_not,

@@ -356,11 +356,12 @@ def test_certificate_callbacks_read_only_their_binders_free_names():
                 assert names and names <= {*free[var][0], *free[var][1]}, (name, var)
 
 
-def test_grid_certificates_are_shared_within_one_evaluate(monkeypatch):
+def test_grid_certificates_are_shared_by_every_evaluate(monkeypatch):
     """The grid callbacks of an artifact share one memo of certificate
-    codes, keyed by stride and start configuration, which each evaluate call
-    starts empty: a run simulates each (stride, start) once, and the con
-    path and the row path share codes."""
+    codes, keyed by stride and start configuration, which every evaluate
+    call shares: each (stride, start) is simulated once, the con path and
+    the row path share codes, and only reaching _CERTIFICATE_CAP codes
+    empties the memo."""
     runs = []
 
     def counting_run_from(tm, start, steps):
@@ -376,15 +377,18 @@ def test_grid_certificates_are_shared_within_one_evaluate(monkeypatch):
                for v, cb in art.roles.items() if v.startswith("comp")}
     simulated = []
     for x in ("0110", "1", "0110"):
-        runs.clear()
-        calls.clear()
+        before = len(runs)
         assert art.evaluate(Assignment(strs={"X": x}), counted) == accepts(tm, x, budget)
-        assert len(runs) == len(set(runs)) == len(art._certificates)
-        assert len(calls) > len(runs)  # some codes came from the memo
-        simulated.append(len(runs))
-    assert simulated[0] == simulated[2]  # nothing carried over between calls
+        simulated.append(len(runs) - before)
+    assert len(runs) == len(set(runs))  # each (stride, start) at most once
+    assert len(calls) > len(runs)  # some codes came from the memo
+    assert simulated[0] > 0 and simulated[2] == 0  # "0110" again simulates nothing
     monkeypatch.setattr(nepo, "_CERTIFICATE_CAP", 2)
-    assert not art.evaluate(Assignment(strs={"X": "0110"})) and len(art._certificates) <= 2
+    runs.clear()
+    art = nepo.acceptance_artifact(tm, FULL)
+    for _ in range(2):
+        assert not art.evaluate(Assignment(strs={"X": "0110"}))
+    assert len(runs) > len(set(runs))  # the full memo was emptied
 
 
 def test_reach_levels_match_simulator_mid_scale():
@@ -415,6 +419,25 @@ def test_cell_predicate_micro():
                     assert art.evaluate(env), (x, i, j)
                     env.nums["cell"] = bad_bit
                     assert not art.evaluate(env), (x, i, j)
+
+
+def test_cell_predicate_is_functional_over_every_code():
+    """The cell predicate defines each cell: at every (i, j) exactly one code
+    cell_code(bit, mark) holds, and it is the simulator's cell."""
+    b = nepo.NepoBounds(c=1, eps=Fraction(1, 3), k=2, m=4)
+    assert (b.width, b.last_row) == (3, 3)
+    for tm in (*map(corpus_machine, ("scan1", "parity", "zeros")), LEFT3):
+        art = nepo.cell_artifact(tm, b)
+        codes = {cell_code(bit, mark): (bit, mark)
+                 for bit in (0, 1) for mark in range(1 << tm.state_bits)}
+        for x in ("1", "01", "11", "001", "011", "101", "111"):
+            rows = run_from(tm, initial_configuration(x, b.width), b.last_row).rows
+            for i in range(b.last_row + 1):
+                for j in range(b.width):
+                    held = [cell for code, cell in codes.items()
+                            if art.evaluate(Assignment(nums={"i": i, "j": j, "cell": code},
+                                                       strs={"X": x}))]
+                    assert held == [rows[i].cells[j]], (x, i, j)
 
 
 def test_cell_predicate_row_zero_is_initial_config():
