@@ -11,7 +11,7 @@ const_term is Const.  A `Const` of 2 or more stands for the binary
 expansion of n over {0, 1, +, *}, where 2m is (* (+ 1 1) m) and 2m + 1 is
 (+ (* (+ 1 1) m) 1): it prints as that expansion and is sized as that
 expansion, so the text language has no numerals beyond 0 and 1, and a
-printed `Const` parses back as the expansion.
+printed `Const` parses back as the same `Const`.
 The sequence primitives stand in for a fixed definable coding of short
 sequences by numbers, which the rest of the toolchain treats as part of the
 base language.

@@ -6,7 +6,7 @@ runs of characters other than whitespace, parentheses and `;`; a `;`
 comment runs to end of line.  `read_all` turns source text into `Node`
 trees in one pass over the tokens.  A `Node` is a named tuple that carries
 the line and column of its first character, so every `ParseError` raised
-over it points into the source.  Lists may nest at most `MAX_DEPTH` deep.
+over it points into the source.  `read_all` has no nesting cap; the parsers do.
 
 Formula grammar
   term     ::= 0 | 1 | <ident> | (+ t t) | (* t t) | (len <Ident>)
@@ -18,8 +18,8 @@ Formula grammar
 Number variables start lowercase, string variables start uppercase.
 Connectives written with more than two arguments fold right, so
 (and a b c) reads as (and a (and b c)); `memb` is accepted as an alias for
-`in`.  The nesting cap holds for the folded formula too: an argument that
-would sit deeper than `MAX_DEPTH` in the reprint is a `ParseError`.
+`in`.  A printed constant reads back as one `Const` leaf.  A formula may nest
+at most `MAX_DEPTH` lists deep in its reprint, else it is a `ParseError`.
 
 Parsing alpha-renames binders so no name is bound twice anywhere in the
 result: rebinding a name under itself is rejected, a repeat in a sibling
@@ -41,9 +41,9 @@ from .formulas import (AlN, AlS, And, Const, EqNum, EqStr, ExN, ExS, Formula,
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 _TOKEN = re.compile(r"\n|;[^\n]*|[()]|[^ \t\r\n();]+")
 
-# Deepest list nesting the reader accepts.  Parsing, printing, evaluation and
-# proof checking all recurse once per level, and Python stops near 1000
-# frames; the deepest formula the compilers emit at m=200 nests 758 deep.
+# Deepest formula nesting the parser accepts.  Parsing, printing, evaluation
+# and proof checking recurse once per level, and Python stops near 1000 frames;
+# the proof check at cap 19 nests 107 deep, nepo's formulas 38 up to m = 1024.
 MAX_DEPTH = 900
 
 
@@ -66,11 +66,8 @@ def read_all(source: str, line: int = 1, col: int = 1) -> list[Node]:
     for m in _TOKEN.finditer(source):
         text = m.group()
         if text == "(":
-            col = m.start() - line_start + 1
-            if len(open_lists) == MAX_DEPTH:
-                raise ParseError(f"lists nest deeper than {MAX_DEPTH}", line, col)
             items = []
-            open_lists.append((line, col, items))
+            open_lists.append((line, m.start() - line_start + 1, items))
         elif text == ")":
             if not open_lists:
                 raise ParseError("unexpected )", line, m.start() - line_start + 1)
@@ -153,13 +150,37 @@ class _Binders:
 
 def _too_deep(node: Node) -> ParseError:
     """The error for a node past the cap.  The parse functions below count a
-    node's `depth` as its list nesting once n-ary connectives fold right,
-    which is how the formula reprints."""
+    node's `depth` as its list nesting once n-ary connectives fold right, as
+    the formula reprints, with a constant's spelling one list deep."""
     return ParseError(f"formula would nest deeper than {MAX_DEPTH} once folded",
                       node.line, node.col)
 
 
-def _parse_term(node: Node, env: dict[str, str], depth: int = 1) -> NumTerm:
+def _operands(node: Node, op: str) -> tuple[Node, Node] | None:
+    """The two arguments of node if it is the list (op a b), else None."""
+    items = node.items
+    return items[1:] if items and len(items) == 3 and items[0].text == op else None
+
+
+def _const(node: Node) -> Const | int:
+    """The `Const` node spells as `print_term` writes it: (* (+ 1 1) m) is 2m and
+    (+ (* (+ 1 1) m) 1) is 2m + 1, down to m = 1; read in a loop.  Else how many
+    lists below node the spelling breaks off, as no list down there folds."""
+    bits = []
+    while node.text != "1":
+        plus = _operands(node, "+")
+        odd = plus is not None and plus[1].text == "1"
+        times = _operands(plus[0] if odd else node, "*")
+        two = times and _operands(times[0], "+")
+        if not two or two[0].text != "1" or two[1].text != "1":
+            return len(bits) + bits.count("1")
+        bits.append("1" if odd else "0")
+        node = times[1]
+    return Const(int("1" + "".join(reversed(bits)), 2))
+
+
+def _parse_term(node: Node, env: dict[str, str], depth: int = 1,
+                fold_from: int = 1) -> NumTerm:
     if node.text is not None:
         if node.text == "0":
             return Zero()
@@ -169,6 +190,10 @@ def _parse_term(node: Node, env: dict[str, str], depth: int = 1) -> NumTerm:
         return NVar(env.get(name, name))
     if depth > MAX_DEPTH:
         raise _too_deep(node)
+    if depth >= fold_from:
+        if type(const := _const(node)) is Const:
+            return const
+        fold_from = depth + const + 1  # so a broken spine is walked once
     items = node.items
     assert items is not None
     if not items or items[0].text is None:
@@ -178,8 +203,8 @@ def _parse_term(node: Node, env: dict[str, str], depth: int = 1) -> NumTerm:
         if len(items) != 3:
             raise ParseError(f"({op} t t) takes two arguments", node.line, node.col)
         make = Plus if op == "+" else Times
-        return make(_parse_term(items[1], env, depth + 1),
-                    _parse_term(items[2], env, depth + 1))
+        return make(_parse_term(items[1], env, depth + 1, fold_from),
+                    _parse_term(items[2], env, depth + 1, fold_from))
     if op == "len":
         if len(items) != 2:
             raise ParseError("(len X) takes one argument", node.line, node.col)

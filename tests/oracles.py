@@ -41,7 +41,6 @@ from forge.nepo import NepoArtifact, NepoBounds
 from forge.proofs import (Proof, ProofLine, Sequent, check_depth_frege,
                           check_frege, proof_target, system_depth)
 from forge.prop import PropFormula, PVar, pnot, por, taut_check
-from forge.sexpr import MAX_DEPTH
 
 DECODE_LENGTH_CAP = 1 << 20
 
@@ -277,7 +276,8 @@ def proof_mutations(pi: Proof):
 #
 # Two passes: a token list with positions, then a reader over it, building
 # dataclass nodes.  The lexical syntax is spelled out again here, so a change
-# to forge.sexpr's shows as a difference.
+# to forge.sexpr's shows as a difference.  Like read_all, it reads lists to
+# any depth: the parsers that recurse over the trees bound their nesting.
 
 _TOKEN = re.compile(r"\n|;[^\n]*|[()]|[^ \t\r\n();]+")
 
@@ -313,8 +313,6 @@ def ref_read_all(source: str, line: int = 1, col: int = 1) -> list[RefNode]:
     items = top
     for text, line, col in _tokenize(source, line, col):
         if text == "(":
-            if len(open_lists) == MAX_DEPTH:
-                raise ParseError(f"lists nest deeper than {MAX_DEPTH}", line, col)
             items = []
             open_lists.append((line, col, items))
         elif text == ")":

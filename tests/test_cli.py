@@ -447,18 +447,25 @@ def test_module_entry_point_is_quiet():
     assert "RuntimeWarning" not in proc.stderr
 
 
-def test_compile_nepo_wide_constants_do_not_recurse():
+def test_compile_nepo_wide_constants_do_not_recurse(tmp_path):
     # m = 256 holds a constant of 991 bits: compiling, sizing and printing
-    # it must not recurse once per bit. The printed text does not yet read
-    # back (it nests past the reader's cap); that gap is pinned as an xfail
-    # in tests/test_nepo.py::test_acceptance_at_m256_reads_back
+    # it must not recurse once per bit, and neither must reading it back
+    out = tmp_path / "m256.sexp"
     proc = subprocess.run([sys.executable, "-m", "forge.cli", "compile-nepo",
                            "--tm", str(MACHINES / "parity.tm"), "--m", "256",
-                           "--eps", "1/3", "--k", "2"],
+                           "--eps", "1/3", "--k", "2", "--out", str(out)],
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "Traceback" not in proc.stderr
-    assert proc.stdout.startswith("(and ")
+    assert out.read_text().startswith("(and ")
+    # the text parses: evaluation gets as far as the first grid binder,
+    # whose bound is past this slice
+    proc = subprocess.run([sys.executable, "-m", "forge.cli", "eval", "--formula", str(out),
+                           "--bind", "X=1", "--num-bound", "8"],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "exceeds num_bound" in proc.stderr
+    assert "nest deeper" not in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_compile_acc_takes_a_thousand_rule_trans_chain(tmp_path):

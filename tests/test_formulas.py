@@ -185,11 +185,13 @@ def _nested(depth):
        st.integers(1, 60), st.integers(1, 60))
 @example("(" * sexpr.MAX_DEPTH + ")" * sexpr.MAX_DEPTH, 1, 1)
 @example("(" * (sexpr.MAX_DEPTH + 1) + ")" * (sexpr.MAX_DEPTH + 1), 3, 7)
+@example("(" * 5000 + "a" + ")" * 5000, 1, 1)
 @example("a ; (\n) (b\r\n\t(", 4, 4)
 def test_read_all_matches_the_reference_reader(source, line, col):
     """read_all reads what the two-pass reference reader reads, at the same
     positions, from any start line and column (parse_proof starts each proof
-    line past its label), and raises the same error where it does."""
+    line past its label), and raises the same error where it does.  Neither
+    caps list nesting, so the cases past MAX_DEPTH read alike too."""
     assert _read_outcome(sexpr.read_all, source, line, col) == \
         _read_outcome(ref_read_all, source, line, col)
 
@@ -389,7 +391,7 @@ def test_parsed_formulas_bind_pairwise_distinct_names():
 
 def expansion(n: int) -> F.NumTerm:
     """Binary expansion of n over {0, 1, +, *}, node by node: the spelling
-    a `Const` prints as, sizes as and parses back as."""
+    a `Const` prints as and sizes as, which parses back as that `Const`."""
     if n < 2:
         return F.One() if n else F.Zero()
     doubled = F.Times(F.Plus(F.One(), F.One()), expansion(n // 2))
@@ -412,9 +414,53 @@ def test_const_term_values_and_size():
     assert F.Zero() is F.Zero() == F.Const(0) and F.One() is F.One() == F.Const(1)
 
 
+def test_only_the_printed_constant_spelling_folds():
+    for n in list(range(1024)) + [2**300 + 1, 2**990 + 12345]:
+        got = sexpr.parse_formula(f"(= t {sexpr.print_term(F.Const(n))})")
+        assert got == F.EqNum(F.NVar("t"), F.Const(n)), n
+    assert sexpr.parse_formula("(= t 1)").right is F.One()
+    for spelling in ("(+ 1 1)", "(* (+ 1 1) 0)", "(* (+ 1 0) 1)", "(+ (* (+ 1 1) 1) 0)",
+                     "(* 1 (+ 1 1))", "(* (+ 1 1) x)", "(* (+ 1 1) (+ 1 1))"):
+        text = f"(= t {spelling})"
+        got = sexpr.parse_formula(text)
+        assert type(got.right) in (F.Plus, F.Times), spelling
+        assert sexpr.print_formula(got) == text
+    # a constant below a spelling that breaks off still folds
+    two, c = F.Plus(F.One(), F.One()), F.Const(2**40 + 3)
+    for term in (F.Times(two, F.Plus(c, F.Zero())), F.Times(two, F.Times(two, F.SeqLen(c))),
+                 F.Plus(F.Times(F.Plus(F.One(), F.Zero()), c), F.One())):
+        f = F.EqNum(F.NVar("t"), term)
+        assert sexpr.parse_formula(sexpr.print_formula(f)) == f
+    # the outer list of a constant counts one level where it stands; its
+    # spine, 302 lists deep here, does not count
+    wide = sexpr.print_term(F.Const(2**300 + 1))
+
+    def nested(k):  # the constant's outer list sits k deep
+        return "(not " * (k - 2) + f"(= t {wide})" + ")" * (k - 2)
+    assert sexpr.print_formula(sexpr.parse_formula(nested(sexpr.MAX_DEPTH))) == \
+        nested(sexpr.MAX_DEPTH)
+    with pytest.raises(ParseError) as e:
+        sexpr.parse_formula(nested(sexpr.MAX_DEPTH + 1))
+    assert (e.value.line, e.value.column) == (1, 5 * (sexpr.MAX_DEPTH - 1) + 6)
+
+
+def test_a_broken_constant_spine_is_walked_once(monkeypatch):
+    # 5,000 spine lists that end in x instead of 1: no list on the spine
+    # folds, and the reader learns that from one walk, not one per list
+    wide = sexpr.print_term(F.Const(2**5000))
+    at = wide.rfind("(+ 1 1) 1)")
+    text = f"(= t {wide[:at]}(+ 1 1) x{wide[at + 9:]})"
+    steps = []
+    operands = sexpr._operands
+    monkeypatch.setattr(sexpr, "_operands", lambda *a: steps.append(1) or operands(*a))
+    with pytest.raises(ParseError, match="nest deeper than"):
+        sexpr.parse_formula(text)
+    assert len(steps) < 4 * text.count("(")
+
+
 def test_const_spellings_agree_on_generated_formulas():
-    """A formula holding Const leaves and its reparse, which spells each one
-    as its expansion, print alike, size alike and evaluate alike."""
+    """A formula holding Const leaves and its reparse, which holds the same
+    Const leaves, print alike, size alike and evaluate alike."""
     rng = random.Random(20261018)
     s = FiniteSlice(6, 2)
     checked = 0

@@ -19,7 +19,7 @@ from oracles import (BIT_TM, LEFT3, all_strings, cell_code, collect_quantifier_b
 
 from forge import nepo
 from forge.codec import encode_seq
-from forge.errors import BudgetError, ParseError, UnboundVariableError
+from forge.errors import BudgetError, UnboundVariableError
 from forge.evaluate import Assignment, FiniteSlice, eval_formula
 from forge.formulas import (AlN, EqNum, EqStr, ExN, NVar, One, SeqAt, classify, const_term,
                             formula_size, free_vars)
@@ -512,15 +512,23 @@ def test_acceptance_at_m1024_prints_and_sizes():
     assert print_formula(phi).startswith("(and (leq (len X) ")
 
 
-@pytest.mark.xfail(strict=True, raises=ParseError,
-                   reason="a wide constant prints as its binary expansion, about "
-                          "two nested lists per bit, past the reader's 900 cap")
-def test_acceptance_at_m256_reads_back():
-    # known gap: the m = 256 text compiles and prints, but holds a 991-bit
-    # constant that parse_formula rejects; this passes once the gap is closed
-    b = nepo.NepoBounds(c=1, eps=Fraction(1, 3), k=2, m=256)
-    phi = nepo.compile_acceptance_sigma0(corpus_machine("parity"), b)
-    assert formula_size(parse_formula(print_formula(phi))) == formula_size(phi)
+@pytest.mark.parametrize("m", [256, 320, 1024])
+def test_nepo_text_reads_back_as_the_same_tree(m):
+    # m = 256 holds a 991-bit constant: its printed spelling reads back as one
+    # Const leaf, so the reparse is the compiled tree, not its expansion
+    b = nepo.NepoBounds(c=1, eps=Fraction(1, 3), k=2, m=m)
+    budget = PolyBound((b.m ** b.c,), constant=True)
+    for name in ("scan1", "parity", "zeros"):
+        tm = corpus_machine(name)
+        art = nepo.acceptance_artifact(tm, b)
+        for f in (art.formula, nepo.compile_Reach(tm, b, 0), nepo.compile_Reach(tm, b, b.d),
+                  nepo.cell_artifact(tm, b).formula):
+            assert parse_formula(print_formula(f)) == f, (name, m)
+        if m == 256:
+            parsed = nepo.NepoArtifact(parse_formula(print_formula(art.formula)),
+                                       art.roles, art.slice)
+            for x in ("", "1", "0110", "10111"):
+                assert nepo.eval_acceptance(parsed, x) == accepts(tm, x, budget), (name, x)
 
 
 def test_size_report():
