@@ -182,21 +182,25 @@ class _Compiler:
 
     term compiles a whole term in one frame per level; formula compiles one
     node in one frame, its child formulas waiting for the node's first run.
-    Leaf terms compile to a constant or a name and skip the memo.  A run
+    Leaf terms compile to a constant or a name and skip the memo.  lengths
+    maps each compiled length term to the string names it reads.  A run
     takes one frame per formula level, And and Or chains running as loops.
     codes is the table of decoded sequence codes that SeqAt reads through,
     and verdicts the table of verdicts that number binders memoize; each
     run starts both empty.  run puts what the closures read besides the
     formula's structure (the assignment, its dicts, the slice and the roles)
     on the compiler, and drops it when the run ends, so a kept compile holds
-    nothing of its last call.
+    none of it after its last call.  A length term keeps the last strings it
+    read (see "compiled terms"), as the verdict table's keys keep string
+    values, but never the assignment, its dicts or the roles.
     """
 
-    __slots__ = ("terms", "formulas", "codes", "verdicts", "root",
+    __slots__ = ("terms", "lengths", "formulas", "codes", "verdicts", "root",
                  "nums", "strs", "env", "slice", "roles")
 
     def __init__(self, f: Formula):
         self.terms: dict[int | tuple, object] = {}
+        self.lengths: dict[Callable, tuple[str, ...]] = {}  # length term -> names it reads
         self.formulas: dict[int, Callable[[_Compiler], bool]] = {}
         self.codes: dict[int, bytes | tuple[int, ...]] = {}
         self.verdicts: dict[tuple, bool] = {}
@@ -229,10 +233,14 @@ class _Compiler:
             key = tt, self.term(t.left), self.term(t.right)
             out = self.terms.get(key)
             if out is None:
-                out = self.terms[key] = (_plus if tt is Plus else _times)(*key[1:])
+                out = (_plus if tt is Plus else _times)(*key[1:])
+                reads = [() if _is_const(a) else self.lengths.get(a) for a in key[1:]]
+                if None not in reads and callable(out):  # a length term
+                    out = self.length_term(tuple(dict.fromkeys(reads[0] + reads[1])), out)
+                self.terms[key] = out
         elif tt is Len:
             svar = _name(t.svar, False)
-            out = svar if callable(svar) else _len(svar)
+            out = svar if callable(svar) else self.length_term((svar,), _len(svar))
         elif tt is SeqAt:
             seq, index = self.term(t.seq), _affine(t.index)
             if type(seq) is str and index is not None:
@@ -244,6 +252,13 @@ class _Compiler:
         else:
             out = _error(TypeError, f"not a term: {t!r}")
         self.terms[id(t)] = out
+        return out
+
+    def length_term(self, names: tuple[str, ...], compute):
+        """compute, a closure reading only the lengths of names, as one that
+        keeps its last value (see "compiled terms"), noted in self.lengths."""
+        out = _kept_length(names, compute)
+        self.lengths[out] = names
         return out
 
     def formula(self, f: Formula) -> Callable[[_Compiler], bool]:
@@ -335,6 +350,29 @@ class _Compiler:
 # holding the union of what every op reached: 5.0 MB under tracemalloc with
 # identity memos alone, 2.9 MB with this one, against a 3.1 MB peak when
 # every call compiled afresh.
+#
+# A length term, a Len or a Plus or Times whose operands are constants or
+# length terms, reads only the lengths of its string names, so its value
+# is a function of the objects those names are bound to.  It compiles to a
+# closure (_kept_length) that keeps, in its own cell, the strings it last
+# read and the value it computed from them, and computes again only when a
+# name is bound to another object; the compile notes each length term, with
+# its names, in lengths.  This is exact.  A str is immutable, and the
+# reference the cell keeps stops its id from being reused, so a kept string
+# still has the length it had; a value that is not a str is never kept.  An
+# ExS or AlS binds a new object at each value, so a term under it computes
+# at each.  The closure reads its names in the order the term would, with
+# _UNREAD, not None, as what it read before its first run, so an unbound
+# name raises the same KeyError at the same point, and a run that raises
+# keeps nothing.  An ill-sorted Len keeps its _error closure, and no sum or
+# product over it is a length term.  acc's matrix reads every bit of W at
+# t * p(|X|) * fields + i * fields + f: a warm seed-1 pass of the witness
+# benchmark (648 checks over 72 input strings) measured a string 302,173
+# times before length terms kept their value and 72 times after, and witness
+# went from a median 1,354 to 1,949 ops/s over 10 perfbench pairs on a
+# 2-vCPU host.  A term of one name, as all of acc's are, gets a closure of
+# its own: reading every term's names as a tuple took that warm pass from
+# 0.18 s to 0.35 s, slower than the 0.27 s of computing each time.
 #
 # SeqAt reads codes through the compiler's table of decoded codes
 # (codec.seq_fields, the one decoder of codes: the low 5 bits give the field
@@ -477,6 +515,39 @@ def _seq_len(seq):
 
 def _len(svar: str):
     return lambda nums, strs: codec.set_length(strs[svar])
+
+
+_UNREAD = object()  # what a length term has read before its first run
+
+
+def _kept_length(names: tuple[str, ...], compute):
+    """compute, a term reading only the lengths of the strings names, as a
+    closure that reads the names in order and runs compute only when one is
+    bound to another object than at its last run, keeping the strs read.
+    One name, the common case, reads and compares one object."""
+    value = None
+    if len(names) == 1:
+        name, = names
+        last = _UNREAD
+
+        def run(nums, strs):
+            nonlocal last, value
+            s = strs[name]
+            if s is not last:
+                value = compute(nums, strs)
+                last = s if type(s) is str else _UNREAD
+            return value
+        return run
+    unread = last = (_UNREAD,) * len(names)
+
+    def run_all(nums, strs):
+        nonlocal last, value
+        now = tuple(map(strs.__getitem__, names))
+        if not all(map(operator.is_, now, last)):
+            value = compute(nums, strs)
+            last = now if all(type(s) is str for s in now) else unread
+        return value
+    return run_all
 
 
 # --- compiled formulas ---

@@ -343,6 +343,31 @@ def test_reach_rejects_a_headless_y():
             assert not eval_reach_level(art, headless, 1, 0, cell_code(*cell)), (level, cell)
 
 
+def test_reach_rejects_a_y_marking_a_state_past_k():
+    """A Y whose one cell carries head mark 3, a state scan1 (k = 2) lacks,
+    is no configuration: the honest compile_reach, sweeping every W, is
+    false on it for every Z below 2^5, at t = 0 and 1 and both tape bits,
+    while eval_reach, which decodes Y before it runs, raises LayoutError.
+    VALIDITY is the clause that rules these out: with it dropped from
+    acc._shared_clauses, in a copy of the code, this sweep accepts 18 of
+    its 128 cases.  The sweep also runs the kept length terms (|W| in the
+    reach matrix) while exS W binds a new W at each candidate."""
+    tm = corpus_machine("scan1")
+    checked = 0
+    for t, bit in itertools.product((0, 1), "01"):
+        p = PolyBound((t,), constant=True)
+        y = bit + "11" + "1"  # tape bit, mark 3 low bit first, sentinel
+        f, total = acc.compile_reach(tm, p), (t + 1) * len(y)
+        s = FiniteSlice(num_bound=total + 4, str_width=total)
+        for zmask in range(1 << 5):
+            z = mask_to_bits(zmask)
+            assert not eval_formula(f, s, Assignment(strs={"Y": y, "Z": z})), (t, y, z)
+            with pytest.raises(LayoutError, match="marks nonexistent state 3"):
+                acc.eval_reach(tm, p, y, z)
+            checked += 1
+    assert checked == 128
+
+
 def with_cell(z, tm, i, bit, mark):
     """Configuration string z with cell i replaced by (bit, mark)."""
     fields = 1 + tm.state_bits

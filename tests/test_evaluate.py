@@ -20,13 +20,14 @@ from oracles import (config_to_string, grid_read, read_outcome, role_free_names,
                      seq_len_total, walk_formula, walk_term)
 from test_formulas import gen_formula, gen_term
 
-from forge import acc, codec, evaluate, nepo, proofs, sexpr
+from forge import acc, codec, evaluate, machine, nepo, proofs, sexpr
 from forge import formulas as F
 from forge.codec import bit_at, encode_seq, mask_to_bits
 from forge.errors import SliceExceededError, SortMismatchError, UnboundVariableError
 from forge.evaluate import Assignment, FiniteSlice, eval_formula
 from forge.formulas import formula_size
-from forge.machine import PolyBound, corpus_machine, initial_configuration, parse_tm
+from forge.machine import (PolyBound, accepts, corpus_machine, initial_configuration,
+                           parse_tm, tableau_to_witness)
 from forge.reflect import compile_proof_check, encode_formula, encode_proof
 from forge.sexpr import parse_formula
 
@@ -1121,6 +1122,111 @@ def test_seq_len_reads_the_header_without_decoding(monkeypatch):
         assert eval_formula(F.EqNum(F.SeqLen(SEQ), F.const_term(seq_len_total(code))), S8, env)
         assert eval_formula(atom, S8, env) == (seq_len_total(code) == 2)
     assert decoded == []
+
+
+# --- length terms: a term reading only lengths keeps its last value ---
+
+
+LX, LY = F.Len("X"), F.Len("Y")
+LENGTH_STRS = ["", "01", "0110", "1011", "0000"]
+
+
+def length_envs(names=("X", "Y"), strs=(None, *LENGTH_STRS)):
+    """Assignments binding x, and each of names to one of strs or, for
+    None, to nothing."""
+    for values in itertools.product(strs, repeat=len(names)):
+        for x in (0, 2, 4):
+            yield Assignment({"x": x}, {n: v for n, v in zip(names, values) if v is not None})
+
+
+def counting_set_length(monkeypatch) -> list:
+    """Wrap evaluate's codec.set_length; the list gets each string it measures."""
+    measured, set_length = [], codec.set_length
+    monkeypatch.setattr(codec, "set_length", lambda s: measured.append(s) or set_length(s))
+    return measured
+
+
+def test_a_length_term_shared_in_and_out_of_a_binder_agrees_with_the_walker():
+    """One Len node, and one sum over it, read outside a string binder over
+    their own string, inside it at every value, and outside it again."""
+    poly = F.Plus(F.Times(LY, LY), F.One())
+    for q, bound in itertools.product((F.ExS, F.AlS), (F.One(), TWO, LX)):
+        inner = F.Or(F.Leq(poly, X), F.EqNum(LY, TWO))
+        f = F.And(F.Leq(LY, X), F.And(q("Y", bound, inner), F.Leq(X, poly)))
+        for env in length_envs():
+            for s in DIFF_SLICES:
+                agrees_with_the_walker(f, s, env)
+
+
+def test_a_sum_of_lengths_reports_the_first_unbound_string():
+    """(term, the names bound, the name reported unbound)"""
+    cases = [(F.Plus(LX, LY), ("X",), "Y"), (F.Plus(LX, LY), ("Y",), "X"),
+             (F.Plus(LX, LY), (), "X"), (F.Times(F.Plus(LY, TWO), F.Plus(LX, LY)), ("X",), "Y")]
+    for term, bound, missing in cases:
+        f = F.Leq(term, X)
+        for env in length_envs(bound, LENGTH_STRS):
+            agrees_with_the_walker(f, S8, env)
+            assert said(lambda: eval_formula(f, S8, env)) \
+                == (UnboundVariableError, f"string variable {missing} is unbound")
+        for env in length_envs():
+            agrees_with_the_walker(f, S8, env)
+
+
+def test_length_terms_are_lengths_and_sums_and_products_of_them():
+    compiler = evaluate._Compiler(F.TRUE)
+    kept = [LX, F.Plus(LX, TWO), F.Times(TWO, F.Plus(LY, LX)), F.Times(LX, F.Zero())]
+    assert [compiler.lengths[compiler.term(t)] for t in kept] \
+        == [("X",), ("X",), ("Y", "X"), ("X",)]
+    for t in (F.Plus(LX, X), F.Times(F.SeqLen(SEQ), LX), F.Len("w"), F.Plus(F.Len("w"), LX)):
+        assert compiler.term(t) not in compiler.lengths
+
+
+def test_an_ill_sorted_length_raises_only_where_it_is_reached():
+    bad = F.Len("w")
+    f = F.Or(F.Leq(X, TWO), F.EqNum(F.Plus(bad, LX), F.Times(LX, TWO)))
+    seen = set()
+    for env in length_envs(("X",)):
+        agrees_with_the_walker(f, S8, env)
+        seen.add(said(lambda: eval_formula(f, S8, env)))
+    assert seen == {True, (SortMismatchError, "w is not a string variable")}
+
+
+def test_a_kept_length_term_computes_once_per_string_object(monkeypatch):
+    """A kept compile's length term measures X again only when X is bound
+    to another object: a different string, or an equal but distinct one."""
+    measured = counting_set_length(monkeypatch)
+    y = F.NVar("y")
+    width = F.Plus(F.Times(LX, F.Plus(LX, TWO)), F.One())  # |X|^2 + 2|X| + 1
+    f = F.AlN("y", F.const_term(6), F.Imp(F.Leq(y, width), F.Leq(y, X)))
+    a, b, c = "".join(["01", "1"]), "".join(["1", "0"]), "".join(["1", "0"])
+    assert b == c and b is not c
+    for x, want, n in ((a, False, 1), (b, True, 1), (c, True, 1), (c, True, 0)):
+        env = Assignment({"x": 5}, {"X": x})
+        measured.clear()
+        assert eval_formula(f, S8, env) is want
+        assert evaluate._kept[id(f)][0] is f
+        assert len(measured) == n and all(s is x for s in measured), (x, measured)
+        agrees_with_the_walker(f, S8, env)
+
+
+def test_a_witness_check_measures_its_input_once(monkeypatch):
+    """acc's matrix reads every bit of W at t * p(|X|) * fields + ...;
+    p(|X|) is a length term, so one check on a fresh input measures X once
+    (466 times per check, on average over a seed-1 witness pass, before
+    length terms kept their value), and a second check on the same string
+    object not at all."""
+    tm, p = corpus_machine("scan1"), PolyBound((2, 1))
+    measured = counting_set_length(monkeypatch)
+    for bits in ("1011", "0101", "111", "11", "1101"):
+        x = "".join(bits)  # a fresh object
+        layout = acc.acc_layout(tm, p, len(x))
+        w = tableau_to_witness(machine.run(tm, x, layout.steps, layout.width))
+        flipped = w[:-1] + ("1" if w[-1] == "0" else "0")
+        measured.clear()
+        assert acc.check_witness(tm, p, x, w) == accepts(tm, x, p)
+        assert measured == [x] and measured[0] is x
+        assert acc.check_witness(tm, p, x, flipped) is False
+        assert measured == [x]
 
 
 # --- guarded sweeps: a forall_lt binder sweeps only below its limit ---
