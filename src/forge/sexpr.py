@@ -4,9 +4,12 @@ and printer.
 Lexical syntax, owned here for every text format of the package: atoms are
 runs of characters other than whitespace, parentheses and `;`; a `;`
 comment runs to end of line.  `read_all` turns source text into `Node`
-trees in one pass over the tokens.  A `Node` is a named tuple that carries
-the line and column of its first character, so every `ParseError` raised
-over it points into the source.  `read_all` has no nesting cap; the parsers do.
+trees in one pass over the list of tokens one `findall` builds.  A `Node` is
+a named tuple that carries the index of its first token and the text it was
+read from; its line and column are found only when asked for, from where the
+tokens start, so every `ParseError` raised over it points into the source and
+a text that parses computes no position.  `read_all` has no nesting cap; the
+parsers do.
 
 Formula grammar
   term     ::= 0 | 1 | <ident> | (+ t t) | (* t t) | (len <Ident>)
@@ -39,7 +42,9 @@ from .formulas import (AlN, AlS, And, Const, EqNum, EqStr, ExN, ExS, Formula,
                        SeqAt, SeqLen, Times, Zero, is_num_name, is_str_name)
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
-_TOKEN = re.compile(r"\n|;[^\n]*|[()]|[^ \t\r\n();]+")
+# Whitespace is space, tab, \r and \n, skipped between matches; \n ends a line
+# and a comment.  Token k of a text is the k-th match in both passes over it.
+_TOKEN = re.compile(r";[^\n]*|[()]|[^ \t\r\n();]+")
 
 # Deepest formula nesting the parser accepts.  Parsing, printing, evaluation
 # and proof checking recurse once per level, and Python stops near 1000 frames;
@@ -47,41 +52,75 @@ _TOKEN = re.compile(r"\n|;[^\n]*|[()]|[^ \t\r\n();]+")
 MAX_DEPTH = 900
 
 
+def _token_starts(text: str) -> list[int]:
+    """The offset in text at which each of its tokens starts."""
+    return [m.start() for m in _TOKEN.finditer(text)]
+
+
+class _Source:
+    """One text `read_all` read: where it starts, its tokens (comments
+    included) and, once a position is asked for, where each token starts."""
+
+    __slots__ = ("text", "line", "col", "tokens", "starts")
+
+    def __init__(self, text: str, line: int, col: int, tokens: list[str]):
+        self.text, self.line, self.col, self.tokens = text, line, col, tokens
+        self.starts: list[int] | None = None
+
+    def position(self, token: int) -> tuple[int, int]:
+        """Line and column of the first character of token number `token`."""
+        if self.starts is None:
+            self.starts = _token_starts(self.text)
+        at = self.starts[token]
+        newline = self.text.rfind("\n", 0, at)
+        if newline < 0:
+            return self.line, self.col + at
+        return self.line + self.text.count("\n", 0, at), at - newline
+
+
 class Node(NamedTuple):
-    """Atom (text set) or list (items set), tagged with its source position."""
+    """Atom (text set) or list (items set), with the index of its first token
+    (the atom or the opening parenthesis) in the text it was read from.  Its
+    `line` and `col` are computed from the text when read, not kept."""
 
     text: str | None
     items: tuple[Node, ...] | None
-    line: int
-    col: int
+    token: int
+    source: _Source
+
+    @property
+    def line(self) -> int:
+        return self.source.position(self.token)[0]
+
+    @property
+    def col(self) -> int:
+        return self.source.position(self.token)[1]
 
 
 def read_all(source: str, line: int = 1, col: int = 1) -> list[Node]:
     """Every top-level expression of `source`, which starts at line:col."""
+    tokens = _TOKEN.findall(source)
+    src = _Source(source, line, col, tokens)
     new = tuple.__new__  # builds a Node without a Python-level __init__
     top: list[Node] = []
-    open_lists: list[tuple[int, int, list[Node]]] = []
     items = top
-    line_start = 1 - col  # source offset that sits in column 1 of `line`
-    for m in _TOKEN.finditer(source):
-        text = m.group()
+    outer: list[list[Node]] = []  # the item lists of the open lists' parents
+    starts: list[int] = []        # the open lists' first tokens
+    for k, text in enumerate(tokens):
         if text == "(":
+            outer.append(items)
+            starts.append(k)
             items = []
-            open_lists.append((line, m.start() - line_start + 1, items))
         elif text == ")":
-            if not open_lists:
-                raise ParseError("unexpected )", line, m.start() - line_start + 1)
-            start_line, start_col, done = open_lists.pop()
-            items = open_lists[-1][2] if open_lists else top
-            items.append(new(Node, (None, tuple(done), start_line, start_col)))
-        elif text == "\n":
-            line += 1
-            line_start = m.end()
+            if not starts:
+                raise ParseError("unexpected )", *src.position(k))
+            done = items
+            items = outer.pop()
+            items.append(new(Node, (None, tuple(done), starts.pop(), src)))
         elif text[0] != ";":
-            items.append(new(Node, (text, None, line, m.start() - line_start + 1)))
-    if open_lists:
-        start_line, start_col, _ = open_lists[-1]
-        raise ParseError("missing )", start_line, start_col)
+            items.append(new(Node, (text, None, k, src)))
+    if starts:
+        raise ParseError("missing )", *src.position(starts[-1]))
     return top
 
 
@@ -126,11 +165,11 @@ def _str_name(node: Node) -> str:
 
 class _Binders:
     """Allocates parse-wide unique binder names, left to right.  A renamed
-    binder also avoids every name in the source, which is read at the first
+    binder also avoids every token of the source, collected at the first
     collision: a fresh name is an identifier, and no other token is."""
 
-    def __init__(self, source: str):
-        self.source = source
+    def __init__(self, tokens: list[str]):
+        self.tokens = tokens
         self.reserved: set[str] | None = None
         self.taken: set[str] = set()
 
@@ -139,7 +178,7 @@ class _Binders:
             self.taken.add(name)
             return name
         if self.reserved is None:
-            self.reserved = set(_TOKEN.findall(self.source))
+            self.reserved = set(self.tokens)
         k = 2
         while f"{name}_{k}" in self.taken or f"{name}_{k}" in self.reserved:
             k += 1
@@ -294,7 +333,8 @@ def _parse_formula(node: Node, env: dict[str, str], binders: _Binders,
 
 def parse_formula(source: str) -> Formula:
     """Parse one formula; see the module docstring for the grammar."""
-    return _parse_formula(read_one(source), {}, _Binders(source))
+    node = read_one(source)
+    return _parse_formula(node, {}, _Binders(node.source.tokens))
 
 
 # --- printing ---

@@ -48,6 +48,12 @@ def test_parse_positions():
     with pytest.raises(ParseError) as e:
         sexpr.parse_formula("(and (leq 0 1)\n  (leq 0 ()))")
     assert e.value.line == 2
+    # a comment's parentheses are not tokens, \r is not a line end and a
+    # tab is one column
+    text = "; a (comment) with ( and )\r\n(and (leq 0 1)\t; ) (\r\n\t (frob 0 1))\r\n"
+    with pytest.raises(ParseError) as e:
+        sexpr.parse_formula(text)
+    assert str(e.value) == "3:4: unknown formula operator frob"
 
 
 def read_prop(text: str):
@@ -171,7 +177,9 @@ def _read_outcome(read, source, line, col):
     return out
 
 
-_PIECES = st.sampled_from(["(", ")", ";", "\n", "\r", "\t", " ", "a", "X", "1", "x_2"])
+# \x0b and \x0c are atom characters to the reader, though str.split splits on them
+_PIECES = st.sampled_from(["(", ")", ";", "\n", "\r", "\t", " ", "\x0b", "\x0c",
+                           "a", "X", "1", "x_2"])
 _SOURCES = st.lists(_PIECES, max_size=40).map("".join)
 
 
@@ -194,6 +202,24 @@ def test_read_all_matches_the_reference_reader(source, line, col):
     caps list nesting, so the cases past MAX_DEPTH read alike too."""
     assert _read_outcome(sexpr.read_all, source, line, col) == \
         _read_outcome(ref_read_all, source, line, col)
+
+
+def test_positions_are_found_only_for_an_error(monkeypatch):
+    """Parsing a printed formula computes no token position; a malformed
+    text builds its table of token starts once, for the error it raises."""
+    tables = []
+    token_starts = sexpr._token_starts
+    monkeypatch.setattr(sexpr, "_token_starts",
+                        lambda text: tables.append(1) or token_starts(text))
+    bounds = NepoBounds(c=1, eps=Fraction(1, 3), k=2, m=64)
+    text = sexpr.print_formula(compile_acceptance_sigma0(corpus_machine("scan1"), bounds))
+    sexpr.parse_formula(text)
+    assert tables == []
+    at = text.rfind("(in ")
+    with pytest.raises(ParseError) as e:
+        sexpr.parse_formula(text[:at] + "(on " + text[at + 4:])
+    assert str(e.value) == "1:3597: unknown formula operator on"
+    assert len(tables) == 1
 
 
 def test_parse_seq_terms():
