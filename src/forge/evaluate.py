@@ -10,19 +10,22 @@ its largest element, membership beyond the text is false, and equality
 ignores trailing zeros.
 
 One evaluator.  A formula runs as nested closures (Feeley and Lapalme,
-"Using closures for code generation", 1987): closed subterms fold to
-numbers, variable sorts are checked when a node compiles, and And/Or chains
-run as loops.  A node compiles the first time evaluation reaches it: a
-connective or quantifier closure keeps its child formulas and compiles them
-on its first run (an And/Or chain, each part when its loop first gets
-there), and an atom compiles its terms when the atom compiles.
-A node evaluation must reject (a name of the wrong sort or not a str, a
-node of unknown type) compiles to a closure that raises when it is reached,
+"Using closures for code generation", 1987) down to its atoms, and each
+atom runs as one function generated as Python source from its whole term
+tree: closed subterms fold to numbers, variable sorts are checked when a
+node compiles, and And/Or chains run as loops.  A node compiles the first
+time evaluation reaches it: a connective or quantifier closure keeps its
+child formulas and compiles them on its first run (an And/Or chain, each
+part when its loop first gets there), and an atom compiles its terms when
+the atom compiles.  A node evaluation must reject (a name of the wrong sort
+or not a str, a node of unknown type) compiles to a closure that raises
+when it is reached, called from the generated function when it is a term,
 so an error shows where, and only where, evaluation reaches it.  A read of
 a name the assignment does not bind raises KeyError there, and _Compiler.run
 turns it into UnboundVariableError.  A KeyError a role callback raises comes
 out the same way.  A subformula or term shared by several parents compiles
-once per compile.
+once per compile; a shared term's text is written into each parent's
+function.
 
 eval_formula is the one place compiles are kept: those of the last _KEPT
 formulas it evaluated, for the whole process, matched by identity, the
@@ -40,7 +43,8 @@ closure keeps every node it may still compile alive: the memo's keys name
 nodes that were alive, beside every node still to compile, when the compile
 began, so no node still to compile can share an id with a key.
 eval_formula holds each formula it keeps the compile of, so no later
-formula can take its id.  Sums and products are memoized by structure as
+formula can take its id.  An atom compiles its whole term tree at once, so
+no term waits to compile.  Sums and products are memoized by structure as
 well (see "compiled terms" below).
 
 Certificate roles: evaluation optionally takes a map from variable names to
@@ -64,6 +68,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from itertools import chain, islice, takewhile
+from types import FunctionType
 from typing import Callable
 
 from . import codec
@@ -125,13 +130,15 @@ def eval_formula(f: Formula, s: FiniteSlice, env: Assignment | None = None,
 # --- the compiler ---
 #
 # A compiled formula is a closure (r) -> bool, r the _Compiler that runs it,
-# which carries the run's assignment, slice and roles.  Variable reads index
-# the assignment's dicts directly and let the KeyError of an unbound name
+# which carries the run's assignment, slice and roles; an atom's is a
+# generated function (see "compiled terms").  Variable reads index the
+# assignment's dicts directly and let the KeyError of an unbound name
 # propagate; only _Compiler.run turns it into UnboundVariableError.  Closures
 # never hold the compiler: each run hands it to the root, and through it to
 # the first run of a closure whose children still wait to compile, so a
 # compile and its closures form no cycle and go as soon as eval_formula's
-# table drops them.
+# table drops them.  A grid reader holds the compiler's table of codes, not
+# the compiler.
 
 
 def _error(kind: type[Exception], message: str):
@@ -178,16 +185,16 @@ class _Compiler:
     closures keep alive every node they may still compile; see the module
     docstring), and for Plus and Times also by structure: keyed by the node's
     type and its compiled operands, so equal sums and products share one
-    closure.
+    fragment.
 
     term compiles a whole term in one frame per level; formula compiles one
     node in one frame, its child formulas waiting for the node's first run.
-    Leaf terms compile to a constant or a name and skip the memo.  lengths
-    maps each compiled length term to the string names it reads.  A run
-    takes one frame per formula level, And and Or chains running as loops.
-    codes is the table of decoded sequence codes that SeqAt reads through,
-    and verdicts the table of verdicts that number binders memoize; each
-    run starts both empty.  run puts what the closures read besides the
+    Leaf terms compile to a constant or a name's read and skip the memo.
+    lengths maps each compiled length term to the string names it reads.  A
+    run takes one frame per formula level, And and Or chains running as
+    loops.  codes is the table of decoded sequence codes that SeqAt reads
+    through read, and verdicts the table of verdicts that number binders
+    memoize; each run starts both empty.  run puts what the closures read besides the
     formula's structure (the assignment, its dicts, the slice and the roles)
     on the compiler, and drops it when the run ends, so a kept compile holds
     none of it after its last call.  A length term keeps the last strings it
@@ -195,14 +202,15 @@ class _Compiler:
     values, but never the assignment, its dicts or the roles.
     """
 
-    __slots__ = ("terms", "lengths", "formulas", "codes", "verdicts", "root",
+    __slots__ = ("terms", "lengths", "formulas", "codes", "read", "verdicts", "root",
                  "nums", "strs", "env", "slice", "roles")
 
     def __init__(self, f: Formula):
         self.terms: dict[int | tuple, object] = {}
-        self.lengths: dict[Callable, tuple[str, ...]] = {}  # length term -> names it reads
+        self.lengths: dict[_Frag, tuple[str, ...]] = {}  # length term -> names it reads
         self.formulas: dict[int, Callable[[_Compiler], bool]] = {}
         self.codes: dict[int, bytes | tuple[int, ...]] = {}
+        self.read = _reader(self.codes)
         self.verdicts: dict[tuple, bool] = {}
         self.root = self.formula(f)
 
@@ -221,9 +229,11 @@ class _Compiler:
             self.nums = self.strs = self.env = self.slice = self.roles = None
 
     def term(self, t: NumTerm):
+        """t as a constant or a fragment (see "compiled terms")."""
         tt = type(t)
         if tt is NVar:
-            return _name(t.name, True)
+            name = _name(t.name, True)
+            return _call(name) if callable(name) else _num(name)
         if tt is Const:
             return t.value
         out = self.terms.get(id(t))
@@ -233,31 +243,49 @@ class _Compiler:
             key = tt, self.term(t.left), self.term(t.right)
             out = self.terms.get(key)
             if out is None:
-                out = (_plus if tt is Plus else _times)(*key[1:])
-                reads = [() if _is_const(a) else self.lengths.get(a) for a in key[1:]]
-                if None not in reads and callable(out):  # a length term
-                    out = self.length_term(tuple(dict.fromkeys(reads[0] + reads[1])), out)
+                a, b = key[1:]
+                if _is_const(a) and _is_const(b):
+                    out = a + b if tt is Plus else a * b
+                else:
+                    out = _join(a, " + " if tt is Plus else " * ", b)
+                    reads = [() if _is_const(x) else self.lengths.get(x)
+                             for x in (a, b)] if self.lengths else [None]
+                    if None not in reads:  # a length term
+                        out = self.length_term(tuple(dict.fromkeys(reads[0] + reads[1])),
+                                               _function(out))
                 self.terms[key] = out
         elif tt is Len:
             svar = _name(t.svar, False)
-            out = svar if callable(svar) else self.length_term((svar,), _len(svar))
+            out = _call(svar) if callable(svar) else self.length_term((svar,), _len(svar))
         elif tt is SeqAt:
-            seq, index = self.term(t.seq), _affine(t.index)
-            if type(seq) is str and index is not None:
-                out = _seq_read(seq, *index, self.codes)
+            seq, index = self.term(t.seq), None
+            if type(t.seq) is NVar and _affine(t.seq) is not None:  # a well-sorted name
+                index = _affine(t.index)
+            if index is not None and len(index[1]) < _DEPTH_CAP // 2:  # a grid read
+                index = _affine_text(*index)
             else:
-                out = _seq_at(seq, self.term(t.index), self.codes)
+                index = self.term(t.index)
+            if _is_const(seq) and _is_const(index):
+                out = codec.field_at(codec.seq_fields(seq), index)
+            else:
+                out = _called(self.read, _inline(seq), _inline(index))
         elif tt is SeqLen:
-            out = _seq_len(self.term(t.seq))
+            seq = self.term(t.seq)
+            out = codec.seq_len(seq) if _is_const(seq) else _called(codec.seq_len, _inline(seq))
         else:
-            out = _error(TypeError, f"not a term: {t!r}")
+            out = _call(_error(TypeError, f"not a term: {t!r}"))
         self.terms[id(t)] = out
         return out
 
-    def length_term(self, names: tuple[str, ...], compute):
-        """compute, a closure reading only the lengths of names, as one that
-        keeps its last value (see "compiled terms"), noted in self.lengths."""
-        out = _kept_length(names, compute)
+    def number(self, t: NumTerm) -> Callable:
+        """t compiled to one function (nums, strs) -> its value."""
+        return _function(self.term(t))
+
+    def length_term(self, names: tuple[str, ...], compute) -> _Frag:
+        """compute, a function reading only the lengths of names, as a call
+        of one that keeps its last value (see "compiled terms"), noted in
+        self.lengths."""
+        out = _call(_kept_length(names, compute))
         self.lengths[out] = names
         return out
 
@@ -285,11 +313,11 @@ class _Compiler:
         elif tf is Imp:
             out = _imp(f.left, f.right)
         elif tf is AlN and (limit := _limit(f)) is not None:
-            out = _quant(False, False, f.var, self.term(f.bound), f.body, self.term(limit),
+            out = _quant(False, False, f.var, self.number(f.bound), f.body, self.number(limit),
                          self.scan(f))
         elif tf is ExN or tf is AlN or tf is ExS or tf is AlS:
             out = _quant(tf is ExN or tf is ExS, tf is ExS or tf is AlS, f.var,
-                         self.term(f.bound), f.body, scan=self.scan(f) if tf is ExN else None)
+                         self.number(f.bound), f.body, scan=self.scan(f) if tf is ExN else None)
         else:
             out = _error(TypeError, f"not a formula: {f!r}")
         self.formulas[id(f)] = out
@@ -306,9 +334,9 @@ class _Compiler:
         if shape is None:
             return None
         low, t, svar, one, limit, first = shape
-        var, index = f.var, self.term(t)
+        var, index = f.var, self.number(t)
         if limit is not None:
-            limit = self.term(limit)
+            limit = self.number(limit)
 
         def narrow(r, values):
             values = values[low:]
@@ -316,40 +344,61 @@ class _Compiler:
                 return values
             s = r.strs[svar]  # read before the index, as the Memb reads them
             v = r.nums[var] = values.start
-            out = _positions(s, _value(index, r.nums, r.strs) - v, values, one)
+            out = _positions(s, index(r.nums, r.strs) - v, values, one)
             if limit is None or (v := next(out, None)) is None:
                 return islice(out, 1) if first else out
             # L is read at the first value kept, as the body reads it
-            return takewhile(_value(limit, r.nums, r.strs).__gt__, chain((v,), out))
+            return takewhile(limit(r.nums, r.strs).__gt__, chain((v,), out))
         return narrow
 
 
 # --- compiled terms ---
 #
-# A compiled term is a folded constant, a str (the name of a number variable,
-# read straight from nums by its parent) or a closure (nums, strs) -> int.
-# Plus gets one closure per operand shape, holding just its two operands:
-# on the proof-check formula of the reflect benchmark that takes 7% less
-# memory to compile than one closure reading both operands through _value.
-# Times gets one for each shape that one seed-1 block of every benchmark
-# workload compiled: closure times closure (61 times), closure times
-# constant (785), name times closure (1523) and name times constant (145).
-# A closure or a name times a name never occurred there, and shares one
-# closure that reads its left operand through _value.  Constants are natural
-# numbers, on which every term operation is total, so folding never raises,
-# and a constant operand may be read after the other.
+# A compiled term is a folded constant or a fragment (_Frag): the text of a
+# Python expression over nums and strs, the run's number and string dicts,
+# with each NUL in it standing for the next of its operands, and its
+# nesting depth.  A constant is written as its literal when it is an int of
+# at most _INT_BITS bits and is an operand otherwise, so the text never
+# holds a wide literal (which int's str conversion limit can refuse) or a
+# value that is not an exact int; a number name is written nums['name'],
+# the repr of an exact str; a sum, a product or a read writes its parts in
+# the tree's order, so Python reads them left to right as the tree does.
+# Anything else is an operand call, _0(nums, strs): a length term's closure
+# (below) and an ill-sorted name's or an unknown node's _error, which raises
+# where it is read.  No other data enters the text, so a name holding
+# quotes, backslashes or code stays a string key.  A part deeper than
+# _DEPTH_CAP or longer than _TEXT_CAP (a term tree sharing subterms can
+# double its text at each level) is an operand call of its own function
+# instead, which keeps every text within what Python parses.  Constants
+# are natural numbers, on which every term operation is total, so folding
+# never raises, and a constant operand may be read anywhere.
+#
+# Each atom (EqNum, Leq, Memb) becomes one function of the run from its
+# whole term tree, and each binder's bound and limit and each scan's index
+# one function (nums, strs) (_function), or the closure itself when
+# the term is one operand call.  _generate writes the function's source,
+# naming the operands _0, _1, ... in order, compiles it once per process
+# into a function kept in _generated, keyed by the source and cleared when
+# it reaches _TABLE_CAP, and binds the operands as the defaults of those
+# names with FunctionType; a function without operands is shared as it is.
+# On the proof-check formula of the reflect benchmark an atom reads bits at
+# positions such as nf + nf*ns*6, which took 3 to 8 nested closures before;
+# one function per atom took reflect from a median 386.5 to 547.9 ops/s
+# (p90 5.30 to 3.35 ms) over 10 perfbench pairs on a 2-vCPU host, certify
+# from 117.9 to 141.0 and witness from 1,880 to 2,367 over 5, at the cost
+# of compiling each source once per process.
 #
 # Plus and Times are also memoized by structure, keyed by (type, compiled
-# left, compiled right): names and constants compare by value and closures
-# by identity, so two equal sums compile to one closure, which reads what
-# each would read in the same order.  An ill-sorted name compiles to a fresh
-# _error closure each time, so no term over one is shared.  One seed-1 pass
-# of the reflect benchmark compiles 8,467 identity-distinct compound terms
-# but only 833 distinct structures (815 sums, 16 products, 2 Len).  Since
-# eval_formula keeps its compile across the pass, that compile ends up
-# holding the union of what every op reached: 5.0 MB under tracemalloc with
-# identity memos alone, 2.9 MB with this one, against a 3.1 MB peak when
-# every call compiled afresh.
+# left, compiled right): constants compare by value and fragments by text
+# and operands, so two equal sums compile to one fragment, which reads what
+# each would read in the same order.  An ill-sorted name compiles to a
+# fresh _error closure each time, so no term over one is shared.  One
+# seed-1 pass of the reflect benchmark compiles 8,467 identity-distinct
+# compound terms but only 833 distinct structures (815 sums, 16 products,
+# 2 Len).  Since eval_formula keeps its compile across the pass, that
+# compile ends up holding the union of what every op reached: 2.4 MB under
+# tracemalloc (2.9 MB when terms were closures), beside 1.6 MB in
+# _generated for the pass's 882 distinct sources.
 #
 # A length term, a Len or a Plus or Times whose operands are constants or
 # length terms, reads only the lengths of its string names, so its value
@@ -372,75 +421,146 @@ class _Compiler:
 # went from a median 1,354 to 1,949 ops/s over 10 perfbench pairs on a
 # 2-vCPU host.  A term of one name, as all of acc's are, gets a closure of
 # its own: reading every term's names as a tuple took that warm pass from
-# 0.18 s to 0.35 s, slower than the 0.27 s of computing each time.
+# 0.18 s to 0.35 s, slower than the 0.27 s of computing each time.  Its
+# parent's text calls the closure as an operand.
 #
-# SeqAt reads codes through the compiler's table of decoded codes
+# SeqAt is a call of the compile's reader (_reader) with the code and the
+# index, which reads through the compiler's table of decoded codes
 # (codec.seq_fields, the one decoder of codes: the low 5 bits give the field
 # width, the fields sit under a sentinel top bit, and a read past the last
 # gives 0), keyed by the code's value, so each code decodes once per run.
 # A certify run reads its 2 to 8 distinct codes about 8.8K times (16K before
-# sweeps over role variables memoized their verdicts).  The table
-# is emptied at the start of each run, so it holds only the current run's
+# sweeps over role variables memoized their verdicts).  The table is
+# emptied at the start of each run, so it holds only the current run's
 # codes, and when it reaches _TABLE_CAP of them, which bounds a sweep over
 # codes.  SeqLen never decodes: codec.seq_len gives the element count from
-# the header arithmetic alone, and touches no table.  Constant operands fold
-# through seq_fields and seq_len.
+# the header arithmetic alone, and touches no table.  Constant operands
+# fold through seq_fields and seq_len.
 #
 # A grid read, SeqAt of a number variable at an index that folds to
 # c0 + k1*v1 + k2*v2 + ... over number variables (every read nepo emits),
-# compiles to one closure that reads the variables in the order the
-# Plus/Times closures would, so the first unbound name it reports is
-# theirs; with nepo's width-1 encoder the table took certify from a median
+# writes its index in that form (_affine_text), reading the variables in
+# the order the tree would, so the first unbound name it reports is the
+# tree's; with nepo's width-1 encoder the table took certify from a median
 # 16.0 to 27.3 ops/s over 10 perfbench pairs on a 2-vCPU host.  Any other
-# SeqAt reads its code, then its index, and only then decodes.
+# SeqAt writes its index as it is.  Either reads its code, then its index,
+# and only then decodes.
+
+
+class _Frag(tuple):
+    """A compiled term that is not a constant: (text, operands, depth)."""
+
+    __slots__ = ()
+
+
+_TABLE_CAP = 4096  # entries per table
+_INT_BITS = 64  # widest int constant written as a literal
+_DEPTH_CAP = 32  # deepest fragment written into another
+_TEXT_CAP = 2048  # longest fragment written into another
+_generated: dict[str, FunctionType] = {}  # source -> its function, without operands
 
 
 def _is_const(a) -> bool:
-    return type(a) is not str and not callable(a)
+    return type(a) is not _Frag
 
 
-def _value(a, nums, strs):
-    if type(a) is str:
-        return nums[a]
-    return a(nums, strs) if callable(a) else a
+def _leaf(value) -> _Frag:
+    """The constant value as a fragment."""
+    if type(value) is int and value.bit_length() <= _INT_BITS:
+        return _Frag((repr(value), (), 0))
+    return _Frag(("\0", (value,), 0))
 
 
-def _plus(a, b):
+def _num(name: str) -> _Frag:
+    """A read of the number variable name, an exact str, as a fragment."""
+    return _Frag((f"nums[{name!r}]", (), 0))
+
+
+_CALL = "\0(nums, strs)"  # the text of a call of a closure (nums, strs) -> int
+
+
+def _call(fn) -> _Frag:
+    """A call of fn, a closure (nums, strs) -> int, as a fragment."""
+    return _Frag((_CALL, (fn,), 0))
+
+
+def _called(fn, *args: _Frag) -> _Frag:
+    """A call of the operand fn on the fragments args, as a fragment."""
+    return _Frag(("\0(" + ", ".join(a[0] for a in args) + ")",
+                  (fn,) + sum((a[1] for a in args), ()), max(a[2] for a in args) + 1))
+
+
+def _join(a, sep: str, b) -> _Frag:
+    """a and b, compiled terms, inlined and written in order with sep
+    between them, within parentheses."""
+    a, b = _inline(a), _inline(b)
+    return _Frag(("(" + a[0] + sep + b[0] + ")", a[1] + b[1], max(a[2], b[2]) + 1))
+
+
+def _inline(a) -> _Frag:
+    """The compiled term a as a fragment to write into a larger one: a call
+    of its function when it is too deep or too long to write."""
+    if type(a) is not _Frag:
+        return _leaf(a)
+    if a[2] < _DEPTH_CAP and len(a[0]) < _TEXT_CAP:
+        return a
+    return _call(_function(a))
+
+
+def _function(a) -> Callable:
+    """The compiled term a as one function (nums, strs) -> its value: the
+    closure itself when a is a call of one."""
     if _is_const(a):
-        if _is_const(b):
-            return a + b
-        a, b = b, a  # a constant neither raises nor reads, so it may go last
-    if callable(a):
-        if callable(b):
-            return lambda nums, strs: a(nums, strs) + b(nums, strs)
-        if type(b) is str:
-            return lambda nums, strs: a(nums, strs) + nums[b]
-        return lambda nums, strs: a(nums, strs) + b
-    if callable(b):
-        return lambda nums, strs: nums[a] + b(nums, strs)
-    if type(b) is str:
-        return lambda nums, strs: nums[a] + nums[b]
-    return lambda nums, strs: nums[a] + b
+        a = _leaf(a)
+    elif a[0] == _CALL:
+        return a[1][0]
+    return _generate("_term(nums, strs", a, " return ")
 
 
-def _times(a, b):
-    if _is_const(a):
-        if _is_const(b):
-            return a * b
-        a, b = b, a  # as in _plus
-    if callable(a):
-        if callable(b):
-            return lambda nums, strs: a(nums, strs) * b(nums, strs)
-        if _is_const(b):
-            return lambda nums, strs: a(nums, strs) * b
-    elif callable(b):
-        return lambda nums, strs: nums[a] * b(nums, strs)
-    elif _is_const(b):
-        return lambda nums, strs: nums[a] * b
-    return lambda nums, strs: _value(a, nums, strs) * nums[b]
+def _affine_text(c0: int, coeffs: dict[str, int]) -> _Frag:
+    """c0 + sum of k * name over coeffs, written as a sum in coeffs' order,
+    without a 0 constant or a factor of 1."""
+    parts = [] if coeffs and type(c0) is int and c0 == 0 else [_leaf(c0)]
+    for name, k in coeffs.items():
+        if type(k) is int and k == 1:
+            parts.append(_num(name))
+        else:
+            k = _leaf(k)
+            parts.append(_Frag((k[0] + " * " + _num(name)[0], k[1], 0)))
+    return _Frag((" + ".join(a[0] for a in parts), sum((a[1] for a in parts), ()),
+                  len(parts)))
 
 
-_TABLE_CAP = 4096  # codes per table
+def _generate(head: str, frag: _Frag, before: str, after: str = ""):
+    """The function def head, its parameters then _0, _1, ... for frag's
+    operands, whose body is before, frag's text and after.  Each distinct
+    source compiles once per process, into _generated; the operands become
+    the defaults of those names, and a function without operands is shared
+    by every compile that writes its source."""
+    text, operands, _ = frag
+    body = before + text + after
+    if operands:
+        pieces = body.split("\0")
+        body = pieces[0] + "".join(f"_{i}{piece}" for i, piece in enumerate(pieces[1:]))
+        head += "".join(f", _{i}" for i in range(len(operands)))
+    source = f"def {head}):\n{body}\n"
+    out = _generated.get(source)
+    if out is None:
+        if len(_generated) >= _TABLE_CAP:
+            _generated.clear()
+        code = compile(source, "<forge>", "exec").co_consts[0]
+        out = _generated[source] = FunctionType(code, _SCOPE)
+    return FunctionType(out.__code__, _SCOPE, None, operands) if operands else out
+
+
+_SCOPE = {"__builtins__": {}, "len": len}  # the one global a generated function reads
+
+
+def _atom(name: str, frag: _Frag, before: str, after: str = ""):
+    """A formula closure (r) -> bool made by _generate, which loads the
+    run's nums and strs first when the rest of its body names them."""
+    loads = "".join(f" {d} = r.{d}\n" for d in ("nums", "strs") if d in before or d in frag[0])
+    return _generate(name + "(r", frag, loads + before, after)
 
 
 def _affine(t) -> tuple[int, dict[str, int]] | None:
@@ -480,37 +600,14 @@ def _fields(codes: dict, code: int) -> bytes | tuple[int, ...]:
     return row
 
 
-def _seq_read(seq: str, c0: int, coeffs: dict[str, int], codes: dict):
-    """SeqAt(seq, c0 + sum of k * name over coeffs) as one closure over the
-    decoded-code table codes."""
-    names = tuple(coeffs.items())
-
-    def read(nums, strs):
-        code = nums[seq]
-        j = c0
-        for v, k in names:
-            j += k * nums[v]
+def _reader(codes: dict):
+    """SeqAt of a code at an index, through the decoded-code table codes."""
+    def read(code, j):
         row = codes.get(code)
         if row is None:
             row = _fields(codes, code)
         return row[j] if 0 <= j < len(row) else codec.field_at(row, j)
     return read
-
-
-def _seq_at(seq, index, codes: dict):
-    if _is_const(seq) and _is_const(index):
-        return codec.field_at(codec.seq_fields(seq), index)
-
-    def read(nums, strs):
-        code, j = _value(seq, nums, strs), _value(index, nums, strs)
-        return codec.field_at(_fields(codes, code), j)
-    return read
-
-
-def _seq_len(seq):
-    if _is_const(seq):
-        return codec.seq_len(seq)
-    return lambda nums, strs: codec.seq_len(_value(seq, nums, strs))
 
 
 def _len(svar: str):
@@ -574,9 +671,9 @@ def _kept_length(names: tuple[str, ...], compute):
 # is part of the key and raises only where the body reaches it.  The key
 # holds no closure of the binder's own, so the compile still forms no
 # cycle.  A binder first run without roles never memoizes.  Role binders
-# alone, with nepo's certificate memo and the EqNum/Leq closures below,
-# took certify from a median 32.3 to 60.8 ops/s over 10 perfbench pairs on
-# a 2-vCPU host.  Sweeps took one seed-1 certify pass (108 runs) from 6,640
+# alone, with nepo's certificate memo and one EqNum/Leq closure per operand
+# shape, took certify from a median 32.3 to 60.8 ops/s over 10 perfbench
+# pairs on a 2-vCPU host.  Sweeps took one seed-1 certify pass (108 runs) from 6,640
 # level-0 clause settlements to 2,785 and from 1.77M grid reads to 0.95M,
 # and certify from a median 59.4 to 102.5 ops/s over 10 pairs.
 #
@@ -669,58 +766,27 @@ def _kept_length(names: tuple[str, ...], compute):
 # and b (19K) fit no shape: e's chain opens with Leq(e, nf), b's B is an
 # iff.  acc's and nepo's formulas have no bit literal to scan.
 #
-# EqNum and Leq get one closure per operand shape that evaluation meets
-# often.  Over one seed-1 pass, certify's comparisons are 77% closure
-# against constant, 16% closure against closure and 6.5% name against name;
-# reflect's are 72% closure against name, 17% closure against closure, 5.5%
-# name against constant and 4% closure against constant.  A name against a
-# name or a closure (0.2% of reflect's) reads its right operand through
-# _value: that left certify and reflect unchanged over 8 perfbench pairs
-# each, while also routing name against constant there lost reflect all 8
-# (median 20.60 to 20.46 ops/s).
-#
-# Memb gets one closure per index shape (closure, name, constant), each
-# reading the string before the index and testing the bit inline, with no
-# _value or codec.bit_at call: it is the reflect formula's most frequent
-# atom, 1.35M runs over one seed-1 pass of the benchmark's 100 ops before
-# bit literals scan, 45K after.
+# EqNum and Leq generate one function that loads the run's dicts and
+# compares the two terms' texts, the left one first; two constants fold to
+# _true or _false.  Memb generates one function that reads the string, then
+# its index, and tests the bit inline as codec.bit_at does: it is the
+# reflect formula's most frequent atom, 1.35M runs over one seed-1 pass of
+# the benchmark's 100 ops before bit literals scan, 45K after.
 
 
 def _compare(leq: bool, a, b) -> Callable[[_Compiler], bool]:
-    """EqNum, or Leq when leq, over two compiled terms, reading the left
-    operand first."""
+    """EqNum, or Leq when leq, over two compiled terms: one function,
+    reading the left operand first."""
     if _is_const(a) and _is_const(b):
         return _true if (a <= b if leq else a == b) else _false
-    test = operator.le if leq else operator.eq
-    if _is_const(a):  # as in _plus, with the test turned round
-        a, b, test = b, a, operator.ge if leq else operator.eq
-    if callable(a):
-        if callable(b):
-            return lambda r: test(a(r.nums, r.strs), b(r.nums, r.strs))
-        if type(b) is str:
-            return lambda r: test(a(r.nums, r.strs), r.nums[b])
-        return lambda r: test(a(r.nums, r.strs), b)
-    if _is_const(b):
-        return lambda r: test(r.nums[a], b)
-    return lambda r: test(r.nums[a], _value(b, r.nums, r.strs))
+    return _atom("_compare", _join(a, " <= " if leq else " == ", b), " return ")
 
 
 def _memb(svar: str, index) -> Callable[[_Compiler], bool]:
-    """codec.bit_at of the string named svar at a compiled index, one closure
-    per index shape, reading the string first."""
-    if callable(index):
-        def run(r):
-            s, i = r.strs[svar], index(r.nums, r.strs)
-            return 0 <= i < len(s) and s[i] == "1"
-    elif type(index) is str:
-        def run(r):
-            s, i = r.strs[svar], r.nums[index]
-            return 0 <= i < len(s) and s[i] == "1"
-    else:
-        def run(r):
-            s = r.strs[svar]
-            return 0 <= index < len(s) and s[index] == "1"
-    return run
+    """codec.bit_at of the string named svar at a compiled index: one
+    function, reading the string first."""
+    return _atom("_memb", _inline(index), f" s = strs[{svar!r}]\n i = ",
+                 "\n return 0 <= i < len(s) and s[i] == '1'")
 
 
 def _eq_str(left, right) -> Callable[[_Compiler], bool]:
@@ -794,7 +860,7 @@ def _quant(exists: bool, strings: bool, var: str, bound, body,
             names = None if strings or not r.roles else _memo_names(body, var, exists, r.roles)
             body = r.formula(body)
             memo = names
-        b = _value(bound, r.nums, r.strs)
+        b = bound(r.nums, r.strs)
         if b > r.slice.num_bound:
             raise SliceExceededError(
                 f"quantifier bound {b} exceeds num_bound {r.slice.num_bound}")
@@ -806,7 +872,7 @@ def _quant(exists: bool, strings: bool, var: str, bound, body,
         else:
             env, values = r.nums, range(b + 1)
             if limit is not None and b >= 0:
-                values = range(min(b + 1, _value(limit, env, r.strs)))
+                values = range(min(b + 1, limit(env, r.strs)))
         if memo is not None:
             key = (body, exists, var, b, tuple(map(r.nums.get, memo[0])),
                    tuple(map(r.strs.get, memo[1])))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import (BudgetError, ClassError, ParseError, SliceExceededError,
                      UnboundVariableError)
-from .evaluate import Assignment, _Compiler, _compare, _name, _value
+from .evaluate import Assignment, _Compiler, _compare, _name
 from .formulas import (AlN, And, EqNum, EqStr, ExN, Formula, Imp, Leq, Memb, Not,
                        classify)
 from .sexpr import Node
@@ -160,15 +160,15 @@ class _Image(_Compiler):
             test = _compare(k is Leq, self.term(f.left), self.term(f.right))
             out = lambda r, test=test: _BITS[test(r)]
         elif k is Memb:  # defaults bind, so that no call makes a cell for f
-            index = self.term(f.index)
-            out = lambda r, s=f.svar, i=index: _bit(s, _length(s, r.strs), _value(i, r.nums, r.strs))
+            index = self.number(f.index)
+            out = lambda r, s=f.svar, i=index: _bit(s, _length(s, r.strs), i(r.nums, r.strs))
         elif k is EqStr:
             out = lambda r, a=f.left, b=f.right: _eq_str(a, b, r.strs)
         elif k is Not:
             body = self.formula(f.body)
             out = lambda r, body=body: pnot(body(r))
         elif k is ExN or k is AlN:
-            out = _sweep(k is ExN, f.var, self.term(f.bound), self.formula(f.body))
+            out = _sweep(k is ExN, f.var, self.number(f.bound), self.formula(f.body))
         else:  # And, Or or Imp: classify has rejected every other node
             out = _connective(k, self.formula(f.left), self.formula(f.right))
         self.formulas[id(f)] = out
@@ -212,7 +212,7 @@ def _sweep(exists: bool, var: str, bound, body):
     join, stop = (por, _BITS[1]) if exists else (pand, _BITS[0])
 
     def run(r):
-        b = _value(bound, r.nums, r.strs)
+        b = bound(r.nums, r.strs)
         if b > r.num_bound:
             raise SliceExceededError(
                 f"quantifier bound {b} exceeds expansion cap {r.num_bound}")

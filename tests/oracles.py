@@ -21,6 +21,7 @@ library.
 
 from __future__ import annotations
 
+import ast
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -467,10 +468,96 @@ def _role_value(callback, env: Assignment) -> int:
         raise UnboundVariableError(f"{sort} variable {key} is unbound") from None
 
 
+def generated_source(fn) -> str | None:
+    """The source forge.evaluate generated the function fn from, or None
+    when fn is no such function."""
+    code = getattr(fn, "__code__", None)
+    return next((src for src, g in evaluate._generated.items() if g.__code__ is code), None)
+
+
+def generated_functions(roots) -> list:
+    """Every function forge.evaluate generated that the callables roots
+    reach through closure cells and operands, each once."""
+    seen, stack, out = set(), list(roots), []
+    while stack:
+        fn = stack.pop()
+        if not callable(fn) or id(fn) in seen:
+            continue
+        seen.add(id(fn))
+        if generated_source(fn) is not None:
+            out.append(fn)
+        for cell in getattr(fn, "__closure__", None) or ():
+            try:
+                stack.append(cell.cell_contents)
+            except ValueError:  # an empty cell
+                pass
+        stack += getattr(fn, "__defaults__", None) or ()
+    return out
+
+
+def one_function(fn) -> bool:
+    """Is fn one generated function with every term below it written into
+    its source: none of its operands a generated function too?"""
+    return generated_source(fn) is not None and not any(
+        generated_source(op) for op in fn.__defaults__ or ())
+
+
+def _reads_name(node: ast.AST) -> bool:
+    """Is node nums['name'], a number name read from the run's dict?"""
+    return (type(node) is ast.Subscript and type(node.value) is ast.Name
+            and node.value.id == "nums" and type(node.slice) is ast.Constant
+            and type(node.slice.value) is str)
+
+
+def affine_written(node: ast.AST, operands: dict) -> bool:
+    """Is node c0 + k1 * nums['v1'] + k2 * nums['v2'] + ..., each name once,
+    c0 and each k a constant (a literal or an int operand) that may be
+    left out, or c0 alone?"""
+    def const(g):
+        return (type(g) is ast.Constant and type(g.value) is int) or (
+            type(g) is ast.Name and type(operands.get(g.id)) is int)
+    terms = []
+    while type(node) is ast.BinOp and type(node.op) is ast.Add:
+        terms.append(node.right)
+        node = node.left
+    terms = [node, *reversed(terms)]
+    if const(terms[0]):
+        terms.pop(0)
+        if not terms:
+            return True
+    names = []
+    for g in terms:
+        if type(g) is ast.BinOp and type(g.op) is ast.Mult and const(g.left):
+            g = g.right
+        if not _reads_name(g):
+            return False
+        names.append(g.slice.value)
+    return len(set(names)) == len(names)
+
+
 def grid_read(t: NumTerm) -> bool:
-    """Does t compile to the one-closure read over the decoded-code table?"""
-    out = evaluate._Compiler(EqNum(t, Zero())).term(t)
-    return callable(out) and out.__qualname__.startswith("_seq_read.")
+    """Does t compile, inside the atom (= t 0), to one call of the compile's
+    reader over its table of decoded codes, written into the atom's one
+    generated function, with a name read as its code and its index written
+    out as an affine sum (affine_written)?"""
+    compiler = evaluate._Compiler(EqNum(t, Zero()))
+    return grid_reads(compiler.root, compiler.read) == [True]
+
+
+def grid_reads(fn, reader) -> list[bool]:
+    """For each call of reader that fn, a function forge.evaluate generated,
+    writes, in source order, whether it reads a name as its code and writes
+    its index as an affine sum; [] when fn is not one generated function."""
+    if not one_function(fn):
+        return []
+    code = fn.__code__
+    operands = dict(zip(code.co_varnames[code.co_argcount - len(fn.__defaults__ or ()):
+                                        code.co_argcount], fn.__defaults__ or ()))
+    calls = [g for g in ast.walk(ast.parse(generated_source(fn)))
+             if type(g) is ast.Call and type(g.func) is ast.Name
+             and operands.get(g.func.id) is reader]
+    return [len(g.args) == 2 and _reads_name(g.args[0]) and affine_written(g.args[1], operands)
+            for g in sorted(calls, key=lambda g: (g.lineno, g.col_offset))]
 
 
 def record_compile_roots(monkeypatch) -> list[Formula]:

@@ -1,10 +1,11 @@
 """Finite-slice evaluation: the compiled evaluator against the tree walker."""
 
+import ast
 import dataclasses
 import gc
-import inspect
 import itertools
 import random
+import re
 import sys
 import weakref
 from collections import Counter
@@ -16,8 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 import oracles
-from oracles import (config_to_string, grid_read, read_outcome, role_free_names,
-                     seq_len_total, walk_formula, walk_term)
+from oracles import (config_to_string, grid_read, grid_reads, one_function, read_outcome,
+                     role_free_names, seq_len_total, walk_formula, walk_term)
 from test_formulas import gen_formula, gen_term
 
 from forge import acc, codec, evaluate, machine, nepo, proofs, sexpr
@@ -399,10 +400,11 @@ def test_compiled_folds_and_short_circuits_like_the_walker():
 
 
 def test_comparisons_read_like_the_walker_in_every_operand_shape():
-    """EqNum and Leq compile to one closure per operand shape (constant,
-    name, closure), reading the left operand first, save that a name
-    compared with a name or a closure reads the right one through _value.
-    Times reads its left operand first in every shape too."""
+    """EqNum and Leq over every pair of operand shapes (constant, name, sum,
+    length term, ill-sorted length) read the left operand first, and compile
+    to one generated function with both terms written into it, or to a
+    constant verdict when both fold.  Times reads its left operand first in
+    every shape too."""
     operands = [F.const_term(3), X, F.NVar("u"), F.NVar("v"), F.Plus(X, F.One()),
                 F.Len("w"), F.Len("Y"), F.const_term(4)]
     env = Assignment(nums={"x": 3}, strs={"W": "0110"})
@@ -417,10 +419,8 @@ def test_comparisons_read_like_the_walker_in_every_operand_shape():
                 assert got == read_outcome(lambda: walk_formula(node, S8, env)), node
                 seen[got if type(got) is bool else got[0].__name__] += 1
                 run = evaluate._Compiler(node).root
-                seen_by = inspect.getclosurevars(run)
-                a, b = (seen_by.nonlocals.get(n) for n in "ab")
-                generic = type(a) is str and not evaluate._is_const(b)
-                assert ("_value" in seen_by.globals) == generic, node
+                folds = type(left) is type(right) is F.Const
+                assert run in (evaluate._true, evaluate._false) if folds else one_function(run), node
     assert set(seen) == {True, False, "UnboundVariableError", "SortMismatchError"}
 
 
@@ -978,14 +978,19 @@ def test_a_kept_formula_agrees_with_the_walker_at_every_call(seed, depth, env_se
 
 
 def test_equal_sums_and_products_share_one_closure():
-    compiler = evaluate._Compiler(F.TRUE)
+    """Equal sums and products compile to one fragment.  Every term built
+    here stays alive as long as the compiler, as the identity memo's
+    soundness needs: a node freed while the compiler lives could give its
+    id to a later one."""
+    compiler, built = evaluate._Compiler(F.TRUE), []
     y = F.NVar("y")
     make = [lambda: F.Plus(F.Times(X, y), F.One()), lambda: F.Times(F.Plus(X, y), X),
             lambda: F.Plus(F.Times(F.const_term(3), X), F.Plus(y, F.One()))]
     for build in make:
         a, b = build(), build()
+        built += a, b
         assert a == b and a is not b
-        assert callable(compiler.term(a)) and compiler.term(a) is compiler.term(b)
+        assert not evaluate._is_const(compiler.term(a)) and compiler.term(a) is compiler.term(b)
     # an ill-sorted name compiles to a fresh error closure, which no sum shares
     bad = [F.Plus(F.NVar("Z"), X), F.Plus(F.NVar("Z"), X)]
     assert compiler.term(bad[0]) is not compiler.term(bad[1])
@@ -1014,34 +1019,40 @@ def test_every_node_kind_reaches_the_compiler(monkeypatch):
 
 
 def test_memb_matches_the_walker_on_every_index_shape():
-    """Memb over a constant, a name and a closure index gives the walker's
-    value or error, class and text on indices that are negative, inside or
-    past the string, the empty string, and unbound or ill-sorted names; an
-    unbound string is reported before an unbound index."""
+    """Memb over a constant, a name, a sum, a product and a grid read index
+    gives the walker's value or error, class and text on indices that are
+    negative, inside or past the string, the empty string, and unbound or
+    ill-sorted names; an unbound string is reported before an unbound index.
+    Each compiles to one generated function with its index written in, the
+    grid read with its index as an affine sum."""
     i = F.NVar("i")
     indices = [F.Zero(), F.One(), F.const_term(3), F.const_term(9), i, F.NVar("Z"),
-               F.Plus(i, F.One()), F.Times(i, F.const_term(2)), F.SeqAt(F.NVar("n"), i)]
+               F.Plus(i, F.One()), F.Times(i, F.const_term(2)), F.SeqAt(F.NVar("n"), i),
+               F.SeqAt(F.NVar("n"), F.Times(F.Plus(i, F.One()), F.const_term(2)))]
     shapes = set()
     for index in indices:
         f = F.Memb(index, "X")
-        shapes.add(type(evaluate._Compiler(f).term(index)).__name__)
+        compiler = evaluate._Compiler(f)
+        shapes.add(type(compiler.term(index)).__name__)
+        assert one_function(compiler.root), f
+        assert grid_reads(compiler.root, compiler.read) == ([True] if type(index) is F.SeqAt else [])
         for x in ["", "0", "1", "101", "0110", "111", None]:
             for j in [-3, -1, 0, 1, 2, 3, 5, 9, None]:
                 nums = {} if j is None else {"i": j, "n": encode_seq([1, 0, 1]) if j else -5}
                 env = Assignment(nums, {} if x is None else {"X": x})
                 assert said(lambda: eval_formula(f, S8, env)) \
                     == said(lambda: walk_formula(f, S8, env)), (f, env)
-    assert shapes == {"int", "str", "function"}
+    assert shapes == {"int", "_Frag"}
     assert said(lambda: eval_formula(F.Memb(i, "X"), S8, Assignment())) \
         == (UnboundVariableError, "string variable X is unbound")
 
 
-# --- grid reads: one closure over the run's table of decoded codes ---
+# --- grid reads: one reader call over the run's table of decoded codes ---
 
 
 SEQ, I, J, K = F.NVar("s"), F.NVar("i"), F.NVar("j"), F.NVar("k")
 TWO, THREE = F.const_term(2), F.const_term(3)
-# (term, compiles to the one-closure read)
+# (term, compiles to a grid read: an affine index written into its atom)
 READS = [
     (F.SeqAt(SEQ, F.Plus(F.Times(F.Plus(F.Times(I, TWO), J), THREE), F.One())), True),
     (F.SeqAt(SEQ, F.Times(F.Plus(TWO, I), THREE)), True),
@@ -1107,6 +1118,145 @@ def test_grid_read_table_holds_one_runs_codes(monkeypatch):
     sweep = F.ExN("s", F.const_term(40), F.EqNum(F.SeqAt(SEQ, F.Zero()), TWO))
     assert not eval_formula(sweep, FiniteSlice(40, 0))
     assert 0 < len(evaluate._kept[id(sweep)][1].codes) <= 4
+
+
+# --- generated functions: each atom's whole term tree written into one function ---
+
+
+class EvilStr(str):
+    """A str whose repr is code, which must never reach a generated source."""
+
+    def __repr__(self):
+        return "__import__('os').getpid()"
+
+
+class EvilInt(int):
+    """An int whose repr is code, as EvilStr."""
+
+    def __repr__(self):
+        return "__import__('os').getpid()"
+
+
+HOSTILE_NUMS = ["a'] + __import__('os').getpid() + nums['a", 'b"\\\n', "c\0_0", "d{0}%s\r",
+                "nums", "strs", "s", "i", "r", "len", "_0", EvilStr("evil")]
+HOSTILE_STRS = ["X'] or True or strs['", 'Y"\\\n\0', "Strs", EvilStr("Evil")]
+# the identifiers a generated source may name: its dicts, the Memb locals,
+# the run, the one builtin it may call, and its operands
+GENERATED_NAMES = re.compile(r"nums|strs|r|s|i|len|_\d+")
+
+
+def generated_sources_are_clean(fn, names) -> None:
+    """Check that fn's generated source names only GENERATED_NAMES, reads
+    only the run's dicts as attributes, and holds no constant but ints and
+    the given names (and the bit '1')."""
+    source = oracles.generated_source(fn)
+    if source is None:
+        return
+    for g in ast.walk(ast.parse(source)):
+        if type(g) is ast.Name:
+            assert GENERATED_NAMES.fullmatch(g.id), (g.id, source)
+        elif type(g) is ast.Constant:
+            assert type(g.value) is int or g.value in names or g.value == "1", source
+        elif type(g) is ast.Attribute:  # the run's dicts
+            assert g.value.id == "r" and g.attr in ("nums", "strs"), source
+
+
+def test_hostile_names_stay_keys():
+    """Number and string names holding quotes, backslashes, newlines, NUL,
+    braces and Python code, and names that are str subclasses, give the
+    walker's value or error, class and text in EqNum, Leq, Memb, a grid
+    read, a binder's bound and a guarded scanned sweep, each name bound and
+    unbound; no generated source holds anything of a name but its repr."""
+    seen = Counter()
+    for a, b, x in zip(HOSTILE_NUMS, HOSTILE_NUMS[1:] + HOSTILE_NUMS[:1],
+                       itertools.cycle(HOSTILE_STRS)):
+        na, nb = F.NVar(a), F.NVar(b)
+        formulas = [
+            F.EqNum(F.Plus(na, F.One()), F.Times(nb, F.const_term(EvilInt(3)))),
+            F.Leq(na, F.Len(x)),
+            F.Memb(F.Plus(na, nb), x),
+            F.EqNum(F.SeqAt(na, F.Plus(F.Times(nb, TWO), F.One())), F.One()),
+            F.ExN("v", nb, F.EqNum(F.NVar("v"), F.Plus(na, F.One()))),
+            F.AlN(a, nb, F.Imp(F.Leq(F.Plus(na, F.One()), F.Len(x)), F.Memb(na, x))),
+        ]
+        for f, bound in itertools.product(formulas, itertools.product((False, True), repeat=3)):
+            nums = {n: v for n, v, on in ((a, 5, bound[0]), (b, 2, bound[1])) if on}
+            env = Assignment(nums, {x: "0111111111"} if bound[2] else {})
+            agrees_with_the_walker(f, S8, env)
+            got = said(lambda: eval_formula(f, S8, env))
+            seen[got if type(got) is bool else got[0].__name__] += 1
+        for f in formulas:
+            compiler = evaluate._kept[id(f)][1]  # its last run bound every name
+            for fn in oracles.generated_functions(compiler.formulas.values()):
+                generated_sources_are_clean(fn, {a, b, x, "v"})
+    assert set(seen) == {True, False, "UnboundVariableError", "SortMismatchError", "TypeError"}
+
+
+def test_wide_constants_are_operands_not_literals():
+    """A constant too wide for a literal (int's str conversion refuses one
+    past 4,300 digits) is an operand: a sum over it, a product, a Memb
+    index and a grid read's coefficient agree with the walker, and every
+    generated source stays short."""
+    c = F.const_term(2**20000 + 1)
+    x, seq = F.NVar("x"), F.NVar("s")
+    formulas = [F.EqNum(F.Plus(x, c), F.Plus(c, x)), F.Leq(F.Times(x, c), c),
+                F.Memb(F.Plus(x, c), "X"),
+                F.EqNum(F.SeqAt(seq, F.Plus(F.Times(x, c), F.One())), F.Zero())]
+    for env in (Assignment({"x": 3, "s": 1 << 40}, {"X": "01"}), Assignment({"x": 0, "s": 1}),
+                Assignment()):
+        for f in formulas:
+            agrees_with_the_walker(f, S8, env)
+    assert eval_formula(formulas[0], S8, Assignment({"x": 3})) is True
+    compiler = evaluate._Compiler(F.land(formulas))
+    assert grid_reads(compiler.formula(formulas[3]), compiler.read) == [True]
+    for f in formulas:
+        assert one_function(compiler.formula(f))
+        assert len(oracles.generated_source(compiler.formula(f))) < 300, f
+
+
+def test_deep_and_shared_terms_stay_within_what_python_parses():
+    """A term 300 sums deep either way, and one whose tree doubles a shared
+    sum 16 times (65,536 leaves), agree with the walker; the parts past
+    _DEPTH_CAP or _TEXT_CAP become calls, so no generated source nests
+    deeper or grows longer than a few caps."""
+    x = F.NVar("x")
+    left = right = shared = x
+    for _ in range(300):
+        left, right = F.Plus(left, F.One()), F.Plus(F.One(), right)
+    for _ in range(16):
+        shared = F.Plus(shared, shared)
+    formulas = [F.EqNum(left, right), F.Leq(shared, left), F.Memb(F.Plus(shared, x), "X"),
+                F.ExN("v", F.Times(left, F.Zero()), F.Leq(F.NVar("v"), shared))]
+    for env in (Assignment({"x": 1}, {"X": "1" * 70}), Assignment({"x": 0})):
+        for f in formulas:
+            agrees_with_the_walker(f, FiniteSlice(400, 8), env)
+    compiler = evaluate._Compiler(F.land(formulas))
+    sources = list(map(oracles.generated_source,
+                       oracles.generated_functions(map(compiler.formula, formulas))))
+    assert len(sources) > 8
+    assert all(len(s) < 3 * evaluate._TEXT_CAP for s in sources)
+    nesting = [max(itertools.accumulate({"(": 1, ")": -1}.get(c, 0) for c in s)) for s in sources]
+    assert max(nesting) < 3 * evaluate._DEPTH_CAP
+
+
+def test_generated_sources_parse_as_python_3_10():
+    """pyproject.toml allows Python 3.10: after evaluating the corpus
+    formulas of reflect, acc and nepo, every source in the code table
+    parses under 3.10's grammar."""
+    pi = dict(proofs.corpus_proofs())["corpus03.pk"]
+    p, x = encode_proof(pi), encode_formula(proofs.proof_target(pi))
+    n = max(len(p), len(x))
+    assert eval_formula(compile_proof_check("frege", slot_cap=19), FiniteSlice(n, n),
+                        Assignment(strs={"P": p, "X": x})) in (True, False)
+    tm, poly = corpus_machine("scan1"), PolyBound((2, 1))
+    layout = acc.acc_layout(tm, poly, 3)
+    w = tableau_to_witness(machine.run(tm, "101", layout.steps, layout.width))
+    assert acc.check_witness(tm, poly, "101", w) == accepts(tm, "101", poly)
+    bounds = nepo.NepoBounds(c=1, eps=Fraction(1, 2), k=1, m=4)
+    assert nepo.eval_acceptance(nepo.acceptance_artifact(tm, bounds), "1") in (True, False)
+    assert len(evaluate._generated) > 50
+    for source in list(evaluate._generated):
+        ast.parse(source, feature_version=(3, 10))
 
 
 def test_seq_len_reads_the_header_without_decoding(monkeypatch):
