@@ -65,7 +65,6 @@ once per such key (see "compiled formulas" below).
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from itertools import chain, islice, takewhile
 from types import FunctionType
@@ -189,25 +188,23 @@ class _Compiler:
 
     term compiles a whole term in one frame per level; formula compiles one
     node in one frame, its child formulas waiting for the node's first run.
-    Leaf terms compile to a constant or a name's read and skip the memo.
-    lengths maps each compiled length term to the string names it reads.  A
+    Leaf terms compile to a constant or a name's read and skip the memo.  A
     run takes one frame per formula level, And and Or chains running as
     loops.  codes is the table of decoded sequence codes that SeqAt reads
     through read, and verdicts the table of verdicts that number binders
     memoize; each run starts both empty.  run puts what the closures read besides the
     formula's structure (the assignment, its dicts, the slice and the roles)
     on the compiler, and drops it when the run ends, so a kept compile holds
-    none of it after its last call.  A length term keeps the last strings it
-    read (see "compiled terms"), as the verdict table's keys keep string
+    none of it after its last call.  A Len keeps the last string it read
+    (see "compiled terms"), as the verdict table's keys keep string
     values, but never the assignment, its dicts or the roles.
     """
 
-    __slots__ = ("terms", "lengths", "formulas", "codes", "read", "verdicts", "root",
+    __slots__ = ("terms", "formulas", "codes", "read", "verdicts", "root",
                  "nums", "strs", "env", "slice", "roles")
 
     def __init__(self, f: Formula):
         self.terms: dict[int | tuple, object] = {}
-        self.lengths: dict[_Frag, tuple[str, ...]] = {}  # length term -> names it reads
         self.formulas: dict[int, Callable[[_Compiler], bool]] = {}
         self.codes: dict[int, bytes | tuple[int, ...]] = {}
         self.read = _reader(self.codes)
@@ -248,23 +245,12 @@ class _Compiler:
                     out = a + b if tt is Plus else a * b
                 else:
                     out = _join(a, " + " if tt is Plus else " * ", b)
-                    reads = [() if _is_const(x) else self.lengths.get(x)
-                             for x in (a, b)] if self.lengths else [None]
-                    if None not in reads:  # a length term
-                        out = self.length_term(tuple(dict.fromkeys(reads[0] + reads[1])),
-                                               _function(out))
                 self.terms[key] = out
         elif tt is Len:
             svar = _name(t.svar, False)
-            out = _call(svar) if callable(svar) else self.length_term((svar,), _len(svar))
+            out = _call(svar if callable(svar) else _len(svar))
         elif tt is SeqAt:
-            seq, index = self.term(t.seq), None
-            if type(t.seq) is NVar and _affine(t.seq) is not None:  # a well-sorted name
-                index = _affine(t.index)
-            if index is not None and len(index[1]) < _DEPTH_CAP // 2:  # a grid read
-                index = _affine_text(*index)
-            else:
-                index = self.term(t.index)
+            seq, index = self.term(t.seq), self.term(t.index)
             if _is_const(seq) and _is_const(index):
                 out = codec.field_at(codec.seq_fields(seq), index)
             else:
@@ -280,14 +266,6 @@ class _Compiler:
     def number(self, t: NumTerm) -> Callable:
         """t compiled to one function (nums, strs) -> its value."""
         return _function(self.term(t))
-
-    def length_term(self, names: tuple[str, ...], compute) -> _Frag:
-        """compute, a function reading only the lengths of names, as a call
-        of one that keeps its last value (see "compiled terms"), noted in
-        self.lengths."""
-        out = _call(_kept_length(names, compute))
-        self.lengths[out] = names
-        return out
 
     def formula(self, f: Formula) -> Callable[[_Compiler], bool]:
         out = self.formulas.get(id(f))
@@ -363,8 +341,8 @@ class _Compiler:
 # value that is not an exact int; a number name is written nums['name'],
 # the repr of an exact str; a sum, a product or a read writes its parts in
 # the tree's order, so Python reads them left to right as the tree does.
-# Anything else is an operand call, _0(nums, strs): a length term's closure
-# (below) and an ill-sorted name's or an unknown node's _error, which raises
+# Anything else is an operand call, _0(nums, strs): a Len's closure (below)
+# and an ill-sorted name's or an unknown node's _error, which raises
 # where it is read.  No other data enters the text, so a name holding
 # quotes, backslashes or code stays a string key.  A part deeper than
 # _DEPTH_CAP or longer than _TEXT_CAP (a term tree sharing subterms can
@@ -393,42 +371,34 @@ class _Compiler:
 # and operands, so two equal sums compile to one fragment, which reads what
 # each would read in the same order.  An ill-sorted name compiles to a
 # fresh _error closure each time, so no term over one is shared.  One
-# seed-1 pass of the reflect benchmark compiles 8,467 identity-distinct
-# compound terms but only 833 distinct structures (815 sums, 16 products,
-# 2 Len).  Since eval_formula keeps its compile across the pass, that
-# compile ends up holding the union of what every op reached: 2.4 MB under
-# tracemalloc (2.9 MB when terms were closures), beside 1.6 MB in
-# _generated for the pass's 882 distinct sources.
+# seed-1 pass of the reflect benchmark compiles 8,225 identity-distinct
+# compound terms but only 832 distinct structures (816 sums, 16 products).
+# Since eval_formula keeps its compile across the pass, that compile ends
+# up holding the union of what every op reached: 2.4 MB under tracemalloc
+# (2.9 MB when terms were closures), beside 1.6 MB in _generated for the
+# pass's 882 distinct sources.
 #
-# A length term, a Len or a Plus or Times whose operands are constants or
-# length terms, reads only the lengths of its string names, so its value
-# is a function of the objects those names are bound to.  It compiles to a
-# closure (_kept_length) that keeps, in its own cell, the strings it last
-# read and the value it computed from them, and computes again only when a
-# name is bound to another object; the compile notes each length term, with
-# its names, in lengths.  This is exact.  A str is immutable, and the
-# reference the cell keeps stops its id from being reused, so a kept string
-# still has the length it had; a value that is not a str is never kept.  An
-# ExS or AlS binds a new object at each value, so a term under it computes
-# at each.  The closure reads its names in the order the term would, with
-# _UNREAD, not None, as what it read before its first run, so an unbound
-# name raises the same KeyError at the same point, and a run that raises
-# keeps nothing.  An ill-sorted Len keeps its _error closure, and no sum or
-# product over it is a length term.  acc's matrix reads every bit of W at
-# t * p(|X|) * fields + i * fields + f: a warm seed-1 pass of the witness
-# benchmark (648 checks over 72 input strings) measured a string 302,173
-# times before length terms kept their value and 72 times after, and witness
-# went from a median 1,354 to 1,949 ops/s over 10 perfbench pairs on a
-# 2-vCPU host.  A term of one name, as all of acc's are, gets a closure of
-# its own: reading every term's names as a tuple took that warm pass from
-# 0.18 s to 0.35 s, slower than the 0.27 s of computing each time.  Its
-# parent's text calls the closure as an operand.
+# A Len's value is a function of the object its name is bound to.  It
+# compiles to a closure (_len) that keeps, in its own cell, the string it
+# last read and its length, and measures again only when the name is bound
+# to another object.  This is exact.  A str is immutable, and the reference
+# the cell keeps stops its id from being reused, so a kept string still has
+# the length it had; a value that is not a str is never kept.  An ExS or
+# AlS binds a new object at each value, so a Len under it measures at each.
+# The closure starts from _UNREAD, not None, to which a name may be bound;
+# an unbound name raises KeyError, and a run that raises keeps nothing.
+# acc's matrix reads every bit of W at t * p(|X|) * fields + i * fields + f:
+# a warm seed-1 pass of the witness benchmark (648 checks over 72 input
+# strings) measured a string 302,173 times before Len kept its value and 72
+# times after.  A sum or product over Len is written like any other,
+# calling the closure as an operand.
 #
-# SeqAt is a call of the compile's reader (_reader) with the code and the
-# index, which reads through the compiler's table of decoded codes
-# (codec.seq_fields, the one decoder of codes: the low 5 bits give the field
-# width, the fields sit under a sentinel top bit, and a read past the last
-# gives 0), keyed by the code's value, so each code decodes once per run.
+# SeqAt is a call of the compile's reader (_reader) on the texts of the
+# code and the index, read in that order, which only then decodes through
+# the compiler's table of decoded codes (codec.seq_fields, the one decoder
+# of codes: the low 5 bits give the field width, the fields sit under a
+# sentinel top bit, and a read past the last gives 0), keyed by the code's
+# value, so each code decodes once per run.
 # A certify run reads its 2 to 8 distinct codes about 8.8K times (16K before
 # sweeps over role variables memoized their verdicts).  The table is
 # emptied at the start of each run, so it holds only the current run's
@@ -436,15 +406,6 @@ class _Compiler:
 # codes.  SeqLen never decodes: codec.seq_len gives the element count from
 # the header arithmetic alone, and touches no table.  Constant operands
 # fold through seq_fields and seq_len.
-#
-# A grid read, SeqAt of a number variable at an index that folds to
-# c0 + k1*v1 + k2*v2 + ... over number variables (every read nepo emits),
-# writes its index in that form (_affine_text), reading the variables in
-# the order the tree would, so the first unbound name it reports is the
-# tree's; with nepo's width-1 encoder the table took certify from a median
-# 16.0 to 27.3 ops/s over 10 perfbench pairs on a 2-vCPU host.  Any other
-# SeqAt writes its index as it is.  Either reads its code, then its index,
-# and only then decodes.
 
 
 class _Frag(tuple):
@@ -517,20 +478,6 @@ def _function(a) -> Callable:
     return _generate("_term(nums, strs", a, " return ")
 
 
-def _affine_text(c0: int, coeffs: dict[str, int]) -> _Frag:
-    """c0 + sum of k * name over coeffs, written as a sum in coeffs' order,
-    without a 0 constant or a factor of 1."""
-    parts = [] if coeffs and type(c0) is int and c0 == 0 else [_leaf(c0)]
-    for name, k in coeffs.items():
-        if type(k) is int and k == 1:
-            parts.append(_num(name))
-        else:
-            k = _leaf(k)
-            parts.append(_Frag((k[0] + " * " + _num(name)[0], k[1], 0)))
-    return _Frag((" + ".join(a[0] for a in parts), sum((a[1] for a in parts), ()),
-                  len(parts)))
-
-
 def _generate(head: str, frag: _Frag, before: str, after: str = ""):
     """The function def head, its parameters then _0, _1, ... for frag's
     operands, whose body is before, frag's text and after.  Each distinct
@@ -563,88 +510,35 @@ def _atom(name: str, frag: _Frag, before: str, after: str = ""):
     return _generate(name + "(r", frag, loads + before, after)
 
 
-def _affine(t) -> tuple[int, dict[str, int]] | None:
-    """t as (c0, {name: k}) with t = c0 + sum of k * name, the names in the
-    order a read of t meets them, or None when t has another shape or an
-    ill-sorted name."""
-    tt = type(t)
-    if tt is NVar:
-        name = t.name
-        return (0, {name: 1}) if type(name) is str and is_num_name(name) else None
-    if tt is Const:
-        return t.value, {}
-    if tt is not Plus and tt is not Times:
-        return None
-    left, right = _affine(t.left), _affine(t.right)
-    if left is None or right is None:
-        return None
-    (c, ks), (d, ls) = left, right
-    if tt is Plus:
-        for name, k in ls.items():
-            ks[name] = ks.get(name, 0) + k
-        return c + d, ks
-    if ks and ls:
-        return None
-    # a name scaled to 0 is still read, so that it can still be unbound
-    return c * d, {name: k * d for name, k in ks.items()} or {
-        name: c * k for name, k in ls.items()}
-
-
-def _fields(codes: dict, code: int) -> bytes | tuple[int, ...]:
-    """codec.seq_fields(code) through the decoded-code table codes."""
-    row = codes.get(code)
-    if row is None:
-        if len(codes) >= _TABLE_CAP:
-            codes.clear()
-        row = codes[code] = codec.seq_fields(code)  # ValueError if negative
-    return row
-
-
 def _reader(codes: dict):
     """SeqAt of a code at an index, through the decoded-code table codes."""
     def read(code, j):
         row = codes.get(code)
         if row is None:
-            row = _fields(codes, code)
+            if len(codes) >= _TABLE_CAP:
+                codes.clear()
+            row = codes[code] = codec.seq_fields(code)  # ValueError if negative
         return row[j] if 0 <= j < len(row) else codec.field_at(row, j)
     return read
 
 
+_UNREAD = object()  # what a Len closure has read before its first run
+
+
 def _len(svar: str):
-    return lambda nums, strs: codec.set_length(strs[svar])
+    """Len of the string named svar, as a closure that keeps the last
+    object it read there and its length, and measures again only when svar
+    is bound to another object (see "compiled terms")."""
+    last, value = _UNREAD, None
 
-
-_UNREAD = object()  # what a length term has read before its first run
-
-
-def _kept_length(names: tuple[str, ...], compute):
-    """compute, a term reading only the lengths of the strings names, as a
-    closure that reads the names in order and runs compute only when one is
-    bound to another object than at its last run, keeping the strs read.
-    One name, the common case, reads and compares one object."""
-    value = None
-    if len(names) == 1:
-        name, = names
-        last = _UNREAD
-
-        def run(nums, strs):
-            nonlocal last, value
-            s = strs[name]
-            if s is not last:
-                value = compute(nums, strs)
-                last = s if type(s) is str else _UNREAD
-            return value
-        return run
-    unread = last = (_UNREAD,) * len(names)
-
-    def run_all(nums, strs):
+    def run(nums, strs):
         nonlocal last, value
-        now = tuple(map(strs.__getitem__, names))
-        if not all(map(operator.is_, now, last)):
-            value = compute(nums, strs)
-            last = now if all(type(s) is str for s in now) else unread
+        s = strs[svar]
+        if s is not last:
+            value = codec.set_length(s)
+            last = s if type(s) is str else _UNREAD
         return value
-    return run_all
+    return run
 
 
 # --- compiled formulas ---
@@ -1006,7 +900,7 @@ def _bit_literal(f: Formula) -> tuple[int, NumTerm, str, bool, NumTerm | None, b
             or _offset(run[1], part.var) != u or part.bound != f.bound
             or names is None or v in names[0]):
         return None
-    return _affine(head.left)[0], t, x, False, None, True
+    return head.left.value, t, x, False, None, True
 
 
 def _offset(t: NumTerm, v: str) -> list | None:

@@ -509,45 +509,20 @@ def _reads_name(node: ast.AST) -> bool:
             and type(node.slice.value) is str)
 
 
-def affine_written(node: ast.AST, operands: dict) -> bool:
-    """Is node c0 + k1 * nums['v1'] + k2 * nums['v2'] + ..., each name once,
-    c0 and each k a constant (a literal or an int operand) that may be
-    left out, or c0 alone?"""
-    def const(g):
-        return (type(g) is ast.Constant and type(g.value) is int) or (
-            type(g) is ast.Name and type(operands.get(g.id)) is int)
-    terms = []
-    while type(node) is ast.BinOp and type(node.op) is ast.Add:
-        terms.append(node.right)
-        node = node.left
-    terms = [node, *reversed(terms)]
-    if const(terms[0]):
-        terms.pop(0)
-        if not terms:
-            return True
-    names = []
-    for g in terms:
-        if type(g) is ast.BinOp and type(g.op) is ast.Mult and const(g.left):
-            g = g.right
-        if not _reads_name(g):
-            return False
-        names.append(g.slice.value)
-    return len(set(names)) == len(names)
-
-
 def grid_read(t: NumTerm) -> bool:
     """Does t compile, inside the atom (= t 0), to one call of the compile's
-    reader over its table of decoded codes, written into the atom's one
+    reader over its table of decoded codes, made inside the atom's one
     generated function, with a name read as its code and its index written
-    out as an affine sum (affine_written)?"""
+    in, not called as a generated function of its own?"""
     compiler = evaluate._Compiler(EqNum(t, Zero()))
     return grid_reads(compiler.root, compiler.read) == [True]
 
 
 def grid_reads(fn, reader) -> list[bool]:
     """For each call of reader that fn, a function forge.evaluate generated,
-    writes, in source order, whether it reads a name as its code and writes
-    its index as an affine sum; [] when fn is not one generated function."""
+    makes, in source order, whether it reads a name as its code; [] when fn
+    is not one generated function (one_function), which also means every
+    index is written in."""
     if not one_function(fn):
         return []
     code = fn.__code__
@@ -556,7 +531,7 @@ def grid_reads(fn, reader) -> list[bool]:
     calls = [g for g in ast.walk(ast.parse(generated_source(fn)))
              if type(g) is ast.Call and type(g.func) is ast.Name
              and operands.get(g.func.id) is reader]
-    return [len(g.args) == 2 and _reads_name(g.args[0]) and affine_written(g.args[1], operands)
+    return [len(g.args) == 2 and _reads_name(g.args[0])
             for g in sorted(calls, key=lambda g: (g.lineno, g.col_offset))]
 
 

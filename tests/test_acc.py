@@ -350,8 +350,8 @@ def test_reach_rejects_a_y_marking_a_state_past_k():
     while eval_reach, which decodes Y before it runs, raises LayoutError.
     VALIDITY is the clause that rules these out: with it dropped from
     acc._shared_clauses, in a copy of the code, this sweep accepts 18 of
-    its 128 cases.  The sweep also runs the kept length terms (|W| in the
-    reach matrix) while exS W binds a new W at each candidate."""
+    its 128 cases.  The sweep also runs the kept lengths (|W| in the reach
+    matrix) while exS W binds a new W at each candidate."""
     tm = corpus_machine("scan1")
     checked = 0
     for t, bit in itertools.product((0, 1), "01"):

@@ -401,7 +401,7 @@ def test_compiled_folds_and_short_circuits_like_the_walker():
 
 def test_comparisons_read_like_the_walker_in_every_operand_shape():
     """EqNum and Leq over every pair of operand shapes (constant, name, sum,
-    length term, ill-sorted length) read the left operand first, and compile
+    length, ill-sorted length) read the left operand first, and compile
     to one generated function with both terms written into it, or to a
     constant verdict when both fold.  Times reads its left operand first in
     every shape too."""
@@ -1024,7 +1024,7 @@ def test_memb_matches_the_walker_on_every_index_shape():
     negative, inside or past the string, the empty string, and unbound or
     ill-sorted names; an unbound string is reported before an unbound index.
     Each compiles to one generated function with its index written in, the
-    grid read with its index as an affine sum."""
+    grid read as a reader call on the code's name."""
     i = F.NVar("i")
     indices = [F.Zero(), F.One(), F.const_term(3), F.const_term(9), i, F.NVar("Z"),
                F.Plus(i, F.One()), F.Times(i, F.const_term(2)), F.SeqAt(F.NVar("n"), i),
@@ -1052,7 +1052,11 @@ def test_memb_matches_the_walker_on_every_index_shape():
 
 SEQ, I, J, K = F.NVar("s"), F.NVar("i"), F.NVar("j"), F.NVar("k")
 TWO, THREE = F.const_term(2), F.const_term(3)
-# (term, compiles to a grid read: an affine index written into its atom)
+DEEP = I
+for _ in range(40):  # past _DEPTH_CAP
+    DEEP = F.Plus(DEEP, F.One())
+# (term, compiles to a grid read: a reader call on a name, its index written
+# into its atom)
 READS = [
     (F.SeqAt(SEQ, F.Plus(F.Times(F.Plus(F.Times(I, TWO), J), THREE), F.One())), True),
     (F.SeqAt(SEQ, F.Times(F.Plus(TWO, I), THREE)), True),
@@ -1060,11 +1064,12 @@ READS = [
     (F.SeqAt(SEQ, F.Plus(I, F.Times(TWO, I))), True),
     (F.SeqAt(SEQ, F.Plus(F.Plus(F.Times(I, THREE), J), K)), True),
     (F.SeqAt(SEQ, THREE), True),
-    (F.SeqAt(SEQ, F.Times(I, J)), False),
+    (F.SeqAt(SEQ, F.Times(I, J)), True),
+    (F.SeqAt(SEQ, DEEP), False),  # its index a function of its own
     (F.SeqAt(F.Plus(SEQ, F.Zero()), I), False),
-    (F.SeqAt(SEQ, F.Plus(F.NVar("Z"), I)), False),  # ill-sorted index name
+    (F.SeqAt(SEQ, F.Plus(F.NVar("Z"), I)), True),  # ill-sorted index name
     (F.SeqAt(F.NVar("S"), I), False),  # ill-sorted sequence name
-    (F.SeqAt(SEQ, F.SeqLen(SEQ)), False),
+    (F.SeqAt(SEQ, F.SeqLen(SEQ)), True),
     (F.SeqLen(SEQ), False),
     (F.SeqLen(F.Plus(SEQ, F.Zero())), False),  # a closure operand
     (F.SeqAt(F.const_term(encode_seq([5, 300, 7])), F.One()), False),  # folds
@@ -1195,8 +1200,8 @@ def test_hostile_names_stay_keys():
 def test_wide_constants_are_operands_not_literals():
     """A constant too wide for a literal (int's str conversion refuses one
     past 4,300 digits) is an operand: a sum over it, a product, a Memb
-    index and a grid read's coefficient agree with the walker, and every
-    generated source stays short."""
+    index and a factor of a grid read's index agree with the walker, and
+    every generated source stays short."""
     c = F.const_term(2**20000 + 1)
     x, seq = F.NVar("x"), F.NVar("s")
     formulas = [F.EqNum(F.Plus(x, c), F.Plus(c, x)), F.Leq(F.Times(x, c), c),
@@ -1274,7 +1279,7 @@ def test_seq_len_reads_the_header_without_decoding(monkeypatch):
     assert decoded == []
 
 
-# --- length terms: a term reading only lengths keeps its last value ---
+# --- lengths: a Len keeps its last value ---
 
 
 LX, LY = F.Len("X"), F.Len("Y")
@@ -1322,15 +1327,6 @@ def test_a_sum_of_lengths_reports_the_first_unbound_string():
             agrees_with_the_walker(f, S8, env)
 
 
-def test_length_terms_are_lengths_and_sums_and_products_of_them():
-    compiler = evaluate._Compiler(F.TRUE)
-    kept = [LX, F.Plus(LX, TWO), F.Times(TWO, F.Plus(LY, LX)), F.Times(LX, F.Zero())]
-    assert [compiler.lengths[compiler.term(t)] for t in kept] \
-        == [("X",), ("X",), ("Y", "X"), ("X",)]
-    for t in (F.Plus(LX, X), F.Times(F.SeqLen(SEQ), LX), F.Len("w"), F.Plus(F.Len("w"), LX)):
-        assert compiler.term(t) not in compiler.lengths
-
-
 def test_an_ill_sorted_length_raises_only_where_it_is_reached():
     bad = F.Len("w")
     f = F.Or(F.Leq(X, TWO), F.EqNum(F.Plus(bad, LX), F.Times(LX, TWO)))
@@ -1342,8 +1338,9 @@ def test_an_ill_sorted_length_raises_only_where_it_is_reached():
 
 
 def test_a_kept_length_term_computes_once_per_string_object(monkeypatch):
-    """A kept compile's length term measures X again only when X is bound
-    to another object: a different string, or an equal but distinct one."""
+    """A kept compile's Len measures X again only when X is bound to
+    another object: a different string, or an equal but distinct one, however
+    often the term reads it."""
     measured = counting_set_length(monkeypatch)
     y = F.NVar("y")
     width = F.Plus(F.Times(LX, F.Plus(LX, TWO)), F.One())  # |X|^2 + 2|X| + 1
@@ -1361,10 +1358,10 @@ def test_a_kept_length_term_computes_once_per_string_object(monkeypatch):
 
 def test_a_witness_check_measures_its_input_once(monkeypatch):
     """acc's matrix reads every bit of W at t * p(|X|) * fields + ...;
-    p(|X|) is a length term, so one check on a fresh input measures X once
-    (466 times per check, on average over a seed-1 witness pass, before
-    length terms kept their value), and a second check on the same string
-    object not at all."""
+    p(|X|) reads one Len, which keeps its value, so one check on a fresh
+    input measures X once (466 times per check, on average over a seed-1
+    witness pass, before Len kept its value), and a second check on the same
+    string object not at all."""
     tm, p = corpus_machine("scan1"), PolyBound((2, 1))
     measured = counting_set_length(monkeypatch)
     for bits in ("1011", "0101", "111", "11", "1101"):
