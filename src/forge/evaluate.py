@@ -243,6 +243,8 @@ class _Compiler:
                 a, b = key[1:]
                 if _is_const(a) and _is_const(b):
                     out = a + b if tt is Plus else a * b
+                elif tt is Times and (a == 1 or b == 1):  # a factor of 1
+                    out = b if a == 1 else a
                 else:
                     out = _join(a, " + " if tt is Plus else " * ", b)
                 self.terms[key] = out
@@ -349,7 +351,8 @@ class _Compiler:
 # double its text at each level) is an operand call of its own function
 # instead, which keeps every text within what Python parses.  Constants
 # are natural numbers, on which every term operation is total, so folding
-# never raises, and a constant operand may be read anywhere.
+# never raises, and a constant operand may be read anywhere.  A product with
+# a constant factor 1 is its other factor (acc writes p(|X|) with one).
 #
 # Each atom (EqNum, Leq, Memb) becomes one function of the run from its
 # whole term tree, and each binder's bound and limit and each scan's index

@@ -376,7 +376,8 @@ def _to_prop(node: Node, depth: int) -> PropFormula:
             raise ParseError("(pc b) takes 0 or 1", node.line, node.col)
         return PConst(int(args[0].text))
     if head == "pv":
-        if len(args) != 2 or args[0].text is None:
+        # a name is an atom, and not the one token of a constant's spelling
+        if len(args) != 2 or args[0].text is None or args[0].text[0] == "(":
             raise ParseError("(pv name index) takes a name and an index",
                              node.line, node.col)
         if args[1].text is None or not args[1].text.isdecimal():

@@ -3,8 +3,14 @@ and printer.
 
 Lexical syntax, owned here for every text format of the package: atoms are
 runs of characters other than whitespace, parentheses and `;`; a `;`
-comment runs to end of line.  `read_all` turns source text into `Node`
-trees in one pass over the list of tokens one `findall` builds.  A `Node` is
+comment runs to end of line.  One more token spells a constant: the exact
+text `print_term` writes for a `Const` of 2 or more, such as
+`(+ (* (+ 1 1) 1) 1)` for 3, is one atom whose text starts with `(`.  Only
+that exact spelling is one token; the same lists written with other
+whitespace read as the `Plus` and `Times` lists they are, which have the
+same value and reprint as the spelling.  `read_all` returns the `Node`
+trees of a text's top-level expressions, a spelling among them as one atom
+node, built in one pass over the token list `_tokens` makes.  A `Node` is
 a named tuple that carries the index of its first token and the text it was
 read from; its line and column are found only when asked for, from where the
 tokens start, so every `ParseError` raised over it points into the source and
@@ -21,8 +27,10 @@ Formula grammar
 Number variables start lowercase, string variables start uppercase.
 Connectives written with more than two arguments fold right, so
 (and a b c) reads as (and a (and b c)); `memb` is accepted as an alias for
-`in`.  A printed constant reads back as one `Const` leaf.  A formula may nest
-at most `MAX_DEPTH` lists deep in its reprint, else it is a `ParseError`.
+`in`.  A constant's spelling token reads as one `Const` leaf, and elsewhere
+raises the error its lists would.  A formula may nest at most `MAX_DEPTH`
+lists deep in its reprint, a spelling counting as one, else it is a
+`ParseError`.
 
 Parsing alpha-renames binders so no name is bound twice anywhere in the
 result: rebinding a name under itself is rejected, a repeat in a sibling
@@ -42,9 +50,18 @@ from .formulas import (AlN, AlS, And, Const, EqNum, EqStr, ExN, ExS, Formula,
                        SeqAt, SeqLen, Times, Zero, is_num_name, is_str_name)
 
 _IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+# The segments a constant's spelling opens with, outermost first, one per bit
+# below its leading 1: `print_term` writes 2m as (* (+ 1 1) m) and 2m + 1 as
+# (+ (* (+ 1 1) m) 1).  Each segment ends in the text of a bit-0 segment.
+_ONE, _ZERO = "(+ (* (+ 1 1) ", "(* (+ 1 1) "
 # Whitespace is space, tab, \r and \n, skipped between matches; \n ends a line
-# and a comment.  Token k of a text is the k-th match in both passes over it.
-_TOKEN = re.compile(r";[^\n]*|[()]|[^ \t\r\n();]+")
+# and a comment.  A spine is a run of segments, then, if one follows, a 1
+# that is a whole atom and every closer `) 1)` or `)` after it; `_tokens`
+# takes a spine apart.  Its last group is optional, so a spine that breaks
+# off is still one match, and finding it costs one pass over its text.
+_PLAIN = re.compile(r";[^\n]*|[()]|[^ \t\r\n();]+")
+_TOKEN = re.compile(rf"(?:{re.escape(_ONE)}|{re.escape(_ZERO)})+"
+                    r"(?:1(?![^ \t\r\n();])(?:\) 1\)|\))*)?|" + _PLAIN.pattern)
 
 # Deepest formula nesting the parser accepts.  Parsing, printing, evaluation
 # and proof checking recurse once per level, and Python stops near 1000 frames;
@@ -52,9 +69,57 @@ _TOKEN = re.compile(r";[^\n]*|[()]|[^ \t\r\n();]+")
 MAX_DEPTH = 900
 
 
+def _spine(spine: str) -> list[str]:
+    """The tokens of one spine: the outermost constant spelling in it as one
+    token, the text before and after that as plain tokens."""
+    end = spine.rfind("1 1) ") + 5  # where the segments end
+    closers = spine[end + 1:]  # empty when no 1 follows them
+    bits = spine[:end].replace(_ONE, "1").replace(_ZERO, "0")  # outermost first
+    want = bits[::-1].replace("0", ")").replace("1", ") 1)")  # their closers
+    if closers.startswith(want):
+        start, at = 0, len(want)
+    else:
+        # From the inside out, each segment whose closer follows joins the
+        # constant; a bit-1 segment whose + does not close still closes its *.
+        start, at = end, 0
+        for bit in reversed(bits):
+            if bit == "1" and closers.startswith(") 1)", at):
+                start, at = start - 14, at + 4
+            elif closers.startswith(")", at):
+                start, at = start - 11, at + 1
+                if bit == "1":
+                    break
+            else:
+                break
+        if not at:
+            return _PLAIN.findall(spine)
+    stop = end + 1 + at
+    return _PLAIN.findall(spine[:start]) + [spine[start:stop]] + _PLAIN.findall(spine[stop:])
+
+
+def _tokens(text: str) -> list[str]:
+    """The tokens of text, comments included, each constant spelling one.
+    Every spelling holds a bit-0 segment, so a text without one is read by
+    the plain pattern alone."""
+    if _ZERO not in text:
+        return _PLAIN.findall(text)
+    out: list[str] = []
+    for token in _TOKEN.findall(text):
+        if token[0] == "(" and len(token) > 1:
+            out += _spine(token)
+        else:
+            out.append(token)
+    return out
+
+
 def _token_starts(text: str) -> list[int]:
     """The offset in text at which each of its tokens starts."""
-    return [m.start() for m in _TOKEN.finditer(text)]
+    starts, at = [], 0
+    for token in _tokens(text):  # only whitespace lies between two tokens
+        at = text.index(token, at)
+        starts.append(at)
+        at += len(token)
+    return starts
 
 
 class _Source:
@@ -99,7 +164,7 @@ class Node(NamedTuple):
 
 def read_all(source: str, line: int = 1, col: int = 1) -> list[Node]:
     """Every top-level expression of `source`, which starts at line:col."""
-    tokens = _TOKEN.findall(source)
+    tokens = _tokens(source)
     src = _Source(source, line, col, tokens)
     new = tuple.__new__  # builds a Node without a Python-level __init__
     top: list[Node] = []
@@ -190,60 +255,44 @@ class _Binders:
 def _too_deep(node: Node) -> ParseError:
     """The error for a node past the cap.  The parse functions below count a
     node's `depth` as its list nesting once n-ary connectives fold right, as
-    the formula reprints, with a constant's spelling one list deep."""
+    the formula reprints, with a constant's spelling token one list deep."""
     return ParseError(f"formula would nest deeper than {MAX_DEPTH} once folded",
                       node.line, node.col)
 
 
-def _operands(node: Node, op: str) -> tuple[Node, Node] | None:
-    """The two arguments of node if it is the list (op a b), else None."""
-    items = node.items
-    return items[1:] if items and len(items) == 3 and items[0].text == op else None
+def _constant(spelling: str) -> Const:
+    """The `Const` a spelling token spells: its segments, outermost first,
+    are the bits below its leading 1 from the lowest up."""
+    bits = spelling.replace(_ONE, "1").replace(_ZERO, "0").partition(")")[0]
+    return Const(int(bits[::-1], 2))
 
 
-def _const(node: Node) -> Const | int:
-    """The `Const` node spells as `print_term` writes it: (* (+ 1 1) m) is 2m and
-    (+ (* (+ 1 1) m) 1) is 2m + 1, down to m = 1; read in a loop.  Else how many
-    lists below node the spelling breaks off, as no list down there folds."""
-    bits = []
-    while node.text != "1":
-        plus = _operands(node, "+")
-        odd = plus is not None and plus[1].text == "1"
-        times = _operands(plus[0] if odd else node, "*")
-        two = times and _operands(times[0], "+")
-        if not two or two[0].text != "1" or two[1].text != "1":
-            return len(bits) + bits.count("1")
-        bits.append("1" if odd else "0")
-        node = times[1]
-    return Const(int("1" + "".join(reversed(bits)), 2))
-
-
-def _parse_term(node: Node, env: dict[str, str], depth: int = 1,
-                fold_from: int = 1) -> NumTerm:
-    if node.text is not None:
-        if node.text == "0":
+def _parse_term(node: Node, env: dict[str, str], depth: int = 1) -> NumTerm:
+    text = node.text
+    if text is not None:
+        if text[0] == "(":
+            if depth > MAX_DEPTH:
+                raise _too_deep(node)
+            return _constant(text)
+        if text == "0":
             return Zero()
-        if node.text == "1":
+        if text == "1":
             return One()
         name = _num_name(node)
         return NVar(env.get(name, name))
     if depth > MAX_DEPTH:
         raise _too_deep(node)
-    if depth >= fold_from:
-        if type(const := _const(node)) is Const:
-            return const
-        fold_from = depth + const + 1  # so a broken spine is walked once
     items = node.items
     assert items is not None
-    if not items or items[0].text is None:
+    if not items or items[0].text is None or items[0].text[0] == "(":
         raise ParseError("expected a term operator", node.line, node.col)
     op = items[0].text
     if op == "+" or op == "*":
         if len(items) != 3:
             raise ParseError(f"({op} t t) takes two arguments", node.line, node.col)
         make = Plus if op == "+" else Times
-        return make(_parse_term(items[1], env, depth + 1, fold_from),
-                    _parse_term(items[2], env, depth + 1, fold_from))
+        return make(_parse_term(items[1], env, depth + 1),
+                    _parse_term(items[2], env, depth + 1))
     if op == "len":
         if len(items) != 2:
             raise ParseError("(len X) takes one argument", node.line, node.col)
@@ -267,13 +316,15 @@ _QUANT = {"exN": (ExN, _num_name), "alN": (AlN, _num_name),
 
 def _parse_formula(node: Node, env: dict[str, str], binders: _Binders,
                    depth: int = 1) -> Formula:
-    if node.text is not None:
+    if node.text is not None and node.text[0] != "(":
         raise ParseError("expected a formula, got an atom", node.line, node.col)
     if depth > MAX_DEPTH:
         raise _too_deep(node)
+    if node.text is not None:  # a constant's spelling: (* ...) or (+ ...)
+        raise ParseError(f"unknown formula operator {node.text[1]}", node.line, node.col + 1)
     items = node.items
     assert items is not None
-    if not items or items[0].text is None:
+    if not items or items[0].text is None or items[0].text[0] == "(":
         raise ParseError("expected a formula operator", node.line, node.col)
     op = items[0].text
     args = items[1:]

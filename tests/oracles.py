@@ -42,6 +42,7 @@ from forge.nepo import NepoArtifact, NepoBounds
 from forge.proofs import (Proof, ProofLine, Sequent, check_depth_frege,
                           check_frege, proof_target, system_depth)
 from forge.prop import PropFormula, PVar, pnot, por, taut_check
+from forge.sexpr import print_term
 
 DECODE_LENGTH_CAP = 1 << 20
 
@@ -277,8 +278,11 @@ def proof_mutations(pi: Proof):
 #
 # Two passes: a token list with positions, then a reader over it, building
 # dataclass nodes.  The lexical syntax is spelled out again here, so a change
-# to forge.sexpr's shows as a difference.  Like read_all, it reads lists to
-# any depth: the parsers that recurse over the trees bound their nesting.
+# to forge.sexpr's shows as a difference.  A list of + and * over 1s whose
+# exact source text is what print_term writes for its value is one atom; the
+# reader finds those as the lists close, so an outer one replaces the inner
+# ones.  Like read_all, it reads lists to any depth: the parsers that recurse
+# over the trees bound their nesting.
 
 _TOKEN = re.compile(r"\n|;[^\n]*|[()]|[^ \t\r\n();]+")
 
@@ -293,8 +297,9 @@ class RefNode:
     col: int
 
 
-def _tokenize(source: str, line: int, col: int) -> list[tuple[str, int, int]]:
-    """(text, line, column) of each atom and parenthesis; comments dropped."""
+def _tokenize(source: str, line: int, col: int) -> list[tuple[str, int, int, int, int]]:
+    """(text, line, column, start, end) of each atom and parenthesis;
+    comments dropped."""
     toks = []
     line_start = 1 - col  # source offset that sits in column 1 of `line`
     for m in _TOKEN.finditer(source):
@@ -303,29 +308,42 @@ def _tokenize(source: str, line: int, col: int) -> list[tuple[str, int, int]]:
             line += 1
             line_start = m.end()
         elif text[0] != ";":
-            toks.append((text, line, m.start() - line_start + 1))
+            toks.append((text, line, m.start() - line_start + 1, m.start(), m.end()))
     return toks
+
+
+def _list_value(items: list[RefNode], values: list[int | None]) -> int | None:
+    """The value of (+ a b) or (* a b) over lists and 1s that have one."""
+    if len(items) != 3 or items[0].text not in ("+", "*") or None in values[1:]:
+        return None
+    return values[1] + values[2] if items[0].text == "+" else values[1] * values[2]
 
 
 def ref_read_all(source: str, line: int = 1, col: int = 1) -> list[RefNode]:
     """What forge.sexpr.read_all(source, line, col) reads, or raises."""
     top: list[RefNode] = []
-    open_lists: list[tuple[int, int, list[RefNode]]] = []
-    items = top
-    for text, line, col in _tokenize(source, line, col):
+    open_lists: list[tuple[int, int, int, list[RefNode], list[int | None]]] = []
+    items, values = top, []  # the nodes of the innermost open list and their values
+    for text, line, col, start, end in _tokenize(source, line, col):
         if text == "(":
-            items = []
-            open_lists.append((line, col, items))
+            items, values = [], []
+            open_lists.append((line, col, start, items, values))
         elif text == ")":
             if not open_lists:
                 raise ParseError("unexpected )", line, col)
-            start_line, start_col, done = open_lists.pop()
-            items = open_lists[-1][2] if open_lists else top
-            items.append(RefNode(None, tuple(done), start_line, start_col))
+            start_line, start_col, at, done, done_values = open_lists.pop()
+            items, values = open_lists[-1][3:] if open_lists else (top, [])
+            value = _list_value(done, done_values)
+            if value is not None and source[at:end] == print_term(Const(value)):
+                items.append(RefNode(source[at:end], None, start_line, start_col))
+            else:
+                items.append(RefNode(None, tuple(done), start_line, start_col))
+            values.append(value)
         else:
             items.append(RefNode(text, None, line, col))
+            values.append(1 if text == "1" else None)
     if open_lists:
-        start_line, start_col, _ = open_lists[-1]
+        start_line, start_col = open_lists[-1][:2]
         raise ParseError("missing )", start_line, start_col)
     return top
 

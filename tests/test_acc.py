@@ -6,16 +6,16 @@ from fractions import Fraction
 
 import pytest
 from oracles import (BIT_TM, LEFT3, all_strings, cell_code, config_to_string,
-                     eval_reach_level, field_pos, moves_left, record_compile_roots,
-                     walk_formula, walk_term)
+                     eval_reach_level, field_pos, generated_functions, generated_source,
+                     moves_left, record_compile_roots, walk_formula, walk_term)
 
-from forge import acc, nepo
+from forge import acc, evaluate, nepo
 from forge.codec import encode_seq, mask_to_bits, set_length
 from forge.errors import LayoutError
 from forge.evaluate import Assignment, FiniteSlice, eval_formula
 from forge.formulas import (Memb, NVar, Plus, SeqAt, Times, classify, const_term,
                             free_vars)
-from forge.machine import (Configuration, PolyBound, TableauLayout, accepts,
+from forge.machine import (CORPUS, Configuration, PolyBound, TableauLayout, accepts,
                            corpus_machine, initial_configuration, parse_tm, run,
                            run_from, tableau_to_witness)
 
@@ -534,3 +534,19 @@ def test_single_head_shapes_agree_micro(kind):
         assert eval_formula(lone, s, env) == verdict, marks
         verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+def test_witness_sources_write_no_factor_of_1():
+    """p(|X|) in Horner form multiplies |X| by the last coefficient, 1 for
+    n + 2: the compile drops that factor, so no source a witness check
+    generates multiplies by 1."""
+    for name in CORPUS:
+        tm = corpus_machine(name)
+        layout = acc.acc_layout(tm, P, 3)
+        w = tableau_to_witness(run(tm, "101", layout.steps, layout.width))
+        compiler = evaluate._Compiler(acc.acc_matrix(tm, P))
+        s = FiniteSlice(num_bound=layout.total_bits + layout.steps + 2, str_width=0)
+        assert compiler.run(s, Assignment(strs={"X": "101", "W": w}), None) == \
+            accepts(tm, "101", P)
+        sources = [generated_source(fn) for fn in generated_functions(compiler.formulas.values())]
+        assert len(sources) > 15 and not any(" * 1)" in source for source in sources), name

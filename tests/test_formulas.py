@@ -1,7 +1,9 @@
 """Formula AST: parsing and the parser's binder renaming, printing,
 classification, depth and size."""
 
+import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -77,10 +79,20 @@ MALFORMED = [
     (sexpr.parse_formula, "(imp (leq 0 0))", "1:1: (imp f f ...) takes at least two arguments"),
     (sexpr.parse_formula, "(exN x 1)", "1:1: (exN v t f) takes three arguments"),
     (sexpr.parse_formula, "(foo)", "1:2: unknown formula operator foo"),
+    # a constant's spelling, one token, raises where no term goes what its lists raise
+    (sexpr.parse_formula, "(and (leq 0 1) (* (+ 1 1) 1))", "1:17: unknown formula operator *"),
+    (sexpr.parse_formula, "(not (+ (* (+ 1 1) 1) 1))", "1:7: unknown formula operator +"),
+    (sexpr.parse_formula, "(leq ((* (+ 1 1) 1) 1) 0)", "1:6: expected a term operator"),
+    (sexpr.parse_formula, "((* (+ 1 1) 1) 1)", "1:1: expected a formula operator"),
+    (sexpr.parse_formula, "(exN (* (+ 1 1) 1) 1 (leq 0 0))", "1:6: expected number-variable name"),
+    (sexpr.parse_formula, "(leq (len (* (+ 1 1) 1)) 0)", "1:11: expected string-variable name"),
     (read_prop, "(pnot x)", "1:7: expected a propositional formula, got an atom"),
     (read_prop, "(pnot ())", "1:7: expected a propositional operator"),
     (read_prop, "(pv z)", "1:1: (pv name index) takes a name and an index"),
     (read_prop, "(pnot)", "1:1: (pnot f) takes one argument"),
+    # a constant's spelling is one atom in prop text too
+    (read_prop, "(pnot (* (+ 1 1) 1))", "1:7: expected a propositional formula, got an atom"),
+    (read_prop, "(pv (* (+ 1 1) 1) 0)", "1:1: (pv name index) takes a name and an index"),
 ]
 
 
@@ -179,7 +191,8 @@ def _read_outcome(read, source, line, col):
 
 # \x0b and \x0c are atom characters to the reader, though str.split splits on them
 _PIECES = st.sampled_from(["(", ")", ";", "\n", "\r", "\t", " ", "\x0b", "\x0c",
-                           "a", "X", "1", "x_2"])
+                           "a", "X", "1", "x_2", "(* (+ 1 1) ", "(+ (* (+ 1 1) ",
+                           ") 1)", "x"])
 _SOURCES = st.lists(_PIECES, max_size=40).map("".join)
 
 
@@ -451,6 +464,11 @@ def test_only_the_printed_constant_spelling_folds():
         got = sexpr.parse_formula(text)
         assert type(got.right) in (F.Plus, F.Times), spelling
         assert sexpr.print_formula(got) == text
+    # the same lists with other whitespace read as lists, of the same value
+    # and reprint
+    got = sexpr.parse_formula("(= t (+ (* (+ 1 1)  (* (+ 1 1) 1)) 1))")
+    assert got.right == F.Plus(F.Times(F.Plus(F.One(), F.One()), F.Const(2)), F.One())
+    assert sexpr.print_formula(got) == f"(= t {sexpr.print_term(F.Const(5))})"
     # a constant below a spelling that breaks off still folds
     two, c = F.Plus(F.One(), F.One()), F.Const(2**40 + 3)
     for term in (F.Times(two, F.Plus(c, F.Zero())), F.Times(two, F.Times(two, F.SeqLen(c))),
@@ -470,18 +488,69 @@ def test_only_the_printed_constant_spelling_folds():
     assert (e.value.line, e.value.column) == (1, 5 * (sexpr.MAX_DEPTH - 1) + 6)
 
 
-def test_a_broken_constant_spine_is_walked_once(monkeypatch):
-    # 5,000 spine lists that end in x instead of 1: no list on the spine
-    # folds, and the reader learns that from one walk, not one per list
-    wide = sexpr.print_term(F.Const(2**5000))
+def test_a_broken_constant_spine_is_walked_once():
+    # 10,000 segments of a spelling whose innermost 1 is x: the token pattern
+    # takes them in one match, which stops at the x, so reading them costs
+    # one pass; none of them folds, and the parse stops where the lists pass
+    # the cap: at the (+ 1 1) of segment 899, 901 lists deep
+    wide = sexpr.print_term(F.Const(2**10000))
     at = wide.rfind("(+ 1 1) 1)")
     text = f"(= t {wide[:at]}(+ 1 1) x{wide[at + 9:]})"
-    steps = []
-    operands = sexpr._operands
-    monkeypatch.setattr(sexpr, "_operands", lambda *a: steps.append(1) or operands(*a))
-    with pytest.raises(ParseError, match="nest deeper than"):
+    assert sexpr._TOKEN.match(text, 5).end() == text.index("x")
+    assert sexpr._tokens(text) == sexpr._PLAIN.findall(text)
+    with pytest.raises(ParseError, match="nest deeper than") as e:
         sexpr.parse_formula(text)
-    assert len(steps) < 4 * text.count("(")
+    assert (e.value.line, e.value.column) == (1, 5 + 11 * 898 + 4)
+
+
+_SEGMENT = re.compile(r"\((?:\* \(\+ 1 1\)|\+ \(\* \(\+ 1 1\)) ")
+
+
+def _mutant(rng: random.Random, text: str) -> str:
+    """text with one character deleted, or a parenthesis, an atom or two
+    spaces inserted, or a constant's spelling put where a formula or an
+    operator goes."""
+    kind = rng.randrange(8)
+    if kind < 5:
+        at = rng.randrange(len(text) + 1)
+        if kind == 0:
+            return text[:at] + text[at + 1:]
+        return text[:at] + ("(", ")", rng.choice(("x", "1", "X", "not")), "  ")[kind - 1] + text[at:]
+    start = rng.choice([m.start() for m in _SEGMENT.finditer(text)])
+    end, depth = start, 0  # the spelling is the list that opens at start
+    while True:
+        depth += {"(": 1, ")": -1}.get(text[end], 0)
+        end += 1
+        if not depth:
+            break
+    spelling = text[start:end]
+    if kind == 5:  # in place, so (not ...) stands where a term goes
+        return f"{text[:start]}(not {spelling}){text[end:]}"
+    if kind == 6:  # as an operator
+        at = rng.choice([m.start() for m in re.finditer(r"\(", text)]) + 1
+        return f"{text[:at]}{spelling} {text[at:]}"
+    at = rng.choice([m.end() for m in re.finditer(r"\((?:and|or) ", text)])
+    return f"{text[:at]}(not {spelling}) {text[at:]}"  # as a formula
+
+
+def test_parse_outcomes_of_mutated_formulas_are_pinned():
+    """The reprint, or the error's type, message, line and column, of 600
+    seeded mutants of printed nepo and acc formulas.  The digest is the one
+    a reader that reads a spelling as lists and folds them after gives, so
+    making the spelling one token moved no outcome."""
+    texts = [sexpr.print_formula(compile_acceptance_sigma0(
+        corpus_machine("scan1"), NepoBounds(c=1, eps=Fraction(1, 3), k=2, m=4)))]
+    texts += [sexpr.print_formula(compile_acc(corpus_machine(name), PolyBound((2, 1))))
+              for name in CORPUS]
+    rng = random.Random(20261021)
+    digest = hashlib.sha256()
+    for i in range(600):
+        try:
+            out = sexpr.print_formula(sexpr.parse_formula(_mutant(rng, texts[i % len(texts)])))
+        except ForgeError as e:
+            out = f"{type(e).__name__} {e} {getattr(e, 'line', '')} {getattr(e, 'column', '')}"
+        digest.update(out.encode() + b"\0")
+    assert digest.hexdigest() == "025d17651eaff27e906c9242ad02d0d15f381d3f24d34491df93570e680f3738"
 
 
 def test_const_spellings_agree_on_generated_formulas():

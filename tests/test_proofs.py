@@ -186,6 +186,9 @@ def test_parse_errors():
         (good + "2: (seq ((pv z 0)) ((pq z 0))) axiom\n", 2, 22),
         (good + "2: (seq ((pv z 0)) ((pv z x))) axiom\n", 2, 27),
         (good + "2: (seq ((pv z 0)) ((pv z 0)))\n", 2, 31),   # no rule tag
+        # a constant's spelling is one atom: no rule tag, no variable name
+        ("1: (seq ((pv z 0)) ((pv z 0))) (* (+ 1 1) 1)\n", 1, 32),
+        (good + "2: (seq ((pv (* (+ 1 1) 1) 0)) ()) axiom\n", 2, 10),
         # read from column 5, past "\t 2:", after a comment holding parentheses
         (good.replace("\n", " ; (x) y)\r\n") + "\t 2:\t(seq ((pv z 0))\t((pq z 0))) axiom\r\n",
          2, 24),
