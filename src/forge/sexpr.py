@@ -75,24 +75,20 @@ def _spine(spine: str) -> list[str]:
     end = spine.rfind("1 1) ") + 5  # where the segments end
     closers = spine[end + 1:]  # empty when no 1 follows them
     bits = spine[:end].replace(_ONE, "1").replace(_ZERO, "0")  # outermost first
-    want = bits[::-1].replace("0", ")").replace("1", ") 1)")  # their closers
-    if closers.startswith(want):
-        start, at = 0, len(want)
-    else:
-        # From the inside out, each segment whose closer follows joins the
-        # constant; a bit-1 segment whose + does not close still closes its *.
-        start, at = end, 0
-        for bit in reversed(bits):
-            if bit == "1" and closers.startswith(") 1)", at):
-                start, at = start - 14, at + 4
-            elif closers.startswith(")", at):
-                start, at = start - 11, at + 1
-                if bit == "1":
-                    break
-            else:
+    # From the inside out, each segment whose closer follows joins the
+    # constant; a bit-1 segment whose + does not close still closes its *.
+    start, at = end, 0
+    for bit in reversed(bits):
+        if bit == "1" and closers.startswith(") 1)", at):
+            start, at = start - 14, at + 4
+        elif closers.startswith(")", at):
+            start, at = start - 11, at + 1
+            if bit == "1":
                 break
-        if not at:
-            return _PLAIN.findall(spine)
+        else:
+            break
+    if not at:
+        return _PLAIN.findall(spine)
     stop = end + 1 + at
     return _PLAIN.findall(spine[:start]) + [spine[start:stop]] + _PLAIN.findall(spine[stop:])
 
@@ -112,10 +108,10 @@ def _tokens(text: str) -> list[str]:
     return out
 
 
-def _token_starts(text: str) -> list[int]:
+def _token_starts(text: str, tokens: list[str]) -> list[int]:
     """The offset in text at which each of its tokens starts."""
     starts, at = [], 0
-    for token in _tokens(text):  # only whitespace lies between two tokens
+    for token in tokens:  # only whitespace lies between two tokens
         at = text.index(token, at)
         starts.append(at)
         at += len(token)
@@ -135,7 +131,7 @@ class _Source:
     def position(self, token: int) -> tuple[int, int]:
         """Line and column of the first character of token number `token`."""
         if self.starts is None:
-            self.starts = _token_starts(self.text)
+            self.starts = _token_starts(self.text, self.tokens)
         at = self.starts[token]
         newline = self.text.rfind("\n", 0, at)
         if newline < 0:

@@ -208,6 +208,7 @@ def _nested(depth):
 @example("(" * (sexpr.MAX_DEPTH + 1) + ")" * (sexpr.MAX_DEPTH + 1), 3, 7)
 @example("(" * 5000 + "a" + ")" * 5000, 1, 1)
 @example("a ; (\n) (b\r\n\t(", 4, 4)
+@example("(* (+ 1 1) (+ (* (+ 1 1) 1)) (* (+ 1 1) 1))", 1, 1)
 def test_read_all_matches_the_reference_reader(source, line, col):
     """read_all reads what the two-pass reference reader reads, at the same
     positions, from any start line and column (parse_proof starts each proof
@@ -223,7 +224,7 @@ def test_positions_are_found_only_for_an_error(monkeypatch):
     tables = []
     token_starts = sexpr._token_starts
     monkeypatch.setattr(sexpr, "_token_starts",
-                        lambda text: tables.append(1) or token_starts(text))
+                        lambda *a: tables.append(1) or token_starts(*a))
     bounds = NepoBounds(c=1, eps=Fraction(1, 3), k=2, m=64)
     text = sexpr.print_formula(compile_acceptance_sigma0(corpus_machine("scan1"), bounds))
     sexpr.parse_formula(text)
