@@ -10,17 +10,20 @@ its largest element, membership beyond the text is false, and equality
 ignores trailing zeros.
 
 One evaluator.  A formula runs as nested closures (Feeley and Lapalme,
-"Using closures for code generation", 1987) down to its atoms, and each
-atom runs as one function generated as Python source from its whole term
-tree: closed subterms fold to numbers, variable sorts are checked when a
-node compiles, and And/Or chains run as loops.  A node compiles the first
-time evaluation reaches it: a connective or quantifier closure keeps its
-child formulas and compiles them on its first run (an And/Or chain, each
-part when its loop first gets there), and an atom compiles its terms when
-the atom compiles.  A node evaluation must reject (a name of the wrong sort
+"Using closures for code generation", 1987) down to its clauses, and each
+clause (an atom, or a quantifier-free And, Or, Not or Imp of at most
+_CLAUSE_CAP formula nodes) runs as one function generated as Python source
+from its whole tree, terms and grid reads included: closed subterms fold to
+numbers, variable sorts are checked when a node compiles, and larger And/Or
+chains run as loops.  A node compiles the first time evaluation reaches it:
+a closure of a larger connective or of a quantifier keeps its child
+formulas and compiles them on its first run (an And/Or chain, each part
+when its loop first gets there), and a clause compiles whole, its terms
+with it.  A node evaluation must reject (a name of the wrong sort
 or not a str, a node of unknown type) compiles to a closure that raises
-when it is reached, called from the generated function when it is a term,
-so an error shows where, and only where, evaluation reaches it.  A read of
+when it is reached, called from the generated function when it is a term
+or a part of a clause, so an error shows where, and only where, evaluation
+reaches it.  A read of
 a name the assignment does not bind raises KeyError there, and _Compiler.run
 turns it into UnboundVariableError.  A KeyError a role callback raises comes
 out the same way.  A subformula or term shared by several parents compiles
@@ -43,9 +46,9 @@ closure keeps every node it may still compile alive: the memo's keys name
 nodes that were alive, beside every node still to compile, when the compile
 began, so no node still to compile can share an id with a key.
 eval_formula holds each formula it keeps the compile of, so no later
-formula can take its id.  An atom compiles its whole term tree at once, so
-no term waits to compile.  Sums and products are memoized by structure as
-well (see "compiled terms" below).
+formula can take its id.  A clause compiles its whole tree at once, so
+no term, and no node within a clause, waits to compile.  Sums and products
+are memoized by structure as well (see "compiled terms" below).
 
 Certificate roles: evaluation optionally takes a map from variable names to
 callbacks.  An ExN binder whose variable has a role is not swept; its
@@ -129,15 +132,15 @@ def eval_formula(f: Formula, s: FiniteSlice, env: Assignment | None = None,
 # --- the compiler ---
 #
 # A compiled formula is a closure (r) -> bool, r the _Compiler that runs it,
-# which carries the run's assignment, slice and roles; an atom's is a
-# generated function (see "compiled terms").  Variable reads index the
+# which carries the run's assignment, slice and roles; a clause's is a
+# generated function (see "compiled terms" and "compiled formulas").  Variable reads index the
 # assignment's dicts directly and let the KeyError of an unbound name
 # propagate; only _Compiler.run turns it into UnboundVariableError.  Closures
 # never hold the compiler: each run hands it to the root, and through it to
 # the first run of a closure whose children still wait to compile, so a
 # compile and its closures form no cycle and go as soon as eval_formula's
-# table drops them.  A grid reader holds the compiler's table of codes, not
-# the compiler.
+# table drops them.  A grid read holds the compiler's table of codes, through
+# its get and its reader, not the compiler.
 
 
 def _error(kind: type[Exception], message: str):
@@ -187,11 +190,13 @@ class _Compiler:
     fragment.
 
     term compiles a whole term in one frame per level; formula compiles one
-    node in one frame, its child formulas waiting for the node's first run.
-    Leaf terms compile to a constant or a name's read and skip the memo.  A
-    run takes one frame per formula level, And and Or chains running as
-    loops.  codes is the table of decoded sequence codes that SeqAt reads
-    through read, and verdicts the table of verdicts that number binders
+    node in one frame, its child formulas waiting for the node's first run,
+    or a clause whole, in one frame per level of the clause (boolean).  Leaf
+    terms compile to a constant or a name's read and skip the memo.  A run
+    takes one frame per formula level above the clauses and one per clause,
+    And and Or chains running as loops.  codes is the table of decoded
+    sequence codes that a grid read looks up in place and fills through
+    read, and verdicts the table of verdicts that number binders
     memoize; each run starts both empty.  run puts what the closures read besides the
     formula's structure (the assignment, its dicts, the slice and the roles)
     on the compiler, and drops it when the run ends, so a kept compile holds
@@ -237,10 +242,11 @@ class _Compiler:
         if out is not None:
             return out
         if tt is Plus or tt is Times:
-            key = tt, self.term(t.left), self.term(t.right)
+            a, b = self.term(t.left), self.term(t.right)
+            key = (tt, a if type(a) is not _Frag else a[:2],
+                   b if type(b) is not _Frag else b[:2])
             out = self.terms.get(key)
             if out is None:
-                a, b = key[1:]
                 if _is_const(a) and _is_const(b):
                     out = a + b if tt is Plus else a * b
                 elif tt is Times and (a == 1 or b == 1):  # a factor of 1
@@ -256,7 +262,7 @@ class _Compiler:
             if _is_const(seq) and _is_const(index):
                 out = codec.field_at(codec.seq_fields(seq), index)
             else:
-                out = _called(self.read, _inline(seq), _inline(index))
+                out = _grid(self.codes.get, self.read, _inline(seq), _inline(index))
         elif tt is SeqLen:
             seq = self.term(t.seq)
             out = codec.seq_len(seq) if _is_const(seq) else _called(codec.seq_len, _inline(seq))
@@ -274,11 +280,9 @@ class _Compiler:
         if out is not None:
             return out
         tf = type(f)
-        if tf is EqNum or tf is Leq:
-            out = _compare(tf is Leq, self.term(f.left), self.term(f.right))
-        elif tf is Memb:
-            svar = _name(f.svar, False)  # read before the index
-            out = svar if callable(svar) else _memb(svar, self.term(f.index))
+        if tf is EqNum or tf is Leq or tf is Memb or (
+                (tf is And or tf is Or or tf is Not or tf is Imp) and _fuses(f)):
+            out = self.clause(f)
         elif tf is EqStr:
             out = _eq_str(_name(f.left, False), _name(f.right, False))
         elif tf is And or tf is Or:
@@ -302,6 +306,54 @@ class _Compiler:
             out = _error(TypeError, f"not a formula: {f!r}")
         self.formulas[id(f)] = out
         return out
+
+    def clause(self, f: Formula) -> Callable[[_Compiler], bool]:
+        """f, an atom or a clause within _CLAUSE_CAP, as one function (see
+        "compiled formulas"): _true or _false when it folds, and the closure
+        itself when it is one call of a closure."""
+        out = self.boolean(f)
+        if _is_const(out):
+            return _true if out else _false
+        if out[0] == _TEST:
+            return out[1][0]
+        loads = "".join(f" {d} = r.{d}\n" for d in ("nums", "strs") if d in out[0])
+        return _generate("_clause(r", out, loads + " return ")
+
+    def boolean(self, f: Formula):
+        """f, a formula of a fused clause, as a folded truth value or a
+        fragment over r, nums and strs, written in the tree's order; a
+        fragment of a connective is written once, and keeps no parts."""
+        tf = type(f)
+        if tf is EqNum or tf is Leq:
+            a, b = self.term(f.left), self.term(f.right)
+            if _is_const(a) and _is_const(b):
+                return a <= b if tf is Leq else a == b
+            return _shared(_join(a, " <= " if tf is Leq else " == ", b))
+        if tf is Memb:
+            svar = _name(f.svar, False)  # read before the index
+            if callable(svar):
+                return _test(svar)
+            i = _inline(self.term(f.index))
+            head, tail = f"(len(s := strs[{svar!r}]) > (i := ", ") >= 0 and s[i] == '1')"
+            return _shared(_Frag((head + i[0] + tail, i[1], i[2] + 2, (head, i, tail), i[4])))
+        if tf is And or tf is Or:
+            parts, g = [], f
+            while type(g) is tf:
+                parts.append(self.boolean(g.left))
+                g = g.right
+            parts.append(self.boolean(g))
+            return _connect(tf is And, parts)
+        if tf is Not:
+            body = self.boolean(f.body)
+            return not body if _is_const(body) else _Frag(
+                ("(not " + body[0] + ")", body[1], body[2] + 1, (), 0))
+        if tf is Imp:
+            left = self.boolean(f.left)
+            left = not left if _is_const(left) else _Frag(("not " + left[0], left[1], left[2], (), 0))
+            return _connect(False, [left, self.boolean(f.right)])
+        if tf is EqStr:
+            return _test(_eq_str(_name(f.left, False), _name(f.right, False)))
+        return _test(_error(TypeError, f"not a formula: {f!r}"))
 
     def scan(self, f: Formula):
         """None when f has no _bit_literal shape; else the narrowing of its
@@ -336,8 +388,8 @@ class _Compiler:
 #
 # A compiled term is a folded constant or a fragment (_Frag): the text of a
 # Python expression over nums and strs, the run's number and string dicts,
-# with each NUL in it standing for the next of its operands, and its
-# nesting depth.  A constant is written as its literal when it is an int of
+# with each NUL in it standing for the next of its operands, its nesting
+# depth, the pieces it is written from and its marks (see below).  A constant is written as its literal when it is an int of
 # at most _INT_BITS bits and is an operand otherwise, so the text never
 # holds a wide literal (which int's str conversion limit can refuse) or a
 # value that is not an exact int; a number name is written nums['name'],
@@ -354,20 +406,45 @@ class _Compiler:
 # never raises, and a constant operand may be read anywhere.  A product with
 # a constant factor 1 is its other factor (acc writes p(|X|) with one).
 #
-# Each atom (EqNum, Leq, Memb) becomes one function of the run from its
-# whole term tree, and each binder's bound and limit and each scan's index
-# one function (nums, strs) (_function), or the closure itself when
-# the term is one operand call.  _generate writes the function's source,
-# naming the operands _0, _1, ... in order, compiles it once per process
-# into a function kept in _generated, keyed by the source and cleared when
-# it reaches _TABLE_CAP, and binds the operands as the defaults of those
-# names with FunctionType; a function without operands is shared as it is.
-# On the proof-check formula of the reflect benchmark an atom reads bits at
-# positions such as nf + nf*ns*6, which took 3 to 8 nested closures before;
-# one function per atom took reflect from a median 386.5 to 547.9 ops/s
-# (p90 5.30 to 3.35 ms) over 10 perfbench pairs on a 2-vCPU host, certify
-# from 117.9 to 141.0 and witness from 1,880 to 2,367 over 5, at the cost
-# of compiling each source once per process.
+# Each clause (see "compiled formulas") becomes one function of the run from
+# its whole tree, and each binder's bound and limit and each scan's index
+# one function (nums, strs) (_function), or the closure itself when the
+# term is one operand call.  _generate writes the function's text, a NUL
+# for each operand, and looks it up in _generated, where each distinct text
+# compiles once per process, the table cleared when it reaches _TABLE_CAP;
+# only a text not found there is numbered, its operands named _0, _1, ...
+# in order (_source), and compiled.  The operands become the defaults of
+# those names (FunctionType); a function without operands is shared as it
+# is.  On the proof-check formula of the reflect benchmark an atom reads
+# bits at positions such as nf + nf*ns*6, which took 3 to 8 nested closures
+# before; one function per atom took reflect from a median 386.5 to 547.9
+# ops/s (p90 5.30 to 3.35 ms) over 10 perfbench pairs on a 2-vCPU host,
+# certify from 117.9 to 141.0 and witness from 1,880 to 2,367 over 5, at
+# the cost of compiling each source once per process.  Numbering only a
+# text not yet compiled took a compile of a grid-read atom,
+# (= (seq s (+ (* x 3) y)) 1), whose text holds operands, from 12.2 to
+# 10.3 us (timeit, best of 7, the same host); the parts and marks below
+# then took it to 11.6 us, (leq (+ (* x 3) y) (+ y 1)) from 9.6 to 11.1 us
+# and a guarded bit-run binder from 12.3 to 13.4 us.
+#
+# A sum or product without operands that an atom, or a term given a
+# function of its own, computes more than once is computed there once
+# (_shared): its first occurrence binds a walrus temporary _t0, _t1, ...,
+# which each later one reads.  Python runs an atom's terms whole, left
+# then right (a Memb's string then index, a grid read's code then index;
+# only a grid read's branches are conditional, and they hold temporaries
+# alone), so the first occurrence in the text runs before every later
+# one, and a temporary is never read across the parts of a clause, which
+# and, or and not may skip.  Terms are pure, so the value is the one the
+# repeat computed, and an error comes out at the first occurrence, where
+# it came out before.  Such a term is one fragment wherever it is written
+# (Plus and Times are memoized by structure), so each fragment carries
+# marks (_join): a bit for each such term in it, picked by identity, and
+# _REPEATS when two of its parts share a bit.  A fragment without _REPEATS
+# holds no term twice and is written as it is; one with it is counted term
+# by term and written again.  A term over an operand (a Len, a grid read, a
+# wide constant) is written each time it occurs.  In a seed-1 reflect pass 496 of the 882 sources computed a subterm twice, such
+# as the side width nf + nf*ns*6 in each bit index of a proof line.
 #
 # Plus and Times are also memoized by structure, keyed by (type, compiled
 # left, compiled right): constants compare by value and fragments by text
@@ -396,23 +473,36 @@ class _Compiler:
 # times after.  A sum or product over Len is written like any other,
 # calling the closure as an operand.
 #
-# SeqAt is a call of the compile's reader (_reader) on the texts of the
-# code and the index, read in that order, which only then decodes through
-# the compiler's table of decoded codes (codec.seq_fields, the one decoder
-# of codes: the low 5 bits give the field width, the fields sit under a
-# sentinel top bit, and a read past the last gives 0), keyed by the code's
-# value, so each code decodes once per run.
-# A certify run reads its 2 to 8 distinct codes about 8.8K times (16K before
-# sweeps over role variables memoized their verdicts).  The table is
-# emptied at the start of each run, so it holds only the current run's
-# codes, and when it reaches _TABLE_CAP of them, which bounds a sweep over
-# codes.  SeqLen never decodes: codec.seq_len gives the element count from
-# the header arithmetic alone, and touches no table.  Constant operands
-# fold through seq_fields and seq_len.
+# SeqAt is written in place (_grid), as
+#   (_rD[_jD] if len(_rD := get(_cD := code, ())) > (_jD := index) >= 0
+#    else read(_cD, _jD))
+# with get the get of the compiler's table of decoded codes and read its
+# reader (_reader), both operands, and D the read's depth: a read nested in
+# its code or index is shallower, so their temporaries never clash, and
+# equal trees still give equal texts.  It reads the code, then the index,
+# then the row.  A row the table holds, at an index inside it, is read with
+# no call; a code not in the table (get gives the empty tuple) or an index
+# outside its row goes to read, which decodes through the table
+# (codec.seq_fields, the one decoder of codes: the low 5 bits give the field
+# width, the fields sit under a sentinel top bit, and a read past the last
+# gives 0), keyed by the code's value, so each code decodes once per run, a
+# negative code raising ValueError only once its index is read.  A certify
+# run reads its 2 to 8 distinct codes about 8.8K times (16K before sweeps
+# over role variables memoized their verdicts); a warm seed-1 pass called
+# read 953,490 times before grid reads were written in place and 567 after.
+# The table is emptied at the start of each run, so it holds only the
+# current run's codes, and when it reaches _TABLE_CAP of them, which bounds
+# a sweep over codes.  SeqLen never decodes: codec.seq_len gives the element
+# count from the header arithmetic alone, and touches no table.  Constant
+# operands fold through seq_fields and seq_len.
 
 
 class _Frag(tuple):
-    """A compiled term that is not a constant: (text, operands, depth)."""
+    """A compiled term that is not a constant: (text, operands, depth, parts,
+    marks), parts the pieces its text is written from, in order, each a str
+    (its NULs standing for operands of the fragment's own) or a fragment, or
+    () for a leaf, and marks (_join) a bit for each term without operands
+    in it, and _REPEATS when one may be in it twice."""
 
     __slots__ = ()
 
@@ -421,7 +511,9 @@ _TABLE_CAP = 4096  # entries per table
 _INT_BITS = 64  # widest int constant written as a literal
 _DEPTH_CAP = 32  # deepest fragment written into another
 _TEXT_CAP = 2048  # longest fragment written into another
-_generated: dict[str, FunctionType] = {}  # source -> its function, without operands
+_CLAUSE_CAP = 24  # most formula nodes of a clause fused into one function
+_REPEATS = 1 << 64  # the mark of a fragment that may hold a term twice
+_generated: dict[str, FunctionType] = {}  # text with NULs -> its function, without operands
 
 
 def _is_const(a) -> bool:
@@ -431,13 +523,13 @@ def _is_const(a) -> bool:
 def _leaf(value) -> _Frag:
     """The constant value as a fragment."""
     if type(value) is int and value.bit_length() <= _INT_BITS:
-        return _Frag((repr(value), (), 0))
-    return _Frag(("\0", (value,), 0))
+        return _Frag((repr(value), (), 0, (), 0))
+    return _Frag(("\0", (value,), 0, (), 0))
 
 
 def _num(name: str) -> _Frag:
     """A read of the number variable name, an exact str, as a fragment."""
-    return _Frag((f"nums[{name!r}]", (), 0))
+    return _Frag((f"nums[{name!r}]", (), 0, (), 0))
 
 
 _CALL = "\0(nums, strs)"  # the text of a call of a closure (nums, strs) -> int
@@ -445,20 +537,41 @@ _CALL = "\0(nums, strs)"  # the text of a call of a closure (nums, strs) -> int
 
 def _call(fn) -> _Frag:
     """A call of fn, a closure (nums, strs) -> int, as a fragment."""
-    return _Frag((_CALL, (fn,), 0))
+    return _Frag((_CALL, (fn,), 0, (), 0))
 
 
-def _called(fn, *args: _Frag) -> _Frag:
-    """A call of the operand fn on the fragments args, as a fragment."""
-    return _Frag(("\0(" + ", ".join(a[0] for a in args) + ")",
-                  (fn,) + sum((a[1] for a in args), ()), max(a[2] for a in args) + 1))
+def _called(fn, a: _Frag) -> _Frag:
+    """A call of the operand fn on the fragment a, as a fragment."""
+    return _Frag(("\0(" + a[0] + ")", (fn,) + a[1], a[2] + 1, ("\0(", a, ")"), a[4]))
 
 
 def _join(a, sep: str, b) -> _Frag:
     """a and b, compiled terms, inlined and written in order with sep
-    between them, within parentheses."""
+    between them, within parentheses.  Its marks are theirs, _REPEATS when
+    they share a bit, and without operands its own bit, so that a term
+    without operands written twice in a fragment always leaves _REPEATS on
+    it.  Such a term is written from one parts tuple wherever it is written
+    (Plus and Times are memoized by structure), so the tuple's identity
+    picks its bit."""
     a, b = _inline(a), _inline(b)
-    return _Frag(("(" + a[0] + sep + b[0] + ")", a[1] + b[1], max(a[2], b[2]) + 1))
+    parts, operands, marks = ("(", a, sep, b, ")"), a[1] + b[1], a[4] | b[4]
+    if a[4] & b[4]:
+        marks |= _REPEATS
+    if not operands:
+        marks |= 1 << (id(parts) >> 4 & 63)
+    return _Frag(("(" + a[0] + sep + b[0] + ")", operands, max(a[2], b[2]) + 1, parts, marks))
+
+
+def _grid(get, read, code: _Frag, index: _Frag) -> _Frag:
+    """SeqAt of code at index, written in place: an element of the row get
+    finds for the code, read, else a call of read; its temporaries are named
+    by its depth, which no read nested in it shares."""
+    d = max(code[2] + 3, index[2] + 2)
+    head, middle, tail = (f"(_r{d}[_j{d}] if len(_r{d} := \0(_c{d} := ", f", ())) > (_j{d} := ",
+                          f") >= 0 else \0(_c{d}, _j{d}))")
+    marks = code[4] | index[4] | _REPEATS if code[4] & index[4] else code[4] | index[4]
+    return _Frag((head + code[0] + middle + index[0] + tail, (get,) + code[1] + index[1] + (read,),
+                  d, (head, code, middle, index, tail), marks))
 
 
 def _inline(a) -> _Frag:
@@ -478,39 +591,68 @@ def _function(a) -> Callable:
         a = _leaf(a)
     elif a[0] == _CALL:
         return a[1][0]
-    return _generate("_term(nums, strs", a, " return ")
+    return _generate("_term(nums, strs", _shared(a), " return ")
 
 
-def _generate(head: str, frag: _Frag, before: str, after: str = ""):
+def _shared(frag: _Frag) -> _Frag:
+    """frag, an atom or a term given a function of its own, with each
+    compound term without operands that it computes more than once bound to
+    a temporary _t0, _t1, ... where it is first computed, and read from
+    there on (see "compiled terms")."""
+    if not frag[4] & _REPEATS:
+        return frag
+    counts, stack, bits = {}, [frag], 0  # bits: the marks of terms computed twice
+    while stack:
+        f = stack.pop()
+        if not f[1]:  # one fragment per such term (_join), so identity counts
+            n = counts[id(f)] = counts.get(id(f), 0) + 1
+            if n > 1:  # its parts are counted where it is first computed
+                bits |= 1 << (id(f[3]) >> 4 & 63)
+                continue
+        stack += [p for p in f[3] if type(p) is _Frag and p[3]]
+    names: dict[int, str] = {}
+
+    def text(f: _Frag) -> str:
+        if not f[4] & bits:  # no term computed twice in it
+            return f[0]
+        if f[1] or counts[id(f)] == 1:
+            return "".join(p if type(p) is str else text(p) for p in f[3])
+        name = names.get(id(f))
+        if name is not None:
+            return name
+        name = names[id(f)] = f"_t{len(names)}"
+        return f"({name} := " + "".join(p if type(p) is str else text(p) for p in f[3]) + ")"
+    return _Frag((text(frag), frag[1], frag[2], (), 0)) if bits else frag
+
+
+def _generate(head: str, frag: _Frag, before: str):
     """The function def head, its parameters then _0, _1, ... for frag's
-    operands, whose body is before, frag's text and after.  Each distinct
-    source compiles once per process, into _generated; the operands become
-    the defaults of those names, and a function without operands is shared
-    by every compile that writes its source."""
-    text, operands, _ = frag
-    body = before + text + after
-    if operands:
-        pieces = body.split("\0")
-        body = pieces[0] + "".join(f"_{i}{piece}" for i, piece in enumerate(pieces[1:]))
-        head += "".join(f", _{i}" for i in range(len(operands)))
-    source = f"def {head}):\n{body}\n"
-    out = _generated.get(source)
+    operands, whose body is before and frag's text.  Each distinct source
+    compiles once per process, into _generated, looked up by its text before
+    the operands are numbered; the operands become the defaults of those
+    names, and a function without operands is shared by every compile that
+    writes its source."""
+    text, operands = frag[:2]
+    key = f"def {head}):\n{before}{text}\n"
+    out = _generated.get(key)
     if out is None:
         if len(_generated) >= _TABLE_CAP:
             _generated.clear()
-        code = compile(source, "<forge>", "exec").co_consts[0]
-        out = _generated[source] = FunctionType(code, _SCOPE)
+        code = compile(_source(key), "<forge>", "exec").co_consts[0]
+        out = _generated[key] = FunctionType(code, _SCOPE)
     return FunctionType(out.__code__, _SCOPE, None, operands) if operands else out
 
 
 _SCOPE = {"__builtins__": {}, "len": len}  # the one global a generated function reads
 
 
-def _atom(name: str, frag: _Frag, before: str, after: str = ""):
-    """A formula closure (r) -> bool made by _generate, which loads the
-    run's nums and strs first when the rest of its body names them."""
-    loads = "".join(f" {d} = r.{d}\n" for d in ("nums", "strs") if d in before or d in frag[0])
-    return _generate(name + "(r", frag, loads + before, after)
+def _source(key: str) -> str:
+    """The source a _generated key stands for: each NUL the next operand,
+    _0, _1, ..., added to the parameters."""
+    pieces = key.split("\0")
+    params = "".join(f", _{i}" for i in range(len(pieces) - 1))
+    return pieces[0].replace("):\n", params + "):\n", 1) + "".join(
+        f"_{i}{piece}" for i, piece in enumerate(pieces[1:]))
 
 
 def _reader(codes: dict):
@@ -663,27 +805,80 @@ def _len(svar: str):
 # and b (19K) fit no shape: e's chain opens with Leq(e, nf), b's B is an
 # iff.  acc's and nepo's formulas have no bit literal to scan.
 #
-# EqNum and Leq generate one function that loads the run's dicts and
-# compares the two terms' texts, the left one first; two constants fold to
-# _true or _false.  Memb generates one function that reads the string, then
-# its index, and tests the bit inline as codec.bit_at does: it is the
-# reflect formula's most frequent atom, 1.35M runs over one seed-1 pass of
-# the benchmark's 100 ops before bit literals scan, 45K after.
+# A clause is an atom (EqNum, Leq, Memb) or an And, Or, Not or Imp of at
+# most _CLAUSE_CAP formula nodes, counted with multiplicity, no binder among
+# them (_fuses).  It compiles whole, at its first reach, to one function
+# (_Compiler.clause) that loads the run's dicts and returns the clause's
+# tree written as one expression (_Compiler.boolean): an And or Or chain as
+# (a and b and ...) or (a or b or ...), Not as (not a), Imp as (not a or b),
+# EqNum and Leq as (s == t) and (s <= t), the left term first, and Memb as
+# (len(s := strs['X']) > (i := t) >= 0 and s[i] == '1'), which reads the
+# string, its length (a str's, which cannot raise) and then the index, and
+# tests the bit as codec.bit_at does.  Any other node, an EqStr or the
+# _error of an ill-sorted string name or an unknown node, is an operand
+# call _0(r).  Python's and, or and not settle as the closures did, so the
+# clause reads what they read, in the same order, and raises the same first
+# error.  An atom whose terms fold is written as the literal True or False
+# and the text keeps every part, so it reads every name the clause reads,
+# and binders whose bodies share one function, having one text, key their
+# verdicts alike (_memo_names sorts the names); a clause that folds whole
+# is _true or _false.  A larger And, Or, Not or Imp, or one over a binder,
+# keeps _chain, _not or _imp, whose parts compile on their first reach and
+# may be clauses.  Inside a clause nothing waits: a part past a short
+# circuit compiles with the rest, its terms too, which is what the cap
+# bounds.  Over a warm seed-1 certify pass (108 ops) the clauses took the
+# connective closures' runs from 1.03M (619K And/Or chains, 233K Imp, 178K
+# Not) to 92K and the reader's calls from 953K to 567.  The cap was chosen
+# by the best of 3 warm seed-1 passes at each size on a 2-vCPU host (the
+# parent ran certify in 0.383 s, witness in 0.131 s and reflect in 0.088 s,
+# reflect at 28.3 MB ru_maxrss):
+#   cap       4      8      16     24     32     64
+#   certify   0.302  0.263  0.254  0.250  0.251  0.246 s
+#   witness   0.114  0.096  0.090  0.082  0.083  0.082 s
+#   reflect   0.083  0.077  0.077  0.076  0.079  0.073 s
+#   reflect   28.7   28.4   28.4   29.0   28.9   33.4 MB
+# Past 24 little runs faster, and reflect's memory grows with the parts of
+# its clauses that it compiles and never reaches.  At 24, over alternating
+# perfbench pairs on that host, certify went from a median 147.4 to 217.9
+# ops/s (10 pairs, p90 8.44 to 5.55 ms), witness from 2,512 to 3,847 and
+# reflect from 589.9 to 651.2 (5 pairs each, reflect at 30.2 to 31.2 MB).
 
 
-def _compare(leq: bool, a, b) -> Callable[[_Compiler], bool]:
-    """EqNum, or Leq when leq, over two compiled terms: one function,
-    reading the left operand first."""
-    if _is_const(a) and _is_const(b):
-        return _true if (a <= b if leq else a == b) else _false
-    return _atom("_compare", _join(a, " <= " if leq else " == ", b), " return ")
+_TEST = "\0(r)"  # the text of a call of a formula closure (r) -> bool
 
 
-def _memb(svar: str, index) -> Callable[[_Compiler], bool]:
-    """codec.bit_at of the string named svar at a compiled index: one
-    function, reading the string first."""
-    return _atom("_memb", _inline(index), f" s = strs[{svar!r}]\n i = ",
-                 "\n return 0 <= i < len(s) and s[i] == '1'")
+def _test(fn) -> _Frag:
+    """A call of fn, a formula closure, as a fragment of a clause."""
+    return _Frag((_TEST, (fn,), 0, (), 0))
+
+
+def _connect(conj: bool, parts: list):
+    """An And (conj) or Or chain over a clause's parts, each a truth value
+    or a fragment: a truth value when every part folds, else every part
+    written in order, a folded one as its literal, so the text still reads
+    every name the chain reads."""
+    if all(map(_is_const, parts)):
+        return all(parts) if conj else any(parts)
+    parts = [p if type(p) is _Frag else _Frag((repr(p), (), 0, (), 0)) for p in parts]
+    return _Frag(("(" + (" and " if conj else " or ").join(p[0] for p in parts) + ")",
+                  sum((p[1] for p in parts), ()), max(p[2] for p in parts) + 1, (), 0))
+
+
+def _fuses(f: Formula) -> bool:
+    """Whether f, an And, Or, Not or Imp, is a clause to fuse: at most
+    _CLAUSE_CAP formula nodes, counted with multiplicity, none a binder."""
+    n, stack = 0, [f]
+    while stack:
+        g = stack.pop()
+        n += 1
+        tg = type(g)
+        if n > _CLAUSE_CAP or tg is ExN or tg is AlN or tg is ExS or tg is AlS:
+            return False
+        if tg is And or tg is Or or tg is Imp:
+            stack += (g.left, g.right)
+        elif tg is Not:
+            stack.append(g.body)
+    return True
 
 
 def _eq_str(left, right) -> Callable[[_Compiler], bool]:
@@ -969,4 +1164,5 @@ def _memo_names(body: Formula, var: str, exists: bool,
     nums.discard(var)
     if not (exists and var in roles) and not nums <= roles.keys():
         return None
-    return tuple(nums), tuple(strs)
+    # in one order, so binders whose bodies share one generated function key alike
+    return tuple(sorted(nums, key=repr)), tuple(sorted(strs, key=repr))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .errors import (BudgetError, ClassError, ParseError, SliceExceededError,
                      UnboundVariableError)
-from .evaluate import Assignment, _Compiler, _compare, _name
+from .evaluate import Assignment, _Compiler, _name
 from .formulas import (AlN, And, EqNum, EqStr, ExN, Formula, Imp, Leq, Memb, Not,
                        classify)
 from .sexpr import Node
@@ -157,7 +157,7 @@ class _Image(_Compiler):
             return out
         k = type(f)
         if k is EqNum or k is Leq:
-            test = _compare(k is Leq, self.term(f.left), self.term(f.right))
+            test = self.clause(f)
             out = lambda r, test=test: _BITS[test(r)]
         elif k is Memb:  # defaults bind, so that no call makes a cell for f
             index = self.number(f.index)

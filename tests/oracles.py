@@ -490,7 +490,8 @@ def generated_source(fn) -> str | None:
     """The source forge.evaluate generated the function fn from, or None
     when fn is no such function."""
     code = getattr(fn, "__code__", None)
-    return next((src for src, g in evaluate._generated.items() if g.__code__ is code), None)
+    key = next((key for key, g in evaluate._generated.items() if g.__code__ is code), None)
+    return None if key is None else evaluate._source(key)
 
 
 def generated_functions(roots) -> list:
@@ -528,29 +529,56 @@ def _reads_name(node: ast.AST) -> bool:
 
 
 def grid_read(t: NumTerm) -> bool:
-    """Does t compile, inside the atom (= t 0), to one call of the compile's
-    reader over its table of decoded codes, made inside the atom's one
-    generated function, with a name read as its code and its index written
-    in, not called as a generated function of its own?"""
+    """Does t compile, inside the atom (= t 0), to one grid read written in
+    place in the atom's one generated function, over the compile's table of
+    decoded codes, with a name read as its code and its index written in,
+    not called as a generated function of its own?"""
     compiler = evaluate._Compiler(EqNum(t, Zero()))
-    return grid_reads(compiler.root, compiler.read) == [True]
+    return grid_reads(compiler.root, compiler) == [True]
 
 
-def grid_reads(fn, reader) -> list[bool]:
-    """For each call of reader that fn, a function forge.evaluate generated,
-    makes, in source order, whether it reads a name as its code; [] when fn
-    is not one generated function (one_function), which also means every
+def grid_reads(fn, compiler) -> list[bool]:
+    """For each call of compiler's reader that fn, a function
+    forge.evaluate generated, makes, in source order, whether it is the
+    miss branch of a grid read written in place,
+    (R[J] if len(R := get(C := code, ())) > (J := index) >= 0 else read(C, J)),
+    get the compiler's table's get, that reads a name as its code; [] when
+    fn is not one generated function (one_function), which also means every
     index is written in."""
     if not one_function(fn):
         return []
     code = fn.__code__
     operands = dict(zip(code.co_varnames[code.co_argcount - len(fn.__defaults__ or ()):
                                         code.co_argcount], fn.__defaults__ or ()))
-    calls = [g for g in ast.walk(ast.parse(generated_source(fn)))
-             if type(g) is ast.Call and type(g.func) is ast.Name
-             and operands.get(g.func.id) is reader]
-    return [len(g.args) == 2 and _reads_name(g.args[0])
-            for g in sorted(calls, key=lambda g: (g.lineno, g.col_offset))]
+
+    def calls(node, of) -> bool:
+        return (type(node) is ast.Call and type(node.func) is ast.Name
+                and operands.get(node.func.id) == of)
+
+    def names(nodes, *want) -> bool:
+        return [type(g) is ast.Name and g.id for g in nodes] == list(want)
+
+    def in_place(g: ast.IfExp) -> bool:
+        test, miss = g.test, g.orelse
+        if not (type(test) is ast.Compare and len(test.comparators) == 2
+                and type(test.left) is ast.Call and names([test.left.func], "len")
+                and len(test.left.args) == 1 and type(row := test.left.args[0]) is ast.NamedExpr
+                and type(index := test.comparators[0]) is ast.NamedExpr
+                and ast.dump(test.comparators[1]) == ast.dump(ast.Constant(0))
+                and [type(op) for op in test.ops] == [ast.Gt, ast.GtE]):
+            return False
+        r, j, get = row.target.id, index.target.id, row.value
+        if not (calls(get, compiler.codes.get) and len(get.args) == 2
+                and type(c := get.args[0]) is ast.NamedExpr
+                and ast.dump(get.args[1]) == ast.dump(ast.Tuple([], ast.Load()))):
+            return False
+        return (names(miss.args, c.target.id, j) and type(g.body) is ast.Subscript
+                and names([g.body.value, g.body.slice], r, j) and _reads_name(c.value))
+
+    tree = ast.parse(generated_source(fn))
+    misses = {id(g.orelse): in_place(g) for g in ast.walk(tree) if type(g) is ast.IfExp}
+    found = [g for g in ast.walk(tree) if calls(g, compiler.read)]
+    return [misses.get(id(g), False) for g in sorted(found, key=lambda g: (g.lineno, g.col_offset))]
 
 
 def record_compile_roots(monkeypatch) -> list[Formula]:

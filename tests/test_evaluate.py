@@ -577,7 +577,8 @@ def test_memoized_sweeps_match_the_walker(seed, case, n, num_bound):
     that the outer AlN y repeats them, give the walker's value or error,
     class and text.  Each number binder that memoizes stores one verdict per
     distinct key at which the walker settles it and the settlement
-    completes, and no other binder stores any; the role callbacks run once
+    completes, its body node in the key read as the function it compiles
+    to, and no other binder stores any; the role callbacks run once
     per distinct key, at the keys the walker meets.  Cases: an AlN and an
     ExN over one body node and variable, whose entries stay apart; d read
     behind a short-circuit; a bound c + k past num_bound at c = 2; a sweep
@@ -651,9 +652,11 @@ def test_memoized_sweeps_match_the_walker(seed, case, n, num_bound):
     assert len(calls) == len(set(calls)) and set(calls) == set(called)
     assert len(stores.log) == len(set(stores.log))  # one settlement per key
     stored = Counter(k[:3] for k in stores.log)
+    # binders whose bodies compile to one function (equal sources) share entries
+    shared = {(compiled.formulas.get(k[0]),) + k[1:] for k in walked}
     for h in binders:
         at = compiled.formulas.get(id(h.body)), type(h) is F.ExN, h.var
-        keys = {k for k in walked if k[:3] == (id(h.body), *at[1:])}
+        keys = {k for k in shared if k[:3] == at}
         assert stored[at] == (len(keys) if memo[id(h)] else 0), (case, h)
     if want is True:  # y reached 3, where c is 0 again, so parts[0] ran twice
         assert len(walked) > len(set(walked))
@@ -786,21 +789,67 @@ def watching(nodes: set[int], stop: bool):
         evaluate._Compiler.formula = formula
 
 
+def fused_root(f: F.Formula) -> F.Formula:
+    """The first node of f, following Not bodies and right parts, that
+    compiles as one fused clause."""
+    while not evaluate._fuses(f):
+        f = f.body if type(f) is F.Not else f.right
+    return f
+
+
+def compiled_nodes(f: F.Formula) -> list[F.Formula]:
+    """The nodes of f that compile as nodes of their own, each once: the
+    root, the parts of an And/Or chain, the children of a Not, Imp or binder
+    that does not fuse, and nothing inside a fused clause."""
+    out, seen, stack = [], set(), [f]
+    while stack:
+        g = stack.pop()
+        if id(g) in seen:
+            continue
+        seen.add(id(g))
+        out.append(g)
+        tg = type(g)
+        if tg in (F.And, F.Or, F.Not, F.Imp) and evaluate._fuses(g):
+            continue
+        if tg in (F.And, F.Or):
+            while type(g) is tg:
+                stack.append(g.left)
+                g = g.right
+            stack.append(g)
+        elif tg is F.Imp:
+            stack += [g.left, g.right]
+        elif tg in (F.Not, F.ExN, F.AlN, F.ExS, F.AlS):
+            stack.append(g.body)
+    return out
+
+
 def test_compiled_depth_costs_one_frame_per_level():
-    levels = sexpr.MAX_DEPTH
-    nots = "(not " * (levels - 1) + "(leq 0 1)" + ")" * (levels - 1)
-    chain = "(leq 1 1)"
+    """Nested Nots and alternating Or/And chains sexpr.MAX_DEPTH levels deep
+    run one frame per level down to the first node within _CLAUSE_CAP,
+    which compiles with everything under it into one generated function
+    (the Not _CLAUSE_CAP levels from the bottom, the chain 7 levels from
+    it), in one frame per level of the clause."""
+    levels, cap = sexpr.MAX_DEPTH, evaluate._CLAUSE_CAP
+    # atoms read x, bound to 0, so that no clause folds
+    nots = "(not " * (levels - 1) + "(leq x 1)" + ")" * (levels - 1)
+    chain = "(leq x x)"
     for k in range(levels - 1):
         # each left part is true under and, false under or, so the run goes on
-        chain = f"({'and' if k % 2 else 'or'} (leq {(k + 1) % 2} 0) {chain})"
-    for text, want in ((nots, levels % 2 == 1), (chain, True)):
+        chain = f"({'and' if k % 2 else 'or'} {'(leq x 0)' if k % 2 else '(leq 1 x)'} {chain})"
+    for text, want, fused_at in ((nots, levels % 2 == 1, levels - cap + 1),
+                                 (chain, True, levels - (cap - 1) // 2)):
         f = parse_formula(text)
         depth_of, _ = levels_of(f)
         assert max(depth_of.values()) == levels
-        deepest = {n for n, d in depth_of.items() if d == levels}
-        with watching(deepest, stop=False) as ran, frame_budget(levels + 25):
-            assert eval_formula(f, S8) == want
-        assert len(ran) == len(deepest)  # each node of the deepest level ran
+        root = fused_root(f)
+        assert depth_of[id(root)] == fused_at
+        with watching({id(root)}, stop=False) as ran, frame_budget(levels + 25):
+            assert eval_formula(f, S8, Assignment({"x": 0})) == want
+        assert len(ran) == 1  # the fused clause ran
+        compiler = evaluate._kept[id(f)][1]
+        assert one_function(compiler.formulas[id(root)])
+        # nothing under the fused clause compiled on its own
+        assert max(depth_of[n] for n in compiler.formulas) == fused_at
 
 
 def test_compile_acceptance_at_m1024_in_one_frame_per_level():
@@ -810,13 +859,21 @@ def test_compile_acceptance_at_m1024_in_one_frame_per_level():
     depth_of, term_levels = levels_of(phi)
     levels = max(depth_of.values())
     assert formula_size(phi) == 102_708 and levels == 32
+    # the deepest nodes that compile on their own sit 4 levels up, and
+    # each is one fused clause
+    compiled = compiled_nodes(phi)
+    deepest_level = max(depth_of[id(n)] for n in compiled)
+    deepest = {id(n) for n in compiled if depth_of[id(n)] == deepest_level}
+    assert deepest_level == levels - 4
     # a full evaluation takes seconds at this m, so the run ends at the first
-    # node of the deepest level it evaluates
-    deepest = {n for n, d in depth_of.items() if d == levels}
+    # node of the deepest compiled level it evaluates
     with watching(deepest, stop=True) as ran:
         with frame_budget(levels + term_levels + 25), pytest.raises(Reached):
             eval_formula(phi, art.slice, Assignment(strs={"X": "0110"}), art.roles)
     assert len(ran) == 1
+    compiler = next(c for g, c in evaluate._kept.values() if g is phi)
+    reached = deepest & compiler.formulas.keys()
+    assert reached and all(one_function(compiler.formulas[n]) for n in reached)
 
 
 def test_eval_formula_keeps_only_its_last_32_compiles():
@@ -856,7 +913,10 @@ def record_compiles(monkeypatch) -> list:
 def test_evaluation_compiles_only_what_it_reaches(monkeypatch):
     compiled = record_compiles(monkeypatch)
     low = F.Leq(X, F.Zero())
-    chain = F.land([low, F.Leq(X, F.One()), F.Not(F.Leq(X, X))])
+    # past _CLAUSE_CAP nodes, so the chain compiles part by part
+    chain = F.land([low, F.Leq(X, F.One())]
+                   + [F.Not(F.Leq(X, F.const_term(k))) for k in range(evaluate._CLAUSE_CAP // 3)])
+    assert not evaluate._fuses(chain)
     some = F.ExN("y", F.One(), F.Leq(F.NVar("y"), X))
     f = F.Or(chain, some)
     # x = 1: the chain stops at its first part, and the sweep at y = 0
@@ -867,16 +927,107 @@ def test_evaluation_compiles_only_what_it_reaches(monkeypatch):
 def test_a_kept_compile_compiles_only_what_no_earlier_call_reached(monkeypatch):
     compiled = record_compiles(monkeypatch)
     y = F.NVar("y")
-    below, above = F.Leq(y, X), F.Leq(X, y)
+    # a binder beside below, so that the Or compiles part by part
+    below, above = F.Leq(y, X), F.ExN("z", F.Zero(), F.Leq(X, y))
     f = F.AlN("y", F.const_term(3), F.Or(below, above))
     assert eval_formula(f, S8, Assignment(nums={"x": 5}))
     assert compiled == [f, f.body, below]
     assert eval_formula(f, FiniteSlice(3, 0), Assignment(nums={"x": 5}))
     assert len(compiled) == 3  # the same formula at another slice compiles nothing
     assert eval_formula(f, S8, Assignment(nums={"x": 0}))
-    assert compiled[3:] == [above]
+    assert compiled[3:] == [above, above.body]
     assert eval_formula(f, S8, Assignment(nums={"x": 0}))
-    assert len(compiled) == 4
+    assert len(compiled) == 5
+
+
+def record_terms(monkeypatch) -> list:
+    """The compound terms compiled from here on, in order."""
+    compiled = []
+    term = evaluate._Compiler.term
+    monkeypatch.setattr(evaluate._Compiler, "term",
+                        lambda self, t: compiled.append(t) or term(self, t))
+    return compiled
+
+
+def test_a_fused_clause_compiles_whole_when_first_reached(monkeypatch):
+    """A clause within _CLAUSE_CAP compiles at its first reach, whole, into
+    one generated function: past a true part of an Or chain it compiles
+    nothing, none of its terms included, and a binder beside a reached
+    clause compiles when, and only when, evaluation reaches it."""
+    compiled, terms = record_compiles(monkeypatch), record_terms(monkeypatch)
+    y, z = F.NVar("y"), F.NVar("z")
+    hit = F.Leq(X, F.One())
+    clause = F.And(F.Leq(F.Times(X, TWO), y), F.Not(F.Memb(F.Plus(X, F.One()), "X")))
+    some = F.ExN("z", F.One(), F.EqNum(F.Plus(z, y), X))
+    f = F.Or(hit, F.Or(clause, some))
+    mine = {id(t) for t in (clause.left.left, clause.left.right, clause.right.body.index)}
+    env = Assignment({"x": 1, "y": 9}, {"X": "0000"})
+    assert eval_formula(f, S8, env)  # the Or stops at hit
+    assert compiled == [f, hit] and not mine & set(map(id, terms))
+    env.nums["x"] = 3
+    assert eval_formula(f, S8, env)  # the clause holds
+    assert compiled[2:] == [clause] and mine <= set(map(id, terms))
+    assert one_function(evaluate._kept[id(f)][1].formulas[id(clause)])
+    env.nums["y"] = 2
+    assert eval_formula(f, S8, env)  # the clause fails, and some is reached and holds
+    assert compiled[3:] == [some, some.body]
+    g = F.And(clause, some)
+    compiled.clear()
+    assert eval_formula(g, S8, env) is False
+    assert compiled == [g, clause]  # the clause fails first
+    env.nums["y"] = 6
+    assert eval_formula(g, S8, env) is False
+    assert compiled[2:] == [some, some.body]
+
+
+SEQ_AT = F.SeqAt(F.NVar("s"), F.NVar("i"))
+# atoms for fused clauses: a grid read on either side, a Memb, a folded
+# atom, an EqStr, and three poisons: an ill-sorted name, a node of unknown
+# type and a name no assignment binds
+CLAUSE_LEAVES = [F.EqNum(SEQ_AT, F.Zero()), F.Leq(X, F.SeqAt(F.NVar("s"), F.Plus(F.NVar("i"), X))),
+                 F.Memb(F.Plus(X, F.NVar("i")), "X"), F.Leq(F.One(), F.Zero()), F.EqStr("X", "Y"),
+                 F.Leq(F.NVar("Z"), X), Bogus(), F.EqNum(F.NVar("u"), X),
+                 F.Leq(X, F.const_term(3)), F.Leq(F.Times(X, X), F.Plus(X, F.Times(X, X)))]
+# grid reads on an empty row, at the row's length, at a negative index, of
+# a negative code with its index unbound and bound, of an unbound code with
+# its index unbound, and inside the row (None: unbound)
+CLAUSE_CODES = [(encode_seq([]), 0), (encode_seq([1, 0, 1]), 3), (encode_seq([1, 0, 1]), -1),
+                (-5, None), (-5, 1), (None, None), (encode_seq([0, 1, 1]), 1)]
+
+
+def clause_of(g: random.Random, n: int) -> F.Formula:
+    """A random quantifier-free formula of exactly n nodes over CLAUSE_LEAVES."""
+    if n == 1:
+        return g.choice(CLAUSE_LEAVES)
+    if n == 2 or g.random() < 0.2:
+        return F.Not(clause_of(g, n - 1))
+    left = g.randrange(1, n - 1)
+    return g.choice([F.And, F.Or, F.Imp])(clause_of(g, left), clause_of(g, n - 1 - left))
+
+
+def test_clauses_at_the_cap_agree_with_the_walker():
+    """Clauses of _CLAUSE_CAP - 1 and _CLAUSE_CAP nodes fuse into one
+    function and one of _CLAUSE_CAP + 1 does not; each gives the walker's
+    value or first error, class and text, on grid reads at every edge, the
+    poisons included."""
+    cap, seen = evaluate._CLAUSE_CAP, Counter()
+    for n in (cap - 1, cap, cap + 1):
+        for seed in range(40):
+            f = clause_of(random.Random(seed * 100 + n), n)
+            assert evaluate._fuses(f) is (n <= cap)
+            for (code, j), x in itertools.product(CLAUSE_CODES, (0, 2)):
+                nums = {n: v for n, v in (("x", x), ("s", code), ("i", j)) if v is not None}
+                env = Assignment(nums, {"X": "0110", "Y": "011"})
+                agrees_with_the_walker(f, S8, env)
+                got = said(lambda: eval_formula(f, S8, env))
+                seen[got if type(got) is bool else got[0].__name__] += 1
+            root = evaluate._kept[id(f)][1].root
+            if n <= cap:
+                assert one_function(root) or root in (evaluate._true, evaluate._false), f
+            else:
+                assert oracles.generated_source(root) is None, f
+    assert set(seen) == {True, False, "ValueError", "IndexError", "UnboundVariableError",
+                         "SortMismatchError", "TypeError"}, seen
 
 
 def test_a_call_from_a_role_callback_compiles_its_own_copy():
@@ -936,7 +1087,9 @@ def test_a_kept_compile_holds_nothing_of_its_last_call():
             is walk_formula(f, S8, env, {"c": Role()}) is False
 
 
-BODY = F.Leq(X, F.const_term(5))
+# an Or chain past _CLAUSE_CAP nodes, so that a Not, Imp or And over it
+# compiles it as a child of its own, on its first run
+BODY = F.lor([F.Leq(X, F.const_term(5 + k)) for k in range(evaluate._CLAUSE_CAP // 2 + 1)])
 
 
 @pytest.mark.parametrize("f", [F.Not(BODY), F.Imp(F.TRUE, BODY), F.And(F.TRUE, BODY),
@@ -944,6 +1097,7 @@ BODY = F.Leq(X, F.const_term(5))
 def test_a_compile_that_raises_is_retried_at_the_next_call(monkeypatch, f):
     """A child compile that raises (a RecursionError, say) leaves the kept
     compile able to run: the next call compiles that child again."""
+    assert not evaluate._fuses(f)
     formula = evaluate._Compiler.formula
     failed = []
 
@@ -1024,7 +1178,7 @@ def test_memb_matches_the_walker_on_every_index_shape():
     negative, inside or past the string, the empty string, and unbound or
     ill-sorted names; an unbound string is reported before an unbound index.
     Each compiles to one generated function with its index written in, the
-    grid read as a reader call on the code's name."""
+    grid read written in place on the code's name."""
     i = F.NVar("i")
     indices = [F.Zero(), F.One(), F.const_term(3), F.const_term(9), i, F.NVar("Z"),
                F.Plus(i, F.One()), F.Times(i, F.const_term(2)), F.SeqAt(F.NVar("n"), i),
@@ -1035,7 +1189,7 @@ def test_memb_matches_the_walker_on_every_index_shape():
         compiler = evaluate._Compiler(f)
         shapes.add(type(compiler.term(index)).__name__)
         assert one_function(compiler.root), f
-        assert grid_reads(compiler.root, compiler.read) == ([True] if type(index) is F.SeqAt else [])
+        assert grid_reads(compiler.root, compiler) == ([True] if type(index) is F.SeqAt else [])
         for x in ["", "0", "1", "101", "0110", "111", None]:
             for j in [-3, -1, 0, 1, 2, 3, 5, 9, None]:
                 nums = {} if j is None else {"i": j, "n": encode_seq([1, 0, 1]) if j else -5}
@@ -1047,7 +1201,7 @@ def test_memb_matches_the_walker_on_every_index_shape():
         == (UnboundVariableError, "string variable X is unbound")
 
 
-# --- grid reads: one reader call over the run's table of decoded codes ---
+# --- grid reads: written in place over the run's table of decoded codes ---
 
 
 SEQ, I, J, K = F.NVar("s"), F.NVar("i"), F.NVar("j"), F.NVar("k")
@@ -1055,7 +1209,7 @@ TWO, THREE = F.const_term(2), F.const_term(3)
 DEEP = I
 for _ in range(40):  # past _DEPTH_CAP
     DEEP = F.Plus(DEEP, F.One())
-# (term, compiles to a grid read: a reader call on a name, its index written
+# (term, compiles to a grid read written in place on a name, its index written
 # into its atom)
 READS = [
     (F.SeqAt(SEQ, F.Plus(F.Times(F.Plus(F.Times(I, TWO), J), THREE), F.One())), True),
@@ -1146,8 +1300,9 @@ HOSTILE_NUMS = ["a'] + __import__('os').getpid() + nums['a", 'b"\\\n', "c\0_0", 
                 "nums", "strs", "s", "i", "r", "len", "_0", EvilStr("evil")]
 HOSTILE_STRS = ["X'] or True or strs['", 'Y"\\\n\0', "Strs", EvilStr("Evil")]
 # the identifiers a generated source may name: its dicts, the Memb locals,
-# the run, the one builtin it may call, and its operands
-GENERATED_NAMES = re.compile(r"nums|strs|r|s|i|len|_\d+")
+# the run, the one builtin it may call, its operands, and the temporaries of
+# grid reads and of terms computed once
+GENERATED_NAMES = re.compile(r"nums|strs|r|s|i|len|_\d+|_[rjct]\d+")
 
 
 def generated_sources_are_clean(fn, names) -> None:
@@ -1213,10 +1368,36 @@ def test_wide_constants_are_operands_not_literals():
             agrees_with_the_walker(f, S8, env)
     assert eval_formula(formulas[0], S8, Assignment({"x": 3})) is True
     compiler = evaluate._Compiler(F.land(formulas))
-    assert grid_reads(compiler.formula(formulas[3]), compiler.read) == [True]
+    assert grid_reads(compiler.formula(formulas[3]), compiler) == [True]
     for f in formulas:
         assert one_function(compiler.formula(f))
         assert len(oracles.generated_source(compiler.formula(f))) < 300, f
+
+
+def test_a_sum_an_atom_computes_twice_is_computed_once():
+    """A sum an atom computes twice (reflect's side width nf + nf*ns*6, as
+    equal trees of distinct nodes) binds a temporary where it is first
+    computed, and the second reads it; each atom of a clause computes its
+    own, so a sum computed once in each of two atoms takes no temporary,
+    and none is read in an atom that did not bind it.  Values and errors
+    are the walker's."""
+    nf, ns = F.NVar("nf"), F.NVar("ns")
+
+    def side():
+        return F.Plus(nf, F.Times(nf, F.Times(ns, F.const_term(6))))
+    atom = F.Memb(F.Plus(F.Times(TWO, side()), side()), "X")
+    clause = F.And(F.Leq(side(), X), F.Or(F.Not(atom), F.EqNum(side(), side())))
+    for f, temps in ((atom, ["_t0"]), (clause, ["_t0", "_t0"])):
+        tree = ast.parse(oracles.generated_source(evaluate._Compiler(f).root))
+        bound = [g.target.id for g in ast.walk(tree) if type(g) is ast.NamedExpr
+                 and g.target.id.startswith("_t")]
+        read = Counter(g.id for g in ast.walk(tree) if type(g) is ast.Name
+                       and type(g.ctx) is ast.Load and g.id.startswith("_t"))
+        assert sorted(bound) == temps and read == Counter(temps), ast.unparse(tree)
+        for nums in ({"nf": 2, "ns": 1, "x": 40}, {"nf": 0, "ns": 3, "x": 0}, {"ns": 1, "x": 9},
+                     {"nf": 1, "x": 9}):
+            for x in ("", "0" * 30 + "1" * 30):
+                agrees_with_the_walker(f, S8, Assignment(nums, {"X": x}))
 
 
 def test_deep_and_shared_terms_stay_within_what_python_parses():
@@ -1260,8 +1441,8 @@ def test_generated_sources_parse_as_python_3_10():
     bounds = nepo.NepoBounds(c=1, eps=Fraction(1, 2), k=1, m=4)
     assert nepo.eval_acceptance(nepo.acceptance_artifact(tm, bounds), "1") in (True, False)
     assert len(evaluate._generated) > 50
-    for source in list(evaluate._generated):
-        ast.parse(source, feature_version=(3, 10))
+    for key in list(evaluate._generated):
+        ast.parse(evaluate._source(key), feature_version=(3, 10))
 
 
 def test_seq_len_reads_the_header_without_decoding(monkeypatch):

@@ -217,10 +217,10 @@ def test_comp_uniqueness_exhaustive():
 
 def test_every_certify_grid_read_is_one_closure():
     """Every SeqAt of the acceptance formulas at FULL (the certify benchmark's
-    bounds) compiles to a grid read made inside its atom's one generated
-    function, on the code's name, its index written in, so a compiler
-    change that moves grid reads out of the atom fails here, not only in
-    the benchmark."""
+    bounds) compiles to a grid read written in place in its atom's one
+    generated function, on the code's name, its index written in, so a
+    compiler change that moves grid reads out of the atom, or back into a
+    call of the reader, fails here, not only in the benchmark."""
     for name in CORPUS:
         stack, reads = [nepo.acceptance_artifact(corpus_machine(name), FULL).formula], []
         while stack:
