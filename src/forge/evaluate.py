@@ -19,16 +19,15 @@ chains run as loops.  A node compiles the first time evaluation reaches it:
 a closure of a larger connective or of a quantifier keeps its child
 formulas and compiles them on its first run (an And/Or chain, each part
 when its loop first gets there), and a clause compiles whole, its terms
-with it.  A node evaluation must reject (a name of the wrong sort
-or not a str, a node of unknown type) compiles to a closure that raises
-when it is reached, called from the generated function when it is a term
-or a part of a clause, so an error shows where, and only where, evaluation
-reaches it.  A read of
-a name the assignment does not bind raises KeyError there, and _Compiler.run
-turns it into UnboundVariableError.  A KeyError a role callback raises comes
-out the same way.  A subformula or term shared by several parents compiles
-once per compile; a shared term's text is written into each parent's
-function.
+with it.  A node evaluation must reject (a name of the wrong sort or not a
+str, a node of unknown type) compiles to a closure that raises when it is
+reached, called from the generated function when it is a term or a part of
+a clause, so an error shows where, and only where, evaluation reaches it.
+A read of a name the assignment does not bind raises KeyError there, and
+_Compiler.run turns it into UnboundVariableError.  A KeyError a role
+callback raises comes out the same way.  A subformula or term shared by
+several parents compiles once per compile; a shared term's text is written
+into each parent's function.
 
 eval_formula is the one place compiles are kept: those of the last _KEPT
 formulas it evaluated, for the whole process, matched by identity, the
@@ -133,14 +132,14 @@ def eval_formula(f: Formula, s: FiniteSlice, env: Assignment | None = None,
 #
 # A compiled formula is a closure (r) -> bool, r the _Compiler that runs it,
 # which carries the run's assignment, slice and roles; a clause's is a
-# generated function (see "compiled terms" and "compiled formulas").  Variable reads index the
-# assignment's dicts directly and let the KeyError of an unbound name
-# propagate; only _Compiler.run turns it into UnboundVariableError.  Closures
-# never hold the compiler: each run hands it to the root, and through it to
-# the first run of a closure whose children still wait to compile, so a
-# compile and its closures form no cycle and go as soon as eval_formula's
-# table drops them.  A grid read holds the compiler's table of codes, through
-# its get and its reader, not the compiler.
+# generated function (see "compiled terms" and "compiled formulas").  Variable
+# reads index the assignment's dicts directly and let the KeyError of an
+# unbound name propagate; only _Compiler.run turns it into
+# UnboundVariableError.  Closures never hold the compiler: each run hands it
+# to the root, and through it to the first run of a closure whose children
+# still wait to compile, so a compile and its closures form no cycle and go as
+# soon as eval_formula's table drops them.  A grid read holds the compiler's
+# table of codes, through its get and its reader, not the compiler.
 
 
 def _error(kind: type[Exception], message: str):
@@ -186,23 +185,23 @@ class _Compiler:
     Memos by node identity, for terms and for formulas (sound while the
     closures keep alive every node they may still compile; see the module
     docstring), and for Plus and Times also by structure: keyed by the node's
-    type and its compiled operands, so equal sums and products share one
-    fragment.
+    type and each compiled operand, a constant or a fragment's text and
+    operands, so equal sums and products share one fragment.
 
     term compiles a whole term in one frame per level; formula compiles one
-    node in one frame, its child formulas waiting for the node's first run,
-    or a clause whole, in one frame per level of the clause (boolean).  Leaf
-    terms compile to a constant or a name's read and skip the memo.  A run
-    takes one frame per formula level above the clauses and one per clause,
-    And and Or chains running as loops.  codes is the table of decoded
-    sequence codes that a grid read looks up in place and fills through
-    read, and verdicts the table of verdicts that number binders
-    memoize; each run starts both empty.  run puts what the closures read besides the
-    formula's structure (the assignment, its dicts, the slice and the roles)
-    on the compiler, and drops it when the run ends, so a kept compile holds
-    none of it after its last call.  A Len keeps the last string it read
-    (see "compiled terms"), as the verdict table's keys keep string
-    values, but never the assignment, its dicts or the roles.
+    node in one frame, its child formulas waiting for the node's first run, or
+    a clause whole, in one frame per level of the clause (boolean).  Leaf terms
+    compile to a constant or a name's read and skip the memo.  A run takes one
+    frame per formula level above the clauses and one per clause, And and Or
+    chains running as loops.  codes is the table of decoded sequence codes that
+    a grid read looks up in place and fills through read, and verdicts the
+    table of verdicts that number binders memoize; each run starts both empty.
+    run puts what the closures read besides the formula's structure (the
+    assignment, its dicts, the slice and the roles) on the compiler, and drops
+    it when the run ends, so a kept compile holds none of it after its last
+    call.  A Len keeps the last string it read (see "compiled terms"), as the
+    verdict table's keys keep string values, but never the assignment, its
+    dicts or the roles.
     """
 
     __slots__ = ("terms", "formulas", "codes", "read", "verdicts", "root",
@@ -252,7 +251,7 @@ class _Compiler:
                 elif tt is Times and (a == 1 or b == 1):  # a factor of 1
                     out = b if a == 1 else a
                 else:
-                    out = _join(a, " + " if tt is Plus else " * ", b)
+                    out = _join(" + " if tt is Plus else " * ", (_inline(a), _inline(b)))
                 self.terms[key] = out
         elif tt is Len:
             svar = _name(t.svar, False)
@@ -321,21 +320,20 @@ class _Compiler:
 
     def boolean(self, f: Formula):
         """f, a formula of a fused clause, as a folded truth value or a
-        fragment over r, nums and strs, written in the tree's order; a
-        fragment of a connective is written once, and keeps no parts."""
+        fragment over r, nums and strs, written in the tree's order."""
         tf = type(f)
         if tf is EqNum or tf is Leq:
             a, b = self.term(f.left), self.term(f.right)
             if _is_const(a) and _is_const(b):
                 return a <= b if tf is Leq else a == b
-            return _shared(_join(a, " <= " if tf is Leq else " == ", b))
+            return _join(" <= " if tf is Leq else " == ", (_inline(a), _inline(b)))
         if tf is Memb:
             svar = _name(f.svar, False)  # read before the index
             if callable(svar):
                 return _test(svar)
             i = _inline(self.term(f.index))
-            head, tail = f"(len(s := strs[{svar!r}]) > (i := ", ") >= 0 and s[i] == '1')"
-            return _shared(_Frag((head + i[0] + tail, i[1], i[2] + 2, (head, i, tail), i[4])))
+            return _Frag((f"(len(s := strs[{svar!r}]) > (i := " + i[0] + ") >= 0 and s[i] == '1')",
+                          i[1], i[2] + 2))
         if tf is And or tf is Or:
             parts, g = [], f
             while type(g) is tf:
@@ -346,10 +344,10 @@ class _Compiler:
         if tf is Not:
             body = self.boolean(f.body)
             return not body if _is_const(body) else _Frag(
-                ("(not " + body[0] + ")", body[1], body[2] + 1, (), 0))
+                ("(not " + body[0] + ")", body[1], body[2] + 1))
         if tf is Imp:
             left = self.boolean(f.left)
-            left = not left if _is_const(left) else _Frag(("not " + left[0], left[1], left[2], (), 0))
+            left = not left if _is_const(left) else _Frag(("not " + left[0], left[1], left[2]))
             return _connect(False, [left, self.boolean(f.right)])
         if tf is EqStr:
             return _test(_eq_str(_name(f.left, False), _name(f.right, False)))
@@ -386,25 +384,26 @@ class _Compiler:
 
 # --- compiled terms ---
 #
-# A compiled term is a folded constant or a fragment (_Frag): the text of a
-# Python expression over nums and strs, the run's number and string dicts,
-# with each NUL in it standing for the next of its operands, its nesting
-# depth, the pieces it is written from and its marks (see below).  A constant is written as its literal when it is an int of
-# at most _INT_BITS bits and is an operand otherwise, so the text never
-# holds a wide literal (which int's str conversion limit can refuse) or a
-# value that is not an exact int; a number name is written nums['name'],
-# the repr of an exact str; a sum, a product or a read writes its parts in
-# the tree's order, so Python reads them left to right as the tree does.
-# Anything else is an operand call, _0(nums, strs): a Len's closure (below)
-# and an ill-sorted name's or an unknown node's _error, which raises
-# where it is read.  No other data enters the text, so a name holding
-# quotes, backslashes or code stays a string key.  A part deeper than
-# _DEPTH_CAP or longer than _TEXT_CAP (a term tree sharing subterms can
+# A compiled term is a folded constant or a fragment (_Frag): (text, operands,
+# depth), the text a Python expression over nums and strs, the run's number
+# and string dicts, with each NUL in it standing for the next of its operands,
+# and depth its nesting.  Each builder writes its fragment out once, from its
+# parts' texts.  A constant is written as its literal when it is an int of at
+# most _INT_BITS bits and is an operand otherwise, so the text never holds a
+# wide literal (which int's str conversion limit can refuse) or a value that
+# is not an exact int; a number name is written nums['name'], the repr of an
+# exact str; a sum, a product or a read writes its parts in the tree's order,
+# so Python reads them left to right as the tree does, and a subterm written
+# twice is computed twice.  Anything else is an operand call, _0(nums, strs):
+# a Len's closure (below) and an ill-sorted name's or an unknown node's
+# _error, which raises where it is read.  No other data enters the text, so a
+# name holding quotes, backslashes or code stays a string key.  A part deeper
+# than _DEPTH_CAP or longer than _TEXT_CAP (a term tree sharing subterms can
 # double its text at each level) is an operand call of its own function
-# instead, which keeps every text within what Python parses.  Constants
-# are natural numbers, on which every term operation is total, so folding
-# never raises, and a constant operand may be read anywhere.  A product with
-# a constant factor 1 is its other factor (acc writes p(|X|) with one).
+# instead, which keeps every text within what Python parses.  Constants are
+# natural numbers, on which every term operation is total, so folding never
+# raises, and a constant operand may be read anywhere.  A product with a
+# constant factor 1 is its other factor (acc writes p(|X|) with one).
 #
 # Each clause (see "compiled formulas") becomes one function of the run from
 # its whole tree, and each binder's bound and limit and each scan's index
@@ -423,28 +422,16 @@ class _Compiler:
 # the cost of compiling each source once per process.  Numbering only a
 # text not yet compiled took a compile of a grid-read atom,
 # (= (seq s (+ (* x 3) y)) 1), whose text holds operands, from 12.2 to
-# 10.3 us (timeit, best of 7, the same host); the parts and marks below
-# then took it to 11.6 us, (leq (+ (* x 3) y) (+ y 1)) from 9.6 to 11.1 us
-# and a guarded bit-run binder from 12.3 to 13.4 us.
-#
-# A sum or product without operands that an atom, or a term given a
-# function of its own, computes more than once is computed there once
-# (_shared): its first occurrence binds a walrus temporary _t0, _t1, ...,
-# which each later one reads.  Python runs an atom's terms whole, left
-# then right (a Memb's string then index, a grid read's code then index;
-# only a grid read's branches are conditional, and they hold temporaries
-# alone), so the first occurrence in the text runs before every later
-# one, and a temporary is never read across the parts of a clause, which
-# and, or and not may skip.  Terms are pure, so the value is the one the
-# repeat computed, and an error comes out at the first occurrence, where
-# it came out before.  Such a term is one fragment wherever it is written
-# (Plus and Times are memoized by structure), so each fragment carries
-# marks (_join): a bit for each such term in it, picked by identity, and
-# _REPEATS when two of its parts share a bit.  A fragment without _REPEATS
-# holds no term twice and is written as it is; one with it is counted term
-# by term and written again.  A term over an operand (a Len, a grid read, a
-# wide constant) is written each time it occurs.  In a seed-1 reflect pass 496 of the 882 sources computed a subterm twice, such
-# as the side width nf + nf*ns*6 in each bit index of a proof line.
+# 10.3 us (timeit, best of 7, the same host).  Each builder writing its
+# fragment out once, with no walk for repeated subterms, then took that
+# atom's compile from 11.8 to 11.1 us, (leq (+ (* x 3) y) (+ y 1)) from 11.4
+# to 10.6 us, a guarded bit-run binder with its body from 29.7 to 24.8 us
+# and a Memb whose index holds nf + nf*ns*6 twice from 29.8 to 18.4 us
+# (timeit, best of 7, medians of 3 alternating runs on a 2-vCPU host).
+# Binding such a repeat to a temporary ran that Memb in 356 ns against 393,
+# and warm reflect passes at a median 643.6 ops/s against 634.9 (p90 2.58
+# against 2.66 ms, 5 pairs), but cost a cold seed-1 reflect pass 0.43 s
+# against 0.35 s, so a repeat is computed where it is written.
 #
 # Plus and Times are also memoized by structure, keyed by (type, compiled
 # left, compiled right): constants compare by value and fragments by text
@@ -498,11 +485,9 @@ class _Compiler:
 
 
 class _Frag(tuple):
-    """A compiled term that is not a constant: (text, operands, depth, parts,
-    marks), parts the pieces its text is written from, in order, each a str
-    (its NULs standing for operands of the fragment's own) or a fragment, or
-    () for a leaf, and marks (_join) a bit for each term without operands
-    in it, and _REPEATS when one may be in it twice."""
+    """A compiled term that is not a constant, or a clause's part that does
+    not fold: (text, operands, depth), each NUL in the text standing for the
+    next operand (see "compiled terms")."""
 
     __slots__ = ()
 
@@ -512,7 +497,6 @@ _INT_BITS = 64  # widest int constant written as a literal
 _DEPTH_CAP = 32  # deepest fragment written into another
 _TEXT_CAP = 2048  # longest fragment written into another
 _CLAUSE_CAP = 24  # most formula nodes of a clause fused into one function
-_REPEATS = 1 << 64  # the mark of a fragment that may hold a term twice
 _generated: dict[str, FunctionType] = {}  # text with NULs -> its function, without operands
 
 
@@ -523,13 +507,13 @@ def _is_const(a) -> bool:
 def _leaf(value) -> _Frag:
     """The constant value as a fragment."""
     if type(value) is int and value.bit_length() <= _INT_BITS:
-        return _Frag((repr(value), (), 0, (), 0))
-    return _Frag(("\0", (value,), 0, (), 0))
+        return _Frag((repr(value), (), 0))
+    return _Frag(("\0", (value,), 0))
 
 
 def _num(name: str) -> _Frag:
     """A read of the number variable name, an exact str, as a fragment."""
-    return _Frag((f"nums[{name!r}]", (), 0, (), 0))
+    return _Frag((f"nums[{name!r}]", (), 0))
 
 
 _CALL = "\0(nums, strs)"  # the text of a call of a closure (nums, strs) -> int
@@ -537,29 +521,19 @@ _CALL = "\0(nums, strs)"  # the text of a call of a closure (nums, strs) -> int
 
 def _call(fn) -> _Frag:
     """A call of fn, a closure (nums, strs) -> int, as a fragment."""
-    return _Frag((_CALL, (fn,), 0, (), 0))
+    return _Frag((_CALL, (fn,), 0))
 
 
 def _called(fn, a: _Frag) -> _Frag:
     """A call of the operand fn on the fragment a, as a fragment."""
-    return _Frag(("\0(" + a[0] + ")", (fn,) + a[1], a[2] + 1, ("\0(", a, ")"), a[4]))
+    return _Frag(("\0(" + a[0] + ")", (fn,) + a[1], a[2] + 1))
 
 
-def _join(a, sep: str, b) -> _Frag:
-    """a and b, compiled terms, inlined and written in order with sep
-    between them, within parentheses.  Its marks are theirs, _REPEATS when
-    they share a bit, and without operands its own bit, so that a term
-    without operands written twice in a fragment always leaves _REPEATS on
-    it.  Such a term is written from one parts tuple wherever it is written
-    (Plus and Times are memoized by structure), so the tuple's identity
-    picks its bit."""
-    a, b = _inline(a), _inline(b)
-    parts, operands, marks = ("(", a, sep, b, ")"), a[1] + b[1], a[4] | b[4]
-    if a[4] & b[4]:
-        marks |= _REPEATS
-    if not operands:
-        marks |= 1 << (id(parts) >> 4 & 63)
-    return _Frag(("(" + a[0] + sep + b[0] + ")", operands, max(a[2], b[2]) + 1, parts, marks))
+def _join(sep: str, parts) -> _Frag:
+    """parts, fragments, written in order with sep between them, within
+    parentheses: a sum, a product, a comparison or an And or Or chain."""
+    texts, operands, depths = zip(*parts)
+    return _Frag(("(" + sep.join(texts) + ")", sum(operands, ()), max(depths) + 1))
 
 
 def _grid(get, read, code: _Frag, index: _Frag) -> _Frag:
@@ -567,11 +541,9 @@ def _grid(get, read, code: _Frag, index: _Frag) -> _Frag:
     finds for the code, read, else a call of read; its temporaries are named
     by its depth, which no read nested in it shares."""
     d = max(code[2] + 3, index[2] + 2)
-    head, middle, tail = (f"(_r{d}[_j{d}] if len(_r{d} := \0(_c{d} := ", f", ())) > (_j{d} := ",
-                          f") >= 0 else \0(_c{d}, _j{d}))")
-    marks = code[4] | index[4] | _REPEATS if code[4] & index[4] else code[4] | index[4]
-    return _Frag((head + code[0] + middle + index[0] + tail, (get,) + code[1] + index[1] + (read,),
-                  d, (head, code, middle, index, tail), marks))
+    text = (f"(_r{d}[_j{d}] if len(_r{d} := \0(_c{d} := " + code[0] + f", ())) > (_j{d} := "
+            + index[0] + f") >= 0 else \0(_c{d}, _j{d}))")
+    return _Frag((text, (get,) + code[1] + index[1] + (read,), d))
 
 
 def _inline(a) -> _Frag:
@@ -591,38 +563,7 @@ def _function(a) -> Callable:
         a = _leaf(a)
     elif a[0] == _CALL:
         return a[1][0]
-    return _generate("_term(nums, strs", _shared(a), " return ")
-
-
-def _shared(frag: _Frag) -> _Frag:
-    """frag, an atom or a term given a function of its own, with each
-    compound term without operands that it computes more than once bound to
-    a temporary _t0, _t1, ... where it is first computed, and read from
-    there on (see "compiled terms")."""
-    if not frag[4] & _REPEATS:
-        return frag
-    counts, stack, bits = {}, [frag], 0  # bits: the marks of terms computed twice
-    while stack:
-        f = stack.pop()
-        if not f[1]:  # one fragment per such term (_join), so identity counts
-            n = counts[id(f)] = counts.get(id(f), 0) + 1
-            if n > 1:  # its parts are counted where it is first computed
-                bits |= 1 << (id(f[3]) >> 4 & 63)
-                continue
-        stack += [p for p in f[3] if type(p) is _Frag and p[3]]
-    names: dict[int, str] = {}
-
-    def text(f: _Frag) -> str:
-        if not f[4] & bits:  # no term computed twice in it
-            return f[0]
-        if f[1] or counts[id(f)] == 1:
-            return "".join(p if type(p) is str else text(p) for p in f[3])
-        name = names.get(id(f))
-        if name is not None:
-            return name
-        name = names[id(f)] = f"_t{len(names)}"
-        return f"({name} := " + "".join(p if type(p) is str else text(p) for p in f[3]) + ")"
-    return _Frag((text(frag), frag[1], frag[2], (), 0)) if bits else frag
+    return _generate("_term(nums, strs", a, " return ")
 
 
 def _generate(head: str, frag: _Frag, before: str):
@@ -692,29 +633,28 @@ def _len(svar: str):
 # which compiles them through the compiler that runs it and keeps the
 # closures in their place.
 #
-# A number binder memoizes its verdicts in the compiler's verdicts table
-# when, at its first run, the run has roles and a role settles it (an ExN
-# whose variable has one) or each number name free in its body but its own
-# has one, as nepo's level-0 clauses over a grid code do.  The key is
-# (compiled body, exists, variable, bound value, values of the body's other
-# free number names, then string names): looked up once the bound is
-# checked, stored once the role or the sweep settles, never on a raise.
-# Within one run the slice and roles are fixed: the table is emptied at the
-# start of each run, and when it reaches _TABLE_CAP verdicts.  The body
-# (the compiled body and exists: an AlN and an ExN over one body never
-# share an entry), with a guarded sweep's limit or a scan, reads names free
-# in it, which are in the key, and names it binds, whose values follow from
-# those; a callback reads only its binder's free names (see "Certificate
-# roles"), each bound inside the body or free in it.  So the verdict is a
-# function of the key.  The values are read with .get, so an unbound name
-# is part of the key and raises only where the body reaches it.  The key
-# holds no closure of the binder's own, so the compile still forms no
-# cycle.  A binder first run without roles never memoizes.  Role binders
-# alone, with nepo's certificate memo and one EqNum/Leq closure per operand
-# shape, took certify from a median 32.3 to 60.8 ops/s over 10 perfbench
-# pairs on a 2-vCPU host.  Sweeps took one seed-1 certify pass (108 runs) from 6,640
-# level-0 clause settlements to 2,785 and from 1.77M grid reads to 0.95M,
-# and certify from a median 59.4 to 102.5 ops/s over 10 pairs.
+# A number binder memoizes its verdicts in the compiler's verdicts table when,
+# at its first run, the run has roles and a role settles it (an ExN whose
+# variable has one) or each number name free in its body but its own has one,
+# as nepo's level-0 clauses over a grid code do.  The key is (compiled body,
+# exists, variable, bound value, values of the body's other free number names,
+# then string names): looked up once the bound is checked, stored once the
+# role or the sweep settles, never on a raise.  Within one run the slice and
+# roles are fixed: the table is emptied at the start of each run, and when it
+# reaches _TABLE_CAP verdicts.  The body (the compiled body and exists: an AlN
+# and an ExN over one body never share an entry), with a guarded sweep's limit
+# or a scan, reads names free in it, which are in the key, and names it binds,
+# whose values follow from those; a callback reads only its binder's free
+# names (see "Certificate roles"), each bound inside the body or free in it.
+# So the verdict is a function of the key.  The values are read with .get, so
+# an unbound name is part of the key and raises only where the body reaches
+# it.  The key holds no closure of the binder's own, so the compile still
+# forms no cycle.  A binder first run without roles never memoizes.  Role
+# binders alone, with nepo's certificate memo and one EqNum/Leq closure per
+# operand shape, took certify from a median 32.3 to 60.8 ops/s over 10
+# perfbench pairs on a 2-vCPU host.  Sweeps took one seed-1 certify pass (108
+# runs) from 6,640 level-0 clause settlements to 2,785 and from 1.77M grid
+# reads to 0.95M, and certify from a median 59.4 to 102.5 ops/s over 10 pairs.
 #
 # An AlN binder of forall_lt's shape, (alN v S (imp G B)) with G lt(v, L) or
 # an And chain whose first part is lt(v, L), v a number name and not free in
@@ -849,7 +789,7 @@ _TEST = "\0(r)"  # the text of a call of a formula closure (r) -> bool
 
 def _test(fn) -> _Frag:
     """A call of fn, a formula closure, as a fragment of a clause."""
-    return _Frag((_TEST, (fn,), 0, (), 0))
+    return _Frag((_TEST, (fn,), 0))
 
 
 def _connect(conj: bool, parts: list):
@@ -859,9 +799,8 @@ def _connect(conj: bool, parts: list):
     every name the chain reads."""
     if all(map(_is_const, parts)):
         return all(parts) if conj else any(parts)
-    parts = [p if type(p) is _Frag else _Frag((repr(p), (), 0, (), 0)) for p in parts]
-    return _Frag(("(" + (" and " if conj else " or ").join(p[0] for p in parts) + ")",
-                  sum((p[1] for p in parts), ()), max(p[2] for p in parts) + 1, (), 0))
+    return _join(" and " if conj else " or ",
+                 [p if type(p) is _Frag else _Frag((repr(p), (), 0)) for p in parts])
 
 
 def _fuses(f: Formula) -> bool:
@@ -941,9 +880,9 @@ def _quant(exists: bool, strings: bool, var: str, bound, body,
     """A number quantifier sweeps 0..bound; a string quantifier sweeps every
     set below bound, which must stay within str_width.  An AlN of a _limit
     shape, given its compiled limit, reads limit once and sweeps only
-    var < limit.  A binder given a scan (_Compiler.scan, for a bit
-    literal) sweeps only the values it leaves, when no role settles it.  A number binder may
-    memoize its verdicts (see "compiled formulas")."""
+    var < limit.  A binder given a scan (_Compiler.scan, for a bit literal)
+    sweeps only the values it leaves, when no role settles it.  A number
+    binder may memoize its verdicts (see "compiled formulas")."""
     memo = False  # until the first run; then None, or the body's other free names
 
     def run(r):
