@@ -10,19 +10,20 @@ its largest element, membership beyond the text is false, and equality
 ignores trailing zeros.
 
 One evaluator.  A formula runs as nested closures (Feeley and Lapalme,
-"Using closures for code generation", 1987) down to its clauses, and each
-clause (an atom, or a quantifier-free And, Or, Not or Imp of at most
-_CLAUSE_CAP formula nodes) runs as one function generated as Python source
-from its whole tree, terms and grid reads included: closed subterms fold to
-numbers, variable sorts are checked when a node compiles, and larger And/Or
-chains run as loops.  A node compiles the first time evaluation reaches it:
-a closure of a larger connective or of a quantifier keeps its child
-formulas and compiles them on its first run (an And/Or chain, each part
-when its loop first gets there), and a clause compiles whole, its terms
-with it.  A node evaluation must reject (a name of the wrong sort or not a
-str, a node of unknown type) compiles to a closure that raises when it is
-reached, called from the generated function when it is a term or a part of
-a clause, so an error shows where, and only where, evaluation reaches it.
+"Using closures for code generation", 1987): a quantifier runs as a
+closure, and every other node as one function generated as Python source.
+A clause (an atom, or a quantifier-free And, Or, Not or Imp of at most
+_CLAUSE_CAP formula nodes) is written whole, terms and grid reads included:
+closed subterms fold to numbers, and variable sorts are checked when a node
+compiles.  A larger connective, or one over a binder, is written the same
+way, but each of its direct parts is a call of that part's own function.
+A node compiles the first time evaluation reaches it: a quantifier keeps
+its body, and a larger connective each part, until evaluation first gets
+there, and a clause compiles whole, its terms with it.  A node evaluation
+must reject (a name of the wrong sort or not a str, a node of unknown type)
+compiles to a closure that raises when it is reached, called from the
+generated function when it is a term or a part of a clause, so an error
+shows where, and only where, evaluation reaches it.
 A read of a name the assignment does not bind raises KeyError there, and
 _Compiler.run turns it into UnboundVariableError.  A KeyError a role
 callback raises comes out the same way.  A subformula or term shared by
@@ -41,13 +42,13 @@ runs, so no compile has two runs at once: a nested call on the same formula
 subclass of _Compiler whose closures build images instead of verdicts.
 
 The compile memos are keyed by node identity.  That is sound because a
-closure keeps every node it may still compile alive: the memo's keys name
-nodes that were alive, beside every node still to compile, when the compile
-began, so no node still to compile can share an id with a key.
+compiled node keeps every node it may still compile alive: the memo's keys
+name nodes that were alive, beside every node still to compile, when the
+compile began, so no node still to compile can share an id with a key.
 eval_formula holds each formula it keeps the compile of, so no later
-formula can take its id.  A clause compiles its whole tree at once, so
-no term, and no node within a clause, waits to compile.  Sums and products
-are memoized by structure as well (see "compiled terms" below).
+formula can take its id.  A clause compiles its whole tree at once, so no
+term, and no node within a clause, waits to compile.  Sums and products are
+memoized by structure as well (see "compiled terms" below).
 
 Certificate roles: evaluation optionally takes a map from variable names to
 callbacks.  An ExN binder whose variable has a role is not swept; its
@@ -131,15 +132,16 @@ def eval_formula(f: Formula, s: FiniteSlice, env: Assignment | None = None,
 # --- the compiler ---
 #
 # A compiled formula is a closure (r) -> bool, r the _Compiler that runs it,
-# which carries the run's assignment, slice and roles; a clause's is a
-# generated function (see "compiled terms" and "compiled formulas").  Variable
-# reads index the assignment's dicts directly and let the KeyError of an
-# unbound name propagate; only _Compiler.run turns it into
+# which carries the run's assignment, slice and roles; any node's but a
+# quantifier's is a generated function (see "compiled terms" and "compiled
+# formulas").  Variable reads index the assignment's dicts directly and let
+# the KeyError of an unbound name propagate; only _Compiler.run turns it into
 # UnboundVariableError.  Closures never hold the compiler: each run hands it
-# to the root, and through it to the first run of a closure whose children
-# still wait to compile, so a compile and its closures form no cycle and go as
-# soon as eval_formula's table drops them.  A grid read holds the compiler's
-# table of codes, through its get and its reader, not the compiler.
+# to the root, and through it to the first run of a quantifier or a part
+# still waiting to compile, so a compile and its closures form no cycle and
+# go as soon as eval_formula's table drops them.  A grid read holds the
+# compiler's table of codes, through its get and its reader, not the
+# compiler.
 
 
 def _error(kind: type[Exception], message: str):
@@ -189,19 +191,19 @@ class _Compiler:
     operands, so equal sums and products share one fragment.
 
     term compiles a whole term in one frame per level; formula compiles one
-    node in one frame, its child formulas waiting for the node's first run, or
-    a clause whole, in one frame per level of the clause (boolean).  Leaf terms
+    node in one frame, its child formulas waiting for their first reach, or a
+    clause whole, in one frame per level of the clause (boolean).  Leaf terms
     compile to a constant or a name's read and skip the memo.  A run takes one
-    frame per formula level above the clauses and one per clause, And and Or
-    chains running as loops.  codes is the table of decoded sequence codes that
-    a grid read looks up in place and fills through read, and verdicts the
-    table of verdicts that number binders memoize; each run starts both empty.
-    run puts what the closures read besides the formula's structure (the
-    assignment, its dicts, the slice and the roles) on the compiler, and drops
-    it when the run ends, so a kept compile holds none of it after its last
-    call.  A Len keeps the last string it read (see "compiled terms"), as the
-    verdict table's keys keep string values, but never the assignment, its
-    dicts or the roles.
+    frame per formula level above the clauses, an And or Or chain one however
+    long, and one per clause.  codes is the table of decoded sequence codes
+    that a grid read looks up in place and fills through read, and verdicts
+    the table of verdicts that number binders memoize; each run starts both
+    empty.  run puts what the closures read besides the formula's structure
+    (the assignment, its dicts, the slice and the roles) on the compiler, and
+    drops it when the run ends, so a kept compile holds none of it after its
+    last call.  A Len keeps the last string it read (see "compiled terms"),
+    as the verdict table's keys keep string values, but never the
+    assignment, its dicts or the roles.
     """
 
     __slots__ = ("terms", "formulas", "codes", "read", "verdicts", "root",
@@ -279,38 +281,24 @@ class _Compiler:
         if out is not None:
             return out
         tf = type(f)
-        if tf is EqNum or tf is Leq or tf is Memb or (
-                (tf is And or tf is Or or tf is Not or tf is Imp) and _fuses(f)):
-            out = self.clause(f)
-        elif tf is EqStr:
-            out = _eq_str(_name(f.left, False), _name(f.right, False))
-        elif tf is And or tf is Or:
-            parts, g = [], f
-            while type(g) is tf:
-                parts.append(g.left)
-                g = g.right
-            parts.append(g)
-            out = _chain(tf is And, parts)
-        elif tf is Not:
-            out = _not(f.body)
-        elif tf is Imp:
-            out = _imp(f.left, f.right)
-        elif tf is AlN and (limit := _limit(f)) is not None:
+        if tf is AlN and (limit := _limit(f)) is not None:
             out = _quant(False, False, f.var, self.number(f.bound), f.body, self.number(limit),
                          self.scan(f))
         elif tf is ExN or tf is AlN or tf is ExS or tf is AlS:
             out = _quant(tf is ExN or tf is ExS, tf is ExS or tf is AlS, f.var,
                          self.number(f.bound), f.body, scan=self.scan(f) if tf is ExN else None)
         else:
-            out = _error(TypeError, f"not a formula: {f!r}")
+            out = self.clause(f)
         self.formulas[id(f)] = out
         return out
 
     def clause(self, f: Formula) -> Callable[[_Compiler], bool]:
-        """f, an atom or a clause within _CLAUSE_CAP, as one function (see
-        "compiled formulas"): _true or _false when it folds, and the closure
-        itself when it is one call of a closure."""
-        out = self.boolean(f)
+        """f, any node but a binder, as one function (see "compiled
+        formulas"): written whole when it fuses, else with each direct part
+        a call that compiles the part at its first reach; _true or _false
+        when it folds, and the closure itself when it is one call of a
+        closure."""
+        out = self.boolean(f, not _fuses(f))
         if _is_const(out):
             return _true if out else _false
         if out[0] == _TEST:
@@ -318,9 +306,10 @@ class _Compiler:
         loads = "".join(f" {d} = r.{d}\n" for d in ("nums", "strs") if d in out[0])
         return _generate("_clause(r", out, loads + " return ")
 
-    def boolean(self, f: Formula):
+    def boolean(self, f: Formula, lazy: bool = False):
         """f, a formula of a fused clause, as a folded truth value or a
-        fragment over r, nums and strs, written in the tree's order."""
+        fragment over r, nums and strs, written in the tree's order; with
+        lazy, f's direct parts are _later calls instead."""
         tf = type(f)
         if tf is EqNum or tf is Leq:
             a, b = self.term(f.left), self.term(f.right)
@@ -334,21 +323,22 @@ class _Compiler:
             i = _inline(self.term(f.index))
             return _Frag((f"(len(s := strs[{svar!r}]) > (i := " + i[0] + ") >= 0 and s[i] == '1')",
                           i[1], i[2] + 2))
+        part = _later if lazy else self.boolean
         if tf is And or tf is Or:
             parts, g = [], f
             while type(g) is tf:
-                parts.append(self.boolean(g.left))
+                parts.append(part(g.left))
                 g = g.right
-            parts.append(self.boolean(g))
+            parts.append(part(g))
             return _connect(tf is And, parts)
         if tf is Not:
-            body = self.boolean(f.body)
+            body = part(f.body)
             return not body if _is_const(body) else _Frag(
                 ("(not " + body[0] + ")", body[1], body[2] + 1))
         if tf is Imp:
-            left = self.boolean(f.left)
+            left = part(f.left)
             left = not left if _is_const(left) else _Frag(("not " + left[0], left[1], left[2]))
-            return _connect(False, [left, self.boolean(f.right)])
+            return _connect(False, [left, part(f.right)])
         if tf is EqStr:
             return _test(_eq_str(_name(f.left, False), _name(f.right, False)))
         return _test(_error(TypeError, f"not a formula: {f!r}"))
@@ -442,8 +432,8 @@ class _Compiler:
 # compound terms but only 832 distinct structures (816 sums, 16 products).
 # Since eval_formula keeps its compile across the pass, that compile ends
 # up holding the union of what every op reached: 2.4 MB under tracemalloc
-# (2.9 MB when terms were closures), beside 1.6 MB in _generated for the
-# pass's 882 distinct sources.
+# (2.9 MB when terms were closures), beside the 685 distinct sources, of
+# 691,038 characters of text, that the pass leaves in _generated.
 #
 # A Len's value is a function of the object its name is bound to.  It
 # compiles to a closure (_len) that keeps, in its own cell, the string it
@@ -629,9 +619,9 @@ def _len(svar: str):
 
 # --- compiled formulas ---
 #
-# A closure with child formulas holds the child nodes until its first run,
-# which compiles them through the compiler that runs it and keeps the
-# closures in their place.
+# A quantifier's closure holds its body node until its first run, which
+# compiles it through the compiler that runs it and keeps the compiled body
+# in its place; a larger connective's parts wait the same way (below).
 #
 # A number binder memoizes its verdicts in the compiler's verdicts table when,
 # at its first run, the run has roles and a role settles it (an ExN whose
@@ -756,22 +746,34 @@ def _len(svar: str):
 # string, its length (a str's, which cannot raise) and then the index, and
 # tests the bit as codec.bit_at does.  Any other node, an EqStr or the
 # _error of an ill-sorted string name or an unknown node, is an operand
-# call _0(r).  Python's and, or and not settle as the closures did, so the
-# clause reads what they read, in the same order, and raises the same first
-# error.  An atom whose terms fold is written as the literal True or False
-# and the text keeps every part, so it reads every name the clause reads,
-# and binders whose bodies share one function, having one text, key their
-# verdicts alike (_memo_names sorts the names); a clause that folds whole
-# is _true or _false.  A larger And, Or, Not or Imp, or one over a binder,
-# keeps _chain, _not or _imp, whose parts compile on their first reach and
-# may be clauses.  Inside a clause nothing waits: a part past a short
-# circuit compiles with the rest, its terms too, which is what the cap
-# bounds.  Over a warm seed-1 certify pass (108 ops) the clauses took the
-# connective closures' runs from 1.03M (619K And/Or chains, 233K Imp, 178K
-# Not) to 92K and the reader's calls from 953K to 567.  The cap was chosen
-# by the best of 3 warm seed-1 passes at each size on a 2-vCPU host (the
-# parent ran certify in 0.383 s, witness in 0.131 s and reflect in 0.088 s,
-# reflect at 28.3 MB ru_maxrss):
+# call _0(r).  Python's and, or and not settle from the left as the
+# connectives do, so the clause reads what they read, in the same order, and
+# raises the same first error.  An atom whose terms fold is written as the
+# literal True or False and the text keeps every part, so it reads every
+# name the clause reads, and binders whose bodies share one function, having
+# one text, key their verdicts alike (_memo_names sorts the names); a clause
+# that folds whole is _true or _false.  A larger And, Or, Not or Imp, or one
+# over a binder, is written the same way, a chain flattened as in a clause,
+# but each of its direct parts is a lazy call (_later),
+#   (_0[0] or _1(r, _2))(r)
+# with _0 and _2 one list [function, node], the function None until its
+# first run, and _1 _fill, which compiles the node (a clause, say) through
+# the compiler that runs it, puts its function in the list and returns it.
+# So each part compiles at its first reach (an Imp's right part only once
+# its left part holds), a compile that raises leaves None in the list and
+# runs again at the next reach, and after the first run the function calls
+# the part's function directly, one frame per formula level.  One _fill
+# serves every part: with a closure of its own per part, the compiles a
+# seed-1 reflect pass leaves held 0.44 MB more under tracemalloc (5.71 MB
+# against 5.33).  That pass compiles 342 connectives this way, 210 of them
+# quantifier-free; one of certify compiles 72, and one of witness 26.
+# Inside a clause nothing waits: a part past a short circuit compiles with
+# the rest, its terms too, which is what the cap bounds.  Over a warm seed-1
+# certify pass (108 ops) the clauses took the connective closures' runs from
+# 1.03M (619K And/Or chains, 233K Imp, 178K Not) to 92K and the reader's
+# calls from 953K to 567.  The cap was chosen by the best of 3 warm seed-1
+# passes at each size on a 2-vCPU host (the parent ran certify in 0.383 s,
+# witness in 0.131 s and reflect in 0.088 s, reflect at 28.3 MB ru_maxrss):
 #   cap       4      8      16     24     32     64
 #   certify   0.302  0.263  0.254  0.250  0.251  0.246 s
 #   witness   0.114  0.096  0.090  0.082  0.083  0.082 s
@@ -804,8 +806,8 @@ def _connect(conj: bool, parts: list):
 
 
 def _fuses(f: Formula) -> bool:
-    """Whether f, an And, Or, Not or Imp, is a clause to fuse: at most
-    _CLAUSE_CAP formula nodes, counted with multiplicity, none a binder."""
+    """Whether f is a clause to fuse: at most _CLAUSE_CAP formula nodes,
+    counted with multiplicity, none a binder."""
     n, stack = 0, [f]
     while stack:
         g = stack.pop()
@@ -820,59 +822,24 @@ def _fuses(f: Formula) -> bool:
     return True
 
 
+def _later(node: Formula) -> _Frag:
+    """A call of node's function, as a part of a connective that does not
+    fuse: read from a list [function, node], which holds None in place of
+    the function until _fill's compile of node returns, so a compile that
+    raises runs again at the next reach (see "compiled formulas")."""
+    cell = [None, node]
+    return _Frag(("(\0[0] or \0(r, \0))(r)", (cell, _fill, cell), 0))
+
+
+def _fill(r, cell: list):
+    """The function of cell's node, compiled through r and kept in cell."""
+    cell[0] = out = r.formula(cell[1])
+    return out
+
+
 def _eq_str(left, right) -> Callable[[_Compiler], bool]:
     return lambda r: codec.sets_equal(
         *[r.strs[n] if type(n) is str else n() for n in (left, right)])
-
-
-def _chain(conj: bool, parts: list) -> Callable[[_Compiler], bool]:
-    """An And (conj) or Or chain over parts, a list of nodes in which each
-    part is replaced by its closure the first time the loop reaches it."""
-    ready, n = 0, len(parts)
-
-    def run(r):
-        nonlocal ready
-        if ready < n:
-            for i in range(n):
-                if i == ready:
-                    parts[i] = r.formula(parts[i])
-                    ready += 1
-                if bool(parts[i](r)) is not conj:
-                    return not conj
-            return conj
-        if conj:
-            for part in parts:
-                if not part(r):
-                    return False
-            return True
-        for part in parts:
-            if part(r):
-                return True
-        return False
-    return run
-
-
-def _not(body) -> Callable[[_Compiler], bool]:
-    compiled = False
-
-    def run(r):
-        nonlocal body, compiled
-        if not compiled:
-            body, compiled = r.formula(body), True
-        return not body(r)
-    return run
-
-
-def _imp(left, right) -> Callable[[_Compiler], bool]:
-    compiled = False
-
-    def run(r):
-        nonlocal left, right, compiled
-        if not compiled:
-            left, right = r.formula(left), r.formula(right)
-            compiled = True
-        return not left(r) or right(r)
-    return run
 
 
 def _quant(exists: bool, strings: bool, var: str, bound, body,

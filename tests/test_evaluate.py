@@ -790,10 +790,10 @@ def watching(nodes: set[int], stop: bool):
 
 
 def fused_root(f: F.Formula) -> F.Formula:
-    """The first node of f, following Not bodies and right parts, that
-    compiles as one fused clause."""
+    """The first node of f, following bodies and right parts, that compiles
+    as one fused clause."""
     while not evaluate._fuses(f):
-        f = f.body if type(f) is F.Not else f.right
+        f = f.right if type(f) in (F.And, F.Or, F.Imp) else f.body
     return f
 
 
@@ -824,20 +824,24 @@ def compiled_nodes(f: F.Formula) -> list[F.Formula]:
 
 
 def test_compiled_depth_costs_one_frame_per_level():
-    """Nested Nots and alternating Or/And chains sexpr.MAX_DEPTH levels deep
-    run one frame per level down to the first node within _CLAUSE_CAP,
-    which compiles with everything under it into one generated function
-    (the Not _CLAUSE_CAP levels from the bottom, the chain 7 levels from
-    it), in one frame per level of the clause."""
+    """Nested Nots, alternating Or/And chains and Nots alternating with
+    number binders, sexpr.MAX_DEPTH levels deep, run one frame per level
+    down to the first node within _CLAUSE_CAP, which compiles with
+    everything under it into one generated function (the Not _CLAUSE_CAP
+    levels from the bottom, the chain 7 levels from it, the lowest Not 1
+    level from it), in one frame per level of the clause."""
     levels, cap = sexpr.MAX_DEPTH, evaluate._CLAUSE_CAP
     # atoms read x, bound to 0, so that no clause folds
     nots = "(not " * (levels - 1) + "(leq x 1)" + ")" * (levels - 1)
-    chain = "(leq x x)"
+    chain = binders = "(leq x x)"
     for k in range(levels - 1):
         # each left part is true under and, false under or, so the run goes on
         chain = f"({'and' if k % 2 else 'or'} {'(leq x 0)' if k % 2 else '(leq 1 x)'} {chain})"
+        # every Not over a binder, each binder's name its own
+        binders = f"(alN y{k} 0 {binders})" if k % 2 else f"(not {binders})"
     for text, want, fused_at in ((nots, levels % 2 == 1, levels - cap + 1),
-                                 (chain, True, levels - (cap - 1) // 2)):
+                                 (chain, True, levels - (cap - 1) // 2),
+                                 (binders, levels // 2 % 2 == 0, levels - 1)):
         f = parse_formula(text)
         depth_of, _ = levels_of(f)
         assert max(depth_of.values()) == levels
@@ -910,6 +914,11 @@ def record_compiles(monkeypatch) -> list:
     return compiled
 
 
+# an Or chain past _CLAUSE_CAP nodes, so that a Not, Imp or And over it
+# compiles it as a part of its own, at its first reach
+BODY = F.lor([F.Leq(X, F.const_term(5 + k)) for k in range(evaluate._CLAUSE_CAP // 2 + 1)])
+
+
 def test_evaluation_compiles_only_what_it_reaches(monkeypatch):
     compiled = record_compiles(monkeypatch)
     low = F.Leq(X, F.Zero())
@@ -922,6 +931,11 @@ def test_evaluation_compiles_only_what_it_reaches(monkeypatch):
     # x = 1: the chain stops at its first part, and the sweep at y = 0
     assert eval_formula(f, S8, Assignment(nums={"x": 1}))
     assert compiled == [f, chain, low, some, some.body]
+    # an Imp whose left part is false never compiles its right
+    f = F.Imp(F.Leq(F.One(), X), BODY)
+    compiled.clear()
+    assert eval_formula(f, S8, Assignment(nums={"x": 0}))
+    assert compiled == [f, f.left]
 
 
 def test_a_kept_compile_compiles_only_what_no_earlier_call_reached(monkeypatch):
@@ -1007,9 +1021,9 @@ def clause_of(g: random.Random, n: int) -> F.Formula:
 
 def test_clauses_at_the_cap_agree_with_the_walker():
     """Clauses of _CLAUSE_CAP - 1 and _CLAUSE_CAP nodes fuse into one
-    function and one of _CLAUSE_CAP + 1 does not; each gives the walker's
-    value or first error, class and text, on grid reads at every edge, the
-    poisons included."""
+    function and one of _CLAUSE_CAP + 1 does not, its root reading no name
+    but through its parts; each gives the walker's value or first error,
+    class and text, on grid reads at every edge, the poisons included."""
     cap, seen = evaluate._CLAUSE_CAP, Counter()
     for n in (cap - 1, cap, cap + 1):
         for seed in range(40):
@@ -1024,8 +1038,9 @@ def test_clauses_at_the_cap_agree_with_the_walker():
             root = evaluate._kept[id(f)][1].root
             if n <= cap:
                 assert one_function(root) or root in (evaluate._true, evaluate._false), f
-            else:
-                assert oracles.generated_source(root) is None, f
+            else:  # one function whose every part is a call compiled at its first reach
+                source = oracles.generated_source(root)
+                assert source is not None and "nums[" not in source and "strs[" not in source, f
     assert set(seen) == {True, False, "ValueError", "IndexError", "UnboundVariableError",
                          "SortMismatchError", "TypeError"}, seen
 
@@ -1085,11 +1100,6 @@ def test_a_kept_compile_holds_nothing_of_its_last_call():
         env = Assignment({"x": 4, "b": 3})
         assert eval_formula(f, S8, env, {"c": Role()}) \
             is walk_formula(f, S8, env, {"c": Role()}) is False
-
-
-# an Or chain past _CLAUSE_CAP nodes, so that a Not, Imp or And over it
-# compiles it as a child of its own, on its first run
-BODY = F.lor([F.Leq(X, F.const_term(5 + k)) for k in range(evaluate._CLAUSE_CAP // 2 + 1)])
 
 
 @pytest.mark.parametrize("f", [F.Not(BODY), F.Imp(F.TRUE, BODY), F.And(F.TRUE, BODY),
